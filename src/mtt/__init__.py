@@ -16,7 +16,6 @@ from .gpf import (
     GpfConfig,
     GpfParticleSet,
     birth_and_prune,
-    combination_weight,
     conditional_kf_update,
     enumerate_combinations,
     estimate_cardinality,

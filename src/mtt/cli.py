@@ -135,7 +135,8 @@ def write_particles_json(
     )
 
 
-def read_particles_json(path: Path) -> tuple[np.ndarray, TrackingLog, ExperimentConfig]:
+def read_particles_json(path: Path) -> tuple[np.ndarray, TrackingLog, ExperimentConfig, int]:
+    """Truth, tracking log, config and seed of a `track` run's particle log."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if payload.get("schema") != "mtt-particle-log-v1":
         raise ConfigError(f"{path} is not an mtt particle log")
@@ -157,7 +158,7 @@ def read_particles_json(path: Path) -> tuple[np.ndarray, TrackingLog, Experiment
             )
         )
     truth_arr = np.asarray(truth_steps, dtype=float)
-    return truth_arr, TrackingLog(records), config
+    return truth_arr, TrackingLog(records), config, payload["seed"]
 
 
 def write_manifest(
@@ -235,7 +236,7 @@ def _cmd_track(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    truth, tracking_log, config = read_particles_json(Path(args.log))
+    truth, tracking_log, config, seed = read_particles_json(Path(args.log))
     out_dir = Path(args.out) if args.out else Path(args.log).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     evaluate_metrics(
@@ -247,7 +248,7 @@ def _cmd_eval(args) -> int:
     )
     metrics_path = out_dir / "eval_metrics.csv"
     write_csv(tracking_log, metrics_path, config.scenario.n_targets)
-    write_manifest(out_dir, "eval", config, config.scenario.seed, [metrics_path])
+    write_manifest(out_dir, "eval", config, seed, [metrics_path])
     log.info("wrote %s", metrics_path)
     return 0
 

@@ -2,7 +2,7 @@
 
 The format is one `key = value` pair per line, `#` comments, UTF-8.
 Unknown keys are rejected; missing keys take the documented defaults.
-The same schema serializes back out through dump_config, and a dumped
+One table, `_KEYS`, drives both parsing and dump_config, and a dumped
 default config reloads to an identical object.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .regions import Rectangle
 from .sim import ExperimentSetup, ScenarioConfig
@@ -25,55 +26,67 @@ class ExperimentConfig:
     setup: ExperimentSetup
 
 
-def _parse_int(raw: str, lo: int | None = None) -> int:
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"expected an integer, got {raw!r}") from exc
-    if lo is not None and value < lo:
-        raise ConfigError(f"expected an integer >= {lo}, got {value}")
-    return value
+def _int(lo: int | None = None) -> Callable[[str], int]:
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError as exc:
+            raise ConfigError(f"expected an integer, got {raw!r}") from exc
+        if lo is not None and value < lo:
+            raise ConfigError(f"expected an integer >= {lo}, got {value}")
+        return value
+
+    return parse
 
 
-def _parse_float(
-    raw: str,
+def _float(
     lo: float | None = None,
     hi: float | None = None,
     lo_open: bool = False,
     hi_open: bool = False,
-) -> float:
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"expected a number, got {raw!r}") from exc
-    if lo is not None and (value <= lo if lo_open else value < lo):
-        raise ConfigError(f"value {value} below allowed range ({_range_str(lo, hi, lo_open, hi_open)})")
-    if hi is not None and (value >= hi if hi_open else value > hi):
-        raise ConfigError(f"value {value} above allowed range ({_range_str(lo, hi, lo_open, hi_open)})")
-    return value
+) -> Callable[[str], float]:
+    allowed = f"{'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}"
+
+    def parse(raw: str) -> float:
+        try:
+            value = float(raw)
+        except ValueError as exc:
+            raise ConfigError(f"expected a number, got {raw!r}") from exc
+        if lo is not None and (value <= lo if lo_open else value < lo):
+            raise ConfigError(f"value {value} below allowed range ({allowed})")
+        if hi is not None and (value >= hi if hi_open else value > hi):
+            raise ConfigError(f"value {value} above allowed range ({allowed})")
+        return value
+
+    return parse
 
 
-def _range_str(lo, hi, lo_open, hi_open) -> str:
-    left = "(" if lo_open else "["
-    right = ")" if hi_open else "]"
-    return f"{left}{lo}, {hi}{right}"
+def _floats(count: int | None = None, **bounds) -> Callable[[str], tuple[float, ...]]:
+    """Comma-separated numbers, `count` of them if given, each within `bounds`."""
+    each = _float(**bounds)
+
+    def parse(raw: str) -> tuple[float, ...]:
+        parts = [p.strip() for p in raw.split(",") if p.strip()]
+        if count is not None and len(parts) != count:
+            raise ConfigError(f"expected {count} comma-separated numbers, got {len(parts)}")
+        return tuple(each(p) for p in parts)
+
+    return parse
 
 
-def _parse_floats(raw: str, count: int | None = None) -> tuple[float, ...]:
+def _choice(*options: str) -> Callable[[str], str]:
+    def parse(raw: str) -> str:
+        if raw not in options:
+            raise ConfigError(f"expected one of {options}, got {raw!r}")
+        return raw
+
+    return parse
+
+
+def _parse_ints(raw: str) -> list[int] | None:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     try:
-        values = tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {raw!r}") from exc
-    if count is not None and len(values) != count:
-        raise ConfigError(f"expected {count} comma-separated numbers, got {len(values)}")
-    return values
-
-
-def _parse_ints(raw: str) -> list[int]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    try:
-        return [int(p) for p in parts]
+        return [int(p) for p in parts] or None
     except ValueError as exc:
         raise ConfigError(f"expected comma-separated integers, got {raw!r}") from exc
 
@@ -87,24 +100,22 @@ def _parse_bool(raw: str) -> bool:
     raise ConfigError(f"expected true/false, got {raw!r}")
 
 
-def _parse_choice(raw: str, options: tuple[str, ...]) -> str:
-    if raw not in options:
-        raise ConfigError(f"expected one of {options}, got {raw!r}")
-    return raw
-
-
 def _parse_states(raw: str) -> list[tuple[float, float, float, float]] | None:
-    raw = raw.strip()
-    if not raw:
-        return None
-    states = []
-    for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        values = _parse_floats(chunk, count=4)
-        states.append(values)
-    return states or None
+    state = _floats(4)
+    return [state(chunk) for chunk in raw.split(";") if chunk.strip()] or None
+
+
+def _parse_workspace(raw: str) -> Rectangle:
+    return Rectangle(*_floats(4)(raw))
+
+
+_positive = _float(0.0, lo_open=True)
+_unit_open = _float(0.0, 1.0, lo_open=True, hi_open=True)  # (0, 1)
+_unit_upper = _float(0.0, 1.0, lo_open=True)  # (0, 1]
+
+
+def _parse_clutter(raw: str) -> float | None:
+    return None if raw.strip() == "auto" else _positive(raw)
 
 
 def _fmt(value) -> str:
@@ -125,50 +136,68 @@ def _fmt_states(states) -> str:
     return "; ".join(",".join(repr(float(v)) for v in s) for s in states)
 
 
-_DEFAULT_SCENARIO = ScenarioConfig()
-_DEFAULT_SETUP = ExperimentSetup()
+def _fmt_workspace(ws: Rectangle) -> str:
+    return _fmt((ws.x_min, ws.y_min, ws.x_max, ws.y_max))
 
-# key -> (parser, default value accessor pair used by dump_config)
-_SCHEMA = {
-    "scenario.n_targets": lambda raw: _parse_int(raw, lo=0),
-    "scenario.n_steps": lambda raw: _parse_int(raw, lo=1),
-    "scenario.tau": lambda raw: _parse_float(raw, lo=0.0, lo_open=True),
-    "scenario.q_diag": lambda raw: _parse_floats(raw, count=4),
-    "scenario.workspace": lambda raw: _parse_floats(raw, count=4),
-    "scenario.seed": lambda raw: _parse_int(raw),
-    "scenario.initial_states": _parse_states,
-    "sensor.r_diag": lambda raw: _parse_floats(raw),
-    "sensor.p_d": lambda raw: _parse_float(raw, lo=0.0, hi=1.0, lo_open=True, hi_open=True),
-    "sensor.snr": lambda raw: _parse_float(raw, lo=0.0, lo_open=True),
-    "sensor.m_cells": lambda raw: _parse_int(raw, lo=1),
-    "sensor.grid_rows": lambda raw: _parse_int(raw, lo=1),
-    "sensor.grid_cols": lambda raw: _parse_int(raw, lo=1),
-    "sensor.strategy": lambda raw: _parse_choice(raw, ("random", "round_robin", "fixed_list")),
-    "sensor.fixed_cells": _parse_ints,
-    "gpf.epsilon": lambda raw: _parse_float(raw, lo=0.0, hi=1.0, lo_open=True, hi_open=True),
-    "gpf.d_thresh": lambda raw: _parse_float(raw, lo=0.0, lo_open=True),
-    "gpf.w_prune": lambda raw: _parse_float(raw, lo=0.0, hi=1.0, hi_open=True),
-    "gpf.n_max": lambda raw: _parse_int(raw, lo=1),
-    "gpf.w_birth": lambda raw: _parse_float(raw, lo=0.0, hi=1.0, lo_open=True),
-    "gpf.clutter_density": lambda raw: (
-        None if raw.strip() == "auto" else _parse_float(raw, lo=0.0, lo_open=True)
-    ),
-    "gpf.merge_cov": lambda raw: _parse_choice(raw, ("moment", "plain_sum")),
-    "gpf.s_max": lambda raw: _parse_int(raw, lo=1),
-    "gpf.init_weight": lambda raw: _parse_float(raw, lo=0.0, hi=1.0, lo_open=True),
-    "gpf.init_cov_diag": lambda raw: _parse_floats(raw, count=4),
-    "pf.n_particles": lambda raw: _parse_int(raw, lo=1),
-    "pf.ess_ratio": lambda raw: _parse_float(raw, lo=0.0, hi=1.0, lo_open=True),
-    "pf.resample": lambda raw: _parse_choice(raw, ("multinomial", "systematic")),
-    "metrics.extraction_threshold": lambda raw: _parse_float(raw, lo=0.0, hi=1.0),
-    "metrics.distance_cap": lambda raw: _parse_float(raw, lo=0.0, lo_open=True),
-    "metrics.ospa": _parse_bool,
-}
+
+def _fmt_clutter(value: float | None) -> str:
+    return "auto" if value is None else _fmt(value)
+
+
+class _Key(NamedTuple):
+    """One config key: the dataclass field it sets, how to read and write it."""
+
+    key: str
+    section: str  # attribute of ExperimentConfig: "scenario" or "setup"
+    field: str
+    parse: Callable[[str], object]
+    fmt: Callable[[object], str] = _fmt
+
+
+# Row order is the dump_config order, which particle logs and manifests embed.
+_KEYS = (
+    _Key("scenario.n_targets", "scenario", "n_targets", _int(lo=0)),
+    _Key("scenario.n_steps", "scenario", "n_steps", _int(lo=1)),
+    _Key("scenario.tau", "scenario", "tau", _positive),
+    _Key("scenario.q_diag", "scenario", "q_diag", _floats(4)),
+    _Key("scenario.workspace", "scenario", "workspace", _parse_workspace, _fmt_workspace),
+    _Key("scenario.seed", "scenario", "seed", _int()),
+    _Key("scenario.initial_states", "scenario", "initial_states", _parse_states, _fmt_states),
+    _Key("sensor.r_diag", "setup", "mean_r_diag", _floats(2, lo=0.0)),
+    _Key("sensor.p_d", "setup", "p_d", _unit_open),
+    _Key("sensor.snr", "setup", "snr", _positive),
+    _Key("sensor.m_cells", "setup", "m_cells", _int(lo=1)),
+    _Key("sensor.grid_rows", "setup", "grid_rows", _int(lo=1)),
+    _Key("sensor.grid_cols", "setup", "grid_cols", _int(lo=1)),
+    _Key("sensor.strategy", "setup", "cell_strategy",
+         _choice("random", "round_robin", "fixed_list")),
+    _Key("sensor.fixed_cells", "setup", "fixed_cells", _parse_ints),
+    _Key("gpf.epsilon", "setup", "gpf_epsilon", _unit_open),
+    _Key("gpf.d_thresh", "setup", "gpf_d_thresh", _positive),
+    _Key("gpf.w_prune", "setup", "gpf_w_prune", _float(0.0, 1.0, hi_open=True)),
+    _Key("gpf.n_max", "setup", "gpf_n_max", _int(lo=1)),
+    _Key("gpf.w_birth", "setup", "gpf_w_birth", _unit_upper),
+    _Key("gpf.clutter_density", "setup", "gpf_clutter_density", _parse_clutter, _fmt_clutter),
+    _Key("gpf.merge_cov", "setup", "gpf_merge_cov", _choice("moment", "plain_sum")),
+    _Key("gpf.s_max", "setup", "gpf_s_max", _int(lo=1)),
+    _Key("gpf.init_weight", "setup", "gpf_init_weight", _unit_upper),
+    _Key("gpf.init_cov_diag", "setup", "gpf_init_cov_diag", _floats(4, lo=0.0, lo_open=True)),
+    _Key("pf.n_particles", "setup", "pf_n_particles", _int(lo=1)),
+    _Key("pf.ess_ratio", "setup", "pf_ess_ratio", _unit_upper),
+    _Key("pf.resample", "setup", "pf_resample", _choice("multinomial", "systematic")),
+    _Key("metrics.extraction_threshold", "setup", "extraction_threshold", _float(0.0, 1.0)),
+    _Key("metrics.distance_cap", "setup", "distance_cap", _positive),
+    _Key("metrics.ospa", "setup", "with_ospa", _parse_bool),
+)
+_BY_KEY = {row.key: row for row in _KEYS}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse flat key = value text into an ExperimentConfig."""
-    values: dict[str, object] = {}
+    """Parse flat key = value text into an ExperimentConfig.
+
+    Keys left out take the ScenarioConfig / ExperimentSetup defaults.
+    """
+    kwargs: dict[str, dict[str, object]] = {"scenario": {}, "setup": {}}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -176,67 +205,22 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _SCHEMA:
+        row = _BY_KEY.get(key)
+        if row is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in values:
+        section = kwargs[row.section]
+        if row.field in section:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = _SCHEMA[key](raw)
-        except ConfigError as exc:
+            section[row.field] = row.parse(raw)
+        except ValueError as exc:  # a ConfigError, or a plain one such as Rectangle's
             raise ConfigError(f"line {lineno}: {key}: {exc}") from None
-
-    def take(key: str, default):
-        return values.get(key, default)
-
     try:
-        ws = take("scenario.workspace", None)
-        workspace = (
-            Rectangle(ws[0], ws[1], ws[2], ws[3])
-            if ws is not None
-            else _DEFAULT_SCENARIO.workspace
+        return ExperimentConfig(
+            ScenarioConfig(**kwargs["scenario"]), ExperimentSetup(**kwargs["setup"])
         )
-        scenario = ScenarioConfig(
-            n_targets=take("scenario.n_targets", _DEFAULT_SCENARIO.n_targets),
-            n_steps=take("scenario.n_steps", _DEFAULT_SCENARIO.n_steps),
-            tau=take("scenario.tau", _DEFAULT_SCENARIO.tau),
-            q_diag=tuple(take("scenario.q_diag", _DEFAULT_SCENARIO.q_diag)),
-            workspace=workspace,
-            seed=take("scenario.seed", _DEFAULT_SCENARIO.seed),
-            initial_states=take("scenario.initial_states", _DEFAULT_SCENARIO.initial_states),
-        )
-        setup = ExperimentSetup(
-            mean_r_diag=tuple(take("sensor.r_diag", _DEFAULT_SETUP.mean_r_diag)),
-            grid_rows=take("sensor.grid_rows", _DEFAULT_SETUP.grid_rows),
-            grid_cols=take("sensor.grid_cols", _DEFAULT_SETUP.grid_cols),
-            p_d=take("sensor.p_d", _DEFAULT_SETUP.p_d),
-            snr=take("sensor.snr", _DEFAULT_SETUP.snr),
-            m_cells=take("sensor.m_cells", _DEFAULT_SETUP.m_cells),
-            cell_strategy=take("sensor.strategy", _DEFAULT_SETUP.cell_strategy),
-            fixed_cells=take("sensor.fixed_cells", _DEFAULT_SETUP.fixed_cells) or None,
-            gpf_epsilon=take("gpf.epsilon", _DEFAULT_SETUP.gpf_epsilon),
-            gpf_d_thresh=take("gpf.d_thresh", _DEFAULT_SETUP.gpf_d_thresh),
-            gpf_w_prune=take("gpf.w_prune", _DEFAULT_SETUP.gpf_w_prune),
-            gpf_n_max=take("gpf.n_max", _DEFAULT_SETUP.gpf_n_max),
-            gpf_w_birth=take("gpf.w_birth", _DEFAULT_SETUP.gpf_w_birth),
-            gpf_clutter_density=take("gpf.clutter_density", _DEFAULT_SETUP.gpf_clutter_density),
-            gpf_merge_cov=take("gpf.merge_cov", _DEFAULT_SETUP.gpf_merge_cov),
-            gpf_s_max=take("gpf.s_max", _DEFAULT_SETUP.gpf_s_max),
-            gpf_init_weight=take("gpf.init_weight", _DEFAULT_SETUP.gpf_init_weight),
-            gpf_init_cov_diag=tuple(take("gpf.init_cov_diag", _DEFAULT_SETUP.gpf_init_cov_diag)),
-            pf_n_particles=take("pf.n_particles", _DEFAULT_SETUP.pf_n_particles),
-            pf_ess_ratio=take("pf.ess_ratio", _DEFAULT_SETUP.pf_ess_ratio),
-            pf_resample=take("pf.resample", _DEFAULT_SETUP.pf_resample),
-            extraction_threshold=take(
-                "metrics.extraction_threshold", _DEFAULT_SETUP.extraction_threshold
-            ),
-            distance_cap=take("metrics.distance_cap", _DEFAULT_SETUP.distance_cap),
-            with_ospa=take("metrics.ospa", _DEFAULT_SETUP.with_ospa),
-        )
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return ExperimentConfig(scenario, setup)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -249,44 +233,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def dump_config(config: ExperimentConfig) -> str:
     """Serialize a config back to flat key = value text (full schema)."""
-    sc, st = config.scenario, config.setup
-    pairs = [
-        ("scenario.n_targets", _fmt(sc.n_targets)),
-        ("scenario.n_steps", _fmt(sc.n_steps)),
-        ("scenario.tau", _fmt(sc.tau)),
-        ("scenario.q_diag", _fmt(sc.q_diag)),
-        (
-            "scenario.workspace",
-            _fmt((sc.workspace.x_min, sc.workspace.y_min, sc.workspace.x_max, sc.workspace.y_max)),
-        ),
-        ("scenario.seed", _fmt(sc.seed)),
-        ("scenario.initial_states", _fmt_states(sc.initial_states)),
-        ("sensor.r_diag", _fmt(st.mean_r_diag)),
-        ("sensor.p_d", _fmt(st.p_d)),
-        ("sensor.snr", _fmt(st.snr)),
-        ("sensor.m_cells", _fmt(st.m_cells)),
-        ("sensor.grid_rows", _fmt(st.grid_rows)),
-        ("sensor.grid_cols", _fmt(st.grid_cols)),
-        ("sensor.strategy", st.cell_strategy),
-        ("sensor.fixed_cells", _fmt(st.fixed_cells or [])),
-        ("gpf.epsilon", _fmt(st.gpf_epsilon)),
-        ("gpf.d_thresh", _fmt(st.gpf_d_thresh)),
-        ("gpf.w_prune", _fmt(st.gpf_w_prune)),
-        ("gpf.n_max", _fmt(st.gpf_n_max)),
-        ("gpf.w_birth", _fmt(st.gpf_w_birth)),
-        (
-            "gpf.clutter_density",
-            "auto" if st.gpf_clutter_density is None else _fmt(st.gpf_clutter_density),
-        ),
-        ("gpf.merge_cov", st.gpf_merge_cov),
-        ("gpf.s_max", _fmt(st.gpf_s_max)),
-        ("gpf.init_weight", _fmt(st.gpf_init_weight)),
-        ("gpf.init_cov_diag", _fmt(st.gpf_init_cov_diag)),
-        ("pf.n_particles", _fmt(st.pf_n_particles)),
-        ("pf.ess_ratio", _fmt(st.pf_ess_ratio)),
-        ("pf.resample", st.pf_resample),
-        ("metrics.extraction_threshold", _fmt(st.extraction_threshold)),
-        ("metrics.distance_cap", _fmt(st.distance_cap)),
-        ("metrics.ospa", _fmt(st.with_ospa)),
-    ]
-    return "".join(f"{key} = {value}\n" for key, value in pairs)
+    return "".join(
+        f"{row.key} = {row.fmt(getattr(getattr(config, row.section), row.field))}\n"
+        for row in _KEYS
+    )

@@ -28,7 +28,6 @@ from .gaussians import (
     GaussianParticle,
     GaussianState,
     log_pdf,
-    mahalanobis_sq,
     mixture_moments,
     moment_match_merge,
 )
@@ -71,10 +70,6 @@ class ExistenceCombination:
     prior: float
     posterior_weight: float = 0.0
     updated_states: dict[int, GaussianState] = field(default_factory=dict)
-
-    @property
-    def n_active(self) -> int:
-        return int(sum(self.bits))
 
 
 @dataclass
@@ -270,20 +265,6 @@ def combination_log_weight(
     mu_c = projection @ mean_sum / n
     sigma_c = projection @ cov_sum @ projection.T / n**2 + r
     return math.log(combo.prior) + log_pdf(GaussianState(mu_c, sigma_c), z)
-
-
-def combination_weight(
-    combo: ExistenceCombination,
-    fov_particles: list[GaussianParticle],
-    z: np.ndarray,
-    r: np.ndarray,
-    clutter_density: float,
-    projection: np.ndarray | None = None,
-) -> float:
-    """Unnormalized combination weight: prior times measurement evidence."""
-    return math.exp(
-        combination_log_weight(combo, fov_particles, z, r, clutter_density, projection)
-    )
 
 
 def normalize_combination_weights(

@@ -5,6 +5,7 @@ experiment loop wiring filters to sensors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -20,12 +21,16 @@ from .sensors import (
     GridSensorModel,
     MeanSensorModel,
     grid_measure,
+    make_grid,
     mean_sensor_measure,
     select_cells,
 )
 
 FILTERS = ("gpf", "pf", "kf")
 SENSORS = ("mean", "grid")
+
+# Prior covariance of the KF baseline, which starts at the workspace centre.
+KF_INIT_COV = np.diag([400.0, 100.0, 400.0, 100.0])
 
 
 @dataclass
@@ -49,6 +54,8 @@ class ScenarioConfig:
             raise ValueError("tau must be positive")
         if len(self.q_diag) != 4:
             raise ValueError("q_diag must have four entries")
+        if any(v < 0 for v in self.q_diag):
+            raise ValueError("q_diag entries must be non-negative")
         if self.initial_states is not None:
             if len(self.initial_states) != self.n_targets:
                 raise ValueError(
@@ -106,13 +113,22 @@ def generate_truth(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarr
         truth[0] = np.stack(
             [xs, np.zeros(config.n_targets), ys, np.zeros(config.n_targets)], axis=1
         )
-    if np.any(q_diag < 0):
-        raise ValueError("q_diag entries must be non-negative")
     scale = np.sqrt(q_diag)
     for k in range(1, config.n_steps):
         noise = rng.standard_normal((config.n_targets, 4)) * scale
         truth[k] = truth[k - 1] @ f.T + noise
     return truth
+
+
+def _capped_cost(
+    estimates: list[np.ndarray], truths: list[np.ndarray], cap: float, p: int
+) -> np.ndarray:
+    """Estimate-to-truth distances capped at `cap`, raised to the power p."""
+    cost = np.zeros((len(estimates), len(truths)))
+    for i, e in enumerate(estimates):
+        for j, t in enumerate(truths):
+            cost[i, j] = min(np.linalg.norm(np.asarray(e) - np.asarray(t)), cap) ** p
+    return cost
 
 
 def assignment_rmse(
@@ -132,11 +148,7 @@ def assignment_rmse(
         return 0.0 if n_est == 0 else cap
     if n_est == 0:
         return cap
-    cost = np.zeros((n_est, n_true))
-    for i, e in enumerate(estimates):
-        for j, t in enumerate(truths):
-            d = np.linalg.norm(np.asarray(e) - np.asarray(t))
-            cost[i, j] = min(d, cap) ** 2
+    cost = _capped_cost(estimates, truths, cap, 2)
     rows, cols = linear_sum_assignment(cost)
     total = cost[rows, cols].sum() + cap**2 * max(0, n_true - n_est)
     return float(np.sqrt(total / n_true))
@@ -151,10 +163,7 @@ def ospa_distance(
         return 0.0
     if m == 0 or n == 0:
         return cap
-    cost = np.zeros((m, n))
-    for i, e in enumerate(estimates):
-        for j, t in enumerate(truths):
-            cost[i, j] = min(np.linalg.norm(np.asarray(e) - np.asarray(t)), cap) ** p
+    cost = _capped_cost(estimates, truths, cap, p)
     rows, cols = linear_sum_assignment(cost)
     total = cost[rows, cols].sum() + cap**p * abs(m - n)
     return float((total / max(m, n)) ** (1.0 / p))
@@ -238,32 +247,96 @@ class ExperimentSetup:
     extraction_threshold: float = 0.5
     distance_cap: float = 5.0
     with_ospa: bool = False
-    init_cov_diag: tuple[float, float, float, float] = (4.0, 1.0, 4.0, 1.0)
 
 
-def _build_mean_sensor(setup: ExperimentSetup) -> MeanSensorModel:
-    r = np.diag(np.asarray(setup.mean_r_diag, dtype=float))
-    return MeanSensorModel(R=r, position_projection=position_projection(4))
+StepFn = Callable[[object], tuple[list, list, list, float]]
 
 
-def _build_grid_sensor(setup: ExperimentSetup, workspace: Rectangle) -> GridSensorModel:
-    from .sensors import make_grid
-
-    return make_grid(
-        workspace,
-        rows=setup.grid_rows,
-        cols=setup.grid_cols,
-        p_d=setup.p_d,
-        snr=setup.snr,
-        m_cells=setup.m_cells,
+def _gpf_filter(
+    config: ScenarioConfig, setup: ExperimentSetup, sensor: MeanSensorModel | GridSensorModel,
+    f: np.ndarray, q: np.ndarray, truth0: np.ndarray,
+) -> StepFn:
+    """GPF step; mean-sensor runs start with one particle per true initial state."""
+    clutter = setup.gpf_clutter_density
+    if clutter is None:
+        clutter = 1.0 / config.workspace.area
+    gpf_config = GpfConfig(
+        f_matrix=f,
+        q_matrix=q,
+        sensor=sensor,
+        epsilon=setup.gpf_epsilon,
+        d_thresh=setup.gpf_d_thresh,
+        w_prune=setup.gpf_w_prune,
+        n_max=setup.gpf_n_max,
+        w_birth=setup.gpf_w_birth,
+        clutter_density=clutter,
+        merge_cov=setup.gpf_merge_cov,
+        s_max=setup.gpf_s_max,
     )
+    particles: list[GaussianParticle] = []
+    if isinstance(sensor, MeanSensorModel):
+        init_cov = np.diag(np.asarray(setup.gpf_init_cov_diag, dtype=float))
+        particles = [
+            GaussianParticle(setup.gpf_init_weight, GaussianState(s.copy(), init_cov))
+            for s in truth0
+        ]
+    belief = GpfParticleSet(particles, step=0)
+
+    def step(z):
+        nonlocal belief
+        belief = gpf_step(belief, z, gpf_config)
+        parts = belief.particles
+        return (
+            [p.state.mean.copy() for p in parts],
+            [p.state.cov.copy() for p in parts],
+            [p.weight for p in parts],
+            estimate_cardinality(belief),
+        )
+
+    return step
 
 
-def _summarize_gpf(pset: GpfParticleSet) -> tuple[list, list, list, float]:
-    means = [p.state.mean.copy() for p in pset.particles]
-    covs = [p.state.cov.copy() for p in pset.particles]
-    weights = [p.weight for p in pset.particles]
-    return means, covs, weights, estimate_cardinality(pset)
+def _kf_filter(model: LinearGaussianModel, ws: Rectangle) -> StepFn:
+    """KF step from a broad prior at the workspace centre."""
+    center = np.array([0.5 * (ws.x_min + ws.x_max), 0.0, 0.5 * (ws.y_min + ws.y_max), 0.0])
+    belief = GaussianState(center, KF_INIT_COV)
+
+    def step(z):
+        nonlocal belief
+        belief = kf_update(kf_predict(belief, model), model, z).posterior
+        return [belief.mean.copy()], [belief.cov.copy()], [1.0], 1.0
+
+    return step
+
+
+def _pf_filter(
+    model: LinearGaussianModel, ws: Rectangle, setup: ExperimentSetup, rng: np.random.Generator
+) -> StepFn:
+    """SIR step; particles start uniform over the workspace with unit-normal velocities."""
+    meas_state = GaussianState(np.zeros(model.H.shape[0]), model.R)
+
+    def likelihood(state: np.ndarray, z: np.ndarray) -> float:
+        return float(np.exp(log_pdf(meas_state, z - model.H @ state)))
+
+    n = setup.pf_n_particles
+    states = np.stack(
+        [
+            rng.uniform(ws.x_min, ws.x_max, size=n),
+            rng.standard_normal(n),
+            rng.uniform(ws.y_min, ws.y_max, size=n),
+            rng.standard_normal(n),
+        ],
+        axis=1,
+    )
+    pset = PointParticleSet(states, np.full(n, 1.0 / n))
+
+    def step(z):
+        nonlocal pset
+        pset = pf_step(pset, model, likelihood, z, rng,
+                       ess_ratio=setup.pf_ess_ratio, resample=setup.pf_resample)
+        return [pset.mean()], [np.cov(pset.states.T, aweights=pset.weights)], [1.0], 1.0
+
+    return step
 
 
 def run_experiment(
@@ -284,133 +357,44 @@ def run_experiment(
         raise ValueError(f"unknown filter {filter_choice!r}")
     if sensor_choice not in SENSORS:
         raise ValueError(f"unknown sensor {sensor_choice!r}")
-    if filter_choice in ("kf", "pf"):
-        if sensor_choice != "mean" or config.n_targets != 1:
-            raise ValueError(
-                f"{filter_choice} supports only the mean sensor with one target"
-            )
+    if filter_choice in ("kf", "pf") and (sensor_choice != "mean" or config.n_targets != 1):
+        raise ValueError(f"{filter_choice} supports only the mean sensor with one target")
 
     truth = generate_truth(config, rng)
     f = constant_velocity_matrix(config.tau)
     q = np.diag(np.asarray(config.q_diag, dtype=float))
-    log = TrackingLog()
 
-    mean_sensor = _build_mean_sensor(setup)
-    grid_sensor = (
-        _build_grid_sensor(setup, config.workspace) if sensor_choice == "grid" else None
-    )
+    if sensor_choice == "mean":
+        sensor = MeanSensorModel(
+            R=np.diag(np.asarray(setup.mean_r_diag, dtype=float)),
+            position_projection=position_projection(4),
+        )
+
+        def measure(k: int) -> object:
+            return mean_sensor_measure(list(truth[k]), sensor, rng)
+    else:
+        sensor = make_grid(config.workspace, setup.grid_rows, setup.grid_cols,
+                           setup.p_d, setup.snr, setup.m_cells)
+
+        def measure(k: int) -> object:
+            cells = select_cells(
+                setup.cell_strategy, sensor, rng, step=k, fixed=setup.fixed_cells
+            )
+            return grid_measure(list(truth[k]), cells, sensor, rng)
 
     if filter_choice == "gpf":
-        clutter = setup.gpf_clutter_density
-        if clutter is None:
-            clutter = 1.0 / config.workspace.area
-        gpf_config = GpfConfig(
-            f_matrix=f,
-            q_matrix=q,
-            sensor=grid_sensor if sensor_choice == "grid" else mean_sensor,
-            epsilon=setup.gpf_epsilon,
-            d_thresh=setup.gpf_d_thresh,
-            w_prune=setup.gpf_w_prune,
-            n_max=setup.gpf_n_max,
-            w_birth=setup.gpf_w_birth,
-            clutter_density=clutter,
-            merge_cov=setup.gpf_merge_cov,
-            s_max=setup.gpf_s_max,
-        )
-        particles: list[GaussianParticle] = []
-        if sensor_choice == "mean":
-            init_cov = np.diag(np.asarray(setup.gpf_init_cov_diag, dtype=float))
-            for s in truth[0]:
-                particles.append(
-                    GaussianParticle(setup.gpf_init_weight, GaussianState(s.copy(), init_cov))
-                )
-        belief = GpfParticleSet(particles, step=0)
-        for k in range(config.n_steps):
-            if sensor_choice == "mean":
-                z: object = mean_sensor_measure(list(truth[k]), mean_sensor, rng)
-            else:
-                cells = select_cells(
-                    setup.cell_strategy, grid_sensor, rng, step=k, fixed=setup.fixed_cells
-                )
-                z = grid_measure(list(truth[k]), cells, grid_sensor, rng)
-            belief = gpf_step(belief, z, gpf_config)
-            means, covs, weights, card = _summarize_gpf(belief)
-            log.records.append(
-                StepRecord(k, truth[k].copy(), _encode_measurement(z), means, covs, weights, card)
-            )
-    elif filter_choice == "kf":
-        model = LinearGaussianModel(
-            F=f, Q=q, H=mean_sensor.position_projection, R=mean_sensor.R
-        )
-        center = np.array(
-            [
-                0.5 * (config.workspace.x_min + config.workspace.x_max),
-                0.0,
-                0.5 * (config.workspace.y_min + config.workspace.y_max),
-                0.0,
-            ]
-        )
-        belief_g = GaussianState(center, np.diag(np.asarray(setup.init_cov_diag)) * 100.0)
-        for k in range(config.n_steps):
-            z = mean_sensor_measure(list(truth[k]), mean_sensor, rng)
-            belief_g = kf_update(kf_predict(belief_g, model), model, z).posterior
-            log.records.append(
-                StepRecord(
-                    k,
-                    truth[k].copy(),
-                    _encode_measurement(z),
-                    [belief_g.mean.copy()],
-                    [belief_g.cov.copy()],
-                    [1.0],
-                    1.0,
-                )
-            )
+        step = _gpf_filter(config, setup, sensor, f, q, truth[0])
     else:
-        model = LinearGaussianModel(
-            F=f, Q=q, H=mean_sensor.position_projection, R=mean_sensor.R
-        )
-        meas_state = GaussianState(np.zeros(mean_sensor.meas_dim), mean_sensor.R)
+        model = LinearGaussianModel(F=f, Q=q, H=sensor.position_projection, R=sensor.R)
+        if filter_choice == "kf":
+            step = _kf_filter(model, config.workspace)
+        else:
+            step = _pf_filter(model, config.workspace, setup, rng)
 
-        def likelihood(state: np.ndarray, z: np.ndarray) -> float:
-            return float(
-                np.exp(log_pdf(meas_state, z - mean_sensor.position_projection @ state))
-            )
-
-        n = setup.pf_n_particles
-        ws = config.workspace
-        states = np.stack(
-            [
-                rng.uniform(ws.x_min, ws.x_max, size=n),
-                rng.standard_normal(n),
-                rng.uniform(ws.y_min, ws.y_max, size=n),
-                rng.standard_normal(n),
-            ],
-            axis=1,
-        )
-        pset = PointParticleSet(states, np.full(n, 1.0 / n))
-        for k in range(config.n_steps):
-            z = mean_sensor_measure(list(truth[k]), mean_sensor, rng)
-            pset = pf_step(
-                pset,
-                model,
-                likelihood,
-                z,
-                rng,
-                ess_ratio=setup.pf_ess_ratio,
-                resample=setup.pf_resample,
-            )
-            est = pset.mean()
-            log.records.append(
-                StepRecord(
-                    k,
-                    truth[k].copy(),
-                    _encode_measurement(z),
-                    [est],
-                    [np.cov(pset.states.T, aweights=pset.weights)],
-                    [1.0],
-                    1.0,
-                )
-            )
+    log = TrackingLog()
+    for k in range(config.n_steps):
+        z = measure(k)
+        log.records.append(StepRecord(k, truth[k].copy(), _encode_measurement(z), *step(z)))
 
     evaluate_metrics(
         truth,

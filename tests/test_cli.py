@@ -129,6 +129,8 @@ class TestEval:
         track_csv = (out / "metrics.csv").read_text()
         eval_csv = (out_eval / "eval_metrics.csv").read_text()
         assert eval_csv == track_csv
+        manifest = json.loads((out_eval / "manifest.json").read_text())
+        assert manifest["seed"] == 3
 
     def test_eval_missing_log_is_runtime_error(self, tmp_path):
         assert run_command(["eval", "--log", str(tmp_path / "nope.json")]) == 2
@@ -197,6 +199,18 @@ class TestExitCodes:
         cfg.write_text("gpf.epsilon = 2.0\n")
         assert run_command(["track", "--config", str(cfg),
                             "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["scenario.q_diag = -1,0,0,0", "sensor.r_diag = 1,1,1", "sensor.r_diag = -1,-1",
+         "gpf.init_cov_diag = 0,0,-1,0"],
+    )
+    def test_bad_noise_value_is_config_error(self, tmp_path, bad):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("scenario.n_targets = 1\nscenario.n_steps = 2\n" + bad + "\n")
+        for filt in ("gpf", "kf"):
+            assert run_command(["track", "--config", str(cfg), "--filter", filt,
+                                "--sensor", "mean", "--out", str(tmp_path / "o")]) == 1
 
     def test_runtime_error_exit_code(self, tmp_path):
         # kf with two targets is an unsupported combination -> runtime error

@@ -102,8 +102,37 @@ def test_clutter_density_auto():
 def test_workspace_parsed():
     config = parse_config_text("scenario.workspace = -1,-1,1,1")
     assert config.scenario.workspace.area == 4.0
-    with pytest.raises(ConfigError):
-        parse_config_text("scenario.workspace = 1,1,1,1")
+    with pytest.raises(ConfigError, match="line 2: scenario.workspace"):
+        parse_config_text("scenario.seed = 1\nscenario.workspace = 1,1,1,1")
+
+
+@pytest.mark.parametrize(
+    "line, match",
+    [
+        ("scenario.q_diag = -1,0.1,1,0.1", "non-negative"),
+        ("sensor.r_diag = 1,1,1", "expected 2"),
+        ("sensor.r_diag = 1", "expected 2"),
+        ("sensor.r_diag = -1,-1", "below allowed range"),
+        ("gpf.init_cov_diag = 0,0,-1,0", "below allowed range"),
+        ("gpf.init_cov_diag = 1,0.1,1,0", "below allowed range"),
+    ],
+)
+def test_bad_noise_values_rejected(line, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config_text(line)
+
+
+@pytest.mark.parametrize(
+    "line", ["scenario.q_diag = 0,0,0,0", "sensor.r_diag = 0,0", "gpf.init_cov_diag = 1,1,1,1"]
+)
+def test_boundary_noise_values_accepted(line):
+    parse_config_text(line)
+
+
+def test_scenario_rejects_negative_q_diag():
+    # a plain ValueError here; parse_config_text turns it into a ConfigError
+    with pytest.raises(ValueError, match="non-negative"):
+        ScenarioConfig(q_diag=(1.0, -0.1, 1.0, 0.1))
 
 
 def test_merge_cov_switch():

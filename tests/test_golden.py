@@ -1,0 +1,104 @@
+"""Golden-output check: `mtt track` must reproduce committed outputs byte for byte.
+
+Each case runs `track` through `run_command` and compares `metrics.csv` and
+`particles.json` with the files under `tests/golden/<case>/`.
+`manifest.json` is not compared because it holds a timestamp.
+
+A change that alters the random stream or the filter arithmetic on purpose
+regenerates the files and says why in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from mtt.cli import run_command
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+SEED = 7
+COMPARED = ("metrics.csv", "particles.json")
+
+_ONE_TARGET = """
+scenario.n_targets = 1
+scenario.n_steps = 15
+scenario.q_diag = 0.2,0.02,0.2,0.02
+scenario.initial_states = 6,0.05,6,-0.05
+sensor.r_diag = 0.25,0.25
+pf.n_particles = 200
+"""
+
+# case -> (filter, sensor, config text)
+CASES = {
+    "kf_mean_1target": ("kf", "mean", _ONE_TARGET),
+    "pf_mean_1target": ("pf", "mean", _ONE_TARGET),
+    "gpf_mean_1target": ("gpf", "mean", _ONE_TARGET),
+    "gpf_grid_ospa": (
+        "gpf",
+        "grid",
+        """
+scenario.n_targets = 3
+scenario.n_steps = 15
+scenario.tau = 0.001
+scenario.q_diag = 0.02,0.0002,0.02,0.0002
+scenario.initial_states = 3,0,3,0; 6,0,6,0; 9,0,9,0
+sensor.snr = 30
+sensor.m_cells = 48
+gpf.w_prune = 0.05
+gpf.d_thresh = 4.0
+metrics.ospa = true
+""",
+    ),
+    "gpf_mean_4targets": (
+        "gpf",
+        "mean",
+        """
+scenario.n_targets = 4
+scenario.n_steps = 15
+scenario.tau = 0.001
+scenario.q_diag = 0.02,0.0002,0.02,0.0002
+gpf.epsilon = 0.001
+gpf.init_weight = 0.7
+""",
+    ),
+}
+
+
+def _track(case: str, work: Path) -> Path:
+    filter_choice, sensor_choice, text = CASES[case]
+    cfg = work / f"{case}.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = work / case
+    code = run_command(["track", "--config", str(cfg), "--seed", str(SEED),
+                        "--filter", filter_choice, "--sensor", sensor_choice,
+                        "--out", str(out)])
+    assert code == 0
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_track_matches_golden(case, tmp_path):
+    out = _track(case, tmp_path)
+    for name in COMPARED:
+        expected = (GOLDEN_DIR / case / name).read_bytes()
+        assert (out / name).read_bytes() == expected, f"{case}/{name} differs from golden"
+
+
+def regenerate(work: Path) -> None:
+    for case in sorted(CASES):
+        out = _track(case, work)
+        dest = GOLDEN_DIR / case
+        dest.mkdir(parents=True, exist_ok=True)
+        for name in COMPARED:
+            shutil.copyfile(out / name, dest / name)
+        print(f"wrote {dest}")
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        regenerate(Path(tmp))

@@ -15,7 +15,6 @@ from mtt.gpf import (
     GpfParticleSet,
     birth_and_prune,
     combination_log_weight,
-    combination_weight,
     conditional_kf_update,
     enumerate_combinations,
     estimate_cardinality,
@@ -236,14 +235,16 @@ class TestCombinationWeight:
         z = np.array([0.5])
         combo = ExistenceCombination((1,), prior=1.0)
         part = GaussianParticle(1.0, GaussianState(0.5, 1e-4))
-        w = combination_weight(combo, [part], z, np.array([[1e-4]]), 1.0)
+        w = math.exp(combination_log_weight(combo, [part], z, np.array([[1e-4]]), 1.0))
         peak = 1.0 / math.sqrt(2 * math.pi * 2e-4)
         assert_allclose(w, peak, rtol=1e-12)
 
     def test_all_zero_combination_uses_clutter(self):
         combo = ExistenceCombination((0,), prior=0.3)
         part = _particle(0.7, 0.0, 0.0)
-        w = combination_weight(combo, [part], np.zeros(2), np.eye(2), 1.0 / 144.0)
+        w = math.exp(
+            combination_log_weight(combo, [part], np.zeros(2), np.eye(2), 1.0 / 144.0)
+        )
         assert_allclose(w, 0.3 / 144.0, rtol=1e-12)
 
     def test_two_active_hand_example(self):
@@ -253,7 +254,9 @@ class TestCombinationWeight:
             GaussianParticle(0.9, GaussianState(2.0, 1.0)),
         ]
         combo = ExistenceCombination((1, 1), prior=0.81)
-        w = combination_weight(combo, parts, np.array([1.0]), np.array([[1.0]]), 1.0)
+        w = math.exp(
+            combination_log_weight(combo, parts, np.array([1.0]), np.array([[1.0]]), 1.0)
+        )
         expected_density = 1.0 / math.sqrt(2 * math.pi * 1.5)
         assert_allclose(w, 0.81 * expected_density, rtol=1e-12)
         assert_allclose(expected_density, 0.3257, atol=5e-5)
