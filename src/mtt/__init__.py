@@ -40,7 +40,6 @@ from .sensors import (
     MeanSensorModel,
     detection_prob,
     grid_measure,
-    make_grid,
     mean_sensor_measure,
     select_cells,
 )

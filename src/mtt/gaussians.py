@@ -8,7 +8,7 @@ Mahalanobis quadratic forms, and moment-matched mixture reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,38 +21,40 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaussianState:
-    """Mean vector plus symmetric PSD covariance.
+    """Mean vector plus symmetric PSD covariance, immutable and shareable.
 
-    The covariance is symmetrized on construction so that downstream
-    Cholesky factorizations never fail on round-off asymmetry alone.
+    The mean is copied and the covariance symmetrized (a new array) on
+    construction, and both arrays are made read-only, so a state never
+    changes after it is built and filters pass states on without copying.
+    Symmetrizing also keeps downstream Cholesky factorizations from
+    failing on round-off asymmetry alone.
     """
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self) -> None:
-        self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        self.cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        if self.mean.ndim != 1:
-            raise ValueError(f"mean must be a vector, got shape {self.mean.shape}")
-        n = self.mean.shape[0]
-        if self.cov.shape != (n, n):
-            raise ValueError(
-                f"cov shape {self.cov.shape} does not match mean dimension {n}"
-            )
-        self.cov = _symmetrize(self.cov)
+        mean = np.array(self.mean, dtype=float, ndmin=1)
+        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
+        if mean.ndim != 1:
+            raise ValueError(f"mean must be a vector, got shape {mean.shape}")
+        n = mean.shape[0]
+        if cov.shape != (n, n):
+            raise ValueError(f"cov shape {cov.shape} does not match mean dimension {n}")
+        cov = _symmetrize(cov)
+        mean.setflags(write=False)
+        cov.setflags(write=False)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cov", cov)
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    def copy(self) -> "GaussianState":
-        return GaussianState(self.mean.copy(), self.cov.copy())
 
-
-@dataclass
+@dataclass(frozen=True)
 class GaussianParticle:
     """Existence weight in [0, 1] paired with a Gaussian state hypothesis."""
 
@@ -60,12 +62,9 @@ class GaussianParticle:
     state: GaussianState
 
     def __post_init__(self) -> None:
-        self.weight = float(self.weight)
+        object.__setattr__(self, "weight", float(self.weight))
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError(f"weight must lie in [0, 1], got {self.weight}")
-
-    def copy(self) -> "GaussianParticle":
-        return GaussianParticle(self.weight, self.state.copy())
 
 
 def chol_with_jitter(cov: np.ndarray) -> np.ndarray:

@@ -49,11 +49,6 @@ class GpfParticleSet:
     step: int = 0
     degenerate_step: bool = False
 
-    def copy(self) -> "GpfParticleSet":
-        return GpfParticleSet(
-            [p.copy() for p in self.particles], self.step, self.degenerate_step
-        )
-
 
 @dataclass
 class ExistenceCombination:
@@ -88,7 +83,6 @@ class GpfConfig:
     clutter_density: float = 1.0
     merge_cov: str = "moment"
     s_max: int = 20
-    position_idx: tuple[int, int] = POSITION_IDX
 
     def __post_init__(self) -> None:
         self.f_matrix = np.atleast_2d(np.asarray(self.f_matrix, dtype=float))
@@ -123,17 +117,13 @@ def gpf_predict(pset: GpfParticleSet, f: np.ndarray, q: np.ndarray) -> GpfPartic
     return GpfParticleSet(out, pset.step, pset.degenerate_step)
 
 
-def select_fov_particles(
-    pset: GpfParticleSet,
-    fov: FovRegion,
-    position_idx: tuple[int, int] = POSITION_IDX,
-) -> tuple[list[int], list[int]]:
+def select_fov_particles(pset: GpfParticleSet, fov: FovRegion) -> tuple[list[int], list[int]]:
     """Partition particle indices by whether the mean position is in view.
 
     The region is closed, so a mean exactly on the boundary counts as in
     view.
     """
-    xi, yi = position_idx
+    xi, yi = POSITION_IDX
     in_fov, out_of_fov = [], []
     for i, p in enumerate(pset.particles):
         if fov.contains(p.state.mean[xi], p.state.mean[yi]):
@@ -296,12 +286,12 @@ def marginalize_existence(
     for i, particle in enumerate(fov_particles):
         mine = [c for c in combos if c.bits[i]]
         if not mine:
-            out.append(particle.copy())
+            out.append(particle)
             continue
         mix = np.array([c.posterior_weight for c in mine])
         weight = min(1.0, float(mix.sum()))
         if weight <= 0.0:
-            out.append(GaussianParticle(0.0, particle.state.copy()))
+            out.append(GaussianParticle(0.0, particle.state))
             continue
         means = [c.updated_states[i].mean for c in mine]
         covs = [c.updated_states[i].cov for c in mine]
@@ -310,32 +300,26 @@ def marginalize_existence(
     return out
 
 
-def _pairwise_position_distances(
-    particles: list[GaussianParticle], position_idx: tuple[int, ...]
-) -> np.ndarray:
+def _pairwise_position_distances(particles: list[GaussianParticle]) -> np.ndarray:
     """Mahalanobis distances between particle position marginals.
 
     d_ij = (mu_i - mu_j)' (Sigma_i + Sigma_j)^-1 (mu_i - mu_j) over the
-    position components, computed for all pairs at once via closed-form
-    1x1 / 2x2 inverses.  The diagonal is set to +inf.
+    (x, y) components, computed for all pairs at once via the closed-form
+    2x2 inverse.  The diagonal is set to +inf.
     """
-    idx = [i for i in position_idx if i < particles[0].state.dim]
-    mx = np.array([p.state.mean[idx[0]] for p in particles])
-    a = np.array([p.state.cov[idx[0], idx[0]] for p in particles])
+    xi, yi = POSITION_IDX
+    mx = np.array([p.state.mean[xi] for p in particles])
+    my = np.array([p.state.mean[yi] for p in particles])
+    a = np.array([p.state.cov[xi, xi] for p in particles])
+    b = np.array([p.state.cov[xi, yi] for p in particles])
+    c = np.array([p.state.cov[yi, yi] for p in particles])
     dx = mx[:, None] - mx[None, :]
+    dy = my[:, None] - my[None, :]
     sa = a[:, None] + a[None, :]
+    sb = b[:, None] + b[None, :]
+    sc = c[:, None] + c[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        if len(idx) == 1:
-            d = dx**2 / sa
-        else:
-            my = np.array([p.state.mean[idx[1]] for p in particles])
-            b = np.array([p.state.cov[idx[0], idx[1]] for p in particles])
-            c = np.array([p.state.cov[idx[1], idx[1]] for p in particles])
-            sb = b[:, None] + b[None, :]
-            sc = c[:, None] + c[None, :]
-            det = sa * sc - sb**2
-            dy = my[:, None] - my[None, :]
-            d = (sc * dx**2 - 2.0 * sb * dx * dy + sa * dy**2) / det
+        d = (sc * dx**2 - 2.0 * sb * dx * dy + sa * dy**2) / (sa * sc - sb**2)
     d[~np.isfinite(d)] = np.inf
     np.fill_diagonal(d, np.inf)
     return d
@@ -344,7 +328,6 @@ def _pairwise_position_distances(
 def merge_close_particles(
     pset: GpfParticleSet,
     d_thresh: float,
-    position_idx: tuple[int, int] = POSITION_IDX,
     cov_mode: str = "moment",
 ) -> GpfParticleSet:
     """Greedily merge the closest particle pair until none is below d_thresh.
@@ -356,9 +339,9 @@ def merge_close_particles(
     """
     if d_thresh <= 0.0:
         raise ValueError(f"d_thresh must be positive, got {d_thresh}")
-    particles = [p.copy() for p in pset.particles]
+    particles = list(pset.particles)
     while len(particles) > 1:
-        d = _pairwise_position_distances(particles, position_idx)
+        d = _pairwise_position_distances(particles)
         i, j = np.unravel_index(np.argmin(d), d.shape)
         if d[i, j] >= d_thresh:
             break
@@ -400,7 +383,7 @@ def _mean_measurement_update(
 ) -> tuple[GpfParticleSet, bool]:
     """Existence-combination update for a mean-of-states measurement."""
     sensor = config.sensor
-    in_idx, _ = select_fov_particles(pset, config.fov, config.position_idx)
+    in_idx, _ = select_fov_particles(pset, config.fov)
     if not in_idx:
         return pset, False
     fov_parts = [pset.particles[i] for i in in_idx]
@@ -424,7 +407,7 @@ def _mean_measurement_update(
     normalize_combination_weights(combos, log_weights)
     marginal = marginalize_existence(combos, fov_parts)
 
-    particles = [p.copy() for p in pset.particles]
+    particles = list(pset.particles)
     for local_i, global_i in enumerate(in_idx):
         particles[global_i] = marginal[local_i]
     return GpfParticleSet(particles, pset.step, pset.degenerate_step), False
@@ -434,7 +417,6 @@ def grid_existence_update(
     pset: GpfParticleSet,
     returns: list[CellReturn],
     sensor: GridSensorModel,
-    position_idx: tuple[int, int] = POSITION_IDX,
 ) -> GpfParticleSet:
     """Bayes update of existence weights from binary cell returns.
 
@@ -452,7 +434,7 @@ def grid_existence_update(
     and 1: merging can clamp a weight to exactly 1, and a degenerate prior
     would otherwise be immune to any amount of contrary evidence.
     """
-    xi, yi = position_idx
+    xi, yi = POSITION_IDX
     p_hit = detection_prob(1, sensor.p_d, sensor.snr)
     p_false = detection_prob(0, sensor.p_d, sensor.snr)
     bound = 1e-3
@@ -467,7 +449,7 @@ def grid_existence_update(
             l_exists = p_hit if ret.value else 1.0 - p_hit
             l_empty = p_false if ret.value else 1.0 - p_false
             w = w * l_exists / (w * l_exists + (1.0 - w) * l_empty)
-        out.append(GaussianParticle(w, p.state.copy()))
+        out.append(GaussianParticle(w, p.state))
     return GpfParticleSet(out, pset.step, pset.degenerate_step)
 
 
@@ -503,23 +485,24 @@ def gpf_step(
     Bayes rule plus births for the grid sensor), merge near-duplicate
     particles, then prune.  If no existence combination survives the
     threshold the measurement update is skipped and the returned set is
-    flagged degenerate for this step.
+    flagged degenerate for this step.  A non-finite mean-sensor
+    measurement raises ValueError, a cell index outside the grid IndexError.
     """
     predicted = gpf_predict(pset, config.f_matrix, config.q_matrix)
     degenerate = False
     if isinstance(config.sensor, MeanSensorModel):
         z = np.atleast_1d(np.asarray(z, dtype=float))
+        if not np.isfinite(z).all():
+            raise ValueError(f"measurement must be finite, got {z}")
         updated, degenerate = _mean_measurement_update(predicted, z, config)
         births: list[GaussianParticle] = []
     elif isinstance(config.sensor, GridSensorModel):
         if not all(isinstance(r, CellReturn) for r in z):
             raise TypeError("grid sensor expects a list of cell returns")
-        updated = grid_existence_update(predicted, z, config.sensor, config.position_idx)
+        updated = grid_existence_update(predicted, z, config.sensor)
         births = grid_births(z, config.sensor, config.w_birth)
     else:
         raise TypeError(f"unsupported sensor type {type(config.sensor)!r}")
-    merged = merge_close_particles(
-        updated, config.d_thresh, config.position_idx, config.merge_cov
-    )
+    merged = merge_close_particles(updated, config.d_thresh, config.merge_cov)
     pruned = birth_and_prune(merged, births, config.w_prune, config.n_max)
     return GpfParticleSet(pruned.particles, pset.step + 1, degenerate)

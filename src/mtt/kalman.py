@@ -105,6 +105,8 @@ def kf_update(
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.shape[0] != model.meas_dim:
         raise ValueError(f"z dim {z.shape[0]} does not match model dim {model.meas_dim}")
+    if not np.isfinite(z).all():
+        raise ValueError(f"measurement must be finite, got {z}")
     if pred.dim != model.state_dim:
         raise ValueError(
             f"state dim {pred.dim} does not match model dim {model.state_dim}"

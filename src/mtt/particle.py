@@ -101,13 +101,15 @@ def pf_step(
     """
     if resample not in _RESAMPLERS:
         raise ValueError(f"unknown resampling scheme {resample!r}")
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if not np.isfinite(z).all():
+        raise ValueError(f"measurement must be finite, got {z}")
     n = pset.n_particles
     propagated = pset.states @ model.F.T
     if np.any(model.Q):
         noise = rng.multivariate_normal(np.zeros(model.state_dim), model.Q, size=n)
         propagated = propagated + noise
 
-    z = np.atleast_1d(np.asarray(z, dtype=float))
     like = np.array([likelihood(propagated[p], z) for p in range(n)], dtype=float)
     if np.any(like < 0):
         raise ValueError("likelihood returned a negative value")

@@ -5,7 +5,7 @@ interrogate each step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,27 +52,29 @@ class CellReturn:
 
 @dataclass
 class GridSensorModel:
-    """Detection grid over the workspace.
+    """Detection grid: the workspace tiled by rows x cols equal cells.
 
-    cells[i] = (x_lo, y_lo, x_hi, y_hi); containment is half-open,
-    x in [x_lo, x_hi) and y in [y_lo, y_hi), so the cells tile the
-    workspace without overlap.  Cells are indexed row-major from the
-    workspace origin corner (index = row * n_cols + col).
+    Cells are indexed row-major from the workspace origin corner (index =
+    row * cols + col).  Containment is half-open, x in [x_lo, x_hi) and
+    y in [y_lo, y_hi), and a cell's high edge is the next cell's low edge
+    (the last cell's is the workspace edge), so every workspace point
+    below the high workspace edges lies in exactly one cell.
 
     p_d is the single-target detection probability, snr the known
     signal-to-noise ratio of the Rayleigh return model, m_cells the
     maximum number of cells interrogated per step.
     """
 
-    cells: np.ndarray
-    p_d: float
-    snr: float
-    m_cells: int
+    workspace: Rectangle
+    rows: int = 12
+    cols: int = 12
+    p_d: float = 0.9
+    snr: float = 3.0
+    m_cells: int = 12
 
     def __post_init__(self) -> None:
-        self.cells = np.atleast_2d(np.asarray(self.cells, dtype=float))
-        if self.cells.shape[1] != 4:
-            raise ValueError("cells must be rows of (x_lo, y_lo, x_hi, y_hi)")
+        if self.rows < 1 or self.cols < 1:
+            raise ValueError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
         if not 0.0 < self.p_d < 1.0:
             raise ValueError(f"p_d must lie in (0, 1), got {self.p_d}")
         if self.snr <= 0.0:
@@ -82,35 +84,31 @@ class GridSensorModel:
 
     @property
     def n_cells(self) -> int:
-        return self.cells.shape[0]
+        return self.rows * self.cols
+
+    def cell_bounds(self, index: int) -> tuple[float, float, float, float]:
+        """(x_lo, y_lo, x_hi, y_hi) of a cell; IndexError outside [0, n_cells)."""
+        if not 0 <= index < self.n_cells:
+            raise IndexError(f"cell index {index} out of range [0, {self.n_cells})")
+        row, col = divmod(index, self.cols)
+        ws = self.workspace
+        width = (ws.x_max - ws.x_min) / self.cols
+        height = (ws.y_max - ws.y_min) / self.rows
+        x_hi = ws.x_max if col == self.cols - 1 else ws.x_min + (col + 1) * width
+        y_hi = ws.y_max if row == self.rows - 1 else ws.y_min + (row + 1) * height
+        return ws.x_min + col * width, ws.y_min + row * height, x_hi, y_hi
 
     def cell_center(self, index: int) -> tuple[float, float]:
-        x_lo, y_lo, x_hi, y_hi = self.cells[index]
+        x_lo, y_lo, x_hi, y_hi = self.cell_bounds(index)
         return 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
 
     def cell_size(self) -> tuple[float, float]:
-        x_lo, y_lo, x_hi, y_hi = self.cells[0]
+        x_lo, y_lo, x_hi, y_hi = self.cell_bounds(0)
         return x_hi - x_lo, y_hi - y_lo
 
     def cell_contains(self, index: int, x: float, y: float) -> bool:
-        x_lo, y_lo, x_hi, y_hi = self.cells[index]
-        return x_lo <= x < x_hi and y_lo <= y < y_hi
-
-
-def make_grid(
-    workspace: Rectangle, rows: int = 12, cols: int = 12, p_d: float = 0.9,
-    snr: float = 3.0, m_cells: int = 12,
-) -> GridSensorModel:
-    """Tile the workspace with rows x cols equal cells, row-major order."""
-    width = (workspace.x_max - workspace.x_min) / cols
-    height = (workspace.y_max - workspace.y_min) / rows
-    cells = np.zeros((rows * cols, 4))
-    for row in range(rows):
-        for col in range(cols):
-            x_lo = workspace.x_min + col * width
-            y_lo = workspace.y_min + row * height
-            cells[row * cols + col] = (x_lo, y_lo, x_lo + width, y_lo + height)
-    return GridSensorModel(cells, p_d=p_d, snr=snr, m_cells=m_cells)
+        x_lo, y_lo, x_hi, y_hi = self.cell_bounds(index)
+        return bool(x_lo <= x < x_hi and y_lo <= y < y_hi)
 
 
 def mean_sensor_measure(

@@ -21,7 +21,6 @@ from .sensors import (
     GridSensorModel,
     MeanSensorModel,
     grid_measure,
-    make_grid,
     mean_sensor_measure,
     select_cells,
 )
@@ -169,13 +168,9 @@ def ospa_distance(
     return float((total / max(m, n)) ** (1.0 / p))
 
 
-def extract_estimates(
-    record: StepRecord,
-    threshold: float,
-    position_idx: tuple[int, int] = POSITION_IDX,
-) -> list[np.ndarray]:
-    """Means of particles whose existence weight clears the threshold."""
-    idx = np.asarray(position_idx)
+def extract_estimates(record: StepRecord, threshold: float) -> list[np.ndarray]:
+    """Positions of particles whose existence weight clears the threshold."""
+    idx = np.asarray(POSITION_IDX)
     return [
         np.asarray(m)[idx]
         for m, w in zip(record.means, record.weights)
@@ -277,7 +272,7 @@ def _gpf_filter(
     if isinstance(sensor, MeanSensorModel):
         init_cov = np.diag(np.asarray(setup.gpf_init_cov_diag, dtype=float))
         particles = [
-            GaussianParticle(setup.gpf_init_weight, GaussianState(s.copy(), init_cov))
+            GaussianParticle(setup.gpf_init_weight, GaussianState(s, init_cov))
             for s in truth0
         ]
     belief = GpfParticleSet(particles, step=0)
@@ -287,8 +282,8 @@ def _gpf_filter(
         belief = gpf_step(belief, z, gpf_config)
         parts = belief.particles
         return (
-            [p.state.mean.copy() for p in parts],
-            [p.state.cov.copy() for p in parts],
+            [p.state.mean for p in parts],
+            [p.state.cov for p in parts],
             [p.weight for p in parts],
             estimate_cardinality(belief),
         )
@@ -304,7 +299,7 @@ def _kf_filter(model: LinearGaussianModel, ws: Rectangle) -> StepFn:
     def step(z):
         nonlocal belief
         belief = kf_update(kf_predict(belief, model), model, z).posterior
-        return [belief.mean.copy()], [belief.cov.copy()], [1.0], 1.0
+        return [belief.mean], [belief.cov], [1.0], 1.0
 
     return step
 
@@ -373,8 +368,8 @@ def run_experiment(
         def measure(k: int) -> object:
             return mean_sensor_measure(list(truth[k]), sensor, rng)
     else:
-        sensor = make_grid(config.workspace, setup.grid_rows, setup.grid_cols,
-                           setup.p_d, setup.snr, setup.m_cells)
+        sensor = GridSensorModel(config.workspace, setup.grid_rows, setup.grid_cols,
+                                 setup.p_d, setup.snr, setup.m_cells)
 
         def measure(k: int) -> object:
             cells = select_cells(

@@ -30,7 +30,7 @@ from mtt.particle import (
     resample_systematic,
 )
 from mtt.regions import Rectangle
-from mtt.sensors import MeanSensorModel, detection_prob, grid_measure, make_grid
+from mtt.sensors import GridSensorModel, MeanSensorModel, detection_prob, grid_measure
 from mtt.sim import (
     ExperimentSetup,
     ScenarioConfig,
@@ -65,8 +65,8 @@ def test_criterion_1_gpf_reduces_to_kalman():
     model = LinearGaussianModel(F=f, Q=q, H=sensor.position_projection, R=sensor.R)
 
     state = GaussianState(np.array([6.0, 0.1, 6.0, -0.1]), np.diag([2.0, 0.5, 2.0, 0.5]))
-    belief = GpfParticleSet([GaussianParticle(1.0, state.copy())])
-    kf_belief = state.copy()
+    belief = GpfParticleSet([GaussianParticle(1.0, state)])
+    kf_belief = state
     worst = 0.0
     for _ in range(100):
         z = kf_predict(kf_belief, model).mean[[0, 2]] + rng.standard_normal(2)
@@ -161,7 +161,7 @@ def test_criterion_3_pf_tracks_kalman_oracle():
 def test_criterion_4_grid_sensor_statistics():
     """Empirical detection frequencies match the Rayleigh threshold model."""
     t0 = time.perf_counter()
-    model = make_grid(WORKSPACE, p_d=0.9, snr=3.0)
+    model = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
     rng = np.random.default_rng(404)
     trials = 10**5
     placements = {
@@ -266,7 +266,7 @@ def test_criterion_6_invariant_suite():
         q_matrix=np.diag([0.05, 0.005, 0.05, 0.005]),
         sensor=mean_sensor, clutter_density=1.0 / WORKSPACE.area, epsilon=0.001,
     )
-    grid_sensor = make_grid(WORKSPACE, p_d=0.9, snr=30.0, m_cells=48)
+    grid_sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=30.0, m_cells=48)
     grid_config = GpfConfig(
         f_matrix=constant_velocity_matrix(0.1),
         q_matrix=np.diag([0.02, 0.002, 0.02, 0.002]),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -102,7 +103,7 @@ class TestMomentMatchMerge:
     def test_identical_components(self):
         state = GaussianState(np.array([1.0, 2.0]), np.diag([0.5, 0.25]))
         merged = moment_match_merge(
-            [GaussianParticle(0.3, state.copy()), GaussianParticle(0.4, state.copy())]
+            [GaussianParticle(0.3, state), GaussianParticle(0.4, state)]
         )
         assert_allclose(merged.weight, 0.7)
         assert_allclose(merged.state.mean, state.mean)
@@ -145,7 +146,7 @@ class TestMomentMatchMerge:
     def test_weight_clamped_to_one(self):
         state = GaussianState(0.0, 1.0)
         merged = moment_match_merge(
-            [GaussianParticle(0.8, state.copy()), GaussianParticle(0.9, state.copy())]
+            [GaussianParticle(0.8, state), GaussianParticle(0.9, state)]
         )
         assert merged.weight == 1.0
 
@@ -211,3 +212,31 @@ class TestTypes:
     def test_cov_symmetrized(self):
         g = GaussianState(np.zeros(2), np.array([[1.0, 0.3 + 1e-12], [0.3, 1.0]]))
         assert_allclose(g.cov, g.cov.T, atol=0)
+
+
+class TestImmutability:
+    def test_caller_arrays_are_not_shared(self):
+        mean = np.array([1.0, 2.0])
+        cov = np.eye(2)
+        g = GaussianState(mean, cov)
+        mean[0] = 99.0
+        cov[0, 0] = 99.0
+        assert_allclose(g.mean, [1.0, 2.0])
+        assert_allclose(g.cov, np.eye(2))
+
+    def test_arrays_are_read_only(self):
+        g = GaussianState(np.array([1.0, 2.0]), np.eye(2))
+        with pytest.raises(ValueError):
+            g.mean[0] = 5.0
+        with pytest.raises(ValueError):
+            g.cov[0, 1] = 5.0
+        with pytest.raises(ValueError):
+            g.mean += 1.0
+
+    def test_fields_cannot_be_reassigned(self):
+        p = GaussianParticle(0.5, GaussianState(0.0, 1.0))
+        with pytest.raises(FrozenInstanceError):
+            p.weight = 0.9
+        with pytest.raises(FrozenInstanceError):
+            p.state.mean = np.zeros(1)
+        assert p.weight == 0.5

@@ -30,7 +30,7 @@ from mtt.gpf import (
 from mtt.kalman import LinearGaussianModel, kf_predict, kf_update
 from mtt.motion import constant_velocity_matrix, position_projection
 from mtt.regions import FovRegion, Rectangle
-from mtt.sensors import CellReturn, MeanSensorModel, detection_prob, make_grid
+from mtt.sensors import CellReturn, GridSensorModel, MeanSensorModel, detection_prob
 
 WORKSPACE = Rectangle(0.0, 0.0, 12.0, 12.0)
 
@@ -285,8 +285,8 @@ class TestMarginalize:
             self._combo((0, 1), 0.5, {1: s1}),
         ]
         parts = [
-            GaussianParticle(0.5, s0.copy()),
-            GaussianParticle(0.5, s1.copy()),
+            GaussianParticle(0.5, s0),
+            GaussianParticle(0.5, s1),
         ]
         out = marginalize_existence(combos, parts)
         assert [p.weight for p in out] == [0.5, 0.5]
@@ -294,20 +294,20 @@ class TestMarginalize:
     def test_marginal_sums(self):
         s = GaussianState(np.array([0.0]), np.array([[1.0]]))
         combos = [
-            self._combo((1, 1), 0.6, {0: s.copy(), 1: s.copy()}),
-            self._combo((1, 0), 0.3, {0: s.copy()}),
-            self._combo((0, 1), 0.1, {1: s.copy()}),
+            self._combo((1, 1), 0.6, {0: s, 1: s}),
+            self._combo((1, 0), 0.3, {0: s}),
+            self._combo((0, 1), 0.1, {1: s}),
         ]
-        parts = [GaussianParticle(0.9, s.copy()), GaussianParticle(0.9, s.copy())]
+        parts = [GaussianParticle(0.9, s), GaussianParticle(0.9, s)]
         out = marginalize_existence(combos, parts)
         assert_allclose(out[0].weight, 0.9)
         assert_allclose(out[1].weight, 0.7)
 
     def test_untouched_particle_passes_through(self):
         s = GaussianState(np.array([0.0]), np.array([[1.0]]))
-        combos = [self._combo((1, 0), 1.0, {0: s.copy()})]
+        combos = [self._combo((1, 0), 1.0, {0: s})]
         parts = [
-            GaussianParticle(0.9, s.copy()),
+            GaussianParticle(0.9, s),
             GaussianParticle(0.4, GaussianState(np.array([5.0]), np.array([[2.0]]))),
         ]
         out = marginalize_existence(combos, parts)
@@ -321,7 +321,7 @@ class TestMarginalize:
             self._combo((1,), 0.5, {0: sa}),
             self._combo((1,), 0.5, {0: sb}),
         ]
-        out = marginalize_existence(combos, [GaussianParticle(0.5, sa.copy())])
+        out = marginalize_existence(combos, [GaussianParticle(0.5, sa)])
         assert_allclose(out[0].state.mean, [1.0])
         assert_allclose(out[0].state.cov, [[2.0]])
 
@@ -403,7 +403,7 @@ class TestCardinalityAndPrune:
 
 class TestGridUpdate:
     def test_positive_return_raises_weight(self):
-        sensor = make_grid(WORKSPACE, p_d=0.9, snr=3.0)
+        sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
         pset = GpfParticleSet([_particle(0.4, 0.5, 0.5)])
         out = grid_existence_update(pset, [CellReturn(0, 1)], sensor)
         p_hit, p_false = 0.9, detection_prob(0, 0.9, 3.0)
@@ -412,7 +412,7 @@ class TestGridUpdate:
         assert out.particles[0].weight > 0.4
 
     def test_negative_return_lowers_weight(self):
-        sensor = make_grid(WORKSPACE, p_d=0.9, snr=3.0)
+        sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
         pset = GpfParticleSet([_particle(0.4, 0.5, 0.5)])
         out = grid_existence_update(pset, [CellReturn(0, 0)], sensor)
         p_false = detection_prob(0, 0.9, 3.0)
@@ -421,13 +421,13 @@ class TestGridUpdate:
         assert out.particles[0].weight < 0.4
 
     def test_unmeasured_particle_unchanged(self):
-        sensor = make_grid(WORKSPACE, p_d=0.9, snr=3.0)
+        sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
         pset = GpfParticleSet([_particle(0.4, 5.5, 5.5)])
         out = grid_existence_update(pset, [CellReturn(0, 1)], sensor)
         assert out.particles[0].weight == 0.4
 
     def test_births_from_positive_returns(self):
-        sensor = make_grid(WORKSPACE, p_d=0.9, snr=3.0)
+        sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
         births = grid_births([CellReturn(14, 1), CellReturn(20, 0)], sensor, 0.1)
         assert len(births) == 1
         assert births[0].weight == 0.1
@@ -446,8 +446,8 @@ class TestGpfStep:
         model = LinearGaussianModel(F=f, Q=q, H=sensor.position_projection, R=sensor.R)
 
         state = GaussianState(np.array([6.0, 0.1, 6.0, -0.1]), np.diag([2.0, 0.5, 2.0, 0.5]))
-        belief = GpfParticleSet([GaussianParticle(1.0, state.copy())])
-        kf_belief = state.copy()
+        belief = GpfParticleSet([GaussianParticle(1.0, state)])
+        kf_belief = state
         for _ in range(20):
             z = kf_predict(kf_belief, model).mean[[0, 2]] + rng.standard_normal(2)
             belief = gpf_step(belief, z, config)
@@ -458,7 +458,7 @@ class TestGpfStep:
             assert_allclose(belief.particles[0].state.cov, kf_belief.cov, rtol=1e-10)
 
     def test_empty_set_gets_births_only(self):
-        sensor = make_grid(WORKSPACE, p_d=0.9, snr=3.0)
+        sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
         config = GpfConfig(
             f_matrix=np.eye(4), q_matrix=np.zeros((4, 4)), sensor=sensor, w_birth=0.1
         )
@@ -502,7 +502,7 @@ class TestGpfStep:
         expected_w2 = (raw[(0, 1)] + raw[(1, 1)]) / total
 
         before = estimate_cardinality(GpfParticleSet(parts))
-        out = gpf_step(GpfParticleSet([p.copy() for p in parts]), z, config)
+        out = gpf_step(GpfParticleSet(parts), z, config)
         assert_allclose(estimate_cardinality(out), expected_w1 + expected_w2, rtol=1e-9)
         assert estimate_cardinality(out) > before - 1e-12
         assert estimate_cardinality(out) > 1.8
@@ -510,7 +510,7 @@ class TestGpfStep:
     def test_degenerate_enumeration_skips_update(self):
         parts = [_particle(0.5, 2.0, 2.0), _particle(0.5, 9.0, 9.0)]
         config = _mean_config(epsilon=0.25)
-        out = gpf_step(GpfParticleSet([p.copy() for p in parts]), np.array([5.0, 5.0]), config)
+        out = gpf_step(GpfParticleSet(parts), np.array([5.0, 5.0]), config)
         assert out.degenerate_step
         assert [p.weight for p in out.particles] == [0.5, 0.5]
         assert_allclose(out.particles[0].state.mean, parts[0].state.mean)
@@ -519,7 +519,7 @@ class TestGpfStep:
         fov = FovRegion.box(0.0, 0.0, 5.0, 5.0)
         parts = [_particle(0.9, 2.0, 2.0), _particle(0.9, 9.0, 9.0)]
         config = _mean_config(fov=fov)
-        out = gpf_step(GpfParticleSet([p.copy() for p in parts]), np.array([2.0, 2.0]), config)
+        out = gpf_step(GpfParticleSet(parts), np.array([2.0, 2.0]), config)
         # the out-of-view particle keeps its predicted (here: unchanged) state
         assert out.particles[1].weight == 0.9
         assert_allclose(out.particles[1].state.mean, parts[1].state.mean)
@@ -529,12 +529,41 @@ class TestGpfStep:
         parts = [_particle(0.8, 2.0, 2.0), _particle(0.7, 4.0, 4.0)]
         config = _mean_config()
         z = np.array([3.0, 3.0])
-        a = gpf_step(GpfParticleSet([p.copy() for p in parts]), z, config)
-        b = gpf_step(GpfParticleSet([p.copy() for p in parts]), z, config)
+        a = gpf_step(GpfParticleSet(parts), z, config)
+        b = gpf_step(GpfParticleSet(parts), z, config)
         assert [p.weight for p in a.particles] == [p.weight for p in b.particles]
         for pa, pb in zip(a.particles, b.particles):
             assert np.array_equal(pa.state.mean, pb.state.mean)
             assert np.array_equal(pa.state.cov, pb.state.cov)
+
+    def test_input_belief_unchanged(self):
+        parts = [_particle(0.8, 2.0, 2.0), _particle(0.7, 4.0, 4.0)]
+        belief = GpfParticleSet(parts)
+        weights = [p.weight for p in parts]
+        means = [p.state.mean.copy() for p in parts]
+        config = _mean_config(f_matrix=constant_velocity_matrix(1.0), q_matrix=np.eye(4))
+        out = gpf_step(belief, np.array([3.0, 3.0]), config)
+        assert out.particles[0].weight != weights[0]
+        assert [p.weight for p in belief.particles] == weights
+        for p, mean in zip(belief.particles, means):
+            assert np.array_equal(p.state.mean, mean)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_measurement_rejected(self, bad):
+        belief = GpfParticleSet([_particle(0.9, 2.0, 2.0)])
+        with pytest.raises(ValueError, match="finite"):
+            gpf_step(belief, np.array([bad, 5.0]), _mean_config())
+
+    @pytest.mark.parametrize("cell", [-1, 144])
+    def test_out_of_range_cell_rejected(self, cell):
+        config = GpfConfig(
+            f_matrix=np.eye(4), q_matrix=np.zeros((4, 4)), sensor=GridSensorModel(WORKSPACE)
+        )
+        belief = GpfParticleSet([_particle(0.5, 11.5, 11.5)])
+        with pytest.raises(IndexError):
+            gpf_step(belief, [CellReturn(cell, 1)], config)
+        with pytest.raises(IndexError):
+            gpf_step(GpfParticleSet([]), [CellReturn(cell, 1)], config)
 
     def test_invariants_over_random_run(self):
         rng = np.random.default_rng(33)
@@ -559,7 +588,7 @@ class TestGpfStep:
 
     def test_grid_run_invariants(self):
         rng = np.random.default_rng(44)
-        sensor = make_grid(WORKSPACE, p_d=0.9, snr=10.0, m_cells=36)
+        sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=10.0, m_cells=36)
         config = GpfConfig(
             f_matrix=constant_velocity_matrix(0.1),
             q_matrix=np.diag([0.02, 0.002, 0.02, 0.002]),

@@ -94,6 +94,12 @@ class TestUpdate:
         with pytest.raises(ValueError):
             kf_update(GaussianState(0.0, 1.0), _model_1d(), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_measurement_rejected(self, bad):
+        model = LinearGaussianModel(F=np.eye(2), Q=np.zeros((2, 2)), H=np.eye(2), R=np.eye(2))
+        with pytest.raises(ValueError, match="finite"):
+            kf_update(GaussianState(np.zeros(2), np.eye(2)), model, np.array([bad, 5.0]))
+
 
 class TestInvariants:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4))

@@ -97,6 +97,13 @@ class TestResampling:
 
 
 class TestPfStep:
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_measurement_rejected(self, bad):
+        pset = _uniform_set([[0.0], [1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            pf_step(pset, _model_1d(), lambda s, z: 1.0, np.array([bad]),
+                    np.random.default_rng(0))
+
     def test_constant_likelihood_keeps_weights(self):
         pset = PointParticleSet([[0.0], [1.0], [2.0]], [0.5, 0.3, 0.2])
         out = pf_step(

@@ -13,7 +13,6 @@ from mtt.sensors import (
     count_occupancy,
     detection_prob,
     grid_measure,
-    make_grid,
     mean_sensor_measure,
     select_cells,
 )
@@ -97,19 +96,20 @@ class TestDetectionProb:
 
 class TestGrid:
     def test_grid_tiles_workspace(self):
-        model = make_grid(WORKSPACE, rows=12, cols=12)
+        model = GridSensorModel(WORKSPACE, rows=12, cols=12)
         assert model.n_cells == 144
-        widths = model.cells[:, 2] - model.cells[:, 0]
-        heights = model.cells[:, 3] - model.cells[:, 1]
+        bounds = np.array([model.cell_bounds(i) for i in range(model.n_cells)])
+        widths = bounds[:, 2] - bounds[:, 0]
+        heights = bounds[:, 3] - bounds[:, 1]
         assert_allclose(widths, 1.0)
         assert_allclose(heights, 1.0)
         # row-major from the origin corner
-        assert_allclose(model.cells[0], [0.0, 0.0, 1.0, 1.0])
-        assert_allclose(model.cells[1], [1.0, 0.0, 2.0, 1.0])
-        assert_allclose(model.cells[12], [0.0, 1.0, 1.0, 2.0])
+        assert_allclose(model.cell_bounds(0), [0.0, 0.0, 1.0, 1.0])
+        assert_allclose(model.cell_bounds(1), [1.0, 0.0, 2.0, 1.0])
+        assert_allclose(model.cell_bounds(12), [0.0, 1.0, 1.0, 2.0])
 
     def test_boundary_is_closed_left_open_right(self):
-        model = make_grid(WORKSPACE)
+        model = GridSensorModel(WORKSPACE)
         # exactly on the low corner of cell 13 (col 1, row 1)
         assert model.cell_contains(13, 1.0, 1.0)
         assert not model.cell_contains(0, 1.0, 1.0)
@@ -117,20 +117,20 @@ class TestGrid:
         assert not model.cell_contains(13, 2.0, 1.5)
 
     def test_occupancy_partitions_targets(self):
-        model = make_grid(WORKSPACE)
+        model = GridSensorModel(WORKSPACE)
         rng = np.random.default_rng(8)
         states = [_state(x, y) for x, y in rng.uniform(0.0, 12.0, size=(40, 2))]
         counts = count_occupancy(states, list(range(model.n_cells)), model)
         assert sum(counts) == len(states)
 
     def test_outside_targets_count_nowhere(self):
-        model = make_grid(WORKSPACE)
+        model = GridSensorModel(WORKSPACE)
         states = [_state(-1.0, 5.0), _state(12.5, 3.0), _state(12.0, 12.0)]
         counts = count_occupancy(states, list(range(model.n_cells)), model)
         assert sum(counts) == 0
 
     def test_empty_cell_false_alarm_frequency(self):
-        model = make_grid(WORKSPACE, p_d=0.9, snr=3.0)
+        model = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
         rng = np.random.default_rng(21)
         trials = 2 * 10**4
         hits = sum(grid_measure([], [0], model, rng)[0].value for _ in range(trials))
@@ -139,7 +139,7 @@ class TestGrid:
         assert abs(freq - 0.6561) <= 3 * sigma
 
     def test_occupied_cell_detection_frequency(self):
-        model = make_grid(WORKSPACE, p_d=0.9, snr=3.0)
+        model = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
         rng = np.random.default_rng(22)
         trials = 2 * 10**4
         states = [_state(0.5, 0.5)]
@@ -149,12 +149,12 @@ class TestGrid:
         assert abs(freq - 0.9) <= 3 * sigma
 
     def test_too_many_cells_rejected(self):
-        model = make_grid(WORKSPACE, m_cells=2)
+        model = GridSensorModel(WORKSPACE, m_cells=2)
         with pytest.raises(ValueError):
             grid_measure([], [0, 1, 2], model, np.random.default_rng(0))
 
     def test_invalid_cell_rejected(self):
-        model = make_grid(WORKSPACE)
+        model = GridSensorModel(WORKSPACE)
         with pytest.raises(ValueError):
             grid_measure([], [144], model, np.random.default_rng(0))
 
@@ -162,35 +162,100 @@ class TestGrid:
         with pytest.raises(ValueError):
             CellReturn(0, 2)
 
+    @pytest.mark.parametrize("index", [-1, 144])
+    def test_out_of_range_index_raises(self, index):
+        model = GridSensorModel(WORKSPACE)
+        with pytest.raises(IndexError):
+            model.cell_bounds(index)
+        with pytest.raises(IndexError):
+            model.cell_contains(index, 11.5, 11.5)
+        with pytest.raises(IndexError):
+            model.cell_center(index)
+
+
+def _cells_containing(model, x, y):
+    return [i for i in range(model.n_cells) if model.cell_contains(i, x, y)]
+
+
+class TestGridTiling:
+    """Each point of the workspace lies in exactly one cell, even when the
+    cell width is not exactly representable."""
+
+    @pytest.mark.parametrize(
+        "cols, x, col",
+        [(13, 0.5076923076923077, 6), (7, 0.942857142857143, 5)],
+    )
+    def test_inexact_width_edges(self, cols, x, col):
+        model = GridSensorModel(Rectangle(0.0, 0.0, 1.1, 1.0), rows=1, cols=cols)
+        assert _cells_containing(model, x, 0.5) == [col]
+
+    def test_last_edge_is_workspace_edge(self):
+        model = GridSensorModel(Rectangle(0.0, 0.0, 1.1, 1.0), rows=3, cols=7)
+        x_lo, y_lo, x_hi, y_hi = model.cell_bounds(model.n_cells - 1)
+        assert (x_hi, y_hi) == (1.1, 1.0)
+        assert model.cell_bounds(0)[:2] == (0.0, 0.0)
+
+    @given(
+        st.floats(-1e3, 1e3),
+        st.floats(-1e3, 1e3),
+        st.floats(1e-2, 1e3),
+        st.floats(1e-2, 1e3),
+        st.integers(1, 30),
+        st.integers(1, 30),
+        st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=10),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_point_in_exactly_one_cell(self, x0, y0, w, h, rows, cols, fractions):
+        model = GridSensorModel(Rectangle(x0, y0, x0 + w, y0 + h), rows=rows, cols=cols)
+        ws = model.workspace
+        # edge points: each internal low edge belongs to the upper cell, and
+        # the float just below it to the lower one (no overlap, no gap)
+        y_mid = model.cell_center(0)[1]
+        for col in range(1, cols):
+            edge = model.cell_bounds(col)[0]
+            assert _cells_containing(model, edge, y_mid) == [col]
+            assert _cells_containing(model, np.nextafter(edge, -np.inf), y_mid) == [col - 1]
+        x_mid = model.cell_center(0)[0]
+        for row in range(1, rows):
+            edge = model.cell_bounds(row * cols)[1]
+            assert _cells_containing(model, x_mid, edge) == [row * cols]
+            assert _cells_containing(model, x_mid, np.nextafter(edge, -np.inf)) == [
+                (row - 1) * cols
+            ]
+        for fx, fy in fractions:
+            x = min(ws.x_min + fx * (ws.x_max - ws.x_min), np.nextafter(ws.x_max, -np.inf))
+            y = min(ws.y_min + fy * (ws.y_max - ws.y_min), np.nextafter(ws.y_max, -np.inf))
+            assert len(_cells_containing(model, x, y)) == 1
+
 
 class TestSelectCells:
     def test_random_full_coverage(self):
-        model = make_grid(WORKSPACE, m_cells=144)
+        model = GridSensorModel(WORKSPACE, m_cells=144)
         cells = select_cells("random", model, np.random.default_rng(0))
         assert sorted(cells) == list(range(144))
 
     def test_round_robin_sweeps(self):
-        model = make_grid(WORKSPACE, m_cells=12)
+        model = GridSensorModel(WORKSPACE, m_cells=12)
         rng = np.random.default_rng(0)
         assert select_cells("round_robin", model, rng, step=0) == list(range(0, 12))
         assert select_cells("round_robin", model, rng, step=1) == list(range(12, 24))
         assert select_cells("round_robin", model, rng, step=12) == list(range(0, 12))
 
     def test_random_reproducible(self):
-        model = make_grid(WORKSPACE, m_cells=10)
+        model = GridSensorModel(WORKSPACE, m_cells=10)
         a = select_cells("random", model, np.random.default_rng(77))
         b = select_cells("random", model, np.random.default_rng(77))
         assert a == b
         assert len(set(a)) == 10
 
     def test_fixed_list(self):
-        model = make_grid(WORKSPACE, m_cells=3)
+        model = GridSensorModel(WORKSPACE, m_cells=3)
         assert select_cells("fixed_list", model, np.random.default_rng(0), fixed=[5, 6]) == [5, 6]
         with pytest.raises(ValueError):
             select_cells("fixed_list", model, np.random.default_rng(0))
 
     def test_unknown_strategy(self):
-        model = make_grid(WORKSPACE)
+        model = GridSensorModel(WORKSPACE)
         with pytest.raises(ValueError):
             select_cells("greedy", model, np.random.default_rng(0))
 
@@ -198,11 +263,16 @@ class TestSelectCells:
 class TestModelValidation:
     def test_p_d_range(self):
         with pytest.raises(ValueError):
-            make_grid(WORKSPACE, p_d=1.0)
+            GridSensorModel(WORKSPACE, p_d=1.0)
 
     def test_snr_positive(self):
         with pytest.raises(ValueError):
-            make_grid(WORKSPACE, snr=0.0)
+            GridSensorModel(WORKSPACE, snr=0.0)
+
+    @pytest.mark.parametrize("rows, cols", [(0, 12), (12, 0)])
+    def test_grid_needs_a_cell(self, rows, cols):
+        with pytest.raises(ValueError):
+            GridSensorModel(WORKSPACE, rows=rows, cols=cols)
 
     def test_mean_sensor_shape_check(self):
         with pytest.raises(ValueError):
