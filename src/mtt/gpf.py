@@ -428,23 +428,26 @@ def grid_existence_update(
 
     where the exists-likelihood uses the single-target detection
     probability and the empty-likelihood the false-alarm probability.
-    Particles outside every measured cell are unaffected.
+    A particle applies the returns of its own cell (cell_of), in list
+    order; particles outside every measured cell are unaffected.  A cell
+    index outside the grid raises IndexError, whatever the belief holds.
 
     The weight entering the ratio is bounded away from the point masses 0
     and 1: merging can clamp a weight to exactly 1, and a degenerate prior
     would otherwise be immune to any amount of contrary evidence.
     """
     xi, yi = POSITION_IDX
+    by_cell: dict[int, list[CellReturn]] = {}
+    for ret in returns:
+        sensor.cell_bounds(ret.cell_index)  # IndexError outside the grid
+        by_cell.setdefault(ret.cell_index, []).append(ret)
     p_hit = detection_prob(1, sensor.p_d, sensor.snr)
     p_false = detection_prob(0, sensor.p_d, sensor.snr)
     bound = 1e-3
     out = []
     for p in pset.particles:
         w = p.weight
-        x, y = p.state.mean[xi], p.state.mean[yi]
-        for ret in returns:
-            if not sensor.cell_contains(ret.cell_index, x, y):
-                continue
+        for ret in by_cell.get(sensor.cell_of(p.state.mean[xi], p.state.mean[yi]), ()):
             w = min(max(w, bound), 1.0 - bound)
             l_exists = p_hit if ret.value else 1.0 - p_hit
             l_empty = p_false if ret.value else 1.0 - p_false

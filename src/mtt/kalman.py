@@ -26,16 +26,12 @@ def _check_psd_shape(m: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass
 class LinearGaussianModel:
-    """x' = F x + B u + v,  z = H x + w,  v ~ N(0, Q),  w ~ N(0, R).
-
-    B may be omitted for uncontrolled dynamics.
-    """
+    """x' = F x + v,  z = H x + w,  v ~ N(0, Q),  w ~ N(0, R)."""
 
     F: np.ndarray
     Q: np.ndarray
     H: np.ndarray
     R: np.ndarray
-    B: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.F = np.atleast_2d(np.asarray(self.F, dtype=float))
@@ -53,10 +49,6 @@ class LinearGaussianModel:
             raise ValueError(
                 f"R shape {self.R.shape} does not match measurement dim {self.H.shape[0]}"
             )
-        if self.B is not None:
-            self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
-            if self.B.shape[0] != n:
-                raise ValueError(f"B shape {self.B.shape} does not match state dim {n}")
 
     @property
     def state_dim(self) -> int:
@@ -74,20 +66,13 @@ class KalmanUpdate(NamedTuple):
     gain: np.ndarray
 
 
-def kf_predict(
-    prior: GaussianState, model: LinearGaussianModel, u: np.ndarray | None = None
-) -> GaussianState:
-    """Time update: mean F x + B u, covariance F Sigma F' + Q."""
+def kf_predict(prior: GaussianState, model: LinearGaussianModel) -> GaussianState:
+    """Time update: mean F x, covariance F Sigma F' + Q."""
     if prior.dim != model.state_dim:
         raise ValueError(
             f"state dim {prior.dim} does not match model dim {model.state_dim}"
         )
     mean = model.F @ prior.mean
-    if u is not None:
-        if model.B is None:
-            raise ValueError("control input given but model has no B matrix")
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        mean = mean + model.B @ u
     cov = model.F @ prior.cov @ model.F.T + model.Q
     return GaussianState(mean, cov)
 

@@ -5,6 +5,7 @@ interrogate each step.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +59,8 @@ class GridSensorModel:
     row * cols + col).  Containment is half-open, x in [x_lo, x_hi) and
     y in [y_lo, y_hi), and a cell's high edge is the next cell's low edge
     (the last cell's is the workspace edge), so every workspace point
-    below the high workspace edges lies in exactly one cell.
+    below the high workspace edges lies in exactly one cell: cell_of
+    finds it, and cell_contains is the membership rule.
 
     p_d is the single-target detection probability, snr the known
     signal-to-noise ratio of the Rayleigh return model, m_cells the
@@ -110,6 +112,24 @@ class GridSensorModel:
         x_lo, y_lo, x_hi, y_hi = self.cell_bounds(index)
         return bool(x_lo <= x < x_hi and y_lo <= y < y_hi)
 
+    def cell_of(self, x: float, y: float) -> int | None:
+        """Index of the cell holding (x, y); None outside the workspace.
+
+        The lattice coordinates propose a cell; rounding can move it one past
+        an edge, so cell_contains confirms it or one of its in-grid neighbours.
+        """
+        ws = self.workspace
+        if not (ws.x_min <= x < ws.x_max and ws.y_min <= y < ws.y_max):
+            return None
+        col = min(int((x - ws.x_min) / (ws.x_max - ws.x_min) * self.cols), self.cols - 1)
+        row = min(int((y - ws.y_min) / (ws.y_max - ws.y_min) * self.rows), self.rows - 1)
+        for r in (row, row - 1, row + 1):
+            for c in (col, col - 1, col + 1):
+                if 0 <= r < self.rows and 0 <= c < self.cols:
+                    if self.cell_contains(r * self.cols + c, x, y):
+                        return r * self.cols + c
+        return None
+
 
 def mean_sensor_measure(
     true_states: list[np.ndarray], model: MeanSensorModel, rng: np.random.Generator
@@ -137,21 +157,6 @@ def detection_prob(t: int, p_d: float, snr: float) -> float:
     return float(p_d ** ((1.0 + snr) / (1.0 + t * snr)))
 
 
-def count_occupancy(
-    true_states: list[np.ndarray], cells: list[int], model: GridSensorModel
-) -> list[int]:
-    """Number of targets inside each requested cell (half-open containment)."""
-    xi, yi = POSITION_IDX
-    counts = []
-    for c in cells:
-        t = 0
-        for s in true_states:
-            if model.cell_contains(c, s[xi], s[yi]):
-                t += 1
-        counts.append(t)
-    return counts
-
-
 def grid_measure(
     true_states: list[np.ndarray],
     cells: list[int],
@@ -164,10 +169,11 @@ def grid_measure(
     for c in cells:
         if not 0 <= c < model.n_cells:
             raise ValueError(f"cell index {c} out of range [0, {model.n_cells})")
-    counts = count_occupancy(true_states, cells, model)
+    xi, yi = POSITION_IDX
+    occupancy = Counter(model.cell_of(s[xi], s[yi]) for s in true_states)
     returns = []
-    for c, t in zip(cells, counts):
-        hit = rng.random() < detection_prob(t, model.p_d, model.snr)
+    for c in cells:
+        hit = rng.random() < detection_prob(occupancy[c], model.p_d, model.snr)
         returns.append(CellReturn(int(c), int(hit)))
     return returns
 
@@ -179,11 +185,11 @@ def select_cells(
     step: int = 0,
     fixed: list[int] | None = None,
 ) -> list[int]:
-    """Pick up to m_cells distinct cell indices to interrogate.
+    """Pick up to m_cells cell indices to interrogate.
 
     random: uniform without replacement.  round_robin: deterministic
     sweep of m_cells consecutive indices advancing with the step counter.
-    fixed_list: the caller-provided indices, unchanged.
+    fixed_list: the caller-provided indices, unchanged (repeats allowed).
     """
     m = min(model.m_cells, model.n_cells)
     if strategy == "random":

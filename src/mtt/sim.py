@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .gaussians import GaussianParticle, GaussianState, log_pdf
 from .gpf import GpfConfig, GpfParticleSet, estimate_cardinality, gpf_step
@@ -147,6 +146,7 @@ def assignment_rmse(
         return 0.0 if n_est == 0 else cap
     if n_est == 0:
         return cap
+    from scipy.optimize import linear_sum_assignment  # here, to keep CLI start-up light
     cost = _capped_cost(estimates, truths, cap, 2)
     rows, cols = linear_sum_assignment(cost)
     total = cost[rows, cols].sum() + cap**2 * max(0, n_true - n_est)
@@ -162,6 +162,7 @@ def ospa_distance(
         return 0.0
     if m == 0 or n == 0:
         return cap
+    from scipy.optimize import linear_sum_assignment
     cost = _capped_cost(estimates, truths, cap, p)
     rows, cols = linear_sum_assignment(cost)
     total = cost[rows, cols].sum() + cap**p * abs(m - n)
@@ -242,6 +243,17 @@ class ExperimentSetup:
     extraction_threshold: float = 0.5
     distance_cap: float = 5.0
     with_ospa: bool = False
+
+    def __post_init__(self) -> None:
+        if self.cell_strategy == "fixed_list":
+            cells, n_cells = self.fixed_cells or [], self.grid_rows * self.grid_cols
+            if not cells:
+                raise ValueError("fixed_list strategy requires a cell list")
+            for c in cells:
+                if not 0 <= c < n_cells:
+                    raise ValueError(f"cell index {c} out of range [0, {n_cells})")
+            if len(cells) > self.m_cells:
+                raise ValueError(f"{len(cells)} fixed cells but m_cells = {self.m_cells}")
 
 
 StepFn = Callable[[object], tuple[list, list, list, float]]

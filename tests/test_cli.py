@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,9 +216,27 @@ class TestExitCodes:
             assert run_command(["track", "--config", str(cfg), "--filter", filt,
                                 "--sensor", "mean", "--out", str(tmp_path / "o")]) == 1
 
+    def test_bad_fixed_cells_is_config_error(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("sensor.strategy = fixed_list\nsensor.fixed_cells = 3,200\n")
+        assert run_command(["track", "--config", str(cfg), "--sensor", "grid",
+                            "--out", str(tmp_path / "o")]) == 1
+
     def test_runtime_error_exit_code(self, tmp_path):
         # kf with two targets is an unsupported combination -> runtime error
         cfg = tmp_path / "two.cfg"
         cfg.write_text("scenario.n_targets = 2\nscenario.n_steps = 2\n")
         assert run_command(["track", "--config", str(cfg), "--filter", "kf",
                             "--sensor", "mean", "--out", str(tmp_path / "o")]) == 2
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported by the metrics on first use, not at CLI start-up
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, mtt.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

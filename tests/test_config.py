@@ -115,6 +115,10 @@ def test_workspace_parsed():
         ("sensor.r_diag = -1,-1", "below allowed range"),
         ("gpf.init_cov_diag = 0,0,-1,0", "below allowed range"),
         ("gpf.init_cov_diag = 1,0.1,1,0", "below allowed range"),
+        ("sensor.strategy = fixed_list", "requires a cell list"),
+        ("sensor.strategy = fixed_list\nsensor.fixed_cells = 200", "out of range"),
+        ("sensor.strategy = fixed_list\nsensor.fixed_cells = " + ",".join(map(str, range(13))),
+         "13 fixed cells but m_cells = 12"),
     ],
 )
 def test_bad_noise_values_rejected(line, match):
@@ -123,7 +127,9 @@ def test_bad_noise_values_rejected(line, match):
 
 
 @pytest.mark.parametrize(
-    "line", ["scenario.q_diag = 0,0,0,0", "sensor.r_diag = 0,0", "gpf.init_cov_diag = 1,1,1,1"]
+    "line",
+    ["scenario.q_diag = 0,0,0,0", "sensor.r_diag = 0,0", "gpf.init_cov_diag = 1,1,1,1",
+     "sensor.strategy = fixed_list\nsensor.fixed_cells = 5,5,143"],
 )
 def test_boundary_noise_values_accepted(line):
     parse_config_text(line)

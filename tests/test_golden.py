@@ -54,6 +54,22 @@ gpf.d_thresh = 4.0
 metrics.ospa = true
 """,
     ),
+    # A repeated cell, a target fixed on the corner of cells 26, 27, 38 and
+    # 39, and one that starts outside the workspace, crosses its high x edge
+    # and then the internal edges x = 11 and x = 10.
+    "gpf_grid_fixed_edges": (
+        "gpf",
+        "grid",
+        """
+scenario.n_targets = 2
+scenario.n_steps = 15
+scenario.q_diag = 0,0,0,0
+scenario.initial_states = 3,0,3,0; 12.5,-0.25,6,0
+sensor.snr = 30
+sensor.strategy = fixed_list
+sensor.fixed_cells = 26,27,38,39,39,81,82,83
+""",
+    ),
     "gpf_mean_4targets": (
         "gpf",
         "mean",

@@ -564,6 +564,9 @@ class TestGpfStep:
             gpf_step(belief, [CellReturn(cell, 1)], config)
         with pytest.raises(IndexError):
             gpf_step(GpfParticleSet([]), [CellReturn(cell, 1)], config)
+        # a miss seeds no birth, so only the update can catch it
+        with pytest.raises(IndexError):
+            gpf_step(GpfParticleSet([]), [CellReturn(cell, 0)], config)
 
     def test_invariants_over_random_run(self):
         rng = np.random.default_rng(33)

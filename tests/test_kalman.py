@@ -8,8 +8,8 @@ from mtt.gaussians import GaussianState, SingularCovarianceError
 from mtt.kalman import LinearGaussianModel, kf_predict, kf_update
 
 
-def _model_1d(f=1.0, q=0.0, h=1.0, r=1.0, b=None):
-    return LinearGaussianModel(F=[[f]], Q=[[q]], H=[[h]], R=[[r]], B=b)
+def _model_1d(f=1.0, q=0.0, h=1.0, r=1.0):
+    return LinearGaussianModel(F=[[f]], Q=[[q]], H=[[h]], R=[[r]])
 
 
 def _random_model(rng, n, r_dim=None):
@@ -46,11 +46,6 @@ class TestPredict:
         pred = kf_predict(GaussianState(3.0, 1.0), _model_1d(f=2.0, q=0.5))
         assert_allclose(pred.mean, [6.0])
         assert_allclose(pred.cov, [[4.5]])
-
-    def test_control_input(self):
-        model = _model_1d(f=1.0, q=0.0, b=[[2.0]])
-        pred = kf_predict(GaussianState(1.0, 1.0), model, u=np.array([3.0]))
-        assert_allclose(pred.mean, [7.0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from mtt.sensors import (
     CellReturn,
     GridSensorModel,
     MeanSensorModel,
-    count_occupancy,
     detection_prob,
     grid_measure,
     mean_sensor_measure,
@@ -113,21 +112,23 @@ class TestGrid:
         # exactly on the low corner of cell 13 (col 1, row 1)
         assert model.cell_contains(13, 1.0, 1.0)
         assert not model.cell_contains(0, 1.0, 1.0)
+        assert model.cell_of(1.0, 1.0) == 13
         # the high edge belongs to the next cell over
         assert not model.cell_contains(13, 2.0, 1.5)
+        assert model.cell_of(2.0, 1.5) == 14
 
     def test_occupancy_partitions_targets(self):
         model = GridSensorModel(WORKSPACE)
         rng = np.random.default_rng(8)
         states = [_state(x, y) for x, y in rng.uniform(0.0, 12.0, size=(40, 2))]
-        counts = count_occupancy(states, list(range(model.n_cells)), model)
-        assert sum(counts) == len(states)
+        cells = [model.cell_of(s[0], s[2]) for s in states]
+        assert None not in cells
+        assert all(model.cell_contains(c, s[0], s[2]) for c, s in zip(cells, states))
 
     def test_outside_targets_count_nowhere(self):
         model = GridSensorModel(WORKSPACE)
         states = [_state(-1.0, 5.0), _state(12.5, 3.0), _state(12.0, 12.0)]
-        counts = count_occupancy(states, list(range(model.n_cells)), model)
-        assert sum(counts) == 0
+        assert [model.cell_of(s[0], s[2]) for s in states] == [None, None, None]
 
     def test_empty_cell_false_alarm_frequency(self):
         model = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
@@ -174,12 +175,15 @@ class TestGrid:
 
 
 def _cells_containing(model, x, y):
-    return [i for i in range(model.n_cells) if model.cell_contains(i, x, y)]
+    """Cells holding (x, y) by a full cell_contains scan; cell_of must agree."""
+    cells = [i for i in range(model.n_cells) if model.cell_contains(i, x, y)]
+    assert model.cell_of(x, y) == (cells[0] if cells else None)
+    return cells
 
 
 class TestGridTiling:
     """Each point of the workspace lies in exactly one cell, even when the
-    cell width is not exactly representable."""
+    cell width is not exactly representable, and cell_of finds that cell."""
 
     @pytest.mark.parametrize(
         "cols, x, col",
@@ -194,6 +198,19 @@ class TestGridTiling:
         x_lo, y_lo, x_hi, y_hi = model.cell_bounds(model.n_cells - 1)
         assert (x_hi, y_hi) == (1.1, 1.0)
         assert model.cell_bounds(0)[:2] == (0.0, 0.0)
+        below = np.nextafter(1.1, -np.inf), np.nextafter(1.0, -np.inf)
+        assert _cells_containing(model, *below) == [model.n_cells - 1]
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [(-0.1, 0.5), (0.5, -0.1), (np.nextafter(0.0, -np.inf), 0.5), (1.2, 0.5),
+         (1.1, 0.5), (0.5, 1.0), (1.1, 1.0), (np.nan, 0.5), (0.5, np.nan),
+         (np.inf, 0.5), (-np.inf, 0.5)],
+    )
+    def test_outside_high_edge_and_nan_have_no_cell(self, x, y):
+        model = GridSensorModel(Rectangle(0.0, 0.0, 1.1, 1.0), rows=3, cols=7)
+        assert model.cell_of(x, y) is None
+        assert _cells_containing(model, x, y) == []
 
     @given(
         st.floats(-1e3, 1e3),
@@ -222,10 +239,15 @@ class TestGridTiling:
             assert _cells_containing(model, x_mid, np.nextafter(edge, -np.inf)) == [
                 (row - 1) * cols
             ]
+        # the high workspace edges lie in no cell
+        assert _cells_containing(model, ws.x_max, y_mid) == []
+        assert _cells_containing(model, x_mid, ws.y_max) == []
         for fx, fy in fractions:
             x = min(ws.x_min + fx * (ws.x_max - ws.x_min), np.nextafter(ws.x_max, -np.inf))
             y = min(ws.y_min + fy * (ws.y_max - ws.y_min), np.nextafter(ws.y_max, -np.inf))
             assert len(_cells_containing(model, x, y)) == 1
+            # a point in or around the workspace: cell_of agrees with the scan
+            _cells_containing(model, ws.x_min + (2 * fx - 0.5) * w, ws.y_min + (2 * fy - 0.5) * h)
 
 
 class TestSelectCells:
