@@ -7,7 +7,6 @@ from .gaussians import (
     GaussianState,
     SingularCovarianceError,
     log_pdf,
-    mahalanobis_sq,
     moment_match_merge,
 )
 from .gpf import (

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, dump_config, load_config, parse_config_text
+from .motion import POSITION_IDX
 from .sim import StepRecord, TrackingLog, evaluate_metrics, generate_truth, run_experiment
 
 log = logging.getLogger("mtt")
@@ -50,6 +51,15 @@ def _fmt9(value: float) -> str:
     return "%.9g" % value
 
 
+def _truth_header(n_targets: int) -> list[str]:
+    return ["step"] + [f"true_{c}_{i}" for i in range(1, n_targets + 1) for c in "xy"]
+
+
+def _truth_row(step: int, states: np.ndarray, n_targets: int) -> list[str]:
+    """The step and the first n_targets true (x, y) positions, formatted."""
+    return [str(step)] + [_fmt9(states[i][j]) for i in range(n_targets) for j in POSITION_IDX]
+
+
 def write_csv(tracking_log: TrackingLog, path: Path, n_targets: int | None = None) -> None:
     """Per-step metrics CSV: step, truth positions, cardinality, errors.
 
@@ -59,17 +69,12 @@ def write_csv(tracking_log: TrackingLog, path: Path, n_targets: int | None = Non
     if n_targets is None:
         n_targets = len(tracking_log.records[0].true_states) if tracking_log.records else 0
     with_ospa = bool(tracking_log.records) and tracking_log.records[0].ospa is not None
-    header = ["step"]
-    for i in range(1, n_targets + 1):
-        header += [f"true_x_{i}", f"true_y_{i}"]
-    header += ["cardinality_est", "rmse", "card_err"]
+    header = _truth_header(n_targets) + ["cardinality_est", "rmse", "card_err"]
     if with_ospa:
         header.append("ospa")
     lines = [",".join(header)]
     for rec in tracking_log.records:
-        row = [str(rec.step)]
-        for i in range(n_targets):
-            row += [_fmt9(rec.true_states[i][0]), _fmt9(rec.true_states[i][2])]
+        row = _truth_row(rec.step, rec.true_states, n_targets)
         row += [_fmt9(rec.cardinality), _fmt9(rec.rmse), _fmt9(rec.card_err)]
         if with_ospa:
             row.append(_fmt9(rec.ospa))
@@ -78,16 +83,9 @@ def write_csv(tracking_log: TrackingLog, path: Path, n_targets: int | None = Non
 
 
 def write_truth_csv(truth: np.ndarray, path: Path) -> None:
-    n_steps, n_targets = truth.shape[0], truth.shape[1]
-    header = ["step"]
-    for i in range(1, n_targets + 1):
-        header += [f"true_x_{i}", f"true_y_{i}"]
-    lines = [",".join(header)]
-    for k in range(n_steps):
-        row = [str(k)]
-        for i in range(n_targets):
-            row += [_fmt9(truth[k, i, 0]), _fmt9(truth[k, i, 2])]
-        lines.append(",".join(row))
+    n_targets = truth.shape[1]
+    lines = [",".join(_truth_header(n_targets))]
+    lines += [",".join(_truth_row(k, states, n_targets)) for k, states in enumerate(truth)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

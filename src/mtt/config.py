@@ -8,6 +8,7 @@ default config reloads to an identical object.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -52,6 +53,8 @@ def _float(
             value = float(raw)
         except ValueError as exc:
             raise ConfigError(f"expected a number, got {raw!r}") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"expected a finite number, got {raw!r}")
         if lo is not None and (value <= lo if lo_open else value < lo):
             raise ConfigError(f"value {value} below allowed range ({allowed})")
         if hi is not None and (value >= hi if hi_open else value > hi):

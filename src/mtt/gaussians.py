@@ -2,8 +2,8 @@
 
 A tracked hypothesis is a weighted Gaussian: the weight is the probability
 that the hypothesized target exists, the Gaussian is its state distribution.
-This module provides the primitives the filters build on: log densities,
-Mahalanobis quadratic forms, and moment-matched mixture reduction.
+This module provides the primitives the filters build on: log densities
+and moment-matched mixture reduction.
 """
 
 from __future__ import annotations
@@ -101,19 +101,6 @@ def log_pdf(g: GaussianState, x: np.ndarray) -> float:
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     n = g.dim
     return -0.5 * (quad + n * np.log(2.0 * np.pi) + logdet)
-
-
-def mahalanobis_sq(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> float:
-    """Quadratic form (a-b)' M (a-b) for symmetric PSD M."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if m.shape != (a.shape[0], a.shape[0]):
-        raise ValueError(f"M shape {m.shape} does not match vectors of dim {a.shape[0]}")
-    d = a - b
-    return float(d @ m @ d)
 
 
 def mixture_moments(

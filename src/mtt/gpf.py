@@ -31,7 +31,7 @@ from .gaussians import (
     mixture_moments,
     moment_match_merge,
 )
-from .kalman import KalmanUpdate, LinearGaussianModel, kf_update
+from .kalman import KalmanUpdate, kf_predict, kf_update
 from .motion import POSITION_IDX
 from .regions import FovRegion
 from .sensors import CellReturn, GridSensorModel, MeanSensorModel, detection_prob
@@ -102,18 +102,10 @@ class GpfConfig:
 
 
 def gpf_predict(pset: GpfParticleSet, f: np.ndarray, q: np.ndarray) -> GpfParticleSet:
-    """Propagate every particle's Gaussian; existence weights are untouched."""
+    """Kalman-predict every particle's Gaussian; existence weights are untouched."""
     f = np.atleast_2d(np.asarray(f, dtype=float))
     q = np.atleast_2d(np.asarray(q, dtype=float))
-    out = []
-    for p in pset.particles:
-        if p.state.dim != f.shape[0]:
-            raise ValueError(
-                f"particle dim {p.state.dim} does not match F dim {f.shape[0]}"
-            )
-        mean = f @ p.state.mean
-        cov = f @ p.state.cov @ f.T + q
-        out.append(GaussianParticle(p.weight, GaussianState(mean, cov)))
+    out = [GaussianParticle(p.weight, kf_predict(p.state, f, q)) for p in pset.particles]
     return GpfParticleSet(out, pset.step, pset.degenerate_step)
 
 
@@ -195,8 +187,6 @@ def conditional_kf_update(
     if bits[j] != 1:
         raise ValueError(f"particle {j} is not active in combination {bits}")
     n_active = int(sum(bits))
-    if n_active == 0:
-        raise ValueError("combination has no active particle")
     state = fov_particles[j].state
     if projection is None:
         projection = np.eye(state.dim)
@@ -216,12 +206,7 @@ def conditional_kf_update(
             others_cov += projection @ p.state.cov @ projection.T
 
     z_eff = z - others_mean / n_active
-    h = projection / n_active
-    r_eff = others_cov / n_active**2 + r
-    model = LinearGaussianModel(
-        F=np.eye(state.dim), Q=np.zeros((state.dim, state.dim)), H=h, R=r_eff
-    )
-    return kf_update(state, model, z_eff)
+    return kf_update(state, projection / n_active, others_cov / n_active**2 + r, z_eff)
 
 
 def combination_log_weight(

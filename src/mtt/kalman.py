@@ -1,8 +1,9 @@
 """Linear-Gaussian Kalman filter: predict and update steps.
 
 Serves three roles: a single-target baseline, the exact oracle that the
-particle filters are checked against, and the inner engine of the
-Gaussian-particle conditional update.
+particle filters are checked against, and the engine of every Gaussian
+particle's predict and conditional update.  Each step takes only the
+matrices it reads, so the GPF passes its effective H and R directly.
 """
 
 from __future__ import annotations
@@ -51,10 +52,6 @@ class LinearGaussianModel:
             )
 
     @property
-    def state_dim(self) -> int:
-        return self.F.shape[0]
-
-    @property
     def meas_dim(self) -> int:
         return self.H.shape[0]
 
@@ -66,21 +63,19 @@ class KalmanUpdate(NamedTuple):
     gain: np.ndarray
 
 
-def kf_predict(prior: GaussianState, model: LinearGaussianModel) -> GaussianState:
-    """Time update: mean F x, covariance F Sigma F' + Q."""
-    if prior.dim != model.state_dim:
-        raise ValueError(
-            f"state dim {prior.dim} does not match model dim {model.state_dim}"
-        )
-    mean = model.F @ prior.mean
-    cov = model.F @ prior.cov @ model.F.T + model.Q
+def kf_predict(prior: GaussianState, f: np.ndarray, q: np.ndarray) -> GaussianState:
+    """Time update: mean F x, covariance F Sigma F' + Q (f, q: 2-D arrays)."""
+    if prior.dim != f.shape[0]:
+        raise ValueError(f"state dim {prior.dim} does not match F dim {f.shape[0]}")
+    mean = f @ prior.mean
+    cov = f @ prior.cov @ f.T + q
     return GaussianState(mean, cov)
 
 
 def kf_update(
-    pred: GaussianState, model: LinearGaussianModel, z: np.ndarray
+    pred: GaussianState, h: np.ndarray, r: np.ndarray, z: np.ndarray
 ) -> KalmanUpdate:
-    """Measurement update with the optimal gain.
+    """Measurement update with the optimal gain (h, r: 2-D arrays).
 
     y = z - H x,  S = H Sigma H' + R,  K = Sigma H' S^-1,
     x+ = x + K y.  The covariance is propagated in Joseph form,
@@ -88,22 +83,19 @@ def kf_update(
     (I - KH) Sigma at the optimal gain but keeps the result PSD.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.shape[0] != model.meas_dim:
-        raise ValueError(f"z dim {z.shape[0]} does not match model dim {model.meas_dim}")
+    if z.shape[0] != h.shape[0]:
+        raise ValueError(f"z dim {z.shape[0]} does not match H rows {h.shape[0]}")
     if not np.isfinite(z).all():
         raise ValueError(f"measurement must be finite, got {z}")
-    if pred.dim != model.state_dim:
-        raise ValueError(
-            f"state dim {pred.dim} does not match model dim {model.state_dim}"
-        )
-    h = model.H
+    if pred.dim != h.shape[1]:
+        raise ValueError(f"state dim {pred.dim} does not match H columns {h.shape[1]}")
     residual = z - h @ pred.mean
-    innovation_cov = _symmetrize(h @ pred.cov @ h.T + model.R)
+    innovation_cov = _symmetrize(h @ pred.cov @ h.T + r)
     chol = chol_with_jitter(innovation_cov)
     # K = Sigma H' S^-1 solved as S K' = H Sigma' to avoid forming S^-1
     kt = np.linalg.solve(chol.T, np.linalg.solve(chol, h @ pred.cov))
     gain = kt.T
     mean = pred.mean + gain @ residual
     i_kh = np.eye(pred.dim) - gain @ h
-    cov = i_kh @ pred.cov @ i_kh.T + gain @ model.R @ gain.T
+    cov = i_kh @ pred.cov @ i_kh.T + gain @ r @ gain.T
     return KalmanUpdate(GaussianState(mean, cov), residual, innovation_cov, gain)

@@ -38,8 +38,8 @@ class PointParticleSet:
             )
         if self.states.shape[0] < 1:
             raise ValueError("particle set must be non-empty")
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be non-negative")
+        if not (np.isfinite(self.weights) & (self.weights >= 0)).all():
+            raise ValueError("weights must be finite and non-negative")
         if abs(self.weights.sum() - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {self.weights.sum()!r}")
 
@@ -97,7 +97,8 @@ def pf_step(
     reweighted by likelihood(x', z).  Resampling fires iff the effective
     sample size drops below ess_ratio * N (the customary N/2 by default).
     If every likelihood is zero the weights fall back to uniform and the
-    returned set carries zero_likelihood=True.
+    returned set carries zero_likelihood=True; a likelihood that is
+    negative or not finite raises ValueError.
     """
     if resample not in _RESAMPLERS:
         raise ValueError(f"unknown resampling scheme {resample!r}")
@@ -107,12 +108,12 @@ def pf_step(
     n = pset.n_particles
     propagated = pset.states @ model.F.T
     if np.any(model.Q):
-        noise = rng.multivariate_normal(np.zeros(model.state_dim), model.Q, size=n)
+        noise = rng.multivariate_normal(np.zeros(model.F.shape[0]), model.Q, size=n)
         propagated = propagated + noise
 
     like = np.array([likelihood(propagated[p], z) for p in range(n)], dtype=float)
-    if np.any(like < 0):
-        raise ValueError("likelihood returned a negative value")
+    if not (np.isfinite(like) & (like >= 0)).all():
+        raise ValueError("likelihood returned a negative or non-finite value")
     weights = pset.weights * like
     total = weights.sum()
     degenerate = total <= 0.0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -15,6 +16,8 @@ class Rectangle:
     y_max: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.x_min, self.y_min, self.x_max, self.y_max))):
+            raise ValueError(f"rectangle bounds must be finite: {self}")
         if self.x_max <= self.x_min or self.y_max <= self.y_min:
             raise ValueError(f"rectangle has non-positive area: {self}")
 

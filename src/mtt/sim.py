@@ -310,7 +310,7 @@ def _kf_filter(model: LinearGaussianModel, ws: Rectangle) -> StepFn:
 
     def step(z):
         nonlocal belief
-        belief = kf_update(kf_predict(belief, model), model, z).posterior
+        belief = kf_update(kf_predict(belief, model.F, model.Q), model.H, model.R, z).posterior
         return [belief.mean], [belief.cov], [1.0], 1.0
 
     return step

@@ -69,9 +69,9 @@ def test_criterion_1_gpf_reduces_to_kalman():
     kf_belief = state
     worst = 0.0
     for _ in range(100):
-        z = kf_predict(kf_belief, model).mean[[0, 2]] + rng.standard_normal(2)
+        z = kf_predict(kf_belief, model.F, model.Q).mean[[0, 2]] + rng.standard_normal(2)
         belief = gpf_step(belief, z, config)
-        kf_belief = kf_update(kf_predict(kf_belief, model), model, z).posterior
+        kf_belief = kf_update(kf_predict(kf_belief, model.F, model.Q), model.H, model.R, z).posterior
         assert len(belief.particles) == 1 and belief.particles[0].weight == 1.0
         got = belief.particles[0].state
         assert_allclose(got.mean, kf_belief.mean, rtol=1e-10)
@@ -144,7 +144,7 @@ def test_criterion_3_pf_tracks_kalman_oracle():
         for _ in range(50):
             truth = 0.95 * truth + rng.normal(0.0, math.sqrt(0.5))
             z = np.array([truth + rng.normal()])
-            kf_belief = kf_update(kf_predict(kf_belief, model), model, z).posterior
+            kf_belief = kf_update(kf_predict(kf_belief, model.F, model.Q), model.H, model.R, z).posterior
             pset = pf_step(pset, model, likelihood, z, rng, resample="systematic")
             ess = effective_sample_size(pset.weights)
             mu = pset.mean()[0]

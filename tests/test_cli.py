@@ -207,7 +207,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "bad",
         ["scenario.q_diag = -1,0,0,0", "sensor.r_diag = 1,1,1", "sensor.r_diag = -1,-1",
-         "gpf.init_cov_diag = 0,0,-1,0"],
+         "gpf.init_cov_diag = 0,0,-1,0", "scenario.q_diag = nan,0,0,0"],
     )
     def test_bad_noise_value_is_config_error(self, tmp_path, bad):
         cfg = tmp_path / "bad.cfg"

@@ -119,6 +119,14 @@ def test_workspace_parsed():
         ("sensor.strategy = fixed_list\nsensor.fixed_cells = 200", "out of range"),
         ("sensor.strategy = fixed_list\nsensor.fixed_cells = " + ",".join(map(str, range(13))),
          "13 fixed cells but m_cells = 12"),
+        ("gpf.d_thresh = nan", "finite"),
+        ("gpf.epsilon = nan", "finite"),
+        ("sensor.snr = nan", "finite"),
+        ("scenario.tau = inf", "finite"),
+        ("scenario.q_diag = nan,0,0,0", "finite"),
+        ("sensor.r_diag = 1,-inf", "finite"),
+        ("scenario.workspace = 0,0,nan,12", "finite"),
+        ("scenario.initial_states = 0,0,inf,0", "finite"),
     ],
 )
 def test_bad_noise_values_rejected(line, match):

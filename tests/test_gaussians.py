@@ -13,7 +13,6 @@ from mtt.gaussians import (
     GaussianState,
     SingularCovarianceError,
     log_pdf,
-    mahalanobis_sq,
     moment_match_merge,
 )
 
@@ -64,39 +63,6 @@ class TestLogPdf:
         g = GaussianState(np.zeros(2), np.zeros((2, 2)))
         with pytest.raises(SingularCovarianceError):
             log_pdf(g, np.zeros(2))
-
-
-class TestMahalanobis:
-    def test_identical_points(self):
-        m = np.array([[2.0, 0.2], [0.2, 1.0]])
-        a = np.array([3.0, -1.0])
-        assert mahalanobis_sq(a, a, m) == 0.0
-
-    def test_identity_metric_is_euclidean(self):
-        assert_allclose(
-            mahalanobis_sq(np.array([3.0, 4.0]), np.zeros(2), np.eye(2)), 25.0
-        )
-
-    def test_diagonal_metric(self):
-        # (1,1) under diag(2,1): 2*1 + 1*1 = 3
-        assert_allclose(
-            mahalanobis_sq(np.array([1.0, 1.0]), np.zeros(2), np.diag([2.0, 1.0])), 3.0
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            mahalanobis_sq(np.zeros(2), np.zeros(3), np.eye(2))
-        with pytest.raises(ValueError):
-            mahalanobis_sq(np.zeros(2), np.zeros(2), np.eye(3))
-
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
-    @settings(max_examples=50, deadline=None)
-    def test_symmetry(self, seed, dim):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal(dim)
-        b = rng.standard_normal(dim)
-        m = _random_psd(rng, dim)
-        assert mahalanobis_sq(a, b, m) == mahalanobis_sq(b, a, m)
 
 
 class TestMomentMatchMerge:

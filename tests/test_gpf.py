@@ -102,6 +102,13 @@ class TestSelectFov:
         in_fov, out_fov = select_fov_particles(GpfParticleSet([]), FovRegion.full())
         assert in_fov == [] and out_fov == []
 
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+    def test_non_finite_box_rejected(self, bound):
+        with pytest.raises(ValueError, match="finite"):
+            Rectangle(0.0, 0.0, bound, 12.0)
+        with pytest.raises(ValueError, match="finite"):
+            FovRegion.box(bound, 0.0, 1.0, 1.0)
+
     def test_boundary_mean_is_inside(self):
         fov = FovRegion.box(0.0, 0.0, 1.0, 1.0)
         pset = GpfParticleSet([_particle(0.5, 1.0, 1.0), _particle(0.5, 1.0001, 1.0)])
@@ -171,7 +178,7 @@ class TestConditionalUpdate:
         z = rng.standard_normal(2)
         got = conditional_kf_update(0, (1,), [GaussianParticle(1.0, state)], z, r, proj)
         model = LinearGaussianModel(F=np.eye(4), Q=np.zeros((4, 4)), H=proj, R=r)
-        want = kf_update(state, model, z)
+        want = kf_update(state, model.H, model.R, z)
         assert_allclose(got.posterior.mean, want.posterior.mean, rtol=1e-14, atol=0)
         assert_allclose(got.posterior.cov, want.posterior.cov, rtol=1e-14, atol=0)
         assert_allclose(got.gain, want.gain, rtol=1e-14, atol=0)
@@ -449,9 +456,9 @@ class TestGpfStep:
         belief = GpfParticleSet([GaussianParticle(1.0, state)])
         kf_belief = state
         for _ in range(20):
-            z = kf_predict(kf_belief, model).mean[[0, 2]] + rng.standard_normal(2)
+            z = kf_predict(kf_belief, model.F, model.Q).mean[[0, 2]] + rng.standard_normal(2)
             belief = gpf_step(belief, z, config)
-            kf_belief = kf_update(kf_predict(kf_belief, model), model, z).posterior
+            kf_belief = kf_update(kf_predict(kf_belief, model.F, model.Q), model.H, model.R, z).posterior
             assert len(belief.particles) == 1
             assert belief.particles[0].weight == 1.0
             assert_allclose(belief.particles[0].state.mean, kf_belief.mean, rtol=1e-10)

@@ -31,30 +31,30 @@ class TestPredict:
     def test_identity_dynamics(self):
         prior = GaussianState(np.array([1.0, 2.0]), np.diag([0.5, 0.5]))
         model = LinearGaussianModel(F=np.eye(2), Q=np.zeros((2, 2)), H=np.eye(2), R=np.eye(2))
-        pred = kf_predict(prior, model)
+        pred = kf_predict(prior, model.F, model.Q)
         assert_allclose(pred.mean, prior.mean)
         assert_allclose(pred.cov, prior.cov)
 
     def test_pure_diffusion(self):
         prior = GaussianState(np.array([1.0, 2.0]), np.diag([0.5, 2.0]))
         model = LinearGaussianModel(F=np.eye(2), Q=np.eye(2), H=np.eye(2), R=np.eye(2))
-        pred = kf_predict(prior, model)
+        pred = kf_predict(prior, model.F, model.Q)
         assert_allclose(pred.mean, prior.mean)
         assert_allclose(pred.cov, prior.cov + np.eye(2))
 
     def test_1d_formula(self):
-        pred = kf_predict(GaussianState(3.0, 1.0), _model_1d(f=2.0, q=0.5))
+        pred = kf_predict(GaussianState(3.0, 1.0), np.array([[2.0]]), np.array([[0.5]]))
         assert_allclose(pred.mean, [6.0])
         assert_allclose(pred.cov, [[4.5]])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            kf_predict(GaussianState(np.zeros(3), np.eye(3)), _model_1d())
+            kf_predict(GaussianState(np.zeros(3), np.eye(3)), np.eye(1), np.zeros((1, 1)))
 
 
 class TestUpdate:
     def test_equal_variance_split(self):
-        post, y, s, k = kf_update(GaussianState(0.0, 1.0), _model_1d(), np.array([2.0]))
+        post, y, s, k = kf_update(GaussianState(0.0, 1.0), np.eye(1), np.eye(1), np.array([2.0]))
         assert_allclose(post.mean, [1.0])
         assert_allclose(post.cov, [[0.5]])
         assert_allclose(y, [2.0])
@@ -64,7 +64,7 @@ class TestUpdate:
     def test_uninformative_measurement(self):
         prior = GaussianState(np.array([1.0, -1.0]), np.diag([2.0, 3.0]))
         model = LinearGaussianModel(F=np.eye(2), Q=np.zeros((2, 2)), H=np.eye(2), R=np.eye(2) * 1e12)
-        post = kf_update(prior, model, np.array([50.0, -50.0])).posterior
+        post = kf_update(prior, model.H, model.R, np.array([50.0, -50.0])).posterior
         assert_allclose(post.mean, prior.mean, rtol=1e-6, atol=1e-6)
         assert_allclose(post.cov, prior.cov, rtol=1e-6)
 
@@ -73,7 +73,7 @@ class TestUpdate:
         prior_var, r, z = 4.0, 1.0, 5.0
         oracle_var = 1.0 / (1.0 / prior_var + 1.0 / r)
         oracle_mean = oracle_var * (0.0 / prior_var + z / r)
-        post, _, _, k = kf_update(GaussianState(0.0, prior_var), _model_1d(r=r), np.array([z]))
+        post, _, _, k = kf_update(GaussianState(0.0, prior_var), np.eye(1), np.array([[r]]), np.array([z]))
         assert_allclose(k, [[0.8]])
         assert_allclose(post.mean, [oracle_mean])
         assert_allclose(post.cov, [[oracle_var]])
@@ -83,17 +83,17 @@ class TestUpdate:
     def test_singular_innovation(self):
         model = _model_1d(r=0.0)
         with pytest.raises(SingularCovarianceError):
-            kf_update(GaussianState(0.0, 0.0), model, np.array([1.0]))
+            kf_update(GaussianState(0.0, 0.0), model.H, model.R, np.array([1.0]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            kf_update(GaussianState(0.0, 1.0), _model_1d(), np.array([1.0, 2.0]))
+            kf_update(GaussianState(0.0, 1.0), np.eye(1), np.eye(1), np.array([1.0, 2.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_measurement_rejected(self, bad):
         model = LinearGaussianModel(F=np.eye(2), Q=np.zeros((2, 2)), H=np.eye(2), R=np.eye(2))
         with pytest.raises(ValueError, match="finite"):
-            kf_update(GaussianState(np.zeros(2), np.eye(2)), model, np.array([bad, 5.0]))
+            kf_update(GaussianState(np.zeros(2), np.eye(2)), model.H, model.R, np.array([bad, 5.0]))
 
 
 class TestInvariants:
@@ -103,7 +103,7 @@ class TestInvariants:
         rng = np.random.default_rng(seed)
         model = _random_model(rng, n)
         pred = _random_state(rng, n)
-        post = kf_update(pred, model, rng.standard_normal(model.meas_dim)).posterior
+        post = kf_update(pred, model.H, model.R, rng.standard_normal(model.meas_dim)).posterior
         for _ in range(5):
             v = rng.standard_normal(n)
             v /= np.linalg.norm(v)
@@ -118,8 +118,8 @@ class TestInvariants:
         model_b = _random_model(rng, n, r_dim=n)
         za = rng.standard_normal(n)
         zb = rng.standard_normal(n)
-        p1 = kf_update(kf_update(prior, model_a, za).posterior, model_b, zb).posterior
-        p2 = kf_update(kf_update(prior, model_b, zb).posterior, model_a, za).posterior
+        p1 = kf_update(kf_update(prior, model_a.H, model_a.R, za).posterior, model_b.H, model_b.R, zb).posterior
+        p2 = kf_update(kf_update(prior, model_b.H, model_b.R, zb).posterior, model_a.H, model_a.R, za).posterior
         assert_allclose(p1.mean, p2.mean, atol=1e-9)
         assert_allclose(p1.cov, p2.cov, atol=1e-9)
 
@@ -129,7 +129,7 @@ class TestInvariants:
         rng = np.random.default_rng(seed)
         model = _random_model(rng, n)
         pred = _random_state(rng, n)
-        post, _, _, k = kf_update(pred, model, rng.standard_normal(model.meas_dim))
+        post, _, _, k = kf_update(pred, model.H, model.R, rng.standard_normal(model.meas_dim))
         i_kh = np.eye(n) - k @ model.H
         joseph = i_kh @ pred.cov @ i_kh.T + k @ model.R @ k.T
         simple = i_kh @ pred.cov
@@ -142,7 +142,7 @@ class TestInvariants:
         rng = np.random.default_rng(seed)
         model = _random_model(rng, n)
         pred = _random_state(rng, n)
-        post = kf_update(pred, model, rng.standard_normal(model.meas_dim)).posterior
+        post = kf_update(pred, model.H, model.R, rng.standard_normal(model.meas_dim)).posterior
         assert_allclose(post.cov, post.cov.T, atol=1e-9)
         assert np.linalg.eigvalsh(post.cov).min() >= -1e-9
 

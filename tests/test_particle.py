@@ -185,6 +185,18 @@ class TestPfStep:
             pf_step(pset, _model_1d(), lambda s, z: -1.0, np.array([0.0]),
                     np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_likelihood_rejected(self, bad):
+        pset = _uniform_set([[0.0], [1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            pf_step(pset, _model_1d(), lambda s, z: bad, np.array([0.0]),
+                    np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PointParticleSet([[0.0], [1.0]], [bad, bad])
+
     def test_tracks_kalman_oracle(self):
         # linear-Gaussian model: the KF posterior mean is exact
         rng = np.random.default_rng(11)
@@ -204,7 +216,7 @@ class TestPfStep:
         for _ in range(steps):
             truth = 0.95 * truth + rng.normal(0.0, np.sqrt(0.4))
             z = np.array([truth + rng.normal(0.0, np.sqrt(0.8))])
-            kf_belief = kf_update(kf_predict(kf_belief, model), model, z).posterior
+            kf_belief = kf_update(kf_predict(kf_belief, model.F, model.Q), model.H, model.R, z).posterior
             pset = pf_step(pset, model, like, z, rng)
             ess = effective_sample_size(pset.weights)
             spread = np.sqrt(
