@@ -18,7 +18,8 @@ class SingularCovarianceError(np.linalg.LinAlgError):
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    """0.5 (M + M') over the last two axes, so stacks of matrices work too."""
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)

@@ -20,18 +20,19 @@ particles pruned, and detections can seed new ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .gaussians import (
     GaussianParticle,
     GaussianState,
+    _symmetrize,
     log_pdf,
     mixture_moments,
     moment_match_merge,
 )
-from .kalman import KalmanUpdate, kf_predict, kf_update
+from .kalman import KalmanUpdate, kf_predict_moments, kf_update
 from .motion import POSITION_IDX
 from .regions import FovRegion
 from .sensors import CellReturn, GridSensorModel, MeanSensorModel, detection_prob
@@ -41,13 +42,49 @@ class CombinatorialBlowupError(ValueError):
     """Too many in-view particles to enumerate existence combinations."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class GpfParticleSet:
-    """The multi-target belief at one time step."""
+    """The multi-target belief at one time step: particle i has existence
+    weight weights[i] in [0, 1] and Gaussian N(means[i], covs[i]).
 
-    particles: list[GaussianParticle]
-    step: int = 0
+    Like GaussianState, a set copies the weights and means, symmetrizes the
+    covariances (a new array) and makes all three read-only, so stages
+    share sets instead of copying them.  The default is the empty belief
+    over the 4-D state.
+    """
+
+    weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    means: np.ndarray = field(default_factory=lambda: np.zeros((0, 4)))
+    covs: np.ndarray = field(default_factory=lambda: np.zeros((0, 4, 4)))
     degenerate_step: bool = False
+
+    def __post_init__(self) -> None:
+        weights = np.array(self.weights, dtype=float)
+        means = np.array(self.means, dtype=float)
+        covs = np.asarray(self.covs, dtype=float)
+        shapes = (weights.shape, means.shape, covs.shape)
+        n, d = means.shape if means.ndim == 2 else (-1, -1)
+        if shapes != ((n,), (n, d), (n, d, d)):
+            raise ValueError(f"want weights (n,), means (n, d), covs (n, d, d), got {shapes}")
+        if not all(0.0 <= w <= 1.0 for w in weights.tolist()):  # faster than numpy at small n
+            raise ValueError(f"weights must lie in [0, 1], got {weights}")
+        for name, value in (("weights", weights), ("means", means), ("covs", _symmetrize(covs))):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return self.weights.shape[0]
+
+    @property
+    def particles(self) -> list[GaussianParticle]:
+        """One GaussianParticle per row, in order (a read-only view)."""
+        return [
+            GaussianParticle(w, GaussianState(m, c))
+            for w, m, c in zip(self.weights.tolist(), self.means, self.covs)
+        ]
+
+
+_NO_BIRTHS = GpfParticleSet()  # shared by every mean-sensor step: sets are immutable
 
 
 @dataclass
@@ -89,24 +126,28 @@ class GpfConfig:
         self.q_matrix = np.atleast_2d(np.asarray(self.q_matrix, dtype=float))
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.d_thresh <= 0.0:
-            raise ValueError(f"d_thresh must be positive, got {self.d_thresh}")
+        if not 0.0 < self.d_thresh < math.inf:
+            raise ValueError(f"d_thresh must be positive and finite, got {self.d_thresh}")
         if not 0.0 <= self.w_prune < 1.0:
             raise ValueError(f"w_prune must lie in [0, 1), got {self.w_prune}")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
         if not 0.0 < self.w_birth <= 1.0:
             raise ValueError(f"w_birth must lie in (0, 1], got {self.w_birth}")
-        if self.clutter_density <= 0.0:
-            raise ValueError("clutter_density must be positive")
+        if not 0.0 < self.clutter_density < math.inf:
+            raise ValueError("clutter_density must be positive and finite")
 
 
 def gpf_predict(pset: GpfParticleSet, f: np.ndarray, q: np.ndarray) -> GpfParticleSet:
-    """Kalman-predict every particle's Gaussian; existence weights are untouched."""
+    """Kalman-predict every particle's Gaussian; existence weights are untouched.
+
+    The result is not flagged degenerate: the flag reports a step's
+    measurement update, which comes after the predict.
+    """
     f = np.atleast_2d(np.asarray(f, dtype=float))
     q = np.atleast_2d(np.asarray(q, dtype=float))
-    out = [GaussianParticle(p.weight, kf_predict(p.state, f, q)) for p in pset.particles]
-    return GpfParticleSet(out, pset.step, pset.degenerate_step)
+    means, covs = kf_predict_moments(pset.means, pset.covs, f, q)
+    return GpfParticleSet(pset.weights, means, covs)
 
 
 def select_fov_particles(pset: GpfParticleSet, fov: FovRegion) -> tuple[list[int], list[int]]:
@@ -117,11 +158,8 @@ def select_fov_particles(pset: GpfParticleSet, fov: FovRegion) -> tuple[list[int
     """
     xi, yi = POSITION_IDX
     in_fov, out_of_fov = [], []
-    for i, p in enumerate(pset.particles):
-        if fov.contains(p.state.mean[xi], p.state.mean[yi]):
-            in_fov.append(i)
-        else:
-            out_of_fov.append(i)
+    for i, (x, y) in enumerate(zip(pset.means[:, xi].tolist(), pset.means[:, yi].tolist())):
+        (in_fov if fov.contains(x, y) else out_of_fov).append(i)
     return in_fov, out_of_fov
 
 
@@ -285,7 +323,7 @@ def marginalize_existence(
     return out
 
 
-def _pairwise_position_distances(particles: list[GaussianParticle]) -> np.ndarray:
+def _pairwise_position_distances(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
     """Mahalanobis distances between particle position marginals.
 
     d_ij = (mu_i - mu_j)' (Sigma_i + Sigma_j)^-1 (mu_i - mu_j) over the
@@ -293,11 +331,8 @@ def _pairwise_position_distances(particles: list[GaussianParticle]) -> np.ndarra
     2x2 inverse.  The diagonal is set to +inf.
     """
     xi, yi = POSITION_IDX
-    mx = np.array([p.state.mean[xi] for p in particles])
-    my = np.array([p.state.mean[yi] for p in particles])
-    a = np.array([p.state.cov[xi, xi] for p in particles])
-    b = np.array([p.state.cov[xi, yi] for p in particles])
-    c = np.array([p.state.cov[yi, yi] for p in particles])
+    mx, my = means[:, xi], means[:, yi]
+    a, b, c = covs[:, xi, xi], covs[:, xi, yi], covs[:, yi, yi]
     dx = mx[:, None] - mx[None, :]
     dy = my[:, None] - my[None, :]
     sa = a[:, None] + a[None, :]
@@ -322,29 +357,35 @@ def merge_close_particles(
     d_thresh.  Merging combines weights (capped at one) and moment-matches
     the Gaussians.
     """
-    if d_thresh <= 0.0:
-        raise ValueError(f"d_thresh must be positive, got {d_thresh}")
-    particles = list(pset.particles)
-    while len(particles) > 1:
-        d = _pairwise_position_distances(particles)
+    if not 0.0 < d_thresh < math.inf:
+        raise ValueError(f"d_thresh must be positive and finite, got {d_thresh}")
+    weights, means, covs = pset.weights, pset.means, pset.covs
+    while len(weights) > 1:
+        d = _pairwise_position_distances(means, covs)
         i, j = np.unravel_index(np.argmin(d), d.shape)
         if d[i, j] >= d_thresh:
             break
         lo, hi = min(i, j), max(i, j)
-        merged = moment_match_merge([particles[lo], particles[hi]], cov_mode)
-        particles.pop(hi)
-        particles[lo] = merged
-    return GpfParticleSet(particles, pset.step, pset.degenerate_step)
+        merged = moment_match_merge(
+            [GaussianParticle(weights[k], GaussianState(means[k], covs[k])) for k in (lo, hi)],
+            cov_mode,
+        )
+        weights, means, covs = (np.delete(a, hi, axis=0) for a in (weights, means, covs))
+        weights[lo], means[lo], covs[lo] = merged.weight, merged.state.mean, merged.state.cov
+    if len(weights) == len(pset):
+        return pset  # nothing merged: share the immutable set, skip a construction
+    return GpfParticleSet(weights, means, covs, pset.degenerate_step)
 
 
 def estimate_cardinality(pset: GpfParticleSet) -> float:
-    """Expected number of targets: the sum of existence weights."""
-    return float(sum(p.weight for p in pset.particles))
+    """Expected number of targets: the sum of existence weights, left to right
+    (np.sum's pairwise order would change the last bit)."""
+    return float(sum(pset.weights.tolist()))
 
 
 def birth_and_prune(
     pset: GpfParticleSet,
-    births: list[GaussianParticle],
+    births: GpfParticleSet,
     w_prune: float,
     n_max: int,
 ) -> GpfParticleSet:
@@ -355,26 +396,35 @@ def birth_and_prune(
     """
     if not 0.0 <= w_prune < 1.0:
         raise ValueError(f"w_prune must lie in [0, 1), got {w_prune}")
-    particles = [p for p in list(pset.particles) + list(births) if p.weight >= w_prune]
-    if len(particles) > n_max:
-        by_weight = sorted(range(len(particles)), key=lambda i: -particles[i].weight)
-        keep = sorted(by_weight[:n_max])
-        particles = [particles[i] for i in keep]
-    return GpfParticleSet(particles, pset.step, pset.degenerate_step)
+    sets = (pset, births) if len(births) else (pset,)  # empty births may differ in d
+    weights = np.concatenate([s.weights for s in sets])
+    keep = np.nonzero(weights >= w_prune)[0]
+    if len(keep) > n_max:
+        keep = np.sort(keep[np.argsort(-weights[keep], kind="stable")[:n_max]])
+    if len(keep) == len(weights) == len(pset):
+        return pset  # no births and nothing pruned
+    means = np.concatenate([s.means for s in sets])[keep]
+    covs = np.concatenate([s.covs for s in sets])[keep]
+    return GpfParticleSet(weights[keep], means, covs, pset.degenerate_step)
 
 
 def _mean_measurement_update(
     pset: GpfParticleSet, z: np.ndarray, config: GpfConfig
-) -> tuple[GpfParticleSet, bool]:
-    """Existence-combination update for a mean-of-states measurement."""
+) -> GpfParticleSet:
+    """Existence-combination update for a mean-of-states measurement.
+
+    With no combination above epsilon the set is returned unchanged but
+    flagged degenerate.
+    """
     sensor = config.sensor
     in_idx, _ = select_fov_particles(pset, config.fov)
     if not in_idx:
-        return pset, False
-    fov_parts = [pset.particles[i] for i in in_idx]
+        return pset
+    particles = pset.particles
+    fov_parts = [particles[i] for i in in_idx]
     combos = enumerate_combinations(fov_parts, config.epsilon, config.s_max)
     if not combos:
-        return pset, True
+        return replace(pset, degenerate_step=True)
 
     proj = sensor.position_projection
     log_weights = []
@@ -392,10 +442,10 @@ def _mean_measurement_update(
     normalize_combination_weights(combos, log_weights)
     marginal = marginalize_existence(combos, fov_parts)
 
-    particles = list(pset.particles)
-    for local_i, global_i in enumerate(in_idx):
-        particles[global_i] = marginal[local_i]
-    return GpfParticleSet(particles, pset.step, pset.degenerate_step), False
+    weights, means, covs = pset.weights.tolist(), list(pset.means), list(pset.covs)
+    for i, p in zip(in_idx, marginal):
+        weights[i], means[i], covs[i] = p.weight, p.state.mean, p.state.cov
+    return GpfParticleSet(weights, means, covs, pset.degenerate_step)
 
 
 def grid_existence_update(
@@ -421,7 +471,6 @@ def grid_existence_update(
     and 1: merging can clamp a weight to exactly 1, and a degenerate prior
     would otherwise be immune to any amount of contrary evidence.
     """
-    xi, yi = POSITION_IDX
     by_cell: dict[int, list[CellReturn]] = {}
     for ret in returns:
         sensor.cell_bounds(ret.cell_index)  # IndexError outside the grid
@@ -429,36 +478,33 @@ def grid_existence_update(
     p_hit = detection_prob(1, sensor.p_d, sensor.snr)
     p_false = detection_prob(0, sensor.p_d, sensor.snr)
     bound = 1e-3
-    out = []
-    for p in pset.particles:
-        w = p.weight
-        for ret in by_cell.get(sensor.cell_of(p.state.mean[xi], p.state.mean[yi]), ()):
-            w = min(max(w, bound), 1.0 - bound)
+    xi, yi = POSITION_IDX
+    weights = pset.weights.tolist()
+    for i, (x, y) in enumerate(zip(pset.means[:, xi].tolist(), pset.means[:, yi].tolist())):
+        for ret in by_cell.get(sensor.cell_of(x, y), ()):
+            w = min(max(weights[i], bound), 1.0 - bound)
             l_exists = p_hit if ret.value else 1.0 - p_hit
             l_empty = p_false if ret.value else 1.0 - p_false
-            w = w * l_exists / (w * l_exists + (1.0 - w) * l_empty)
-        out.append(GaussianParticle(w, p.state))
-    return GpfParticleSet(out, pset.step, pset.degenerate_step)
+            weights[i] = w * l_exists / (w * l_exists + (1.0 - w) * l_empty)
+    return replace(pset, weights=weights)
 
 
 def grid_births(
     returns: list[CellReturn], sensor: GridSensorModel, w_birth: float
-) -> list[GaussianParticle]:
+) -> GpfParticleSet:
     """One birth hypothesis per positive return, centered on the cell.
 
     Position variance is that of a uniform draw over the cell (width^2/12);
     velocity starts at zero with unit variance.
     """
     cw, ch = sensor.cell_size()
-    births = []
-    for ret in returns:
-        if ret.value != 1:
-            continue
-        cx, cy = sensor.cell_center(ret.cell_index)
-        mean = np.array([cx, 0.0, cy, 0.0])
-        cov = np.diag([cw**2 / 12.0, 1.0, ch**2 / 12.0, 1.0])
-        births.append(GaussianParticle(w_birth, GaussianState(mean, cov)))
-    return births
+    xi, yi = POSITION_IDX
+    cells = [ret.cell_index for ret in returns if ret.value == 1]
+    means = np.zeros((len(cells), 4))
+    for row, cell in zip(means, cells):
+        row[xi], row[yi] = sensor.cell_center(cell)
+    cov = np.diag([cw**2 / 12.0, 1.0, ch**2 / 12.0, 1.0])
+    return GpfParticleSet(np.full(len(cells), w_birth), means, np.tile(cov, (len(cells), 1, 1)))
 
 
 def gpf_step(
@@ -477,13 +523,12 @@ def gpf_step(
     measurement raises ValueError, a cell index outside the grid IndexError.
     """
     predicted = gpf_predict(pset, config.f_matrix, config.q_matrix)
-    degenerate = False
     if isinstance(config.sensor, MeanSensorModel):
         z = np.atleast_1d(np.asarray(z, dtype=float))
         if not np.isfinite(z).all():
             raise ValueError(f"measurement must be finite, got {z}")
-        updated, degenerate = _mean_measurement_update(predicted, z, config)
-        births: list[GaussianParticle] = []
+        updated = _mean_measurement_update(predicted, z, config)
+        births = _NO_BIRTHS
     elif isinstance(config.sensor, GridSensorModel):
         if not all(isinstance(r, CellReturn) for r in z):
             raise TypeError("grid sensor expects a list of cell returns")
@@ -492,5 +537,4 @@ def gpf_step(
     else:
         raise TypeError(f"unsupported sensor type {type(config.sensor)!r}")
     merged = merge_close_particles(updated, config.d_thresh, config.merge_cov)
-    pruned = birth_and_prune(merged, births, config.w_prune, config.n_max)
-    return GpfParticleSet(pruned.particles, pset.step + 1, degenerate)
+    return birth_and_prune(merged, births, config.w_prune, config.n_max)

@@ -63,13 +63,23 @@ class KalmanUpdate(NamedTuple):
     gain: np.ndarray
 
 
+def kf_predict_moments(
+    means: np.ndarray, covs: np.ndarray, f: np.ndarray, q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Time update over leading axes: mean F x, covariance F Sigma F' + Q.
+
+    means (..., d), covs (..., d, d); f, q 2-D.  The caller symmetrizes the
+    covariances (GaussianState and GpfParticleSet do on construction).
+    F @ x[..., None] gives each row the bits of F @ x, which x @ F' does not.
+    """
+    if means.shape[-1] != f.shape[0]:
+        raise ValueError(f"state dim {means.shape[-1]} does not match F dim {f.shape[0]}")
+    return (f @ means[..., None])[..., 0], f @ covs @ f.T + q
+
+
 def kf_predict(prior: GaussianState, f: np.ndarray, q: np.ndarray) -> GaussianState:
-    """Time update: mean F x, covariance F Sigma F' + Q (f, q: 2-D arrays)."""
-    if prior.dim != f.shape[0]:
-        raise ValueError(f"state dim {prior.dim} does not match F dim {f.shape[0]}")
-    mean = f @ prior.mean
-    cov = f @ prior.cov @ f.T + q
-    return GaussianState(mean, cov)
+    """Time update of one Gaussian: kf_predict_moments on its mean and cov."""
+    return GaussianState(*kf_predict_moments(prior.mean, prior.cov, f, q))
 
 
 def kf_update(

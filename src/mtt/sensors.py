@@ -5,6 +5,7 @@ interrogate each step.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -79,8 +80,8 @@ class GridSensorModel:
             raise ValueError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
         if not 0.0 < self.p_d < 1.0:
             raise ValueError(f"p_d must lie in (0, 1), got {self.p_d}")
-        if self.snr <= 0.0:
-            raise ValueError(f"snr must be positive, got {self.snr}")
+        if not 0.0 < self.snr < math.inf:
+            raise ValueError(f"snr must be positive and finite, got {self.snr}")
         if self.m_cells < 1:
             raise ValueError("m_cells must be at least 1")
 

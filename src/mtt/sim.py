@@ -4,12 +4,13 @@ experiment loop wiring filters to sensors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .gaussians import GaussianParticle, GaussianState, log_pdf
+from .gaussians import GaussianState, log_pdf
 from .gpf import GpfConfig, GpfParticleSet, estimate_cardinality, gpf_step
 from .kalman import LinearGaussianModel, kf_predict, kf_update
 from .motion import POSITION_IDX, constant_velocity_matrix, position_projection
@@ -48,12 +49,12 @@ class ScenarioConfig:
             raise ValueError("n_targets must be non-negative")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if len(self.q_diag) != 4:
             raise ValueError("q_diag must have four entries")
-        if any(v < 0 for v in self.q_diag):
-            raise ValueError("q_diag entries must be non-negative")
+        if not all(0.0 <= v < math.inf for v in self.q_diag):
+            raise ValueError("q_diag entries must be finite and non-negative")
         if self.initial_states is not None:
             if len(self.initial_states) != self.n_targets:
                 raise ValueError(
@@ -280,23 +281,21 @@ def _gpf_filter(
         merge_cov=setup.gpf_merge_cov,
         s_max=setup.gpf_s_max,
     )
-    particles: list[GaussianParticle] = []
+    belief = GpfParticleSet()
     if isinstance(sensor, MeanSensorModel):
+        n = len(truth0)
         init_cov = np.diag(np.asarray(setup.gpf_init_cov_diag, dtype=float))
-        particles = [
-            GaussianParticle(setup.gpf_init_weight, GaussianState(s, init_cov))
-            for s in truth0
-        ]
-    belief = GpfParticleSet(particles, step=0)
+        belief = GpfParticleSet(
+            np.full(n, setup.gpf_init_weight), truth0, np.tile(init_cov, (n, 1, 1))
+        )
 
     def step(z):
         nonlocal belief
         belief = gpf_step(belief, z, gpf_config)
-        parts = belief.particles
         return (
-            [p.state.mean for p in parts],
-            [p.state.cov for p in parts],
-            [p.weight for p in parts],
+            list(belief.means),
+            list(belief.covs),
+            belief.weights.tolist(),
             estimate_cardinality(belief),
         )
 

@@ -46,6 +46,15 @@ def _report(criterion, budget, elapsed, detail):
     print(f"\nACCEPTANCE {criterion} PASS ({elapsed:.1f}s < {budget}s) {detail}")
 
 
+def _pset(particles):
+    """The belief holding these particles, in order (stacked into arrays)."""
+    return GpfParticleSet(
+        [p.weight for p in particles],
+        np.array([p.state.mean for p in particles]),
+        np.array([p.state.cov for p in particles]),
+    )
+
+
 def _random_psd(rng, n):
     a = rng.standard_normal((n, n))
     return a @ a.T + 0.2 * np.eye(n)
@@ -65,7 +74,7 @@ def test_criterion_1_gpf_reduces_to_kalman():
     model = LinearGaussianModel(F=f, Q=q, H=sensor.position_projection, R=sensor.R)
 
     state = GaussianState(np.array([6.0, 0.1, 6.0, -0.1]), np.diag([2.0, 0.5, 2.0, 0.5]))
-    belief = GpfParticleSet([GaussianParticle(1.0, state)])
+    belief = _pset([GaussianParticle(1.0, state)])
     kf_belief = state
     worst = 0.0
     for _ in range(100):
@@ -281,7 +290,7 @@ def test_criterion_6_invariant_suite():
             assert np.allclose(p.state.cov, p.state.cov.T, atol=1e-9)
             assert np.linalg.eigvalsh(p.state.cov).min() >= -1e-9
 
-    belief = GpfParticleSet(
+    belief = _pset(
         [
             GaussianParticle(
                 float(rng.uniform(0.3, 1.0)),
@@ -297,7 +306,7 @@ def test_criterion_6_invariant_suite():
         belief = gpf_step(belief, rng.uniform(0, 12, 2), mean_config)
         check_set(belief)
 
-    belief = GpfParticleSet([])
+    belief = GpfParticleSet()
     truth = [np.array([3.0, 0, 3.0, 0]), np.array([9.0, 0, 9.0, 0])]
     from mtt.sensors import select_cells
 

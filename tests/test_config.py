@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from mtt.config import (
@@ -147,6 +149,17 @@ def test_scenario_rejects_negative_q_diag():
     # a plain ValueError here; parse_config_text turns it into a ConfigError
     with pytest.raises(ValueError, match="non-negative"):
         ScenarioConfig(q_diag=(1.0, -0.1, 1.0, 0.1))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"tau": math.nan}, {"tau": math.inf}, {"q_diag": (math.nan, 0.0, 0.0, 0.0)},
+     {"q_diag": (math.inf, 0.0, 0.0, 0.0)}],
+    ids=["tau-nan", "tau-inf", "q_diag-nan", "q_diag-inf"],
+)
+def test_scenario_rejects_non_finite(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        ScenarioConfig(**kwargs)
 
 
 def test_merge_cov_switch():

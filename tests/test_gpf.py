@@ -28,7 +28,7 @@ from mtt.gpf import (
     select_fov_particles,
 )
 from mtt.kalman import LinearGaussianModel, kf_predict, kf_update
-from mtt.motion import constant_velocity_matrix, position_projection
+from mtt.motion import POSITION_IDX, constant_velocity_matrix, position_projection
 from mtt.regions import FovRegion, Rectangle
 from mtt.sensors import CellReturn, GridSensorModel, MeanSensorModel, detection_prob
 
@@ -43,6 +43,15 @@ def _particle(w, x, y, var=1.0, dim4=True):
         mean = np.array([x])
         cov = np.array([[var]])
     return GaussianParticle(w, GaussianState(mean, cov))
+
+
+def _pset(particles):
+    """The belief holding these particles, in order (stacked into arrays)."""
+    return GpfParticleSet(
+        [p.weight for p in particles],
+        np.array([p.state.mean for p in particles]),
+        np.array([p.state.cov for p in particles]),
+    )
 
 
 def _random_psd(rng, n):
@@ -66,40 +75,105 @@ def _mean_config(**overrides):
     return GpfConfig(**defaults)
 
 
+class TestParticleSet:
+    def test_default_is_empty_4d(self):
+        pset = GpfParticleSet()
+        assert len(pset) == 0 and pset.particles == []
+        assert pset.means.shape == (0, 4) and pset.covs.shape == (0, 4, 4)
+
+    def test_particles_view_rows_in_order(self):
+        parts = [_particle(0.2, 1.0, 2.0), _particle(0.7, 3.0, 4.0, var=2.0)]
+        for got, want in zip(_pset(parts).particles, parts):
+            assert got.weight == want.weight
+            assert np.array_equal(got.state.mean, want.state.mean)
+            assert np.array_equal(got.state.cov, want.state.cov)
+
+    def test_arrays_copied_and_read_only(self):
+        weights = np.array([0.5])
+        pset = GpfParticleSet(weights, np.zeros((1, 4)), np.eye(4)[None])
+        weights[0] = 0.9
+        assert pset.weights[0] == 0.5
+        with pytest.raises(ValueError):
+            pset.means[0, 0] = 1.0
+
+    def test_covs_symmetrized_like_the_view(self):
+        cov = np.eye(4)
+        cov[0, 1] = 0.2
+        pset = GpfParticleSet([0.5], np.zeros((1, 4)), cov[None])
+        assert np.array_equal(pset.covs, pset.covs.swapaxes(1, 2))
+        assert np.array_equal(pset.covs[0], pset.particles[0].state.cov)
+
+    @pytest.mark.parametrize(
+        "weights, means, covs",
+        [([0.5], np.zeros((2, 4)), np.zeros((2, 4, 4))),
+         ([0.5], np.zeros((1, 4)), np.zeros((1, 3, 3))),
+         ([0.5], np.zeros(4), np.zeros((1, 4, 4))),
+         ([1.5], np.zeros((1, 4)), np.zeros((1, 4, 4))),
+         ([math.nan], np.zeros((1, 4)), np.zeros((1, 4, 4)))],
+    )
+    def test_bad_arrays_rejected(self, weights, means, covs):
+        with pytest.raises(ValueError):
+            GpfParticleSet(weights, means, covs)
+
+
 class TestPredict:
     def test_identity_is_noop(self):
-        pset = GpfParticleSet([_particle(0.5, 1.0, 2.0)])
+        pset = _pset([_particle(0.5, 1.0, 2.0)])
         out = gpf_predict(pset, np.eye(4), np.zeros((4, 4)))
         assert_allclose(out.particles[0].state.mean, pset.particles[0].state.mean)
         assert_allclose(out.particles[0].state.cov, pset.particles[0].state.cov)
 
     def test_weights_never_change(self):
         rng = np.random.default_rng(0)
-        pset = GpfParticleSet([_particle(w, 0.0, 0.0) for w in (0.2, 0.7, 1.0)])
+        pset = _pset([_particle(w, 0.0, 0.0) for w in (0.2, 0.7, 1.0)])
         out = gpf_predict(pset, rng.standard_normal((4, 4)), _random_psd(rng, 4))
         assert [p.weight for p in out.particles] == [0.2, 0.7, 1.0]
 
     def test_1d_formula(self):
-        pset = GpfParticleSet([GaussianParticle(1.0, GaussianState(1.0, 1.0))])
+        pset = _pset([GaussianParticle(1.0, GaussianState(1.0, 1.0))])
         out = gpf_predict(pset, [[2.0]], [[1.0]])
         assert_allclose(out.particles[0].state.mean, [2.0])
         assert_allclose(out.particles[0].state.cov, [[5.0]])
 
     def test_dimension_mismatch(self):
-        pset = GpfParticleSet([_particle(0.5, 1.0, 2.0)])
+        pset = _pset([_particle(0.5, 1.0, 2.0)])
         with pytest.raises(ValueError):
             gpf_predict(pset, np.eye(3), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 100])
+    def test_equals_kf_predict_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        f, q = rng.standard_normal((4, 4)), _random_psd(rng, 4)
+        parts = [
+            GaussianParticle(rng.random(), GaussianState(10 * rng.standard_normal(4),
+                                                         _random_psd(rng, 4)))
+            for _ in range(n)
+        ]
+        out = gpf_predict(_pset(parts) if parts else GpfParticleSet(), f, q)
+        assert len(out) == n
+        for p, got in zip(parts, out.particles):
+            want = kf_predict(p.state, f, q)
+            assert got.weight == p.weight
+            assert np.array_equal(got.state.mean, want.mean)
+            assert np.array_equal(got.state.cov, want.cov)
+
+
+@pytest.mark.parametrize("name", ["d_thresh", "clutter_density"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_config_rejects_non_finite(name, bad):
+    with pytest.raises(ValueError, match="finite"):
+        _mean_config(**{name: bad})
 
 
 class TestSelectFov:
     def test_full_workspace(self):
-        pset = GpfParticleSet([_particle(0.5, x, x) for x in (0.0, 5.0, 100.0)])
+        pset = _pset([_particle(0.5, x, x) for x in (0.0, 5.0, 100.0)])
         in_fov, out_fov = select_fov_particles(pset, FovRegion.full())
         assert in_fov == [0, 1, 2]
         assert out_fov == []
 
     def test_empty_set(self):
-        in_fov, out_fov = select_fov_particles(GpfParticleSet([]), FovRegion.full())
+        in_fov, out_fov = select_fov_particles(GpfParticleSet(), FovRegion.full())
         assert in_fov == [] and out_fov == []
 
     @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
@@ -111,7 +185,7 @@ class TestSelectFov:
 
     def test_boundary_mean_is_inside(self):
         fov = FovRegion.box(0.0, 0.0, 1.0, 1.0)
-        pset = GpfParticleSet([_particle(0.5, 1.0, 1.0), _particle(0.5, 1.0001, 1.0)])
+        pset = _pset([_particle(0.5, 1.0, 1.0), _particle(0.5, 1.0001, 1.0)])
         in_fov, out_fov = select_fov_particles(pset, fov)
         assert in_fov == [0]
         assert out_fov == [1]
@@ -339,19 +413,19 @@ class TestMarginalize:
 
 class TestMergeClose:
     def test_distant_particles_untouched(self):
-        pset = GpfParticleSet([_particle(0.5, 0.0, 0.0), _particle(0.5, 10.0, 10.0)])
+        pset = _pset([_particle(0.5, 0.0, 0.0), _particle(0.5, 10.0, 10.0)])
         out = merge_close_particles(pset, 1.0)
         assert len(out.particles) == 2
 
     def test_coincident_pair_merges(self):
-        pset = GpfParticleSet([_particle(0.3, 2.0, 2.0), _particle(0.4, 2.0, 2.0)])
+        pset = _pset([_particle(0.3, 2.0, 2.0), _particle(0.4, 2.0, 2.0)])
         out = merge_close_particles(pset, 1.0)
         assert len(out.particles) == 1
         assert_allclose(out.particles[0].weight, 0.7)
         assert_allclose(out.particles[0].state.mean, [2.0, 0.0, 2.0, 0.0])
 
     def test_three_coincident_merge_to_one(self):
-        pset = GpfParticleSet(
+        pset = _pset(
             [_particle(w, 1.0, 3.0) for w in (0.5, 0.6, 0.7)]
         )
         out = merge_close_particles(pset, 1.0)
@@ -359,15 +433,21 @@ class TestMergeClose:
         assert out.particles[0].weight == 1.0
         # order independence of the merged mean
         for perm in itertools.permutations((0.5, 0.6, 0.7)):
-            pset_p = GpfParticleSet([_particle(w, 1.0, 3.0) for w in perm])
+            pset_p = _pset([_particle(w, 1.0, 3.0) for w in perm])
             out_p = merge_close_particles(pset_p, 1.0)
             assert_allclose(
                 out_p.particles[0].state.mean, out.particles[0].state.mean, atol=1e-9
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_threshold_rejected(self, bad):
+        pset = _pset([_particle(0.3, 2.0, 2.0), _particle(0.4, 9.0, 9.0)])
+        with pytest.raises(ValueError, match="finite"):
+            merge_close_particles(pset, bad)
+
     def test_threshold_is_strict(self):
         # position vars 1.0 each -> metric diag(1/2); distance exactly 1
-        pset = GpfParticleSet(
+        pset = _pset(
             [_particle(0.5, 0.0, 0.0, var=1.0), _particle(0.5, math.sqrt(2.0), 0.0, var=1.0)]
         )
         out = merge_close_particles(pset, 1.0)
@@ -376,34 +456,34 @@ class TestMergeClose:
 
 class TestCardinalityAndPrune:
     def test_cardinality_values(self):
-        assert estimate_cardinality(GpfParticleSet([])) == 0.0
+        assert estimate_cardinality(GpfParticleSet()) == 0.0
         assert estimate_cardinality(
-            GpfParticleSet([_particle(1.0, 0, 0), _particle(1.0, 1, 1), _particle(1.0, 2, 2)])
+            _pset([_particle(1.0, 0, 0), _particle(1.0, 1, 1), _particle(1.0, 2, 2)])
         ) == 3.0
         assert estimate_cardinality(
-            GpfParticleSet([_particle(0.5, 0, 0), _particle(0.5, 1, 1)])
+            _pset([_particle(0.5, 0, 0), _particle(0.5, 1, 1)])
         ) == 1.0
 
     def test_prune_noop(self):
-        pset = GpfParticleSet([_particle(0.5, 0, 0), _particle(0.9, 1, 1)])
-        out = birth_and_prune(pset, [], 0.01, 10)
+        pset = _pset([_particle(0.5, 0, 0), _particle(0.9, 1, 1)])
+        out = birth_and_prune(pset, GpfParticleSet(), 0.01, 10)
         assert len(out.particles) == 2
 
     def test_prunes_zero_weight(self):
-        pset = GpfParticleSet([_particle(0.0, 0, 0), _particle(0.5, 1, 1)])
-        out = birth_and_prune(pset, [], 0.01, 10)
+        pset = _pset([_particle(0.0, 0, 0), _particle(0.5, 1, 1)])
+        out = birth_and_prune(pset, GpfParticleSet(), 0.01, 10)
         assert len(out.particles) == 1
         assert out.particles[0].weight == 0.5
 
     def test_caps_at_n_max(self):
         weights = [0.1, 0.9, 0.3, 0.8, 0.5]
-        pset = GpfParticleSet([_particle(w, i, i) for i, w in enumerate(weights)])
-        out = birth_and_prune(pset, [], 0.0, 3)
+        pset = _pset([_particle(w, i, i) for i, w in enumerate(weights)])
+        out = birth_and_prune(pset, GpfParticleSet(), 0.0, 3)
         assert sorted(p.weight for p in out.particles) == [0.5, 0.8, 0.9]
 
     def test_births_appended(self):
-        pset = GpfParticleSet([_particle(0.5, 0, 0)])
-        births = [_particle(0.1, 3, 3)]
+        pset = _pset([_particle(0.5, 0, 0)])
+        births = _pset([_particle(0.1, 3, 3)])
         out = birth_and_prune(pset, births, 0.05, 10)
         assert len(out.particles) == 2
 
@@ -411,7 +491,7 @@ class TestCardinalityAndPrune:
 class TestGridUpdate:
     def test_positive_return_raises_weight(self):
         sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
-        pset = GpfParticleSet([_particle(0.4, 0.5, 0.5)])
+        pset = _pset([_particle(0.4, 0.5, 0.5)])
         out = grid_existence_update(pset, [CellReturn(0, 1)], sensor)
         p_hit, p_false = 0.9, detection_prob(0, 0.9, 3.0)
         expected = 0.4 * p_hit / (0.4 * p_hit + 0.6 * p_false)
@@ -420,7 +500,7 @@ class TestGridUpdate:
 
     def test_negative_return_lowers_weight(self):
         sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
-        pset = GpfParticleSet([_particle(0.4, 0.5, 0.5)])
+        pset = _pset([_particle(0.4, 0.5, 0.5)])
         out = grid_existence_update(pset, [CellReturn(0, 0)], sensor)
         p_false = detection_prob(0, 0.9, 3.0)
         expected = 0.4 * 0.1 / (0.4 * 0.1 + 0.6 * (1.0 - p_false))
@@ -429,7 +509,7 @@ class TestGridUpdate:
 
     def test_unmeasured_particle_unchanged(self):
         sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
-        pset = GpfParticleSet([_particle(0.4, 5.5, 5.5)])
+        pset = _pset([_particle(0.4, 5.5, 5.5)])
         out = grid_existence_update(pset, [CellReturn(0, 1)], sensor)
         assert out.particles[0].weight == 0.4
 
@@ -437,9 +517,9 @@ class TestGridUpdate:
         sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
         births = grid_births([CellReturn(14, 1), CellReturn(20, 0)], sensor, 0.1)
         assert len(births) == 1
-        assert births[0].weight == 0.1
-        assert_allclose(births[0].state.mean, [2.5, 0.0, 1.5, 0.0])
-        assert_allclose(births[0].state.cov, np.diag([1 / 12, 1.0, 1 / 12, 1.0]))
+        assert births.particles[0].weight == 0.1
+        assert_allclose(births.particles[0].state.mean, [2.5, 0.0, 1.5, 0.0])
+        assert_allclose(births.particles[0].state.cov, np.diag([1 / 12, 1.0, 1 / 12, 1.0]))
 
 
 class TestGpfStep:
@@ -453,7 +533,7 @@ class TestGpfStep:
         model = LinearGaussianModel(F=f, Q=q, H=sensor.position_projection, R=sensor.R)
 
         state = GaussianState(np.array([6.0, 0.1, 6.0, -0.1]), np.diag([2.0, 0.5, 2.0, 0.5]))
-        belief = GpfParticleSet([GaussianParticle(1.0, state)])
+        belief = _pset([GaussianParticle(1.0, state)])
         kf_belief = state
         for _ in range(20):
             z = kf_predict(kf_belief, model.F, model.Q).mean[[0, 2]] + rng.standard_normal(2)
@@ -469,10 +549,38 @@ class TestGpfStep:
         config = GpfConfig(
             f_matrix=np.eye(4), q_matrix=np.zeros((4, 4)), sensor=sensor, w_birth=0.1
         )
-        out = gpf_step(GpfParticleSet([]), [CellReturn(0, 1), CellReturn(5, 1)], config)
+        out = gpf_step(GpfParticleSet(), [CellReturn(0, 1), CellReturn(5, 1)], config)
         assert len(out.particles) == 2
         assert all(p.weight == 0.1 for p in out.particles)
-        assert out.step == 1
+
+    def test_emptied_belief_keeps_running(self):
+        # a far-off measurement lets the all-absent combination win: nothing survives
+        config = _mean_config(clutter_density=1.0 / 144.0)
+        out = gpf_step(_pset([_particle(0.9, 2.0, 2.0)]), np.array([11.0, 11.0]), config)
+        assert len(out) == 0 and not out.degenerate_step
+        assert estimate_cardinality(out) == 0.0
+        again = gpf_step(out, np.array([11.0, 11.0]), config)
+        assert len(again) == 0 and not again.degenerate_step
+        grid = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
+        grid_config = GpfConfig(
+            f_matrix=np.eye(4), q_matrix=np.zeros((4, 4)), sensor=grid, w_birth=0.1
+        )
+        births = gpf_step(out, [CellReturn(14, 1), CellReturn(20, 0)], grid_config)
+        assert [p.weight for p in births.particles] == [0.1]
+        assert_allclose(births.means, [[2.5, 0.0, 1.5, 0.0]])
+
+    def test_six_dim_state_prunes(self):
+        # the empty births of a mean-sensor step are 4-D; a 6-D belief must still prune
+        config = _mean_config(
+            f_matrix=np.eye(6), q_matrix=0.01 * np.eye(6),
+            sensor=MeanSensorModel(R=0.5 * np.eye(2), position_projection=position_projection(6)),
+        )
+        means = np.zeros((2, 6))
+        means[:, POSITION_IDX] = [[2.0, 2.0], [8.0, 8.0]]
+        pset = GpfParticleSet([0.9, 0.005], means, np.tile(np.eye(6), (2, 1, 1)))
+        out = gpf_step(pset, np.array([2.0, 2.0]), config)
+        assert len(out) == 1 and out.means.shape == (1, 6) and out.covs.shape == (1, 6, 6)
+        assert out.weights[0] > 0.9
 
     def test_two_separated_particles_brute_force(self):
         # oracle: direct evaluation over the four combinations
@@ -508,8 +616,8 @@ class TestGpfStep:
         expected_w1 = (raw[(1, 0)] + raw[(1, 1)]) / total
         expected_w2 = (raw[(0, 1)] + raw[(1, 1)]) / total
 
-        before = estimate_cardinality(GpfParticleSet(parts))
-        out = gpf_step(GpfParticleSet(parts), z, config)
+        before = estimate_cardinality(_pset(parts))
+        out = gpf_step(_pset(parts), z, config)
         assert_allclose(estimate_cardinality(out), expected_w1 + expected_w2, rtol=1e-9)
         assert estimate_cardinality(out) > before - 1e-12
         assert estimate_cardinality(out) > 1.8
@@ -517,7 +625,7 @@ class TestGpfStep:
     def test_degenerate_enumeration_skips_update(self):
         parts = [_particle(0.5, 2.0, 2.0), _particle(0.5, 9.0, 9.0)]
         config = _mean_config(epsilon=0.25)
-        out = gpf_step(GpfParticleSet(parts), np.array([5.0, 5.0]), config)
+        out = gpf_step(_pset(parts), np.array([5.0, 5.0]), config)
         assert out.degenerate_step
         assert [p.weight for p in out.particles] == [0.5, 0.5]
         assert_allclose(out.particles[0].state.mean, parts[0].state.mean)
@@ -526,7 +634,7 @@ class TestGpfStep:
         fov = FovRegion.box(0.0, 0.0, 5.0, 5.0)
         parts = [_particle(0.9, 2.0, 2.0), _particle(0.9, 9.0, 9.0)]
         config = _mean_config(fov=fov)
-        out = gpf_step(GpfParticleSet(parts), np.array([2.0, 2.0]), config)
+        out = gpf_step(_pset(parts), np.array([2.0, 2.0]), config)
         # the out-of-view particle keeps its predicted (here: unchanged) state
         assert out.particles[1].weight == 0.9
         assert_allclose(out.particles[1].state.mean, parts[1].state.mean)
@@ -536,8 +644,8 @@ class TestGpfStep:
         parts = [_particle(0.8, 2.0, 2.0), _particle(0.7, 4.0, 4.0)]
         config = _mean_config()
         z = np.array([3.0, 3.0])
-        a = gpf_step(GpfParticleSet(parts), z, config)
-        b = gpf_step(GpfParticleSet(parts), z, config)
+        a = gpf_step(_pset(parts), z, config)
+        b = gpf_step(_pset(parts), z, config)
         assert [p.weight for p in a.particles] == [p.weight for p in b.particles]
         for pa, pb in zip(a.particles, b.particles):
             assert np.array_equal(pa.state.mean, pb.state.mean)
@@ -545,7 +653,7 @@ class TestGpfStep:
 
     def test_input_belief_unchanged(self):
         parts = [_particle(0.8, 2.0, 2.0), _particle(0.7, 4.0, 4.0)]
-        belief = GpfParticleSet(parts)
+        belief = _pset(parts)
         weights = [p.weight for p in parts]
         means = [p.state.mean.copy() for p in parts]
         config = _mean_config(f_matrix=constant_velocity_matrix(1.0), q_matrix=np.eye(4))
@@ -557,7 +665,7 @@ class TestGpfStep:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_measurement_rejected(self, bad):
-        belief = GpfParticleSet([_particle(0.9, 2.0, 2.0)])
+        belief = _pset([_particle(0.9, 2.0, 2.0)])
         with pytest.raises(ValueError, match="finite"):
             gpf_step(belief, np.array([bad, 5.0]), _mean_config())
 
@@ -566,14 +674,14 @@ class TestGpfStep:
         config = GpfConfig(
             f_matrix=np.eye(4), q_matrix=np.zeros((4, 4)), sensor=GridSensorModel(WORKSPACE)
         )
-        belief = GpfParticleSet([_particle(0.5, 11.5, 11.5)])
+        belief = _pset([_particle(0.5, 11.5, 11.5)])
         with pytest.raises(IndexError):
             gpf_step(belief, [CellReturn(cell, 1)], config)
         with pytest.raises(IndexError):
-            gpf_step(GpfParticleSet([]), [CellReturn(cell, 1)], config)
+            gpf_step(GpfParticleSet(), [CellReturn(cell, 1)], config)
         # a miss seeds no birth, so only the update can catch it
         with pytest.raises(IndexError):
-            gpf_step(GpfParticleSet([]), [CellReturn(cell, 0)], config)
+            gpf_step(GpfParticleSet(), [CellReturn(cell, 0)], config)
 
     def test_invariants_over_random_run(self):
         rng = np.random.default_rng(33)
@@ -585,7 +693,7 @@ class TestGpfStep:
             _particle(float(rng.uniform(0.3, 1.0)), float(rng.uniform(2, 10)), float(rng.uniform(2, 10)))
             for _ in range(4)
         ]
-        belief = GpfParticleSet(parts)
+        belief = _pset(parts)
         for _ in range(30):
             z = rng.uniform(0.0, 12.0, size=2)
             belief = gpf_step(belief, z, config)
@@ -607,7 +715,7 @@ class TestGpfStep:
             d_thresh=4.0,
             n_max=50,
         )
-        belief = GpfParticleSet([])
+        belief = GpfParticleSet()
         truth = [np.array([3.0, 0.0, 3.0, 0.0]), np.array([9.0, 0.0, 9.0, 0.0])]
         from mtt.sensors import grid_measure, select_cells
 

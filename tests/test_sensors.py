@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -290,6 +292,11 @@ class TestModelValidation:
     def test_snr_positive(self):
         with pytest.raises(ValueError):
             GridSensorModel(WORKSPACE, snr=0.0)
+
+    @pytest.mark.parametrize("snr", [math.nan, math.inf])
+    def test_snr_finite(self, snr):
+        with pytest.raises(ValueError, match="finite"):
+            GridSensorModel(WORKSPACE, snr=snr)
 
     @pytest.mark.parametrize("rows, cols", [(0, 12), (12, 0)])
     def test_grid_needs_a_cell(self, rows, cols):
