@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+from .gaussians import COV_MODES
 from .regions import Rectangle
 from .sim import ExperimentSetup, ScenarioConfig
 
@@ -181,7 +182,7 @@ _KEYS = (
     _Key("gpf.n_max", "setup", "gpf_n_max", _int(lo=1)),
     _Key("gpf.w_birth", "setup", "gpf_w_birth", _unit_upper),
     _Key("gpf.clutter_density", "setup", "gpf_clutter_density", _parse_clutter, _fmt_clutter),
-    _Key("gpf.merge_cov", "setup", "gpf_merge_cov", _choice("moment", "plain_sum")),
+    _Key("gpf.merge_cov", "setup", "gpf_merge_cov", _choice(*COV_MODES)),
     _Key("gpf.s_max", "setup", "gpf_s_max", _int(lo=1)),
     _Key("gpf.init_weight", "setup", "gpf_init_weight", _unit_upper),
     _Key("gpf.init_cov_diag", "setup", "gpf_init_cov_diag", _floats(4, lo=0.0, lo_open=True)),

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
+COV_MODES = ("moment", "plain_sum")  # moment_match_merge's covariance rules
+
+
 class SingularCovarianceError(np.linalg.LinAlgError):
     """Covariance stayed non-invertible even after jitter."""
 
@@ -130,30 +133,25 @@ def mixture_moments(
 
 
 def moment_match_merge(
-    particles: list[GaussianParticle], cov_mode: str = "moment"
-) -> GaussianParticle:
-    """Collapse weighted Gaussian particles into a single particle.
+    weights: np.ndarray, means: np.ndarray, covs: np.ndarray, cov_mode: str = "moment"
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Collapse weighted Gaussians, rows of (k,), (k, d) and (k, d, d), into one.
 
-    The merged weight is the clamped sum of the input weights and the
-    merged mean is the weight-normalized mean.  With cov_mode="moment"
-    the covariance is the mixture covariance (spread of means included);
-    "plain_sum" instead adds the input covariances unweighted, kept as a
-    fidelity switch for experiments.
+    Returns (weight, mean, cov): the clamped sum of the weights and the
+    weight-normalized mean.  With cov_mode="moment" the covariance is the
+    mixture covariance (spread of means included); "plain_sum" instead adds
+    the input covariances unweighted, kept as a fidelity switch for
+    experiments.  An unknown cov_mode raises before anything is merged.
     """
-    if not particles:
+    if cov_mode not in COV_MODES:
+        raise ValueError(f"unknown cov_mode {cov_mode!r}")
+    weights = np.asarray(weights, dtype=float)
+    if not len(weights):
         raise ValueError("cannot merge an empty particle list")
-    dims = {p.state.dim for p in particles}
-    if len(dims) != 1:
-        raise ValueError(f"particles have mixed dimensions: {sorted(dims)}")
-    weights = np.array([p.weight for p in particles], dtype=float)
     total = weights.sum()
     if total <= 0.0:
         raise ValueError("total weight of merged particles must be positive")
-    means = [p.state.mean for p in particles]
-    covs = [p.state.cov for p in particles]
     mean, cov = mixture_moments(means, covs, weights)
     if cov_mode == "plain_sum":
         cov = _symmetrize(sum(covs))
-    elif cov_mode != "moment":
-        raise ValueError(f"unknown cov_mode {cov_mode!r}")
-    return GaussianParticle(min(1.0, total), GaussianState(mean, cov))
+    return min(1.0, float(total)), mean, cov

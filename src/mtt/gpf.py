@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .gaussians import (
+    COV_MODES,
     GaussianParticle,
     GaussianState,
     _symmetrize,
@@ -87,21 +89,15 @@ class GpfParticleSet:
 _NO_BIRTHS = GpfParticleSet()  # shared by every mean-sensor step: sets are immutable
 
 
-@dataclass
-class ExistenceCombination:
+class ExistenceCombination(NamedTuple):
     """One hypothesis about which in-view particles are present.
 
-    bits[i] = 1 means particle i of the in-view list is assumed to exist.
-    prior is the Bernoulli product of the particle weights, posterior_weight
-    the normalized measurement-weighted probability of the combination, and
-    updated_states maps each active particle index to its conditionally
-    updated Gaussian.
+    bits[i] = 1 means particle i of the in-view list is assumed to exist;
+    prior is the Bernoulli product of the particle weights.
     """
 
     bits: tuple[int, ...]
     prior: float
-    posterior_weight: float = 0.0
-    updated_states: dict[int, GaussianState] = field(default_factory=dict)
 
 
 @dataclass
@@ -132,10 +128,14 @@ class GpfConfig:
             raise ValueError(f"w_prune must lie in [0, 1), got {self.w_prune}")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
+        if self.s_max < 1:
+            raise ValueError("s_max must be at least 1")
         if not 0.0 < self.w_birth <= 1.0:
             raise ValueError(f"w_birth must lie in (0, 1], got {self.w_birth}")
         if not 0.0 < self.clutter_density < math.inf:
             raise ValueError("clutter_density must be positive and finite")
+        if self.merge_cov not in COV_MODES:
+            raise ValueError(f"merge_cov must be one of {COV_MODES}, got {self.merge_cov!r}")
 
 
 def gpf_predict(pset: GpfParticleSet, f: np.ndarray, q: np.ndarray) -> GpfParticleSet:
@@ -164,9 +164,10 @@ def select_fov_particles(pset: GpfParticleSet, fov: FovRegion) -> tuple[list[int
 
 
 def enumerate_combinations(
-    fov_particles: list[GaussianParticle], epsilon: float, s_max: int = 20
+    weights: list[float], epsilon: float, s_max: int = 20
 ) -> list[ExistenceCombination]:
-    """All boolean existence vectors whose Bernoulli prior exceeds epsilon.
+    """All boolean existence vectors over the in-view weights whose Bernoulli
+    prior exceeds epsilon.
 
     The prior of a vector e is prod_i w_i^e_i (1 - w_i)^(1 - e_i).  The
     search is depth first with pruning: once a partial product is <= epsilon
@@ -174,13 +175,12 @@ def enumerate_combinations(
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    s = len(fov_particles)
+    s = len(weights)
     if s > s_max:
         raise CombinatorialBlowupError(
             f"{s} particles in view would mean up to 2^{s} combinations; "
             "raise epsilon or shrink the field of view"
         )
-    weights = [p.weight for p in fov_particles]
     found: list[ExistenceCombination] = []
 
     def descend(k: int, bits: list[int], partial: float) -> None:
@@ -203,12 +203,12 @@ def enumerate_combinations(
 def conditional_kf_update(
     j: int,
     bits: tuple[int, ...],
-    fov_particles: list[GaussianParticle],
+    states: list[GaussianState],
     z: np.ndarray,
     r: np.ndarray,
-    projection: np.ndarray | None = None,
+    projection: np.ndarray,
 ) -> KalmanUpdate:
-    """Kalman update of particle j assuming the combination `bits` holds.
+    """Kalman update of in-view prior state j assuming the combination `bits` holds.
 
     The sensor reports the mean of the active targets, so from particle
     j's point of view the measurement matrix shrinks to projection / n
@@ -221,41 +221,31 @@ def conditional_kf_update(
         R_eff = (1/n^2) sum_{i != j} e_i P Sigma_i P' + R
 
     With a single active particle this is exactly the plain Kalman update.
+    z, r and projection are float arrays (1-D, 2-D, 2-D).
     """
     if bits[j] != 1:
         raise ValueError(f"particle {j} is not active in combination {bits}")
     n_active = int(sum(bits))
-    state = fov_particles[j].state
-    if projection is None:
-        projection = np.eye(state.dim)
-    projection = np.atleast_2d(np.asarray(projection, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    r = np.atleast_2d(np.asarray(r, dtype=float))
-    if z.shape[0] != projection.shape[0]:
-        raise ValueError(
-            f"z dim {z.shape[0]} does not match projection rows {projection.shape[0]}"
-        )
-
-    others_mean = np.zeros(projection.shape[0])
+    others_mean = np.zeros(z.shape)  # shaped by z, so kf_update sees a wrong-sized z
     others_cov = np.zeros((projection.shape[0], projection.shape[0]))
-    for i, p in enumerate(fov_particles):
+    for i, state in enumerate(states):
         if bits[i] and i != j:
-            others_mean += projection @ p.state.mean
-            others_cov += projection @ p.state.cov @ projection.T
+            others_mean += projection @ state.mean
+            others_cov += projection @ state.cov @ projection.T
 
     z_eff = z - others_mean / n_active
-    return kf_update(state, projection / n_active, others_cov / n_active**2 + r, z_eff)
+    return kf_update(states[j], projection / n_active, others_cov / n_active**2 + r, z_eff)
 
 
 def combination_log_weight(
     combo: ExistenceCombination,
-    fov_particles: list[GaussianParticle],
+    states: list[GaussianState],
     z: np.ndarray,
     r: np.ndarray,
     clutter_density: float,
-    projection: np.ndarray | None = None,
+    projection: np.ndarray,
 ) -> float:
-    """Log of prior times evidence, using predicted (pre-update) moments.
+    """Log of prior times evidence, using the in-view prior (predicted) states.
 
     An active combination predicts z ~ N(mu_c, Sigma_c) with
     mu_c = P (sum_active mu_i) / n and
@@ -266,61 +256,54 @@ def combination_log_weight(
     active = [i for i, e in enumerate(combo.bits) if e]
     if not active:
         return math.log(combo.prior) + math.log(clutter_density)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    r = np.atleast_2d(np.asarray(r, dtype=float))
-    dim = fov_particles[active[0]].state.dim
-    if projection is None:
-        projection = np.eye(dim)
-    projection = np.atleast_2d(np.asarray(projection, dtype=float))
     n = len(active)
-    mean_sum = sum(fov_particles[i].state.mean for i in active)
-    cov_sum = sum(fov_particles[i].state.cov for i in active)
+    mean_sum = sum(states[i].mean for i in active)
+    cov_sum = sum(states[i].cov for i in active)
     mu_c = projection @ mean_sum / n
     sigma_c = projection @ cov_sum @ projection.T / n**2 + r
     return math.log(combo.prior) + log_pdf(GaussianState(mu_c, sigma_c), z)
 
 
-def normalize_combination_weights(
-    combos: list[ExistenceCombination], log_weights: list[float]
-) -> None:
-    """Fill posterior_weight from log weights, normalized to sum to one."""
-    if not combos:
-        return
-    shift = max(log_weights)
-    raw = np.exp(np.asarray(log_weights) - shift)
-    total = raw.sum()
-    for combo, w in zip(combos, raw / total):
-        combo.posterior_weight = float(w)
+def normalize_combination_weights(log_weights: list[float]) -> np.ndarray:
+    """Combination posteriors from a non-empty list of log weights: exponentiated
+    after shifting by their maximum (so none underflows to an all-zero sum),
+    normalized to sum to one."""
+    raw = np.exp(np.asarray(log_weights, dtype=float) - max(log_weights))
+    return raw / raw.sum()
 
 
 def marginalize_existence(
-    combos: list[ExistenceCombination], fov_particles: list[GaussianParticle]
-) -> list[GaussianParticle]:
-    """Recover per-particle weights and states from combination posteriors.
+    combos: list[ExistenceCombination],
+    posterior: np.ndarray,
+    updated: list[dict[int, GaussianState]],
+    weights: np.ndarray,
+    means: np.ndarray,
+    covs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Recover the in-view rows (weights, means, covs) from combination posteriors.
 
-    A particle's existence probability is the total normalized weight of
-    the combinations that contain it; its state is the moment-matched
-    mixture of its conditional updates under those combinations.  A
-    particle active in no retained combination passes through unchanged.
+    posterior[k] is combination k's normalized weight and updated[k] maps
+    each of its active particles to that particle's conditional update.
+    A particle's existence probability is the total posterior of the
+    combinations that contain it; its state is the moment-matched mixture
+    of its conditional updates under those combinations.  A particle
+    active in no retained combination passes through unchanged, and one
+    whose probability is zero keeps its prior state.  Returns new arrays.
     """
     if not combos:
         raise ValueError("cannot marginalize an empty combination list")
-    out: list[GaussianParticle] = []
-    for i, particle in enumerate(fov_particles):
-        mine = [c for c in combos if c.bits[i]]
+    weights, means, covs = (np.array(a, dtype=float) for a in (weights, means, covs))
+    for i in range(len(weights)):
+        mine = [k for k, combo in enumerate(combos) if combo.bits[i]]
         if not mine:
-            out.append(particle)
             continue
-        mix = np.array([c.posterior_weight for c in mine])
-        weight = min(1.0, float(mix.sum()))
-        if weight <= 0.0:
-            out.append(GaussianParticle(0.0, particle.state))
-            continue
-        means = [c.updated_states[i].mean for c in mine]
-        covs = [c.updated_states[i].cov for c in mine]
-        mean, cov = mixture_moments(means, covs, mix)
-        out.append(GaussianParticle(weight, GaussianState(mean, cov)))
-    return out
+        mix = posterior[mine]
+        weights[i] = min(1.0, float(mix.sum()))
+        if weights[i] > 0.0:
+            means[i], covs[i] = mixture_moments(
+                [updated[k][i].mean for k in mine], [updated[k][i].cov for k in mine], mix
+            )
+    return weights, means, covs
 
 
 def _pairwise_position_distances(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
@@ -359,6 +342,8 @@ def merge_close_particles(
     """
     if not 0.0 < d_thresh < math.inf:
         raise ValueError(f"d_thresh must be positive and finite, got {d_thresh}")
+    if cov_mode not in COV_MODES:
+        raise ValueError(f"unknown cov_mode {cov_mode!r}")
     weights, means, covs = pset.weights, pset.means, pset.covs
     while len(weights) > 1:
         d = _pairwise_position_distances(means, covs)
@@ -366,12 +351,9 @@ def merge_close_particles(
         if d[i, j] >= d_thresh:
             break
         lo, hi = min(i, j), max(i, j)
-        merged = moment_match_merge(
-            [GaussianParticle(weights[k], GaussianState(means[k], covs[k])) for k in (lo, hi)],
-            cov_mode,
-        )
+        merged = moment_match_merge(weights[[lo, hi]], means[[lo, hi]], covs[[lo, hi]], cov_mode)
         weights, means, covs = (np.delete(a, hi, axis=0) for a in (weights, means, covs))
-        weights[lo], means[lo], covs[lo] = merged.weight, merged.state.mean, merged.state.cov
+        weights[lo], means[lo], covs[lo] = merged
     if len(weights) == len(pset):
         return pset  # nothing merged: share the immutable set, skip a construction
     return GpfParticleSet(weights, means, covs, pset.degenerate_step)
@@ -416,35 +398,32 @@ def _mean_measurement_update(
     With no combination above epsilon the set is returned unchanged but
     flagged degenerate.
     """
-    sensor = config.sensor
     in_idx, _ = select_fov_particles(pset, config.fov)
     if not in_idx:
         return pset
-    particles = pset.particles
-    fov_parts = [particles[i] for i in in_idx]
-    combos = enumerate_combinations(fov_parts, config.epsilon, config.s_max)
+    in_idx = np.array(in_idx)  # numpy would convert a list index anew at each of six uses
+    rows = [a[in_idx] for a in (pset.weights, pset.means, pset.covs)]
+    combos = enumerate_combinations(rows[0].tolist(), config.epsilon, config.s_max)
     if not combos:
         return replace(pset, degenerate_step=True)
 
-    proj = sensor.position_projection
-    log_weights = []
-    for combo in combos:
-        log_weights.append(
-            combination_log_weight(
-                combo, fov_parts, z, sensor.R, config.clutter_density, proj
-            )
-        )
-        for j, e in enumerate(combo.bits):
-            if e:
-                combo.updated_states[j] = conditional_kf_update(
-                    j, combo.bits, fov_parts, z, sensor.R, proj
-                ).posterior
-    normalize_combination_weights(combos, log_weights)
-    marginal = marginalize_existence(combos, fov_parts)
+    # one prior state per in-view row, shared by every (combination, active) pair
+    states = [GaussianState(m, c) for m, c in zip(rows[1], rows[2])]
+    r, proj = config.sensor.R, config.sensor.position_projection
+    log_weights = [
+        combination_log_weight(combo, states, z, r, config.clutter_density, proj)
+        for combo in combos
+    ]
+    updated = [
+        {j: conditional_kf_update(j, combo.bits, states, z, r, proj).posterior
+         for j, e in enumerate(combo.bits) if e}
+        for combo in combos
+    ]
+    posterior = normalize_combination_weights(log_weights)
+    marginal = marginalize_existence(combos, posterior, updated, *rows)
 
-    weights, means, covs = pset.weights.tolist(), list(pset.means), list(pset.covs)
-    for i, p in zip(in_idx, marginal):
-        weights[i], means[i], covs[i] = p.weight, p.state.mean, p.state.cov
+    weights, means, covs = (a.copy() for a in (pset.weights, pset.means, pset.covs))
+    weights[in_idx], means[in_idx], covs[in_idx] = marginal
     return GpfParticleSet(weights, means, covs, pset.degenerate_step)
 
 

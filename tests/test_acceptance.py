@@ -107,24 +107,23 @@ def test_criterion_2_conditional_gain_closed_form():
         for i in active:
             bits[i] = 1
         j = int(rng.choice(active))
-        parts = [
-            GaussianParticle(0.5, GaussianState(rng.standard_normal(n), _random_psd(rng, n)))
-            for _ in range(s)
+        states = [
+            GaussianState(rng.standard_normal(n), _random_psd(rng, n)) for _ in range(s)
         ]
         r = _random_psd(rng, n)
         ne = sum(bits)
-        denom = r + sum(parts[i].state.cov for i in range(s) if bits[i]) / ne**2
-        closed = parts[j].state.cov @ np.linalg.inv(denom) / ne
-        got = conditional_kf_update(j, tuple(bits), parts, rng.standard_normal(n), r).gain
+        denom = r + sum(states[i].cov for i in range(s) if bits[i]) / ne**2
+        closed = states[j].cov @ np.linalg.inv(denom) / ne
+        z = rng.standard_normal(n)
+        got = conditional_kf_update(j, tuple(bits), states, z, r, np.eye(n)).gain
         rel = np.linalg.norm(got - closed) / np.linalg.norm(closed)
         assert rel <= 1e-10
         worst = max(worst, rel)
 
-    parts = [
-        GaussianParticle(0.9, GaussianState(0.0, 1.0)),
-        GaussianParticle(0.9, GaussianState(2.0, 1.0)),
-    ]
-    out = conditional_kf_update(0, (1, 1), parts, np.array([1.0]), np.array([[1.0]]))
+    states = [GaussianState(0.0, 1.0), GaussianState(2.0, 1.0)]
+    out = conditional_kf_update(
+        0, (1, 1), states, np.array([1.0]), np.array([[1.0]]), np.eye(1)
+    )
     assert_allclose(out.gain, [[1.0 / 3.0]], rtol=1e-15)
     assert_allclose(out.posterior.mean, [0.0], atol=1e-15)
     assert_allclose(out.posterior.cov, [[5.0 / 6.0]], rtol=1e-15)
@@ -259,11 +258,7 @@ def test_criterion_6_invariant_suite():
     for _ in range(50):
         s = int(rng.integers(1, 9))
         eps = float(rng.uniform(0.001, 0.5))
-        parts = [
-            GaussianParticle(float(w), GaussianState(np.zeros(1), np.eye(1)))
-            for w in rng.random(s)
-        ]
-        combos = enumerate_combinations(parts, eps)
+        combos = enumerate_combinations(rng.random(s).tolist(), eps)
         assert len(combos) <= 2**s
         assert all(c.prior > eps for c in combos)
 

@@ -65,34 +65,44 @@ class TestLogPdf:
             log_pdf(g, np.zeros(2))
 
 
+def _merge(particles, cov_mode="moment"):
+    """moment_match_merge over the stacked rows of these particles."""
+    return moment_match_merge(
+        [p.weight for p in particles],
+        np.array([p.state.mean for p in particles]),
+        np.array([p.state.cov for p in particles]),
+        cov_mode,
+    )
+
+
 class TestMomentMatchMerge:
     def test_identical_components(self):
         state = GaussianState(np.array([1.0, 2.0]), np.diag([0.5, 0.25]))
-        merged = moment_match_merge(
+        weight, mean, cov = _merge(
             [GaussianParticle(0.3, state), GaussianParticle(0.4, state)]
         )
-        assert_allclose(merged.weight, 0.7)
-        assert_allclose(merged.state.mean, state.mean)
-        assert_allclose(merged.state.cov, state.cov, atol=1e-15)
+        assert_allclose(weight, 0.7)
+        assert_allclose(mean, state.mean)
+        assert_allclose(cov, state.cov, atol=1e-15)
 
     def test_single_particle_identity(self):
         p = GaussianParticle(0.6, GaussianState(np.array([1.0]), np.array([[2.0]])))
-        merged = moment_match_merge([p])
-        assert merged.weight == p.weight
-        assert_allclose(merged.state.mean, p.state.mean)
-        assert_allclose(merged.state.cov, p.state.cov)
+        weight, mean, cov = _merge([p])
+        assert weight == p.weight
+        assert_allclose(mean, p.state.mean)
+        assert_allclose(cov, p.state.cov)
 
     def test_two_component_mixture_moments(self):
         # moment matching: mean 1, var = within (1) + between (1) = 2
-        merged = moment_match_merge(
+        weight, mean, cov = _merge(
             [
                 GaussianParticle(0.5, GaussianState(0.0, 1.0)),
                 GaussianParticle(0.5, GaussianState(2.0, 1.0)),
             ]
         )
-        assert_allclose(merged.weight, 1.0)
-        assert_allclose(merged.state.mean, [1.0])
-        assert_allclose(merged.state.cov, [[2.0]])
+        assert_allclose(weight, 1.0)
+        assert_allclose(mean, [1.0])
+        assert_allclose(cov, [[2.0]])
 
     def test_against_sampled_mixture_moments(self):
         # independent oracle: draw from the mixture and compare sample moments
@@ -100,38 +110,47 @@ class TestMomentMatchMerge:
         n = 10**6
         pick = rng.random(n) < 0.5
         draws = np.where(pick, rng.normal(0.0, 1.0, n), rng.normal(2.0, 1.0, n))
-        merged = moment_match_merge(
+        _, mean, cov = _merge(
             [
                 GaussianParticle(0.5, GaussianState(0.0, 1.0)),
                 GaussianParticle(0.5, GaussianState(2.0, 1.0)),
             ]
         )
-        assert_allclose(merged.state.mean[0], draws.mean(), atol=0.01)
-        assert_allclose(merged.state.cov[0, 0], draws.var(), atol=0.01)
+        assert_allclose(mean[0], draws.mean(), atol=0.01)
+        assert_allclose(cov[0, 0], draws.var(), atol=0.01)
 
     def test_weight_clamped_to_one(self):
         state = GaussianState(0.0, 1.0)
-        merged = moment_match_merge(
-            [GaussianParticle(0.8, state), GaussianParticle(0.9, state)]
-        )
-        assert merged.weight == 1.0
+        weight, _, _ = _merge([GaussianParticle(0.8, state), GaussianParticle(0.9, state)])
+        assert weight == 1.0
 
     def test_plain_sum_mode(self):
         parts = [
             GaussianParticle(0.5, GaussianState(0.0, 1.0)),
             GaussianParticle(0.5, GaussianState(2.0, 3.0)),
         ]
-        merged = moment_match_merge(parts, cov_mode="plain_sum")
-        assert_allclose(merged.state.cov, [[4.0]])
-        assert_allclose(merged.state.mean, [1.0])
+        _, mean, cov = _merge(parts, cov_mode="plain_sum")
+        assert_allclose(cov, [[4.0]])
+        assert_allclose(mean, [1.0])
 
     def test_empty_and_zero_weight_errors(self):
         with pytest.raises(ValueError):
-            moment_match_merge([])
+            moment_match_merge([], np.zeros((0, 1)), np.zeros((0, 1, 1)))
         with pytest.raises(ValueError):
-            moment_match_merge(
-                [GaussianParticle(0.0, GaussianState(0.0, 1.0))] * 2
-            )
+            _merge([GaussianParticle(0.0, GaussianState(0.0, 1.0))] * 2)
+
+    def test_unknown_cov_mode_rejected_first(self):
+        # checked before the inputs, so even an empty merge names the mode
+        with pytest.raises(ValueError, match="unknown cov_mode 'bogus'"):
+            moment_match_merge([], np.zeros((0, 1)), np.zeros((0, 1, 1)), "bogus")
+
+    def test_inputs_left_unchanged(self):
+        weights, means = np.array([0.8, 0.9]), np.array([[0.0], [2.0]])
+        covs = np.array([[[1.0]], [[3.0]]])
+        inputs = [a.copy() for a in (weights, means, covs)]
+        moment_match_merge(weights, means, covs)
+        for a, before in zip((weights, means, covs), inputs):
+            assert np.array_equal(a, before)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(2, 5))
     @settings(max_examples=50, deadline=None)
@@ -144,9 +163,9 @@ class TestMomentMatchMerge:
             )
             for w in weights
         ]
-        merged = moment_match_merge(parts)
+        weight, mean, _ = _merge(parts)
         expected = sum(w * p.state.mean for w, p in zip(weights, parts))
-        assert_allclose(merged.weight * merged.state.mean, expected, atol=1e-12)
+        assert_allclose(weight * mean, expected, atol=1e-12)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 5))
     @settings(max_examples=50, deadline=None)
@@ -159,9 +178,9 @@ class TestMomentMatchMerge:
             )
             for _ in range(count)
         ]
-        merged = moment_match_merge(parts)
-        assert_allclose(merged.state.cov, merged.state.cov.T, atol=1e-12)
-        assert np.linalg.eigvalsh(merged.state.cov).min() >= -1e-9
+        _, _, cov = _merge(parts)
+        assert_allclose(cov, cov.T, atol=1e-12)
+        assert np.linalg.eigvalsh(cov).min() >= -1e-9
 
 
 class TestTypes:

@@ -165,6 +165,14 @@ def test_config_rejects_non_finite(name, bad):
         _mean_config(**{name: bad})
 
 
+@pytest.mark.parametrize(
+    "name, bad, message", [("merge_cov", "bogus", "merge_cov"), ("s_max", 0, "s_max")]
+)
+def test_config_rejects_bad_merge_and_enumeration_settings(name, bad, message):
+    with pytest.raises(ValueError, match=message):
+        _mean_config(**{name: bad})
+
+
 class TestSelectFov:
     def test_full_workspace(self):
         pset = _pset([_particle(0.5, x, x) for x in (0.0, 5.0, 100.0)])
@@ -193,8 +201,7 @@ class TestSelectFov:
 
 class TestEnumerate:
     def test_two_particle_example(self):
-        parts = [_particle(0.9, 0.0, 0.0), _particle(0.8, 5.0, 5.0)]
-        combos = enumerate_combinations(parts, 0.05)
+        combos = enumerate_combinations([0.9, 0.8], 0.05)
         priors = {c.bits: c.prior for c in combos}
         assert priors == pytest.approx(
             {(1, 1): 0.72, (1, 0): 0.18, (0, 1): 0.08}
@@ -202,32 +209,35 @@ class TestEnumerate:
         assert (0, 0) not in priors
 
     def test_certain_particle(self):
-        combos = enumerate_combinations([_particle(1.0, 0.0, 0.0)], 0.5)
+        combos = enumerate_combinations([1.0], 0.5)
         assert len(combos) == 1
         assert combos[0].bits == (1,)
         assert combos[0].prior == 1.0
 
+    def test_combinations_are_immutable_records(self):
+        combo = enumerate_combinations([0.9], 0.05)[0]
+        assert combo._fields == ("bits", "prior")
+        with pytest.raises(AttributeError):
+            combo.prior = 0.5
+
     def test_threshold_dominates(self):
-        parts = [_particle(0.5, 0.0, 0.0), _particle(0.5, 5.0, 5.0)]
-        assert enumerate_combinations(parts, 0.25) == []
+        assert enumerate_combinations([0.5, 0.5], 0.25) == []
 
     def test_blowup_guard(self):
-        parts = [_particle(0.5, 0.0, 0.0)] * 21
         with pytest.raises(CombinatorialBlowupError):
-            enumerate_combinations(parts, 0.4)
+            enumerate_combinations([0.5] * 21, 0.4)
 
     def test_epsilon_validated(self):
         with pytest.raises(ValueError):
-            enumerate_combinations([_particle(0.5, 0.0, 0.0)], 0.0)
+            enumerate_combinations([0.5], 0.0)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
     def test_matches_exhaustive_enumeration(self, seed, s):
         rng = np.random.default_rng(seed)
         weights = rng.random(s)
-        parts = [_particle(w, 0.0, 0.0) for w in weights]
         eps = float(rng.uniform(0.001, 0.5))
-        combos = enumerate_combinations(parts, eps)
+        combos = enumerate_combinations(weights.tolist(), eps)
         got = {c.bits: c.prior for c in combos}
         expected = {}
         for bits in itertools.product((1, 0), repeat=s):
@@ -250,7 +260,7 @@ class TestConditionalUpdate:
         proj = position_projection()
         r = np.eye(2) * 0.5
         z = rng.standard_normal(2)
-        got = conditional_kf_update(0, (1,), [GaussianParticle(1.0, state)], z, r, proj)
+        got = conditional_kf_update(0, (1,), [state], z, r, proj)
         model = LinearGaussianModel(F=np.eye(4), Q=np.zeros((4, 4)), H=proj, R=r)
         want = kf_update(state, model.H, model.R, z)
         assert_allclose(got.posterior.mean, want.posterior.mean, rtol=1e-14, atol=0)
@@ -258,11 +268,10 @@ class TestConditionalUpdate:
         assert_allclose(got.gain, want.gain, rtol=1e-14, atol=0)
 
     def test_two_particle_hand_example(self):
-        parts = [
-            GaussianParticle(0.9, GaussianState(0.0, 1.0)),
-            GaussianParticle(0.9, GaussianState(2.0, 1.0)),
-        ]
-        out = conditional_kf_update(0, (1, 1), parts, np.array([1.0]), np.array([[1.0]]))
+        states = [GaussianState(0.0, 1.0), GaussianState(2.0, 1.0)]
+        out = conditional_kf_update(
+            0, (1, 1), states, np.array([1.0]), np.array([[1.0]]), np.eye(1)
+        )
         assert_allclose(out.residual, [0.0], atol=1e-15)
         assert_allclose(out.innovation_cov, [[1.5]])
         assert_allclose(out.gain, [[1.0 / 3.0]])
@@ -270,20 +279,26 @@ class TestConditionalUpdate:
         assert_allclose(out.posterior.cov, [[5.0 / 6.0]])
 
     def test_uninformative_measurement(self):
-        parts = [
-            GaussianParticle(0.9, GaussianState(0.0, 1.0)),
-            GaussianParticle(0.9, GaussianState(2.0, 1.0)),
-        ]
+        states = [GaussianState(0.0, 1.0), GaussianState(2.0, 1.0)]
         out = conditional_kf_update(
-            0, (1, 1), parts, np.array([1.0]), np.array([[1e12]])
+            0, (1, 1), states, np.array([1.0]), np.array([[1e12]]), np.eye(1)
         )
         assert_allclose(out.posterior.mean, [0.0], atol=1e-6)
         assert_allclose(out.posterior.cov, [[1.0]], rtol=1e-6)
 
     def test_inactive_particle_rejected(self):
-        parts = [_particle(0.5, 0.0, 0.0), _particle(0.5, 1.0, 1.0)]
+        states = [_particle(0.5, 0.0, 0.0).state, _particle(0.5, 1.0, 1.0).state]
         with pytest.raises(ValueError):
-            conditional_kf_update(0, (0, 1), parts, np.zeros(2), np.eye(2),
+            conditional_kf_update(0, (0, 1), states, np.zeros(2), np.eye(2),
+                                  position_projection())
+
+    @pytest.mark.parametrize("bits", [(1,), (1, 1)])
+    @pytest.mark.parametrize("z_dim", [1, 3])
+    def test_measurement_dim_checked(self, bits, z_dim):
+        # a 1-element z must not broadcast against the 2-row projection
+        states = [_particle(0.5, 0.0, 0.0).state, _particle(0.5, 1.0, 1.0).state][: len(bits)]
+        with pytest.raises(ValueError):
+            conditional_kf_update(0, bits, states, np.ones(z_dim), np.eye(2),
                                   position_projection())
 
     @given(st.integers(0, 2**32 - 1))
@@ -298,16 +313,15 @@ class TestConditionalUpdate:
         for i in active:
             bits[i] = 1
         j = int(rng.choice(active))
-        parts = [
-            GaussianParticle(0.5, GaussianState(rng.standard_normal(n), _random_psd(rng, n)))
-            for _ in range(s)
+        states = [
+            GaussianState(rng.standard_normal(n), _random_psd(rng, n)) for _ in range(s)
         ]
         r = _random_psd(rng, n)
         z = rng.standard_normal(n)
         ne = sum(bits)
-        denom = r + sum(parts[i].state.cov for i in range(s) if bits[i]) / ne**2
-        closed = parts[j].state.cov @ np.linalg.inv(denom) / ne
-        got = conditional_kf_update(j, tuple(bits), parts, z, r).gain
+        denom = r + sum(states[i].cov for i in range(s) if bits[i]) / ne**2
+        closed = states[j].cov @ np.linalg.inv(denom) / ne
+        got = conditional_kf_update(j, tuple(bits), states, z, r, np.eye(n)).gain
         assert np.linalg.norm(got - closed) <= 1e-10 * np.linalg.norm(closed)
 
 
@@ -315,28 +329,30 @@ class TestCombinationWeight:
     def test_perfect_match_peak_density(self):
         z = np.array([0.5])
         combo = ExistenceCombination((1,), prior=1.0)
-        part = GaussianParticle(1.0, GaussianState(0.5, 1e-4))
-        w = math.exp(combination_log_weight(combo, [part], z, np.array([[1e-4]]), 1.0))
+        state = GaussianState(0.5, 1e-4)
+        w = math.exp(
+            combination_log_weight(combo, [state], z, np.array([[1e-4]]), 1.0, np.eye(1))
+        )
         peak = 1.0 / math.sqrt(2 * math.pi * 2e-4)
         assert_allclose(w, peak, rtol=1e-12)
 
     def test_all_zero_combination_uses_clutter(self):
         combo = ExistenceCombination((0,), prior=0.3)
-        part = _particle(0.7, 0.0, 0.0)
+        states = [_particle(0.7, 0.0, 0.0).state]
         w = math.exp(
-            combination_log_weight(combo, [part], np.zeros(2), np.eye(2), 1.0 / 144.0)
+            combination_log_weight(combo, states, np.zeros(2), np.eye(2), 1.0 / 144.0,
+                                   position_projection())
         )
         assert_allclose(w, 0.3 / 144.0, rtol=1e-12)
 
     def test_two_active_hand_example(self):
         # mu_c = 1, Sigma_c = (1+1)/4 + 1 = 1.5, density = 1/sqrt(2 pi 1.5)
-        parts = [
-            GaussianParticle(0.9, GaussianState(0.0, 1.0)),
-            GaussianParticle(0.9, GaussianState(2.0, 1.0)),
-        ]
+        states = [GaussianState(0.0, 1.0), GaussianState(2.0, 1.0)]
         combo = ExistenceCombination((1, 1), prior=0.81)
         w = math.exp(
-            combination_log_weight(combo, parts, np.array([1.0]), np.array([[1.0]]), 1.0)
+            combination_log_weight(
+                combo, states, np.array([1.0]), np.array([[1.0]]), 1.0, np.eye(1)
+            )
         )
         expected_density = 1.0 / math.sqrt(2 * math.pi * 1.5)
         assert_allclose(w, 0.81 * expected_density, rtol=1e-12)
@@ -344,71 +360,85 @@ class TestCombinationWeight:
 
 
 class TestMarginalize:
-    def _combo(self, bits, weight, states=None):
-        combo = ExistenceCombination(tuple(bits), prior=1.0, posterior_weight=weight)
-        if states:
-            combo.updated_states = states
-        return combo
+    @staticmethod
+    def _marginalize(combos, particles):
+        """combos: (bits, posterior, {active index: updated state}) triples."""
+        return marginalize_existence(
+            [ExistenceCombination(tuple(bits), prior=1.0) for bits, _, _ in combos],
+            np.array([weight for _, weight, _ in combos]),
+            [states for _, _, states in combos],
+            [p.weight for p in particles],
+            np.array([p.state.mean for p in particles]),
+            np.array([p.state.cov for p in particles]),
+        )
 
     def test_single_combination(self):
         updated = GaussianState(np.array([3.0]), np.array([[0.5]]))
-        combos = [self._combo((1,), 1.0, {0: updated})]
-        out = marginalize_existence(combos, [GaussianParticle(0.9, GaussianState(0.0, 1.0))])
-        assert out[0].weight == 1.0
-        assert_allclose(out[0].state.mean, [3.0])
-        assert_allclose(out[0].state.cov, [[0.5]])
+        weights, means, covs = self._marginalize(
+            [((1,), 1.0, {0: updated})], [GaussianParticle(0.9, GaussianState(0.0, 1.0))]
+        )
+        assert weights[0] == 1.0
+        assert_allclose(means[0], [3.0])
+        assert_allclose(covs[0], [[0.5]])
 
     def test_symmetric_split(self):
         s0 = GaussianState(np.array([0.0]), np.array([[1.0]]))
         s1 = GaussianState(np.array([2.0]), np.array([[1.0]]))
-        combos = [
-            self._combo((1, 0), 0.5, {0: s0}),
-            self._combo((0, 1), 0.5, {1: s1}),
-        ]
+        combos = [((1, 0), 0.5, {0: s0}), ((0, 1), 0.5, {1: s1})]
         parts = [
             GaussianParticle(0.5, s0),
             GaussianParticle(0.5, s1),
         ]
-        out = marginalize_existence(combos, parts)
-        assert [p.weight for p in out] == [0.5, 0.5]
+        weights, _, _ = self._marginalize(combos, parts)
+        assert weights.tolist() == [0.5, 0.5]
 
     def test_marginal_sums(self):
         s = GaussianState(np.array([0.0]), np.array([[1.0]]))
         combos = [
-            self._combo((1, 1), 0.6, {0: s, 1: s}),
-            self._combo((1, 0), 0.3, {0: s}),
-            self._combo((0, 1), 0.1, {1: s}),
+            ((1, 1), 0.6, {0: s, 1: s}),
+            ((1, 0), 0.3, {0: s}),
+            ((0, 1), 0.1, {1: s}),
         ]
         parts = [GaussianParticle(0.9, s), GaussianParticle(0.9, s)]
-        out = marginalize_existence(combos, parts)
-        assert_allclose(out[0].weight, 0.9)
-        assert_allclose(out[1].weight, 0.7)
+        weights, _, _ = self._marginalize(combos, parts)
+        assert_allclose(weights[0], 0.9)
+        assert_allclose(weights[1], 0.7)
 
     def test_untouched_particle_passes_through(self):
         s = GaussianState(np.array([0.0]), np.array([[1.0]]))
-        combos = [self._combo((1, 0), 1.0, {0: s})]
         parts = [
             GaussianParticle(0.9, s),
             GaussianParticle(0.4, GaussianState(np.array([5.0]), np.array([[2.0]]))),
         ]
-        out = marginalize_existence(combos, parts)
-        assert out[1].weight == 0.4
-        assert_allclose(out[1].state.mean, [5.0])
+        weights, means, _ = self._marginalize([((1, 0), 1.0, {0: s})], parts)
+        assert weights[1] == 0.4
+        assert_allclose(means[1], [5.0])
 
     def test_state_is_moment_matched_mixture(self):
         sa = GaussianState(np.array([0.0]), np.array([[1.0]]))
         sb = GaussianState(np.array([2.0]), np.array([[1.0]]))
-        combos = [
-            self._combo((1,), 0.5, {0: sa}),
-            self._combo((1,), 0.5, {0: sb}),
-        ]
-        out = marginalize_existence(combos, [GaussianParticle(0.5, sa)])
-        assert_allclose(out[0].state.mean, [1.0])
-        assert_allclose(out[0].state.cov, [[2.0]])
+        combos = [((1,), 0.5, {0: sa}), ((1,), 0.5, {0: sb})]
+        _, means, covs = self._marginalize(combos, [GaussianParticle(0.5, sa)])
+        assert_allclose(means[0], [1.0])
+        assert_allclose(covs[0], [[2.0]])
+
+    def test_zero_posterior_keeps_prior_state_and_inputs(self):
+        prior = GaussianState(np.array([0.0]), np.array([[1.0]]))
+        moved = GaussianState(np.array([4.0]), np.array([[0.5]]))
+        weights, means, covs = np.array([0.5]), np.array([[0.0]]), np.array([[[1.0]]])
+        inputs = [a.copy() for a in (weights, means, covs)]
+        out = marginalize_existence(
+            [ExistenceCombination((1,), 0.5), ExistenceCombination((0,), 0.5)],
+            np.array([0.0, 1.0]), [{0: moved}, {}], weights, means, covs,
+        )
+        assert out[0].tolist() == [0.0]
+        assert np.array_equal(out[1], [prior.mean]) and np.array_equal(out[2], [prior.cov])
+        for a, before in zip((weights, means, covs), inputs):
+            assert np.array_equal(a, before)
 
     def test_empty_combinations_rejected(self):
         with pytest.raises(ValueError):
-            marginalize_existence([], [_particle(0.5, 0.0, 0.0)])
+            self._marginalize([], [_particle(0.5, 0.0, 0.0)])
 
 
 class TestMergeClose:
@@ -444,6 +474,11 @@ class TestMergeClose:
         pset = _pset([_particle(0.3, 2.0, 2.0), _particle(0.4, 9.0, 9.0)])
         with pytest.raises(ValueError, match="finite"):
             merge_close_particles(pset, bad)
+
+    def test_unknown_cov_mode_rejected_before_merging(self):
+        pset = _pset([_particle(0.3, 2.0, 2.0), _particle(0.4, 9.0, 9.0)])  # no pair merges
+        with pytest.raises(ValueError, match="cov_mode"):
+            merge_close_particles(pset, 1.0, cov_mode="bogus")
 
     def test_threshold_is_strict(self):
         # position vars 1.0 each -> metric diag(1/2); distance exactly 1
@@ -663,6 +698,32 @@ class TestGpfStep:
         for p, mean in zip(belief.particles, means):
             assert np.array_equal(p.state.mean, mean)
 
+    @pytest.mark.parametrize("sensor", ["mean", "grid"])
+    def test_step_builds_no_particle_objects(self, monkeypatch, sensor):
+        # the belief is arrays throughout a step; GaussianParticle is only the
+        # public `particles` view
+        if sensor == "mean":
+            config = _mean_config()
+            belief = _pset([_particle(0.9, 2.0, 2.0), _particle(0.8, 4.0, 4.0)])
+            z = np.array([3.0, 3.0])
+            assert len(select_fov_particles(belief, config.fov)[0]) == 2
+        else:
+            grid = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
+            config = GpfConfig(f_matrix=np.eye(4), q_matrix=np.zeros((4, 4)), sensor=grid)
+            belief = _pset([_particle(0.5, 3.0, 3.0), _particle(0.5, 3.2, 3.0)])
+            z = [CellReturn(grid.cell_of(3.0, 3.0), 0)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("gpf_step built a GaussianParticle")
+
+        monkeypatch.setattr("mtt.gpf.GaussianParticle", refuse)
+        monkeypatch.setattr("mtt.gaussians.GaussianParticle", refuse)
+        out = gpf_step(belief, z, config)
+        if sensor == "mean":
+            assert len(out) == 2 and not np.array_equal(out.weights, belief.weights)
+        else:
+            assert len(out) == 1  # the pair merged
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_measurement_rejected(self, bad):
         belief = _pset([_particle(0.9, 2.0, 2.0)])
@@ -732,11 +793,21 @@ class TestGpfStep:
     def test_normalized_combination_family(self):
         parts = [_particle(0.9, 2.0, 2.0), _particle(0.8, 4.0, 4.0)]
         sensor = _mean_sensor()
-        combos = enumerate_combinations(parts, 0.001)
+        combos = enumerate_combinations([p.weight for p in parts], 0.001)
         logs = [
-            combination_log_weight(c, parts, np.array([3.0, 3.0]), sensor.R, 1.0 / 144,
-                                   sensor.position_projection)
+            combination_log_weight(c, [p.state for p in parts], np.array([3.0, 3.0]),
+                                   sensor.R, 1.0 / 144, sensor.position_projection)
             for c in combos
         ]
-        normalize_combination_weights(combos, logs)
-        assert abs(sum(c.posterior_weight for c in combos) - 1.0) <= 1e-9
+        posterior = normalize_combination_weights(logs)
+        assert posterior.shape == (len(combos),)
+        assert abs(posterior.sum() - 1.0) <= 1e-9
+
+    def test_normalize_far_below_underflow(self):
+        # exp(-800) is 0.0 in double precision: only the shift by the maximum saves it
+        logs = [-900.0, -801.0, -1200.0, -801.0]
+        posterior = normalize_combination_weights(logs)
+        assert logs == [-900.0, -801.0, -1200.0, -801.0]
+        assert np.isfinite(posterior).all()
+        assert abs(posterior.sum() - 1.0) <= 1e-12
+        assert posterior[1] == posterior[3] > posterior[0] > posterior[2] >= 0.0
