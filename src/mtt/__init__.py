@@ -34,7 +34,7 @@ from .particle import (
 )
 from .regions import FovRegion, Rectangle
 from .sensors import (
-    CellReturn,
+    CellReturns,
     GridSensorModel,
     MeanSensorModel,
     detection_prob,

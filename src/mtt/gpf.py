@@ -37,7 +37,7 @@ from .gaussians import (
 from .kalman import KalmanUpdate, kf_predict_moments, kf_update
 from .motion import POSITION_IDX
 from .regions import FovRegion
-from .sensors import CellReturn, GridSensorModel, MeanSensorModel, detection_prob
+from .sensors import CellReturns, GridSensorModel, MeanSensorModel, detection_prob
 
 
 class CombinatorialBlowupError(ValueError):
@@ -429,7 +429,7 @@ def _mean_measurement_update(
 
 def grid_existence_update(
     pset: GpfParticleSet,
-    returns: list[CellReturn],
+    returns: CellReturns,
     sensor: GridSensorModel,
 ) -> GpfParticleSet:
     """Bayes update of existence weights from binary cell returns.
@@ -450,45 +450,45 @@ def grid_existence_update(
     and 1: merging can clamp a weight to exactly 1, and a degenerate prior
     would otherwise be immune to any amount of contrary evidence.
     """
-    by_cell: dict[int, list[CellReturn]] = {}
-    for ret in returns:
-        sensor.cell_bounds(ret.cell_index)  # IndexError outside the grid
-        by_cell.setdefault(ret.cell_index, []).append(ret)
+    if ((returns.cells < 0) | (returns.cells >= sensor.n_cells)).any():
+        raise IndexError(f"cell index out of range [0, {sensor.n_cells}): {returns.cells}")
     p_hit = detection_prob(1, sensor.p_d, sensor.snr)
     p_false = detection_prob(0, sensor.p_d, sensor.snr)
+    likelihoods = ((1.0 - p_hit, 1.0 - p_false), (p_hit, p_false))  # (exists, empty) by value
+    by_cell: dict[int, list[tuple[float, float]]] = {}
+    for cell, value in zip(returns.cells.tolist(), returns.values.tolist()):
+        by_cell.setdefault(cell, []).append(likelihoods[value])
     bound = 1e-3
     xi, yi = POSITION_IDX
     weights = pset.weights.tolist()
     for i, (x, y) in enumerate(zip(pset.means[:, xi].tolist(), pset.means[:, yi].tolist())):
-        for ret in by_cell.get(sensor.cell_of(x, y), ()):
+        for l_exists, l_empty in by_cell.get(sensor.cell_of(x, y), ()):
             w = min(max(weights[i], bound), 1.0 - bound)
-            l_exists = p_hit if ret.value else 1.0 - p_hit
-            l_empty = p_false if ret.value else 1.0 - p_false
             weights[i] = w * l_exists / (w * l_exists + (1.0 - w) * l_empty)
     return replace(pset, weights=weights)
 
 
 def grid_births(
-    returns: list[CellReturn], sensor: GridSensorModel, w_birth: float
+    returns: CellReturns, sensor: GridSensorModel, w_birth: float
 ) -> GpfParticleSet:
     """One birth hypothesis per positive return, centered on the cell.
 
     Position variance is that of a uniform draw over the cell (width^2/12);
     velocity starts at zero with unit variance.
     """
-    cw, ch = sensor.cell_size()
+    x_lo, y_lo, x_hi, y_hi = sensor.cell_bounds(0)
     xi, yi = POSITION_IDX
-    cells = [ret.cell_index for ret in returns if ret.value == 1]
+    cells = returns.cells[returns.values == 1].tolist()
     means = np.zeros((len(cells), 4))
     for row, cell in zip(means, cells):
         row[xi], row[yi] = sensor.cell_center(cell)
-    cov = np.diag([cw**2 / 12.0, 1.0, ch**2 / 12.0, 1.0])
+    cov = np.diag([(x_hi - x_lo) ** 2 / 12.0, 1.0, (y_hi - y_lo) ** 2 / 12.0, 1.0])
     return GpfParticleSet(np.full(len(cells), w_birth), means, np.tile(cov, (len(cells), 1, 1)))
 
 
 def gpf_step(
     pset: GpfParticleSet,
-    z: np.ndarray | list[CellReturn],
+    z: np.ndarray | CellReturns,
     config: GpfConfig,
 ) -> GpfParticleSet:
     """One full filter iteration.
@@ -498,19 +498,20 @@ def gpf_step(
     Bayes rule plus births for the grid sensor), merge near-duplicate
     particles, then prune.  If no existence combination survives the
     threshold the measurement update is skipped and the returned set is
-    flagged degenerate for this step.  A non-finite mean-sensor
-    measurement raises ValueError, a cell index outside the grid IndexError.
+    flagged degenerate for this step.  A mean-sensor measurement that is
+    not meas_dim finite numbers raises ValueError, a grid measurement that
+    is not a CellReturns record TypeError, a cell outside the grid IndexError.
     """
     predicted = gpf_predict(pset, config.f_matrix, config.q_matrix)
     if isinstance(config.sensor, MeanSensorModel):
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        if not np.isfinite(z).all():
-            raise ValueError(f"measurement must be finite, got {z}")
+        if z.shape != (config.sensor.meas_dim,) or not np.isfinite(z).all():
+            raise ValueError(f"measurement must be {config.sensor.meas_dim} finite numbers: {z}")
         updated = _mean_measurement_update(predicted, z, config)
         births = _NO_BIRTHS
     elif isinstance(config.sensor, GridSensorModel):
-        if not all(isinstance(r, CellReturn) for r in z):
-            raise TypeError("grid sensor expects a list of cell returns")
+        if not isinstance(z, CellReturns):
+            raise TypeError(f"grid sensor expects a CellReturns record, got {type(z)!r}")
         updated = grid_existence_update(predicted, z, config.sensor)
         births = grid_births(z, config.sensor, config.w_birth)
     else:

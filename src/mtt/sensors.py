@@ -41,15 +41,25 @@ class MeanSensorModel:
 
 
 @dataclass(frozen=True)
-class CellReturn:
-    """Binary detection for one interrogated cell."""
+class CellReturns:
+    """One step's binary detections, checked once here and held as read-only int64
+    arrays: values[k] is the return of cells[k], in interrogation order (repeats allowed)."""
 
-    cell_index: int
-    value: int
+    cells: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.value not in (0, 1):
-            raise ValueError(f"cell return must be 0 or 1, got {self.value}")
+        cells, values = np.array(self.cells), np.array(self.values)  # no dtype=int: 1.5 -> 1
+        if cells.ndim != 1 or values.shape != cells.shape:
+            raise ValueError(f"want cells, values of shape (m,): {cells.shape}, {values.shape}")
+        if cells.size and cells.dtype.kind not in "iu":  # bool too: True is no cell
+            raise ValueError(f"cell indices must be integers, got {cells}")
+        if not ((values == 0) | (values == 1)).all():
+            raise ValueError(f"cell returns must be 0 or 1, got {values}")
+        for name, value in (("cells", cells), ("values", values)):
+            value = value.astype(np.int64)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -105,10 +115,6 @@ class GridSensorModel:
         x_lo, y_lo, x_hi, y_hi = self.cell_bounds(index)
         return 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
 
-    def cell_size(self) -> tuple[float, float]:
-        x_lo, y_lo, x_hi, y_hi = self.cell_bounds(0)
-        return x_hi - x_lo, y_hi - y_lo
-
     def cell_contains(self, index: int, x: float, y: float) -> bool:
         x_lo, y_lo, x_hi, y_hi = self.cell_bounds(index)
         return bool(x_lo <= x < x_hi and y_lo <= y < y_hi)
@@ -163,20 +169,20 @@ def grid_measure(
     cells: list[int],
     model: GridSensorModel,
     rng: np.random.Generator,
-) -> list[CellReturn]:
-    """Binary return per interrogated cell, hit with detection_prob(T)."""
+) -> CellReturns:
+    """Binary return per interrogated cell, hit with detection_prob(T) for its T
+    targets: one rng.random(m) draw (the stream of m scalar draws), and
+    detection_prob once per T (numpy's ** over an array can differ in the last bit)."""
+    cells = np.asarray(cells)  # CellReturns rejects non-integer cells
     if len(cells) > model.m_cells:
         raise ValueError(f"{len(cells)} cells requested but m_cells = {model.m_cells}")
-    for c in cells:
-        if not 0 <= c < model.n_cells:
-            raise ValueError(f"cell index {c} out of range [0, {model.n_cells})")
+    if ((cells < 0) | (cells >= model.n_cells)).any():
+        raise ValueError(f"cell index out of range [0, {model.n_cells}): {cells}")
     xi, yi = POSITION_IDX
     occupancy = Counter(model.cell_of(s[xi], s[yi]) for s in true_states)
-    returns = []
-    for c in cells:
-        hit = rng.random() < detection_prob(occupancy[c], model.p_d, model.snr)
-        returns.append(CellReturn(int(c), int(hit)))
-    return returns
+    counts = [occupancy[c] for c in cells.tolist()]
+    p_hit = {t: detection_prob(t, model.p_d, model.snr) for t in set(counts)}
+    return CellReturns(cells, rng.random(len(counts)) < np.array([p_hit[t] for t in counts]))
 
 
 def select_cells(

@@ -17,7 +17,7 @@ from .motion import POSITION_IDX, constant_velocity_matrix, position_projection
 from .particle import PointParticleSet, pf_step
 from .regions import Rectangle
 from .sensors import (
-    CellReturn,
+    CellReturns,
     GridSensorModel,
     MeanSensorModel,
     grid_measure,
@@ -56,11 +56,12 @@ class ScenarioConfig:
         if not all(0.0 <= v < math.inf for v in self.q_diag):
             raise ValueError("q_diag entries must be finite and non-negative")
         if self.initial_states is not None:
-            if len(self.initial_states) != self.n_targets:
-                raise ValueError(
-                    f"{len(self.initial_states)} initial states for "
-                    f"{self.n_targets} targets"
-                )
+            states = np.asarray(self.initial_states, dtype=float)  # ValueError if ragged
+            if len(states) != self.n_targets or (
+                states.size and (states.shape[1:] != (4,) or not np.isfinite(states).all())
+            ):
+                raise ValueError(f"want {self.n_targets} initial states of 4 finite numbers "
+                                 f"(x, vx, y, vy), got {states}")
 
 
 @dataclass
@@ -198,22 +199,15 @@ def evaluate_metrics(
             f"{len(truth)} truth steps but {len(log.records)} log records"
         )
     idx = np.asarray(POSITION_IDX)
-    rmse_series: list[float] = []
-    card_series: list[float] = []
-    ospa_series: list[float] = []
     for k, record in enumerate(log.records):
         truths = [s[idx] for s in truth[k]]
         estimates = extract_estimates(record, extraction_threshold)
-        rmse = assignment_rmse(estimates, truths, distance_cap)
-        card_err = abs(record.cardinality - len(truths))
-        record.rmse = rmse
-        record.card_err = card_err
-        rmse_series.append(rmse)
-        card_series.append(card_err)
+        record.rmse = assignment_rmse(estimates, truths, distance_cap)
+        record.card_err = abs(record.cardinality - len(truths))
         if with_ospa:
             record.ospa = ospa_distance(estimates, truths, distance_cap)
-            ospa_series.append(record.ospa)
-    return MetricReport(rmse_series, card_series, ospa_series if with_ospa else None)
+    return MetricReport([r.rmse for r in log.records], [r.card_err for r in log.records],
+                        [r.ospa for r in log.records] if with_ospa else None)
 
 
 @dataclass
@@ -412,10 +406,8 @@ def run_experiment(
     return log
 
 
-def _encode_measurement(z: object) -> object:
-    """Normalize a measurement for logging (arrays to lists, returns to pairs)."""
-    if isinstance(z, np.ndarray):
-        return z.tolist()
-    if isinstance(z, list) and all(isinstance(r, CellReturn) for r in z):
-        return [(r.cell_index, r.value) for r in z]
-    return z
+def _encode_measurement(z: np.ndarray | CellReturns) -> list:
+    """A measurement as lists for logging: an array's values, or [cell, value] pairs."""
+    if isinstance(z, CellReturns):
+        return np.column_stack((z.cells, z.values)).tolist()
+    return z.tolist()

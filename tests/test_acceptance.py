@@ -181,7 +181,7 @@ def test_criterion_4_grid_sensor_statistics():
     for t_count, states in placements.items():
         expected = detection_prob(t_count, 0.9, 3.0)
         hits = sum(
-            grid_measure(states, [0], model, rng)[0].value for _ in range(trials)
+            grid_measure(states, [0], model, rng).values[0] for _ in range(trials)
         )
         freq = hits / trials
         sigma = math.sqrt(expected * (1.0 - expected) / trials)

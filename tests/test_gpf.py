@@ -30,7 +30,7 @@ from mtt.gpf import (
 from mtt.kalman import LinearGaussianModel, kf_predict, kf_update
 from mtt.motion import POSITION_IDX, constant_velocity_matrix, position_projection
 from mtt.regions import FovRegion, Rectangle
-from mtt.sensors import CellReturn, GridSensorModel, MeanSensorModel, detection_prob
+from mtt.sensors import CellReturns, GridSensorModel, MeanSensorModel, detection_prob
 
 WORKSPACE = Rectangle(0.0, 0.0, 12.0, 12.0)
 
@@ -527,7 +527,7 @@ class TestGridUpdate:
     def test_positive_return_raises_weight(self):
         sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
         pset = _pset([_particle(0.4, 0.5, 0.5)])
-        out = grid_existence_update(pset, [CellReturn(0, 1)], sensor)
+        out = grid_existence_update(pset, CellReturns([0], [1]), sensor)
         p_hit, p_false = 0.9, detection_prob(0, 0.9, 3.0)
         expected = 0.4 * p_hit / (0.4 * p_hit + 0.6 * p_false)
         assert_allclose(out.particles[0].weight, expected)
@@ -536,7 +536,7 @@ class TestGridUpdate:
     def test_negative_return_lowers_weight(self):
         sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
         pset = _pset([_particle(0.4, 0.5, 0.5)])
-        out = grid_existence_update(pset, [CellReturn(0, 0)], sensor)
+        out = grid_existence_update(pset, CellReturns([0], [0]), sensor)
         p_false = detection_prob(0, 0.9, 3.0)
         expected = 0.4 * 0.1 / (0.4 * 0.1 + 0.6 * (1.0 - p_false))
         assert_allclose(out.particles[0].weight, expected)
@@ -545,12 +545,12 @@ class TestGridUpdate:
     def test_unmeasured_particle_unchanged(self):
         sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
         pset = _pset([_particle(0.4, 5.5, 5.5)])
-        out = grid_existence_update(pset, [CellReturn(0, 1)], sensor)
+        out = grid_existence_update(pset, CellReturns([0], [1]), sensor)
         assert out.particles[0].weight == 0.4
 
     def test_births_from_positive_returns(self):
         sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
-        births = grid_births([CellReturn(14, 1), CellReturn(20, 0)], sensor, 0.1)
+        births = grid_births(CellReturns([14, 20], [1, 0]), sensor, 0.1)
         assert len(births) == 1
         assert births.particles[0].weight == 0.1
         assert_allclose(births.particles[0].state.mean, [2.5, 0.0, 1.5, 0.0])
@@ -584,7 +584,7 @@ class TestGpfStep:
         config = GpfConfig(
             f_matrix=np.eye(4), q_matrix=np.zeros((4, 4)), sensor=sensor, w_birth=0.1
         )
-        out = gpf_step(GpfParticleSet(), [CellReturn(0, 1), CellReturn(5, 1)], config)
+        out = gpf_step(GpfParticleSet(), CellReturns([0, 5], [1, 1]), config)
         assert len(out.particles) == 2
         assert all(p.weight == 0.1 for p in out.particles)
 
@@ -600,7 +600,7 @@ class TestGpfStep:
         grid_config = GpfConfig(
             f_matrix=np.eye(4), q_matrix=np.zeros((4, 4)), sensor=grid, w_birth=0.1
         )
-        births = gpf_step(out, [CellReturn(14, 1), CellReturn(20, 0)], grid_config)
+        births = gpf_step(out, CellReturns([14, 20], [1, 0]), grid_config)
         assert [p.weight for p in births.particles] == [0.1]
         assert_allclose(births.means, [[2.5, 0.0, 1.5, 0.0]])
 
@@ -711,7 +711,7 @@ class TestGpfStep:
             grid = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
             config = GpfConfig(f_matrix=np.eye(4), q_matrix=np.zeros((4, 4)), sensor=grid)
             belief = _pset([_particle(0.5, 3.0, 3.0), _particle(0.5, 3.2, 3.0)])
-            z = [CellReturn(grid.cell_of(3.0, 3.0), 0)]
+            z = CellReturns([grid.cell_of(3.0, 3.0)], [0])
 
         def refuse(*args, **kwargs):
             raise AssertionError("gpf_step built a GaussianParticle")
@@ -730,6 +730,24 @@ class TestGpfStep:
         with pytest.raises(ValueError, match="finite"):
             gpf_step(belief, np.array([bad, 5.0]), _mean_config())
 
+    def test_measurement_length_checked(self):
+        # below epsilon only the all-absent combination is kept, and it and an
+        # empty belief never reach log_pdf's own check
+        z = np.array([1.0, 2.0, 3.0])
+        faint = GpfParticleSet([0.005], [[2.0, 0.0, 2.0, 0.0]], [np.eye(4)])
+        for belief in (faint, GpfParticleSet()):
+            with pytest.raises(ValueError, match="2 finite numbers"):
+                gpf_step(belief, z, _mean_config(epsilon=0.01))
+
+    def test_plain_list_of_returns_rejected(self):
+        config = GpfConfig(
+            f_matrix=np.eye(4), q_matrix=np.zeros((4, 4)), sensor=GridSensorModel(WORKSPACE)
+        )
+        with pytest.raises(TypeError):
+            gpf_step(GpfParticleSet(), [(0, 1), (5, 1)], config)
+        with pytest.raises(TypeError):
+            gpf_step(GpfParticleSet(), [CellReturns([0], [1])], config)
+
     @pytest.mark.parametrize("cell", [-1, 144])
     def test_out_of_range_cell_rejected(self, cell):
         config = GpfConfig(
@@ -737,12 +755,12 @@ class TestGpfStep:
         )
         belief = _pset([_particle(0.5, 11.5, 11.5)])
         with pytest.raises(IndexError):
-            gpf_step(belief, [CellReturn(cell, 1)], config)
+            gpf_step(belief, CellReturns([cell], [1]), config)
         with pytest.raises(IndexError):
-            gpf_step(GpfParticleSet(), [CellReturn(cell, 1)], config)
+            gpf_step(GpfParticleSet(), CellReturns([cell], [1]), config)
         # a miss seeds no birth, so only the update can catch it
         with pytest.raises(IndexError):
-            gpf_step(GpfParticleSet(), [CellReturn(cell, 0)], config)
+            gpf_step(GpfParticleSet(), CellReturns([cell], [0]), config)
 
     def test_invariants_over_random_run(self):
         rng = np.random.default_rng(33)

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from mtt.motion import position_projection
 from mtt.regions import Rectangle
 from mtt.sensors import (
-    CellReturn,
+    CellReturns,
     GridSensorModel,
     MeanSensorModel,
     detection_prob,
@@ -136,7 +136,7 @@ class TestGrid:
         model = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
         rng = np.random.default_rng(21)
         trials = 2 * 10**4
-        hits = sum(grid_measure([], [0], model, rng)[0].value for _ in range(trials))
+        hits = sum(grid_measure([], [0], model, rng).values[0] for _ in range(trials))
         freq = hits / trials
         sigma = np.sqrt(0.6561 * (1 - 0.6561) / trials)
         assert abs(freq - 0.6561) <= 3 * sigma
@@ -146,7 +146,7 @@ class TestGrid:
         rng = np.random.default_rng(22)
         trials = 2 * 10**4
         states = [_state(0.5, 0.5)]
-        hits = sum(grid_measure(states, [0], model, rng)[0].value for _ in range(trials))
+        hits = sum(grid_measure(states, [0], model, rng).values[0] for _ in range(trials))
         freq = hits / trials
         sigma = np.sqrt(0.9 * 0.1 / trials)
         assert abs(freq - 0.9) <= 3 * sigma
@@ -162,8 +162,52 @@ class TestGrid:
             grid_measure([], [144], model, np.random.default_rng(0))
 
     def test_cell_return_validation(self):
+        returns = CellReturns([5, 3, 5], [True, 0, 1])  # order and repeats kept
+        assert returns.cells.tolist() == [5, 3, 5] and returns.values.tolist() == [1, 0, 1]
+        assert returns.cells.dtype == returns.values.dtype == np.int64
         with pytest.raises(ValueError):
-            CellReturn(0, 2)
+            returns.values[0] = 0  # read-only
+        assert len(CellReturns([], []).cells) == 0
+        bad = [
+            ([[0, 1]], [[1, 0]]),  # not 1-D
+            ([0, 1], [1]),  # lengths differ
+            ([0], [2]),  # a value other than 0 or 1
+            ([0], [0.5]),
+            ([1.5], [1]),  # float cells, even integral ones
+            ([1.0], [1]),
+            ([True], [1]),  # bool cells
+        ]
+        for cells, values in bad:
+            with pytest.raises(ValueError):
+                CellReturns(cells, values)
+
+    @pytest.mark.parametrize("cells", [[1.5], [1.0], [True], [0, 2.5]])
+    def test_non_integer_cells_rejected(self, cells):
+        # 1.5 once looked up the occupancy of "cell 1.5" and reported cell 1
+        model = GridSensorModel(WORKSPACE)
+        with pytest.raises(ValueError):
+            grid_measure([_state(1.2, 0.5)], cells, model, np.random.default_rng(0))
+
+    def test_stream_matches_scalar_draws(self):
+        # one rng.random(m) call must give the returns of one rng.random() per cell
+        model = GridSensorModel(WORKSPACE, rows=4, cols=3, p_d=0.8, snr=2.0, m_cells=12)
+        cases = np.random.default_rng(41)
+        fixed = [[], [7, 7, 7], [2, 9, 2, 0, 9]]  # no cell, and repeats
+        for trial in range(60):
+            states = [_state(*xy) for xy in cases.uniform(-1.0, 13.0, (cases.integers(0, 8), 2))]
+            cells = cases.integers(0, model.n_cells, cases.integers(0, 13)).tolist()
+            if trial < len(fixed):
+                cells = fixed[trial]
+            occupancy = [model.cell_of(s[0], s[2]) for s in states]
+            ref_rng, rng = np.random.default_rng(trial), np.random.default_rng(trial)
+            expected = [
+                int(ref_rng.random() < detection_prob(occupancy.count(c), model.p_d, model.snr))
+                for c in cells
+            ]
+            returns = grid_measure(states, cells, model, rng)
+            assert returns.cells.tolist() == cells
+            assert returns.values.tolist() == expected
+            assert rng.random() == ref_rng.random()  # both streams left at the same point
 
     @pytest.mark.parametrize("index", [-1, 144])
     def test_out_of_range_index_raises(self, index):

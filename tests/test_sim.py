@@ -89,6 +89,15 @@ class TestGenerateTruth:
         with pytest.raises(ValueError):
             ScenarioConfig(n_targets=2, initial_states=[(0.0, 0.0, 0.0, 0.0)])
 
+    @pytest.mark.parametrize(
+        "states",
+        [[(np.nan, 0.0, 0.0, 0.0)], [(1.0, 0.0, np.inf, 0.0)], [(1.0, 0.0)],
+         [(1.0, 0.0, 1.0, 0.0, 0.0)], [1.0]],
+    )
+    def test_initial_state_rows_checked(self, states):
+        with pytest.raises(ValueError):
+            ScenarioConfig(n_targets=1, initial_states=states)
+
 
 class TestAssignmentRmse:
     def test_perfect_match(self):
