@@ -2,13 +2,13 @@
 
 A tracked hypothesis is a weighted Gaussian: the weight is the probability
 that the hypothesized target exists, the Gaussian is its state distribution.
-This module provides the primitives the filters build on: log densities
-and moment-matched mixture reduction.
+This module provides the primitives the filters build on: log densities,
+noise factors for sampling, and moment-matched mixture reduction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,8 +25,28 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 
-@dataclass(frozen=True)
-class GaussianState:
+def _frozen_matrix(m: np.ndarray) -> np.ndarray:
+    """A read-only float copy of m, at least 2-D (the models' matrices)."""
+    m = np.array(m, dtype=float, ndmin=2)
+    m.setflags(write=False)
+    return m
+
+
+class ValueEq:
+    """Value equality for the package's array records (dataclasses built with
+    eq=False): == compares every field with np.array_equal, where the
+    generated == would raise on the truth value of a multi-element array."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class GaussianState(ValueEq):
     """Mean vector plus symmetric PSD covariance, immutable and shareable.
 
     The mean is copied and the covariance symmetrized (a new array) on
@@ -91,20 +111,49 @@ def chol_with_jitter(cov: np.ndarray) -> np.ndarray:
             ) from exc
 
 
-def log_pdf(g: GaussianState, x: np.ndarray) -> float:
+def noise_factor(cov: np.ndarray, name: str = "covariance") -> np.ndarray:
+    """Read-only factor A of a symmetric PSD covariance, with A' A = cov.
+
+    rng.standard_normal((k, d)) @ A draws k samples of N(0, cov).  A is
+    numpy's own multivariate_normal factor, (u sqrt(s))' from the SVD of
+    cov, applied the same way, so the draws and the random stream are
+    rng.multivariate_normal's while the SVD runs once per covariance.  A
+    matrix the factor does not reproduce (numpy's PSD test) raises ValueError.
+    """
+    cov = np.asarray(cov, dtype=float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {cov.shape}")
+    if not np.allclose(cov, cov.T, atol=1e-9):
+        raise ValueError(f"{name} must be symmetric")
+    u, s, vh = np.linalg.svd(cov)
+    if not np.allclose(vh.T * s @ vh, cov, rtol=1e-8, atol=1e-8):
+        raise ValueError(f"{name} must be positive semidefinite, got {cov.tolist()}")
+    factor = (u * np.sqrt(s)).T
+    factor.setflags(write=False)
+    return factor
+
+
+def log_pdf(g: GaussianState, x: np.ndarray) -> float | np.ndarray:
     """Log of the multivariate normal density N(x; g.mean, g.cov).
 
     log N(x) = -1/2 [ (x-mu)' Sigma^-1 (x-mu) + n log(2 pi) + log|Sigma| ]
+
+    x is one point (n,), giving a float, or a stack (..., n), giving an
+    array (...) from one Cholesky factor of Sigma; every row has the bits
+    of a one-point call.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != g.mean.shape:
+    n = g.dim
+    if x.shape[-1] != n:
         raise ValueError(f"x shape {x.shape} does not match mean shape {g.mean.shape}")
     chol = chol_with_jitter(g.cov)
-    u = np.linalg.solve(chol, x - g.mean)
-    quad = float(u @ u)
+    # one LAPACK solve per row (a many-column solve rounds differently), and
+    # a matmul per row that has the bits of u @ u
+    u = np.linalg.solve(chol, (x - g.mean).reshape(-1, n, 1))
+    quad = (u.swapaxes(1, 2) @ u).reshape(x.shape[:-1])
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    n = g.dim
-    return -0.5 * (quad + n * np.log(2.0 * np.pi) + logdet)
+    out = -0.5 * (quad + n * np.log(2.0 * np.pi) + logdet)
+    return float(out) if x.ndim == 1 else out
 
 
 def mixture_moments(

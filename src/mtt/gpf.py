@@ -29,6 +29,7 @@ from .gaussians import (
     COV_MODES,
     GaussianParticle,
     GaussianState,
+    ValueEq,
     _symmetrize,
     log_pdf,
     mixture_moments,
@@ -44,8 +45,8 @@ class CombinatorialBlowupError(ValueError):
     """Too many in-view particles to enumerate existence combinations."""
 
 
-@dataclass(frozen=True)
-class GpfParticleSet:
+@dataclass(frozen=True, eq=False)
+class GpfParticleSet(ValueEq):
     """The multi-target belief at one time step: particle i has existence
     weight weights[i] in [0, 1] and Gaussian N(means[i], covs[i]).
 

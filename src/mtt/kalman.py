@@ -8,37 +8,39 @@ matrices it reads, so the GPF passes its effective H and R directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .gaussians import GaussianState, chol_with_jitter, _symmetrize
+from .gaussians import (
+    GaussianState,
+    ValueEq,
+    _frozen_matrix,
+    _symmetrize,
+    chol_with_jitter,
+    noise_factor,
+)
 
 
-def _check_psd_shape(m: np.ndarray, name: str) -> np.ndarray:
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got {m.shape}")
-    if not np.allclose(m, m.T, atol=1e-9):
-        raise ValueError(f"{name} must be symmetric")
-    return m
+@dataclass(frozen=True, eq=False)
+class LinearGaussianModel(ValueEq):
+    """x' = F x + v,  z = H x + w,  v ~ N(0, Q),  w ~ N(0, R).
 
-
-@dataclass
-class LinearGaussianModel:
-    """x' = F x + v,  z = H x + w,  v ~ N(0, Q),  w ~ N(0, R)."""
+    Q and R must be symmetric PSD.  The model is immutable: its matrices
+    are read-only copies, and Q_factor, the noise_factor of Q, is computed
+    once here for every process-noise draw.
+    """
 
     F: np.ndarray
     Q: np.ndarray
     H: np.ndarray
     R: np.ndarray
+    Q_factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.F = np.atleast_2d(np.asarray(self.F, dtype=float))
-        self.Q = _check_psd_shape(self.Q, "Q")
-        self.H = np.atleast_2d(np.asarray(self.H, dtype=float))
-        self.R = _check_psd_shape(self.R, "R")
+        for name in ("F", "Q", "H", "R"):
+            object.__setattr__(self, name, _frozen_matrix(getattr(self, name)))
         n = self.F.shape[0]
         if self.F.shape != (n, n):
             raise ValueError(f"F must be square, got {self.F.shape}")
@@ -50,6 +52,8 @@ class LinearGaussianModel:
             raise ValueError(
                 f"R shape {self.R.shape} does not match measurement dim {self.H.shape[0]}"
             )
+        object.__setattr__(self, "Q_factor", noise_factor(self.Q, "Q"))
+        noise_factor(self.R, "R")  # the PSD check; no filter draws measurement noise
 
     @property
     def meas_dim(self) -> int:

@@ -85,7 +85,7 @@ _RESAMPLERS = {
 def pf_step(
     pset: PointParticleSet,
     model: LinearGaussianModel,
-    likelihood: Callable[[np.ndarray, np.ndarray], float],
+    likelihood: Callable[[np.ndarray, np.ndarray], np.ndarray],
     z: np.ndarray,
     rng: np.random.Generator,
     ess_ratio: float = 0.5,
@@ -93,12 +93,13 @@ def pf_step(
 ) -> PointParticleSet:
     """One SIR iteration: propagate, reweight, normalize, maybe resample.
 
-    Particles are proposed from the transition prior x' ~ N(F x, Q) and
-    reweighted by likelihood(x', z).  Resampling fires iff the effective
-    sample size drops below ess_ratio * N (the customary N/2 by default).
-    If every likelihood is zero the weights fall back to uniform and the
-    returned set carries zero_likelihood=True; a likelihood that is
-    negative or not finite raises ValueError.
+    Particles are proposed from the transition prior x' ~ N(F x, Q), the
+    noise drawn with the model's Q_factor, and reweighted by one call
+    likelihood(states (N, n), z) -> (N,) for all of them.  Resampling fires
+    iff the effective sample size drops below ess_ratio * N (the customary
+    N/2 by default).  If every likelihood is zero the weights fall back to
+    uniform and the returned set carries zero_likelihood=True; likelihoods
+    of another shape, negative or not finite raise ValueError.
     """
     if resample not in _RESAMPLERS:
         raise ValueError(f"unknown resampling scheme {resample!r}")
@@ -108,10 +109,11 @@ def pf_step(
     n = pset.n_particles
     propagated = pset.states @ model.F.T
     if np.any(model.Q):
-        noise = rng.multivariate_normal(np.zeros(model.F.shape[0]), model.Q, size=n)
-        propagated = propagated + noise
+        propagated = propagated + rng.standard_normal((n, model.F.shape[0])) @ model.Q_factor
 
-    like = np.array([likelihood(propagated[p], z) for p in range(n)], dtype=float)
+    like = np.asarray(likelihood(propagated, z), dtype=float)
+    if like.shape != (n,):
+        raise ValueError(f"likelihood must return shape ({n},), got {like.shape}")
     if not (np.isfinite(like) & (like >= 0)).all():
         raise ValueError("likelihood returned a negative or non-finite value")
     weights = pset.weights * like

@@ -7,41 +7,45 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gaussians import ValueEq, _frozen_matrix, noise_factor
 from .motion import POSITION_IDX
 from .regions import Rectangle
 
 
-@dataclass
-class MeanSensorModel:
-    """z = projection(arithmetic mean of all target states) + N(0, R)."""
+@dataclass(frozen=True, eq=False)
+class MeanSensorModel(ValueEq):
+    """z = projection(arithmetic mean of all target states) + N(0, R).
+
+    R must be symmetric PSD.  The model is immutable: its matrices are
+    read-only copies, and R_factor, the noise_factor of R, is computed once
+    here for every measurement.
+    """
 
     R: np.ndarray
     position_projection: np.ndarray
+    R_factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.R = np.atleast_2d(np.asarray(self.R, dtype=float))
-        self.position_projection = np.atleast_2d(
-            np.asarray(self.position_projection, dtype=float)
-        )
+        for name in ("R", "position_projection"):
+            object.__setattr__(self, name, _frozen_matrix(getattr(self, name)))
         r = self.position_projection.shape[0]
         if self.R.shape != (r, r):
             raise ValueError(
                 f"R shape {self.R.shape} does not match projection rows {r}"
             )
-        if not np.allclose(self.R, self.R.T, atol=1e-9):
-            raise ValueError("R must be symmetric")
+        object.__setattr__(self, "R_factor", noise_factor(self.R, "R"))
 
     @property
     def meas_dim(self) -> int:
         return self.position_projection.shape[0]
 
 
-@dataclass(frozen=True)
-class CellReturns:
+@dataclass(frozen=True, eq=False)
+class CellReturns(ValueEq):
     """One step's binary detections, checked once here and held as read-only int64
     arrays: values[k] is the return of cells[k], in interrogation order (repeats allowed)."""
 
@@ -49,15 +53,15 @@ class CellReturns:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        cells, values = np.array(self.cells), np.array(self.values)  # no dtype=int: 1.5 -> 1
+        cells, values = np.asarray(self.cells), np.asarray(self.values)  # no dtype=int: 1.5 -> 1
         if cells.ndim != 1 or values.shape != cells.shape:
             raise ValueError(f"want cells, values of shape (m,): {cells.shape}, {values.shape}")
         if cells.size and cells.dtype.kind not in "iu":  # bool too: True is no cell
             raise ValueError(f"cell indices must be integers, got {cells}")
-        if not ((values == 0) | (values == 1)).all():
+        if values.dtype != bool and not ((values == 0) | (values == 1)).all():
             raise ValueError(f"cell returns must be 0 or 1, got {values}")
         for name, value in (("cells", cells), ("values", values)):
-            value = value.astype(np.int64)
+            value = value.astype(np.int64)  # a copy: the record never shares the caller's array
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -148,7 +152,7 @@ def mean_sensor_measure(
     mean_state = stacked.mean(axis=0)
     z = model.position_projection @ mean_state
     if np.any(model.R):
-        z = z + rng.multivariate_normal(np.zeros(model.meas_dim), model.R)
+        z = z + (rng.standard_normal((1, model.meas_dim)) @ model.R_factor)[0]
     return z
 
 
@@ -174,13 +178,14 @@ def grid_measure(
     targets: one rng.random(m) draw (the stream of m scalar draws), and
     detection_prob once per T (numpy's ** over an array can differ in the last bit)."""
     cells = np.asarray(cells)  # CellReturns rejects non-integer cells
-    if len(cells) > model.m_cells:
-        raise ValueError(f"{len(cells)} cells requested but m_cells = {model.m_cells}")
-    if ((cells < 0) | (cells >= model.n_cells)).any():
+    cell_list = cells.tolist()  # checked in Python: cheaper than numpy calls at a dozen cells
+    if len(cell_list) > model.m_cells:
+        raise ValueError(f"{len(cell_list)} cells requested but m_cells = {model.m_cells}")
+    if cell_list and not (0 <= min(cell_list) and max(cell_list) < model.n_cells):
         raise ValueError(f"cell index out of range [0, {model.n_cells}): {cells}")
     xi, yi = POSITION_IDX
     occupancy = Counter(model.cell_of(s[xi], s[yi]) for s in true_states)
-    counts = [occupancy[c] for c in cells.tolist()]
+    counts = [occupancy[c] for c in cell_list]
     p_hit = {t: detection_prob(t, model.p_d, model.snr) for t in set(counts)}
     return CellReturns(cells, rng.random(len(counts)) < np.array([p_hit[t] for t in counts]))
 

@@ -245,6 +245,8 @@ class ExperimentSetup:
             if not cells:
                 raise ValueError("fixed_list strategy requires a cell list")
             for c in cells:
+                if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+                    raise ValueError(f"cell index {c!r} is not an integer")
                 if not 0 <= c < n_cells:
                     raise ValueError(f"cell index {c} out of range [0, {n_cells})")
             if len(cells) > self.m_cells:
@@ -315,8 +317,8 @@ def _pf_filter(
     """SIR step; particles start uniform over the workspace with unit-normal velocities."""
     meas_state = GaussianState(np.zeros(model.H.shape[0]), model.R)
 
-    def likelihood(state: np.ndarray, z: np.ndarray) -> float:
-        return float(np.exp(log_pdf(meas_state, z - model.H @ state)))
+    def likelihood(states: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return np.exp(log_pdf(meas_state, z - states @ model.H.T))
 
     n = setup.pf_n_particles
     states = np.stack(

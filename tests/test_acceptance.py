@@ -137,8 +137,8 @@ def test_criterion_3_pf_tracks_kalman_oracle():
     t0 = time.perf_counter()
     model = LinearGaussianModel(F=[[0.95]], Q=[[0.5]], H=[[1.0]], R=[[1.0]])
 
-    def likelihood(state, z):
-        return math.exp(-0.5 * (z[0] - state[0]) ** 2)
+    def likelihood(states, z):
+        return np.exp(-0.5 * (z[0] - states[:, 0]) ** 2)
 
     n = 10**4
     hits = total = 0
@@ -245,7 +245,7 @@ def test_criterion_6_invariant_suite():
             z = rng.standard_normal(1)
             pset = pf_step(
                 pset, model,
-                lambda s, z: math.exp(-0.5 * (z[0] - s[0]) ** 2 / 0.5), z, rng,
+                lambda s, z: np.exp(-0.5 * (z[0] - s[:, 0]) ** 2 / 0.5), z, rng,
             )
             assert abs(pset.weights.sum() - 1.0) <= 1e-9
             ess = effective_sample_size(pset.weights)

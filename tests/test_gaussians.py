@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad, simpson
 
 from mtt.gaussians import (
@@ -14,7 +14,10 @@ from mtt.gaussians import (
     SingularCovarianceError,
     log_pdf,
     moment_match_merge,
+    noise_factor,
 )
+from mtt.gpf import GpfParticleSet
+from mtt.sensors import CellReturns
 
 
 def _random_psd(rng, n, scale=1.0):
@@ -63,6 +66,54 @@ class TestLogPdf:
         g = GaussianState(np.zeros(2), np.zeros((2, 2)))
         with pytest.raises(SingularCovarianceError):
             log_pdf(g, np.zeros(2))
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_stack_equals_per_point_calls(self, d):
+        rng = np.random.default_rng(d)
+        g = GaussianState(rng.standard_normal(d), _random_psd(rng, d))
+        xs = 3.0 * rng.standard_normal((200, d))
+        stacked = log_pdf(g, xs)
+        assert stacked.shape == (200,)
+        assert_array_equal(stacked, [log_pdf(g, x) for x in xs])
+        assert_array_equal(log_pdf(g, xs.reshape(4, 50, d)), stacked.reshape(4, 50))
+
+    def test_one_point_gives_a_float(self):
+        assert type(log_pdf(GaussianState(np.zeros(2), np.eye(2)), np.ones(2))) is float
+
+    def test_stack_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            log_pdf(GaussianState(np.zeros(2), np.eye(2)), np.zeros((5, 3)))
+
+
+class TestNoiseFactor:
+    @pytest.mark.parametrize(
+        "cov",
+        [np.diag([0.5, 2.0]), np.diag([20.0, 0.0, 20.0, 0.2]),
+         _random_psd(np.random.default_rng(2), 2), _random_psd(np.random.default_rng(4), 4)],
+    )
+    @pytest.mark.parametrize("size", [None, 1000])
+    def test_draws_equal_multivariate_normal(self, cov, size):
+        # numpy's own factor applied numpy's way: same draws, same stream
+        d = cov.shape[0]
+        rng_ref, rng = np.random.default_rng(7), np.random.default_rng(7)
+        want = rng_ref.multivariate_normal(np.zeros(d), cov, size=size)
+        got = rng.standard_normal((1 if size is None else size, d)) @ noise_factor(cov)
+        assert_array_equal(got[0] if size is None else got, want)
+        assert rng.random() == rng_ref.random()
+
+    def test_factor_reproduces_covariance(self):
+        cov = _random_psd(np.random.default_rng(4), 4)
+        factor = noise_factor(cov)
+        assert_allclose(factor.T @ factor, cov, atol=1e-12)
+        assert not factor.flags.writeable
+
+    @pytest.mark.parametrize(
+        "cov", [[[1.0, 2.0], [2.0, 1.0]], [[-1.0, 0.0], [0.0, 1.0]], [[1.0, 0.5], [0.0, 1.0]],
+                np.ones((2, 3))]
+    )
+    def test_not_square_symmetric_psd_rejected(self, cov):
+        with pytest.raises(ValueError, match="Q must be"):
+            noise_factor(cov, "Q")
 
 
 def _merge(particles, cov_mode="moment"):
@@ -197,6 +248,29 @@ class TestTypes:
     def test_cov_symmetrized(self):
         g = GaussianState(np.zeros(2), np.array([[1.0, 0.3 + 1e-12], [0.3, 1.0]]))
         assert_allclose(g.cov, g.cov.T, atol=0)
+
+
+class TestValueEquality:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: GaussianState([1.0, v], [[2.0, 0.5], [0.5, 1.0]]),
+            lambda v: CellReturns([1, 2, 3], [1, 0, int(v)]),
+            lambda v: GpfParticleSet(
+                [0.5, 0.9], [[0, 0, 0, 0], [1, 2, 3, v]], np.tile(np.eye(4), (2, 1, 1))
+            ),
+        ],
+        ids=["GaussianState", "CellReturns", "GpfParticleSet"],
+    )
+    def test_multi_element_records_compare_by_value(self, make):
+        assert make(1.0) == make(1.0)
+        assert make(1.0) != make(0.0)
+        assert make(1.0) != "not a record"
+
+    def test_shapes_and_flags_count(self):
+        assert GaussianState([0.0, 0.0], np.eye(2)) != GaussianState([0.0], [[1.0]])
+        one = GpfParticleSet([0.5], [[0, 0, 0, 0]], [np.eye(4)])
+        assert one != GpfParticleSet([0.5], [[0, 0, 0, 0]], [np.eye(4)], degenerate_step=True)
 
 
 class TestImmutability:

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,6 +153,23 @@ class TestModelValidation:
     def test_asymmetric_q_rejected(self):
         with pytest.raises(ValueError):
             LinearGaussianModel(F=np.eye(2), Q=[[1.0, 0.5], [0.0, 1.0]], H=np.eye(2), R=np.eye(2))
+
+    def test_q_must_be_psd(self):
+        # pf_step would draw its process noise from a wrong distribution
+        with pytest.raises(ValueError, match="Q must be positive semidefinite"):
+            LinearGaussianModel(F=np.eye(2), Q=[[1.0, 2.0], [2.0, 1.0]], H=np.eye(2), R=np.eye(2))
+
+    def test_r_must_be_psd(self):
+        with pytest.raises(ValueError, match="R must be positive semidefinite"):
+            LinearGaussianModel(F=np.eye(2), Q=np.eye(2), H=np.eye(2), R=-np.eye(2))
+
+    def test_model_is_frozen(self):
+        model = _model_1d(q=0.5)
+        with pytest.raises(FrozenInstanceError):
+            model.Q = np.eye(1)
+        with pytest.raises(ValueError):
+            model.Q[0, 0] = 2.0
+        assert_allclose(model.Q_factor.T @ model.Q_factor, [[0.5]])
 
     def test_inconsistent_dims_rejected(self):
         with pytest.raises(ValueError):

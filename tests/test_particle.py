@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from mtt.gaussians import GaussianState
 from mtt.kalman import LinearGaussianModel, kf_predict, kf_update
@@ -101,13 +101,13 @@ class TestPfStep:
     def test_non_finite_measurement_rejected(self, bad):
         pset = _uniform_set([[0.0], [1.0]])
         with pytest.raises(ValueError, match="finite"):
-            pf_step(pset, _model_1d(), lambda s, z: 1.0, np.array([bad]),
+            pf_step(pset, _model_1d(), lambda s, z: np.ones(len(s)), np.array([bad]),
                     np.random.default_rng(0))
 
     def test_constant_likelihood_keeps_weights(self):
         pset = PointParticleSet([[0.0], [1.0], [2.0]], [0.5, 0.3, 0.2])
         out = pf_step(
-            pset, _model_1d(q=0.0), lambda s, z: 0.7, np.array([0.0]),
+            pset, _model_1d(q=0.0), lambda s, z: np.full(len(s), 0.7), np.array([0.0]),
             np.random.default_rng(0),
         )
         assert_allclose(out.weights, [0.5, 0.3, 0.2])
@@ -116,7 +116,7 @@ class TestPfStep:
     def test_frozen_dynamics_keep_states(self):
         pset = _uniform_set([[0.0], [1.0], [2.0]])
         out = pf_step(
-            pset, _model_1d(f=1.0, q=0.0), lambda s, z: 1.0, np.array([0.0]),
+            pset, _model_1d(f=1.0, q=0.0), lambda s, z: np.ones(len(s)), np.array([0.0]),
             np.random.default_rng(0),
         )
         assert np.array_equal(out.states, pset.states)
@@ -124,7 +124,7 @@ class TestPfStep:
     def test_zero_likelihood_falls_back_to_uniform(self):
         pset = PointParticleSet([[0.0], [1.0]], [0.9, 0.1])
         out = pf_step(
-            pset, _model_1d(q=0.0), lambda s, z: 0.0, np.array([0.0]),
+            pset, _model_1d(q=0.0), lambda s, z: np.zeros(len(s)), np.array([0.0]),
             np.random.default_rng(0),
         )
         assert out.zero_likelihood
@@ -136,7 +136,7 @@ class TestPfStep:
         pset = _uniform_set(states)
 
         def like(s, z):
-            return 1.0 if abs(s[0] - z[0]) < 1.0 else 1e-12
+            return np.where(abs(s[:, 0] - z[0]) < 1.0, 1.0, 1e-12)
 
         out = pf_step(pset, _model_1d(q=0.0), like, np.array([0.0]), np.random.default_rng(0))
         assert_allclose(out.weights, 0.25)
@@ -148,12 +148,7 @@ class TestPfStep:
         pset = PointParticleSet(states, [0.25] * 4)
         weights = np.array([0.5, 0.5, 0.0, 0.0])
 
-        def like(s, z):
-            like.calls += 1
-            return weights[like.calls - 1]
-
-        like.calls = 0
-        out = pf_step(pset, _model_1d(q=0.0), like, np.array([0.0]),
+        out = pf_step(pset, _model_1d(q=0.0), lambda s, z: weights, np.array([0.0]),
                       np.random.default_rng(0))
         assert_allclose(out.weights, weights)
 
@@ -161,7 +156,7 @@ class TestPfStep:
         rng = np.random.default_rng(9)
         pset = _uniform_set(rng.standard_normal((100, 1)))
         out = pf_step(
-            pset, _model_1d(), lambda s, z: float(np.exp(-0.5 * (s[0] - z[0]) ** 2)),
+            pset, _model_1d(), lambda s, z: np.exp(-0.5 * (s[:, 0] - z[0]) ** 2),
             np.array([0.3]), rng,
         )
         assert abs(out.weights.sum() - 1.0) <= 1e-9
@@ -170,7 +165,7 @@ class TestPfStep:
         pset = _uniform_set(np.linspace(-1, 1, 64)[:, None])
 
         def like(s, z):
-            return float(np.exp(-0.5 * (s[0] - z[0]) ** 2))
+            return np.exp(-0.5 * (s[:, 0] - z[0]) ** 2)
 
         outs = []
         for _ in range(2):
@@ -182,15 +177,30 @@ class TestPfStep:
     def test_negative_likelihood_rejected(self):
         pset = _uniform_set([[0.0]])
         with pytest.raises(ValueError):
-            pf_step(pset, _model_1d(), lambda s, z: -1.0, np.array([0.0]),
+            pf_step(pset, _model_1d(), lambda s, z: np.array([-1.0]), np.array([0.0]),
                     np.random.default_rng(0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_likelihood_rejected(self, bad):
         pset = _uniform_set([[0.0], [1.0]])
         with pytest.raises(ValueError, match="finite"):
-            pf_step(pset, _model_1d(), lambda s, z: bad, np.array([0.0]),
+            pf_step(pset, _model_1d(), lambda s, z: np.array([1.0, bad]), np.array([0.0]),
                     np.random.default_rng(0))
+
+    @pytest.mark.parametrize("like", [lambda s, z: 1.0, lambda s, z: np.ones(len(s) - 1),
+                                      lambda s, z: np.ones((len(s), 1))])
+    def test_likelihood_shape_checked(self, like):
+        pset = _uniform_set([[0.0], [1.0], [2.0]])
+        with pytest.raises(ValueError, match=r"shape \(3,\)"):
+            pf_step(pset, _model_1d(), like, np.array([0.0]), np.random.default_rng(0))
+
+    def test_process_noise_is_multivariate_normal_stream(self):
+        q = np.array([[1.0, 0.3], [0.3, 0.5]])
+        model = LinearGaussianModel(F=np.eye(2), Q=q, H=np.eye(2), R=np.eye(2))
+        pset = _uniform_set(np.zeros((500, 2)))
+        rng, rng_ref = np.random.default_rng(4), np.random.default_rng(4)
+        out = pf_step(pset, model, lambda s, z: np.ones(len(s)), np.zeros(2), rng)
+        assert_array_equal(out.states, rng_ref.multivariate_normal(np.zeros(2), q, size=500))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weights_rejected(self, bad):
@@ -209,7 +219,7 @@ class TestPfStep:
         )
 
         def like(s, z):
-            return float(np.exp(-0.5 * (z[0] - s[0]) ** 2 / 0.8))
+            return np.exp(-0.5 * (z[0] - s[:, 0]) ** 2 / 0.8)
 
         hits = 0
         steps = 25

@@ -1,10 +1,11 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from mtt.motion import position_projection
 from mtt.regions import Rectangle
@@ -51,6 +52,14 @@ class TestMeanSensor:
         )
         sample_cov = np.cov(draws.T)
         assert_allclose(sample_cov, np.eye(2), atol=0.05)
+
+    @pytest.mark.parametrize("r", [np.diag([0.5, 0.5]), [[1.0, 0.3], [0.3, 0.5]]])
+    def test_noise_is_multivariate_normal_stream(self, r):
+        model = MeanSensorModel(R=r, position_projection=position_projection())
+        rng, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(20):
+            z = mean_sensor_measure([_state(1.0, 2.0)], model, rng)
+            assert_array_equal(z, [1.0, 2.0] + rng_ref.multivariate_normal(np.zeros(2), r))
 
     def test_deterministic_with_zero_noise(self):
         model = MeanSensorModel(R=np.zeros((2, 2)), position_projection=position_projection())
@@ -350,3 +359,18 @@ class TestModelValidation:
     def test_mean_sensor_shape_check(self):
         with pytest.raises(ValueError):
             MeanSensorModel(R=np.eye(3), position_projection=position_projection())
+
+    def test_mean_sensor_r_must_be_psd(self):
+        # numpy would only warn at every draw and sample a wrong distribution
+        with pytest.raises(ValueError, match="R must be positive semidefinite"):
+            MeanSensorModel(R=[[1.0, 2.0], [2.0, 1.0]], position_projection=position_projection())
+
+    def test_mean_sensor_model_is_frozen(self):
+        r = np.eye(2)
+        model = MeanSensorModel(R=r, position_projection=position_projection())
+        r[0, 0] = 9.0  # the model keeps its own copy
+        assert_array_equal(model.R, np.eye(2))
+        with pytest.raises(FrozenInstanceError):
+            model.R = np.zeros((2, 2))
+        with pytest.raises(ValueError):
+            model.R[0, 0] = 5.0

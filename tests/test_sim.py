@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mtt.gaussians import log_pdf
 from mtt.regions import Rectangle
 from mtt.sim import (
     ExperimentSetup,
@@ -200,6 +201,18 @@ class TestEvaluateMetrics:
         assert log.records[0].ospa == 0.0
 
 
+class TestExperimentSetup:
+    @pytest.mark.parametrize("cells", [[1.5, 2], [True], [np.float64(3.0)], ["4"]])
+    def test_fixed_cells_must_be_integers(self, cells):
+        # rejected here, not at the first step inside grid_measure
+        with pytest.raises(ValueError, match="not an integer"):
+            ExperimentSetup(cell_strategy="fixed_list", fixed_cells=cells)
+
+    def test_numpy_integer_cells_accepted(self):
+        setup = ExperimentSetup(cell_strategy="fixed_list", fixed_cells=[np.int64(3), 143])
+        assert setup.fixed_cells == [3, 143]
+
+
 class TestRunExperiment:
     def test_kalman_exact_observation(self):
         # with R = 0 and Q = 0 two exact fixes pin the full state, after
@@ -270,6 +283,20 @@ class TestRunExperiment:
         setup = ExperimentSetup(pf_n_particles=2000, mean_r_diag=(0.25, 0.25))
         log = run_experiment(config, "pf", "mean", np.random.default_rng(3), setup)
         assert log.records[-1].rmse < 2.0
+
+    def test_pf_step_calls_log_pdf_once(self, monkeypatch):
+        # the likelihood weighs every particle in one call: one Cholesky of R per step
+        calls = []
+
+        def counting_log_pdf(g, x):
+            calls.append(np.shape(x))
+            return log_pdf(g, x)
+
+        monkeypatch.setattr("mtt.sim.log_pdf", counting_log_pdf)
+        config = ScenarioConfig(n_targets=1, n_steps=4, initial_states=[(6.0, 0.0, 6.0, 0.0)])
+        run_experiment(config, "pf", "mean", np.random.default_rng(0),
+                       ExperimentSetup(pf_n_particles=300))
+        assert calls == [(300, 2)] * 4
 
     def test_deterministic_per_seed(self):
         config = ScenarioConfig(
