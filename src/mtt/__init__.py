@@ -44,7 +44,6 @@ from .sensors import (
 )
 from .sim import (
     ExperimentSetup,
-    MetricReport,
     ScenarioConfig,
     TrackingLog,
     evaluate_metrics,

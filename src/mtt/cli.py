@@ -98,27 +98,22 @@ def write_particles_json(
     path: Path,
 ) -> None:
     """Full per-step particle log (means, covariances, weights) as JSON."""
-    steps = []
-    for rec in tracking_log.records:
-        steps.append(
-            {
-                "step": rec.step,
-                "truth": np.asarray(rec.true_states).tolist(),
-                "measurement": rec.measurement,
-                "particles": [
-                    {
-                        "weight": w,
-                        "mean": np.asarray(m).tolist(),
-                        "cov": np.asarray(c).tolist(),
-                    }
-                    for m, c, w in zip(rec.means, rec.covs, rec.weights)
-                ],
-                "cardinality": rec.cardinality,
-                "rmse": rec.rmse,
-                "card_err": rec.card_err,
-                "ospa": rec.ospa,
-            }
-        )
+    steps = [
+        {
+            "step": rec.step,
+            "truth": rec.true_states.tolist(),
+            "measurement": rec.measurement,
+            "particles": [
+                {"weight": w, "mean": m, "cov": c}
+                for m, c, w in zip(rec.means.tolist(), rec.covs.tolist(), rec.weights.tolist())
+            ],
+            "cardinality": rec.cardinality,
+            "rmse": rec.rmse,
+            "card_err": rec.card_err,
+            "ospa": rec.ospa,
+        }
+        for rec in tracking_log.records
+    ]
     payload = {
         "schema": "mtt-particle-log-v1",
         "config": dump_config(config),
@@ -133,30 +128,49 @@ def write_particles_json(
     )
 
 
+def _step_record(entry: dict, path: Path) -> StepRecord:
+    """One logged step: truth (n_targets, 4), means (n, 4), covs (n, 4, 4)
+    and weights (n,).
+
+    Raises ConfigError, naming the step, for a particle without a mean, cov
+    or weight, a mean that is not 4 finite numbers, a cov that is not 4x4
+    finite numbers, or a weight that is not a number in [0, 1].
+    """
+    where = f"{path}: step {entry['step']}"
+    particles = entry["particles"]
+    n = len(particles)
+    try:  # a step without particles reads as (0, 4), (0, 4, 4) and (0,)
+        means = np.array([p["mean"] for p in particles] or np.zeros((0, 4)), dtype=float)
+        covs = np.array([p["cov"] for p in particles] or np.zeros((0, 4, 4)), dtype=float)
+        weights = np.array([p["weight"] for p in particles], dtype=float)
+    except KeyError as exc:
+        raise ConfigError(f"{where}: a particle has no {exc.args[0]}") from None
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: a particle mean, cov or weight is not numbers") from None
+    if means.shape != (n, 4):
+        raise ConfigError(f"{where}: a particle mean is not 4 numbers")
+    if covs.shape != (n, 4, 4):
+        raise ConfigError(f"{where}: a particle cov is not 4x4 numbers")
+    if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+        raise ConfigError(f"{where}: a particle mean or cov is not finite")
+    if weights.shape != (n,) or not ((weights >= 0.0) & (weights <= 1.0)).all():  # NaN fails
+        raise ConfigError(f"{where}: a particle weight is not a number in [0, 1]")
+    truth = np.asarray(entry["truth"], dtype=float)  # a zero-target step, [], reads as (0, 4)
+    return StepRecord(entry["step"], truth.reshape(len(truth), 4), entry["measurement"],
+                      means=means, covs=covs, weights=weights,
+                      cardinality=float(entry["cardinality"]))
+
+
 def read_particles_json(path: Path) -> tuple[np.ndarray, TrackingLog, ExperimentConfig, int]:
-    """Truth, tracking log, config and seed of a `track` run's particle log."""
+    """Truth, tracking log, config and seed of a `track` run's particle log;
+    ConfigError if the file is not one or holds a malformed particle."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if payload.get("schema") != "mtt-particle-log-v1":
         raise ConfigError(f"{path} is not an mtt particle log")
     config = parse_config_text(payload["config"])
-    records = []
-    truth_steps = []
-    for entry in payload["steps"]:
-        truth = np.asarray(entry["truth"], dtype=float)
-        truth_steps.append(truth)
-        records.append(
-            StepRecord(
-                step=entry["step"],
-                true_states=truth,
-                measurement=entry["measurement"],
-                means=[np.asarray(p["mean"], dtype=float) for p in entry["particles"]],
-                covs=[np.asarray(p["cov"], dtype=float) for p in entry["particles"]],
-                weights=[float(p["weight"]) for p in entry["particles"]],
-                cardinality=float(entry["cardinality"]),
-            )
-        )
-    truth_arr = np.asarray(truth_steps, dtype=float)
-    return truth_arr, TrackingLog(records), config, payload["seed"]
+    records = [_step_record(entry, path) for entry in payload["steps"]]
+    truth = np.asarray([rec.true_states for rec in records], dtype=float)
+    return truth, TrackingLog(records), config, payload["seed"]
 
 
 def write_manifest(

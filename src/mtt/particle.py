@@ -8,21 +8,23 @@ is the single-target baseline with known association.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .gaussians import ValueEq
 from .kalman import LinearGaussianModel
 
 
-@dataclass
-class PointParticleSet:
-    """Point-mass particles with normalized weights.
+@dataclass(frozen=True, eq=False)
+class PointParticleSet(ValueEq):
+    """Point-mass particles with normalized weights, immutable like GaussianState.
 
-    states has shape (N, n); weights has shape (N,) and sums to one.
-    zero_likelihood flags a step on which every likelihood vanished and
-    the weights were reset to uniform.
+    states has shape (N, n); weights has shape (N,) and sums to one.  Both
+    are copied on construction and made read-only.  zero_likelihood flags
+    a step on which every likelihood vanished and the weights were reset
+    to uniform.
     """
 
     states: np.ndarray
@@ -30,18 +32,19 @@ class PointParticleSet:
     zero_likelihood: bool = False
 
     def __post_init__(self) -> None:
-        self.states = np.atleast_2d(np.asarray(self.states, dtype=float))
-        self.weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if self.states.shape[0] != self.weights.shape[0]:
-            raise ValueError(
-                f"{self.states.shape[0]} states but {self.weights.shape[0]} weights"
-            )
-        if self.states.shape[0] < 1:
+        states = np.array(self.states, dtype=float, ndmin=2)
+        weights = np.array(self.weights, dtype=float, ndmin=1)
+        if states.shape[0] != weights.shape[0]:
+            raise ValueError(f"{states.shape[0]} states but {weights.shape[0]} weights")
+        if states.shape[0] < 1:
             raise ValueError("particle set must be non-empty")
-        if not (np.isfinite(self.weights) & (self.weights >= 0)).all():
+        if not (np.isfinite(weights) & (weights >= 0)).all():
             raise ValueError("weights must be finite and non-negative")
-        if abs(self.weights.sum() - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1, got {self.weights.sum()!r}")
+        if abs(weights.sum() - 1.0) > 1e-9:
+            raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
+        for name, value in (("states", states), ("weights", weights)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n_particles(self) -> int:
@@ -60,20 +63,22 @@ def effective_sample_size(weights: np.ndarray) -> float:
     return float(1.0 / np.sum(weights**2))
 
 
-def resample_multinomial(pset: PointParticleSet, rng: np.random.Generator) -> PointParticleSet:
+def resample_multinomial(pset: PointParticleSet, rng: np.random.Generator,
+                         zero_likelihood: bool = False) -> PointParticleSet:
     """Draw N particles with replacement proportional to weight; reset to 1/N."""
     n = pset.n_particles
     idx = rng.choice(n, size=n, replace=True, p=pset.weights)
-    return PointParticleSet(pset.states[idx], np.full(n, 1.0 / n))
+    return PointParticleSet(pset.states[idx], np.full(n, 1.0 / n), zero_likelihood)
 
 
-def resample_systematic(pset: PointParticleSet, rng: np.random.Generator) -> PointParticleSet:
+def resample_systematic(pset: PointParticleSet, rng: np.random.Generator,
+                        zero_likelihood: bool = False) -> PointParticleSet:
     """Low-variance systematic resampling (one uniform draw per sweep)."""
     n = pset.n_particles
     positions = (rng.random() + np.arange(n)) / n
     idx = np.searchsorted(np.cumsum(pset.weights), positions)
     idx = np.clip(idx, 0, n - 1)
-    return PointParticleSet(pset.states[idx], np.full(n, 1.0 / n))
+    return PointParticleSet(pset.states[idx], np.full(n, 1.0 / n), zero_likelihood)
 
 
 _RESAMPLERS = {
@@ -126,7 +131,5 @@ def pf_step(
 
     out = PointParticleSet(propagated, weights, zero_likelihood=degenerate)
     if effective_sample_size(out.weights) < ess_ratio * n:
-        resampled = _RESAMPLERS[resample](out, rng)
-        resampled.zero_likelihood = degenerate
-        return resampled
+        return _RESAMPLERS[resample](out, rng, zero_likelihood=degenerate)
     return out

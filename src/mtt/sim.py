@@ -66,14 +66,15 @@ class ScenarioConfig:
 
 @dataclass
 class StepRecord:
-    """Everything logged about one time step."""
+    """Everything logged about one time step: the truth, the measurement, the
+    filter's estimate as n weighted Gaussians, and the metrics."""
 
     step: int
     true_states: np.ndarray
     measurement: object
-    means: list[np.ndarray]
-    covs: list[np.ndarray]
-    weights: list[float]
+    means: np.ndarray  # (n, 4)
+    covs: np.ndarray  # (n, 4, 4)
+    weights: np.ndarray  # (n,)
     cardinality: float
     rmse: float | None = None
     card_err: float | None = None
@@ -83,13 +84,6 @@ class StepRecord:
 @dataclass
 class TrackingLog:
     records: list[StepRecord] = field(default_factory=list)
-
-
-@dataclass
-class MetricReport:
-    rmse: list[float]
-    card_err: list[float]
-    ospa: list[float] | None = None
 
 
 def generate_truth(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
@@ -120,27 +114,28 @@ def generate_truth(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarr
     return truth
 
 
-def _capped_cost(
-    estimates: list[np.ndarray], truths: list[np.ndarray], cap: float, p: int
-) -> np.ndarray:
-    """Estimate-to-truth distances capped at `cap`, raised to the power p."""
-    cost = np.zeros((len(estimates), len(truths)))
-    for i, e in enumerate(estimates):
-        for j, t in enumerate(truths):
-            cost[i, j] = min(np.linalg.norm(np.asarray(e) - np.asarray(t)), cap) ** p
-    return cost
+def _capped_cost(estimates: np.ndarray, truths: np.ndarray, cap: float, p: int) -> np.ndarray:
+    """(m, n) estimate-to-truth distances capped at `cap`, raised to the power p.
+
+    Each squared distance is a per-row matmul, which rounds like the dot
+    product of np.linalg.norm; (d * d).sum(-1) and ** p do not.
+    """
+    d = np.asarray(estimates, dtype=float)[:, None, :] - np.asarray(truths, dtype=float)[None]
+    dist = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+    return np.float_power(np.minimum(dist, cap), p)
 
 
 def assignment_rmse(
-    estimates: list[np.ndarray],
-    truths: list[np.ndarray],
+    estimates: np.ndarray,
+    truths: np.ndarray,
     cap: float = 5.0,
 ) -> float:
     """Position RMSE under the minimum-cost estimate-to-truth assignment.
 
-    Distances are capped at `cap`, unmatched truths cost the full cap, and
-    the mean square is taken over the number of truths.  With no truths the
-    result is 0 when there are also no estimates, else the cap.
+    Estimates and truths are point sets, (m, d) and (n, d) arrays or lists
+    of points.  Distances are capped at `cap`, unmatched truths cost the
+    full cap, and the mean square is taken over the number of truths.  With
+    no truths the result is 0 when there are also no estimates, else the cap.
     """
     n_true = len(truths)
     n_est = len(estimates)
@@ -156,9 +151,9 @@ def assignment_rmse(
 
 
 def ospa_distance(
-    estimates: list[np.ndarray], truths: list[np.ndarray], cap: float = 5.0, p: int = 2
+    estimates: np.ndarray, truths: np.ndarray, cap: float = 5.0, p: int = 2
 ) -> float:
-    """OSPA metric between two point sets (order p, cutoff cap)."""
+    """OSPA metric between two point sets (order p, cutoff cap), as in assignment_rmse."""
     m, n = len(estimates), len(truths)
     if m == 0 and n == 0:
         return 0.0
@@ -171,28 +166,19 @@ def ospa_distance(
     return float((total / max(m, n)) ** (1.0 / p))
 
 
-def extract_estimates(record: StepRecord, threshold: float) -> list[np.ndarray]:
-    """Positions of particles whose existence weight clears the threshold."""
-    idx = np.asarray(POSITION_IDX)
-    return [
-        np.asarray(m)[idx]
-        for m, w in zip(record.means, record.weights)
-        if w >= threshold
-    ]
-
-
 def evaluate_metrics(
     truth: np.ndarray,
     log: TrackingLog,
     extraction_threshold: float = 0.5,
     distance_cap: float = 5.0,
     with_ospa: bool = False,
-) -> MetricReport:
-    """Fill per-step RMSE and cardinality error into the log records.
+) -> None:
+    """Fill per-step RMSE, cardinality error and optionally OSPA into the log records.
 
     The cardinality error is |sum of weights - true target count|; the
-    RMSE is assignment-based over extracted estimates (weight >= the
-    extraction threshold) against true positions.
+    RMSE is assignment-based over extracted estimates (the positions of
+    the means whose weight is >= the extraction threshold) against true
+    positions.
     """
     if len(truth) != len(log.records):
         raise ValueError(
@@ -200,14 +186,12 @@ def evaluate_metrics(
         )
     idx = np.asarray(POSITION_IDX)
     for k, record in enumerate(log.records):
-        truths = [s[idx] for s in truth[k]]
-        estimates = extract_estimates(record, extraction_threshold)
+        truths = truth[k][:, idx]
+        estimates = record.means[record.weights >= extraction_threshold][:, idx]
         record.rmse = assignment_rmse(estimates, truths, distance_cap)
         record.card_err = abs(record.cardinality - len(truths))
         if with_ospa:
             record.ospa = ospa_distance(estimates, truths, distance_cap)
-    return MetricReport([r.rmse for r in log.records], [r.card_err for r in log.records],
-                        [r.ospa for r in log.records] if with_ospa else None)
 
 
 @dataclass
@@ -253,7 +237,8 @@ class ExperimentSetup:
                 raise ValueError(f"{len(cells)} fixed cells but m_cells = {self.m_cells}")
 
 
-StepFn = Callable[[object], tuple[list, list, list, float]]
+# One filter step: measurement -> (means (n, 4), covs (n, 4, 4), weights (n,), cardinality).
+StepFn = Callable[[object], tuple[np.ndarray, np.ndarray, np.ndarray, float]]
 
 
 def _gpf_filter(
@@ -288,12 +273,7 @@ def _gpf_filter(
     def step(z):
         nonlocal belief
         belief = gpf_step(belief, z, gpf_config)
-        return (
-            list(belief.means),
-            list(belief.covs),
-            belief.weights.tolist(),
-            estimate_cardinality(belief),
-        )
+        return belief.means, belief.covs, belief.weights, estimate_cardinality(belief)
 
     return step
 
@@ -306,7 +286,7 @@ def _kf_filter(model: LinearGaussianModel, ws: Rectangle) -> StepFn:
     def step(z):
         nonlocal belief
         belief = kf_update(kf_predict(belief, model.F, model.Q), model.H, model.R, z).posterior
-        return [belief.mean], [belief.cov], [1.0], 1.0
+        return belief.mean[None], belief.cov[None], np.ones(1), 1.0
 
     return step
 
@@ -336,7 +316,8 @@ def _pf_filter(
         nonlocal pset
         pset = pf_step(pset, model, likelihood, z, rng,
                        ess_ratio=setup.pf_ess_ratio, resample=setup.pf_resample)
-        return [pset.mean()], [np.cov(pset.states.T, aweights=pset.weights)], [1.0], 1.0
+        cov = np.cov(pset.states.T, aweights=pset.weights)  # logged unsymmetrized, as computed
+        return pset.mean()[None], cov[None], np.ones(1), 1.0
 
     return step
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mtt.cli import run_command, write_csv
+from mtt.cli import read_particles_json, run_command, write_csv
 from mtt.config import parse_config_text
 from mtt.sim import StepRecord, TrackingLog
 
@@ -25,6 +25,19 @@ gpf.d_thresh = 4.0
 """
 
 
+# A target that starts outside the grid and walks into the watched row of cells:
+# the GPF belief is empty for the first steps.
+EMPTY_STEPS_CFG = """
+scenario.n_targets = 1
+scenario.n_steps = 8
+scenario.q_diag = 0,0,0,0
+scenario.initial_states = 14,-0.5,6.5,0
+sensor.snr = 30
+sensor.strategy = fixed_list
+sensor.fixed_cells = 76,77,78,79,80,81,82,83
+"""
+
+
 @pytest.fixture
 def cfg_file(tmp_path):
     path = tmp_path / "run.cfg"
@@ -37,9 +50,9 @@ def _record(step, truth, rmse, card_err, cardinality=1.0):
         step=step,
         true_states=np.asarray(truth, dtype=float),
         measurement=None,
-        means=[np.zeros(4)],
-        covs=[np.eye(4)],
-        weights=[1.0],
+        means=np.zeros((1, 4)),
+        covs=np.eye(4)[None],
+        weights=np.ones(1),
         cardinality=cardinality,
         rmse=rmse,
         card_err=card_err,
@@ -138,6 +151,73 @@ class TestEval:
 
     def test_eval_missing_log_is_runtime_error(self, tmp_path):
         assert run_command(["eval", "--log", str(tmp_path / "nope.json")]) == 2
+
+    def test_eval_round_trips_empty_gpf_steps(self, tmp_path):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(EMPTY_STEPS_CFG)
+        out = tmp_path / "t"
+        assert run_command(["track", "--config", str(cfg), "--filter", "gpf",
+                            "--sensor", "grid", "--out", str(out)]) == 0
+        _, tracking_log, _, _ = read_particles_json(out / "particles.json")
+        counts = [len(rec.weights) for rec in tracking_log.records]
+        assert counts[0] == 0 and max(counts) > 0
+        rec = tracking_log.records[0]
+        assert (rec.weights.shape, rec.means.shape, rec.covs.shape) == ((0,), (0, 4), (0, 4, 4))
+        out_eval = tmp_path / "e"
+        assert run_command(["eval", "--log", str(out / "particles.json"),
+                            "--out", str(out_eval)]) == 0
+        assert (out_eval / "eval_metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
+
+    def test_eval_round_trips_zero_target_run(self, tmp_path):
+        cfg = tmp_path / "none.cfg"
+        cfg.write_text("scenario.n_targets = 0\nscenario.n_steps = 4\n")
+        out = tmp_path / "t"
+        assert run_command(["track", "--config", str(cfg), "--filter", "gpf",
+                            "--sensor", "grid", "--out", str(out)]) == 0
+        truth, _, _, _ = read_particles_json(out / "particles.json")
+        assert truth.shape == (4, 0, 4)
+        out_eval = tmp_path / "e"
+        assert run_command(["eval", "--log", str(out / "particles.json"),
+                            "--out", str(out_eval)]) == 0
+        assert (out_eval / "eval_metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
+
+# Mutations of one logged particle that `eval` must reject as a config error.
+_MALFORMED_PARTICLES = {
+    "no_weight": lambda p: p.pop("weight"),
+    "no_mean": lambda p: p.pop("mean"),
+    "no_cov": lambda p: p.pop("cov"),
+    "nan_weight": lambda p: p.update(weight=float("nan")),
+    "weight_above_one": lambda p: p.update(weight=1.5),
+    "negative_weight": lambda p: p.update(weight=-0.25),
+    "inf_mean": lambda p: p.update(mean=[1.0, 2.0, 3.0, float("inf")]),
+    "short_mean": lambda p: p.update(mean=[1.0, 2.0]),
+    "nested_mean": lambda p: p.update(mean=[[1.0, 2.0], [3.0, 4.0]]),
+    "text_mean": lambda p: p.update(mean=[1.0, 2.0, 3.0, "x"]),
+    "cov_3x3": lambda p: p.update(cov=np.eye(3).tolist()),
+    "nan_cov": lambda p: p["cov"][1].__setitem__(2, float("nan")),
+}
+
+
+@pytest.fixture(scope="module")
+def gpf_mean_log(tmp_path_factory):
+    work = tmp_path_factory.mktemp("gpf_mean")
+    cfg = work / "one.cfg"
+    cfg.write_text("scenario.n_targets = 1\nscenario.n_steps = 5\n"
+                   "scenario.initial_states = 6,0,6,0\n")
+    assert run_command(["track", "--config", str(cfg), "--filter", "gpf", "--sensor", "mean",
+                        "--out", str(work / "t")]) == 0
+    return json.loads((work / "t" / "particles.json").read_text())
+
+
+@pytest.mark.parametrize("mutation", sorted(_MALFORMED_PARTICLES))
+def test_eval_rejects_malformed_particle(mutation, gpf_mean_log, tmp_path, capfd):
+    payload = json.loads(json.dumps(gpf_mean_log))
+    _MALFORMED_PARTICLES[mutation](payload["steps"][3]["particles"][0])
+    path = tmp_path / "particles.json"
+    path.write_text(json.dumps(payload))
+    assert run_command(["eval", "--log", str(path), "--out", str(tmp_path / "e")]) == 1
+    assert "step 3" in capfd.readouterr().err
+    assert not (tmp_path / "e" / "eval_metrics.csv").exists()
 
 
 class TestSweep:

@@ -2,7 +2,8 @@
 
 Each case runs `track` through `run_command` and compares `metrics.csv` and
 `particles.json` with the files under `tests/golden/<case>/`.
-`manifest.json` is not compared because it holds a timestamp.
+`manifest.json` is not compared because it holds a timestamp.  `eval` on
+each committed `particles.json` must also reproduce its `metrics.csv`.
 
 A change that alters the random stream or the filter arithmetic on purpose
 regenerates the files and says why in CHANGES.md:
@@ -103,6 +104,16 @@ def test_track_matches_golden(case, tmp_path):
     for name in COMPARED:
         expected = (GOLDEN_DIR / case / name).read_bytes()
         assert (out / name).read_bytes() == expected, f"{case}/{name} differs from golden"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_eval_matches_golden_metrics(case, tmp_path):
+    # `eval` recomputes every metric from the committed particle log alone
+    code = run_command(["eval", "--log", str(GOLDEN_DIR / case / "particles.json"),
+                        "--out", str(tmp_path)])
+    assert code == 0
+    expected = (GOLDEN_DIR / case / "metrics.csv").read_bytes()
+    assert (tmp_path / "eval_metrics.csv").read_bytes() == expected
 
 
 def regenerate(work: Path) -> None:

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,29 @@ def _uniform_set(states):
     states = np.asarray(states, dtype=float)
     n = states.shape[0]
     return PointParticleSet(states, np.full(n, 1.0 / n))
+
+
+class TestPointParticleSet:
+    def test_multi_element_value_equality(self):
+        a = PointParticleSet(np.zeros((2, 1)), [0.5, 0.5])
+        assert a == PointParticleSet(np.zeros((2, 1)), [0.5, 0.5])
+        assert a != PointParticleSet(np.ones((2, 1)), [0.5, 0.5])
+        assert a != PointParticleSet(np.zeros((2, 1)), [0.5, 0.5], zero_likelihood=True)
+
+    def test_attributes_cannot_be_assigned(self):
+        pset = _uniform_set([[0.0], [1.0]])
+        with pytest.raises(FrozenInstanceError):
+            pset.zero_likelihood = True
+
+    def test_arrays_are_read_only_copies(self):
+        states = np.zeros((2, 1))
+        pset = PointParticleSet(states, [0.5, 0.5])
+        states[0, 0] = 7.0
+        assert pset.states[0, 0] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            pset.states[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            pset.weights[0] = 1.0
 
 
 class TestEffectiveSampleSize:
@@ -56,6 +81,12 @@ class TestResampling:
         out = resample_multinomial(pset, np.random.default_rng(0))
         assert_allclose(out.weights, 0.25)
         assert set(out.states.ravel()) <= {0.0, 1.0, 2.0, 3.0}
+
+    @pytest.mark.parametrize("resampler", [resample_multinomial, resample_systematic])
+    def test_resampled_set_carries_the_given_flag(self, resampler):
+        pset = _uniform_set([[0.0], [1.0]])
+        assert not resampler(pset, np.random.default_rng(0)).zero_likelihood
+        assert resampler(pset, np.random.default_rng(0), zero_likelihood=True).zero_likelihood
 
     def test_degenerate_weight_selects_single_state(self):
         pset = PointParticleSet([[0.0], [7.0]], [0.0, 1.0])
@@ -129,6 +160,17 @@ class TestPfStep:
         )
         assert out.zero_likelihood
         assert_allclose(out.weights, 0.5)
+
+    def test_zero_likelihood_flag_survives_resampling(self):
+        # uniform fallback weights have ESS = N, so only ess_ratio > 1 resamples them
+        pset = PointParticleSet([[0.0], [1.0]], [0.9, 0.1])
+        out = pf_step(
+            pset, _model_1d(q=0.0), lambda s, z: np.zeros(len(s)), np.array([0.0]),
+            np.random.default_rng(0), ess_ratio=1.5,
+        )
+        assert out.zero_likelihood
+        assert_allclose(out.weights, 0.5)
+        assert set(out.states.ravel()) <= {0.0, 1.0}
 
     def test_resample_triggers_on_low_ess(self):
         # one particle grabs nearly all the weight -> ESS < N/2 -> resample

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from mtt.gaussians import log_pdf
 from mtt.regions import Rectangle
@@ -11,6 +11,7 @@ from mtt.sim import (
     ScenarioConfig,
     StepRecord,
     TrackingLog,
+    _capped_cost,
     assignment_rmse,
     evaluate_metrics,
     generate_truth,
@@ -20,13 +21,14 @@ from mtt.sim import (
 
 
 def _record(step, truth, means, weights, cardinality):
+    means = np.asarray(means, dtype=float).reshape(-1, 4)
     return StepRecord(
         step=step,
         true_states=np.asarray(truth, dtype=float),
         measurement=None,
-        means=[np.asarray(m, dtype=float) for m in means],
-        covs=[np.eye(4) for _ in means],
-        weights=list(weights),
+        means=means,
+        covs=np.tile(np.eye(4), (len(means), 1, 1)),
+        weights=np.asarray(weights, dtype=float),
         cardinality=cardinality,
     )
 
@@ -145,6 +147,38 @@ class TestAssignmentRmse:
             assert_allclose(got, want, atol=1e-12)
 
 
+class TestCappedCost:
+    @staticmethod
+    def _per_pair(estimates, truths, cap, p):
+        return np.array([[min(np.linalg.norm(e - t), cap) ** p for t in truths]
+                         for e in estimates]).reshape(len(estimates), len(truths))
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_equals_per_pair_norm_bit_for_bit(self, p):
+        rng = np.random.default_rng(6)
+        cap = 5.0
+        sizes = [(1, 1), (1, 25), (25, 1), (25, 25)] + [tuple(rng.integers(1, 26, 2))
+                                                        for _ in range(20)]
+        for m, n in sizes:
+            truths = rng.uniform(0, 12, (n, 2))
+            # estimates scattered at and around the cap from a random truth
+            angle = rng.uniform(0, 2 * np.pi, m)
+            radius = cap * rng.choice([1.0, 1 - 1e-15, 1 + 1e-15, 0.5, 2.0], m)
+            radius *= rng.choice([1.0, 1.0, rng.uniform(0, 2)], m)
+            estimates = truths[rng.integers(n, size=m)] + radius[:, None] * np.column_stack(
+                (np.cos(angle), np.sin(angle)))
+            assert_array_equal(_capped_cost(estimates, truths, cap, p),
+                               self._per_pair(estimates, truths, cap, p))
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_exact_cap_distance(self, p):
+        truths = np.array([[0.0, 0.0], [1.0, 1.0]])
+        estimates = np.array([[3.0, 4.0], [np.nextafter(3.0, 4.0), 4.0], [4.0, 5.0]])
+        got = _capped_cost(estimates, truths, 5.0, p)
+        assert_array_equal(got, self._per_pair(estimates, truths, 5.0, p))
+        assert got[0, 0] == got[1, 0] == 5.0**p
+
+
 class TestOspa:
     def test_empty_sets(self):
         assert ospa_distance([], []) == 0.0
@@ -169,23 +203,23 @@ class TestEvaluateMetrics:
         log = TrackingLog(
             [_record(0, truth[0], [truth[0, 0], truth[0, 1]], [1.0, 1.0], 2.0)]
         )
-        report = evaluate_metrics(truth, log)
-        assert report.rmse == [0.0]
-        assert report.card_err == [0.0]
+        evaluate_metrics(truth, log)
+        assert [r.rmse for r in log.records] == [0.0]
+        assert [r.card_err for r in log.records] == [0.0]
 
     def test_all_miss(self):
         truth = np.zeros((1, 3, 4))
         log = TrackingLog([_record(0, truth[0], [], [], 0.0)])
-        report = evaluate_metrics(truth, log, distance_cap=5.0)
-        assert report.rmse == [5.0]
-        assert report.card_err == [3.0]
+        evaluate_metrics(truth, log, distance_cap=5.0)
+        assert [r.rmse for r in log.records] == [5.0]
+        assert [r.card_err for r in log.records] == [3.0]
 
     def test_low_weight_estimates_not_extracted(self):
         truth = np.zeros((1, 1, 4))
         log = TrackingLog([_record(0, truth[0], [np.zeros(4)], [0.2], 0.2)])
-        report = evaluate_metrics(truth, log, extraction_threshold=0.5, distance_cap=5.0)
-        assert report.rmse == [5.0]
-        assert_allclose(report.card_err, [0.8])
+        evaluate_metrics(truth, log, extraction_threshold=0.5, distance_cap=5.0)
+        assert [r.rmse for r in log.records] == [5.0]
+        assert_allclose([r.card_err for r in log.records], [0.8])
 
     def test_step_count_mismatch(self):
         truth = np.zeros((2, 1, 4))
@@ -196,8 +230,8 @@ class TestEvaluateMetrics:
     def test_ospa_optional(self):
         truth = np.zeros((1, 1, 4))
         log = TrackingLog([_record(0, truth[0], [np.zeros(4)], [1.0], 1.0)])
-        report = evaluate_metrics(truth, log, with_ospa=True)
-        assert report.ospa == [0.0]
+        evaluate_metrics(truth, log, with_ospa=True)
+        assert [r.ospa for r in log.records] == [0.0]
         assert log.records[0].ospa == 0.0
 
 
@@ -297,6 +331,19 @@ class TestRunExperiment:
         run_experiment(config, "pf", "mean", np.random.default_rng(0),
                        ExperimentSetup(pf_n_particles=300))
         assert calls == [(300, 2)] * 4
+
+    @pytest.mark.parametrize("filter_choice", ["kf", "pf", "gpf"])
+    def test_records_hold_estimate_arrays(self, filter_choice):
+        config = ScenarioConfig(n_targets=1, n_steps=3, initial_states=[(6.0, 0.0, 6.0, 0.0)])
+        log = run_experiment(config, filter_choice, "mean", np.random.default_rng(0),
+                             ExperimentSetup(pf_n_particles=50))
+        for rec in log.records:
+            n = len(rec.weights)
+            assert n >= 1
+            assert rec.weights.shape == (n,)
+            assert rec.means.shape == (n, 4)
+            assert rec.covs.shape == (n, 4, 4)
+            assert rec.weights.dtype == rec.means.dtype == rec.covs.dtype == np.float64
 
     def test_deterministic_per_seed(self):
         config = ScenarioConfig(
