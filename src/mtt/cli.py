@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig, dump_config, load_config, parse_config_text
 from .motion import POSITION_IDX
-from .sim import StepRecord, TrackingLog, evaluate_metrics, generate_truth, run_experiment
+from .sim import (FILTERS, SENSORS, StepRecord, TrackingLog, evaluate_metrics, generate_truth,
+                  run_experiment)
 
 log = logging.getLogger("mtt")
 
@@ -128,37 +129,39 @@ def write_particles_json(
     )
 
 
-def _step_record(entry: dict, path: Path) -> StepRecord:
-    """One logged step: truth (n_targets, 4), means (n, 4), covs (n, 4, 4)
-    and weights (n,).
+def _step_record(k: int, entry: dict, path: Path) -> StepRecord:
+    """Step k of a particle log: truth (n_targets, 4), means (n, 4), covs (n, 4, 4), weights (n,).
 
-    Raises ConfigError, naming the step, for a particle without a mean, cov
-    or weight, a mean that is not 4 finite numbers, a cov that is not 4x4
-    finite numbers, or a weight that is not a number in [0, 1].
+    Raises ConfigError, naming the step, for a missing step or particle field,
+    a truth that is not rows of 4 numbers, a step, cardinality or weight that
+    is not a JSON number (strings and booleans are not), a mean that is not 4
+    finite numbers, a cov that is not 4x4 finite numbers, or a weight outside [0, 1].
     """
-    where = f"{path}: step {entry['step']}"
-    particles = entry["particles"]
-    n = len(particles)
-    try:  # a step without particles reads as (0, 4), (0, 4, 4) and (0,)
+    where = f"{path}: step {k}"
+    try:  # no particles read as (0, 4), (0, 4, 4) and (0,); no targets, [], as (0, 4)
+        step, measurement, particles = entry["step"], entry["measurement"], entry["particles"]
+        truth = np.array(entry["truth"], dtype=float)
+        truth = truth.reshape(len(truth), 4)
         means = np.array([p["mean"] for p in particles] or np.zeros((0, 4)), dtype=float)
         covs = np.array([p["cov"] for p in particles] or np.zeros((0, 4, 4)), dtype=float)
-        weights = np.array([p["weight"] for p in particles], dtype=float)
+        numbers = [entry["cardinality"], *(p["weight"] for p in particles)]
     except KeyError as exc:
-        raise ConfigError(f"{where}: a particle has no {exc.args[0]}") from None
+        raise ConfigError(f"{where}: the step or a particle has no {exc.args[0]}") from None
     except (TypeError, ValueError):
-        raise ConfigError(f"{where}: a particle mean, cov or weight is not numbers") from None
+        raise ConfigError(f"{where}: the truth or a particle mean or cov is not numbers") from None
+    if type(step) is not int or any(type(x) not in (int, float) for x in numbers):
+        raise ConfigError(f"{where}: the step, cardinality or a particle weight is not a number")
+    n, weights = len(particles), np.array(numbers[1:], dtype=float)
     if means.shape != (n, 4):
         raise ConfigError(f"{where}: a particle mean is not 4 numbers")
     if covs.shape != (n, 4, 4):
         raise ConfigError(f"{where}: a particle cov is not 4x4 numbers")
     if not (np.isfinite(means).all() and np.isfinite(covs).all()):
         raise ConfigError(f"{where}: a particle mean or cov is not finite")
-    if weights.shape != (n,) or not ((weights >= 0.0) & (weights <= 1.0)).all():  # NaN fails
+    if not ((weights >= 0.0) & (weights <= 1.0)).all():  # NaN fails
         raise ConfigError(f"{where}: a particle weight is not a number in [0, 1]")
-    truth = np.asarray(entry["truth"], dtype=float)  # a zero-target step, [], reads as (0, 4)
-    return StepRecord(entry["step"], truth.reshape(len(truth), 4), entry["measurement"],
-                      means=means, covs=covs, weights=weights,
-                      cardinality=float(entry["cardinality"]))
+    return StepRecord(step, truth, measurement, means=means, covs=covs, weights=weights,
+                      cardinality=float(numbers[0]))
 
 
 def read_particles_json(path: Path) -> tuple[np.ndarray, TrackingLog, ExperimentConfig, int]:
@@ -168,7 +171,7 @@ def read_particles_json(path: Path) -> tuple[np.ndarray, TrackingLog, Experiment
     if payload.get("schema") != "mtt-particle-log-v1":
         raise ConfigError(f"{path} is not an mtt particle log")
     config = parse_config_text(payload["config"])
-    records = [_step_record(entry, path) for entry in payload["steps"]]
+    records = [_step_record(k, entry, path) for k, entry in enumerate(payload["steps"])]
     truth = np.asarray([rec.true_states for rec in records], dtype=float)
     return truth, TrackingLog(records), config, payload["seed"]
 
@@ -312,20 +315,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="flat key = value config file")
+    def common(p, func, runs_filters: bool) -> None:
+        p.add_argument("--config", required=True, help="flat key = value config file")
         p.add_argument("--seed", type=int, default=None, help="override scenario.seed")
         p.add_argument("--out", default="mtt_out", help="output directory")
+        if runs_filters:
+            p.add_argument("--filter", choices=FILTERS, default="gpf")
+            p.add_argument("--sensor", choices=SENSORS, default="grid")
+        p.set_defaults(func=func)
 
-    p_sim = sub.add_parser("simulate", help="generate ground truth only")
-    common(p_sim)
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    p_track = sub.add_parser("track", help="run a full tracking experiment")
-    common(p_track)
-    p_track.add_argument("--filter", choices=["gpf", "pf", "kf"], default="gpf")
-    p_track.add_argument("--sensor", choices=["mean", "grid"], default="grid")
-    p_track.set_defaults(func=_cmd_track)
+    common(sub.add_parser("simulate", help="generate ground truth only"), _cmd_simulate, False)
+    common(sub.add_parser("track", help="run a full tracking experiment"), _cmd_track, True)
 
     p_eval = sub.add_parser("eval", help="recompute metrics from a particle log")
     p_eval.add_argument("--log", required=True, help="particles.json from a track run")
@@ -333,11 +333,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=_cmd_eval)
 
     p_sweep = sub.add_parser("sweep", help="run a seed sweep")
-    common(p_sweep)
     p_sweep.add_argument("--seeds", required=True, help="e.g. 1..20 or 3,5,9")
-    p_sweep.add_argument("--filter", choices=["gpf", "pf", "kf"], default="gpf")
-    p_sweep.add_argument("--sensor", choices=["mean", "grid"], default="grid")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    common(p_sweep, _cmd_sweep, True)
     return parser
 
 

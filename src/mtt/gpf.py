@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .domains import Choice, Range, check_field, check_fields, declare
 from .gaussians import (
     COV_MODES,
     GaussianParticle,
@@ -101,7 +102,7 @@ class ExistenceCombination(NamedTuple):
     prior: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class GpfConfig:
     """Everything one filter step needs besides the belief and measurement."""
 
@@ -109,34 +110,19 @@ class GpfConfig:
     q_matrix: np.ndarray
     sensor: MeanSensorModel | GridSensorModel
     fov: FovRegion = field(default_factory=FovRegion.full)
-    epsilon: float = 0.01
-    d_thresh: float = 1.0
-    w_prune: float = 0.01
-    n_max: int = 100
-    w_birth: float = 0.1
-    clutter_density: float = 1.0
-    merge_cov: str = "moment"
-    s_max: int = 20
+    epsilon: float = declare(0.01, Range(0.0, 1.0, lo_open=True, hi_open=True))
+    d_thresh: float = declare(1.0, Range(0.0, lo_open=True))
+    w_prune: float = declare(0.01, Range(0.0, 1.0, hi_open=True))
+    n_max: int = declare(100, Range(1))
+    w_birth: float = declare(0.1, Range(0.0, 1.0, lo_open=True))
+    clutter_density: float = declare(1.0, Range(0.0, lo_open=True))
+    merge_cov: str = declare("moment", Choice(COV_MODES))
+    s_max: int = declare(20, Range(1))
 
     def __post_init__(self) -> None:
-        self.f_matrix = np.atleast_2d(np.asarray(self.f_matrix, dtype=float))
-        self.q_matrix = np.atleast_2d(np.asarray(self.q_matrix, dtype=float))
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if not 0.0 < self.d_thresh < math.inf:
-            raise ValueError(f"d_thresh must be positive and finite, got {self.d_thresh}")
-        if not 0.0 <= self.w_prune < 1.0:
-            raise ValueError(f"w_prune must lie in [0, 1), got {self.w_prune}")
-        if self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
-        if self.s_max < 1:
-            raise ValueError("s_max must be at least 1")
-        if not 0.0 < self.w_birth <= 1.0:
-            raise ValueError(f"w_birth must lie in (0, 1], got {self.w_birth}")
-        if not 0.0 < self.clutter_density < math.inf:
-            raise ValueError("clutter_density must be positive and finite")
-        if self.merge_cov not in COV_MODES:
-            raise ValueError(f"merge_cov must be one of {COV_MODES}, got {self.merge_cov!r}")
+        object.__setattr__(self, "f_matrix", np.atleast_2d(np.asarray(self.f_matrix, dtype=float)))
+        object.__setattr__(self, "q_matrix", np.atleast_2d(np.asarray(self.q_matrix, dtype=float)))
+        check_fields(self)
 
 
 def gpf_predict(pset: GpfParticleSet, f: np.ndarray, q: np.ndarray) -> GpfParticleSet:
@@ -174,8 +160,7 @@ def enumerate_combinations(
     search is depth first with pruning: once a partial product is <= epsilon
     it can never recover, because every remaining factor is at most one.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    check_field(GpfConfig, "epsilon", epsilon)
     s = len(weights)
     if s > s_max:
         raise CombinatorialBlowupError(
@@ -341,10 +326,8 @@ def merge_close_particles(
     d_thresh.  Merging combines weights (capped at one) and moment-matches
     the Gaussians.
     """
-    if not 0.0 < d_thresh < math.inf:
-        raise ValueError(f"d_thresh must be positive and finite, got {d_thresh}")
-    if cov_mode not in COV_MODES:
-        raise ValueError(f"unknown cov_mode {cov_mode!r}")
+    check_field(GpfConfig, "d_thresh", d_thresh)
+    check_field(GpfConfig, "merge_cov", cov_mode, "cov_mode")
     weights, means, covs = pset.weights, pset.means, pset.covs
     while len(weights) > 1:
         d = _pairwise_position_distances(means, covs)
@@ -377,8 +360,7 @@ def birth_and_prune(
     When more than n_max particles survive, the n_max highest-weight ones
     are kept (ties broken by original order) and their ordering preserved.
     """
-    if not 0.0 <= w_prune < 1.0:
-        raise ValueError(f"w_prune must lie in [0, 1), got {w_prune}")
+    check_field(GpfConfig, "w_prune", w_prune)
     sets = (pset, births) if len(births) else (pset,)  # empty births may differ in d
     weights = np.concatenate([s.weights for s in sets])
     keep = np.nonzero(weights >= w_prune)[0]

@@ -5,12 +5,12 @@ interrogate each step.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .domains import Range, check_fields, declare
 from .gaussians import ValueEq, _frozen_matrix, noise_factor
 from .motion import POSITION_IDX
 from .regions import Rectangle
@@ -66,7 +66,7 @@ class CellReturns(ValueEq):
             object.__setattr__(self, name, value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridSensorModel:
     """Detection grid: the workspace tiled by rows x cols equal cells.
 
@@ -83,21 +83,14 @@ class GridSensorModel:
     """
 
     workspace: Rectangle
-    rows: int = 12
-    cols: int = 12
-    p_d: float = 0.9
-    snr: float = 3.0
-    m_cells: int = 12
+    rows: int = declare(12, Range(1))
+    cols: int = declare(12, Range(1))
+    p_d: float = declare(0.9, Range(0.0, 1.0, lo_open=True, hi_open=True))
+    snr: float = declare(3.0, Range(0.0, lo_open=True))
+    m_cells: int = declare(12, Range(1))
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
-        if not 0.0 < self.p_d < 1.0:
-            raise ValueError(f"p_d must lie in (0, 1), got {self.p_d}")
-        if not 0.0 < self.snr < math.inf:
-            raise ValueError(f"snr must be positive and finite, got {self.snr}")
-        if self.m_cells < 1:
-            raise ValueError("m_cells must be at least 1")
+        check_fields(self)
 
     @property
     def n_cells(self) -> int:
@@ -188,6 +181,9 @@ def grid_measure(
     counts = [occupancy[c] for c in cell_list]
     p_hit = {t: detection_prob(t, model.p_d, model.snr) for t in set(counts)}
     return CellReturns(cells, rng.random(len(counts)) < np.array([p_hit[t] for t in counts]))
+
+
+CELL_STRATEGIES = ("random", "round_robin", "fixed_list")  # select_cells' strategies
 
 
 def select_cells(

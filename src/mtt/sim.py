@@ -4,19 +4,20 @@ experiment loop wiring filters to sensors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from .domains import Choice, Range, check_fields, declare, same_as
 from .gaussians import GaussianState, log_pdf
 from .gpf import GpfConfig, GpfParticleSet, estimate_cardinality, gpf_step
 from .kalman import LinearGaussianModel, kf_predict, kf_update
 from .motion import POSITION_IDX, constant_velocity_matrix, position_projection
-from .particle import PointParticleSet, pf_step
+from .particle import _RESAMPLERS, PointParticleSet, pf_step
 from .regions import Rectangle
 from .sensors import (
+    CELL_STRATEGIES,
     CellReturns,
     GridSensorModel,
     MeanSensorModel,
@@ -25,36 +26,27 @@ from .sensors import (
     select_cells,
 )
 
-FILTERS = ("gpf", "pf", "kf")
-SENSORS = ("mean", "grid")
+FILTERS = Choice(("gpf", "pf", "kf"))
+SENSORS = Choice(("mean", "grid"))
 
 # Prior covariance of the KF baseline, which starts at the workspace centre.
 KF_INIT_COV = np.diag([400.0, 100.0, 400.0, 100.0])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Parameters of one simulated multi-target scenario."""
 
-    n_targets: int = 3
-    n_steps: int = 100
-    tau: float = 1.0
-    q_diag: tuple[float, float, float, float] = (20.0, 0.2, 20.0, 0.2)
+    n_targets: int = declare(3, Range(0))
+    n_steps: int = declare(100, Range(1))
+    tau: float = declare(1.0, Range(0.0, lo_open=True))
+    q_diag: tuple[float, ...] = declare((20.0, 0.2, 20.0, 0.2), Range(0.0, size=4))
     workspace: Rectangle = field(default_factory=lambda: Rectangle(0.0, 0.0, 12.0, 12.0))
     seed: int = 0
     initial_states: list[tuple[float, float, float, float]] | None = None
 
     def __post_init__(self) -> None:
-        if self.n_targets < 0:
-            raise ValueError("n_targets must be non-negative")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be at least 1")
-        if not 0.0 < self.tau < math.inf:
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
-        if len(self.q_diag) != 4:
-            raise ValueError("q_diag must have four entries")
-        if not all(0.0 <= v < math.inf for v in self.q_diag):
-            raise ValueError("q_diag entries must be finite and non-negative")
+        check_fields(self)
         if self.initial_states is not None:
             states = np.asarray(self.initial_states, dtype=float)  # ValueError if ragged
             if len(states) != self.n_targets or (
@@ -194,36 +186,39 @@ def evaluate_metrics(
             record.ospa = ospa_distance(estimates, truths, distance_cap)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSetup:
-    """Filter-side knobs for run_experiment beyond the scenario itself."""
+    """Filter-side knobs for run_experiment beyond the scenario itself; the gpf_*
+    and grid fields take their defaults and ranges from GpfConfig and GridSensorModel."""
 
-    mean_r_diag: tuple[float, ...] = (0.5, 0.5)
-    grid_rows: int = 12
-    grid_cols: int = 12
-    p_d: float = 0.9
-    snr: float = 3.0
-    m_cells: int = 12
-    cell_strategy: str = "random"
+    mean_r_diag: tuple[float, ...] = declare((0.5, 0.5), Range(0.0, size=2))
+    grid_rows: int = same_as(GridSensorModel, "rows")
+    grid_cols: int = same_as(GridSensorModel, "cols")
+    p_d: float = same_as(GridSensorModel, "p_d")
+    snr: float = same_as(GridSensorModel, "snr")
+    m_cells: int = same_as(GridSensorModel, "m_cells")
+    cell_strategy: str = declare("random", Choice(CELL_STRATEGIES))
     fixed_cells: list[int] | None = None
-    gpf_epsilon: float = 0.01
-    gpf_d_thresh: float = 1.0
-    gpf_w_prune: float = 0.01
-    gpf_n_max: int = 100
-    gpf_w_birth: float = 0.1
-    gpf_clutter_density: float | None = None
-    gpf_merge_cov: str = "moment"
-    gpf_s_max: int = 20
-    gpf_init_weight: float = 0.9
-    gpf_init_cov_diag: tuple[float, float, float, float] = (1.0, 0.1, 1.0, 0.1)
-    pf_n_particles: int = 1000
-    pf_ess_ratio: float = 0.5
-    pf_resample: str = "multinomial"
-    extraction_threshold: float = 0.5
-    distance_cap: float = 5.0
+    gpf_epsilon: float = same_as(GpfConfig, "epsilon")
+    gpf_d_thresh: float = same_as(GpfConfig, "d_thresh")
+    gpf_w_prune: float = same_as(GpfConfig, "w_prune")
+    gpf_n_max: int = same_as(GpfConfig, "n_max")
+    gpf_w_birth: float = same_as(GpfConfig, "w_birth")
+    gpf_clutter_density: float | None = same_as(GpfConfig, "clutter_density", default=None)
+    gpf_merge_cov: str = same_as(GpfConfig, "merge_cov")
+    gpf_s_max: int = same_as(GpfConfig, "s_max")
+    gpf_init_weight: float = declare(0.9, Range(0.0, 1.0, lo_open=True))
+    gpf_init_cov_diag: tuple[float, ...] = declare((1.0, 0.1, 1.0, 0.1),
+                                                   Range(0.0, lo_open=True, size=4))
+    pf_n_particles: int = declare(1000, Range(1))
+    pf_ess_ratio: float = declare(0.5, Range(0.0, 1.0, lo_open=True))
+    pf_resample: str = declare("multinomial", Choice(_RESAMPLERS))
+    extraction_threshold: float = declare(0.5, Range(0.0, 1.0))
+    distance_cap: float = declare(5.0, Range(0.0, lo_open=True))
     with_ospa: bool = False
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.cell_strategy == "fixed_list":
             cells, n_cells = self.fixed_cells or [], self.grid_rows * self.grid_cols
             if not cells:
@@ -249,19 +244,9 @@ def _gpf_filter(
     clutter = setup.gpf_clutter_density
     if clutter is None:
         clutter = 1.0 / config.workspace.area
-    gpf_config = GpfConfig(
-        f_matrix=f,
-        q_matrix=q,
-        sensor=sensor,
-        epsilon=setup.gpf_epsilon,
-        d_thresh=setup.gpf_d_thresh,
-        w_prune=setup.gpf_w_prune,
-        n_max=setup.gpf_n_max,
-        w_birth=setup.gpf_w_birth,
-        clutter_density=clutter,
-        merge_cov=setup.gpf_merge_cov,
-        s_max=setup.gpf_s_max,
-    )
+    gpf_config = GpfConfig(f, q, sensor, clutter_density=clutter, **{
+        name: getattr(setup, f"gpf_{name}")
+        for name in ("epsilon", "d_thresh", "w_prune", "n_max", "w_birth", "merge_cov", "s_max")})
     belief = GpfParticleSet()
     if isinstance(sensor, MeanSensorModel):
         n = len(truth0)
@@ -336,10 +321,8 @@ def run_experiment(
     cardinality machinery).  Metrics are filled in before returning.
     """
     setup = setup or ExperimentSetup()
-    if filter_choice not in FILTERS:
-        raise ValueError(f"unknown filter {filter_choice!r}")
-    if sensor_choice not in SENSORS:
-        raise ValueError(f"unknown sensor {sensor_choice!r}")
+    FILTERS.check(filter_choice, "filter")
+    SENSORS.check(sensor_choice, "sensor")
     if filter_choice in ("kf", "pf") and (sensor_choice != "mean" or config.n_targets != 1):
         raise ValueError(f"{filter_choice} supports only the mean sensor with one target")
 

@@ -220,6 +220,30 @@ def test_eval_rejects_malformed_particle(mutation, gpf_mean_log, tmp_path, capfd
     assert not (tmp_path / "e" / "eval_metrics.csv").exists()
 
 
+
+# Mutations of one logged step's own fields that `eval` must reject as a config error.
+_MALFORMED_STEPS = {
+    "no_cardinality": lambda s: s.pop("cardinality"),
+    "no_step": lambda s: s.pop("step"),
+    "ragged_truth": lambda s: s.update(truth=[[1.0, 2.0, 3.0, 4.0], [1.0, 2.0]]),
+    "text_weight": lambda s: s["particles"][0].update(weight="0.5"),
+    "bool_weight": lambda s: s["particles"][0].update(weight=True),
+    "text_cardinality": lambda s: s.update(cardinality="0.5"),
+    "bool_cardinality": lambda s: s.update(cardinality=True),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_MALFORMED_STEPS))
+def test_eval_rejects_malformed_step(mutation, tmp_path, capfd):
+    golden = Path(__file__).parent / "golden" / "gpf_mean_1target" / "particles.json"
+    payload = json.loads(golden.read_text(encoding="utf-8"))
+    _MALFORMED_STEPS[mutation](payload["steps"][3])
+    path = tmp_path / "particles.json"
+    path.write_text(json.dumps(payload))
+    assert run_command(["eval", "--log", str(path), "--out", str(tmp_path / "e")]) == 1
+    assert "step 3" in capfd.readouterr().err
+    assert not (tmp_path / "e" / "eval_metrics.csv").exists()
+
 class TestSweep:
     def test_sweep_outputs(self, cfg_file, tmp_path):
         out = tmp_path / "sweep"

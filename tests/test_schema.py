@@ -1,0 +1,75 @@
+"""The config schema: every key's allowed values are declared once, on the
+record field it sets, and both the record and the parser enforce them."""
+
+import re
+from dataclasses import FrozenInstanceError, fields
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mtt.config import _KEYS, ConfigError, parse_config_text
+from mtt.domains import Choice
+from mtt.gpf import GpfConfig
+from mtt.regions import Rectangle
+from mtt.sensors import GridSensorModel
+from mtt.sim import ExperimentSetup, ScenarioConfig
+
+_RECORDS = {"scenario": ScenarioConfig, "setup": ExperimentSetup}
+
+
+def _just_outside(domain, default):
+    """Values just past each end of a declared domain (one per bounded end)."""
+    if isinstance(domain, Choice):
+        return ["bogus"]
+    step = 1 if isinstance(domain.lo, int) else 1e-9
+    ends = [domain.lo if domain.lo_open else domain.lo - step]
+    if domain.hi is not None:
+        ends.append(domain.hi if domain.hi_open else domain.hi + step)
+    if domain.size is None:
+        return ends
+    # a vector: its first entry outside, or twice as many entries
+    return [(end,) + tuple(default[1:]) for end in ends] + [tuple(default) * 2]
+
+
+def _outside_values():
+    for row in _KEYS:
+        record = _RECORDS[row.section]
+        spec = next(f for f in fields(record) if f.name == row.field)
+        if "domain" in spec.metadata:
+            for value in _just_outside(spec.metadata["domain"], spec.default):
+                yield pytest.param(row, record, value, id=f"{row.key}={value}")
+
+
+@pytest.mark.parametrize("row, record, value", list(_outside_values()))
+def test_value_outside_declared_domain_rejected_twice(row, record, value):
+    with pytest.raises(ConfigError, match=rf"line 2: {re.escape(row.key)}"):
+        parse_config_text(f"scenario.seed = 1\n{row.key} = {row.fmt(value)}\n")
+    with pytest.raises(ValueError, match=re.escape(row.field)):
+        record(**{row.field: value})
+
+
+def test_every_record_field_has_one_key():
+    for section, record in _RECORDS.items():
+        keyed = sorted(row.field for row in _KEYS if row.section == section)
+        assert keyed == sorted(f.name for f in fields(record))
+
+
+@pytest.mark.parametrize(
+    "record, name",
+    [(ScenarioConfig(), "tau"), (ExperimentSetup(), "p_d"),
+     (GridSensorModel(Rectangle(0.0, 0.0, 1.0, 1.0)), "p_d"),
+     (GpfConfig(np.eye(4), np.eye(4), GridSensorModel(Rectangle(0.0, 0.0, 1.0, 1.0))),
+      "epsilon")],
+    ids=["ScenarioConfig", "ExperimentSetup", "GridSensorModel", "GpfConfig"],
+)
+def test_checked_records_are_frozen(record, name):
+    with pytest.raises(FrozenInstanceError):
+        setattr(record, name, -1.0)
+
+
+def test_readme_documents_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | default | allowed | meaning |", 1)[1].split("\n\n", 1)[0]
+    documented = re.findall(r"^\| `([\w.]+)` \|", table, flags=re.MULTILINE)
+    assert sorted(documented) == sorted(row.key for row in _KEYS)
