@@ -35,16 +35,14 @@ _LOG_LEVELS = {
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("MTT_LOG", "warn").lower()
-    if level not in _LOG_LEVELS:
-        level = "warn"
+    level = _LOG_LEVELS.get(os.environ.get("MTT_LOG", "warn").lower(), logging.WARNING)
     # rebuild the handler so it always points at the current stderr
     for handler in list(log.handlers):
         log.removeHandler(handler)
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("mtt: %(levelname)s: %(message)s"))
     log.addHandler(handler)
-    log.setLevel(_LOG_LEVELS[level])
+    log.setLevel(level)
 
 
 def _fmt9(value: float) -> str:
@@ -129,17 +127,25 @@ def write_particles_json(
     )
 
 
+def _json_numbers(value) -> bool:
+    """Whether value is a JSON number or nested lists of them (strings and booleans are not)."""
+    return all(map(_json_numbers, value)) if type(value) is list else type(value) in (int, float)
+
+
 def _step_record(k: int, entry: dict, path: Path) -> StepRecord:
     """Step k of a particle log: truth (n_targets, 4), means (n, 4), covs (n, 4, 4), weights (n,).
 
-    Raises ConfigError, naming the step, for a missing step or particle field,
-    a truth that is not rows of 4 numbers, a step, cardinality or weight that
-    is not a JSON number (strings and booleans are not), a mean that is not 4
-    finite numbers, a cov that is not 4x4 finite numbers, or a weight outside [0, 1].
+    Raises ConfigError, naming the step, for a missing step or particle field, a
+    truth, mean, cov, step, cardinality or weight that is not JSON numbers (strings
+    and booleans are not), a truth that is not rows of 4, a mean that is not 4 finite
+    numbers, a cov that is not 4x4 finite numbers, or a weight outside [0, 1].
     """
     where = f"{path}: step {k}"
     try:  # no particles read as (0, 4), (0, 4, 4) and (0,); no targets, [], as (0, 4)
         step, measurement, particles = entry["step"], entry["measurement"], entry["particles"]
+        arrays = [entry["truth"], *(p[f] for p in particles for f in ("mean", "cov"))]
+        if not all(map(_json_numbers, arrays)):  # np.array would read "1.5" and true
+            raise ValueError("not numbers")
         truth = np.array(entry["truth"], dtype=float)
         truth = truth.reshape(len(truth), 4)
         means = np.array([p["mean"] for p in particles] or np.zeros((0, 4)), dtype=float)
@@ -149,7 +155,7 @@ def _step_record(k: int, entry: dict, path: Path) -> StepRecord:
         raise ConfigError(f"{where}: the step or a particle has no {exc.args[0]}") from None
     except (TypeError, ValueError):
         raise ConfigError(f"{where}: the truth or a particle mean or cov is not numbers") from None
-    if type(step) is not int or any(type(x) not in (int, float) for x in numbers):
+    if type(step) is not int or not _json_numbers(numbers):
         raise ConfigError(f"{where}: the step, cardinality or a particle weight is not a number")
     n, weights = len(particles), np.array(numbers[1:], dtype=float)
     if means.shape != (n, 4):
@@ -192,9 +198,8 @@ def write_manifest(
         "config": dump_config(config),
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": [str(p) for p in outputs],
+        **(extra or {}),
     }
-    if extra:
-        manifest.update(extra)
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n", encoding="utf-8")
     return path
@@ -270,16 +275,13 @@ def _cmd_eval(args) -> int:
 
 def _parse_seeds(expr: str) -> list[int]:
     expr = expr.strip()
-    if ".." in expr:
-        lo, hi = expr.split("..", 1)
-        try:
-            return list(range(int(lo), int(hi) + 1))
-        except ValueError as exc:
-            raise ConfigError(f"bad seed range {expr!r}") from exc
+    lo, dots, hi = expr.partition("..")
     try:
+        if dots:
+            return list(range(int(lo), int(hi) + 1))
         return [int(s) for s in expr.split(",") if s.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad seed list {expr!r}") from exc
+        raise ConfigError(f"bad seed {'range' if dots else 'list'} {expr!r}") from exc
 
 
 def _cmd_sweep(args) -> int:
@@ -289,20 +291,16 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("sweep needs at least one seed")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    outputs = []
+    lines, outputs = ["seed,mean_rmse,mean_card_err"], []
     for seed in seeds:
         run_dir = out_dir / f"seed_{seed}"
         tracking_log = _run_tracked(config, args.filter, args.sensor, seed, run_dir)
         rmse = float(np.mean([r.rmse for r in tracking_log.records]))
         card = float(np.mean([r.card_err for r in tracking_log.records]))
-        rows.append((seed, rmse, card))
+        lines.append(f"{seed},{_fmt9(rmse)},{_fmt9(card)}")
         outputs.append(run_dir / "metrics.csv")
         log.info("seed %d: mean rmse %.4g, mean card err %.4g", seed, rmse, card)
     agg_path = out_dir / "aggregate.csv"
-    lines = ["seed,mean_rmse,mean_card_err"]
-    for seed, rmse, card in rows:
-        lines.append(f"{seed},{_fmt9(rmse)},{_fmt9(card)}")
     agg_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     write_manifest(out_dir, "sweep", config, seeds[0], outputs + [agg_path],
                    extra={"seeds": seeds, "filter": args.filter, "sensor": args.sensor})
@@ -357,3 +355,7 @@ def run_command(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run_command())
+
+
+if __name__ == "__main__":
+    main()

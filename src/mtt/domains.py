@@ -8,6 +8,7 @@ with check_fields(self); the config parser checks each line with check_field.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, field
 from typing import NamedTuple
 
@@ -36,8 +37,8 @@ class Range(NamedTuple):
         named = ([(name, value)] if self.size is None
                  else [(f"{name}[{i}]", v) for i, v in enumerate(value)])
         for label, v in named:
-            if not math.isfinite(v):
-                raise ValueError(f"{label} = {v} is not a finite number")
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise ValueError(f"{label} = {v!r} is not a finite number")
             below = v <= self.lo if self.lo_open else v < self.lo
             above = self.hi is not None and (v >= self.hi if self.hi_open else v > self.hi)
             if below or above:
@@ -66,11 +67,13 @@ def same_as(owner: type, name: str, default=MISSING):
 
 
 def check_field(cls: type, name: str, value, label: str | None = None) -> None:
-    """Raise ValueError, calling the value `label` (default: name), if value
-    is outside the domain declared on field `name` of dataclass cls.  A field
-    with no domain takes any value, and one whose default is None takes None."""
+    """Raise ValueError, calling the value `label` (default: name), if value is outside
+    the domain declared on field `name` of dataclass cls (only integers, if annotated int).
+    A field with no domain takes any value, and one whose default is None takes None."""
     f = cls.__dataclass_fields__[name]
     if "domain" in f.metadata and not (value is None and f.default is None):
+        if f.type in (int, "int") and not isinstance(value, numbers.Integral):
+            raise ValueError(f"{label or name} = {value!r} is not an integer")
         f.metadata["domain"].check(value, label or name)
 
 

@@ -137,17 +137,15 @@ def gpf_predict(pset: GpfParticleSet, f: np.ndarray, q: np.ndarray) -> GpfPartic
     return GpfParticleSet(pset.weights, means, covs)
 
 
-def select_fov_particles(pset: GpfParticleSet, fov: FovRegion) -> tuple[list[int], list[int]]:
-    """Partition particle indices by whether the mean position is in view.
+def select_fov_particles(pset: GpfParticleSet, fov: FovRegion) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the particles whose mean position is in view, and of the rest.
 
-    The region is closed, so a mean exactly on the boundary counts as in
-    view.
+    The region is closed, so a mean exactly on the boundary counts as in view.
+    Only perfbench's select_fov observer, which unpacks a pair, reads the rest.
     """
     xi, yi = POSITION_IDX
-    in_fov, out_of_fov = [], []
-    for i, (x, y) in enumerate(zip(pset.means[:, xi].tolist(), pset.means[:, yi].tolist())):
-        (in_fov if fov.contains(x, y) else out_of_fov).append(i)
-    return in_fov, out_of_fov
+    in_view = fov.contains(pset.means[:, xi], pset.means[:, yi])
+    return np.flatnonzero(in_view), np.flatnonzero(~in_view)
 
 
 def enumerate_combinations(
@@ -382,9 +380,8 @@ def _mean_measurement_update(
     flagged degenerate.
     """
     in_idx, _ = select_fov_particles(pset, config.fov)
-    if not in_idx:
+    if not in_idx.size:
         return pset
-    in_idx = np.array(in_idx)  # numpy would convert a list index anew at each of six uses
     rows = [a[in_idx] for a in (pset.weights, pset.means, pset.covs)]
     combos = enumerate_combinations(rows[0].tolist(), config.epsilon, config.s_max)
     if not combos:

@@ -5,7 +5,6 @@ interrogate each step.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,14 +135,12 @@ class GridSensorModel:
 
 
 def mean_sensor_measure(
-    true_states: list[np.ndarray], model: MeanSensorModel, rng: np.random.Generator
+    truth: np.ndarray, model: MeanSensorModel, rng: np.random.Generator
 ) -> np.ndarray:
-    """Projected arithmetic mean of the true states plus Gaussian noise."""
-    if len(true_states) == 0:
+    """Projected arithmetic mean of the (n, 4) true states plus Gaussian noise."""
+    if len(truth) == 0:
         raise ValueError("mean sensor is undefined for zero targets")
-    stacked = np.atleast_2d(np.asarray(true_states, dtype=float))
-    mean_state = stacked.mean(axis=0)
-    z = model.position_projection @ mean_state
+    z = model.position_projection @ np.asarray(truth, dtype=float).mean(axis=0)
     if np.any(model.R):
         z = z + (rng.standard_normal((1, model.meas_dim)) @ model.R_factor)[0]
     return z
@@ -162,25 +159,25 @@ def detection_prob(t: int, p_d: float, snr: float) -> float:
 
 
 def grid_measure(
-    true_states: list[np.ndarray],
-    cells: list[int],
+    truth: np.ndarray,
+    cells: np.ndarray,
     model: GridSensorModel,
     rng: np.random.Generator,
 ) -> CellReturns:
-    """Binary return per interrogated cell, hit with detection_prob(T) for its T
-    targets: one rng.random(m) draw (the stream of m scalar draws), and
-    detection_prob once per T (numpy's ** over an array can differ in the last bit)."""
-    cells = np.asarray(cells)  # CellReturns rejects non-integer cells
-    cell_list = cells.tolist()  # checked in Python: cheaper than numpy calls at a dozen cells
-    if len(cell_list) > model.m_cells:
-        raise ValueError(f"{len(cell_list)} cells requested but m_cells = {model.m_cells}")
-    if cell_list and not (0 <= min(cell_list) and max(cell_list) < model.n_cells):
-        raise ValueError(f"cell index out of range [0, {model.n_cells}): {cells}")
+    """Binary return per interrogated cell, hit with detection_prob(T) for the T rows of
+    the (n, 4) truth in it: one rng.random(m) draw (the stream of m scalar draws), and
+    detection_prob once per T <= n (numpy's ** over an array can differ in the last bit)."""
+    cells = np.asarray(cells)
+    if len(cells) > model.m_cells:
+        raise ValueError(f"{len(cells)} cells requested but m_cells = {model.m_cells}")
+    if cells.size and not (cells.dtype.kind in "iu" and 0 <= cells.min()
+                           and cells.max() < model.n_cells):  # bool too: True is no cell
+        raise ValueError(f"cell indices must be integers in [0, {model.n_cells}): {cells}")
     xi, yi = POSITION_IDX
-    occupancy = Counter(model.cell_of(s[xi], s[yi]) for s in true_states)
-    counts = [occupancy[c] for c in cell_list]
-    p_hit = {t: detection_prob(t, model.p_d, model.snr) for t in set(counts)}
-    return CellReturns(cells, rng.random(len(counts)) < np.array([p_hit[t] for t in counts]))
+    occupied = [c for c in (model.cell_of(s[xi], s[yi]) for s in truth) if c is not None]
+    t = np.bincount(occupied, minlength=model.n_cells)[cells.astype(np.intp)]  # [] reads as float
+    p_hit = np.array([detection_prob(n, model.p_d, model.snr) for n in range(len(occupied) + 1)])
+    return CellReturns(cells, rng.random(len(cells)) < p_hit[t])
 
 
 CELL_STRATEGIES = ("random", "round_robin", "fixed_list")  # select_cells' strategies
@@ -192,8 +189,8 @@ def select_cells(
     rng: np.random.Generator,
     step: int = 0,
     fixed: list[int] | None = None,
-) -> list[int]:
-    """Pick up to m_cells cell indices to interrogate.
+) -> np.ndarray:
+    """Pick up to m_cells cell indices to interrogate, as an int64 array.
 
     random: uniform without replacement.  round_robin: deterministic
     sweep of m_cells consecutive indices advancing with the step counter.
@@ -201,12 +198,11 @@ def select_cells(
     """
     m = min(model.m_cells, model.n_cells)
     if strategy == "random":
-        return [int(i) for i in rng.choice(model.n_cells, size=m, replace=False)]
+        return rng.choice(model.n_cells, size=m, replace=False)
     if strategy == "round_robin":
-        start = (step * m) % model.n_cells
-        return [(start + i) % model.n_cells for i in range(m)]
+        return (step * m + np.arange(m)) % model.n_cells
     if strategy == "fixed_list":
-        if fixed is None:
+        if fixed is None or len(fixed) == 0:
             raise ValueError("fixed_list strategy requires a cell list")
-        return list(fixed)
+        return np.array(fixed)
     raise ValueError(f"unknown cell-selection strategy {strategy!r}")

@@ -337,7 +337,7 @@ def run_experiment(
         )
 
         def measure(k: int) -> object:
-            return mean_sensor_measure(list(truth[k]), sensor, rng)
+            return mean_sensor_measure(truth[k], sensor, rng)
     else:
         sensor = GridSensorModel(config.workspace, setup.grid_rows, setup.grid_cols,
                                  setup.p_d, setup.snr, setup.m_cells)
@@ -346,7 +346,7 @@ def run_experiment(
             cells = select_cells(
                 setup.cell_strategy, sensor, rng, step=k, fixed=setup.fixed_cells
             )
-            return grid_measure(list(truth[k]), cells, sensor, rng)
+            return grid_measure(truth[k], cells, sensor, rng)
 
     if filter_choice == "gpf":
         step = _gpf_filter(config, setup, sensor, f, q, truth[0])

@@ -114,6 +114,7 @@ class TestTrack:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 7
         assert manifest["command"] == "track"
+        assert (manifest["filter"], manifest["sensor"]) == ("gpf", "grid")
         listed = {p.split("/")[-1] for p in manifest["outputs"]}
         assert listed == {"metrics.csv", "particles.json"}
         # the config snapshot reloads to the same run configuration
@@ -230,6 +231,10 @@ _MALFORMED_STEPS = {
     "bool_weight": lambda s: s["particles"][0].update(weight=True),
     "text_cardinality": lambda s: s.update(cardinality="0.5"),
     "bool_cardinality": lambda s: s.update(cardinality=True),
+    "text_truth": lambda s: s["truth"][0].__setitem__(1, "0.5"),
+    "text_cov": lambda s: s["particles"][0]["cov"][2].__setitem__(2, "1.0"),
+    "bool_mean": lambda s: s["particles"][0]["mean"].__setitem__(0, True),
+    "null_truth": lambda s: s["truth"][0].__setitem__(3, None),
 }
 
 
@@ -274,6 +279,11 @@ class TestSweep:
         assert run_command(["sweep", "--config", str(cfg_file), "--seeds", "x..y",
                             "--out", str(tmp_path / "s")]) == 1
 
+    def test_bad_seed_list_is_config_error(self, cfg_file, tmp_path, capfd):
+        assert run_command(["sweep", "--config", str(cfg_file), "--seeds", "1,x",
+                            "--out", str(tmp_path / "s")]) == 1
+        assert "bad seed list '1,x'" in capfd.readouterr().err
+
 
 class TestSimulate:
     def test_truth_csv(self, cfg_file, tmp_path):
@@ -295,6 +305,33 @@ class TestLogging:
         monkeypatch.setenv("MTT_LOG", "chatty")
         out = tmp_path / "log_out2"
         assert run_command(["track", "--config", str(cfg_file), "--out", str(out)]) == 0
+
+
+def test_eval_rejects_numeric_strings_at_first_bad_step(tmp_path, capfd):
+    # a mean given as a string at step 3 and a truth given as strings at step 4
+    golden = Path(__file__).parent / "golden" / "gpf_mean_1target" / "particles.json"
+    payload = json.loads(golden.read_text(encoding="utf-8"))
+    mean = payload["steps"][3]["particles"][0]["mean"]
+    mean[0] = str(mean[0])
+    payload["steps"][4]["truth"] = [[str(v) for v in row] for row in payload["steps"][4]["truth"]]
+    path = tmp_path / "particles.json"
+    path.write_text(json.dumps(payload))
+    assert run_command(["eval", "--log", str(path), "--out", str(tmp_path / "e")]) == 1
+    err = capfd.readouterr().err
+    assert "config error" in err and "step 3" in err and "not numbers" in err
+    assert not (tmp_path / "e" / "eval_metrics.csv").exists()
+
+
+def test_module_run_reports_missing_log(tmp_path):
+    # `python -m mtt.cli` runs the CLI, as the mtt entry point does
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-m", "mtt.cli", "eval", "--log",
+                             str(tmp_path / "nonexistent.json")],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2
+    assert "mtt: error:" in result.stderr and "nonexistent.json" in result.stderr
 
 
 class TestExitCodes:

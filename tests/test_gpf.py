@@ -177,12 +177,37 @@ class TestSelectFov:
     def test_full_workspace(self):
         pset = _pset([_particle(0.5, x, x) for x in (0.0, 5.0, 100.0)])
         in_fov, out_fov = select_fov_particles(pset, FovRegion.full())
-        assert in_fov == [0, 1, 2]
-        assert out_fov == []
+        assert in_fov.tolist() == [0, 1, 2]
+        assert out_fov.tolist() == []
 
     def test_empty_set(self):
         in_fov, out_fov = select_fov_particles(GpfParticleSet(), FovRegion.full())
-        assert in_fov == [] and out_fov == []
+        assert in_fov.tolist() == [] and out_fov.tolist() == []
+
+    def test_returns_int_index_arrays(self):
+        pset = _pset([_particle(0.5, x, x) for x in (0.5, 3.0, 0.2)])
+        for part in select_fov_particles(pset, FovRegion.box(0.0, 0.0, 1.0, 1.0)):
+            assert isinstance(part, np.ndarray) and part.dtype.kind == "i"
+
+    def test_union_of_two_rectangles(self):
+        # overlapping boxes [0, 2]^2 and [1, 4] x [1, 2]: a union, closed on every edge,
+        # and a mean inside both is listed once
+        fov = FovRegion((Rectangle(0.0, 0.0, 2.0, 2.0), Rectangle(1.0, 1.0, 4.0, 2.0)))
+        points = [
+            (0.0, 0.0),  # 0: corner of the first box only
+            (1.5, 1.5),  # 1: in both boxes
+            (4.0, 2.0),  # 2: far corner of the second box
+            (3.0, 0.5),  # 3: below the second box, right of the first: out
+            (2.0, 2.0),  # 4: on both boxes' edges
+            (4.0001, 1.5),  # 5: just past the second box: out
+            (1.0, 2.5),  # 6: above both: out
+        ]
+        pset = _pset([_particle(0.5, x, y) for x, y in points])
+        in_fov, out_fov = select_fov_particles(pset, fov)
+        assert in_fov.tolist() == [0, 1, 2, 4]
+        assert out_fov.tolist() == [3, 5, 6]
+        for i, (x, y) in enumerate(points):  # the scalar rule agrees with the array one
+            assert bool(fov.contains(x, y)) == (i in in_fov)
 
     @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
     def test_non_finite_box_rejected(self, bound):

@@ -49,6 +49,19 @@ def test_value_outside_declared_domain_rejected_twice(row, record, value):
         record(**{row.field: value})
 
 
+@pytest.mark.parametrize(
+    "record, name, value, message",
+    [(ExperimentSetup, "pf_n_particles", 1.5, "is not an integer"),
+     (ScenarioConfig, "n_steps", True, "is not a finite number"),
+     (ExperimentSetup, "gpf_epsilon", "0.5", "is not a finite number")],
+    ids=["float_for_int", "bool_for_int", "text_for_float"],
+)
+def test_declared_field_rejects_wrong_type(record, name, value, message):
+    # the int rule comes from the field's annotation, the number rule from its Range
+    with pytest.raises(ValueError, match=rf"{name} = {re.escape(repr(value))} {message}"):
+        record(**{name: value})
+
+
 def test_every_record_field_has_one_key():
     for section, record in _RECORDS.items():
         keyed = sorted(row.field for row in _KEYS if row.section == section)

@@ -44,6 +44,13 @@ class TestMeanSensor:
         with pytest.raises(ValueError):
             mean_sensor_measure([], model, np.random.default_rng(0))
 
+    def test_truth_array(self):
+        model = MeanSensorModel(R=np.zeros((2, 2)), position_projection=position_projection())
+        truth = np.array([_state(0.0, 0.0), _state(2.0, 4.0)])
+        assert_allclose(mean_sensor_measure(truth, model, np.random.default_rng(0)), [1.0, 2.0])
+        with pytest.raises(ValueError, match="zero targets"):
+            mean_sensor_measure(np.zeros((0, 4)), model, np.random.default_rng(0))
+
     def test_noise_covariance_monte_carlo(self):
         model = MeanSensorModel(R=np.eye(2), position_projection=position_projection())
         rng = np.random.default_rng(123)
@@ -169,6 +176,23 @@ class TestGrid:
         model = GridSensorModel(WORKSPACE)
         with pytest.raises(ValueError):
             grid_measure([], [144], model, np.random.default_rng(0))
+
+    def test_truth_array_with_no_targets(self):
+        # run_experiment passes truth[k], which is (0, 4) in a scenario without targets
+        model = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
+        returns = grid_measure(np.zeros((0, 4)), np.array([0, 5, 143]), model,
+                               np.random.default_rng(4))
+        expected = np.random.default_rng(4).random(3) < detection_prob(0, 0.9, 3.0)
+        assert_array_equal(returns.cells, [0, 5, 143])
+        assert_array_equal(returns.values, expected)
+
+    def test_truth_array_counts_targets_per_cell(self):
+        model = GridSensorModel(WORKSPACE, rows=4, cols=3, p_d=0.8, snr=2.0)
+        truth = np.array([_state(0.5, 0.5), _state(1.0, 2.0), _state(11.5, 11.5), _state(-1.0, 5.0)])
+        ref_rng, rng = np.random.default_rng(9), np.random.default_rng(9)
+        returns = grid_measure(truth, np.array([0, 11, 5]), model, rng)
+        p = [detection_prob(t, 0.8, 2.0) for t in (2, 1, 0)]  # the target at x = -1 is outside
+        assert_array_equal(returns.values, ref_rng.random(3) < np.array(p))
 
     def test_cell_return_validation(self):
         returns = CellReturns([5, 3, 5], [True, 0, 1])  # order and repeats kept
@@ -314,22 +338,41 @@ class TestSelectCells:
     def test_round_robin_sweeps(self):
         model = GridSensorModel(WORKSPACE, m_cells=12)
         rng = np.random.default_rng(0)
-        assert select_cells("round_robin", model, rng, step=0) == list(range(0, 12))
-        assert select_cells("round_robin", model, rng, step=1) == list(range(12, 24))
-        assert select_cells("round_robin", model, rng, step=12) == list(range(0, 12))
+        assert_array_equal(select_cells("round_robin", model, rng, step=0), np.arange(0, 12))
+        assert_array_equal(select_cells("round_robin", model, rng, step=1), np.arange(12, 24))
+        assert_array_equal(select_cells("round_robin", model, rng, step=12), np.arange(0, 12))
 
     def test_random_reproducible(self):
         model = GridSensorModel(WORKSPACE, m_cells=10)
         a = select_cells("random", model, np.random.default_rng(77))
         b = select_cells("random", model, np.random.default_rng(77))
-        assert a == b
-        assert len(set(a)) == 10
+        assert_array_equal(a, b)
+        assert len(set(a.tolist())) == 10
 
     def test_fixed_list(self):
         model = GridSensorModel(WORKSPACE, m_cells=3)
-        assert select_cells("fixed_list", model, np.random.default_rng(0), fixed=[5, 6]) == [5, 6]
+        cells = select_cells("fixed_list", model, np.random.default_rng(0), fixed=[5, 6])
+        assert_array_equal(cells, [5, 6])
         with pytest.raises(ValueError):
             select_cells("fixed_list", model, np.random.default_rng(0))
+
+    def test_fixed_list_rejects_empty_list(self):
+        # as ExperimentSetup does: an empty list would also read as a float array
+        model = GridSensorModel(WORKSPACE, m_cells=3)
+        with pytest.raises(ValueError, match="requires a cell list"):
+            select_cells("fixed_list", model, np.random.default_rng(0), fixed=[])
+
+    @pytest.mark.parametrize("strategy", ["random", "round_robin", "fixed_list"])
+    def test_returns_int64_array(self, strategy):
+        model = GridSensorModel(WORKSPACE, m_cells=5)
+        cells = select_cells(strategy, model, np.random.default_rng(3), step=40, fixed=[7, 7, 0])
+        assert isinstance(cells, np.ndarray)
+        assert cells.dtype == np.int64 and cells.ndim == 1
+
+    def test_round_robin_wraps_past_last_cell(self):
+        model = GridSensorModel(WORKSPACE, m_cells=10)
+        cells = select_cells("round_robin", model, np.random.default_rng(0), step=14)
+        assert cells.tolist() == [140, 141, 142, 143, 0, 1, 2, 3, 4, 5]
 
     def test_unknown_strategy(self):
         model = GridSensorModel(WORKSPACE)
