@@ -78,6 +78,8 @@ def check_field(cls: type, name: str, value, label: str | None = None) -> None:
 
 
 def check_fields(record) -> None:
-    """check_field on every field of a dataclass record."""
-    for name in record.__dataclass_fields__:
-        check_field(type(record), name, getattr(record, name))
+    """check_field on each field of a dataclass record that declares a domain; a field
+    that __post_init__ computes after this check declares none and is not read."""
+    for name, f in record.__dataclass_fields__.items():
+        if "domain" in f.metadata:
+            check_field(type(record), name, getattr(record, name))

@@ -39,7 +39,7 @@ from .gaussians import (
 from .kalman import KalmanUpdate, kf_predict_moments, kf_update
 from .motion import POSITION_IDX
 from .regions import FovRegion
-from .sensors import CellReturns, GridSensorModel, MeanSensorModel, detection_prob
+from .sensors import CellReturns, GridSensorModel, MeanSensorModel, check_cells, detection_prob
 
 
 class CombinatorialBlowupError(ValueError):
@@ -430,8 +430,7 @@ def grid_existence_update(
     and 1: merging can clamp a weight to exactly 1, and a degenerate prior
     would otherwise be immune to any amount of contrary evidence.
     """
-    if ((returns.cells < 0) | (returns.cells >= sensor.n_cells)).any():
-        raise IndexError(f"cell index out of range [0, {sensor.n_cells}): {returns.cells}")
+    check_cells(returns.cells, sensor.n_cells, IndexError)
     p_hit = detection_prob(1, sensor.p_d, sensor.snr)
     p_false = detection_prob(0, sensor.p_d, sensor.snr)
     likelihoods = ((1.0 - p_hit, 1.0 - p_false), (p_hit, p_false))  # (exists, empty) by value
@@ -451,18 +450,19 @@ def grid_existence_update(
 def grid_births(
     returns: CellReturns, sensor: GridSensorModel, w_birth: float
 ) -> GpfParticleSet:
-    """One birth hypothesis per positive return, centered on the cell.
+    """One birth hypothesis per positive return, centered on the cell; IndexError off the grid.
 
     Position variance is that of a uniform draw over the cell (width^2/12);
     velocity starts at zero with unit variance.
     """
-    x_lo, y_lo, x_hi, y_hi = sensor.cell_bounds(0)
-    xi, yi = POSITION_IDX
-    cells = returns.cells[returns.values == 1].tolist()
+    cells = check_cells(returns.cells[returns.values == 1], sensor.n_cells, IndexError)
+    x_edges, y_edges = np.array(sensor.x_edges), np.array(sensor.y_edges)
+    rows, cols = np.divmod(cells, sensor.cols)
     means = np.zeros((len(cells), 4))
-    for row, cell in zip(means, cells):
-        row[xi], row[yi] = sensor.cell_center(cell)
-    cov = np.diag([(x_hi - x_lo) ** 2 / 12.0, 1.0, (y_hi - y_lo) ** 2 / 12.0, 1.0])
+    means[:, list(POSITION_IDX)] = 0.5 * np.column_stack(
+        (x_edges[cols] + x_edges[cols + 1], y_edges[rows] + y_edges[rows + 1]))
+    width, height = x_edges[1] - x_edges[0], y_edges[1] - y_edges[0]
+    cov = np.diag([width**2 / 12.0, 1.0, height**2 / 12.0, 1.0])
     return GpfParticleSet(np.full(len(cells), w_birth), means, np.tile(cov, (len(cells), 1, 1)))
 
 

@@ -5,6 +5,7 @@ interrogate each step.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,11 +71,11 @@ class GridSensorModel:
     """Detection grid: the workspace tiled by rows x cols equal cells.
 
     Cells are indexed row-major from the workspace origin corner (index =
-    row * cols + col).  Containment is half-open, x in [x_lo, x_hi) and
-    y in [y_lo, y_hi), and a cell's high edge is the next cell's low edge
-    (the last cell's is the workspace edge), so every workspace point
-    below the high workspace edges lies in exactly one cell: cell_of
-    finds it, and cell_contains is the membership rule.
+    row * cols + col).  The cols + 1 x_edges and rows + 1 y_edges are set
+    once here: edge k is the low workspace edge plus k cell widths, the
+    last the high workspace edge.  A cell holds x in [x_edges[col],
+    x_edges[col + 1]) and y likewise (cell_contains), so each point below
+    the high workspace edges lies in exactly one cell, which cell_of finds.
 
     p_d is the single-target detection probability, snr the known
     signal-to-noise ratio of the Rayleigh return model, m_cells the
@@ -87,9 +88,16 @@ class GridSensorModel:
     p_d: float = declare(0.9, Range(0.0, 1.0, lo_open=True, hi_open=True))
     snr: float = declare(3.0, Range(0.0, lo_open=True))
     m_cells: int = declare(12, Range(1))
+    x_edges: tuple[float, ...] = field(init=False, repr=False)
+    y_edges: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         check_fields(self)
+        ws = self.workspace
+        for name, lo, hi, n in (("x_edges", ws.x_min, ws.x_max, self.cols),
+                                ("y_edges", ws.y_min, ws.y_max, self.rows)):
+            width = (hi - lo) / n
+            object.__setattr__(self, name, tuple(lo + k * width for k in range(n)) + (hi,))
 
     @property
     def n_cells(self) -> int:
@@ -100,12 +108,7 @@ class GridSensorModel:
         if not 0 <= index < self.n_cells:
             raise IndexError(f"cell index {index} out of range [0, {self.n_cells})")
         row, col = divmod(index, self.cols)
-        ws = self.workspace
-        width = (ws.x_max - ws.x_min) / self.cols
-        height = (ws.y_max - ws.y_min) / self.rows
-        x_hi = ws.x_max if col == self.cols - 1 else ws.x_min + (col + 1) * width
-        y_hi = ws.y_max if row == self.rows - 1 else ws.y_min + (row + 1) * height
-        return ws.x_min + col * width, ws.y_min + row * height, x_hi, y_hi
+        return self.x_edges[col], self.y_edges[row], self.x_edges[col + 1], self.y_edges[row + 1]
 
     def cell_center(self, index: int) -> tuple[float, float]:
         x_lo, y_lo, x_hi, y_hi = self.cell_bounds(index)
@@ -118,20 +121,13 @@ class GridSensorModel:
     def cell_of(self, x: float, y: float) -> int | None:
         """Index of the cell holding (x, y); None outside the workspace.
 
-        The lattice coordinates propose a cell; rounding can move it one past
-        an edge, so cell_contains confirms it or one of its in-grid neighbours.
+        bisect_right on the edges names the only candidate, clamped into the grid; one
+        cell_contains call confirms it and turns away outside, high-edge and NaN points.
         """
-        ws = self.workspace
-        if not (ws.x_min <= x < ws.x_max and ws.y_min <= y < ws.y_max):
-            return None
-        col = min(int((x - ws.x_min) / (ws.x_max - ws.x_min) * self.cols), self.cols - 1)
-        row = min(int((y - ws.y_min) / (ws.y_max - ws.y_min) * self.rows), self.rows - 1)
-        for r in (row, row - 1, row + 1):
-            for c in (col, col - 1, col + 1):
-                if 0 <= r < self.rows and 0 <= c < self.cols:
-                    if self.cell_contains(r * self.cols + c, x, y):
-                        return r * self.cols + c
-        return None
+        col = min(max(bisect_right(self.x_edges, x) - 1, 0), self.cols - 1)
+        row = min(max(bisect_right(self.y_edges, y) - 1, 0), self.rows - 1)
+        index = row * self.cols + col
+        return index if self.cell_contains(index, x, y) else None
 
 
 def mean_sensor_measure(
@@ -158,6 +154,16 @@ def detection_prob(t: int, p_d: float, snr: float) -> float:
     return float(p_d ** ((1.0 + snr) / (1.0 + t * snr)))
 
 
+def check_cells(cells, n_cells: int, error: type[Exception] = ValueError) -> np.ndarray:
+    """cells as an array if it holds integers (bool is no cell) in [0, n_cells), else error."""
+    cells = np.asarray(cells)
+    if cells.size and cells.dtype.kind not in "iu":
+        raise error(f"a cell index in {cells} is not an integer")
+    if cells.size and not (0 <= cells.min() and cells.max() < n_cells):
+        raise error(f"a cell index in {cells} is out of range [0, {n_cells})")
+    return cells
+
+
 def grid_measure(
     truth: np.ndarray,
     cells: np.ndarray,
@@ -167,12 +173,9 @@ def grid_measure(
     """Binary return per interrogated cell, hit with detection_prob(T) for the T rows of
     the (n, 4) truth in it: one rng.random(m) draw (the stream of m scalar draws), and
     detection_prob once per T <= n (numpy's ** over an array can differ in the last bit)."""
-    cells = np.asarray(cells)
+    cells = check_cells(cells, model.n_cells)
     if len(cells) > model.m_cells:
         raise ValueError(f"{len(cells)} cells requested but m_cells = {model.m_cells}")
-    if cells.size and not (cells.dtype.kind in "iu" and 0 <= cells.min()
-                           and cells.max() < model.n_cells):  # bool too: True is no cell
-        raise ValueError(f"cell indices must be integers in [0, {model.n_cells}): {cells}")
     xi, yi = POSITION_IDX
     occupied = [c for c in (model.cell_of(s[xi], s[yi]) for s in truth) if c is not None]
     t = np.bincount(occupied, minlength=model.n_cells)[cells.astype(np.intp)]  # [] reads as float

@@ -21,6 +21,7 @@ from .sensors import (
     CellReturns,
     GridSensorModel,
     MeanSensorModel,
+    check_cells,
     grid_measure,
     mean_sensor_measure,
     select_cells,
@@ -117,6 +118,14 @@ def _capped_cost(estimates: np.ndarray, truths: np.ndarray, cap: float, p: int) 
     return np.float_power(np.minimum(dist, cap), p)
 
 
+def _matched_cost(estimates: np.ndarray, truths: np.ndarray, cap: float, p: int) -> float:
+    """Sum of the _capped_cost entries that a minimum-cost assignment matches."""
+    from scipy.optimize import linear_sum_assignment  # here, to keep CLI start-up light
+    cost = _capped_cost(estimates, truths, cap, p)
+    rows, cols = linear_sum_assignment(cost)
+    return cost[rows, cols].sum()
+
+
 def assignment_rmse(
     estimates: np.ndarray,
     truths: np.ndarray,
@@ -129,17 +138,11 @@ def assignment_rmse(
     full cap, and the mean square is taken over the number of truths.  With
     no truths the result is 0 when there are also no estimates, else the cap.
     """
-    n_true = len(truths)
-    n_est = len(estimates)
-    if n_true == 0:
-        return 0.0 if n_est == 0 else cap
-    if n_est == 0:
-        return cap
-    from scipy.optimize import linear_sum_assignment  # here, to keep CLI start-up light
-    cost = _capped_cost(estimates, truths, cap, 2)
-    rows, cols = linear_sum_assignment(cost)
-    total = cost[rows, cols].sum() + cap**2 * max(0, n_true - n_est)
-    return float(np.sqrt(total / n_true))
+    m, n = len(estimates), len(truths)
+    if m == 0 or n == 0:
+        return 0.0 if m == n else cap
+    total = _matched_cost(estimates, truths, cap, 2) + cap**2 * max(0, n - m)
+    return float(np.sqrt(total / n))
 
 
 def ospa_distance(
@@ -147,14 +150,9 @@ def ospa_distance(
 ) -> float:
     """OSPA metric between two point sets (order p, cutoff cap), as in assignment_rmse."""
     m, n = len(estimates), len(truths)
-    if m == 0 and n == 0:
-        return 0.0
     if m == 0 or n == 0:
-        return cap
-    from scipy.optimize import linear_sum_assignment
-    cost = _capped_cost(estimates, truths, cap, p)
-    rows, cols = linear_sum_assignment(cost)
-    total = cost[rows, cols].sum() + cap**p * abs(m - n)
+        return 0.0 if m == n else cap
+    total = _matched_cost(estimates, truths, cap, p) + cap**p * abs(m - n)
     return float((total / max(m, n)) ** (1.0 / p))
 
 
@@ -220,16 +218,11 @@ class ExperimentSetup:
     def __post_init__(self) -> None:
         check_fields(self)
         if self.cell_strategy == "fixed_list":
-            cells, n_cells = self.fixed_cells or [], self.grid_rows * self.grid_cols
-            if not cells:
+            if not self.fixed_cells:
                 raise ValueError("fixed_list strategy requires a cell list")
-            for c in cells:
-                if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
-                    raise ValueError(f"cell index {c!r} is not an integer")
-                if not 0 <= c < n_cells:
-                    raise ValueError(f"cell index {c} out of range [0, {n_cells})")
-            if len(cells) > self.m_cells:
-                raise ValueError(f"{len(cells)} fixed cells but m_cells = {self.m_cells}")
+            n = len(check_cells(self.fixed_cells, self.grid_rows * self.grid_cols))
+            if n > self.m_cells:
+                raise ValueError(f"{n} fixed cells but m_cells = {self.m_cells}")
 
 
 # One filter step: measurement -> (means (n, 4), covs (n, 4, 4), weights (n,), cardinality).

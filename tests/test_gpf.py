@@ -580,6 +580,13 @@ class TestGridUpdate:
         assert births.particles[0].weight == 0.1
         assert_allclose(births.particles[0].state.mean, [2.5, 0.0, 1.5, 0.0])
         assert_allclose(births.particles[0].state.cov, np.diag([1 / 12, 1.0, 1 / 12, 1.0]))
+        # mixed returns on an offset grid with inexact cell sizes: cell_center, bit for bit
+        sensor = GridSensorModel(Rectangle(-3.7, 2.2, 8.4, 13.3), rows=9, cols=13)
+        cells, values = [5, 116, 0, 60, 116, 3, 40, 12], [1, 0, 1, 1, 1, 0, 1, 1]
+        births = grid_births(CellReturns(cells, values), sensor, 0.1)
+        xi, yi = POSITION_IDX
+        centres = [sensor.cell_center(c) for c, v in zip(cells, values) if v]
+        assert [(m[xi], m[yi]) for m in births.means.tolist()] == centres
 
 
 class TestGpfStep:
@@ -786,6 +793,8 @@ class TestGpfStep:
         # a miss seeds no birth, so only the update can catch it
         with pytest.raises(IndexError):
             gpf_step(GpfParticleSet(), CellReturns([cell], [0]), config)
+        with pytest.raises(IndexError):
+            grid_births(CellReturns([0, cell], [1, 1]), config.sensor, 0.1)
 
     def test_invariants_over_random_run(self):
         rng = np.random.default_rng(33)

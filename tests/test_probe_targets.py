@@ -58,3 +58,5 @@ def test_observers_read_real_results(tmp_path, sensor, observed):
     assert code == 0
     assert probes.absent == {}
     assert observed <= {span.name for span in probes.spans if span.attrs}
+    if sensor == "grid":  # every cell_of lookup confirms its cell with one cell_contains call
+        assert probes.counters["sensors.cell_contains"].calls > 0

@@ -3,7 +3,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -20,6 +20,8 @@ from mtt.sensors import (
 )
 
 WORKSPACE = Rectangle(0.0, 0.0, 12.0, 12.0)
+GRID_DENSE = (Rectangle(0.0, 0.0, 48.0, 48.0), 48, 48)  # the grid_dense benchmark grid
+OFFSET_GRID = (Rectangle(-3.7, 2.2, 8.4, 13.3), 9, 13)  # offset origin, inexact cell sizes
 
 
 def _state(x, y, vx=0.0, vy=0.0):
@@ -113,17 +115,22 @@ class TestDetectionProb:
 
 class TestGrid:
     def test_grid_tiles_workspace(self):
-        model = GridSensorModel(WORKSPACE, rows=12, cols=12)
-        assert model.n_cells == 144
-        bounds = np.array([model.cell_bounds(i) for i in range(model.n_cells)])
-        widths = bounds[:, 2] - bounds[:, 0]
-        heights = bounds[:, 3] - bounds[:, 1]
-        assert_allclose(widths, 1.0)
-        assert_allclose(heights, 1.0)
+        # edge k lies at exactly x_min + k * width, and the last edge is the workspace edge
+        for ws, rows, cols in [(WORKSPACE, 12, 12), GRID_DENSE, OFFSET_GRID]:
+            model = GridSensorModel(ws, rows=rows, cols=cols)
+            assert model.n_cells == rows * cols
+            width, height = (ws.x_max - ws.x_min) / cols, (ws.y_max - ws.y_min) / rows
+            for index in range(model.n_cells):
+                row, col = divmod(index, cols)
+                x_hi = ws.x_max if col == cols - 1 else ws.x_min + (col + 1) * width
+                y_hi = ws.y_max if row == rows - 1 else ws.y_min + (row + 1) * height
+                assert model.cell_bounds(index) == (
+                    ws.x_min + col * width, ws.y_min + row * height, x_hi, y_hi)
         # row-major from the origin corner
-        assert_allclose(model.cell_bounds(0), [0.0, 0.0, 1.0, 1.0])
-        assert_allclose(model.cell_bounds(1), [1.0, 0.0, 2.0, 1.0])
-        assert_allclose(model.cell_bounds(12), [0.0, 1.0, 1.0, 2.0])
+        model = GridSensorModel(WORKSPACE, rows=12, cols=12)
+        assert model.cell_bounds(0) == (0.0, 0.0, 1.0, 1.0)
+        assert model.cell_bounds(1) == (1.0, 0.0, 2.0, 1.0)
+        assert model.cell_bounds(12) == (0.0, 1.0, 1.0, 2.0)
 
     def test_boundary_is_closed_left_open_right(self):
         model = GridSensorModel(WORKSPACE)
@@ -273,12 +280,13 @@ class TestGridTiling:
         assert _cells_containing(model, x, 0.5) == [col]
 
     def test_last_edge_is_workspace_edge(self):
-        model = GridSensorModel(Rectangle(0.0, 0.0, 1.1, 1.0), rows=3, cols=7)
-        x_lo, y_lo, x_hi, y_hi = model.cell_bounds(model.n_cells - 1)
-        assert (x_hi, y_hi) == (1.1, 1.0)
-        assert model.cell_bounds(0)[:2] == (0.0, 0.0)
-        below = np.nextafter(1.1, -np.inf), np.nextafter(1.0, -np.inf)
-        assert _cells_containing(model, *below) == [model.n_cells - 1]
+        for ws, rows, cols in [(Rectangle(0.0, 0.0, 1.1, 1.0), 3, 7), GRID_DENSE, OFFSET_GRID]:
+            model = GridSensorModel(ws, rows=rows, cols=cols)
+            x_lo, y_lo, x_hi, y_hi = model.cell_bounds(model.n_cells - 1)
+            assert (x_hi, y_hi) == (ws.x_max, ws.y_max)
+            assert model.cell_bounds(0)[:2] == (ws.x_min, ws.y_min)
+            below = np.nextafter(ws.x_max, -np.inf), np.nextafter(ws.y_max, -np.inf)
+            assert _cells_containing(model, *below) == [model.n_cells - 1]
 
     @pytest.mark.parametrize(
         "x, y",
@@ -291,6 +299,18 @@ class TestGridTiling:
         assert model.cell_of(x, y) is None
         assert _cells_containing(model, x, y) == []
 
+    @pytest.mark.parametrize("x, y", [(0.5, 0.5), (-0.1, 0.5), (1.1, 0.5), (0.5, 1.0),
+                                      (np.nan, 0.5)])
+    def test_one_cell_contains_call_per_lookup(self, monkeypatch, x, y):
+        # inside, outside, on a high edge and NaN: the only candidate cell is confirmed once
+        model = GridSensorModel(Rectangle(0.0, 0.0, 1.1, 1.0), rows=3, cols=7)
+        calls = []
+        contains = GridSensorModel.cell_contains
+        monkeypatch.setattr(GridSensorModel, "cell_contains",
+                            lambda self, *args: calls.append(args) or contains(self, *args))
+        model.cell_of(x, y)
+        assert len(calls) == 1
+
     @given(
         st.floats(-1e3, 1e3),
         st.floats(-1e3, 1e3),
@@ -300,6 +320,11 @@ class TestGridTiling:
         st.integers(1, 30),
         st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=10),
     )
+    # the grid_dense grid, and an offset workspace whose cell sizes are inexact
+    @example(x0=0.0, y0=0.0, w=48.0, h=48.0, rows=48, cols=48,
+             fractions=[(0.5, 0.5), (0.999, 0.001), (1.0, 1.0)])
+    @example(x0=-3.7, y0=2.2, w=12.1, h=11.1, rows=9, cols=13,
+             fractions=[(0.5, 0.5), (0.999, 0.001), (1.0, 1.0)])
     @settings(max_examples=60, deadline=None)
     def test_every_point_in_exactly_one_cell(self, x0, y0, w, h, rows, cols, fractions):
         model = GridSensorModel(Rectangle(x0, y0, x0 + w, y0 + h), rows=rows, cols=cols)
