@@ -157,27 +157,24 @@ def log_pdf(g: GaussianState, x: np.ndarray) -> float | np.ndarray:
 
 
 def mixture_moments(
-    means: list[np.ndarray], covs: list[np.ndarray], weights: np.ndarray
+    means: np.ndarray, covs: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance of a Gaussian mixture (moment matching).
+    """Mean and covariance of a Gaussian mixture with rows (k, d), (k, d, d), (k,).
 
     mu = sum_i w_i mu_i
     Sigma = sum_i w_i (Sigma_i + (mu_i - mu)(mu_i - mu)')
 
-    with weights normalized to sum to one.
+    with weights normalized to sum to one.  Both sums run over the rows in
+    order (an axis-0 reduction), so the result has the bits of a row loop.
     """
-    weights = np.asarray(weights, dtype=float)
+    means, covs, weights = (np.asarray(a, dtype=float) for a in (means, covs, weights))
     total = weights.sum()
     if total <= 0.0:
         raise ValueError("mixture weights must have positive total")
     w = weights / total
-    mean = np.zeros_like(np.asarray(means[0], dtype=float))
-    for mu_i, w_i in zip(means, w):
-        mean += w_i * np.asarray(mu_i, dtype=float)
-    cov = np.zeros((mean.shape[0], mean.shape[0]))
-    for mu_i, cov_i, w_i in zip(means, covs, w):
-        diff = np.asarray(mu_i, dtype=float) - mean
-        cov += w_i * (np.asarray(cov_i, dtype=float) + np.outer(diff, diff))
+    mean = (w[:, None] * means).sum(axis=0)
+    diff = means - mean
+    cov = (w[:, None, None] * (covs + diff[:, :, None] * diff[:, None, :])).sum(axis=0)
     return mean, _symmetrize(cov)
 
 
@@ -202,5 +199,5 @@ def moment_match_merge(
         raise ValueError("total weight of merged particles must be positive")
     mean, cov = mixture_moments(means, covs, weights)
     if cov_mode == "plain_sum":
-        cov = _symmetrize(sum(covs))
+        cov = _symmetrize(covs.sum(axis=0))
     return min(1.0, float(total)), mean, cov

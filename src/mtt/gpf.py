@@ -72,6 +72,8 @@ class GpfParticleSet(ValueEq):
             raise ValueError(f"want weights (n,), means (n, d), covs (n, d, d), got {shapes}")
         if not all(0.0 <= w <= 1.0 for w in weights.tolist()):  # faster than numpy at small n
             raise ValueError(f"weights must lie in [0, 1], got {weights}")
+        if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+            raise ValueError("means and covs must be finite")
         for name, value in (("weights", weights), ("means", means), ("covs", _symmetrize(covs))):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -159,6 +161,7 @@ def enumerate_combinations(
     it can never recover, because every remaining factor is at most one.
     """
     check_field(GpfConfig, "epsilon", epsilon)
+    check_field(GpfConfig, "s_max", s_max)
     s = len(weights)
     if s > s_max:
         raise CombinatorialBlowupError(
@@ -187,12 +190,13 @@ def enumerate_combinations(
 def conditional_kf_update(
     j: int,
     bits: tuple[int, ...],
-    states: list[GaussianState],
+    means: np.ndarray,
+    covs: np.ndarray,
     z: np.ndarray,
     r: np.ndarray,
     projection: np.ndarray,
 ) -> KalmanUpdate:
-    """Kalman update of in-view prior state j assuming the combination `bits` holds.
+    """Kalman update of in-view prior row j assuming the combination `bits` holds.
 
     The sensor reports the mean of the active targets, so from particle
     j's point of view the measurement matrix shrinks to projection / n
@@ -202,34 +206,34 @@ def conditional_kf_update(
 
         z'    = z - P (sum_{i != j} e_i mu_i) / n
         H     = P / n
-        R_eff = (1/n^2) sum_{i != j} e_i P Sigma_i P' + R
+        R_eff = (1/n^2) P (sum_{i != j} e_i Sigma_i) P' + R
 
     With a single active particle this is exactly the plain Kalman update.
-    z, r and projection are float arrays (1-D, 2-D, 2-D).
+    means (s, d) and covs (s, d, d) are the in-view prior rows; z, r and
+    projection are float arrays (1-D, 2-D, 2-D).
     """
     if bits[j] != 1:
         raise ValueError(f"particle {j} is not active in combination {bits}")
+    if z.shape != projection.shape[:1]:
+        raise ValueError(f"z shape {z.shape} does not match {projection.shape[0]} projection rows")
     n_active = int(sum(bits))
-    others_mean = np.zeros(z.shape)  # shaped by z, so kf_update sees a wrong-sized z
-    others_cov = np.zeros((projection.shape[0], projection.shape[0]))
-    for i, state in enumerate(states):
-        if bits[i] and i != j:
-            others_mean += projection @ state.mean
-            others_cov += projection @ state.cov @ projection.T
-
-    z_eff = z - others_mean / n_active
-    return kf_update(states[j], projection / n_active, others_cov / n_active**2 + r, z_eff)
+    others = [i for i, e in enumerate(bits) if e and i != j]
+    if others:
+        z = z - projection @ means[others].sum(axis=0) / n_active
+        r = projection @ covs[others].sum(axis=0) @ projection.T / n_active**2 + r
+    return kf_update(GaussianState(means[j], covs[j]), projection / n_active, r, z)
 
 
 def combination_log_weight(
     combo: ExistenceCombination,
-    states: list[GaussianState],
+    means: np.ndarray,
+    covs: np.ndarray,
     z: np.ndarray,
     r: np.ndarray,
     clutter_density: float,
     projection: np.ndarray,
 ) -> float:
-    """Log of prior times evidence, using the in-view prior (predicted) states.
+    """Log of prior times evidence, using the in-view prior rows means (s, d), covs (s, d, d).
 
     An active combination predicts z ~ N(mu_c, Sigma_c) with
     mu_c = P (sum_active mu_i) / n and
@@ -241,10 +245,8 @@ def combination_log_weight(
     if not active:
         return math.log(combo.prior) + math.log(clutter_density)
     n = len(active)
-    mean_sum = sum(states[i].mean for i in active)
-    cov_sum = sum(states[i].cov for i in active)
-    mu_c = projection @ mean_sum / n
-    sigma_c = projection @ cov_sum @ projection.T / n**2 + r
+    mu_c = projection @ means[active].sum(axis=0) / n
+    sigma_c = projection @ covs[active].sum(axis=0) @ projection.T / n**2 + r
     return math.log(combo.prior) + log_pdf(GaussianState(mu_c, sigma_c), z)
 
 
@@ -257,36 +259,38 @@ def normalize_combination_weights(log_weights: list[float]) -> np.ndarray:
 
 
 def marginalize_existence(
-    combos: list[ExistenceCombination],
+    bits: np.ndarray,
     posterior: np.ndarray,
-    updated: list[dict[int, GaussianState]],
+    post_means: np.ndarray,
+    post_covs: np.ndarray,
     weights: np.ndarray,
     means: np.ndarray,
     covs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Recover the in-view rows (weights, means, covs) from combination posteriors.
 
-    posterior[k] is combination k's normalized weight and updated[k] maps
-    each of its active particles to that particle's conditional update.
-    A particle's existence probability is the total posterior of the
-    combinations that contain it; its state is the moment-matched mixture
-    of its conditional updates under those combinations.  A particle
-    active in no retained combination passes through unchanged, and one
-    whose probability is zero keeps its prior state.  Returns new arrays.
+    bits (C, s) says which particles each combination holds active,
+    posterior (C,) is each combination's normalized weight, and
+    post_means (C, s, d) and post_covs (C, s, d, d) hold the conditional
+    update of every active (combination, particle) pair; inactive pairs
+    are not read.  A particle's existence probability is the total
+    posterior of the combinations that contain it; its state is the
+    moment-matched mixture of its conditional updates under those
+    combinations.  A particle active in no combination passes through
+    unchanged, and one whose probability is zero keeps its prior state.
+    Returns new arrays.
     """
-    if not combos:
+    if not len(bits):
         raise ValueError("cannot marginalize an empty combination list")
     weights, means, covs = (np.array(a, dtype=float) for a in (weights, means, covs))
     for i in range(len(weights)):
-        mine = [k for k, combo in enumerate(combos) if combo.bits[i]]
-        if not mine:
+        mine = np.flatnonzero(bits[:, i])
+        if not mine.size:
             continue
-        mix = posterior[mine]
+        mix = posterior[mine]  # summed 1-D, in combination order: a matmul would reorder it
         weights[i] = min(1.0, float(mix.sum()))
         if weights[i] > 0.0:
-            means[i], covs[i] = mixture_moments(
-                [updated[k][i].mean for k in mine], [updated[k][i].cov for k in mine], mix
-            )
+            means[i], covs[i] = mixture_moments(post_means[mine, i], post_covs[mine, i], mix)
     return weights, means, covs
 
 
@@ -359,6 +363,7 @@ def birth_and_prune(
     are kept (ties broken by original order) and their ordering preserved.
     """
     check_field(GpfConfig, "w_prune", w_prune)
+    check_field(GpfConfig, "n_max", n_max)
     sets = (pset, births) if len(births) else (pset,)  # empty births may differ in d
     weights = np.concatenate([s.weights for s in sets])
     keep = np.nonzero(weights >= w_prune)[0]
@@ -382,25 +387,25 @@ def _mean_measurement_update(
     in_idx, _ = select_fov_particles(pset, config.fov)
     if not in_idx.size:
         return pset
-    rows = [a[in_idx] for a in (pset.weights, pset.means, pset.covs)]
-    combos = enumerate_combinations(rows[0].tolist(), config.epsilon, config.s_max)
+    weights, means, covs = (a[in_idx] for a in (pset.weights, pset.means, pset.covs))
+    combos = enumerate_combinations(weights.tolist(), config.epsilon, config.s_max)
     if not combos:
         return replace(pset, degenerate_step=True)
 
-    # one prior state per in-view row, shared by every (combination, active) pair
-    states = [GaussianState(m, c) for m, c in zip(rows[1], rows[2])]
     r, proj = config.sensor.R, config.sensor.position_projection
     log_weights = [
-        combination_log_weight(combo, states, z, r, config.clutter_density, proj)
+        combination_log_weight(combo, means, covs, z, r, config.clutter_density, proj)
         for combo in combos
     ]
-    updated = [
-        {j: conditional_kf_update(j, combo.bits, states, z, r, proj).posterior
-         for j, e in enumerate(combo.bits) if e}
-        for combo in combos
-    ]
+    # the conditional update of every active (combination, row) pair; the rest stay zero
+    bits = np.array([combo.bits for combo in combos])
+    post_means = np.zeros(bits.shape + means.shape[1:])
+    post_covs = np.zeros(bits.shape + covs.shape[1:])
+    for k, j in np.argwhere(bits).tolist():
+        post = conditional_kf_update(j, combos[k].bits, means, covs, z, r, proj).posterior
+        post_means[k, j], post_covs[k, j] = post.mean, post.cov
     posterior = normalize_combination_weights(log_weights)
-    marginal = marginalize_existence(combos, posterior, updated, *rows)
+    marginal = marginalize_existence(bits, posterior, post_means, post_covs, weights, means, covs)
 
     weights, means, covs = (a.copy() for a in (pset.weights, pset.means, pset.covs))
     weights[in_idx], means[in_idx], covs[in_idx] = marginal

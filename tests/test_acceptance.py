@@ -107,22 +107,21 @@ def test_criterion_2_conditional_gain_closed_form():
         for i in active:
             bits[i] = 1
         j = int(rng.choice(active))
-        states = [
-            GaussianState(rng.standard_normal(n), _random_psd(rng, n)) for _ in range(s)
-        ]
+        rows = [(rng.standard_normal(n), _random_psd(rng, n)) for _ in range(s)]
+        means, covs = np.array([m for m, _ in rows]), np.array([c for _, c in rows])
         r = _random_psd(rng, n)
         ne = sum(bits)
-        denom = r + sum(states[i].cov for i in range(s) if bits[i]) / ne**2
-        closed = states[j].cov @ np.linalg.inv(denom) / ne
+        denom = r + sum(covs[i] for i in range(s) if bits[i]) / ne**2
+        closed = covs[j] @ np.linalg.inv(denom) / ne
         z = rng.standard_normal(n)
-        got = conditional_kf_update(j, tuple(bits), states, z, r, np.eye(n)).gain
+        got = conditional_kf_update(j, tuple(bits), means, covs, z, r, np.eye(n)).gain
         rel = np.linalg.norm(got - closed) / np.linalg.norm(closed)
         assert rel <= 1e-10
         worst = max(worst, rel)
 
-    states = [GaussianState(0.0, 1.0), GaussianState(2.0, 1.0)]
     out = conditional_kf_update(
-        0, (1, 1), states, np.array([1.0]), np.array([[1.0]]), np.eye(1)
+        0, (1, 1), np.array([[0.0], [2.0]]), np.array([[[1.0]], [[1.0]]]),
+        np.array([1.0]), np.array([[1.0]]), np.eye(1),
     )
     assert_allclose(out.gain, [[1.0 / 3.0]], rtol=1e-15)
     assert_allclose(out.posterior.mean, [0.0], atol=1e-15)

@@ -13,6 +13,7 @@ from mtt.gaussians import (
     GaussianState,
     SingularCovarianceError,
     log_pdf,
+    mixture_moments,
     moment_match_merge,
     noise_factor,
 )
@@ -232,6 +233,31 @@ class TestMomentMatchMerge:
         _, _, cov = _merge(parts)
         assert_allclose(cov, cov.T, atol=1e-12)
         assert np.linalg.eigvalsh(cov).min() >= -1e-9
+
+
+def _mixture_moments_by_row(means, covs, weights):
+    """The row-by-row loop that mixture_moments sums as arrays: the reference."""
+    w = weights / weights.sum()
+    mean = np.zeros(means.shape[1])
+    for mu_i, w_i in zip(means, w):
+        mean += w_i * mu_i
+    cov = np.zeros((mean.shape[0], mean.shape[0]))
+    for mu_i, cov_i, w_i in zip(means, covs, w):
+        diff = mu_i - mean
+        cov += w_i * (cov_i + np.outer(diff, diff))
+    return mean, 0.5 * (cov + cov.T)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_mixture_moments_has_the_bits_of_the_row_loop(seed, k, d):
+    rng = np.random.default_rng(seed)
+    means = 5.0 * rng.standard_normal((k, d))
+    covs = np.array([_random_psd(rng, d) for _ in range(k)])
+    weights = rng.random(k) + 1e-3
+    for got, want in zip(mixture_moments(means, covs, weights),
+                         _mixture_moments_by_row(means, covs, weights)):
+        assert np.array_equal(got, want)
 
 
 class TestTypes:

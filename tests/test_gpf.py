@@ -59,6 +59,16 @@ def _random_psd(rng, n):
     return a @ a.T + 0.2 * np.eye(n)
 
 
+def _random_rows(rng, s, n):
+    """s random (mean, cov) rows of dimension n, drawn row by row, stacked."""
+    rows = [(rng.standard_normal(n), _random_psd(rng, n)) for _ in range(s)]
+    return np.array([m for m, _ in rows]), np.array([c for _, c in rows])
+
+
+# two 1-D prior rows, N(0, 1) and N(2, 1), for the hand-computed examples
+_TWO_ROWS = (np.array([[0.0], [2.0]]), np.array([[[1.0]], [[1.0]]]))
+
+
 def _mean_sensor(r=0.5):
     return MeanSensorModel(R=np.eye(2) * r, position_projection=position_projection())
 
@@ -109,7 +119,9 @@ class TestParticleSet:
          ([0.5], np.zeros((1, 4)), np.zeros((1, 3, 3))),
          ([0.5], np.zeros(4), np.zeros((1, 4, 4))),
          ([1.5], np.zeros((1, 4)), np.zeros((1, 4, 4))),
-         ([math.nan], np.zeros((1, 4)), np.zeros((1, 4, 4)))],
+         ([math.nan], np.zeros((1, 4)), np.zeros((1, 4, 4))),
+         ([0.5], [[math.nan, 0.0, 0.0, 0.0]], np.eye(4)[None]),
+         ([0.5], np.zeros((1, 4)), np.full((1, 4, 4), math.inf))],
     )
     def test_bad_arrays_rejected(self, weights, means, covs):
         with pytest.raises(ValueError):
@@ -256,6 +268,13 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_combinations([0.5], 0.0)
 
+    @pytest.mark.parametrize("s_max", [0, -1, 2.5])
+    def test_s_max_validated(self, s_max):
+        # a range error naming the field, not a blow-up of one in-view particle
+        with pytest.raises(ValueError, match="s_max") as raised:
+            enumerate_combinations([0.5], 0.01, s_max)
+        assert not isinstance(raised.value, CombinatorialBlowupError)
+
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
     def test_matches_exhaustive_enumeration(self, seed, s):
@@ -285,7 +304,7 @@ class TestConditionalUpdate:
         proj = position_projection()
         r = np.eye(2) * 0.5
         z = rng.standard_normal(2)
-        got = conditional_kf_update(0, (1,), [state], z, r, proj)
+        got = conditional_kf_update(0, (1,), state.mean[None], state.cov[None], z, r, proj)
         model = LinearGaussianModel(F=np.eye(4), Q=np.zeros((4, 4)), H=proj, R=r)
         want = kf_update(state, model.H, model.R, z)
         assert_allclose(got.posterior.mean, want.posterior.mean, rtol=1e-14, atol=0)
@@ -293,9 +312,8 @@ class TestConditionalUpdate:
         assert_allclose(got.gain, want.gain, rtol=1e-14, atol=0)
 
     def test_two_particle_hand_example(self):
-        states = [GaussianState(0.0, 1.0), GaussianState(2.0, 1.0)]
         out = conditional_kf_update(
-            0, (1, 1), states, np.array([1.0]), np.array([[1.0]]), np.eye(1)
+            0, (1, 1), *_TWO_ROWS, np.array([1.0]), np.array([[1.0]]), np.eye(1)
         )
         assert_allclose(out.residual, [0.0], atol=1e-15)
         assert_allclose(out.innovation_cov, [[1.5]])
@@ -304,26 +322,25 @@ class TestConditionalUpdate:
         assert_allclose(out.posterior.cov, [[5.0 / 6.0]])
 
     def test_uninformative_measurement(self):
-        states = [GaussianState(0.0, 1.0), GaussianState(2.0, 1.0)]
         out = conditional_kf_update(
-            0, (1, 1), states, np.array([1.0]), np.array([[1e12]]), np.eye(1)
+            0, (1, 1), *_TWO_ROWS, np.array([1.0]), np.array([[1e12]]), np.eye(1)
         )
         assert_allclose(out.posterior.mean, [0.0], atol=1e-6)
         assert_allclose(out.posterior.cov, [[1.0]], rtol=1e-6)
 
     def test_inactive_particle_rejected(self):
-        states = [_particle(0.5, 0.0, 0.0).state, _particle(0.5, 1.0, 1.0).state]
+        rows = _pset([_particle(0.5, 0.0, 0.0), _particle(0.5, 1.0, 1.0)])
         with pytest.raises(ValueError):
-            conditional_kf_update(0, (0, 1), states, np.zeros(2), np.eye(2),
+            conditional_kf_update(0, (0, 1), rows.means, rows.covs, np.zeros(2), np.eye(2),
                                   position_projection())
 
     @pytest.mark.parametrize("bits", [(1,), (1, 1)])
     @pytest.mark.parametrize("z_dim", [1, 3])
     def test_measurement_dim_checked(self, bits, z_dim):
         # a 1-element z must not broadcast against the 2-row projection
-        states = [_particle(0.5, 0.0, 0.0).state, _particle(0.5, 1.0, 1.0).state][: len(bits)]
+        rows = _pset([_particle(0.5, 0.0, 0.0), _particle(0.5, 1.0, 1.0)][: len(bits)])
         with pytest.raises(ValueError):
-            conditional_kf_update(0, bits, states, np.ones(z_dim), np.eye(2),
+            conditional_kf_update(0, bits, rows.means, rows.covs, np.ones(z_dim), np.eye(2),
                                   position_projection())
 
     @given(st.integers(0, 2**32 - 1))
@@ -338,15 +355,13 @@ class TestConditionalUpdate:
         for i in active:
             bits[i] = 1
         j = int(rng.choice(active))
-        states = [
-            GaussianState(rng.standard_normal(n), _random_psd(rng, n)) for _ in range(s)
-        ]
+        means, covs = _random_rows(rng, s, n)
         r = _random_psd(rng, n)
         z = rng.standard_normal(n)
         ne = sum(bits)
-        denom = r + sum(states[i].cov for i in range(s) if bits[i]) / ne**2
-        closed = states[j].cov @ np.linalg.inv(denom) / ne
-        got = conditional_kf_update(j, tuple(bits), states, z, r, np.eye(n)).gain
+        denom = r + sum(covs[i] for i in range(s) if bits[i]) / ne**2
+        closed = covs[j] @ np.linalg.inv(denom) / ne
+        got = conditional_kf_update(j, tuple(bits), means, covs, z, r, np.eye(n)).gain
         assert np.linalg.norm(got - closed) <= 1e-10 * np.linalg.norm(closed)
 
 
@@ -354,29 +369,28 @@ class TestCombinationWeight:
     def test_perfect_match_peak_density(self):
         z = np.array([0.5])
         combo = ExistenceCombination((1,), prior=1.0)
-        state = GaussianState(0.5, 1e-4)
         w = math.exp(
-            combination_log_weight(combo, [state], z, np.array([[1e-4]]), 1.0, np.eye(1))
+            combination_log_weight(combo, np.array([[0.5]]), np.array([[[1e-4]]]), z,
+                                   np.array([[1e-4]]), 1.0, np.eye(1))
         )
         peak = 1.0 / math.sqrt(2 * math.pi * 2e-4)
         assert_allclose(w, peak, rtol=1e-12)
 
     def test_all_zero_combination_uses_clutter(self):
         combo = ExistenceCombination((0,), prior=0.3)
-        states = [_particle(0.7, 0.0, 0.0).state]
+        rows = _pset([_particle(0.7, 0.0, 0.0)])
         w = math.exp(
-            combination_log_weight(combo, states, np.zeros(2), np.eye(2), 1.0 / 144.0,
-                                   position_projection())
+            combination_log_weight(combo, rows.means, rows.covs, np.zeros(2), np.eye(2),
+                                   1.0 / 144.0, position_projection())
         )
         assert_allclose(w, 0.3 / 144.0, rtol=1e-12)
 
     def test_two_active_hand_example(self):
         # mu_c = 1, Sigma_c = (1+1)/4 + 1 = 1.5, density = 1/sqrt(2 pi 1.5)
-        states = [GaussianState(0.0, 1.0), GaussianState(2.0, 1.0)]
         combo = ExistenceCombination((1, 1), prior=0.81)
         w = math.exp(
             combination_log_weight(
-                combo, states, np.array([1.0]), np.array([[1.0]]), 1.0, np.eye(1)
+                combo, *_TWO_ROWS, np.array([1.0]), np.array([[1.0]]), 1.0, np.eye(1)
             )
         )
         expected_density = 1.0 / math.sqrt(2 * math.pi * 1.5)
@@ -387,83 +401,77 @@ class TestCombinationWeight:
 class TestMarginalize:
     @staticmethod
     def _marginalize(combos, particles):
-        """combos: (bits, posterior, {active index: updated state}) triples."""
+        """combos: (bits, posterior, {active index: (mean, var)}) triples over
+        1-D particles given as (weight, mean, var) triples."""
+        bits = np.array([bits for bits, _, _ in combos], dtype=int).reshape(-1, len(particles))
+        post_means = np.zeros(bits.shape + (1,))
+        post_covs = np.zeros(bits.shape + (1, 1))
+        for k, (_, _, updated) in enumerate(combos):
+            for i, (mean, var) in updated.items():
+                post_means[k, i], post_covs[k, i] = mean, var
         return marginalize_existence(
-            [ExistenceCombination(tuple(bits), prior=1.0) for bits, _, _ in combos],
+            bits,
             np.array([weight for _, weight, _ in combos]),
-            [states for _, _, states in combos],
-            [p.weight for p in particles],
-            np.array([p.state.mean for p in particles]),
-            np.array([p.state.cov for p in particles]),
+            post_means,
+            post_covs,
+            [w for w, _, _ in particles],
+            np.array([[m] for _, m, _ in particles]),
+            np.array([[[v]] for _, _, v in particles]),
         )
 
     def test_single_combination(self):
-        updated = GaussianState(np.array([3.0]), np.array([[0.5]]))
         weights, means, covs = self._marginalize(
-            [((1,), 1.0, {0: updated})], [GaussianParticle(0.9, GaussianState(0.0, 1.0))]
+            [((1,), 1.0, {0: (3.0, 0.5)})], [(0.9, 0.0, 1.0)]
         )
         assert weights[0] == 1.0
         assert_allclose(means[0], [3.0])
         assert_allclose(covs[0], [[0.5]])
 
     def test_symmetric_split(self):
-        s0 = GaussianState(np.array([0.0]), np.array([[1.0]]))
-        s1 = GaussianState(np.array([2.0]), np.array([[1.0]]))
-        combos = [((1, 0), 0.5, {0: s0}), ((0, 1), 0.5, {1: s1})]
-        parts = [
-            GaussianParticle(0.5, s0),
-            GaussianParticle(0.5, s1),
-        ]
-        weights, _, _ = self._marginalize(combos, parts)
+        combos = [((1, 0), 0.5, {0: (0.0, 1.0)}), ((0, 1), 0.5, {1: (2.0, 1.0)})]
+        weights, _, _ = self._marginalize(combos, [(0.5, 0.0, 1.0), (0.5, 2.0, 1.0)])
         assert weights.tolist() == [0.5, 0.5]
 
     def test_marginal_sums(self):
-        s = GaussianState(np.array([0.0]), np.array([[1.0]]))
+        s = (0.0, 1.0)
         combos = [
             ((1, 1), 0.6, {0: s, 1: s}),
             ((1, 0), 0.3, {0: s}),
             ((0, 1), 0.1, {1: s}),
         ]
-        parts = [GaussianParticle(0.9, s), GaussianParticle(0.9, s)]
-        weights, _, _ = self._marginalize(combos, parts)
+        weights, _, _ = self._marginalize(combos, [(0.9, *s), (0.9, *s)])
         assert_allclose(weights[0], 0.9)
         assert_allclose(weights[1], 0.7)
 
     def test_untouched_particle_passes_through(self):
-        s = GaussianState(np.array([0.0]), np.array([[1.0]]))
-        parts = [
-            GaussianParticle(0.9, s),
-            GaussianParticle(0.4, GaussianState(np.array([5.0]), np.array([[2.0]]))),
-        ]
-        weights, means, _ = self._marginalize([((1, 0), 1.0, {0: s})], parts)
+        parts = [(0.9, 0.0, 1.0), (0.4, 5.0, 2.0)]
+        weights, means, _ = self._marginalize([((1, 0), 1.0, {0: (0.0, 1.0)})], parts)
         assert weights[1] == 0.4
         assert_allclose(means[1], [5.0])
 
     def test_state_is_moment_matched_mixture(self):
-        sa = GaussianState(np.array([0.0]), np.array([[1.0]]))
-        sb = GaussianState(np.array([2.0]), np.array([[1.0]]))
-        combos = [((1,), 0.5, {0: sa}), ((1,), 0.5, {0: sb})]
-        _, means, covs = self._marginalize(combos, [GaussianParticle(0.5, sa)])
+        combos = [((1,), 0.5, {0: (0.0, 1.0)}), ((1,), 0.5, {0: (2.0, 1.0)})]
+        _, means, covs = self._marginalize(combos, [(0.5, 0.0, 1.0)])
         assert_allclose(means[0], [1.0])
         assert_allclose(covs[0], [[2.0]])
 
     def test_zero_posterior_keeps_prior_state_and_inputs(self):
-        prior = GaussianState(np.array([0.0]), np.array([[1.0]]))
-        moved = GaussianState(np.array([4.0]), np.array([[0.5]]))
+        prior_mean, prior_cov = np.array([0.0]), np.array([[1.0]])
         weights, means, covs = np.array([0.5]), np.array([[0.0]]), np.array([[[1.0]]])
         inputs = [a.copy() for a in (weights, means, covs)]
         out = marginalize_existence(
-            [ExistenceCombination((1,), 0.5), ExistenceCombination((0,), 0.5)],
-            np.array([0.0, 1.0]), [{0: moved}, {}], weights, means, covs,
+            np.array([[1], [0]]), np.array([0.0, 1.0]),
+            np.array([[[4.0]], [[0.0]]]), np.array([[[[0.5]]], [[[0.0]]]]),
+            weights, means, covs,
         )
         assert out[0].tolist() == [0.0]
-        assert np.array_equal(out[1], [prior.mean]) and np.array_equal(out[2], [prior.cov])
+        assert np.array_equal(out[1], [prior_mean]) and np.array_equal(out[2], [prior_cov])
         for a, before in zip((weights, means, covs), inputs):
             assert np.array_equal(a, before)
 
     def test_empty_combinations_rejected(self):
         with pytest.raises(ValueError):
-            self._marginalize([], [_particle(0.5, 0.0, 0.0)])
+            self._marginalize([], [(0.5, 0.0, 1.0)])
 
 
 class TestMergeClose:
@@ -540,6 +548,17 @@ class TestCardinalityAndPrune:
         pset = _pset([_particle(w, i, i) for i, w in enumerate(weights)])
         out = birth_and_prune(pset, GpfParticleSet(), 0.0, 3)
         assert sorted(p.weight for p in out.particles) == [0.5, 0.8, 0.9]
+
+    @pytest.mark.parametrize(
+        "w_prune, n_max, message",
+        [(1.0, 10, "w_prune"), (-0.1, 10, "w_prune"), (0.01, 0, "n_max"),
+         (0.01, -1, "n_max"), (0.01, 2.0, "n_max")],
+    )
+    def test_bad_settings_rejected(self, w_prune, n_max, message):
+        # n_max 0 would empty the belief and -1 drop its lowest-weight particle
+        pset = _pset([_particle(0.5, 0, 0), _particle(0.9, 1, 1)])
+        with pytest.raises(ValueError, match=message):
+            birth_and_prune(pset, GpfParticleSet(), w_prune, n_max)
 
     def test_births_appended(self):
         pset = _pset([_particle(0.5, 0, 0)])
@@ -707,6 +726,23 @@ class TestGpfStep:
         assert_allclose(out.particles[1].state.mean, parts[1].state.mean)
         assert out.particles[0].weight != 0.9
 
+    def test_interleaved_out_of_view_rows(self):
+        # in-view rows that are not a prefix: out, in, out, in
+        fov = FovRegion.box(0.0, 0.0, 5.0, 5.0)
+        config = _mean_config(fov=fov, f_matrix=constant_velocity_matrix(1.0),
+                              q_matrix=np.diag([0.1, 0.01, 0.1, 0.01]))
+        parts = [_particle(0.6, 9.0, 9.0), _particle(0.9, 1.0, 1.0),
+                 _particle(0.7, 8.0, 2.0), _particle(0.8, 4.0, 3.5)]
+        z = np.array([2.5, 2.0])
+        out = gpf_step(_pset(parts), z, config)
+        alone = gpf_step(_pset(parts[1::2]), z, config)
+        predicted = gpf_predict(_pset(parts), config.f_matrix, config.q_matrix)
+        assert len(out) == 4 and not out.degenerate_step
+        for name in ("weights", "means", "covs"):
+            assert np.array_equal(getattr(out, name)[1::2], getattr(alone, name))
+            assert np.array_equal(getattr(out, name)[0::2], getattr(predicted, name)[0::2])
+        assert not np.array_equal(out.means[1::2], predicted.means[1::2])  # the update ran
+
     def test_deterministic(self):
         parts = [_particle(0.8, 2.0, 2.0), _particle(0.7, 4.0, 4.0)]
         config = _mean_config()
@@ -845,9 +881,10 @@ class TestGpfStep:
     def test_normalized_combination_family(self):
         parts = [_particle(0.9, 2.0, 2.0), _particle(0.8, 4.0, 4.0)]
         sensor = _mean_sensor()
+        rows = _pset(parts)
         combos = enumerate_combinations([p.weight for p in parts], 0.001)
         logs = [
-            combination_log_weight(c, [p.state for p in parts], np.array([3.0, 3.0]),
+            combination_log_weight(c, rows.means, rows.covs, np.array([3.0, 3.0]),
                                    sensor.R, 1.0 / 144, sensor.position_projection)
             for c in combos
         ]
