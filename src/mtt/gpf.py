@@ -294,25 +294,29 @@ def marginalize_existence(
     return weights, means, covs
 
 
-def _pairwise_position_distances(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """Mahalanobis distances between particle position marginals.
+def _position_distances(
+    means: np.ndarray, covs: np.ndarray, rows: slice = slice(None)
+) -> np.ndarray:
+    """Mahalanobis distances between position marginals, from the particles
+    that the slice `rows` selects (all by default) to every particle.
 
     d_ij = (mu_i - mu_j)' (Sigma_i + Sigma_j)^-1 (mu_i - mu_j) over the
-    (x, y) components, computed for all pairs at once via the closed-form
-    2x2 inverse.  The diagonal is set to +inf.
+    (x, y) components, by the closed-form 2x2 inverse; a non-finite
+    distance reads +inf.  Each entry is elementwise arithmetic, so a row
+    computed alone equals that row of the full matrix, and d_ji equals
+    d_ij, bit for bit.  The caller sets the diagonal.
     """
     xi, yi = POSITION_IDX
     mx, my = means[:, xi], means[:, yi]
     a, b, c = covs[:, xi, xi], covs[:, xi, yi], covs[:, yi, yi]
-    dx = mx[:, None] - mx[None, :]
-    dy = my[:, None] - my[None, :]
-    sa = a[:, None] + a[None, :]
-    sb = b[:, None] + b[None, :]
-    sc = c[:, None] + c[None, :]
+    dx = mx[rows, None] - mx
+    dy = my[rows, None] - my
+    sa = a[rows, None] + a
+    sb = b[rows, None] + b
+    sc = c[rows, None] + c
     with np.errstate(divide="ignore", invalid="ignore"):
         d = (sc * dx**2 - 2.0 * sb * dx * dy + sa * dy**2) / (sa * sc - sb**2)
     d[~np.isfinite(d)] = np.inf
-    np.fill_diagonal(d, np.inf)
     return d
 
 
@@ -326,23 +330,36 @@ def merge_close_particles(
     Closeness is the Mahalanobis distance between position marginals with
     metric (Sigma_i + Sigma_j)^-1; qualifying means strictly below
     d_thresh.  Merging combines weights (capped at one) and moment-matches
-    the Gaussians.
+    the Gaussians into the lower row of the pair.
+
+    The distance matrix is built once.  After a merge the higher row and
+    column read +inf and the lower ones are recomputed, so the live entries
+    equal a full rebuild over the live rows, in the same row-major order:
+    argmin picks the same pair.
     """
     check_field(GpfConfig, "d_thresh", d_thresh)
     check_field(GpfConfig, "merge_cov", cov_mode, "cov_mode")
-    weights, means, covs = pset.weights, pset.means, pset.covs
-    while len(weights) > 1:
-        d = _pairwise_position_distances(means, covs)
-        i, j = np.unravel_index(np.argmin(d), d.shape)
-        if d[i, j] >= d_thresh:
-            break
-        lo, hi = min(i, j), max(i, j)
-        merged = moment_match_merge(weights[[lo, hi]], means[[lo, hi]], covs[[lo, hi]], cov_mode)
-        weights, means, covs = (np.delete(a, hi, axis=0) for a in (weights, means, covs))
-        weights[lo], means[lo], covs[lo] = merged
-    if len(weights) == len(pset):
+    n = len(pset)
+    if n < 2:
+        return pset
+    d = _position_distances(pset.means, pset.covs)
+    np.fill_diagonal(d, np.inf)
+    lo, hi = divmod(int(np.argmin(d)), n)  # the first of a symmetric pair, so lo < hi
+    if d[lo, hi] >= d_thresh:
         return pset  # nothing merged: share the immutable set, skip a construction
-    return GpfParticleSet(weights, means, covs, pset.degenerate_step)
+    weights, means, covs = (np.array(a) for a in (pset.weights, pset.means, pset.covs))
+    live = np.ones(n, dtype=bool)
+    while d[lo, hi] < d_thresh:
+        merged = moment_match_merge(weights[[lo, hi]], means[[lo, hi]], covs[[lo, hi]], cov_mode)
+        weights[lo], means[lo], covs[lo] = merged
+        live[hi] = False
+        row = _position_distances(means, covs, slice(lo, lo + 1))[0]
+        row[~live] = np.inf
+        row[lo] = np.inf
+        d[hi, :] = d[:, hi] = np.inf
+        d[lo, :] = d[:, lo] = row
+        lo, hi = divmod(int(np.argmin(d)), n)
+    return GpfParticleSet(weights[live], means[live], covs[live], pset.degenerate_step)
 
 
 def estimate_cardinality(pset: GpfParticleSet) -> float:
@@ -427,9 +444,12 @@ def grid_existence_update(
 
     where the exists-likelihood uses the single-target detection
     probability and the empty-likelihood the false-alarm probability.
-    A particle applies the returns of its own cell (cell_of), in list
+    A particle applies the returns of its own cell (cells_of), in list
     order; particles outside every measured cell are unaffected.  A cell
     index outside the grid raises IndexError, whatever the belief holds.
+    The k-th return of every cell is applied to all of that cell's
+    particles at once, for k = 0, 1, ..., so each weight sees the same
+    float operations in the same order as a loop over the particles.
 
     The weight entering the ratio is bounded away from the point masses 0
     and 1: merging can clamp a weight to exactly 1, and a degenerate prior
@@ -438,17 +458,26 @@ def grid_existence_update(
     check_cells(returns.cells, sensor.n_cells, IndexError)
     p_hit = detection_prob(1, sensor.p_d, sensor.snr)
     p_false = detection_prob(0, sensor.p_d, sensor.snr)
-    likelihoods = ((1.0 - p_hit, 1.0 - p_false), (p_hit, p_false))  # (exists, empty) by value
-    by_cell: dict[int, list[tuple[float, float]]] = {}
-    for cell, value in zip(returns.cells.tolist(), returns.values.tolist()):
-        by_cell.setdefault(cell, []).append(likelihoods[value])
+    l_exists = np.array((1.0 - p_hit, p_hit))  # indexed by the return value
+    l_empty = np.array((1.0 - p_false, p_false))
     bound = 1e-3
     xi, yi = POSITION_IDX
-    weights = pset.weights.tolist()
-    for i, (x, y) in enumerate(zip(pset.means[:, xi].tolist(), pset.means[:, yi].tolist())):
-        for l_exists, l_empty in by_cell.get(sensor.cell_of(x, y), ()):
-            w = min(max(weights[i], bound), 1.0 - bound)
-            weights[i] = w * l_exists / (w * l_exists + (1.0 - w) * l_empty)
+    owner = sensor.cells_of(pset.means[:, xi], pset.means[:, yi])  # n_cells: in no cell
+    held = np.zeros(sensor.n_cells + 1, dtype=bool)
+    held[owner] = True
+    kept = held[returns.cells]  # only the returns of cells that hold a particle
+    cells, values = returns.cells[kept], returns.values[kept]
+    weights = np.array(pset.weights)
+    while cells.size:
+        _, first = np.unique(cells, return_index=True)  # each cell's next return in list order
+        value_of = np.full(sensor.n_cells + 1, -1)
+        value_of[cells[first]] = values[first]
+        value = value_of[owner]
+        hit = value >= 0
+        w = np.minimum(np.maximum(weights[hit], bound), 1.0 - bound)
+        l_x, l_0 = l_exists[value[hit]], l_empty[value[hit]]
+        weights[hit] = w * l_x / (w * l_x + (1.0 - w) * l_0)
+        cells, values = np.delete(cells, first), np.delete(values, first)
     return replace(pset, weights=weights)
 
 

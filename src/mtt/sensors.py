@@ -56,8 +56,7 @@ class CellReturns(ValueEq):
         cells, values = np.asarray(self.cells), np.asarray(self.values)  # no dtype=int: 1.5 -> 1
         if cells.ndim != 1 or values.shape != cells.shape:
             raise ValueError(f"want cells, values of shape (m,): {cells.shape}, {values.shape}")
-        if cells.size and cells.dtype.kind not in "iu":  # bool too: True is no cell
-            raise ValueError(f"cell indices must be integers, got {cells}")
+        _check_integer_cells(cells)  # not their range: the filter rejects -1 with IndexError
         if values.dtype != bool and not ((values == 0) | (values == 1)).all():
             raise ValueError(f"cell returns must be 0 or 1, got {values}")
         for name, value in (("cells", cells), ("values", values)):
@@ -129,6 +128,19 @@ class GridSensorModel:
         index = row * self.cols + col
         return index if self.cell_contains(index, x, y) else None
 
+    def cells_of(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """cell_of over arrays of points: each point's cell, n_cells where cell_of gives None.
+
+        searchsorted(side="right") is bisect_right over the same edges, and the cell_contains
+        comparisons confirm each candidate, so every index equals the one cell_of returns.
+        """
+        x_edges, y_edges = np.array(self.x_edges), np.array(self.y_edges)
+        col = np.clip(np.searchsorted(x_edges, xs, side="right") - 1, 0, self.cols - 1)
+        row = np.clip(np.searchsorted(y_edges, ys, side="right") - 1, 0, self.rows - 1)
+        inside = ((x_edges[col] <= xs) & (xs < x_edges[col + 1])
+                  & (y_edges[row] <= ys) & (ys < y_edges[row + 1]))
+        return np.where(inside, row * self.cols + col, self.n_cells)
+
 
 def mean_sensor_measure(
     truth: np.ndarray, model: MeanSensorModel, rng: np.random.Generator
@@ -154,11 +166,16 @@ def detection_prob(t: int, p_d: float, snr: float) -> float:
     return float(p_d ** ((1.0 + snr) / (1.0 + t * snr)))
 
 
+def _check_integer_cells(cells: np.ndarray, error: type[Exception] = ValueError) -> None:
+    """error unless the array of cells is empty or of an integer dtype (bool is no cell)."""
+    if cells.size and cells.dtype.kind not in "iu":
+        raise error(f"a cell index in {cells} is not an integer")
+
+
 def check_cells(cells, n_cells: int, error: type[Exception] = ValueError) -> np.ndarray:
     """cells as an array if it holds integers (bool is no cell) in [0, n_cells), else error."""
     cells = np.asarray(cells)
-    if cells.size and cells.dtype.kind not in "iu":
-        raise error(f"a cell index in {cells} is not an integer")
+    _check_integer_cells(cells, error)
     if cells.size and not (0 <= cells.min() and cells.max() < n_cells):
         raise error(f"a cell index in {cells} is out of range [0, {n_cells})")
     return cells

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from mtt.gaussians import GaussianParticle, GaussianState
+from mtt.gaussians import GaussianParticle, GaussianState, moment_match_merge
 from mtt.gpf import (
     CombinatorialBlowupError,
     ExistenceCombination,
@@ -30,7 +30,13 @@ from mtt.gpf import (
 from mtt.kalman import LinearGaussianModel, kf_predict, kf_update
 from mtt.motion import POSITION_IDX, constant_velocity_matrix, position_projection
 from mtt.regions import FovRegion, Rectangle
-from mtt.sensors import CellReturns, GridSensorModel, MeanSensorModel, detection_prob
+from mtt.sensors import (
+    CellReturns,
+    GridSensorModel,
+    MeanSensorModel,
+    check_cells,
+    detection_prob,
+)
 
 WORKSPACE = Rectangle(0.0, 0.0, 12.0, 12.0)
 
@@ -83,6 +89,136 @@ def _mean_config(**overrides):
     )
     defaults.update(overrides)
     return GpfConfig(**defaults)
+
+
+def _distances_by_full_matrix(means, covs):
+    """The pairwise distance matrix as merge_close_particles once rebuilt it after every merge."""
+    xi, yi = POSITION_IDX
+    mx, my = means[:, xi], means[:, yi]
+    a, b, c = covs[:, xi, xi], covs[:, xi, yi], covs[:, yi, yi]
+    dx = mx[:, None] - mx[None, :]
+    dy = my[:, None] - my[None, :]
+    sa = a[:, None] + a[None, :]
+    sb = b[:, None] + b[None, :]
+    sc = c[:, None] + c[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = (sc * dx**2 - 2.0 * sb * dx * dy + sa * dy**2) / (sa * sc - sb**2)
+    d[~np.isfinite(d)] = np.inf
+    np.fill_diagonal(d, np.inf)
+    return d
+
+
+def _merge_by_full_rebuild(pset, d_thresh, cov_mode="moment"):
+    """Reference merge loop: the whole distance matrix rebuilt, and the merged-away row
+    deleted, after every merge."""
+    weights, means, covs = pset.weights, pset.means, pset.covs
+    while len(weights) > 1:
+        d = _distances_by_full_matrix(means, covs)
+        i, j = np.unravel_index(np.argmin(d), d.shape)
+        if d[i, j] >= d_thresh:
+            break
+        lo, hi = min(i, j), max(i, j)
+        merged = moment_match_merge(weights[[lo, hi]], means[[lo, hi]], covs[[lo, hi]], cov_mode)
+        weights, means, covs = (np.delete(a, hi, axis=0) for a in (weights, means, covs))
+        weights[lo], means[lo], covs[lo] = merged
+    return GpfParticleSet(weights, means, covs, pset.degenerate_step)
+
+
+def _grid_update_by_dict(pset, returns, sensor):
+    """Reference grid update: the returns grouped by cell in a dict, one cell_of per particle."""
+    check_cells(returns.cells, sensor.n_cells, IndexError)
+    p_hit = detection_prob(1, sensor.p_d, sensor.snr)
+    p_false = detection_prob(0, sensor.p_d, sensor.snr)
+    likelihoods = ((1.0 - p_hit, 1.0 - p_false), (p_hit, p_false))
+    by_cell = {}
+    for cell, value in zip(returns.cells.tolist(), returns.values.tolist()):
+        by_cell.setdefault(cell, []).append(likelihoods[value])
+    bound = 1e-3
+    xi, yi = POSITION_IDX
+    weights = pset.weights.tolist()
+    for i, (x, y) in enumerate(zip(pset.means[:, xi].tolist(), pset.means[:, yi].tolist())):
+        for l_exists, l_empty in by_cell.get(sensor.cell_of(x, y), ()):
+            w = min(max(weights[i], bound), 1.0 - bound)
+            weights[i] = w * l_exists / (w * l_exists + (1.0 - w) * l_empty)
+    return GpfParticleSet(weights, pset.means, pset.covs, pset.degenerate_step)
+
+
+def _outcome(stage, *args):
+    """A stage's result, or the type of the exception it raised."""
+    try:
+        return stage(*args)
+    except (ValueError, IndexError) as error:
+        return type(error)
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, type):
+        assert got is want
+        return
+    for name in ("weights", "means", "covs", "degenerate_step"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+# weights drawn from the whole of [0, 1], the point masses 0 and 1 included
+_WEIGHTS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+# the same, with the point masses rarer: merging two weights of 0 raises
+_MERGE_WEIGHTS = st.integers(0, 19).flatmap(
+    lambda k: st.just(0.0) if k == 0 else st.just(1.0) if k == 1 else st.floats(0.0, 1.0))
+
+
+@st.composite
+def _clustered_psets(draw):
+    """Up to 60 particles around a few centres.  On the lattice, offsets of a
+    quarter and one shared covariance make tied distances common; off it,
+    continuous offsets and mixed, correlated covariances break the ties."""
+    n = draw(st.integers(0, 60))
+    lattice = draw(st.booleans())
+    if lattice:
+        offset, var, rho = st.integers(-6, 6).map(lambda k: 0.25 * k), st.just(1.0), st.just(0.0)
+    else:
+        offset = st.floats(-1.5, 1.5)
+        var, rho = st.sampled_from([0.25, 0.5, 1.0, 2.0]), st.sampled_from([0.0, 0.3, -0.5])
+    centres = draw(st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+                            min_size=1, max_size=5))
+    row = st.tuples(st.sampled_from(centres), offset, offset, var, rho, _MERGE_WEIGHTS)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    means = np.array([[cx + ox, 0.1, cy + oy, -0.1] for (cx, cy), ox, oy, *_ in rows])
+    covs = np.array([
+        [[v, 0.0, r * v, 0.0], [0.0, 0.1, 0.0, 0.0], [r * v, 0.0, 1.5 * v, 0.0],
+         [0.0, 0.0, 0.0, 0.1]]
+        for *_, v, r, _ in rows
+    ])
+    return GpfParticleSet([w for *_, w in rows], means.reshape(-1, 4), covs.reshape(-1, 4, 4))
+
+
+@st.composite
+def _grid_cases(draw):
+    """A grid, particles on cell edges, high workspace edges, outside it or anywhere,
+    and returns drawn with repeats (fixed_list) or without (random)."""
+    ws, rows, cols = draw(st.sampled_from([
+        (WORKSPACE, 3, 4), (Rectangle(-3.7, 2.2, 8.4, 13.3), 9, 13),
+    ]))
+    sensor = GridSensorModel(ws, rows=rows, cols=cols, p_d=0.9, snr=3.0, m_cells=rows * cols)
+
+    def coordinate(edges):
+        edge = st.sampled_from(edges)
+        return st.one_of(
+            edge, edge.map(lambda e: np.nextafter(e, -np.inf)),
+            st.floats(edges[0] - 2.0, edges[-1] + 2.0),
+        )
+
+    n = draw(st.integers(0, 30))
+    xs = draw(st.lists(coordinate(sensor.x_edges), min_size=n, max_size=n))
+    ys = draw(st.lists(coordinate(sensor.y_edges), min_size=n, max_size=n))
+    weights = draw(st.lists(_WEIGHTS, min_size=n, max_size=n))
+    means = np.array([[x, 0.0, y, 0.0] for x, y in zip(xs, ys)]).reshape(-1, 4)
+    pset = GpfParticleSet(weights, means, np.tile(np.eye(4), (n, 1, 1)))
+    repeats = draw(st.booleans())  # fixed_list; or random, which never repeats a cell
+    m = draw(st.integers(0, 40 if repeats else sensor.n_cells))
+    cells = draw(st.lists(st.integers(0, sensor.n_cells - 1), min_size=m, max_size=m,
+                          unique=not repeats))
+    values = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    return pset, CellReturns(cells, values), sensor
 
 
 class TestParticleSet:
@@ -521,6 +657,28 @@ class TestMergeClose:
         out = merge_close_particles(pset, 1.0)
         assert len(out.particles) == 2
 
+    @given(_clustered_psets(), st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+           st.sampled_from(["moment", "plain_sum"]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_rebuild(self, pset, d_thresh, cov_mode):
+        got = _outcome(merge_close_particles, pset, d_thresh, cov_mode)
+        _assert_same_outcome(got, _outcome(_merge_by_full_rebuild, pset, d_thresh, cov_mode))
+
+    def test_merge_chain_and_ties_match_full_rebuild(self):
+        # 0 and 1 merge first; the merged particle then lies within d_thresh of 2,
+        # which was not within d_thresh of either before
+        chain = _pset([_particle(0.5, 0.0, 0.0), _particle(0.5, 1.2, 0.0),
+                       _particle(0.5, 0.6, 1.35)])
+        assert _distances_by_full_matrix(chain.means, chain.covs)[:2, 2].min() >= 1.0
+        out = merge_close_particles(chain, 1.0)
+        assert len(out) == 1
+        _assert_same_outcome(out, _merge_by_full_rebuild(chain, 1.0))
+        # a square of equal particles: every side ties, and the first pair in row-major order wins
+        square = _pset([_particle(0.4, x, y) for x, y in ((0, 0), (1, 0), (0, 1), (1, 1))])
+        out = merge_close_particles(square, 1.2)
+        _assert_same_outcome(out, _merge_by_full_rebuild(square, 1.2))
+        assert len(out) < 4
+
 
 class TestCardinalityAndPrune:
     def test_cardinality_values(self):
@@ -591,6 +749,31 @@ class TestGridUpdate:
         pset = _pset([_particle(0.4, 5.5, 5.5)])
         out = grid_existence_update(pset, CellReturns([0], [1]), sensor)
         assert out.particles[0].weight == 0.4
+
+    @given(_grid_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_loop_over_particles(self, case):
+        pset, returns, sensor = case
+        _assert_same_outcome(grid_existence_update(pset, returns, sensor),
+                             _grid_update_by_dict(pset, returns, sensor))
+
+    def test_repeated_cell_applies_returns_in_order(self):
+        sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
+        # three particles in cell 0, which gets three returns, and one in cell 1
+        weights = (0.0, 0.4, 1.0, 0.4)
+        pset = _pset([_particle(w, x, 0.5) for w, x in zip(weights, (0.5, 0.5, 0.5, 1.5))])
+        returns = CellReturns([0, 1, 0, 0, 5], [1, 0, 0, 1, 1])
+        out = grid_existence_update(pset, returns, sensor)
+        _assert_same_outcome(out, _grid_update_by_dict(pset, returns, sensor))
+        assert (out.weights != pset.weights).all()  # the point masses 0 and 1 move too
+
+    @pytest.mark.parametrize("cell", [-1, 144])
+    def test_out_of_range_cell_rejected_like_the_loop(self, cell):
+        sensor = GridSensorModel(WORKSPACE)
+        for pset in (GpfParticleSet(), _pset([_particle(0.5, 11.5, 11.5)])):
+            for update in (grid_existence_update, _grid_update_by_dict):
+                with pytest.raises(IndexError):
+                    update(pset, CellReturns([0, cell], [1, 0]), sensor)
 
     def test_births_from_positive_returns(self):
         sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)

@@ -354,6 +354,68 @@ class TestGridTiling:
             _cells_containing(model, ws.x_min + (2 * fx - 0.5) * w, ws.y_min + (2 * fy - 0.5) * h)
 
 
+def _cell_of_each(model, xs, ys):
+    """cell_of point by point, with n_cells for None: what cells_of must return."""
+    return [model.n_cells if c is None else c for c in map(model.cell_of, xs, ys)]
+
+
+class TestCellsOf:
+    """cells_of is cell_of over arrays: the same cell for every point."""
+
+    @pytest.mark.parametrize(
+        "ws, rows, cols", [(Rectangle(0.0, 0.0, 1.1, 1.0), 3, 7), GRID_DENSE, OFFSET_GRID]
+    )
+    def test_matches_cell_of(self, ws, rows, cols):
+        model = GridSensorModel(ws, rows=rows, cols=cols)
+        rng = np.random.default_rng(5)
+        # random points in and around the workspace
+        xs = rng.uniform(ws.x_min - 1.0, ws.x_max + 1.0, 300).tolist()
+        ys = rng.uniform(ws.y_min - 1.0, ws.y_max + 1.0, 300).tolist()
+        # every edge crossing: the edge and its float neighbours, the high workspace edges included
+        x_mid, y_mid = model.cell_center(0)
+        for edge in model.x_edges:
+            xs += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+            ys += [y_mid] * 3
+        for edge in model.y_edges:
+            xs += [x_mid] * 3
+            ys += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+        for bad in (np.inf, -np.inf, np.nan):
+            xs += [bad, x_mid, bad]
+            ys += [y_mid, bad, bad]
+        got = model.cells_of(np.array(xs), np.array(ys))
+        assert got.dtype.kind == "i"
+        assert got.tolist() == _cell_of_each(model, xs, ys)
+        assert model.n_cells in got.tolist() and set(range(cols)) <= set(got.tolist())
+
+    def test_high_edges_and_non_finite_have_no_cell(self):
+        ws, rows, cols = OFFSET_GRID
+        model = GridSensorModel(ws, rows=rows, cols=cols)
+        xs = np.array([ws.x_max, ws.x_min, np.nan, np.inf, -np.inf, ws.x_min])
+        ys = np.array([ws.y_min, ws.y_max, ws.y_min, ws.y_min, ws.y_min, np.nan])
+        assert model.cells_of(xs, ys).tolist() == [model.n_cells] * 6
+        assert model.cells_of(np.array([ws.x_min]), np.array([ws.y_min])).tolist() == [0]
+
+    def test_empty_input(self):
+        model = GridSensorModel(WORKSPACE)
+        assert model.cells_of(np.zeros(0), np.zeros(0)).shape == (0,)
+
+    @given(
+        st.floats(-1e3, 1e3),
+        st.floats(-1e3, 1e3),
+        st.floats(1e-2, 1e3),
+        st.floats(1e-2, 1e3),
+        st.integers(1, 30),
+        st.integers(1, 30),
+        st.lists(st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)), max_size=20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_grids(self, x0, y0, w, h, rows, cols, fractions):
+        model = GridSensorModel(Rectangle(x0, y0, x0 + w, y0 + h), rows=rows, cols=cols)
+        xs = [x0 + fx * w for fx, _ in fractions] + list(model.x_edges)
+        ys = [y0 + fy * h for _, fy in fractions] + list(model.y_edges)[:1] * (cols + 1)
+        assert model.cells_of(np.array(xs), np.array(ys)).tolist() == _cell_of_each(model, xs, ys)
+
+
 class TestSelectCells:
     def test_random_full_coverage(self):
         model = GridSensorModel(WORKSPACE, m_cells=144)
