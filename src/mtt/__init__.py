@@ -2,13 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .gaussians import (
-    GaussianParticle,
-    GaussianState,
-    SingularCovarianceError,
-    log_pdf,
-    moment_match_merge,
-)
+from .gaussians import SingularCovarianceError, log_pdf, moment_match_merge
 from .gpf import (
     CombinatorialBlowupError,
     ExistenceCombination,

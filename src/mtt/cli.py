@@ -20,9 +20,10 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, dump_config, load_config, parse_config_text
+from .domains import check_field
 from .motion import POSITION_IDX
-from .sim import (FILTERS, SENSORS, StepRecord, TrackingLog, evaluate_metrics, generate_truth,
-                  run_experiment)
+from .sim import (FILTERS, SENSORS, ScenarioConfig, StepRecord, TrackingLog, evaluate_metrics,
+                  generate_truth, run_experiment)
 
 log = logging.getLogger("mtt")
 
@@ -171,15 +172,28 @@ def _step_record(k: int, entry: dict, path: Path) -> StepRecord:
 
 
 def read_particles_json(path: Path) -> tuple[np.ndarray, TrackingLog, ExperimentConfig, int]:
-    """Truth, tracking log, config and seed of a `track` run's particle log;
-    ConfigError if the file is not one or holds a malformed particle."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("schema") != "mtt-particle-log-v1":
+    """Truth, tracking log, config and seed of a `track` run's particle log.
+
+    ConfigError, naming the path and the key, if the file is not JSON, not
+    an object with the log's schema, a config string, a seed that
+    ScenarioConfig allows and a list of steps, or holds a malformed step or
+    particle.  A missing file raises OSError.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not JSON: {exc}") from None
+    if type(payload) is not dict or payload.get("schema") != "mtt-particle-log-v1":
         raise ConfigError(f"{path} is not an mtt particle log")
+    for key, kind, name in (("config", str, "a string"), ("steps", list, "a list")):
+        if type(payload.get(key)) is not kind:
+            raise ConfigError(f"{path}: {key!r} is missing or not {name}")
+    seed = _checked_seed(payload.get("seed"), f"{path}: seed")
     config = parse_config_text(payload["config"])
     records = [_step_record(k, entry, path) for k, entry in enumerate(payload["steps"])]
     truth = np.asarray([rec.true_states for rec in records], dtype=float)
-    return truth, TrackingLog(records), config, payload["seed"]
+    return truth, TrackingLog(records), config, seed
 
 
 def write_manifest(
@@ -205,8 +219,17 @@ def write_manifest(
     return path
 
 
+def _checked_seed(seed: int, label: str) -> int:
+    """seed, if ScenarioConfig.seed's declared domain allows it; else ConfigError."""
+    try:
+        check_field(ScenarioConfig, "seed", seed, label)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return seed
+
+
 def _resolve_seed(args, config: ExperimentConfig) -> int:
-    return args.seed if args.seed is not None else config.scenario.seed
+    return config.scenario.seed if args.seed is None else _checked_seed(args.seed, "--seed")
 
 
 def _cmd_simulate(args) -> int:
@@ -286,7 +309,7 @@ def _parse_seeds(expr: str) -> list[int]:
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
-    seeds = _parse_seeds(args.seeds)
+    seeds = [_checked_seed(seed, "--seeds") for seed in _parse_seeds(args.seeds)]
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
     out_dir = Path(args.out)

@@ -2,13 +2,15 @@
 
 A tracked hypothesis is a weighted Gaussian: the weight is the probability
 that the hypothesized target exists, the Gaussian is its state distribution.
-This module provides the primitives the filters build on: log densities,
-noise factors for sampling, and moment-matched mixture reduction.
+A Gaussian is passed around as its (mean, cov) arrays, and stacks of
+Gaussians as (k, d) means and (k, d, d) covs.  This module provides the
+primitives the filters build on: log densities, noise factors for
+sampling, and moment-matched mixture reduction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -45,50 +47,21 @@ class ValueEq:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianState(ValueEq):
-    """Mean vector plus symmetric PSD covariance, immutable and shareable.
+def _checked_moments(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A Gaussian's mean as a float vector and its cov symmetrized (a new array).
 
-    The mean is copied and the covariance symmetrized (a new array) on
-    construction, and both arrays are made read-only, so a state never
-    changes after it is built and filters pass states on without copying.
-    Symmetrizing also keeps downstream Cholesky factorizations from
-    failing on round-off asymmetry alone.
+    A mean that is not a vector, or a cov that is not (n, n) for a mean of
+    n entries, raises ValueError.  Symmetrizing keeps Cholesky
+    factorizations from failing on round-off asymmetry alone.
     """
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self) -> None:
-        mean = np.array(self.mean, dtype=float, ndmin=1)
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        if mean.ndim != 1:
-            raise ValueError(f"mean must be a vector, got shape {mean.shape}")
-        n = mean.shape[0]
-        if cov.shape != (n, n):
-            raise ValueError(f"cov shape {cov.shape} does not match mean dimension {n}")
-        cov = _symmetrize(cov)
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-
-@dataclass(frozen=True)
-class GaussianParticle:
-    """Existence weight in [0, 1] paired with a Gaussian state hypothesis."""
-
-    weight: float
-    state: GaussianState
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weight", float(self.weight))
-        if not 0.0 <= self.weight <= 1.0:
-            raise ValueError(f"weight must lie in [0, 1], got {self.weight}")
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    if mean.ndim != 1:
+        raise ValueError(f"mean must be a vector, got shape {mean.shape}")
+    n = mean.shape[0]
+    if cov.shape != (n, n):
+        raise ValueError(f"cov shape {cov.shape} does not match mean dimension {n}")
+    return mean, _symmetrize(cov)
 
 
 def chol_with_jitter(cov: np.ndarray) -> np.ndarray:
@@ -133,23 +106,25 @@ def noise_factor(cov: np.ndarray, name: str = "covariance") -> np.ndarray:
     return factor
 
 
-def log_pdf(g: GaussianState, x: np.ndarray) -> float | np.ndarray:
-    """Log of the multivariate normal density N(x; g.mean, g.cov).
+def log_pdf(mean: np.ndarray, cov: np.ndarray, x: np.ndarray) -> float | np.ndarray:
+    """Log of the multivariate normal density N(x; mean, cov).
 
     log N(x) = -1/2 [ (x-mu)' Sigma^-1 (x-mu) + n log(2 pi) + log|Sigma| ]
 
     x is one point (n,), giving a float, or a stack (..., n), giving an
     array (...) from one Cholesky factor of Sigma; every row has the bits
-    of a one-point call.
+    of a one-point call.  The moments are checked and the cov symmetrized
+    as _checked_moments does.
     """
+    mean, cov = _checked_moments(mean, cov)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = g.dim
+    n = mean.shape[0]
     if x.shape[-1] != n:
-        raise ValueError(f"x shape {x.shape} does not match mean shape {g.mean.shape}")
-    chol = chol_with_jitter(g.cov)
+        raise ValueError(f"x shape {x.shape} does not match mean shape {mean.shape}")
+    chol = chol_with_jitter(cov)
     # one LAPACK solve per row (a many-column solve rounds differently), and
     # a matmul per row that has the bits of u @ u
-    u = np.linalg.solve(chol, (x - g.mean).reshape(-1, n, 1))
+    u = np.linalg.solve(chol, (x - mean).reshape(-1, n, 1))
     quad = (u.swapaxes(1, 2) @ u).reshape(x.shape[:-1])
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     out = -0.5 * (quad + n * np.log(2.0 * np.pi) + logdet)

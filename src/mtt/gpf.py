@@ -28,15 +28,13 @@ import numpy as np
 from .domains import Choice, Range, check_field, check_fields, declare
 from .gaussians import (
     COV_MODES,
-    GaussianParticle,
-    GaussianState,
     ValueEq,
     _symmetrize,
     log_pdf,
     mixture_moments,
     moment_match_merge,
 )
-from .kalman import KalmanUpdate, kf_predict_moments, kf_update
+from .kalman import KalmanUpdate, kf_predict, kf_update
 from .motion import POSITION_IDX
 from .regions import FovRegion
 from .sensors import CellReturns, GridSensorModel, MeanSensorModel, check_cells, detection_prob
@@ -51,10 +49,9 @@ class GpfParticleSet(ValueEq):
     """The multi-target belief at one time step: particle i has existence
     weight weights[i] in [0, 1] and Gaussian N(means[i], covs[i]).
 
-    Like GaussianState, a set copies the weights and means, symmetrizes the
-    covariances (a new array) and makes all three read-only, so stages
-    share sets instead of copying them.  The default is the empty belief
-    over the 4-D state.
+    A set copies the weights and means, symmetrizes the covariances (a new
+    array) and makes all three read-only, so stages share sets instead of
+    copying them.  The default is the empty belief over the 4-D state.
     """
 
     weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -82,12 +79,10 @@ class GpfParticleSet(ValueEq):
         return self.weights.shape[0]
 
     @property
-    def particles(self) -> list[GaussianParticle]:
-        """One GaussianParticle per row, in order (a read-only view)."""
-        return [
-            GaussianParticle(w, GaussianState(m, c))
-            for w, m, c in zip(self.weights.tolist(), self.means, self.covs)
-        ]
+    def particles(self) -> list[tuple[float, np.ndarray, np.ndarray]]:
+        """One (weight, mean, cov) tuple per row, in order.  Only perfbench's
+        observers read it, and only its length."""
+        return list(zip(self.weights.tolist(), self.means, self.covs))
 
 
 _NO_BIRTHS = GpfParticleSet()  # shared by every mean-sensor step: sets are immutable
@@ -135,7 +130,7 @@ def gpf_predict(pset: GpfParticleSet, f: np.ndarray, q: np.ndarray) -> GpfPartic
     """
     f = np.atleast_2d(np.asarray(f, dtype=float))
     q = np.atleast_2d(np.asarray(q, dtype=float))
-    means, covs = kf_predict_moments(pset.means, pset.covs, f, q)
+    means, covs = kf_predict(pset.means, pset.covs, f, q)
     return GpfParticleSet(pset.weights, means, covs)
 
 
@@ -221,7 +216,7 @@ def conditional_kf_update(
     if others:
         z = z - projection @ means[others].sum(axis=0) / n_active
         r = projection @ covs[others].sum(axis=0) @ projection.T / n_active**2 + r
-    return kf_update(GaussianState(means[j], covs[j]), projection / n_active, r, z)
+    return kf_update(means[j], covs[j], projection / n_active, r, z)
 
 
 def combination_log_weight(
@@ -247,7 +242,7 @@ def combination_log_weight(
     n = len(active)
     mu_c = projection @ means[active].sum(axis=0) / n
     sigma_c = projection @ covs[active].sum(axis=0) @ projection.T / n**2 + r
-    return math.log(combo.prior) + log_pdf(GaussianState(mu_c, sigma_c), z)
+    return math.log(combo.prior) + log_pdf(mu_c, sigma_c, z)
 
 
 def normalize_combination_weights(log_weights: list[float]) -> np.ndarray:
@@ -419,7 +414,7 @@ def _mean_measurement_update(
     post_means = np.zeros(bits.shape + means.shape[1:])
     post_covs = np.zeros(bits.shape + covs.shape[1:])
     for k, j in np.argwhere(bits).tolist():
-        post = conditional_kf_update(j, combos[k].bits, means, covs, z, r, proj).posterior
+        post = conditional_kf_update(j, combos[k].bits, means, covs, z, r, proj)
         post_means[k, j], post_covs[k, j] = post.mean, post.cov
     posterior = normalize_combination_weights(log_weights)
     marginal = marginalize_existence(bits, posterior, post_means, post_covs, weights, means, covs)

@@ -19,7 +19,7 @@ from .kalman import LinearGaussianModel
 
 @dataclass(frozen=True, eq=False)
 class PointParticleSet(ValueEq):
-    """Point-mass particles with normalized weights, immutable like GaussianState.
+    """Point-mass particles with normalized weights, immutable.
 
     states has shape (N, n); weights has shape (N,) and sums to one.  Both
     are copied on construction and made read-only.  zero_likelihood flags

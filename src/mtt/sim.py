@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from .domains import Choice, Range, check_fields, declare, same_as
-from .gaussians import GaussianState, log_pdf
+from .gaussians import log_pdf
 from .gpf import GpfConfig, GpfParticleSet, estimate_cardinality, gpf_step
 from .kalman import LinearGaussianModel, kf_predict, kf_update
 from .motion import POSITION_IDX, constant_velocity_matrix, position_projection
@@ -43,7 +43,7 @@ class ScenarioConfig:
     tau: float = declare(1.0, Range(0.0, lo_open=True))
     q_diag: tuple[float, ...] = declare((20.0, 0.2, 20.0, 0.2), Range(0.0, size=4))
     workspace: Rectangle = field(default_factory=lambda: Rectangle(0.0, 0.0, 12.0, 12.0))
-    seed: int = 0
+    seed: int = declare(0, Range(0))
     initial_states: list[tuple[float, float, float, float]] | None = None
 
     def __post_init__(self) -> None:
@@ -259,12 +259,13 @@ def _gpf_filter(
 def _kf_filter(model: LinearGaussianModel, ws: Rectangle) -> StepFn:
     """KF step from a broad prior at the workspace centre."""
     center = np.array([0.5 * (ws.x_min + ws.x_max), 0.0, 0.5 * (ws.y_min + ws.y_max), 0.0])
-    belief = GaussianState(center, KF_INIT_COV)
+    mean, cov = center, KF_INIT_COV
 
     def step(z):
-        nonlocal belief
-        belief = kf_update(kf_predict(belief, model.F, model.Q), model.H, model.R, z).posterior
-        return belief.mean[None], belief.cov[None], np.ones(1), 1.0
+        nonlocal mean, cov
+        post = kf_update(*kf_predict(mean, cov, model.F, model.Q), model.H, model.R, z)
+        mean, cov = post.mean, post.cov
+        return mean[None], cov[None], np.ones(1), 1.0
 
     return step
 
@@ -273,10 +274,10 @@ def _pf_filter(
     model: LinearGaussianModel, ws: Rectangle, setup: ExperimentSetup, rng: np.random.Generator
 ) -> StepFn:
     """SIR step; particles start uniform over the workspace with unit-normal velocities."""
-    meas_state = GaussianState(np.zeros(model.H.shape[0]), model.R)
+    meas_mean = np.zeros(model.H.shape[0])
 
     def likelihood(states: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return np.exp(log_pdf(meas_state, z - states @ model.H.T))
+        return np.exp(log_pdf(meas_mean, model.R, z - states @ model.H.T))
 
     n = setup.pf_n_particles
     states = np.stack(

@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from mtt.cli import run_command
-from mtt.gaussians import GaussianParticle, GaussianState
 from mtt.gpf import (
     GpfConfig,
     GpfParticleSet,
@@ -46,12 +45,12 @@ def _report(criterion, budget, elapsed, detail):
     print(f"\nACCEPTANCE {criterion} PASS ({elapsed:.1f}s < {budget}s) {detail}")
 
 
-def _pset(particles):
-    """The belief holding these particles, in order (stacked into arrays)."""
+def _pset(rows):
+    """The belief holding these (weight, mean, cov) rows, in order (stacked into arrays)."""
     return GpfParticleSet(
-        [p.weight for p in particles],
-        np.array([p.state.mean for p in particles]),
-        np.array([p.state.cov for p in particles]),
+        [w for w, _, _ in rows],
+        np.array([m for _, m, _ in rows]),
+        np.array([c for _, _, c in rows]),
     )
 
 
@@ -73,21 +72,20 @@ def test_criterion_1_gpf_reduces_to_kalman():
     )
     model = LinearGaussianModel(F=f, Q=q, H=sensor.position_projection, R=sensor.R)
 
-    state = GaussianState(np.array([6.0, 0.1, 6.0, -0.1]), np.diag([2.0, 0.5, 2.0, 0.5]))
-    belief = _pset([GaussianParticle(1.0, state)])
-    kf_belief = state
+    kf_mean, kf_cov = np.array([6.0, 0.1, 6.0, -0.1]), np.diag([2.0, 0.5, 2.0, 0.5])
+    belief = GpfParticleSet([1.0], kf_mean[None], kf_cov[None])
     worst = 0.0
     for _ in range(100):
-        z = kf_predict(kf_belief, model.F, model.Q).mean[[0, 2]] + rng.standard_normal(2)
+        pred = kf_predict(kf_mean, kf_cov, model.F, model.Q)
+        z = pred[0][[0, 2]] + rng.standard_normal(2)
         belief = gpf_step(belief, z, config)
-        kf_belief = kf_update(kf_predict(kf_belief, model.F, model.Q), model.H, model.R, z).posterior
-        assert len(belief.particles) == 1 and belief.particles[0].weight == 1.0
-        got = belief.particles[0].state
-        assert_allclose(got.mean, kf_belief.mean, rtol=1e-10)
-        assert_allclose(got.cov, kf_belief.cov, rtol=1e-10)
+        kf_mean, kf_cov, *_ = kf_update(*pred, model.H, model.R, z)
+        assert len(belief) == 1 and belief.weights[0] == 1.0
+        assert_allclose(belief.means[0], kf_mean, rtol=1e-10)
+        assert_allclose(belief.covs[0], kf_cov, rtol=1e-10)
         worst = max(
             worst,
-            float(np.max(np.abs(got.mean - kf_belief.mean) / np.abs(kf_belief.mean))),
+            float(np.max(np.abs(belief.means[0] - kf_mean) / np.abs(kf_mean))),
         )
     _report(1, 5.0, time.perf_counter() - t0,
             f"100 steps, worst relative mean deviation {worst:.1e} (tol 1e-10)")
@@ -124,8 +122,8 @@ def test_criterion_2_conditional_gain_closed_form():
         np.array([1.0]), np.array([[1.0]]), np.eye(1),
     )
     assert_allclose(out.gain, [[1.0 / 3.0]], rtol=1e-15)
-    assert_allclose(out.posterior.mean, [0.0], atol=1e-15)
-    assert_allclose(out.posterior.cov, [[5.0 / 6.0]], rtol=1e-15)
+    assert_allclose(out.mean, [0.0], atol=1e-15)
+    assert_allclose(out.cov, [[5.0 / 6.0]], rtol=1e-15)
     _report(2, 5.0, time.perf_counter() - t0,
             f"200 instances, worst relative gain deviation {worst:.1e} (tol 1e-10)")
 
@@ -144,21 +142,22 @@ def test_criterion_3_pf_tracks_kalman_oracle():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         truth = 0.0
-        kf_belief = GaussianState(0.0, 2.0)
+        kf_mean, kf_cov = np.array([0.0]), np.array([[2.0]])
         pset = PointParticleSet(
             rng.normal(0.0, math.sqrt(2.0), (n, 1)), np.full(n, 1.0 / n)
         )
         for _ in range(50):
             truth = 0.95 * truth + rng.normal(0.0, math.sqrt(0.5))
             z = np.array([truth + rng.normal()])
-            kf_belief = kf_update(kf_predict(kf_belief, model.F, model.Q), model.H, model.R, z).posterior
+            pred = kf_predict(kf_mean, kf_cov, model.F, model.Q)
+            kf_mean, kf_cov, *_ = kf_update(*pred, model.H, model.R, z)
             pset = pf_step(pset, model, likelihood, z, rng, resample="systematic")
             ess = effective_sample_size(pset.weights)
             mu = pset.mean()[0]
             var = float(pset.weights @ (pset.states[:, 0] - mu) ** 2)
             se = math.sqrt(max(var, 1e-300) / ess)
             total += 1
-            hits += abs(mu - kf_belief.mean[0]) <= 3 * se
+            hits += abs(mu - kf_mean[0]) <= 3 * se
     rate = hits / total
     assert rate >= 0.95, f"only {rate:.3f} of (step, seed) pairs within 3 SE"
     _report(3, 30.0, time.perf_counter() - t0,
@@ -278,20 +277,18 @@ def test_criterion_6_invariant_suite():
 
     def check_set(pset):
         card = estimate_cardinality(pset)
-        assert 0.0 <= card <= len(pset.particles) + 1e-12
-        for p in pset.particles:
-            assert 0.0 <= p.weight <= 1.0
-            assert np.allclose(p.state.cov, p.state.cov.T, atol=1e-9)
-            assert np.linalg.eigvalsh(p.state.cov).min() >= -1e-9
+        assert 0.0 <= card <= len(pset) + 1e-12
+        for weight, cov in zip(pset.weights, pset.covs):
+            assert 0.0 <= weight <= 1.0
+            assert np.allclose(cov, cov.T, atol=1e-9)
+            assert np.linalg.eigvalsh(cov).min() >= -1e-9
 
     belief = _pset(
         [
-            GaussianParticle(
+            (
                 float(rng.uniform(0.3, 1.0)),
-                GaussianState(
-                    np.array([rng.uniform(2, 10), 0.0, rng.uniform(2, 10), 0.0]),
-                    np.diag([1.0, 0.1, 1.0, 0.1]),
-                ),
+                np.array([rng.uniform(2, 10), 0.0, rng.uniform(2, 10), 0.0]),
+                np.diag([1.0, 0.1, 1.0, 0.1]),
             )
             for _ in range(4)
         ]

@@ -249,6 +249,60 @@ def test_eval_rejects_malformed_step(mutation, tmp_path, capfd):
     assert "step 3" in capfd.readouterr().err
     assert not (tmp_path / "e" / "eval_metrics.csv").exists()
 
+def _without(key):
+    return lambda payload: {k: v for k, v in payload.items() if k != key}
+
+
+def _with(**changes):
+    return lambda payload: {**payload, **changes}
+
+
+# Whole-log defects that `eval` must reject as a config error naming the key:
+# each maps the golden log to the new payload, or to the file's text.
+_MALFORMED_LOGS = {
+    "no_steps": (_without("steps"), "'steps'"),
+    "steps_not_list": (_with(steps={}), "'steps'"),
+    "no_seed": (_without("seed"), "seed"),
+    "float_seed": (_with(seed=1.5), "seed"),
+    "negative_seed": (_with(seed=-1), "seed"),
+    "no_config": (_without("config"), "'config'"),
+    "top_level_list": (lambda payload: [payload], "not an mtt particle log"),
+    "not_json": (lambda payload: "{not json", "is not JSON"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_MALFORMED_LOGS))
+def test_eval_rejects_malformed_log(defect, tmp_path, capfd):
+    golden = Path(__file__).parent / "golden" / "gpf_mean_1target" / "particles.json"
+    payload = json.loads(golden.read_text(encoding="utf-8"))
+    mutate, key = _MALFORMED_LOGS[defect]
+    changed = mutate(payload)
+    path = tmp_path / "particles.json"
+    path.write_text(changed if isinstance(changed, str) else json.dumps(changed))
+    assert run_command(["eval", "--log", str(path), "--out", str(tmp_path / "e")]) == 1
+    err = capfd.readouterr().err
+    assert "config error" in err and str(path) in err and key in err
+    assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize(
+    "args, config, label",
+    [(["track"], "scenario.seed = -1\n", "scenario.seed"),
+     (["track", "--seed", "-5"], "", "--seed"),
+     (["simulate", "--seed", "-5"], "", "--seed"),
+     (["sweep", "--seeds=-1..1"], "", "--seeds")],
+    ids=["config_key", "track_option", "simulate_option", "sweep_range"],
+)
+def test_negative_seed_is_config_error(args, config, label, tmp_path, capfd):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario.n_targets = 1\nscenario.n_steps = 2\n" + config)
+    out = tmp_path / "out"
+    assert run_command(args + ["--config", str(cfg), "--out", str(out)]) == 1
+    err = capfd.readouterr().err
+    assert label in err and "non-negative" in err
+    assert not out.exists()
+
+
 class TestSweep:
     def test_sweep_outputs(self, cfg_file, tmp_path):
         out = tmp_path / "sweep"

@@ -9,15 +9,15 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad, simpson
 
 from mtt.gaussians import (
-    GaussianParticle,
-    GaussianState,
     SingularCovarianceError,
+    _symmetrize,
     log_pdf,
     mixture_moments,
     moment_match_merge,
     noise_factor,
 )
 from mtt.gpf import GpfParticleSet
+from mtt.kalman import LinearGaussianModel, kf_update
 from mtt.sensors import CellReturns
 
 
@@ -28,62 +28,57 @@ def _random_psd(rng, n, scale=1.0):
 
 class TestLogPdf:
     def test_standard_normal_at_mode(self):
-        g = GaussianState(0.0, 1.0)
-        assert_allclose(log_pdf(g, 0.0), math.log(1.0 / math.sqrt(2 * math.pi)), rtol=1e-12)
+        assert_allclose(log_pdf(0.0, 1.0, 0.0), math.log(1.0 / math.sqrt(2 * math.pi)), rtol=1e-12)
 
     def test_2d_identity_at_mean(self):
-        g = GaussianState(np.array([1.0, -2.0]), np.eye(2))
-        assert_allclose(log_pdf(g, g.mean), -math.log(2 * math.pi), rtol=1e-12)
+        mean = np.array([1.0, -2.0])
+        assert_allclose(log_pdf(mean, np.eye(2), mean), -math.log(2 * math.pi), rtol=1e-12)
 
     def test_1d_variance_four(self):
         # direct formula evaluation: -(x-mu)^2/(2 s2) - log(2 pi s2)/2
         expected = -0.5 * 1.0 - 0.5 * math.log(2 * math.pi * 4.0)
-        g = GaussianState(0.0, 4.0)
-        assert_allclose(log_pdf(g, 2.0), expected, rtol=1e-12)
+        assert_allclose(log_pdf(0.0, 4.0, 2.0), expected, rtol=1e-12)
         assert_allclose(expected, -2.1121, atol=5e-5)
 
     def test_integrates_to_one_1d(self):
-        g = GaussianState(0.5, 2.0)
         sigma = math.sqrt(2.0)
-        total, _ = quad(lambda x: math.exp(log_pdf(g, x)), 0.5 - 8 * sigma, 0.5 + 8 * sigma)
+        total, _ = quad(lambda x: math.exp(log_pdf(0.5, 2.0, x)), 0.5 - 8 * sigma, 0.5 + 8 * sigma)
         assert_allclose(total, 1.0, atol=1e-6)
 
     def test_integrates_to_one_2d(self):
-        g = GaussianState(np.zeros(2), np.array([[1.0, 0.3], [0.3, 0.8]]))
+        mean, cov = np.zeros(2), np.array([[1.0, 0.3], [0.3, 0.8]])
         xs = np.linspace(-8.0, 8.0, 201)
         ys = np.linspace(-8.0, 8.0, 201)
         density = np.array(
-            [[math.exp(log_pdf(g, np.array([x, y]))) for y in ys] for x in xs]
+            [[math.exp(log_pdf(mean, cov, np.array([x, y]))) for y in ys] for x in xs]
         )
         total = simpson(simpson(density, x=ys, axis=1), x=xs)
         assert_allclose(total, 1.0, atol=1e-6)
 
     def test_dimension_mismatch(self):
-        g = GaussianState(np.zeros(2), np.eye(2))
         with pytest.raises(ValueError):
-            log_pdf(g, np.zeros(3))
+            log_pdf(np.zeros(2), np.eye(2), np.zeros(3))
 
     def test_singular_covariance(self):
-        g = GaussianState(np.zeros(2), np.zeros((2, 2)))
         with pytest.raises(SingularCovarianceError):
-            log_pdf(g, np.zeros(2))
+            log_pdf(np.zeros(2), np.zeros((2, 2)), np.zeros(2))
 
     @pytest.mark.parametrize("d", [2, 4])
     def test_stack_equals_per_point_calls(self, d):
         rng = np.random.default_rng(d)
-        g = GaussianState(rng.standard_normal(d), _random_psd(rng, d))
+        mean, cov = rng.standard_normal(d), _random_psd(rng, d)
         xs = 3.0 * rng.standard_normal((200, d))
-        stacked = log_pdf(g, xs)
+        stacked = log_pdf(mean, cov, xs)
         assert stacked.shape == (200,)
-        assert_array_equal(stacked, [log_pdf(g, x) for x in xs])
-        assert_array_equal(log_pdf(g, xs.reshape(4, 50, d)), stacked.reshape(4, 50))
+        assert_array_equal(stacked, [log_pdf(mean, cov, x) for x in xs])
+        assert_array_equal(log_pdf(mean, cov, xs.reshape(4, 50, d)), stacked.reshape(4, 50))
 
     def test_one_point_gives_a_float(self):
-        assert type(log_pdf(GaussianState(np.zeros(2), np.eye(2)), np.ones(2))) is float
+        assert type(log_pdf(np.zeros(2), np.eye(2), np.ones(2))) is float
 
     def test_stack_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            log_pdf(GaussianState(np.zeros(2), np.eye(2)), np.zeros((5, 3)))
+            log_pdf(np.zeros(2), np.eye(2), np.zeros((5, 3)))
 
 
 class TestNoiseFactor:
@@ -117,41 +112,34 @@ class TestNoiseFactor:
             noise_factor(cov, "Q")
 
 
-def _merge(particles, cov_mode="moment"):
-    """moment_match_merge over the stacked rows of these particles."""
+def _merge(rows, cov_mode="moment"):
+    """moment_match_merge over these (weight, mean, cov) rows, stacked."""
     return moment_match_merge(
-        [p.weight for p in particles],
-        np.array([p.state.mean for p in particles]),
-        np.array([p.state.cov for p in particles]),
+        [w for w, _, _ in rows],
+        np.array([np.atleast_1d(m) for _, m, _ in rows], dtype=float),
+        np.array([np.atleast_2d(c) for _, _, c in rows], dtype=float),
         cov_mode,
     )
 
 
 class TestMomentMatchMerge:
     def test_identical_components(self):
-        state = GaussianState(np.array([1.0, 2.0]), np.diag([0.5, 0.25]))
-        weight, mean, cov = _merge(
-            [GaussianParticle(0.3, state), GaussianParticle(0.4, state)]
-        )
+        state_mean, state_cov = np.array([1.0, 2.0]), np.diag([0.5, 0.25])
+        weight, mean, cov = _merge([(0.3, state_mean, state_cov), (0.4, state_mean, state_cov)])
         assert_allclose(weight, 0.7)
-        assert_allclose(mean, state.mean)
-        assert_allclose(cov, state.cov, atol=1e-15)
+        assert_allclose(mean, state_mean)
+        assert_allclose(cov, state_cov, atol=1e-15)
 
     def test_single_particle_identity(self):
-        p = GaussianParticle(0.6, GaussianState(np.array([1.0]), np.array([[2.0]])))
-        weight, mean, cov = _merge([p])
-        assert weight == p.weight
-        assert_allclose(mean, p.state.mean)
-        assert_allclose(cov, p.state.cov)
+        row = (0.6, np.array([1.0]), np.array([[2.0]]))
+        weight, mean, cov = _merge([row])
+        assert weight == row[0]
+        assert_allclose(mean, row[1])
+        assert_allclose(cov, row[2])
 
     def test_two_component_mixture_moments(self):
         # moment matching: mean 1, var = within (1) + between (1) = 2
-        weight, mean, cov = _merge(
-            [
-                GaussianParticle(0.5, GaussianState(0.0, 1.0)),
-                GaussianParticle(0.5, GaussianState(2.0, 1.0)),
-            ]
-        )
+        weight, mean, cov = _merge([(0.5, 0.0, 1.0), (0.5, 2.0, 1.0)])
         assert_allclose(weight, 1.0)
         assert_allclose(mean, [1.0])
         assert_allclose(cov, [[2.0]])
@@ -162,26 +150,16 @@ class TestMomentMatchMerge:
         n = 10**6
         pick = rng.random(n) < 0.5
         draws = np.where(pick, rng.normal(0.0, 1.0, n), rng.normal(2.0, 1.0, n))
-        _, mean, cov = _merge(
-            [
-                GaussianParticle(0.5, GaussianState(0.0, 1.0)),
-                GaussianParticle(0.5, GaussianState(2.0, 1.0)),
-            ]
-        )
+        _, mean, cov = _merge([(0.5, 0.0, 1.0), (0.5, 2.0, 1.0)])
         assert_allclose(mean[0], draws.mean(), atol=0.01)
         assert_allclose(cov[0, 0], draws.var(), atol=0.01)
 
     def test_weight_clamped_to_one(self):
-        state = GaussianState(0.0, 1.0)
-        weight, _, _ = _merge([GaussianParticle(0.8, state), GaussianParticle(0.9, state)])
+        weight, _, _ = _merge([(0.8, 0.0, 1.0), (0.9, 0.0, 1.0)])
         assert weight == 1.0
 
     def test_plain_sum_mode(self):
-        parts = [
-            GaussianParticle(0.5, GaussianState(0.0, 1.0)),
-            GaussianParticle(0.5, GaussianState(2.0, 3.0)),
-        ]
-        _, mean, cov = _merge(parts, cov_mode="plain_sum")
+        _, mean, cov = _merge([(0.5, 0.0, 1.0), (0.5, 2.0, 3.0)], cov_mode="plain_sum")
         assert_allclose(cov, [[4.0]])
         assert_allclose(mean, [1.0])
 
@@ -189,7 +167,7 @@ class TestMomentMatchMerge:
         with pytest.raises(ValueError):
             moment_match_merge([], np.zeros((0, 1)), np.zeros((0, 1, 1)))
         with pytest.raises(ValueError):
-            _merge([GaussianParticle(0.0, GaussianState(0.0, 1.0))] * 2)
+            _merge([(0.0, 0.0, 1.0)] * 2)
 
     def test_unknown_cov_mode_rejected_first(self):
         # checked before the inputs, so even an empty merge names the mode
@@ -209,28 +187,20 @@ class TestMomentMatchMerge:
     def test_first_moment_preserved(self, seed, dim, count):
         rng = np.random.default_rng(seed)
         weights = rng.random(count) * 0.2 + 0.01
-        parts = [
-            GaussianParticle(
-                w, GaussianState(rng.standard_normal(dim), _random_psd(rng, dim))
-            )
-            for w in weights
-        ]
-        weight, mean, _ = _merge(parts)
-        expected = sum(w * p.state.mean for w, p in zip(weights, parts))
+        rows = [(w, rng.standard_normal(dim), _random_psd(rng, dim)) for w in weights]
+        weight, mean, _ = _merge(rows)
+        expected = sum(w * m for w, m, _ in rows)
         assert_allclose(weight * mean, expected, atol=1e-12)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 5))
     @settings(max_examples=50, deadline=None)
     def test_merged_cov_psd(self, seed, dim, count):
         rng = np.random.default_rng(seed)
-        parts = [
-            GaussianParticle(
-                rng.random() * 0.9 + 0.05,
-                GaussianState(rng.standard_normal(dim) * 3, _random_psd(rng, dim)),
-            )
+        rows = [
+            (rng.random() * 0.9 + 0.05, rng.standard_normal(dim) * 3, _random_psd(rng, dim))
             for _ in range(count)
         ]
-        _, _, cov = _merge(parts)
+        _, _, cov = _merge(rows)
         assert_allclose(cov, cov.T, atol=1e-12)
         assert np.linalg.eigvalsh(cov).min() >= -1e-9
 
@@ -261,32 +231,45 @@ def test_mixture_moments_has_the_bits_of_the_row_loop(seed, k, d):
 
 
 class TestTypes:
+    """The checks that kf_update and log_pdf make of a (mean, cov) pair, and the
+    weight range that the particle set enforces."""
+
     def test_weight_range_enforced(self):
-        with pytest.raises(ValueError):
-            GaussianParticle(1.2, GaussianState(0.0, 1.0))
-        with pytest.raises(ValueError):
-            GaussianParticle(-0.1, GaussianState(0.0, 1.0))
+        for bad in (1.2, -0.1):
+            with pytest.raises(ValueError):
+                GpfParticleSet([bad], np.zeros((1, 1)), np.ones((1, 1, 1)))
 
     def test_state_dimension_checked(self):
-        with pytest.raises(ValueError):
-            GaussianState(np.zeros(2), np.eye(3))
+        for mean, cov in ((np.zeros(2), np.eye(3)), (np.zeros((1, 2)), np.eye(2)),
+                          (np.zeros(2), np.ones(2))):
+            with pytest.raises(ValueError):
+                kf_update(mean, cov, np.eye(2), np.eye(2), np.zeros(2))
+            with pytest.raises(ValueError):
+                log_pdf(mean, cov, np.zeros(2))
 
     def test_cov_symmetrized(self):
-        g = GaussianState(np.zeros(2), np.array([[1.0, 0.3 + 1e-12], [0.3, 1.0]]))
-        assert_allclose(g.cov, g.cov.T, atol=0)
+        # asymmetric in the last bit: each call sees the symmetrized matrix
+        cov = np.array([[1.0, np.nextafter(0.3, 1.0)], [0.3, 1.0]])
+        mean, z, h, r = np.array([0.5, -1.0]), np.array([0.2, 0.1]), np.eye(2), np.eye(2)
+        got, want = kf_update(mean, cov, h, r, z), kf_update(mean, _symmetrize(cov), h, r, z)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert np.array_equal(got.cov, got.cov.T)
+        xs = np.array([[0.0, 0.0], [1.0, -2.0]])
+        assert np.array_equal(log_pdf(mean, cov, xs), log_pdf(mean, _symmetrize(cov), xs))
 
 
 class TestValueEquality:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda v: GaussianState([1.0, v], [[2.0, 0.5], [0.5, 1.0]]),
+            lambda v: LinearGaussianModel(np.eye(2), np.eye(2), [[1.0, v]], [[1.0]]),
             lambda v: CellReturns([1, 2, 3], [1, 0, int(v)]),
             lambda v: GpfParticleSet(
                 [0.5, 0.9], [[0, 0, 0, 0], [1, 2, 3, v]], np.tile(np.eye(4), (2, 1, 1))
             ),
         ],
-        ids=["GaussianState", "CellReturns", "GpfParticleSet"],
+        ids=["LinearGaussianModel", "CellReturns", "GpfParticleSet"],
     )
     def test_multi_element_records_compare_by_value(self, make):
         assert make(1.0) == make(1.0)
@@ -294,34 +277,38 @@ class TestValueEquality:
         assert make(1.0) != "not a record"
 
     def test_shapes_and_flags_count(self):
-        assert GaussianState([0.0, 0.0], np.eye(2)) != GaussianState([0.0], [[1.0]])
+        one = [[1.0]]
+        assert LinearGaussianModel(*[np.eye(2)] * 4) != LinearGaussianModel(one, one, one, one)
         one = GpfParticleSet([0.5], [[0, 0, 0, 0]], [np.eye(4)])
         assert one != GpfParticleSet([0.5], [[0, 0, 0, 0]], [np.eye(4)], degenerate_step=True)
 
 
 class TestImmutability:
+    """A belief is immutable: stages share a GpfParticleSet instead of copying it."""
+
     def test_caller_arrays_are_not_shared(self):
-        mean = np.array([1.0, 2.0])
-        cov = np.eye(2)
-        g = GaussianState(mean, cov)
-        mean[0] = 99.0
-        cov[0, 0] = 99.0
-        assert_allclose(g.mean, [1.0, 2.0])
-        assert_allclose(g.cov, np.eye(2))
+        weights, means, covs = np.array([0.5]), np.array([[1.0, 2.0]]), np.eye(2)[None]
+        pset = GpfParticleSet(weights, means, covs)
+        weights[0] = 0.9
+        means[0, 0] = 99.0
+        covs[0, 0, 0] = 99.0
+        assert_allclose(pset.weights, [0.5])
+        assert_allclose(pset.means, [[1.0, 2.0]])
+        assert_allclose(pset.covs, np.eye(2)[None])
 
     def test_arrays_are_read_only(self):
-        g = GaussianState(np.array([1.0, 2.0]), np.eye(2))
+        pset = GpfParticleSet([0.5], np.array([[1.0, 2.0]]), np.eye(2)[None])
         with pytest.raises(ValueError):
-            g.mean[0] = 5.0
+            pset.means[0, 0] = 5.0
         with pytest.raises(ValueError):
-            g.cov[0, 1] = 5.0
+            pset.covs[0, 0, 1] = 5.0
         with pytest.raises(ValueError):
-            g.mean += 1.0
+            pset.means += 1.0
 
     def test_fields_cannot_be_reassigned(self):
-        p = GaussianParticle(0.5, GaussianState(0.0, 1.0))
+        pset = GpfParticleSet([0.5], np.zeros((1, 1)), np.ones((1, 1, 1)))
         with pytest.raises(FrozenInstanceError):
-            p.weight = 0.9
+            pset.weights = np.array([0.9])
         with pytest.raises(FrozenInstanceError):
-            p.state.mean = np.zeros(1)
-        assert p.weight == 0.5
+            pset.means = np.zeros((1, 1))
+        assert pset.weights[0] == 0.5

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from mtt.gaussians import GaussianParticle, GaussianState, moment_match_merge
+from mtt.gaussians import _symmetrize, moment_match_merge
 from mtt.gpf import (
     CombinatorialBlowupError,
     ExistenceCombination,
@@ -48,15 +48,15 @@ def _particle(w, x, y, var=1.0, dim4=True):
     else:
         mean = np.array([x])
         cov = np.array([[var]])
-    return GaussianParticle(w, GaussianState(mean, cov))
+    return w, mean, cov
 
 
-def _pset(particles):
-    """The belief holding these particles, in order (stacked into arrays)."""
+def _pset(rows):
+    """The belief holding these (weight, mean, cov) rows, in order (stacked into arrays)."""
     return GpfParticleSet(
-        [p.weight for p in particles],
-        np.array([p.state.mean for p in particles]),
-        np.array([p.state.cov for p in particles]),
+        [w for w, _, _ in rows],
+        np.array([m for _, m, _ in rows]),
+        np.array([c for _, _, c in rows]),
     )
 
 
@@ -224,15 +224,16 @@ def _grid_cases(draw):
 class TestParticleSet:
     def test_default_is_empty_4d(self):
         pset = GpfParticleSet()
-        assert len(pset) == 0 and pset.particles == []
+        assert len(pset) == 0 and pset.weights.shape == (0,)
         assert pset.means.shape == (0, 4) and pset.covs.shape == (0, 4, 4)
 
-    def test_particles_view_rows_in_order(self):
+    def test_rows_kept_in_order(self):
         parts = [_particle(0.2, 1.0, 2.0), _particle(0.7, 3.0, 4.0, var=2.0)]
-        for got, want in zip(_pset(parts).particles, parts):
-            assert got.weight == want.weight
-            assert np.array_equal(got.state.mean, want.state.mean)
-            assert np.array_equal(got.state.cov, want.state.cov)
+        pset = _pset(parts)
+        for i, (weight, mean, cov) in enumerate(parts):
+            assert pset.weights[i] == weight
+            assert np.array_equal(pset.means[i], mean)
+            assert np.array_equal(pset.covs[i], cov)
 
     def test_arrays_copied_and_read_only(self):
         weights = np.array([0.5])
@@ -242,12 +243,12 @@ class TestParticleSet:
         with pytest.raises(ValueError):
             pset.means[0, 0] = 1.0
 
-    def test_covs_symmetrized_like_the_view(self):
+    def test_covs_symmetrized(self):
         cov = np.eye(4)
         cov[0, 1] = 0.2
         pset = GpfParticleSet([0.5], np.zeros((1, 4)), cov[None])
         assert np.array_equal(pset.covs, pset.covs.swapaxes(1, 2))
-        assert np.array_equal(pset.covs[0], pset.particles[0].state.cov)
+        assert np.array_equal(pset.covs[0], _symmetrize(cov))
 
     @pytest.mark.parametrize(
         "weights, means, covs",
@@ -268,20 +269,20 @@ class TestPredict:
     def test_identity_is_noop(self):
         pset = _pset([_particle(0.5, 1.0, 2.0)])
         out = gpf_predict(pset, np.eye(4), np.zeros((4, 4)))
-        assert_allclose(out.particles[0].state.mean, pset.particles[0].state.mean)
-        assert_allclose(out.particles[0].state.cov, pset.particles[0].state.cov)
+        assert_allclose(out.means[0], pset.means[0])
+        assert_allclose(out.covs[0], pset.covs[0])
 
     def test_weights_never_change(self):
         rng = np.random.default_rng(0)
         pset = _pset([_particle(w, 0.0, 0.0) for w in (0.2, 0.7, 1.0)])
         out = gpf_predict(pset, rng.standard_normal((4, 4)), _random_psd(rng, 4))
-        assert [p.weight for p in out.particles] == [0.2, 0.7, 1.0]
+        assert out.weights.tolist() == [0.2, 0.7, 1.0]
 
     def test_1d_formula(self):
-        pset = _pset([GaussianParticle(1.0, GaussianState(1.0, 1.0))])
+        pset = GpfParticleSet([1.0], [[1.0]], [[[1.0]]])
         out = gpf_predict(pset, [[2.0]], [[1.0]])
-        assert_allclose(out.particles[0].state.mean, [2.0])
-        assert_allclose(out.particles[0].state.cov, [[5.0]])
+        assert_allclose(out.means[0], [2.0])
+        assert_allclose(out.covs[0], [[5.0]])
 
     def test_dimension_mismatch(self):
         pset = _pset([_particle(0.5, 1.0, 2.0)])
@@ -292,18 +293,16 @@ class TestPredict:
     def test_equals_kf_predict_bit_for_bit(self, n):
         rng = np.random.default_rng(n)
         f, q = rng.standard_normal((4, 4)), _random_psd(rng, 4)
-        parts = [
-            GaussianParticle(rng.random(), GaussianState(10 * rng.standard_normal(4),
-                                                         _random_psd(rng, 4)))
-            for _ in range(n)
-        ]
-        out = gpf_predict(_pset(parts) if parts else GpfParticleSet(), f, q)
+        parts = [(rng.random(), 10 * rng.standard_normal(4), _random_psd(rng, 4))
+                 for _ in range(n)]
+        pset = _pset(parts) if parts else GpfParticleSet()
+        out = gpf_predict(pset, f, q)
         assert len(out) == n
-        for p, got in zip(parts, out.particles):
-            want = kf_predict(p.state, f, q)
-            assert got.weight == p.weight
-            assert np.array_equal(got.state.mean, want.mean)
-            assert np.array_equal(got.state.cov, want.cov)
+        for i in range(n):
+            want_mean, want_cov = kf_predict(pset.means[i], pset.covs[i], f, q)
+            assert out.weights[i] == pset.weights[i]
+            assert np.array_equal(out.means[i], want_mean)
+            assert np.array_equal(out.covs[i], _symmetrize(want_cov))
 
 
 @pytest.mark.parametrize("name", ["d_thresh", "clutter_density"])
@@ -436,15 +435,15 @@ class TestEnumerate:
 class TestConditionalUpdate:
     def test_single_target_reduces_to_kalman(self):
         rng = np.random.default_rng(4)
-        state = GaussianState(rng.standard_normal(4), _random_psd(rng, 4))
+        mean, cov = rng.standard_normal(4), _random_psd(rng, 4)
         proj = position_projection()
         r = np.eye(2) * 0.5
         z = rng.standard_normal(2)
-        got = conditional_kf_update(0, (1,), state.mean[None], state.cov[None], z, r, proj)
+        got = conditional_kf_update(0, (1,), mean[None], cov[None], z, r, proj)
         model = LinearGaussianModel(F=np.eye(4), Q=np.zeros((4, 4)), H=proj, R=r)
-        want = kf_update(state, model.H, model.R, z)
-        assert_allclose(got.posterior.mean, want.posterior.mean, rtol=1e-14, atol=0)
-        assert_allclose(got.posterior.cov, want.posterior.cov, rtol=1e-14, atol=0)
+        want = kf_update(mean, cov, model.H, model.R, z)
+        assert_allclose(got.mean, want.mean, rtol=1e-14, atol=0)
+        assert_allclose(got.cov, want.cov, rtol=1e-14, atol=0)
         assert_allclose(got.gain, want.gain, rtol=1e-14, atol=0)
 
     def test_two_particle_hand_example(self):
@@ -454,15 +453,15 @@ class TestConditionalUpdate:
         assert_allclose(out.residual, [0.0], atol=1e-15)
         assert_allclose(out.innovation_cov, [[1.5]])
         assert_allclose(out.gain, [[1.0 / 3.0]])
-        assert_allclose(out.posterior.mean, [0.0], atol=1e-15)
-        assert_allclose(out.posterior.cov, [[5.0 / 6.0]])
+        assert_allclose(out.mean, [0.0], atol=1e-15)
+        assert_allclose(out.cov, [[5.0 / 6.0]])
 
     def test_uninformative_measurement(self):
         out = conditional_kf_update(
             0, (1, 1), *_TWO_ROWS, np.array([1.0]), np.array([[1e12]]), np.eye(1)
         )
-        assert_allclose(out.posterior.mean, [0.0], atol=1e-6)
-        assert_allclose(out.posterior.cov, [[1.0]], rtol=1e-6)
+        assert_allclose(out.mean, [0.0], atol=1e-6)
+        assert_allclose(out.cov, [[1.0]], rtol=1e-6)
 
     def test_inactive_particle_rejected(self):
         rows = _pset([_particle(0.5, 0.0, 0.0), _particle(0.5, 1.0, 1.0)])
@@ -614,28 +613,28 @@ class TestMergeClose:
     def test_distant_particles_untouched(self):
         pset = _pset([_particle(0.5, 0.0, 0.0), _particle(0.5, 10.0, 10.0)])
         out = merge_close_particles(pset, 1.0)
-        assert len(out.particles) == 2
+        assert len(out) == 2
 
     def test_coincident_pair_merges(self):
         pset = _pset([_particle(0.3, 2.0, 2.0), _particle(0.4, 2.0, 2.0)])
         out = merge_close_particles(pset, 1.0)
-        assert len(out.particles) == 1
-        assert_allclose(out.particles[0].weight, 0.7)
-        assert_allclose(out.particles[0].state.mean, [2.0, 0.0, 2.0, 0.0])
+        assert len(out) == 1
+        assert_allclose(out.weights[0], 0.7)
+        assert_allclose(out.means[0], [2.0, 0.0, 2.0, 0.0])
 
     def test_three_coincident_merge_to_one(self):
         pset = _pset(
             [_particle(w, 1.0, 3.0) for w in (0.5, 0.6, 0.7)]
         )
         out = merge_close_particles(pset, 1.0)
-        assert len(out.particles) == 1
-        assert out.particles[0].weight == 1.0
+        assert len(out) == 1
+        assert out.weights[0] == 1.0
         # order independence of the merged mean
         for perm in itertools.permutations((0.5, 0.6, 0.7)):
             pset_p = _pset([_particle(w, 1.0, 3.0) for w in perm])
             out_p = merge_close_particles(pset_p, 1.0)
             assert_allclose(
-                out_p.particles[0].state.mean, out.particles[0].state.mean, atol=1e-9
+                out_p.means[0], out.means[0], atol=1e-9
             )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -655,7 +654,7 @@ class TestMergeClose:
             [_particle(0.5, 0.0, 0.0, var=1.0), _particle(0.5, math.sqrt(2.0), 0.0, var=1.0)]
         )
         out = merge_close_particles(pset, 1.0)
-        assert len(out.particles) == 2
+        assert len(out) == 2
 
     @given(_clustered_psets(), st.sampled_from([0.5, 1.0, 2.0, 4.0]),
            st.sampled_from(["moment", "plain_sum"]))
@@ -693,19 +692,19 @@ class TestCardinalityAndPrune:
     def test_prune_noop(self):
         pset = _pset([_particle(0.5, 0, 0), _particle(0.9, 1, 1)])
         out = birth_and_prune(pset, GpfParticleSet(), 0.01, 10)
-        assert len(out.particles) == 2
+        assert len(out) == 2
 
     def test_prunes_zero_weight(self):
         pset = _pset([_particle(0.0, 0, 0), _particle(0.5, 1, 1)])
         out = birth_and_prune(pset, GpfParticleSet(), 0.01, 10)
-        assert len(out.particles) == 1
-        assert out.particles[0].weight == 0.5
+        assert len(out) == 1
+        assert out.weights[0] == 0.5
 
     def test_caps_at_n_max(self):
         weights = [0.1, 0.9, 0.3, 0.8, 0.5]
         pset = _pset([_particle(w, i, i) for i, w in enumerate(weights)])
         out = birth_and_prune(pset, GpfParticleSet(), 0.0, 3)
-        assert sorted(p.weight for p in out.particles) == [0.5, 0.8, 0.9]
+        assert sorted(out.weights.tolist()) == [0.5, 0.8, 0.9]
 
     @pytest.mark.parametrize(
         "w_prune, n_max, message",
@@ -722,7 +721,7 @@ class TestCardinalityAndPrune:
         pset = _pset([_particle(0.5, 0, 0)])
         births = _pset([_particle(0.1, 3, 3)])
         out = birth_and_prune(pset, births, 0.05, 10)
-        assert len(out.particles) == 2
+        assert len(out) == 2
 
 
 class TestGridUpdate:
@@ -732,8 +731,8 @@ class TestGridUpdate:
         out = grid_existence_update(pset, CellReturns([0], [1]), sensor)
         p_hit, p_false = 0.9, detection_prob(0, 0.9, 3.0)
         expected = 0.4 * p_hit / (0.4 * p_hit + 0.6 * p_false)
-        assert_allclose(out.particles[0].weight, expected)
-        assert out.particles[0].weight > 0.4
+        assert_allclose(out.weights[0], expected)
+        assert out.weights[0] > 0.4
 
     def test_negative_return_lowers_weight(self):
         sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
@@ -741,14 +740,14 @@ class TestGridUpdate:
         out = grid_existence_update(pset, CellReturns([0], [0]), sensor)
         p_false = detection_prob(0, 0.9, 3.0)
         expected = 0.4 * 0.1 / (0.4 * 0.1 + 0.6 * (1.0 - p_false))
-        assert_allclose(out.particles[0].weight, expected)
-        assert out.particles[0].weight < 0.4
+        assert_allclose(out.weights[0], expected)
+        assert out.weights[0] < 0.4
 
     def test_unmeasured_particle_unchanged(self):
         sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
         pset = _pset([_particle(0.4, 5.5, 5.5)])
         out = grid_existence_update(pset, CellReturns([0], [1]), sensor)
-        assert out.particles[0].weight == 0.4
+        assert out.weights[0] == 0.4
 
     @given(_grid_cases())
     @settings(max_examples=200, deadline=None)
@@ -779,9 +778,9 @@ class TestGridUpdate:
         sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
         births = grid_births(CellReturns([14, 20], [1, 0]), sensor, 0.1)
         assert len(births) == 1
-        assert births.particles[0].weight == 0.1
-        assert_allclose(births.particles[0].state.mean, [2.5, 0.0, 1.5, 0.0])
-        assert_allclose(births.particles[0].state.cov, np.diag([1 / 12, 1.0, 1 / 12, 1.0]))
+        assert births.weights[0] == 0.1
+        assert_allclose(births.means[0], [2.5, 0.0, 1.5, 0.0])
+        assert_allclose(births.covs[0], np.diag([1 / 12, 1.0, 1 / 12, 1.0]))
         # mixed returns on an offset grid with inexact cell sizes: cell_center, bit for bit
         sensor = GridSensorModel(Rectangle(-3.7, 2.2, 8.4, 13.3), rows=9, cols=13)
         cells, values = [5, 116, 0, 60, 116, 3, 40, 12], [1, 0, 1, 1, 1, 0, 1, 1]
@@ -801,17 +800,17 @@ class TestGpfStep:
         config = _mean_config(f_matrix=f, q_matrix=q, sensor=sensor)
         model = LinearGaussianModel(F=f, Q=q, H=sensor.position_projection, R=sensor.R)
 
-        state = GaussianState(np.array([6.0, 0.1, 6.0, -0.1]), np.diag([2.0, 0.5, 2.0, 0.5]))
-        belief = _pset([GaussianParticle(1.0, state)])
-        kf_belief = state
+        kf_mean, kf_cov = np.array([6.0, 0.1, 6.0, -0.1]), np.diag([2.0, 0.5, 2.0, 0.5])
+        belief = GpfParticleSet([1.0], kf_mean[None], kf_cov[None])
         for _ in range(20):
-            z = kf_predict(kf_belief, model.F, model.Q).mean[[0, 2]] + rng.standard_normal(2)
+            pred = kf_predict(kf_mean, kf_cov, model.F, model.Q)
+            z = pred[0][[0, 2]] + rng.standard_normal(2)
             belief = gpf_step(belief, z, config)
-            kf_belief = kf_update(kf_predict(kf_belief, model.F, model.Q), model.H, model.R, z).posterior
-            assert len(belief.particles) == 1
-            assert belief.particles[0].weight == 1.0
-            assert_allclose(belief.particles[0].state.mean, kf_belief.mean, rtol=1e-10)
-            assert_allclose(belief.particles[0].state.cov, kf_belief.cov, rtol=1e-10)
+            kf_mean, kf_cov, *_ = kf_update(*pred, model.H, model.R, z)
+            assert len(belief) == 1
+            assert belief.weights[0] == 1.0
+            assert_allclose(belief.means[0], kf_mean, rtol=1e-10)
+            assert_allclose(belief.covs[0], kf_cov, rtol=1e-10)
 
     def test_empty_set_gets_births_only(self):
         sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
@@ -819,8 +818,8 @@ class TestGpfStep:
             f_matrix=np.eye(4), q_matrix=np.zeros((4, 4)), sensor=sensor, w_birth=0.1
         )
         out = gpf_step(GpfParticleSet(), CellReturns([0, 5], [1, 1]), config)
-        assert len(out.particles) == 2
-        assert all(p.weight == 0.1 for p in out.particles)
+        assert len(out) == 2
+        assert all(w == 0.1 for w in out.weights.tolist())
 
     def test_emptied_belief_keeps_running(self):
         # a far-off measurement lets the all-absent combination win: nothing survives
@@ -835,7 +834,7 @@ class TestGpfStep:
             f_matrix=np.eye(4), q_matrix=np.zeros((4, 4)), sensor=grid, w_birth=0.1
         )
         births = gpf_step(out, CellReturns([14, 20], [1, 0]), grid_config)
-        assert [p.weight for p in births.particles] == [0.1]
+        assert births.weights.tolist() == [0.1]
         assert_allclose(births.means, [[2.5, 0.0, 1.5, 0.0]])
 
     def test_six_dim_state_prunes(self):
@@ -896,8 +895,8 @@ class TestGpfStep:
         config = _mean_config(epsilon=0.25)
         out = gpf_step(_pset(parts), np.array([5.0, 5.0]), config)
         assert out.degenerate_step
-        assert [p.weight for p in out.particles] == [0.5, 0.5]
-        assert_allclose(out.particles[0].state.mean, parts[0].state.mean)
+        assert out.weights.tolist() == [0.5, 0.5]
+        assert_allclose(out.means[0], parts[0][1])
 
     def test_out_of_fov_particles_only_predicted(self):
         fov = FovRegion.box(0.0, 0.0, 5.0, 5.0)
@@ -905,9 +904,9 @@ class TestGpfStep:
         config = _mean_config(fov=fov)
         out = gpf_step(_pset(parts), np.array([2.0, 2.0]), config)
         # the out-of-view particle keeps its predicted (here: unchanged) state
-        assert out.particles[1].weight == 0.9
-        assert_allclose(out.particles[1].state.mean, parts[1].state.mean)
-        assert out.particles[0].weight != 0.9
+        assert out.weights[1] == 0.9
+        assert_allclose(out.means[1], parts[1][1])
+        assert out.weights[0] != 0.9
 
     def test_interleaved_out_of_view_rows(self):
         # in-view rows that are not a prefix: out, in, out, in
@@ -932,27 +931,26 @@ class TestGpfStep:
         z = np.array([3.0, 3.0])
         a = gpf_step(_pset(parts), z, config)
         b = gpf_step(_pset(parts), z, config)
-        assert [p.weight for p in a.particles] == [p.weight for p in b.particles]
-        for pa, pb in zip(a.particles, b.particles):
-            assert np.array_equal(pa.state.mean, pb.state.mean)
-            assert np.array_equal(pa.state.cov, pb.state.cov)
+        assert a.weights.tolist() == b.weights.tolist()
+        assert np.array_equal(a.means, b.means)
+        assert np.array_equal(a.covs, b.covs)
 
     def test_input_belief_unchanged(self):
         parts = [_particle(0.8, 2.0, 2.0), _particle(0.7, 4.0, 4.0)]
         belief = _pset(parts)
-        weights = [p.weight for p in parts]
-        means = [p.state.mean.copy() for p in parts]
+        weights = [w for w, _, _ in parts]
+        means = [m.copy() for _, m, _ in parts]
         config = _mean_config(f_matrix=constant_velocity_matrix(1.0), q_matrix=np.eye(4))
         out = gpf_step(belief, np.array([3.0, 3.0]), config)
-        assert out.particles[0].weight != weights[0]
-        assert [p.weight for p in belief.particles] == weights
-        for p, mean in zip(belief.particles, means):
-            assert np.array_equal(p.state.mean, mean)
+        assert out.weights[0] != weights[0]
+        assert belief.weights.tolist() == weights
+        for got, mean in zip(belief.means, means):
+            assert np.array_equal(got, mean)
 
     @pytest.mark.parametrize("sensor", ["mean", "grid"])
     def test_step_builds_no_particle_objects(self, monkeypatch, sensor):
-        # the belief is arrays throughout a step; GaussianParticle is only the
-        # public `particles` view
+        # the belief is arrays throughout a step; the `particles` rows are only
+        # for perfbench's observers
         if sensor == "mean":
             config = _mean_config()
             belief = _pset([_particle(0.9, 2.0, 2.0), _particle(0.8, 4.0, 4.0)])
@@ -964,11 +962,10 @@ class TestGpfStep:
             belief = _pset([_particle(0.5, 3.0, 3.0), _particle(0.5, 3.2, 3.0)])
             z = CellReturns([grid.cell_of(3.0, 3.0)], [0])
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("gpf_step built a GaussianParticle")
+        def refuse(self):
+            raise AssertionError("gpf_step built the particles rows")
 
-        monkeypatch.setattr("mtt.gpf.GaussianParticle", refuse)
-        monkeypatch.setattr("mtt.gaussians.GaussianParticle", refuse)
+        monkeypatch.setattr(GpfParticleSet, "particles", property(refuse))
         out = gpf_step(belief, z, config)
         if sensor == "mean":
             assert len(out) == 2 and not np.array_equal(out.weights, belief.weights)
@@ -1030,11 +1027,11 @@ class TestGpfStep:
             z = rng.uniform(0.0, 12.0, size=2)
             belief = gpf_step(belief, z, config)
             card = estimate_cardinality(belief)
-            assert 0.0 <= card <= len(belief.particles)
-            for p in belief.particles:
-                assert 0.0 <= p.weight <= 1.0
-                assert_allclose(p.state.cov, p.state.cov.T, atol=1e-9)
-                assert np.linalg.eigvalsh(p.state.cov).min() >= -1e-9
+            assert 0.0 <= card <= len(belief)
+            for weight, cov in zip(belief.weights, belief.covs):
+                assert 0.0 <= weight <= 1.0
+                assert_allclose(cov, cov.T, atol=1e-9)
+                assert np.linalg.eigvalsh(cov).min() >= -1e-9
 
     def test_grid_run_invariants(self):
         rng = np.random.default_rng(44)
@@ -1055,17 +1052,17 @@ class TestGpfStep:
             cells = select_cells("random", sensor, rng, step=k)
             returns = grid_measure(truth, cells, sensor, rng)
             belief = gpf_step(belief, returns, config)
-            assert len(belief.particles) <= 50
-            for p in belief.particles:
-                assert 0.0 <= p.weight <= 1.0
-                assert np.linalg.eigvalsh(p.state.cov).min() >= -1e-9
+            assert len(belief) <= 50
+            for weight, cov in zip(belief.weights, belief.covs):
+                assert 0.0 <= weight <= 1.0
+                assert np.linalg.eigvalsh(cov).min() >= -1e-9
         assert estimate_cardinality(belief) > 0.5
 
     def test_normalized_combination_family(self):
         parts = [_particle(0.9, 2.0, 2.0), _particle(0.8, 4.0, 4.0)]
         sensor = _mean_sensor()
         rows = _pset(parts)
-        combos = enumerate_combinations([p.weight for p in parts], 0.001)
+        combos = enumerate_combinations([w for w, _, _ in parts], 0.001)
         logs = [
             combination_log_weight(c, rows.means, rows.covs, np.array([3.0, 3.0]),
                                    sensor.R, 1.0 / 144, sensor.position_projection)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from mtt.gaussians import GaussianState, SingularCovarianceError
+from mtt.gaussians import SingularCovarianceError
 from mtt.kalman import LinearGaussianModel, kf_predict, kf_update
 
 
@@ -25,77 +25,79 @@ def _random_model(rng, n, r_dim=None):
 
 
 def _random_state(rng, n):
+    """A random (mean, cov) pair of dimension n."""
     a = rng.standard_normal((n, n))
-    return GaussianState(rng.standard_normal(n), a @ a.T + 0.1 * np.eye(n))
+    return rng.standard_normal(n), a @ a.T + 0.1 * np.eye(n)
 
 
 class TestPredict:
     def test_identity_dynamics(self):
-        prior = GaussianState(np.array([1.0, 2.0]), np.diag([0.5, 0.5]))
+        mean, cov = np.array([1.0, 2.0]), np.diag([0.5, 0.5])
         model = LinearGaussianModel(F=np.eye(2), Q=np.zeros((2, 2)), H=np.eye(2), R=np.eye(2))
-        pred = kf_predict(prior, model.F, model.Q)
-        assert_allclose(pred.mean, prior.mean)
-        assert_allclose(pred.cov, prior.cov)
+        pred_mean, pred_cov = kf_predict(mean, cov, model.F, model.Q)
+        assert_allclose(pred_mean, mean)
+        assert_allclose(pred_cov, cov)
 
     def test_pure_diffusion(self):
-        prior = GaussianState(np.array([1.0, 2.0]), np.diag([0.5, 2.0]))
+        mean, cov = np.array([1.0, 2.0]), np.diag([0.5, 2.0])
         model = LinearGaussianModel(F=np.eye(2), Q=np.eye(2), H=np.eye(2), R=np.eye(2))
-        pred = kf_predict(prior, model.F, model.Q)
-        assert_allclose(pred.mean, prior.mean)
-        assert_allclose(pred.cov, prior.cov + np.eye(2))
+        pred_mean, pred_cov = kf_predict(mean, cov, model.F, model.Q)
+        assert_allclose(pred_mean, mean)
+        assert_allclose(pred_cov, cov + np.eye(2))
 
     def test_1d_formula(self):
-        pred = kf_predict(GaussianState(3.0, 1.0), np.array([[2.0]]), np.array([[0.5]]))
-        assert_allclose(pred.mean, [6.0])
-        assert_allclose(pred.cov, [[4.5]])
+        mean, cov = kf_predict(np.array([3.0]), np.array([[1.0]]), np.array([[2.0]]),
+                               np.array([[0.5]]))
+        assert_allclose(mean, [6.0])
+        assert_allclose(cov, [[4.5]])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            kf_predict(GaussianState(np.zeros(3), np.eye(3)), np.eye(1), np.zeros((1, 1)))
+            kf_predict(np.zeros(3), np.eye(3), np.eye(1), np.zeros((1, 1)))
 
 
 class TestUpdate:
     def test_equal_variance_split(self):
-        post, y, s, k = kf_update(GaussianState(0.0, 1.0), np.eye(1), np.eye(1), np.array([2.0]))
-        assert_allclose(post.mean, [1.0])
-        assert_allclose(post.cov, [[0.5]])
+        mean, cov, y, s, k = kf_update(0.0, 1.0, np.eye(1), np.eye(1), np.array([2.0]))
+        assert_allclose(mean, [1.0])
+        assert_allclose(cov, [[0.5]])
         assert_allclose(y, [2.0])
         assert_allclose(s, [[2.0]])
         assert_allclose(k, [[0.5]])
 
     def test_uninformative_measurement(self):
-        prior = GaussianState(np.array([1.0, -1.0]), np.diag([2.0, 3.0]))
+        mean, cov = np.array([1.0, -1.0]), np.diag([2.0, 3.0])
         model = LinearGaussianModel(F=np.eye(2), Q=np.zeros((2, 2)), H=np.eye(2), R=np.eye(2) * 1e12)
-        post = kf_update(prior, model.H, model.R, np.array([50.0, -50.0])).posterior
-        assert_allclose(post.mean, prior.mean, rtol=1e-6, atol=1e-6)
-        assert_allclose(post.cov, prior.cov, rtol=1e-6)
+        post = kf_update(mean, cov, model.H, model.R, np.array([50.0, -50.0]))
+        assert_allclose(post.mean, mean, rtol=1e-6, atol=1e-6)
+        assert_allclose(post.cov, cov, rtol=1e-6)
 
     def test_conjugate_gaussian_oracle(self):
         # posterior precision = prior precision + measurement precision
         prior_var, r, z = 4.0, 1.0, 5.0
         oracle_var = 1.0 / (1.0 / prior_var + 1.0 / r)
         oracle_mean = oracle_var * (0.0 / prior_var + z / r)
-        post, _, _, k = kf_update(GaussianState(0.0, prior_var), np.eye(1), np.array([[r]]), np.array([z]))
+        mean, cov, _, _, k = kf_update(0.0, prior_var, np.eye(1), np.array([[r]]), np.array([z]))
         assert_allclose(k, [[0.8]])
-        assert_allclose(post.mean, [oracle_mean])
-        assert_allclose(post.cov, [[oracle_var]])
-        assert_allclose(post.mean, [4.0])
-        assert_allclose(post.cov, [[0.8]])
+        assert_allclose(mean, [oracle_mean])
+        assert_allclose(cov, [[oracle_var]])
+        assert_allclose(mean, [4.0])
+        assert_allclose(cov, [[0.8]])
 
     def test_singular_innovation(self):
         model = _model_1d(r=0.0)
         with pytest.raises(SingularCovarianceError):
-            kf_update(GaussianState(0.0, 0.0), model.H, model.R, np.array([1.0]))
+            kf_update(0.0, 0.0, model.H, model.R, np.array([1.0]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            kf_update(GaussianState(0.0, 1.0), np.eye(1), np.eye(1), np.array([1.0, 2.0]))
+            kf_update(0.0, 1.0, np.eye(1), np.eye(1), np.array([1.0, 2.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_measurement_rejected(self, bad):
         model = LinearGaussianModel(F=np.eye(2), Q=np.zeros((2, 2)), H=np.eye(2), R=np.eye(2))
         with pytest.raises(ValueError, match="finite"):
-            kf_update(GaussianState(np.zeros(2), np.eye(2)), model.H, model.R, np.array([bad, 5.0]))
+            kf_update(np.zeros(2), np.eye(2), model.H, model.R, np.array([bad, 5.0]))
 
 
 class TestInvariants:
@@ -104,12 +106,12 @@ class TestInvariants:
     def test_update_never_inflates_variance(self, seed, n):
         rng = np.random.default_rng(seed)
         model = _random_model(rng, n)
-        pred = _random_state(rng, n)
-        post = kf_update(pred, model.H, model.R, rng.standard_normal(model.meas_dim)).posterior
+        mean, cov = _random_state(rng, n)
+        post = kf_update(mean, cov, model.H, model.R, rng.standard_normal(model.meas_dim))
         for _ in range(5):
             v = rng.standard_normal(n)
             v /= np.linalg.norm(v)
-            assert v @ post.cov @ v <= v @ pred.cov @ v + 1e-9
+            assert v @ post.cov @ v <= v @ cov @ v + 1e-9
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
     @settings(max_examples=50, deadline=None)
@@ -120,8 +122,8 @@ class TestInvariants:
         model_b = _random_model(rng, n, r_dim=n)
         za = rng.standard_normal(n)
         zb = rng.standard_normal(n)
-        p1 = kf_update(kf_update(prior, model_a.H, model_a.R, za).posterior, model_b.H, model_b.R, zb).posterior
-        p2 = kf_update(kf_update(prior, model_b.H, model_b.R, zb).posterior, model_a.H, model_a.R, za).posterior
+        p1 = kf_update(*kf_update(*prior, model_a.H, model_a.R, za)[:2], model_b.H, model_b.R, zb)
+        p2 = kf_update(*kf_update(*prior, model_b.H, model_b.R, zb)[:2], model_a.H, model_a.R, za)
         assert_allclose(p1.mean, p2.mean, atol=1e-9)
         assert_allclose(p1.cov, p2.cov, atol=1e-9)
 
@@ -130,22 +132,23 @@ class TestInvariants:
     def test_joseph_form_matches_simple_form(self, seed, n):
         rng = np.random.default_rng(seed)
         model = _random_model(rng, n)
-        pred = _random_state(rng, n)
-        post, _, _, k = kf_update(pred, model.H, model.R, rng.standard_normal(model.meas_dim))
+        mean, cov = _random_state(rng, n)
+        _, post_cov, _, _, k = kf_update(mean, cov, model.H, model.R,
+                                         rng.standard_normal(model.meas_dim))
         i_kh = np.eye(n) - k @ model.H
-        joseph = i_kh @ pred.cov @ i_kh.T + k @ model.R @ k.T
-        simple = i_kh @ pred.cov
+        joseph = i_kh @ cov @ i_kh.T + k @ model.R @ k.T
+        simple = i_kh @ cov
         assert_allclose(joseph, simple, atol=1e-8)
-        assert_allclose(post.cov, joseph, atol=1e-12)
+        assert_allclose(post_cov, joseph, atol=1e-12)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
     @settings(max_examples=30, deadline=None)
     def test_posterior_cov_symmetric_psd(self, seed, n):
         rng = np.random.default_rng(seed)
         model = _random_model(rng, n)
-        pred = _random_state(rng, n)
-        post = kf_update(pred, model.H, model.R, rng.standard_normal(model.meas_dim)).posterior
-        assert_allclose(post.cov, post.cov.T, atol=1e-9)
+        post = kf_update(*_random_state(rng, n), model.H, model.R,
+                         rng.standard_normal(model.meas_dim))
+        assert np.array_equal(post.cov, post.cov.T)
         assert np.linalg.eigvalsh(post.cov).min() >= -1e-9
 
 

@@ -3,8 +3,9 @@
 The tracer in `perfbench/` probes `mtt` functions by module and attribute
 path (`perfbench/layers.py` `PROBES`).  A rename silently turns the
 per-layer metrics built on a probe `absent`; resolving each probe here
-makes the rename fail the test suite instead, and a tiny traced run checks
-that the observers can read what the probed functions take and return.
+makes the rename fail the test suite instead, and tiny traced runs check
+that the observers can read what the probed functions take and return and
+that every probe is still called.
 `perfbench/` is only read.
 """
 
@@ -60,3 +61,38 @@ def test_observers_read_real_results(tmp_path, sensor, observed):
     assert observed <= {span.name for span in probes.spans if span.attrs}
     if sensor == "grid":  # every cell_of lookup confirms its cell with one cell_contains call
         assert probes.counters["sensors.cell_contains"].calls > 0
+
+
+_REACH_CONFIG = """scenario.n_targets = 1
+scenario.n_steps = 5
+scenario.seed = 3
+pf.n_particles = 100
+"""
+
+
+def _reached(tmp_path, filter_choice, sensor):
+    """Names of the probes that a tiny traced `track` run calls at least once."""
+    cfg = tmp_path / "reach.cfg"
+    cfg.write_text(_REACH_CONFIG)
+    probes = tracer.Tracer()
+    probes.install(layers.PROBES)
+    try:
+        code = run_command(["track", "--config", str(cfg), "--filter", filter_choice, "--sensor",
+                            sensor, "--out", str(tmp_path / f"{filter_choice}_{sensor}")])
+    finally:
+        probes.finish()
+    assert code == 0
+    assert probes.absent == {}
+    return ({span.name for span in probes.spans}
+            | {name for name, counter in probes.counters.items() if counter.calls})
+
+
+def test_probes_are_reached(tmp_path):
+    """A probe that still resolves but is never called reads as zero, not absent:
+    every probe must be called by at least one of four tiny runs."""
+    runs = {(f, s): _reached(tmp_path, f, s)
+            for f, s in [("gpf", "mean"), ("gpf", "grid"), ("kf", "mean"), ("pf", "mean")]}
+    assert {"kalman.update", "gaussians.log_pdf", "gpf.conditional_update",
+            "gpf.combo_weight"} <= runs["gpf", "mean"]
+    assert "kalman.predict" in runs["kf", "mean"]
+    assert {probe.name for probe in layers.PROBES} <= set().union(*runs.values())

@@ -44,7 +44,7 @@ def _outside_values():
 @pytest.mark.parametrize("row, record, value", list(_outside_values()))
 def test_value_outside_declared_domain_rejected_twice(row, record, value):
     with pytest.raises(ConfigError, match=rf"line 2: {re.escape(row.key)}"):
-        parse_config_text(f"scenario.seed = 1\n{row.key} = {row.fmt(value)}\n")
+        parse_config_text(f"# the bad value is on line 2\n{row.key} = {row.fmt(value)}\n")
     with pytest.raises(ValueError, match=re.escape(row.field)):
         record(**{row.field: value})
 

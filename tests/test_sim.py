@@ -322,9 +322,9 @@ class TestRunExperiment:
         # the likelihood weighs every particle in one call: one Cholesky of R per step
         calls = []
 
-        def counting_log_pdf(g, x):
+        def counting_log_pdf(mean, cov, x):
             calls.append(np.shape(x))
-            return log_pdf(g, x)
+            return log_pdf(mean, cov, x)
 
         monkeypatch.setattr("mtt.sim.log_pdf", counting_log_pdf)
         config = ScenarioConfig(n_targets=1, n_steps=4, initial_states=[(6.0, 0.0, 6.0, 0.0)])
