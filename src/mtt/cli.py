@@ -136,12 +136,15 @@ def _json_numbers(value) -> bool:
 def _step_record(k: int, entry: dict, path: Path) -> StepRecord:
     """Step k of a particle log: truth (n_targets, 4), means (n, 4), covs (n, 4, 4), weights (n,).
 
-    Raises ConfigError, naming the step, for a missing step or particle field, a
-    truth, mean, cov, step, cardinality or weight that is not JSON numbers (strings
-    and booleans are not), a truth that is not rows of 4, a mean that is not 4 finite
-    numbers, a cov that is not 4x4 finite numbers, or a weight outside [0, 1].
+    Raises ConfigError, naming the step, for an entry that is not a JSON object, a
+    missing step or particle field, a truth, mean, cov, step, cardinality or weight
+    that is not JSON numbers (strings and booleans are not), a truth that is not rows
+    of 4, a mean that is not 4 finite numbers, a cov that is not 4x4 finite numbers,
+    or a weight outside [0, 1].
     """
     where = f"{path}: step {k}"
+    if type(entry) is not dict:
+        raise ConfigError(f"{where}: the step is not a JSON object")
     try:  # no particles read as (0, 4), (0, 4, 4) and (0,); no targets, [], as (0, 4)
         step, measurement, particles = entry["step"], entry["measurement"], entry["particles"]
         arrays = [entry["truth"], *(p[f] for p in particles for f in ("mean", "cov"))]
@@ -190,7 +193,10 @@ def read_particles_json(path: Path) -> tuple[np.ndarray, TrackingLog, Experiment
         if type(payload.get(key)) is not kind:
             raise ConfigError(f"{path}: {key!r} is missing or not {name}")
     seed = _checked_seed(payload.get("seed"), f"{path}: seed")
-    config = parse_config_text(payload["config"])
+    try:
+        config = parse_config_text(payload["config"])
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: 'config' does not parse: {exc}") from None
     records = [_step_record(k, entry, path) for k, entry in enumerate(payload["steps"])]
     truth = np.asarray([rec.true_states for rec in records], dtype=float)
     return truth, TrackingLog(records), config, seed
@@ -336,9 +342,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, func, runs_filters: bool) -> None:
+    def common(p, func, runs_filters: bool, seeded: bool = True) -> None:
         p.add_argument("--config", required=True, help="flat key = value config file")
-        p.add_argument("--seed", type=int, default=None, help="override scenario.seed")
+        if seeded:  # a sweep takes its seeds from --seeds
+            p.add_argument("--seed", type=int, default=None, help="override scenario.seed")
         p.add_argument("--out", default="mtt_out", help="output directory")
         if runs_filters:
             p.add_argument("--filter", choices=FILTERS, default="gpf")
@@ -353,9 +360,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", default=None, help="output directory (default: log dir)")
     p_eval.set_defaults(func=_cmd_eval)
 
-    p_sweep = sub.add_parser("sweep", help="run a seed sweep")
+    # no prefix matching, which would read a --seed option as --seeds
+    p_sweep = sub.add_parser("sweep", help="run a seed sweep", allow_abbrev=False)
     p_sweep.add_argument("--seeds", required=True, help="e.g. 1..20 or 3,5,9")
-    common(p_sweep, _cmd_sweep, True)
+    common(p_sweep, _cmd_sweep, True, seeded=False)
     return parser
 
 

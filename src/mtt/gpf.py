@@ -20,12 +20,12 @@ particles pruned, and detections can seed new ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .domains import Choice, Range, check_field, check_fields, declare
+from .domains import Choice, Range, check_fields, declare
 from .gaussians import (
     COV_MODES,
     ValueEq,
@@ -50,8 +50,10 @@ class GpfParticleSet(ValueEq):
     weight weights[i] in [0, 1] and Gaussian N(means[i], covs[i]).
 
     A set copies the weights and means, symmetrizes the covariances (a new
-    array) and makes all three read-only, so stages share sets instead of
-    copying them.  The default is the empty belief over the 4-D state.
+    array) and makes all three read-only.  gpf_step builds one from the
+    arrays of its predict and update, and the merge and the birth/prune
+    pass a set on unchanged when they change nothing.  The default is the
+    empty belief over the 4-D state.
     """
 
     weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -122,43 +124,38 @@ class GpfConfig:
         check_fields(self)
 
 
-def gpf_predict(pset: GpfParticleSet, f: np.ndarray, q: np.ndarray) -> GpfParticleSet:
-    """Kalman-predict every particle's Gaussian; existence weights are untouched.
+def gpf_predict(pset: GpfParticleSet, config: GpfConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The Kalman-predicted (means, covs) of every particle, by config's F and Q.
 
-    The result is not flagged degenerate: the flag reports a step's
-    measurement update, which comes after the predict.
+    The covariances come back symmetrized, as a set's construction would
+    leave them, so the update reads the bits that the step's set will hold.
     """
-    f = np.atleast_2d(np.asarray(f, dtype=float))
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    means, covs = kf_predict(pset.means, pset.covs, f, q)
-    return GpfParticleSet(pset.weights, means, covs)
+    means, covs = kf_predict(pset.means, pset.covs, config.f_matrix, config.q_matrix)
+    return means, _symmetrize(covs)
 
 
-def select_fov_particles(pset: GpfParticleSet, fov: FovRegion) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the particles whose mean position is in view, and of the rest.
+def select_fov_particles(means: np.ndarray, fov: FovRegion) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the rows of means (n, d) whose position is in view, and of the rest.
 
     The region is closed, so a mean exactly on the boundary counts as in view.
     Only perfbench's select_fov observer, which unpacks a pair, reads the rest.
     """
     xi, yi = POSITION_IDX
-    in_view = fov.contains(pset.means[:, xi], pset.means[:, yi])
+    in_view = fov.contains(means[:, xi], means[:, yi])
     return np.flatnonzero(in_view), np.flatnonzero(~in_view)
 
 
-def enumerate_combinations(
-    weights: list[float], epsilon: float, s_max: int = 20
-) -> list[ExistenceCombination]:
+def enumerate_combinations(weights: list[float], config: GpfConfig) -> list[ExistenceCombination]:
     """All boolean existence vectors over the in-view weights whose Bernoulli
-    prior exceeds epsilon.
+    prior exceeds config.epsilon; more than config.s_max weights raise
+    CombinatorialBlowupError.
 
     The prior of a vector e is prod_i w_i^e_i (1 - w_i)^(1 - e_i).  The
     search is depth first with pruning: once a partial product is <= epsilon
     it can never recover, because every remaining factor is at most one.
     """
-    check_field(GpfConfig, "epsilon", epsilon)
-    check_field(GpfConfig, "s_max", s_max)
-    s = len(weights)
-    if s > s_max:
+    epsilon, s = config.epsilon, len(weights)
+    if s > config.s_max:
         raise CombinatorialBlowupError(
             f"{s} particles in view would mean up to 2^{s} combinations; "
             "raise epsilon or shrink the field of view"
@@ -315,26 +312,21 @@ def _position_distances(
     return d
 
 
-def merge_close_particles(
-    pset: GpfParticleSet,
-    d_thresh: float,
-    cov_mode: str = "moment",
-) -> GpfParticleSet:
-    """Greedily merge the closest particle pair until none is below d_thresh.
+def merge_close_particles(pset: GpfParticleSet, config: GpfConfig) -> GpfParticleSet:
+    """Greedily merge the closest particle pair until none is below config.d_thresh.
 
     Closeness is the Mahalanobis distance between position marginals with
     metric (Sigma_i + Sigma_j)^-1; qualifying means strictly below
     d_thresh.  Merging combines weights (capped at one) and moment-matches
-    the Gaussians into the lower row of the pair.
+    the Gaussians into the lower row of the pair, by config.merge_cov.
+    With nothing to merge the input set is returned.
 
     The distance matrix is built once.  After a merge the higher row and
     column read +inf and the lower ones are recomputed, so the live entries
     equal a full rebuild over the live rows, in the same row-major order:
     argmin picks the same pair.
     """
-    check_field(GpfConfig, "d_thresh", d_thresh)
-    check_field(GpfConfig, "merge_cov", cov_mode, "cov_mode")
-    n = len(pset)
+    d_thresh, cov_mode, n = config.d_thresh, config.merge_cov, len(pset)
     if n < 2:
         return pset
     d = _position_distances(pset.means, pset.covs)
@@ -364,23 +356,19 @@ def estimate_cardinality(pset: GpfParticleSet) -> float:
 
 
 def birth_and_prune(
-    pset: GpfParticleSet,
-    births: GpfParticleSet,
-    w_prune: float,
-    n_max: int,
+    pset: GpfParticleSet, births: GpfParticleSet, config: GpfConfig
 ) -> GpfParticleSet:
-    """Append birth particles, drop weights below w_prune, cap the count.
+    """Append birth particles, drop weights below config.w_prune, cap the count.
 
-    When more than n_max particles survive, the n_max highest-weight ones
-    are kept (ties broken by original order) and their ordering preserved.
+    When more than config.n_max particles survive, the n_max highest-weight
+    ones are kept (ties broken by original order) and their ordering
+    preserved.  With no births and nothing pruned the input set is returned.
     """
-    check_field(GpfConfig, "w_prune", w_prune)
-    check_field(GpfConfig, "n_max", n_max)
     sets = (pset, births) if len(births) else (pset,)  # empty births may differ in d
     weights = np.concatenate([s.weights for s in sets])
-    keep = np.nonzero(weights >= w_prune)[0]
-    if len(keep) > n_max:
-        keep = np.sort(keep[np.argsort(-weights[keep], kind="stable")[:n_max]])
+    keep = np.nonzero(weights >= config.w_prune)[0]
+    if len(keep) > config.n_max:
+        keep = np.sort(keep[np.argsort(-weights[keep], kind="stable")[:config.n_max]])
     if len(keep) == len(weights) == len(pset):
         return pset  # no births and nothing pruned
     means = np.concatenate([s.means for s in sets])[keep]
@@ -389,47 +377,48 @@ def birth_and_prune(
 
 
 def _mean_measurement_update(
-    pset: GpfParticleSet, z: np.ndarray, config: GpfConfig
-) -> GpfParticleSet:
-    """Existence-combination update for a mean-of-states measurement.
+    weights: np.ndarray, means: np.ndarray, covs: np.ndarray, z: np.ndarray, config: GpfConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """Existence-combination update of the rows (weights, means, covs) for a
+    mean-of-states measurement: the new rows and whether the step was degenerate.
 
-    With no combination above epsilon the set is returned unchanged but
-    flagged degenerate.
+    With no combination above epsilon the inputs come back flagged degenerate;
+    with no row in view, unflagged.  The inputs are not changed.
     """
-    in_idx, _ = select_fov_particles(pset, config.fov)
+    in_idx, _ = select_fov_particles(means, config.fov)
     if not in_idx.size:
-        return pset
-    weights, means, covs = (a[in_idx] for a in (pset.weights, pset.means, pset.covs))
-    combos = enumerate_combinations(weights.tolist(), config.epsilon, config.s_max)
+        return weights, means, covs, False
+    in_weights, in_means, in_covs = (a[in_idx] for a in (weights, means, covs))
+    combos = enumerate_combinations(in_weights.tolist(), config)
     if not combos:
-        return replace(pset, degenerate_step=True)
+        return weights, means, covs, True
 
     r, proj = config.sensor.R, config.sensor.position_projection
     log_weights = [
-        combination_log_weight(combo, means, covs, z, r, config.clutter_density, proj)
+        combination_log_weight(combo, in_means, in_covs, z, r, config.clutter_density, proj)
         for combo in combos
     ]
     # the conditional update of every active (combination, row) pair; the rest stay zero
     bits = np.array([combo.bits for combo in combos])
-    post_means = np.zeros(bits.shape + means.shape[1:])
-    post_covs = np.zeros(bits.shape + covs.shape[1:])
+    post_means = np.zeros(bits.shape + in_means.shape[1:])
+    post_covs = np.zeros(bits.shape + in_covs.shape[1:])
     for k, j in np.argwhere(bits).tolist():
-        post = conditional_kf_update(j, combos[k].bits, means, covs, z, r, proj)
+        post = conditional_kf_update(j, combos[k].bits, in_means, in_covs, z, r, proj)
         post_means[k, j], post_covs[k, j] = post.mean, post.cov
     posterior = normalize_combination_weights(log_weights)
-    marginal = marginalize_existence(bits, posterior, post_means, post_covs, weights, means, covs)
+    marginal = marginalize_existence(
+        bits, posterior, post_means, post_covs, in_weights, in_means, in_covs)
 
-    weights, means, covs = (a.copy() for a in (pset.weights, pset.means, pset.covs))
+    weights, means, covs = (a.copy() for a in (weights, means, covs))
     weights[in_idx], means[in_idx], covs[in_idx] = marginal
-    return GpfParticleSet(weights, means, covs, pset.degenerate_step)
+    return weights, means, covs, False
 
 
 def grid_existence_update(
-    pset: GpfParticleSet,
-    returns: CellReturns,
-    sensor: GridSensorModel,
-) -> GpfParticleSet:
-    """Bayes update of existence weights from binary cell returns.
+    weights: np.ndarray, means: np.ndarray, returns: CellReturns, sensor: GridSensorModel
+) -> np.ndarray:
+    """Bayes update of the existence weights (n,) of the particles with means
+    (n, d) from binary cell returns: the new weights, a new array.
 
     Cell returns carry no useful state gradient, so the Gaussians are left
     alone and only the weights move.  For a particle whose mean lies in a
@@ -457,12 +446,12 @@ def grid_existence_update(
     l_empty = np.array((1.0 - p_false, p_false))
     bound = 1e-3
     xi, yi = POSITION_IDX
-    owner = sensor.cells_of(pset.means[:, xi], pset.means[:, yi])  # n_cells: in no cell
+    owner = sensor.cells_of(means[:, xi], means[:, yi])  # n_cells: in no cell
     held = np.zeros(sensor.n_cells + 1, dtype=bool)
     held[owner] = True
     kept = held[returns.cells]  # only the returns of cells that hold a particle
     cells, values = returns.cells[kept], returns.values[kept]
-    weights = np.array(pset.weights)
+    weights = np.array(weights, dtype=float)
     while cells.size:
         _, first = np.unique(cells, return_index=True)  # each cell's next return in list order
         value_of = np.full(sensor.n_cells + 1, -1)
@@ -473,7 +462,7 @@ def grid_existence_update(
         l_x, l_0 = l_exists[value[hit]], l_empty[value[hit]]
         weights[hit] = w * l_x / (w * l_x + (1.0 - w) * l_0)
         cells, values = np.delete(cells, first), np.delete(values, first)
-    return replace(pset, weights=weights)
+    return weights
 
 
 def grid_births(
@@ -505,25 +494,27 @@ def gpf_step(
     Predict every particle, apply the measurement update matching the
     configured sensor (existence combinations for the mean sensor, weight
     Bayes rule plus births for the grid sensor), merge near-duplicate
-    particles, then prune.  If no existence combination survives the
-    threshold the measurement update is skipped and the returned set is
-    flagged degenerate for this step.  A mean-sensor measurement that is
+    particles, then prune.  The predict and the update pass arrays, and
+    the step builds one set from them.  If no existence combination
+    survives the threshold the measurement update is skipped and that set
+    is flagged degenerate for this step.  A mean-sensor measurement that is
     not meas_dim finite numbers raises ValueError, a grid measurement that
     is not a CellReturns record TypeError, a cell outside the grid IndexError.
     """
-    predicted = gpf_predict(pset, config.f_matrix, config.q_matrix)
+    means, covs = gpf_predict(pset, config)
+    weights, degenerate = pset.weights, False
     if isinstance(config.sensor, MeanSensorModel):
         z = np.atleast_1d(np.asarray(z, dtype=float))
         if z.shape != (config.sensor.meas_dim,) or not np.isfinite(z).all():
             raise ValueError(f"measurement must be {config.sensor.meas_dim} finite numbers: {z}")
-        updated = _mean_measurement_update(predicted, z, config)
+        weights, means, covs, degenerate = _mean_measurement_update(weights, means, covs, z, config)
         births = _NO_BIRTHS
     elif isinstance(config.sensor, GridSensorModel):
         if not isinstance(z, CellReturns):
             raise TypeError(f"grid sensor expects a CellReturns record, got {type(z)!r}")
-        updated = grid_existence_update(predicted, z, config.sensor)
+        weights = grid_existence_update(weights, means, z, config.sensor)
         births = grid_births(z, config.sensor, config.w_birth)
     else:
         raise TypeError(f"unsupported sensor type {type(config.sensor)!r}")
-    merged = merge_close_particles(updated, config.d_thresh, config.merge_cov)
-    return birth_and_prune(merged, births, config.w_prune, config.n_max)
+    updated = GpfParticleSet(weights, means, covs, degenerate)
+    return birth_and_prune(merge_close_particles(updated, config), births, config)

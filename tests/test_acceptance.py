@@ -5,6 +5,7 @@ PASS line with its headline numbers (run with `pytest -s` to see them).
 import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 from numpy.testing import assert_allclose
@@ -252,22 +253,24 @@ def test_criterion_6_invariant_suite():
             res = resampler(pset, rng)
             assert abs(effective_sample_size(res.weights) - res.n_particles) <= 1e-9 * res.n_particles
 
-    # enumeration: priors above threshold, count bounded
-    for _ in range(50):
-        s = int(rng.integers(1, 9))
-        eps = float(rng.uniform(0.001, 0.5))
-        combos = enumerate_combinations(rng.random(s).tolist(), eps)
-        assert len(combos) <= 2**s
-        assert all(c.prior > eps for c in combos)
-
-    # gpf runs (both sensors): weights in range, covariances symmetric PSD,
-    # cardinality bounded by the particle count
     mean_sensor = MeanSensorModel(R=np.eye(2) * 0.5, position_projection=position_projection())
     mean_config = GpfConfig(
         f_matrix=constant_velocity_matrix(0.1),
         q_matrix=np.diag([0.05, 0.005, 0.05, 0.005]),
         sensor=mean_sensor, clutter_density=1.0 / WORKSPACE.area, epsilon=0.001,
     )
+
+    # enumeration: priors above threshold, count bounded
+    for _ in range(50):
+        s = int(rng.integers(1, 9))
+        eps = float(rng.uniform(0.001, 0.5))
+        config = replace(mean_config, epsilon=eps)
+        combos = enumerate_combinations(rng.random(s).tolist(), config)
+        assert len(combos) <= 2**s
+        assert all(c.prior > eps for c in combos)
+
+    # gpf runs (both sensors): weights in range, covariances symmetric PSD,
+    # cardinality bounded by the particle count
     grid_sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=30.0, m_cells=48)
     grid_config = GpfConfig(
         f_matrix=constant_velocity_matrix(0.1),

@@ -266,6 +266,8 @@ _MALFORMED_LOGS = {
     "float_seed": (_with(seed=1.5), "seed"),
     "negative_seed": (_with(seed=-1), "seed"),
     "no_config": (_without("config"), "'config'"),
+    "config_not_parsing": (_with(config="bogus line"), "'config'"),
+    "step_not_object": (_with(steps=[1]), "step 0: the step is not a JSON object"),
     "top_level_list": (lambda payload: [payload], "not an mtt particle log"),
     "not_json": (lambda payload: "{not json", "is not JSON"),
 }
@@ -332,6 +334,16 @@ class TestSweep:
     def test_bad_seed_spec_is_config_error(self, cfg_file, tmp_path):
         assert run_command(["sweep", "--config", str(cfg_file), "--seeds", "x..y",
                             "--out", str(tmp_path / "s")]) == 1
+
+    @pytest.mark.parametrize("option", ["--seed", "--see"])
+    def test_seed_option_is_usage_error(self, cfg_file, tmp_path, option):
+        # a sweep takes only --seeds, and argparse reads no prefix of an option
+        out = tmp_path / "s"
+        with pytest.raises(SystemExit) as raised:
+            run_command(["sweep", "--config", str(cfg_file), "--seeds", "1..2", option, "-5",
+                         "--out", str(out)])
+        assert raised.value.code == 2
+        assert not out.exists()
 
     def test_bad_seed_list_is_config_error(self, cfg_file, tmp_path, capfd):
         assert run_command(["sweep", "--config", str(cfg_file), "--seeds", "1,x",

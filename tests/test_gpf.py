@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from mtt.domains import Choice, Range
 from mtt.gaussians import _symmetrize, moment_match_merge
 from mtt.gpf import (
     CombinatorialBlowupError,
@@ -125,7 +126,8 @@ def _merge_by_full_rebuild(pset, d_thresh, cov_mode="moment"):
 
 
 def _grid_update_by_dict(pset, returns, sensor):
-    """Reference grid update: the returns grouped by cell in a dict, one cell_of per particle."""
+    """Reference grid update of the belief's weights: the returns grouped by cell in a
+    dict, one cell_of per particle."""
     check_cells(returns.cells, sensor.n_cells, IndexError)
     p_hit = detection_prob(1, sensor.p_d, sensor.snr)
     p_false = detection_prob(0, sensor.p_d, sensor.snr)
@@ -140,7 +142,11 @@ def _grid_update_by_dict(pset, returns, sensor):
         for l_exists, l_empty in by_cell.get(sensor.cell_of(x, y), ()):
             w = min(max(weights[i], bound), 1.0 - bound)
             weights[i] = w * l_exists / (w * l_exists + (1.0 - w) * l_empty)
-    return GpfParticleSet(weights, pset.means, pset.covs, pset.degenerate_step)
+    return np.array(weights, dtype=float)
+
+
+def _grid_update(pset, returns, sensor):
+    return grid_existence_update(pset.weights, pset.means, returns, sensor)
 
 
 def _outcome(stage, *args):
@@ -268,26 +274,31 @@ class TestParticleSet:
 class TestPredict:
     def test_identity_is_noop(self):
         pset = _pset([_particle(0.5, 1.0, 2.0)])
-        out = gpf_predict(pset, np.eye(4), np.zeros((4, 4)))
-        assert_allclose(out.means[0], pset.means[0])
-        assert_allclose(out.covs[0], pset.covs[0])
+        means, covs = gpf_predict(pset, _mean_config())
+        assert_allclose(means[0], pset.means[0])
+        assert_allclose(covs[0], pset.covs[0])
 
     def test_weights_never_change(self):
+        # the predict returns the Gaussians only, and leaves the input set as it was
         rng = np.random.default_rng(0)
         pset = _pset([_particle(w, 0.0, 0.0) for w in (0.2, 0.7, 1.0)])
-        out = gpf_predict(pset, rng.standard_normal((4, 4)), _random_psd(rng, 4))
-        assert out.weights.tolist() == [0.2, 0.7, 1.0]
+        before = [np.array(a) for a in (pset.weights, pset.means, pset.covs)]
+        config = _mean_config(f_matrix=rng.standard_normal((4, 4)), q_matrix=_random_psd(rng, 4))
+        _, covs = gpf_predict(pset, config)
+        assert not np.array_equal(covs, pset.covs)
+        for name, want in zip(("weights", "means", "covs"), before):
+            assert np.array_equal(getattr(pset, name), want)
 
     def test_1d_formula(self):
         pset = GpfParticleSet([1.0], [[1.0]], [[[1.0]]])
-        out = gpf_predict(pset, [[2.0]], [[1.0]])
-        assert_allclose(out.means[0], [2.0])
-        assert_allclose(out.covs[0], [[5.0]])
+        means, covs = gpf_predict(pset, _mean_config(f_matrix=[[2.0]], q_matrix=[[1.0]]))
+        assert_allclose(means[0], [2.0])
+        assert_allclose(covs[0], [[5.0]])
 
     def test_dimension_mismatch(self):
         pset = _pset([_particle(0.5, 1.0, 2.0)])
         with pytest.raises(ValueError):
-            gpf_predict(pset, np.eye(3), np.zeros((3, 3)))
+            gpf_predict(pset, _mean_config(f_matrix=np.eye(3), q_matrix=np.zeros((3, 3))))
 
     @pytest.mark.parametrize("n", [0, 1, 7, 100])
     def test_equals_kf_predict_bit_for_bit(self, n):
@@ -296,13 +307,12 @@ class TestPredict:
         parts = [(rng.random(), 10 * rng.standard_normal(4), _random_psd(rng, 4))
                  for _ in range(n)]
         pset = _pset(parts) if parts else GpfParticleSet()
-        out = gpf_predict(pset, f, q)
-        assert len(out) == n
+        means, covs = gpf_predict(pset, _mean_config(f_matrix=f, q_matrix=q))
+        assert means.shape == (n, 4) and covs.shape == (n, 4, 4)
         for i in range(n):
             want_mean, want_cov = kf_predict(pset.means[i], pset.covs[i], f, q)
-            assert out.weights[i] == pset.weights[i]
-            assert np.array_equal(out.means[i], want_mean)
-            assert np.array_equal(out.covs[i], _symmetrize(want_cov))
+            assert np.array_equal(means[i], want_mean)
+            assert np.array_equal(covs[i], _symmetrize(want_cov))
 
 
 @pytest.mark.parametrize("name", ["d_thresh", "clutter_density"])
@@ -313,27 +323,34 @@ def test_config_rejects_non_finite(name, bad):
 
 
 @pytest.mark.parametrize(
-    "name, bad, message", [("merge_cov", "bogus", "merge_cov"), ("s_max", 0, "s_max")]
+    "name, bad, message",
+    [("merge_cov", "bogus", "merge_cov"), ("s_max", 0, "s_max"), ("s_max", -1, "s_max"),
+     ("s_max", 2.5, "s_max"), ("epsilon", 0.0, "epsilon"), ("w_prune", 1.0, "w_prune"),
+     ("w_prune", -0.1, "w_prune"), ("n_max", 0, "n_max"), ("n_max", -1, "n_max"),
+     ("n_max", 2.0, "n_max")],
 )
 def test_config_rejects_bad_merge_and_enumeration_settings(name, bad, message):
-    with pytest.raises(ValueError, match=message):
+    # the stages read these settings unchecked from the record; a bad s_max is a
+    # range error, not a blow-up, and n_max 0 would empty the belief
+    with pytest.raises(ValueError, match=message) as raised:
         _mean_config(**{name: bad})
+    assert not isinstance(raised.value, CombinatorialBlowupError)
 
 
 class TestSelectFov:
     def test_full_workspace(self):
         pset = _pset([_particle(0.5, x, x) for x in (0.0, 5.0, 100.0)])
-        in_fov, out_fov = select_fov_particles(pset, FovRegion.full())
+        in_fov, out_fov = select_fov_particles(pset.means, FovRegion.full())
         assert in_fov.tolist() == [0, 1, 2]
         assert out_fov.tolist() == []
 
     def test_empty_set(self):
-        in_fov, out_fov = select_fov_particles(GpfParticleSet(), FovRegion.full())
+        in_fov, out_fov = select_fov_particles(GpfParticleSet().means, FovRegion.full())
         assert in_fov.tolist() == [] and out_fov.tolist() == []
 
     def test_returns_int_index_arrays(self):
         pset = _pset([_particle(0.5, x, x) for x in (0.5, 3.0, 0.2)])
-        for part in select_fov_particles(pset, FovRegion.box(0.0, 0.0, 1.0, 1.0)):
+        for part in select_fov_particles(pset.means, FovRegion.box(0.0, 0.0, 1.0, 1.0)):
             assert isinstance(part, np.ndarray) and part.dtype.kind == "i"
 
     def test_union_of_two_rectangles(self):
@@ -350,7 +367,7 @@ class TestSelectFov:
             (1.0, 2.5),  # 6: above both: out
         ]
         pset = _pset([_particle(0.5, x, y) for x, y in points])
-        in_fov, out_fov = select_fov_particles(pset, fov)
+        in_fov, out_fov = select_fov_particles(pset.means, fov)
         assert in_fov.tolist() == [0, 1, 2, 4]
         assert out_fov.tolist() == [3, 5, 6]
         for i, (x, y) in enumerate(points):  # the scalar rule agrees with the array one
@@ -366,14 +383,18 @@ class TestSelectFov:
     def test_boundary_mean_is_inside(self):
         fov = FovRegion.box(0.0, 0.0, 1.0, 1.0)
         pset = _pset([_particle(0.5, 1.0, 1.0), _particle(0.5, 1.0001, 1.0)])
-        in_fov, out_fov = select_fov_particles(pset, fov)
+        in_fov, out_fov = select_fov_particles(pset.means, fov)
         assert in_fov == [0]
         assert out_fov == [1]
 
 
+def _enumerate(weights, epsilon):
+    return enumerate_combinations(weights, _mean_config(epsilon=epsilon))
+
+
 class TestEnumerate:
     def test_two_particle_example(self):
-        combos = enumerate_combinations([0.9, 0.8], 0.05)
+        combos = _enumerate([0.9, 0.8], 0.05)
         priors = {c.bits: c.prior for c in combos}
         assert priors == pytest.approx(
             {(1, 1): 0.72, (1, 0): 0.18, (0, 1): 0.08}
@@ -381,34 +402,23 @@ class TestEnumerate:
         assert (0, 0) not in priors
 
     def test_certain_particle(self):
-        combos = enumerate_combinations([1.0], 0.5)
+        combos = _enumerate([1.0], 0.5)
         assert len(combos) == 1
         assert combos[0].bits == (1,)
         assert combos[0].prior == 1.0
 
     def test_combinations_are_immutable_records(self):
-        combo = enumerate_combinations([0.9], 0.05)[0]
+        combo = _enumerate([0.9], 0.05)[0]
         assert combo._fields == ("bits", "prior")
         with pytest.raises(AttributeError):
             combo.prior = 0.5
 
     def test_threshold_dominates(self):
-        assert enumerate_combinations([0.5, 0.5], 0.25) == []
+        assert _enumerate([0.5, 0.5], 0.25) == []
 
     def test_blowup_guard(self):
         with pytest.raises(CombinatorialBlowupError):
-            enumerate_combinations([0.5] * 21, 0.4)
-
-    def test_epsilon_validated(self):
-        with pytest.raises(ValueError):
-            enumerate_combinations([0.5], 0.0)
-
-    @pytest.mark.parametrize("s_max", [0, -1, 2.5])
-    def test_s_max_validated(self, s_max):
-        # a range error naming the field, not a blow-up of one in-view particle
-        with pytest.raises(ValueError, match="s_max") as raised:
-            enumerate_combinations([0.5], 0.01, s_max)
-        assert not isinstance(raised.value, CombinatorialBlowupError)
+            _enumerate([0.5] * 21, 0.4)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
@@ -416,7 +426,7 @@ class TestEnumerate:
         rng = np.random.default_rng(seed)
         weights = rng.random(s)
         eps = float(rng.uniform(0.001, 0.5))
-        combos = enumerate_combinations(weights.tolist(), eps)
+        combos = _enumerate(weights.tolist(), eps)
         got = {c.bits: c.prior for c in combos}
         expected = {}
         for bits in itertools.product((1, 0), repeat=s):
@@ -609,15 +619,19 @@ class TestMarginalize:
             self._marginalize([], [(0.5, 0.0, 1.0)])
 
 
+def _merge(pset, d_thresh, cov_mode="moment"):
+    return merge_close_particles(pset, _mean_config(d_thresh=d_thresh, merge_cov=cov_mode))
+
+
 class TestMergeClose:
     def test_distant_particles_untouched(self):
         pset = _pset([_particle(0.5, 0.0, 0.0), _particle(0.5, 10.0, 10.0)])
-        out = merge_close_particles(pset, 1.0)
-        assert len(out) == 2
+        out = _merge(pset, 1.0)
+        assert out is pset
 
     def test_coincident_pair_merges(self):
         pset = _pset([_particle(0.3, 2.0, 2.0), _particle(0.4, 2.0, 2.0)])
-        out = merge_close_particles(pset, 1.0)
+        out = _merge(pset, 1.0)
         assert len(out) == 1
         assert_allclose(out.weights[0], 0.7)
         assert_allclose(out.means[0], [2.0, 0.0, 2.0, 0.0])
@@ -626,41 +640,30 @@ class TestMergeClose:
         pset = _pset(
             [_particle(w, 1.0, 3.0) for w in (0.5, 0.6, 0.7)]
         )
-        out = merge_close_particles(pset, 1.0)
+        out = _merge(pset, 1.0)
         assert len(out) == 1
         assert out.weights[0] == 1.0
         # order independence of the merged mean
         for perm in itertools.permutations((0.5, 0.6, 0.7)):
             pset_p = _pset([_particle(w, 1.0, 3.0) for w in perm])
-            out_p = merge_close_particles(pset_p, 1.0)
+            out_p = _merge(pset_p, 1.0)
             assert_allclose(
                 out_p.means[0], out.means[0], atol=1e-9
             )
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_threshold_rejected(self, bad):
-        pset = _pset([_particle(0.3, 2.0, 2.0), _particle(0.4, 9.0, 9.0)])
-        with pytest.raises(ValueError, match="finite"):
-            merge_close_particles(pset, bad)
-
-    def test_unknown_cov_mode_rejected_before_merging(self):
-        pset = _pset([_particle(0.3, 2.0, 2.0), _particle(0.4, 9.0, 9.0)])  # no pair merges
-        with pytest.raises(ValueError, match="cov_mode"):
-            merge_close_particles(pset, 1.0, cov_mode="bogus")
 
     def test_threshold_is_strict(self):
         # position vars 1.0 each -> metric diag(1/2); distance exactly 1
         pset = _pset(
             [_particle(0.5, 0.0, 0.0, var=1.0), _particle(0.5, math.sqrt(2.0), 0.0, var=1.0)]
         )
-        out = merge_close_particles(pset, 1.0)
+        out = _merge(pset, 1.0)
         assert len(out) == 2
 
     @given(_clustered_psets(), st.sampled_from([0.5, 1.0, 2.0, 4.0]),
            st.sampled_from(["moment", "plain_sum"]))
     @settings(max_examples=150, deadline=None)
     def test_matches_full_rebuild(self, pset, d_thresh, cov_mode):
-        got = _outcome(merge_close_particles, pset, d_thresh, cov_mode)
+        got = _outcome(_merge, pset, d_thresh, cov_mode)
         _assert_same_outcome(got, _outcome(_merge_by_full_rebuild, pset, d_thresh, cov_mode))
 
     def test_merge_chain_and_ties_match_full_rebuild(self):
@@ -669,12 +672,12 @@ class TestMergeClose:
         chain = _pset([_particle(0.5, 0.0, 0.0), _particle(0.5, 1.2, 0.0),
                        _particle(0.5, 0.6, 1.35)])
         assert _distances_by_full_matrix(chain.means, chain.covs)[:2, 2].min() >= 1.0
-        out = merge_close_particles(chain, 1.0)
+        out = _merge(chain, 1.0)
         assert len(out) == 1
         _assert_same_outcome(out, _merge_by_full_rebuild(chain, 1.0))
         # a square of equal particles: every side ties, and the first pair in row-major order wins
         square = _pset([_particle(0.4, x, y) for x, y in ((0, 0), (1, 0), (0, 1), (1, 1))])
-        out = merge_close_particles(square, 1.2)
+        out = _merge(square, 1.2)
         _assert_same_outcome(out, _merge_by_full_rebuild(square, 1.2))
         assert len(out) < 4
 
@@ -689,38 +692,31 @@ class TestCardinalityAndPrune:
             _pset([_particle(0.5, 0, 0), _particle(0.5, 1, 1)])
         ) == 1.0
 
+    @staticmethod
+    def _prune(pset, births, w_prune, n_max):
+        return birth_and_prune(pset, births, _mean_config(w_prune=w_prune, n_max=n_max))
+
     def test_prune_noop(self):
         pset = _pset([_particle(0.5, 0, 0), _particle(0.9, 1, 1)])
-        out = birth_and_prune(pset, GpfParticleSet(), 0.01, 10)
-        assert len(out) == 2
+        out = self._prune(pset, GpfParticleSet(), 0.01, 10)
+        assert out is pset
 
     def test_prunes_zero_weight(self):
         pset = _pset([_particle(0.0, 0, 0), _particle(0.5, 1, 1)])
-        out = birth_and_prune(pset, GpfParticleSet(), 0.01, 10)
+        out = self._prune(pset, GpfParticleSet(), 0.01, 10)
         assert len(out) == 1
         assert out.weights[0] == 0.5
 
     def test_caps_at_n_max(self):
         weights = [0.1, 0.9, 0.3, 0.8, 0.5]
         pset = _pset([_particle(w, i, i) for i, w in enumerate(weights)])
-        out = birth_and_prune(pset, GpfParticleSet(), 0.0, 3)
+        out = self._prune(pset, GpfParticleSet(), 0.0, 3)
         assert sorted(out.weights.tolist()) == [0.5, 0.8, 0.9]
-
-    @pytest.mark.parametrize(
-        "w_prune, n_max, message",
-        [(1.0, 10, "w_prune"), (-0.1, 10, "w_prune"), (0.01, 0, "n_max"),
-         (0.01, -1, "n_max"), (0.01, 2.0, "n_max")],
-    )
-    def test_bad_settings_rejected(self, w_prune, n_max, message):
-        # n_max 0 would empty the belief and -1 drop its lowest-weight particle
-        pset = _pset([_particle(0.5, 0, 0), _particle(0.9, 1, 1)])
-        with pytest.raises(ValueError, match=message):
-            birth_and_prune(pset, GpfParticleSet(), w_prune, n_max)
 
     def test_births_appended(self):
         pset = _pset([_particle(0.5, 0, 0)])
         births = _pset([_particle(0.1, 3, 3)])
-        out = birth_and_prune(pset, births, 0.05, 10)
+        out = self._prune(pset, births, 0.05, 10)
         assert len(out) == 2
 
 
@@ -728,33 +724,32 @@ class TestGridUpdate:
     def test_positive_return_raises_weight(self):
         sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
         pset = _pset([_particle(0.4, 0.5, 0.5)])
-        out = grid_existence_update(pset, CellReturns([0], [1]), sensor)
+        weights = _grid_update(pset, CellReturns([0], [1]), sensor)
         p_hit, p_false = 0.9, detection_prob(0, 0.9, 3.0)
         expected = 0.4 * p_hit / (0.4 * p_hit + 0.6 * p_false)
-        assert_allclose(out.weights[0], expected)
-        assert out.weights[0] > 0.4
+        assert_allclose(weights[0], expected)
+        assert weights[0] > 0.4
 
     def test_negative_return_lowers_weight(self):
         sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
         pset = _pset([_particle(0.4, 0.5, 0.5)])
-        out = grid_existence_update(pset, CellReturns([0], [0]), sensor)
+        weights = _grid_update(pset, CellReturns([0], [0]), sensor)
         p_false = detection_prob(0, 0.9, 3.0)
         expected = 0.4 * 0.1 / (0.4 * 0.1 + 0.6 * (1.0 - p_false))
-        assert_allclose(out.weights[0], expected)
-        assert out.weights[0] < 0.4
+        assert_allclose(weights[0], expected)
+        assert weights[0] < 0.4
 
     def test_unmeasured_particle_unchanged(self):
         sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
         pset = _pset([_particle(0.4, 5.5, 5.5)])
-        out = grid_existence_update(pset, CellReturns([0], [1]), sensor)
-        assert out.weights[0] == 0.4
+        assert _grid_update(pset, CellReturns([0], [1]), sensor).tolist() == [0.4]
 
     @given(_grid_cases())
     @settings(max_examples=200, deadline=None)
     def test_matches_loop_over_particles(self, case):
         pset, returns, sensor = case
-        _assert_same_outcome(grid_existence_update(pset, returns, sensor),
-                             _grid_update_by_dict(pset, returns, sensor))
+        assert np.array_equal(_grid_update(pset, returns, sensor),
+                              _grid_update_by_dict(pset, returns, sensor))
 
     def test_repeated_cell_applies_returns_in_order(self):
         sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
@@ -762,15 +757,15 @@ class TestGridUpdate:
         weights = (0.0, 0.4, 1.0, 0.4)
         pset = _pset([_particle(w, x, 0.5) for w, x in zip(weights, (0.5, 0.5, 0.5, 1.5))])
         returns = CellReturns([0, 1, 0, 0, 5], [1, 0, 0, 1, 1])
-        out = grid_existence_update(pset, returns, sensor)
-        _assert_same_outcome(out, _grid_update_by_dict(pset, returns, sensor))
-        assert (out.weights != pset.weights).all()  # the point masses 0 and 1 move too
+        weights = _grid_update(pset, returns, sensor)
+        assert np.array_equal(weights, _grid_update_by_dict(pset, returns, sensor))
+        assert (weights != pset.weights).all()  # the point masses 0 and 1 move too
 
     @pytest.mark.parametrize("cell", [-1, 144])
     def test_out_of_range_cell_rejected_like_the_loop(self, cell):
         sensor = GridSensorModel(WORKSPACE)
         for pset in (GpfParticleSet(), _pset([_particle(0.5, 11.5, 11.5)])):
-            for update in (grid_existence_update, _grid_update_by_dict):
+            for update in (_grid_update, _grid_update_by_dict):
                 with pytest.raises(IndexError):
                     update(pset, CellReturns([0, cell], [1, 0]), sensor)
 
@@ -918,12 +913,12 @@ class TestGpfStep:
         z = np.array([2.5, 2.0])
         out = gpf_step(_pset(parts), z, config)
         alone = gpf_step(_pset(parts[1::2]), z, config)
-        predicted = gpf_predict(_pset(parts), config.f_matrix, config.q_matrix)
+        predicted = (_pset(parts).weights, *gpf_predict(_pset(parts), config))
         assert len(out) == 4 and not out.degenerate_step
-        for name in ("weights", "means", "covs"):
+        for name, want in zip(("weights", "means", "covs"), predicted):
             assert np.array_equal(getattr(out, name)[1::2], getattr(alone, name))
-            assert np.array_equal(getattr(out, name)[0::2], getattr(predicted, name)[0::2])
-        assert not np.array_equal(out.means[1::2], predicted.means[1::2])  # the update ran
+            assert np.array_equal(getattr(out, name)[0::2], want[0::2])
+        assert not np.array_equal(out.means[1::2], predicted[1][1::2])  # the update ran
 
     def test_deterministic(self):
         parts = [_particle(0.8, 2.0, 2.0), _particle(0.7, 4.0, 4.0)]
@@ -955,7 +950,7 @@ class TestGpfStep:
             config = _mean_config()
             belief = _pset([_particle(0.9, 2.0, 2.0), _particle(0.8, 4.0, 4.0)])
             z = np.array([3.0, 3.0])
-            assert len(select_fov_particles(belief, config.fov)[0]) == 2
+            assert len(select_fov_particles(belief.means, config.fov)[0]) == 2
         else:
             grid = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
             config = GpfConfig(f_matrix=np.eye(4), q_matrix=np.zeros((4, 4)), sensor=grid)
@@ -971,6 +966,35 @@ class TestGpfStep:
             assert len(out) == 2 and not np.array_equal(out.weights, belief.weights)
         else:
             assert len(out) == 1  # the pair merged
+
+    def test_one_set_and_no_setting_check_per_step(self, monkeypatch):
+        # the stages pass arrays and read the settings that GpfConfig checked when built:
+        # a step builds the set of its update, then one more for births and for each
+        # stage that changes the belief, and checks no setting again
+        grid = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
+        grid_config = GpfConfig(f_matrix=np.eye(4), q_matrix=np.zeros((4, 4)), sensor=grid)
+        apart = _pset([_particle(0.9, 2.0, 2.0), _particle(0.8, 8.0, 8.0)])
+        close = _pset([_particle(0.5, 3.0, 3.0), _particle(0.5, 3.2, 3.0)])
+        halves = _pset([_particle(0.5, 2.0, 2.0), _particle(0.5, 9.0, 9.0)])
+        cases = [  # belief, measurement, config, sets built, particles out, degenerate
+            (apart, np.array([5.0, 5.0]), _mean_config(), 1, 2, False),
+            (halves, np.array([5.0, 5.0]), _mean_config(epsilon=0.25), 1, 2, True),
+            (apart, CellReturns([grid.cell_of(5.0, 5.0)], [0]), grid_config, 2, 2, False),
+            (close, CellReturns([grid.cell_of(9.0, 9.0)], [1]), grid_config, 4, 2, False),
+        ]
+        built, checked = [], []
+        post_init = GpfParticleSet.__post_init__
+        monkeypatch.setattr(GpfParticleSet, "__post_init__",
+                            lambda pset: (built.append(pset), post_init(pset))[1])
+        for domain in (Range, Choice):
+            check = domain.check
+            monkeypatch.setattr(domain, "check", lambda self, value, name, check=check:
+                                (checked.append(name), check(self, value, name))[1])
+        for belief, z, config, sets, n_out, degenerate in cases:
+            built.clear()
+            out = gpf_step(belief, z, config)
+            assert (len(built), len(out), out.degenerate_step) == (sets, n_out, degenerate)
+        assert checked == []
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_measurement_rejected(self, bad):
@@ -1062,7 +1086,7 @@ class TestGpfStep:
         parts = [_particle(0.9, 2.0, 2.0), _particle(0.8, 4.0, 4.0)]
         sensor = _mean_sensor()
         rows = _pset(parts)
-        combos = enumerate_combinations([w for w, _, _ in parts], 0.001)
+        combos = enumerate_combinations([w for w, _, _ in parts], _mean_config(epsilon=0.001))
         logs = [
             combination_log_weight(c, rows.means, rows.covs, np.array([3.0, 3.0]),
                                    sensor.R, 1.0 / 144, sensor.position_projection)
