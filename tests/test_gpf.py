@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -323,18 +324,24 @@ def test_config_rejects_non_finite(name, bad):
 
 
 @pytest.mark.parametrize(
-    "name, bad, message",
-    [("merge_cov", "bogus", "merge_cov"), ("s_max", 0, "s_max"), ("s_max", -1, "s_max"),
-     ("s_max", 2.5, "s_max"), ("epsilon", 0.0, "epsilon"), ("w_prune", 1.0, "w_prune"),
-     ("w_prune", -0.1, "w_prune"), ("n_max", 0, "n_max"), ("n_max", -1, "n_max"),
-     ("n_max", 2.0, "n_max")],
+    "name, bad, message", [("merge_cov", "bogus", "merge_cov"), ("s_max", 0, "s_max")]
 )
 def test_config_rejects_bad_merge_and_enumeration_settings(name, bad, message):
-    # the stages read these settings unchecked from the record; a bad s_max is a
-    # range error, not a blow-up, and n_max 0 would empty the belief
-    with pytest.raises(ValueError, match=message) as raised:
+    with pytest.raises(ValueError, match=message):
         _mean_config(**{name: bad})
+
+
+def _assert_stage_settings_checked(message, **changes):
+    """The stages read their settings unchecked from a GpfConfig, so a bad value
+    must not reach one: a config derived with it is rejected, and a built config
+    cannot be changed."""
+    config = _mean_config()
+    with pytest.raises(ValueError, match=message) as raised:
+        dataclasses.replace(config, **changes)
     assert not isinstance(raised.value, CombinatorialBlowupError)
+    for name, value in changes.items():
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, value)
 
 
 class TestSelectFov:
@@ -419,6 +426,14 @@ class TestEnumerate:
     def test_blowup_guard(self):
         with pytest.raises(CombinatorialBlowupError):
             _enumerate([0.5] * 21, 0.4)
+
+    def test_epsilon_validated(self):
+        _assert_stage_settings_checked("epsilon", epsilon=0.0)
+
+    @pytest.mark.parametrize("s_max", [0, -1, 2.5])
+    def test_s_max_validated(self, s_max):
+        # a range error naming the field, not a blow-up of one in-view particle
+        _assert_stage_settings_checked("s_max", s_max=s_max)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
@@ -659,6 +674,13 @@ class TestMergeClose:
         out = _merge(pset, 1.0)
         assert len(out) == 2
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_threshold_rejected(self, bad):
+        _assert_stage_settings_checked("finite", d_thresh=bad)
+
+    def test_unknown_cov_mode_rejected_before_merging(self):
+        _assert_stage_settings_checked("merge_cov", merge_cov="bogus")
+
     @given(_clustered_psets(), st.sampled_from([0.5, 1.0, 2.0, 4.0]),
            st.sampled_from(["moment", "plain_sum"]))
     @settings(max_examples=150, deadline=None)
@@ -712,6 +734,15 @@ class TestCardinalityAndPrune:
         pset = _pset([_particle(w, i, i) for i, w in enumerate(weights)])
         out = self._prune(pset, GpfParticleSet(), 0.0, 3)
         assert sorted(out.weights.tolist()) == [0.5, 0.8, 0.9]
+
+    @pytest.mark.parametrize(
+        "w_prune, n_max, message",
+        [(1.0, 10, "w_prune"), (-0.1, 10, "w_prune"), (0.01, 0, "n_max"),
+         (0.01, -1, "n_max"), (0.01, 2.0, "n_max")],
+    )
+    def test_bad_settings_rejected(self, w_prune, n_max, message):
+        # n_max 0 would empty the belief and -1 drop its lowest-weight particle
+        _assert_stage_settings_checked(message, w_prune=w_prune, n_max=n_max)
 
     def test_births_appended(self):
         pset = _pset([_particle(0.5, 0, 0)])
