@@ -9,9 +9,11 @@ seed give byte-identical metrics CSV output.
 from __future__ import annotations
 
 import argparse
+import binascii
 import datetime
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -22,6 +24,7 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig, dump_config, load_config, parse_config_text
 from .domains import check_field
 from .motion import POSITION_IDX
+from .sensors import CellReturns
 from .sim import (FILTERS, SENSORS, ScenarioConfig, StepRecord, TrackingLog, evaluate_metrics,
                   generate_truth, run_experiment)
 
@@ -89,6 +92,28 @@ def write_truth_csv(truth: np.ndarray, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+LOG_SCHEMA = "mtt-particle-log-v2"
+# The per-step lists of every log; a grid log also has n_cells.
+_STEP_LISTS = ("n_particles", "cardinality", "rmse", "card_err", "ospa")
+# Each array of a run, concatenated over its steps: key -> (dtype, shape of one row).
+_COLUMNS = {
+    "weights": ("<f8", ()),
+    "means": ("<f8", (4,)),
+    "covs": ("<f8", (4, 4)),
+    "truth": ("<f8", (4,)),
+    "z": ("<f8", (len(POSITION_IDX),)),
+    "cells": ("<i8", ()),
+    "values": ("|u1", ()),
+}
+
+
+def _base64(key: str, arrays) -> str:
+    """The arrays' values in order, as the base64 of one run of _COLUMNS[key] bytes."""
+    dtype = _COLUMNS[key][0]
+    data = b"".join(np.asarray(a).astype(dtype, copy=False).tobytes() for a in arrays)
+    return binascii.b2a_base64(data, newline=False).decode("ascii")
+
+
 def write_particles_json(
     tracking_log: TrackingLog,
     config: ExperimentConfig,
@@ -97,30 +122,27 @@ def write_particles_json(
     seed: int,
     path: Path,
 ) -> None:
-    """Full per-step particle log (means, covariances, weights) as JSON."""
-    steps = [
-        {
-            "step": rec.step,
-            "truth": rec.true_states.tolist(),
-            "measurement": rec.measurement,
-            "particles": [
-                {"weight": w, "mean": m, "cov": c}
-                for m, c, w in zip(rec.means.tolist(), rec.covs.tolist(), rec.weights.tolist())
-            ],
-            "cardinality": rec.cardinality,
-            "rmse": rec.rmse,
-            "card_err": rec.card_err,
-            "ospa": rec.ospa,
-        }
-        for rec in tracking_log.records
-    ]
+    """The run's particle log, mtt-particle-log-v2 (README): the per-step lists, and each
+    array of the run (weights, means, covs, truth, measurement) written once, as base64."""
+    records = tracking_log.records
+    steps = {"n_particles": [len(rec.weights) for rec in records],
+             **{key: [getattr(rec, key) for rec in records] for key in _STEP_LISTS[1:]}}
+    columns = {key: [getattr(rec, key) for rec in records] for key in ("weights", "means", "covs")}
+    columns["truth"] = [rec.true_states for rec in records]
+    if sensor_choice == "grid":
+        steps["n_cells"] = [len(rec.measurement.cells) for rec in records]
+        columns["cells"] = [rec.measurement.cells for rec in records]
+        columns["values"] = [rec.measurement.values for rec in records]
+    else:
+        columns["z"] = [rec.measurement for rec in records]
     payload = {
-        "schema": "mtt-particle-log-v1",
+        "schema": LOG_SCHEMA,
         "config": dump_config(config),
         "filter": filter_choice,
         "sensor": sensor_choice,
         "seed": seed,
-        "steps": steps,
+        **steps,
+        **{key: _base64(key, arrays) for key, arrays in columns.items()},
     }
     path.write_text(
         json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
@@ -128,77 +150,111 @@ def write_particles_json(
     )
 
 
-def _json_numbers(value) -> bool:
-    """Whether value is a JSON number or nested lists of them (strings and booleans are not)."""
-    return all(map(_json_numbers, value)) if type(value) is list else type(value) in (int, float)
+def _column(payload: dict, key: str, rows: int, path: Path) -> np.ndarray:
+    """payload[key] decoded into `rows` rows of _COLUMNS[key].
 
-
-def _step_record(k: int, entry: dict, path: Path) -> StepRecord:
-    """Step k of a particle log: truth (n_targets, 4), means (n, 4), covs (n, 4, 4), weights (n,).
-
-    Raises ConfigError, naming the step, for an entry that is not a JSON object, a
-    missing step or particle field, a truth, mean, cov, step, cardinality or weight
-    that is not JSON numbers (strings and booleans are not), a truth that is not rows
-    of 4, a mean that is not 4 finite numbers, a cov that is not 4x4 finite numbers,
-    or a weight outside [0, 1].
+    ConfigError, naming the key, for a value that is not canonical base64 (the
+    string that encoding its bytes gives back) or does not hold exactly that many rows.
     """
-    where = f"{path}: step {k}"
-    if type(entry) is not dict:
-        raise ConfigError(f"{where}: the step is not a JSON object")
-    try:  # no particles read as (0, 4), (0, 4, 4) and (0,); no targets, [], as (0, 4)
-        step, measurement, particles = entry["step"], entry["measurement"], entry["particles"]
-        arrays = [entry["truth"], *(p[f] for p in particles for f in ("mean", "cov"))]
-        if not all(map(_json_numbers, arrays)):  # np.array would read "1.5" and true
-            raise ValueError("not numbers")
-        truth = np.array(entry["truth"], dtype=float)
-        truth = truth.reshape(len(truth), 4)
-        means = np.array([p["mean"] for p in particles] or np.zeros((0, 4)), dtype=float)
-        covs = np.array([p["cov"] for p in particles] or np.zeros((0, 4, 4)), dtype=float)
-        numbers = [entry["cardinality"], *(p["weight"] for p in particles)]
-    except KeyError as exc:
-        raise ConfigError(f"{where}: the step or a particle has no {exc.args[0]}") from None
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: the truth or a particle mean or cov is not numbers") from None
-    if type(step) is not int or not _json_numbers(numbers):
-        raise ConfigError(f"{where}: the step, cardinality or a particle weight is not a number")
-    n, weights = len(particles), np.array(numbers[1:], dtype=float)
-    if means.shape != (n, 4):
-        raise ConfigError(f"{where}: a particle mean is not 4 numbers")
-    if covs.shape != (n, 4, 4):
-        raise ConfigError(f"{where}: a particle cov is not 4x4 numbers")
-    if not (np.isfinite(means).all() and np.isfinite(covs).all()):
-        raise ConfigError(f"{where}: a particle mean or cov is not finite")
-    if not ((weights >= 0.0) & (weights <= 1.0)).all():  # NaN fails
-        raise ConfigError(f"{where}: a particle weight is not a number in [0, 1]")
-    return StepRecord(step, truth, measurement, means=means, covs=covs, weights=weights,
-                      cardinality=float(numbers[0]))
+    dtype, shape = _COLUMNS[key]
+    text = payload.get(key)
+    try:  # a2b_base64 skips characters outside the alphabet, so encode back and compare
+        raw = binascii.a2b_base64(text)
+        canonical = binascii.b2a_base64(raw, newline=False).decode("ascii") == text
+    except (TypeError, ValueError):  # not a string, bad padding, not ASCII
+        canonical = False
+    if not canonical:
+        raise ConfigError(f"{path}: {key!r} is missing or not a base64 string")
+    want = rows * np.dtype(dtype).itemsize * math.prod(shape)
+    if len(raw) != want:
+        raise ConfigError(f"{path}: {key!r} holds {len(raw)} bytes, but its {rows} rows "
+                          f"take {want}")
+    return np.frombuffer(raw, dtype).reshape(rows, *shape)
+
+
+def _check_step_lists(payload: dict, sensor: str, n_steps: int, path: Path) -> None:
+    """ConfigError, naming the key, for a per-step list that is missing or does not
+    hold n_steps entries; and, naming the step, for a particle or cell count that is
+    not a non-negative integer or a cardinality that is not a number (strings and
+    booleans are neither)."""
+    counts = ("n_particles", "n_cells") if sensor == "grid" else ("n_particles",)
+    for key in _STEP_LISTS + counts[1:]:
+        if type(payload.get(key)) is not list or len(payload[key]) != n_steps:
+            raise ConfigError(f"{path}: {key!r} is missing or not a list of {n_steps} steps")
+    for k in range(n_steps):
+        for key in counts:
+            value = payload[key][k]
+            if type(value) is not int or value < 0:
+                raise ConfigError(f"{path}: step {k}: {key} {value!r} is not a count")
+        value = payload["cardinality"][k]
+        if type(value) not in (int, float):
+            raise ConfigError(f"{path}: step {k}: the cardinality {value!r} is not a number")
 
 
 def read_particles_json(path: Path) -> tuple[np.ndarray, TrackingLog, ExperimentConfig, int]:
     """Truth, tracking log, config and seed of a `track` run's particle log.
 
-    ConfigError, naming the path and the key, if the file is not JSON, not
-    an object with the log's schema, a config string, a seed that
-    ScenarioConfig allows and a list of steps, or holds a malformed step or
-    particle.  A missing file raises OSError.
+    ConfigError, naming the path and the key, if the file is not JSON, not an
+    object with the mtt-particle-log-v2 schema, a config string that parses, a
+    seed that ScenarioConfig allows, a sensor, the per-step lists of the
+    config's n_steps and canonical base64 arrays of the lengths that the
+    counts give; and, naming the step, for a bad count or cardinality, a mean or
+    cov that is not finite, a weight outside [0, 1] or a grid measurement that
+    CellReturns rejects.  A missing file raises OSError.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
         payload = json.loads(text)
     except ValueError as exc:
         raise ConfigError(f"{path} is not JSON: {exc}") from None
-    if type(payload) is not dict or payload.get("schema") != "mtt-particle-log-v1":
-        raise ConfigError(f"{path} is not an mtt particle log")
-    for key, kind, name in (("config", str, "a string"), ("steps", list, "a list")):
-        if type(payload.get(key)) is not kind:
-            raise ConfigError(f"{path}: {key!r} is missing or not {name}")
+    schema = payload.get("schema") if type(payload) is dict else None
+    if schema != LOG_SCHEMA:
+        found = f"an {schema} log" if schema == "mtt-particle-log-v1" else "not an mtt particle log"
+        raise ConfigError(f"{path} is {found}; this mtt reads {LOG_SCHEMA}")
+    if type(payload.get("config")) is not str:
+        raise ConfigError(f"{path}: 'config' is missing or not a string")
     seed = _checked_seed(payload.get("seed"), f"{path}: seed")
     try:
         config = parse_config_text(payload["config"])
     except ConfigError as exc:
         raise ConfigError(f"{path}: 'config' does not parse: {exc}") from None
-    records = [_step_record(k, entry, path) for k, entry in enumerate(payload["steps"])]
-    truth = np.asarray([rec.true_states for rec in records], dtype=float)
+    sensor = payload.get("sensor")
+    if sensor not in SENSORS:
+        raise ConfigError(f"{path}: 'sensor' is missing or not one of {', '.join(SENSORS)}")
+    n_steps, n_targets = config.scenario.n_steps, config.scenario.n_targets
+    _check_step_lists(payload, sensor, n_steps, path)
+    counts = payload["n_particles"]
+    weights, means, covs = (_column(payload, key, sum(counts), path)
+                            for key in ("weights", "means", "covs"))
+    bounds = np.cumsum([0, *counts])  # fits in int64: the arrays above hold that many rows
+    truth = _column(payload, "truth", n_steps * n_targets, path).reshape(n_steps, n_targets, 4)
+
+    def step_of(bad: np.ndarray) -> int:  # the step that holds the first row flagged bad
+        return int(np.searchsorted(bounds, np.argmax(bad), side="right")) - 1
+
+    bad = ~(np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2)))
+    if bad.any():
+        raise ConfigError(f"{path}: step {step_of(bad)}: a particle mean or cov is not finite")
+    bad = ~((weights >= 0.0) & (weights <= 1.0))  # NaN fails
+    if bad.any():
+        raise ConfigError(f"{path}: step {step_of(bad)}: a particle weight is not a number "
+                          "in [0, 1]")
+    if sensor == "grid":
+        n_cells = payload["n_cells"]
+        cells, values = (_column(payload, key, sum(n_cells), path) for key in ("cells", "values"))
+        cell_bounds = np.cumsum([0, *n_cells])
+        measurements = []
+        for k, (a, b) in enumerate(zip(cell_bounds[:-1], cell_bounds[1:])):
+            try:
+                measurements.append(CellReturns(cells[a:b], values[a:b]))
+            except ValueError as exc:
+                raise ConfigError(f"{path}: step {k}: the measurement is not cell returns: "
+                                  f"{exc}") from None
+    else:
+        measurements = list(_column(payload, "z", n_steps, path))
+    records = [StepRecord(k, truth[k], measurements[k], means=means[a:b], covs=covs[a:b],
+                          weights=weights[a:b], cardinality=float(payload["cardinality"][k]))
+               for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
     return truth, TrackingLog(records), config, seed
 
 
@@ -356,7 +412,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("track", help="run a full tracking experiment"), _cmd_track, True)
 
     p_eval = sub.add_parser("eval", help="recompute metrics from a particle log")
-    p_eval.add_argument("--log", required=True, help="particles.json from a track run")
+    p_eval.add_argument("--log", required=True,
+                        help="particles.json (mtt-particle-log-v2) from a track run")
     p_eval.add_argument("--out", default=None, help="output directory (default: log dir)")
     p_eval.set_defaults(func=_cmd_eval)
 

@@ -64,7 +64,7 @@ class StepRecord:
 
     step: int
     true_states: np.ndarray
-    measurement: object
+    measurement: np.ndarray | CellReturns  # as the sensor returned it
     means: np.ndarray  # (n, 4)
     covs: np.ndarray  # (n, 4, 4)
     weights: np.ndarray  # (n,)
@@ -354,7 +354,7 @@ def run_experiment(
     log = TrackingLog()
     for k in range(config.n_steps):
         z = measure(k)
-        log.records.append(StepRecord(k, truth[k].copy(), _encode_measurement(z), *step(z)))
+        log.records.append(StepRecord(k, truth[k].copy(), z, *step(z)))
 
     evaluate_metrics(
         truth,
@@ -365,9 +365,3 @@ def run_experiment(
     )
     return log
 
-
-def _encode_measurement(z: np.ndarray | CellReturns) -> list:
-    """A measurement as lists for logging: an array's values, or [cell, value] pairs."""
-    if isinstance(z, CellReturns):
-        return np.column_stack((z.cells, z.values)).tolist()
-    return z.tolist()
