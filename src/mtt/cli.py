@@ -175,8 +175,8 @@ def _column(payload: dict, key: str, rows: int, path: Path) -> np.ndarray:
 def _check_step_lists(payload: dict, sensor: str, n_steps: int, path: Path) -> None:
     """ConfigError, naming the key, for a per-step list that is missing or does not
     hold n_steps entries; and, naming the step, for a particle or cell count that is
-    not a non-negative integer or a cardinality that is not a number (strings and
-    booleans are neither)."""
+    not a non-negative integer or a cardinality that is not a finite number (strings
+    and booleans are neither)."""
     counts = ("n_particles", "n_cells") if sensor == "grid" else ("n_particles",)
     for key in _STEP_LISTS + counts[1:]:
         if type(payload.get(key)) is not list or len(payload[key]) != n_steps:
@@ -189,6 +189,8 @@ def _check_step_lists(payload: dict, sensor: str, n_steps: int, path: Path) -> N
         value = payload["cardinality"][k]
         if type(value) not in (int, float):
             raise ConfigError(f"{path}: step {k}: the cardinality {value!r} is not a number")
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: step {k}: the cardinality {value!r} is not finite")
 
 
 def read_particles_json(path: Path) -> tuple[np.ndarray, TrackingLog, ExperimentConfig, int]:
@@ -198,9 +200,9 @@ def read_particles_json(path: Path) -> tuple[np.ndarray, TrackingLog, Experiment
     object with the mtt-particle-log-v2 schema, a config string that parses, a
     seed that ScenarioConfig allows, a sensor, the per-step lists of the
     config's n_steps and canonical base64 arrays of the lengths that the
-    counts give; and, naming the step, for a bad count or cardinality, a mean or
-    cov that is not finite, a weight outside [0, 1] or a grid measurement that
-    CellReturns rejects.  A missing file raises OSError.
+    counts give; and, naming the step, for a bad count, a cardinality, mean, cov
+    or true state that is not finite, a weight outside [0, 1] or a grid
+    measurement that CellReturns rejects.  A missing file raises OSError.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -235,6 +237,9 @@ def read_particles_json(path: Path) -> tuple[np.ndarray, TrackingLog, Experiment
     bad = ~(np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2)))
     if bad.any():
         raise ConfigError(f"{path}: step {step_of(bad)}: a particle mean or cov is not finite")
+    bad = ~np.isfinite(truth).all(axis=(1, 2))
+    if bad.any():
+        raise ConfigError(f"{path}: step {int(np.argmax(bad))}: a true state is not finite")
     bad = ~((weights >= 0.0) & (weights <= 1.0))  # NaN fails
     if bad.any():
         raise ConfigError(f"{path}: step {step_of(bad)}: a particle weight is not a number "

@@ -11,7 +11,7 @@ enumerating existence combinations: boolean vectors saying which in-view
 particles are assumed present.  Every sufficiently probable combination
 gets a conditional Kalman update for each of its active particles (with
 the other active particles folded into the effective measurement noise),
-a likelihood weight against the predicted measurement, and finally each
+whose innovation density is the combination's evidence, and finally each
 particle's weight and state are recovered by marginalizing over the
 combinations that contain it.  Nearby particles are merged, low-weight
 particles pruned, and detections can seed new ones.
@@ -34,7 +34,7 @@ from .gaussians import (
     mixture_moments,
     moment_match_merge,
 )
-from .kalman import KalmanUpdate, kf_predict, kf_update
+from .kalman import KalmanUpdate, kf_predict, kf_update, motion_noise_factor
 from .motion import POSITION_IDX
 from .regions import FovRegion
 from .sensors import CellReturns, GridSensorModel, MeanSensorModel, check_cells, detection_prob
@@ -121,6 +121,7 @@ class GpfConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "f_matrix", np.atleast_2d(np.asarray(self.f_matrix, dtype=float)))
         object.__setattr__(self, "q_matrix", np.atleast_2d(np.asarray(self.q_matrix, dtype=float)))
+        motion_noise_factor(self.f_matrix, self.q_matrix)  # ValueError naming a bad F or Q
         check_fields(self)
 
 
@@ -217,29 +218,20 @@ def conditional_kf_update(
 
 
 def combination_log_weight(
-    combo: ExistenceCombination,
-    means: np.ndarray,
-    covs: np.ndarray,
-    z: np.ndarray,
-    r: np.ndarray,
-    clutter_density: float,
-    projection: np.ndarray,
+    combo: ExistenceCombination, post: KalmanUpdate | None, clutter_density: float
 ) -> float:
-    """Log of prior times evidence, using the in-view prior rows means (s, d), covs (s, d, d).
+    """Log of prior times evidence, where post is the conditional update of
+    any active row of the combination, or None for the all-zero combination.
 
-    An active combination predicts z ~ N(mu_c, Sigma_c) with
-    mu_c = P (sum_active mu_i) / n and
-    Sigma_c = (1/n^2) P (sum_active Sigma_i) P' + R.
-    The all-zero combination explains the measurement as clutter at the
-    configured density.
+    The evidence is the innovation density N(post.residual; 0, post.innovation_cov):
+    every active row's update has residual z - P (sum_active mu_i) / n and innovation
+    covariance (1/n^2) P (sum_active Sigma_i) P' + R, up to rounding.  The all-zero
+    combination explains the measurement as clutter at the configured density.
     """
-    active = [i for i, e in enumerate(combo.bits) if e]
-    if not active:
+    if post is None:
         return math.log(combo.prior) + math.log(clutter_density)
-    n = len(active)
-    mu_c = projection @ means[active].sum(axis=0) / n
-    sigma_c = projection @ covs[active].sum(axis=0) @ projection.T / n**2 + r
-    return math.log(combo.prior) + log_pdf(mu_c, sigma_c, z)
+    residual = post.residual
+    return math.log(combo.prior) + log_pdf(np.zeros_like(residual), post.innovation_cov, residual)
 
 
 def normalize_combination_weights(log_weights: list[float]) -> np.ndarray:
@@ -263,9 +255,9 @@ def marginalize_existence(
 
     bits (C, s) says which particles each combination holds active,
     posterior (C,) is each combination's normalized weight, and
-    post_means (C, s, d) and post_covs (C, s, d, d) hold the conditional
-    update of every active (combination, particle) pair; inactive pairs
-    are not read.  A particle's existence probability is the total
+    post_means (p, d) and post_covs (p, d, d) stack the conditional update
+    of every active (combination, particle) pair in np.argwhere(bits)
+    order, p = bits.sum().  A particle's existence probability is the total
     posterior of the combinations that contain it; its state is the
     moment-matched mixture of its conditional updates under those
     combinations.  A particle active in no combination passes through
@@ -274,15 +266,19 @@ def marginalize_existence(
     """
     if not len(bits):
         raise ValueError("cannot marginalize an empty combination list")
+    pair_combo, pair_row = np.nonzero(bits)
+    if not len(post_means) == len(post_covs) == len(pair_row):
+        raise ValueError(f"want {len(pair_row)} pair updates, got {len(post_means)} means "
+                         f"and {len(post_covs)} covs")
     weights, means, covs = (np.array(a, dtype=float) for a in (weights, means, covs))
     for i in range(len(weights)):
-        mine = np.flatnonzero(bits[:, i])
+        mine = np.flatnonzero(pair_row == i)
         if not mine.size:
             continue
-        mix = posterior[mine]  # summed 1-D, in combination order: a matmul would reorder it
+        mix = posterior[pair_combo[mine]]  # summed 1-D in combination order, as a matmul would not
         weights[i] = min(1.0, float(mix.sum()))
         if weights[i] > 0.0:
-            means[i], covs[i] = mixture_moments(post_means[mine, i], post_covs[mine, i], mix)
+            means[i], covs[i] = mixture_moments(post_means[mine], post_covs[mine], mix)
     return weights, means, covs
 
 
@@ -394,20 +390,18 @@ def _mean_measurement_update(
         return weights, means, covs, True
 
     r, proj = config.sensor.R, config.sensor.position_projection
-    log_weights = [
-        combination_log_weight(combo, in_means, in_covs, z, r, config.clutter_density, proj)
-        for combo in combos
-    ]
-    # the conditional update of every active (combination, row) pair; the rest stay zero
-    bits = np.array([combo.bits for combo in combos])
-    post_means = np.zeros(bits.shape + in_means.shape[1:])
-    post_covs = np.zeros(bits.shape + in_covs.shape[1:])
-    for k, j in np.argwhere(bits).tolist():
-        post = conditional_kf_update(j, combos[k].bits, in_means, in_covs, z, r, proj)
-        post_means[k, j], post_covs[k, j] = post.mean, post.cov
-    posterior = normalize_combination_weights(log_weights)
+    log_weights, pairs = [], []  # pairs: the (combination, row) updates in np.argwhere order
+    for combo in combos:
+        posts = [conditional_kf_update(j, combo.bits, in_means, in_covs, z, r, proj)
+                 for j, e in enumerate(combo.bits) if e]
+        post = posts[0] if posts else None
+        log_weights.append(combination_log_weight(combo, post, config.clutter_density))
+        pairs += posts
     marginal = marginalize_existence(
-        bits, posterior, post_means, post_covs, in_weights, in_means, in_covs)
+        np.array([combo.bits for combo in combos]), normalize_combination_weights(log_weights),
+        np.array([post.mean for post in pairs]).reshape(-1, *in_means.shape[1:]),
+        np.array([post.cov for post in pairs]).reshape(-1, *in_covs.shape[1:]),
+        in_weights, in_means, in_covs)
 
     weights, means, covs = (a.copy() for a in (weights, means, covs))
     weights[in_idx], means[in_idx], covs[in_idx] = marginal

@@ -23,6 +23,19 @@ from .gaussians import (
 )
 
 
+def motion_noise_factor(f: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The noise_factor of Q, once F (2-D) is square and Q (2-D) has its shape.
+
+    ValueError naming F or Q otherwise, or when Q is not symmetric PSD.
+    """
+    n = f.shape[0]
+    if f.shape != (n, n):
+        raise ValueError(f"F must be square, got {f.shape}")
+    if q.shape != (n, n):
+        raise ValueError(f"Q shape {q.shape} does not match state dim {n}")
+    return noise_factor(q, "Q")
+
+
 @dataclass(frozen=True, eq=False)
 class LinearGaussianModel(ValueEq):
     """x' = F x + v,  z = H x + w,  v ~ N(0, Q),  w ~ N(0, R).
@@ -41,18 +54,14 @@ class LinearGaussianModel(ValueEq):
     def __post_init__(self) -> None:
         for name in ("F", "Q", "H", "R"):
             object.__setattr__(self, name, _frozen_matrix(getattr(self, name)))
+        object.__setattr__(self, "Q_factor", motion_noise_factor(self.F, self.Q))
         n = self.F.shape[0]
-        if self.F.shape != (n, n):
-            raise ValueError(f"F must be square, got {self.F.shape}")
-        if self.Q.shape != (n, n):
-            raise ValueError(f"Q shape {self.Q.shape} does not match state dim {n}")
         if self.H.shape[1] != n:
             raise ValueError(f"H shape {self.H.shape} does not match state dim {n}")
         if self.R.shape != (self.H.shape[0], self.H.shape[0]):
             raise ValueError(
                 f"R shape {self.R.shape} does not match measurement dim {self.H.shape[0]}"
             )
-        object.__setattr__(self, "Q_factor", noise_factor(self.Q, "Q"))
         noise_factor(self.R, "R")  # the PSD check; no filter draws measurement noise
 
     @property

@@ -313,6 +313,16 @@ def _set_row(key, index, value, step=3):
     return mutate
 
 
+def _set_truth(step, index, value):
+    """A mutation that sets `index` of the first target's true state at `step`."""
+    def mutate(payload):
+        rows = _rows(payload, "truth")
+        n_targets = len(rows) // len(payload["n_particles"])
+        rows[step * n_targets, index] = value
+        return {**payload, "truth": _encoded(rows)}
+    return mutate
+
+
 def _edit_rows(key, edit):
     """A mutation that replaces the log's `key` with the encoding of edit(rows)."""
     return lambda payload: {**payload, key: _encoded(edit(_rows(payload, key)))}
@@ -397,6 +407,9 @@ _MALFORMED_STEPS = {
     "bool_weight": (_with(weights=True), "'weights'"),
     "text_cardinality": (_set_entry("cardinality", 3, "0.5"), "step 3"),
     "bool_cardinality": (_set_entry("cardinality", 3, True), "step 3"),
+    "nan_cardinality": (_set_entry("cardinality", 3, float("nan")), "step 3"),
+    "nan_truth_position": (_set_truth(2, 0, float("nan")), "step 2"),
+    "nan_truth_velocity": (_set_truth(2, 1, float("nan")), "step 2"),
     "text_truth": (_with(truth="1.0,2.0"), "'truth'"),
     "text_cov": (_with(covs="1.0"), "'covs'"),
     "bool_mean": (_with(means=True), "'means'"),

@@ -6,14 +6,15 @@ Each case runs `track` through `run_command` and compares `metrics.csv` and
 each committed `particles.json` must also reproduce its `metrics.csv`.
 
 A change that alters the random stream or the filter arithmetic on purpose
-regenerates the files and says why in CHANGES.md:
+regenerates the files and says why in CHANGES.md; the script prints
+`changed` or `unchanged` for every file it rewrites, so the entry can name
+exactly which files moved:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 from __future__ import annotations
 
-import shutil
 import tempfile
 from pathlib import Path
 
@@ -122,8 +123,10 @@ def regenerate(work: Path) -> None:
         dest = GOLDEN_DIR / case
         dest.mkdir(parents=True, exist_ok=True)
         for name in COMPARED:
-            shutil.copyfile(out / name, dest / name)
-        print(f"wrote {dest}")
+            data, path = (out / name).read_bytes(), dest / name
+            state = "unchanged" if path.exists() and path.read_bytes() == data else "changed"
+            path.write_bytes(data)
+            print(f"{case}/{name}: {state}")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mtt.domains import Choice, Range
-from mtt.gaussians import _symmetrize, moment_match_merge
+from mtt.gaussians import _symmetrize, log_pdf, moment_match_merge
 from mtt.gpf import (
     CombinatorialBlowupError,
     ExistenceCombination,
@@ -331,6 +331,26 @@ def test_config_rejects_bad_merge_and_enumeration_settings(name, bad, message):
         _mean_config(**{name: bad})
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"f_matrix": np.ones((4, 3))}, "F must be square"),
+        ({"q_matrix": np.eye(3)}, "Q shape"),
+        ({"q_matrix": -np.eye(4)}, "Q must be positive semidefinite"),
+        ({"q_matrix": np.diag([0.1, math.nan, 0.1, 0.1])}, "Q must be symmetric"),
+        ({"q_matrix": np.triu(np.ones((4, 4)))}, "Q must be symmetric"),
+    ],
+)
+def test_config_rejects_bad_motion_model(changes, message):
+    # LinearGaussianModel's checks, when built, not SingularCovarianceError at the first step
+    with pytest.raises(ValueError, match=message):
+        _mean_config(**changes)
+
+
+def test_config_accepts_zero_process_noise():
+    assert not _mean_config(q_matrix=np.zeros((4, 4))).q_matrix.any()
+
+
 def _assert_stage_settings_checked(message, **changes):
     """The stages read their settings unchecked from a GpfConfig, so a bad value
     must not reach one: a config derived with it is rejected, and a built config
@@ -525,55 +545,88 @@ class TestConditionalUpdate:
         assert np.linalg.norm(got - closed) <= 1e-10 * np.linalg.norm(closed)
 
 
+def _first_update(combo, means, covs, z, r, proj):
+    """The conditional update of the combination's first active row, or None
+    for the all-zero combination: what the mean-sensor update weighs it by."""
+    active = [j for j, e in enumerate(combo.bits) if e]
+    if not active:
+        return None
+    return conditional_kf_update(active[0], combo.bits, means, covs, z, r, proj)
+
+
+def _reference_log_evidence(bits, means, covs, z, r, proj):
+    """log N(z; mu_c, Sigma_c) by the sums over the active prior rows:
+    mu_c = P (sum_active mu_i) / n, Sigma_c = (1/n^2) P (sum_active Sigma_i) P' + R."""
+    active = [i for i, e in enumerate(bits) if e]
+    n = len(active)
+    mu_c = proj @ means[active].sum(axis=0) / n
+    sigma_c = proj @ covs[active].sum(axis=0) @ proj.T / n**2 + r
+    return log_pdf(mu_c, sigma_c, z)
+
+
 class TestCombinationWeight:
     def test_perfect_match_peak_density(self):
         z = np.array([0.5])
         combo = ExistenceCombination((1,), prior=1.0)
-        w = math.exp(
-            combination_log_weight(combo, np.array([[0.5]]), np.array([[[1e-4]]]), z,
-                                   np.array([[1e-4]]), 1.0, np.eye(1))
-        )
+        post = _first_update(combo, np.array([[0.5]]), np.array([[[1e-4]]]), z,
+                             np.array([[1e-4]]), np.eye(1))
+        w = math.exp(combination_log_weight(combo, post, 1.0))
         peak = 1.0 / math.sqrt(2 * math.pi * 2e-4)
         assert_allclose(w, peak, rtol=1e-12)
 
     def test_all_zero_combination_uses_clutter(self):
         combo = ExistenceCombination((0,), prior=0.3)
-        rows = _pset([_particle(0.7, 0.0, 0.0)])
-        w = math.exp(
-            combination_log_weight(combo, rows.means, rows.covs, np.zeros(2), np.eye(2),
-                                   1.0 / 144.0, position_projection())
-        )
+        w = math.exp(combination_log_weight(combo, None, 1.0 / 144.0))
         assert_allclose(w, 0.3 / 144.0, rtol=1e-12)
 
     def test_two_active_hand_example(self):
-        # mu_c = 1, Sigma_c = (1+1)/4 + 1 = 1.5, density = 1/sqrt(2 pi 1.5)
+        # mu_c = 1, Sigma_c = (1+1)/4 + 1 = 1.5, density = 1/sqrt(2 pi 1.5), from either row
         combo = ExistenceCombination((1, 1), prior=0.81)
-        w = math.exp(
-            combination_log_weight(
-                combo, *_TWO_ROWS, np.array([1.0]), np.array([[1.0]]), 1.0, np.eye(1)
-            )
-        )
         expected_density = 1.0 / math.sqrt(2 * math.pi * 1.5)
-        assert_allclose(w, 0.81 * expected_density, rtol=1e-12)
+        for j in (0, 1):
+            post = conditional_kf_update(
+                j, combo.bits, *_TWO_ROWS, np.array([1.0]), np.array([[1.0]]), np.eye(1))
+            w = math.exp(combination_log_weight(combo, post, 1.0))
+            assert_allclose(w, 0.81 * expected_density, rtol=1e-12)
         assert_allclose(expected_density, 0.3257, atol=5e-5)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_evidence_matches_predicted_measurement_density(self, seed):
+        # every active row's update predicts N(z; mu_c, Sigma_c); a lone row's, bit for bit
+        rng = np.random.default_rng(seed)
+        s = int(rng.integers(1, 5))
+        means, covs = _random_rows(rng, s, 4)
+        means[:, list(POSITION_IDX)] = rng.uniform(0.0, 12.0, (s, 2))
+        z = rng.uniform(0.0, 12.0, 2)
+        r, proj = _random_psd(rng, 2), position_projection()
+        for bits in itertools.product((0, 1), repeat=s):
+            if not any(bits):
+                continue
+            combo = ExistenceCombination(bits, 1.0)
+            want = _reference_log_evidence(bits, means, covs, z, r, proj)
+            for j in np.flatnonzero(bits).tolist():
+                post = conditional_kf_update(j, bits, means, covs, z, r, proj)
+                got = combination_log_weight(combo, post, 1.0)
+                if sum(bits) == 1:
+                    assert np.array_equal(got, want)
+                else:  # the densities agree to rtol 1e-12, compared as logs so none underflows
+                    assert abs(got - want) <= 1e-12
 
 
 class TestMarginalize:
     @staticmethod
     def _marginalize(combos, particles):
         """combos: (bits, posterior, {active index: (mean, var)}) triples over
-        1-D particles given as (weight, mean, var) triples."""
+        1-D particles given as (weight, mean, var) triples; the updates are
+        stacked per active (combination, particle) pair, in np.argwhere order."""
         bits = np.array([bits for bits, _, _ in combos], dtype=int).reshape(-1, len(particles))
-        post_means = np.zeros(bits.shape + (1,))
-        post_covs = np.zeros(bits.shape + (1, 1))
-        for k, (_, _, updated) in enumerate(combos):
-            for i, (mean, var) in updated.items():
-                post_means[k, i], post_covs[k, i] = mean, var
+        pairs = [updated[i] for _, _, updated in combos for i in sorted(updated)]
         return marginalize_existence(
             bits,
             np.array([weight for _, weight, _ in combos]),
-            post_means,
-            post_covs,
+            np.array([mean for mean, _ in pairs]).reshape(-1, 1),
+            np.array([var for _, var in pairs]).reshape(-1, 1, 1),
             [w for w, _, _ in particles],
             np.array([[m] for _, m, _ in particles]),
             np.array([[[v]] for _, _, v in particles]),
@@ -615,19 +668,39 @@ class TestMarginalize:
         assert_allclose(means[0], [1.0])
         assert_allclose(covs[0], [[2.0]])
 
+    def test_pairs_read_in_combination_order(self):
+        # the second row's updates are the 2nd and 4th pairs of the stack
+        combos = [((1, 1), 0.25, {0: (0.0, 1.0), 1: (4.0, 1.0)}),
+                  ((0, 1), 0.75, {1: (8.0, 1.0)})]
+        weights, means, _ = self._marginalize(combos, [(0.5, 0.0, 1.0), (0.5, 5.0, 1.0)])
+        assert weights.tolist() == [0.25, 1.0]
+        assert_allclose(means[:, 0], [0.0, 7.0])
+
     def test_zero_posterior_keeps_prior_state_and_inputs(self):
         prior_mean, prior_cov = np.array([0.0]), np.array([[1.0]])
         weights, means, covs = np.array([0.5]), np.array([[0.0]]), np.array([[[1.0]]])
         inputs = [a.copy() for a in (weights, means, covs)]
         out = marginalize_existence(
             np.array([[1], [0]]), np.array([0.0, 1.0]),
-            np.array([[[4.0]], [[0.0]]]), np.array([[[[0.5]]], [[[0.0]]]]),
+            np.array([[4.0]]), np.array([[[0.5]]]),
             weights, means, covs,
         )
         assert out[0].tolist() == [0.0]
         assert np.array_equal(out[1], [prior_mean]) and np.array_equal(out[2], [prior_cov])
         for a, before in zip((weights, means, covs), inputs):
             assert np.array_equal(a, before)
+
+    def test_only_all_zero_combination_passes_rows_through(self):
+        weights, means, covs = self._marginalize(
+            [((0, 0), 1.0, {})], [(0.2, 1.0, 1.0), (0.3, 5.0, 2.0)])
+        assert weights.tolist() == [0.2, 0.3]
+        assert means.tolist() == [[1.0], [5.0]] and covs.tolist() == [[[1.0]], [[2.0]]]
+
+    def test_pair_count_checked(self):
+        with pytest.raises(ValueError, match="want 1 pair updates"):
+            marginalize_existence(np.array([[1, 0]]), np.array([1.0]), np.zeros((2, 1)),
+                                  np.zeros((2, 1, 1)), [0.5, 0.5], np.zeros((2, 1)),
+                                  np.ones((2, 1, 1)))
 
     def test_empty_combinations_rejected(self):
         with pytest.raises(ValueError):
@@ -924,6 +997,21 @@ class TestGpfStep:
         assert out.weights.tolist() == [0.5, 0.5]
         assert_allclose(out.means[0], parts[0][1])
 
+    def test_only_all_zero_combination_passes_rows_through(self, monkeypatch):
+        # weights 0.2 and epsilon 0.5: only the all-zero combination (prior 0.64) survives,
+        # so no (combination, row) pair is updated and the stacks are empty
+        stacks = []
+
+        def spy(bits, posterior, post_means, post_covs, *rows):
+            stacks.append((post_means.shape, post_covs.shape))
+            return marginalize_existence(bits, posterior, post_means, post_covs, *rows)
+
+        monkeypatch.setattr("mtt.gpf.marginalize_existence", spy)
+        pset = _pset([_particle(0.2, 2.0, 2.0), _particle(0.2, 9.0, 9.0)])
+        out = gpf_step(pset, np.array([5.0, 5.0]), _mean_config(epsilon=0.5))
+        assert stacks == [((0, 4), (0, 4, 4))]
+        assert not out.degenerate_step and out == pset
+
     def test_out_of_fov_particles_only_predicted(self):
         fov = FovRegion.box(0.0, 0.0, 5.0, 5.0)
         parts = [_particle(0.9, 2.0, 2.0), _particle(0.9, 9.0, 9.0)]
@@ -1118,9 +1206,10 @@ class TestGpfStep:
         sensor = _mean_sensor()
         rows = _pset(parts)
         combos = enumerate_combinations([w for w, _, _ in parts], _mean_config(epsilon=0.001))
+        z, proj = np.array([3.0, 3.0]), sensor.position_projection
         logs = [
-            combination_log_weight(c, rows.means, rows.covs, np.array([3.0, 3.0]),
-                                   sensor.R, 1.0 / 144, sensor.position_projection)
+            combination_log_weight(
+                c, _first_update(c, rows.means, rows.covs, z, sensor.R, proj), 1.0 / 144)
             for c in combos
         ]
         posterior = normalize_combination_weights(logs)
