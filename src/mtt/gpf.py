@@ -19,6 +19,8 @@ particles pruned, and detections can seed new ones.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -282,66 +284,157 @@ def marginalize_existence(
     return weights, means, covs
 
 
-def _position_distances(
-    means: np.ndarray, covs: np.ndarray, rows: slice = slice(None)
-) -> np.ndarray:
-    """Mahalanobis distances between position marginals, from the particles
-    that the slice `rows` selects (all by default) to every particle.
+# The merge bounds a pair's distance only between rows whose position blocks
+# are bounded: both eigenvalues in _SPREAD_RANGE and a condition number below
+# _COND_LIMIT.  Their distances are computed without overflow, underflow or
+# heavy cancellation, rounded by well under 1e-8 relative, far inside
+# _BOUND_SLACK.  Every other row is paired with every row.
+_SPREAD_RANGE = (1e-100, 1e100)
+_COND_LIMIT = 1e6
+_BOUND_SLACK = 1e-4
+
+
+def _position_columns(means: np.ndarray, covs: np.ndarray) -> list[np.ndarray]:
+    """x, y and the position block's var_x, cov_xy, var_y: one array each,
+    of every row, or of one mean and cov."""
+    xi, yi = POSITION_IDX
+    return [means[..., xi], means[..., yi], covs[..., xi, xi], covs[..., xi, yi], covs[..., yi, yi]]
+
+
+def _position_distances(p, q):
+    """Mahalanobis distances between the position marginals of the rows whose
+    _position_columns are p and q: arrays, pair by pair (one row's columns
+    broadcast), or one row's five values each, p's as numpy scalars so that
+    every operation follows numpy's rules for inf and nan.
 
     d_ij = (mu_i - mu_j)' (Sigma_i + Sigma_j)^-1 (mu_i - mu_j) over the
-    (x, y) components, by the closed-form 2x2 inverse; a non-finite
-    distance reads +inf.  Each entry is elementwise arithmetic, so a row
-    computed alone equals that row of the full matrix, and d_ji equals
-    d_ij, bit for bit.  The caller sets the diagonal.
+    (x, y) components, by the closed-form 2x2 inverse.  Each entry is a
+    fixed sequence of float64 operations on its own pair, so d_ij equals
+    d_ji bit for bit, on arrays and on scalars, whatever else is computed
+    with it.  Degenerate and extreme inputs give nan or +-inf, which never
+    qualify to merge; callers silence their warnings.
     """
-    xi, yi = POSITION_IDX
-    mx, my = means[:, xi], means[:, yi]
-    a, b, c = covs[:, xi, xi], covs[:, xi, yi], covs[:, yi, yi]
-    dx = mx[rows, None] - mx
-    dy = my[rows, None] - my
-    sa = a[rows, None] + a
-    sb = b[rows, None] + b
-    sc = c[rows, None] + c
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = (sc * dx**2 - 2.0 * sb * dx * dy + sa * dy**2) / (sa * sc - sb**2)
-    d[~np.isfinite(d)] = np.inf
-    return d
+    (px, py, pa, pb, pc), (qx, qy, qa, qb, qc) = p, q
+    dx, dy, sa, sb, sc = px - qx, py - qy, pa + qa, pb + qb, pc + qc
+    return (sc * (dx * dx) - 2.0 * sb * dx * dy + sa * (dy * dy)) / (sa * sc - sb * sb)
+
+
+def _position_spread(block):
+    """The largest eigenvalue of each position block (var_x, cov_xy, var_y
+    along the first axis), and whether the block is bounded."""
+    a, b, c = block
+    mid, radius = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
+    lam, lam_min = mid + radius, mid - radius
+    bounded = (lam_min > _SPREAD_RANGE[0]) & (lam < _SPREAD_RANGE[1]) & (lam < _COND_LIMIT * lam_min)
+    return lam, bounded
+
+
+def _within_bound(dx, dy, lam_sum, bound: float):
+    """Whether a pair of bounded rows whose positions differ by (dx, dy), and
+    whose largest position eigenvalues add up to lam_sum, can lie closer
+    than bound / (1 + _BOUND_SLACK): |D|^2 < bound lam_sum."""
+    return dx * dx + dy * dy < bound * lam_sum
+
+
+def _sweep_pairs(xs: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (k, l), k < l, of the ascending xs with xs[l] <= xs[k] + reach."""
+    k = np.arange(len(xs))
+    ends = np.searchsorted(xs, xs + reach, side="right")
+    counts = ends - k - 1
+    # k's pairs take the flat positions up to cumsum(counts)[k] - 1, whose l is ends[k] - 1
+    l = np.arange(counts.sum()) + np.repeat(ends - np.cumsum(counts), counts)
+    return np.repeat(k, counts), l
 
 
 def merge_close_particles(pset: GpfParticleSet, config: GpfConfig) -> GpfParticleSet:
     """Greedily merge the closest particle pair until none is below config.d_thresh.
 
-    Closeness is the Mahalanobis distance between position marginals with
-    metric (Sigma_i + Sigma_j)^-1; qualifying means strictly below
+    Closeness is the Mahalanobis distance d_ij between position marginals
+    with metric (Sigma_i + Sigma_j)^-1; qualifying means strictly below
     d_thresh.  Merging combines weights (capped at one) and moment-matches
     the Gaussians into the lower row of the pair, by config.merge_cov.
     With nothing to merge the input set is returned.
 
-    The distance matrix is built once.  After a merge the higher row and
-    column read +inf and the lower ones are recomputed, so the live entries
-    equal a full rebuild over the live rows, in the same row-major order:
-    argmin picks the same pair.
+    Only pairs that can qualify get a distance.  With lambda_i the largest
+    eigenvalue of row i's position block and D_ij the difference of the
+    positions, d_ij >= |D_ij|^2 / (lambda_i + lambda_j) by Weyl's
+    inequality, so a pair can qualify only if |D_ij|^2 < d_thresh
+    (1 + _BOUND_SLACK) (lambda_i + lambda_j); the slack covers rounding.
+    A sweep over the bounded rows sorted by x finds those pairs; every
+    other row is paired with every row (see _SPREAD_RANGE).  The
+    qualifying pairs wait in a heap keyed (d, lo, hi) with lo < hi, which
+    orders them as an argmin over the full distance matrix would find
+    them: the first minimum in row-major order.  A merge bumps the versions
+    of its two rows, voiding their waiting pairs, and pairs the kept row
+    with the rows that pass the bound against it, at its new lambda: the
+    unmerged bounded rows in an x window of the sweep, and every merged or
+    unbounded row.  So the work of a merge follows its candidates, not n.
     """
     d_thresh, cov_mode, n = config.d_thresh, config.merge_cov, len(pset)
     if n < 2:
         return pset
-    d = _position_distances(pset.means, pset.covs)
-    np.fill_diagonal(d, np.inf)
-    lo, hi = divmod(int(np.argmin(d)), n)  # the first of a symmetric pair, so lo < hi
-    if d[lo, hi] >= d_thresh:
+    bound = d_thresh * (1.0 + _BOUND_SLACK)
+    pos = np.array(_position_columns(pset.means, pset.covs))
+    with np.errstate(all="ignore"):
+        lam, bounded = _position_spread(pos[2:])
+        swept = np.flatnonzero(bounded)
+        swept = swept[np.argsort(pos[0, swept])]
+        (xs, ys), lams = pos[:2, swept], lam[swept]
+        lam_top = float(lams.max(initial=0.0))  # no unmerged bounded row exceeds it
+        k, l = _sweep_pairs(xs, math.sqrt(2.0 * bound * lam_top) * (1.0 + _BOUND_SLACK))
+        near = _within_bound(xs[l] - xs[k], ys[l] - ys[k], lams[k] + lams[l], bound)
+        i, j = swept[k[near]], swept[l[near]]
+        loose = np.flatnonzero(~bounded)  # rows outside the sweep
+        if loose.size:
+            u, v = np.divmod(np.arange(loose.size * n), n)
+            u = loose[u]
+            once = bounded[v] | (v > u)  # a pair of two loose rows once
+            i, j = np.concatenate((i, u[once])), np.concatenate((j, v[once]))
+        d = _position_distances(pos[:, i], pos[:, j])
+    hit = (d < d_thresh) & (d > -np.inf)  # an infinite distance never qualifies, nor does nan
+    if not hit.any():
         return pset  # nothing merged: share the immutable set, skip a construction
+    i, j = i[hit], j[hit]
+    lo, hi = np.minimum(i, j).tolist(), np.maximum(i, j).tolist()
+    heap = [(dij, a, b, 0, 0) for dij, a, b in zip(d[hit].tolist(), lo, hi)]  # versions 0
+    heapq.heapify(heap)
     weights, means, covs = (np.array(a) for a in (pset.weights, pset.means, pset.covs))
-    live = np.ones(n, dtype=bool)
-    while d[lo, hi] < d_thresh:
-        merged = moment_match_merge(weights[[lo, hi]], means[[lo, hi]], covs[[lo, hi]], cov_mode)
+    live, version = np.ones(n, dtype=bool), [0] * n
+    # Python values per row from here on; rows[r] holds row r's position columns
+    rows, lam, bounded, in_sweep = pos.T.tolist(), lam.tolist(), bounded.tolist(), bounded.tolist()
+    swept, xs, loose = swept.tolist(), xs.tolist(), set(loose.tolist())
+    while heap:
+        _, lo, hi, v_lo, v_hi = heapq.heappop(heap)
+        if version[lo] != v_lo or version[hi] != v_hi:
+            continue  # a row of the pair merged after the pair was pushed
+        pair = slice(lo, hi + 1, hi - lo)  # rows lo and hi, as views: cheaper than a gather
+        merged = moment_match_merge(weights[pair], means[pair], covs[pair], cov_mode)
         weights[lo], means[lo], covs[lo] = merged
-        live[hi] = False
-        row = _position_distances(means, covs, slice(lo, lo + 1))[0]
-        row[~live] = np.inf
-        row[lo] = np.inf
-        d[hi, :] = d[:, hi] = np.inf
-        d[lo, :] = d[:, lo] = row
-        lo, hi = divmod(int(np.argmin(d)), n)
+        version[lo] += 1
+        version[hi] += 1
+        live[hi] = in_sweep[hi] = in_sweep[lo] = False
+        loose -= {lo, hi}
+        candidates = list(loose)
+        loose.add(lo)  # a merged row leaves the sweep
+        p = _position_columns(merged[1], merged[2])  # 0-d arrays: inf and nan, never an exception
+        rows[lo] = [float(v) for v in p]
+        with np.errstate(all="ignore"):
+            lam_lo, bounded_lo = _position_spread(p[2:])
+            lam[lo], bounded[lo] = float(lam_lo), bool(bounded_lo)
+            if bounded[lo]:
+                x, y = rows[lo][:2]
+                reach = math.sqrt(bound * (lam[lo] + lam_top)) * (1.0 + _BOUND_SLACK)
+                window = swept[bisect.bisect_left(xs, x - reach):bisect.bisect_right(xs, x + reach)]
+                candidates += [r for r in window if in_sweep[r]]
+                candidates = [r for r in candidates if not bounded[r] or _within_bound(
+                    rows[r][0] - x, rows[r][1] - y, lam[lo] + lam[r], bound)]
+            else:
+                candidates = [r for r in np.flatnonzero(live).tolist() if r != lo]
+            d = [_position_distances(p, rows[r]) for r in candidates]
+        for dij, other in zip(d, candidates):
+            if -math.inf < dij < d_thresh:
+                a, b = min(lo, other), max(lo, other)
+                heapq.heappush(heap, (float(dij), a, b, version[a], version[b]))
     return GpfParticleSet(weights[live], means[live], covs[live], pset.degenerate_step)
 
 

@@ -11,10 +11,13 @@ from numpy.testing import assert_allclose
 from mtt.domains import Choice, Range
 from mtt.gaussians import _symmetrize, log_pdf, moment_match_merge
 from mtt.gpf import (
+    _BOUND_SLACK,
     CombinatorialBlowupError,
     ExistenceCombination,
     GpfConfig,
     GpfParticleSet,
+    _position_columns,
+    _position_distances,
     birth_and_prune,
     combination_log_weight,
     conditional_kf_update,
@@ -103,7 +106,7 @@ def _distances_by_full_matrix(means, covs):
     sa = a[:, None] + a[None, :]
     sb = b[:, None] + b[None, :]
     sc = c[:, None] + c[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # tiny, singular and huge blocks overflow to inf
         d = (sc * dx**2 - 2.0 * sb * dx * dy + sa * dy**2) / (sa * sc - sb**2)
     d[~np.isfinite(d)] = np.inf
     np.fill_diagonal(d, np.inf)
@@ -196,6 +199,45 @@ def _clustered_psets(draw):
         for *_, v, r, _ in rows
     ])
     return GpfParticleSet([w for *_, w in rows], means.reshape(-1, 4), covs.reshape(-1, 4, 4))
+
+
+# position-block scales: mostly 1, sometimes far outside the range in which the
+# merge bounds a pair's distance (it then pairs the row with every row), zero,
+# or negative (a negative semi-definite block)
+_SCALES = st.sampled_from([1.0] * 10 + [1e-120, 1e120, 0.0, -1.0])
+# correlations: mostly mild, sometimes singular (|rho| = 1), nearly singular or
+# not positive semi-definite
+_RHOS = st.sampled_from([0.0, 0.0, 0.3, -0.5, 1.0, -1.0, 1.0 - 1e-9, -(1.0 - 1e-12), 0.999, 1.5])
+
+
+@st.composite
+def _spread_psets(draw):
+    """Up to 150 particles around centres up to 200 apart, so the merge's search
+    spans many windows.  One row may carry 100 times the variance of the rest,
+    and some position blocks are zero, singular, nearly singular, not positive
+    semi-definite, or far outside the scale of the others."""
+    n = draw(st.integers(0, 150))
+    lattice = draw(st.booleans())
+    if lattice:
+        offset, var = st.integers(-6, 6).map(lambda k: 0.25 * k), st.just(1.0)
+    else:
+        offset, var = st.floats(-1.5, 1.5), st.sampled_from([0.25, 0.5, 1.0, 2.0])
+    centre = st.integers(-200, 200) if lattice else st.floats(-200, 200)
+    centres = draw(st.lists(st.tuples(centre, centre), min_size=1, max_size=12))
+    aspect = st.sampled_from([1.0, 1.5])  # var_y / var_x: at 1, |rho| = 1 is exactly singular
+    row = st.tuples(st.sampled_from(centres), offset, offset, var, aspect, _RHOS, _SCALES,
+                    _MERGE_WEIGHTS)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    wide = draw(st.integers(-1, n - 1))  # the row with 100 times the variance, or none
+    means = np.array([[cx + ox, 0.1, cy + oy, -0.1] for (cx, cy), ox, oy, *_ in rows])
+    covs = []
+    for k, (*_, v, aspect, r, scale, _) in enumerate(rows):
+        v *= scale * (100.0 if k == wide else 1.0)
+        b = r * v * math.sqrt(aspect)
+        covs.append([[v, 0.0, b, 0.0], [0.0, 0.1, 0.0, 0.0], [b, 0.0, aspect * v, 0.0],
+                     [0.0, 0.0, 0.0, 0.1]])
+    return GpfParticleSet([w for *_, w in rows], means.reshape(-1, 4),
+                          np.array(covs).reshape(-1, 4, 4))
 
 
 @st.composite
@@ -754,12 +796,59 @@ class TestMergeClose:
     def test_unknown_cov_mode_rejected_before_merging(self):
         _assert_stage_settings_checked("merge_cov", merge_cov="bogus")
 
-    @given(_clustered_psets(), st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+    @given(st.one_of(_clustered_psets(), _spread_psets()), st.sampled_from([0.5, 1.0, 2.0, 4.0]),
            st.sampled_from(["moment", "plain_sum"]))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_matches_full_rebuild(self, pset, d_thresh, cov_mode):
         got = _outcome(_merge, pset, d_thresh, cov_mode)
         _assert_same_outcome(got, _outcome(_merge_by_full_rebuild, pset, d_thresh, cov_mode))
+
+    @given(_spread_psets())
+    @settings(max_examples=30, deadline=None)
+    def test_pair_distances_have_the_full_matrix_bits(self, pset):
+        # on arrays of pairs and on the numpy scalars of one pair alike
+        full = _distances_by_full_matrix(pset.means, pset.covs)
+        pos = np.array(_position_columns(pset.means, pset.covs))
+        i, j = np.triu_indices(len(pset), 1)
+        with np.errstate(all="ignore"):
+            pairs = _position_distances(pos[:, i], pos[:, j])
+            one = [_position_distances(list(pos[:, a]), list(pos[:, b])) for a, b in zip(i, j)]
+        pairs[~np.isfinite(pairs)] = np.inf
+        assert np.array_equal(pairs, full[i, j])
+        assert np.array_equal(np.where(np.isfinite(one), one, np.inf), full[i, j])
+
+    def test_merged_row_reaches_past_the_first_bounds(self):
+        # A and B merge first; the merged row's largest position eigenvalue
+        # (1.49) exceeds every row's before (1), and it then lies within
+        # d_thresh of C, which no first-pass bound reached, not even one
+        # taken about the merged mean with the first pass's largest eigenvalue
+        rows = [_particle(0.3, -0.7, 0.0), _particle(0.3, 0.7, 0.0),
+                _particle(0.3, 0.32, 0.96, var=0.01)]
+        pset = _pset(rows)
+        bound = 1.0 * (1.0 + _BOUND_SLACK)
+        (ax, ay), (bx, by), (cx, cy) = pset.means[:, list(POSITION_IDX)]
+        for x, y in ((ax, ay), (bx, by), (0.0, 0.0)):
+            assert (cx - x) ** 2 + (cy - y) ** 2 >= bound * (1.0 + 0.01)
+        out = _merge(pset, 1.0)
+        assert len(out) == 1
+        _assert_same_outcome(out, _merge_by_full_rebuild(pset, 1.0))
+
+    def test_pair_distances_stay_subquadratic(self, monkeypatch):
+        # 2000 rows on a lattice 10 apart, five of them with a partner 0.5 away
+        computed = []
+
+        def counting(p, q):
+            d = _position_distances(p, q)
+            computed.append(np.size(d))
+            return d
+
+        monkeypatch.setattr("mtt.gpf._position_distances", counting)
+        grid = [_particle(0.4, 10.0 * (k % 45), 10.0 * (k // 45)) for k in range(2000)]
+        partners = [_particle(0.4, 10.0 * k + 0.5, 0.0) for k in range(5)]
+        pset = _pset(grid + partners)
+        out = _merge(pset, 1.0)
+        assert len(out) == len(pset) - 5
+        assert sum(computed) <= 20 * len(pset)
 
     def test_merge_chain_and_ties_match_full_rebuild(self):
         # 0 and 1 merge first; the merged particle then lies within d_thresh of 2,
