@@ -112,9 +112,12 @@ def log_pdf(mean: np.ndarray, cov: np.ndarray, x: np.ndarray) -> float | np.ndar
     log N(x) = -1/2 [ (x-mu)' Sigma^-1 (x-mu) + n log(2 pi) + log|Sigma| ]
 
     x is one point (n,), giving a float, or a stack (..., n), giving an
-    array (...) from one Cholesky factor of Sigma; every row has the bits
-    of a one-point call.  The moments are checked and the cov symmetrized
-    as _checked_moments does.
+    array (...) from one Cholesky factor L of Sigma.  L u = x - mu is solved
+    for all rows at once by forward substitution, one column of u at a
+    time, so every row has the bits of a one-point call; for a diagonal L
+    (a diagonal Sigma) u is (x - mu) / diag(L), the bits of a LAPACK solve
+    per row.  The moments are checked and the cov symmetrized as
+    _checked_moments does.
     """
     mean, cov = _checked_moments(mean, cov)
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -122,10 +125,17 @@ def log_pdf(mean: np.ndarray, cov: np.ndarray, x: np.ndarray) -> float | np.ndar
     if x.shape[-1] != n:
         raise ValueError(f"x shape {x.shape} does not match mean shape {mean.shape}")
     chol = chol_with_jitter(cov)
-    # one LAPACK solve per row (a many-column solve rounds differently), and
+    # forward substitution over the whole stack: elementwise products and a
+    # division (a matvec or a reciprocal rounds differently per row), then
     # a matmul per row that has the bits of u @ u
-    u = np.linalg.solve(chol, (x - mean).reshape(-1, n, 1))
-    quad = (u.swapaxes(1, 2) @ u).reshape(x.shape[:-1])
+    r = (x - mean).reshape(-1, n)
+    u = np.empty_like(r)
+    for i in range(n):
+        acc = r[:, i]
+        for j in range(i):
+            acc = acc - chol[i, j] * u[:, j]
+        u[:, i] = acc / chol[i, i]
+    quad = (u[:, None, :] @ u[:, :, None]).reshape(x.shape[:-1])
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     out = -0.5 * (quad + n * np.log(2.0 * np.pi) + logdet)
     return float(out) if x.ndim == 1 else out

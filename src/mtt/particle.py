@@ -65,9 +65,20 @@ def effective_sample_size(weights: np.ndarray) -> float:
 
 def resample_multinomial(pset: PointParticleSet, rng: np.random.Generator,
                          zero_likelihood: bool = False) -> PointParticleSet:
-    """Draw N particles with replacement proportional to weight; reset to 1/N."""
+    """Draw N particles with replacement proportional to weight; reset to 1/N.
+
+    The draws and the random stream are those of
+    rng.choice(N, size=N, replace=True, p=weights): N uniforms searched in
+    the normalized cumulative weights, here in sorted order, which finds
+    the same indices with less work than one search per unsorted draw.
+    """
     n = pset.n_particles
-    idx = rng.choice(n, size=n, replace=True, p=pset.weights)
+    cdf = pset.weights.cumsum()
+    cdf /= cdf[-1]
+    draws = rng.random(n)
+    order = np.argsort(draws)
+    idx = np.empty(n, dtype=np.intp)
+    idx[order] = cdf.searchsorted(draws[order], side="right")
     return PointParticleSet(pset.states[idx], np.full(n, 1.0 / n), zero_likelihood)
 
 

@@ -7,10 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad, simpson
+from scipy.stats import multivariate_normal
 
+from mtt import gaussians
 from mtt.gaussians import (
     SingularCovarianceError,
+    _checked_moments,
     _symmetrize,
+    chol_with_jitter,
     log_pdf,
     mixture_moments,
     moment_match_merge,
@@ -24,6 +28,17 @@ from mtt.sensors import CellReturns
 def _random_psd(rng, n, scale=1.0):
     a = rng.standard_normal((n, n))
     return scale * (a @ a.T) + 0.1 * np.eye(n)
+
+
+def _log_pdf_by_row_solves(mean, cov, x):
+    """The earlier log_pdf: one LAPACK solve per row of the (k, n) stack x."""
+    mean, cov = _checked_moments(mean, cov)
+    n = mean.shape[0]
+    chol = chol_with_jitter(cov)
+    u = np.linalg.solve(chol, (x - mean).reshape(-1, n, 1))
+    quad = (u.swapaxes(1, 2) @ u).reshape(x.shape[:-1])
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return -0.5 * (quad + n * np.log(2.0 * np.pi) + logdet)
 
 
 class TestLogPdf:
@@ -79,6 +94,45 @@ class TestLogPdf:
     def test_stack_dimension_mismatch(self):
         with pytest.raises(ValueError):
             log_pdf(np.zeros(2), np.eye(2), np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @pytest.mark.parametrize("variances", [(0.5,), (0.3,), (0.5, 0.3, 2.7, 0.11)])
+    def test_diagonal_cov_has_the_bits_of_row_solves(self, d, variances):
+        # variances that are not powers of 4, so diag(L) is not exact and a
+        # multiply by its reciprocal would round differently from the solve
+        rng = np.random.default_rng(d)
+        cov = np.diag(np.resize(variances, d))
+        mean = rng.standard_normal(d)
+        xs = 3.0 * rng.standard_normal((5000, d))
+        assert_array_equal(log_pdf(mean, cov, xs), _log_pdf_by_row_solves(mean, cov, xs))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+    def test_matches_scipy_for_random_psd_covs(self, d):
+        rng = np.random.default_rng(10 + d)
+        for _ in range(20):
+            mean, cov = rng.standard_normal(d), _random_psd(rng, d)
+            xs = mean + 3.0 * rng.standard_normal((100, d))
+            assert_allclose(log_pdf(mean, cov, xs),
+                            multivariate_normal(mean, cov).logpdf(xs), rtol=1e-12)
+
+    def test_empty_stack(self):
+        assert log_pdf(np.zeros(2), np.eye(2), np.zeros((0, 2))).shape == (0,)
+
+    def test_one_factor_and_no_solve_for_a_stack(self, monkeypatch):
+        calls = {"chol": 0, "solve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(gaussians, "chol_with_jitter",
+                            counted("chol", gaussians.chol_with_jitter))
+        monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+        rng = np.random.default_rng(0)
+        log_pdf(np.zeros(2), _random_psd(rng, 2), rng.standard_normal((1000, 2)))
+        assert calls == {"chol": 1, "solve": 0}
 
 
 class TestNoiseFactor:

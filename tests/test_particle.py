@@ -117,6 +117,28 @@ class TestResampling:
             out = resampler(pset, np.random.default_rng(2))
             assert effective_sample_size(out.weights) == pytest.approx(50.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    @pytest.mark.parametrize("kind", ["uniform", "point_mass", "with_zeros", "random"])
+    def test_multinomial_is_choice_with_p(self, n, kind):
+        # the draws and the stream of rng.choice(n, n, replace=True, p=w)
+        states = np.arange(n, dtype=float)[:, None]
+        for seed in range(200):
+            w = np.random.default_rng(10_000 + seed).random(n)
+            if kind == "uniform":
+                w = np.ones(n)
+            elif kind == "point_mass":
+                w = np.zeros(n)
+                w[seed % n] = 1.0
+            elif kind == "with_zeros":
+                w[::2] = 0.0
+                w[-1] += w.sum() == 0.0
+            pset = PointParticleSet(states, w / w.sum())
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = resample_multinomial(pset, rng_a)
+            idx = rng_b.choice(n, size=n, replace=True, p=pset.weights)
+            assert_array_equal(out.states, states[idx])
+            assert rng_a.random() == rng_b.random()
+
     def test_systematic_reproducible(self):
         rng_a = np.random.default_rng(5)
         rng_b = np.random.default_rng(5)
