@@ -9,12 +9,13 @@ grows with the number of targets.
 A measurement made over the sensor's field of view is explained by
 enumerating existence combinations: boolean vectors saying which in-view
 particles are assumed present.  Every sufficiently probable combination
-gets a conditional Kalman update for each of its active particles (with
-the other active particles folded into the effective measurement noise),
-whose innovation density is the combination's evidence, and finally each
-particle's weight and state are recovered by marginalizing over the
-combinations that contain it.  Nearby particles are merged, low-weight
-particles pruned, and detections can seed new ones.
+gets one Kalman update of its active particles' stacked state, which the
+sensor's mean measures linearly: each diagonal block of it is an active
+particle's conditional update, and its innovation density is the
+combination's evidence.  Finally each particle's weight and state are
+recovered by marginalizing over the combinations that contain it.  Nearby
+particles are merged, low-weight particles pruned, and detections can seed
+new ones.
 """
 
 from __future__ import annotations
@@ -130,11 +131,11 @@ class GpfConfig:
 def gpf_predict(pset: GpfParticleSet, config: GpfConfig) -> tuple[np.ndarray, np.ndarray]:
     """The Kalman-predicted (means, covs) of every particle, by config's F and Q.
 
-    The covariances come back symmetrized, as a set's construction would
-    leave them, so the update reads the bits that the step's set will hold.
+    The covariances come back as kf_predict computes them, unsymmetrized:
+    kf_update symmetrizes what the update reads, and the step's one set
+    construction symmetrizes the rest.
     """
-    means, covs = kf_predict(pset.means, pset.covs, config.f_matrix, config.q_matrix)
-    return means, _symmetrize(covs)
+    return kf_predict(pset.means, pset.covs, config.f_matrix, config.q_matrix)
 
 
 def select_fov_particles(means: np.ndarray, fov: FovRegion) -> tuple[np.ndarray, np.ndarray]:
@@ -182,52 +183,44 @@ def enumerate_combinations(weights: list[float], config: GpfConfig) -> list[Exis
     return found
 
 
+def _diagonal_blocks(joint: np.ndarray, n: int) -> np.ndarray:
+    """The n diagonal (d, d) blocks of an (nd, nd) matrix, as a writable (n, d, d) view."""
+    d = joint.shape[0] // n
+    return np.einsum("iaib->iab", joint.reshape(n, d, n, d))
+
+
 def conditional_kf_update(
-    j: int,
-    bits: tuple[int, ...],
-    means: np.ndarray,
-    covs: np.ndarray,
-    z: np.ndarray,
-    r: np.ndarray,
-    projection: np.ndarray,
+    means: np.ndarray, covs: np.ndarray, z: np.ndarray, r: np.ndarray, projection: np.ndarray
 ) -> KalmanUpdate:
-    """Kalman update of in-view prior row j assuming the combination `bits` holds.
+    """Kalman update of one combination's active rows, means (n, d) and covs (n, d, d).
 
-    The sensor reports the mean of the active targets, so from particle
-    j's point of view the measurement matrix shrinks to projection / n
-    (n = number of active particles), the other active particles'
-    predicted means are subtracted out of z, and their covariances join
-    the measurement noise:
-
-        z'    = z - P (sum_{i != j} e_i mu_i) / n
-        H     = P / n
-        R_eff = (1/n^2) P (sum_{i != j} e_i Sigma_i) P' + R
-
-    With a single active particle this is exactly the plain Kalman update.
-    means (s, d) and covs (s, d, d) are the in-view prior rows; z, r and
-    projection are float arrays (1-D, 2-D, 2-D).
+    The sensor reports the mean of the n active targets, z = (P/n) sum_i x_i
+    + w: a linear-Gaussian measurement of the stacked state [x_1; ...; x_n],
+    whose prior is block diagonal.  So one kf_update of that stacked state,
+    with H = [P/n ... P/n], is the combination's update.  Block j of the
+    returned mean (nd,) and cov (nd, nd) is row j's conditional update, and
+    residual and innovation_cov are the combination's z - mu_c and
+    Sigma_c = (1/n^2) P (sum_i Sigma_i) P' + R.  With one row this is
+    exactly the plain Kalman update of that row.  z, r and projection are
+    float arrays (1-D, 2-D, 2-D); an empty stack raises ValueError.
     """
-    if bits[j] != 1:
-        raise ValueError(f"particle {j} is not active in combination {bits}")
-    if z.shape != projection.shape[:1]:
-        raise ValueError(f"z shape {z.shape} does not match {projection.shape[0]} projection rows")
-    n_active = int(sum(bits))
-    others = [i for i, e in enumerate(bits) if e and i != j]
-    if others:
-        z = z - projection @ means[others].sum(axis=0) / n_active
-        r = projection @ covs[others].sum(axis=0) @ projection.T / n_active**2 + r
-    return kf_update(means[j], covs[j], projection / n_active, r, z)
+    n, d = means.shape
+    if not n:
+        raise ValueError("a combination's update needs at least one active row")
+    joint = np.zeros((n * d, n * d))
+    _diagonal_blocks(joint, n)[...] = covs
+    return kf_update(means.reshape(-1), joint, np.tile(projection / n, (1, n)), r, z)
 
 
 def combination_log_weight(
     combo: ExistenceCombination, post: KalmanUpdate | None, clutter_density: float
 ) -> float:
-    """Log of prior times evidence, where post is the conditional update of
-    any active row of the combination, or None for the all-zero combination.
+    """Log of prior times evidence, where post is the combination's
+    conditional_kf_update, or None for the all-zero combination.
 
     The evidence is the innovation density N(post.residual; 0, post.innovation_cov):
-    every active row's update has residual z - P (sum_active mu_i) / n and innovation
-    covariance (1/n^2) P (sum_active Sigma_i) P' + R, up to rounding.  The all-zero
+    the update's residual is z - P (sum_active mu_i) / n and its innovation
+    covariance (1/n^2) P (sum_active Sigma_i) P' + R.  The all-zero
     combination explains the measurement as clutter at the configured density.
     """
     if post is None:
@@ -483,18 +476,23 @@ def _mean_measurement_update(
         return weights, means, covs, True
 
     r, proj = config.sensor.R, config.sensor.position_projection
-    log_weights, pairs = [], []  # pairs: the (combination, row) updates in np.argwhere order
+    bits = np.array([combo.bits for combo in combos])
+    _, pair_row = np.nonzero(bits)
+    # the prior rows of the (combination, row) pairs in np.argwhere order, so each
+    # combination's active rows are one slice, which its update overwrites
+    post_means, post_covs = in_means[pair_row], in_covs[pair_row]
+    start, log_weights = 0, []
     for combo in combos:
-        posts = [conditional_kf_update(j, combo.bits, in_means, in_covs, z, r, proj)
-                 for j, e in enumerate(combo.bits) if e]
-        post = posts[0] if posts else None
+        n, post = sum(combo.bits), None
+        if n:
+            pairs = slice(start, start + n)
+            post = conditional_kf_update(post_means[pairs], post_covs[pairs], z, r, proj)
+            post_means[pairs] = post.mean.reshape(n, -1)
+            post_covs[pairs] = _diagonal_blocks(post.cov, n)
+            start += n
         log_weights.append(combination_log_weight(combo, post, config.clutter_density))
-        pairs += posts
-    marginal = marginalize_existence(
-        np.array([combo.bits for combo in combos]), normalize_combination_weights(log_weights),
-        np.array([post.mean for post in pairs]).reshape(-1, *in_means.shape[1:]),
-        np.array([post.cov for post in pairs]).reshape(-1, *in_covs.shape[1:]),
-        in_weights, in_means, in_covs)
+    marginal = marginalize_existence(bits, normalize_combination_weights(log_weights),
+                                     post_means, post_covs, in_weights, in_means, in_covs)
 
     weights, means, covs = (a.copy() for a in (weights, means, covs))
     weights[in_idx], means[in_idx], covs[in_idx] = marginal

@@ -3,7 +3,8 @@
 Serves three roles: a single-target baseline, the exact oracle that the
 particle filters are checked against, and the engine of every Gaussian
 particle's predict and conditional update.  Each step takes only the
-matrices it reads, so the GPF passes its effective H and R directly.
+matrices it reads, so the GPF updates a combination's stacked state with
+its own H and the sensor's R.
 """
 
 from __future__ import annotations

@@ -113,18 +113,21 @@ def test_criterion_2_conditional_gain_closed_form():
         denom = r + sum(covs[i] for i in range(s) if bits[i]) / ne**2
         closed = covs[j] @ np.linalg.inv(denom) / ne
         z = rng.standard_normal(n)
-        got = conditional_kf_update(j, tuple(bits), means, covs, z, r, np.eye(n)).gain
+        rows = np.flatnonzero(bits)  # one update of the combination's stacked active rows
+        k = rows.tolist().index(j)
+        gain = conditional_kf_update(means[rows], covs[rows], z, r, np.eye(n)).gain
+        got = gain[k * n:(k + 1) * n]  # row j's block
         rel = np.linalg.norm(got - closed) / np.linalg.norm(closed)
         assert rel <= 1e-10
         worst = max(worst, rel)
 
     out = conditional_kf_update(
-        0, (1, 1), np.array([[0.0], [2.0]]), np.array([[[1.0]], [[1.0]]]),
+        np.array([[0.0], [2.0]]), np.array([[[1.0]], [[1.0]]]),
         np.array([1.0]), np.array([[1.0]]), np.eye(1),
     )
-    assert_allclose(out.gain, [[1.0 / 3.0]], rtol=1e-15)
-    assert_allclose(out.mean, [0.0], atol=1e-15)
-    assert_allclose(out.cov, [[5.0 / 6.0]], rtol=1e-15)
+    assert_allclose(out.gain, [[1.0 / 3.0], [1.0 / 3.0]], rtol=1e-15)
+    assert_allclose(out.mean, [0.0, 2.0], atol=1e-15)
+    assert_allclose(np.diag(out.cov), [5.0 / 6.0, 5.0 / 6.0], rtol=1e-15)
     _report(2, 5.0, time.perf_counter() - t0,
             f"200 instances, worst relative gain deviation {worst:.1e} (tol 1e-10)")
 

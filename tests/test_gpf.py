@@ -16,6 +16,7 @@ from mtt.gpf import (
     ExistenceCombination,
     GpfConfig,
     GpfParticleSet,
+    _mean_measurement_update,
     _position_columns,
     _position_distances,
     birth_and_prune,
@@ -355,7 +356,7 @@ class TestPredict:
         for i in range(n):
             want_mean, want_cov = kf_predict(pset.means[i], pset.covs[i], f, q)
             assert np.array_equal(means[i], want_mean)
-            assert np.array_equal(covs[i], _symmetrize(want_cov))
+            assert np.array_equal(covs[i], want_cov)
 
 
 @pytest.mark.parametrize("name", ["d_thresh", "clutter_density"])
@@ -519,6 +520,30 @@ class TestEnumerate:
         assert all(p > eps for p in got.values())
 
 
+def _reference_row_update(j, bits, means, covs, z, r, projection):
+    """Row j's conditional update under the combination `bits`, by the per-row
+    algebra that one update of the stacked state replaces: the other active
+    rows' means are subtracted out of z and their covariances join the noise,
+
+        z'    = z - P (sum_{i != j} e_i mu_i) / n
+        H     = P / n
+        R_eff = (1/n^2) P (sum_{i != j} e_i Sigma_i) P' + R
+    """
+    n_active = int(sum(bits))
+    others = [i for i, e in enumerate(bits) if e and i != j]
+    if others:
+        z = z - projection @ means[others].sum(axis=0) / n_active
+        r = projection @ covs[others].sum(axis=0) @ projection.T / n_active**2 + r
+    return kf_update(means[j], covs[j], projection / n_active, r, z)
+
+
+def _blocks(post, n):
+    """The per-row (means (n, d), covs (n, d, d), gains (n, d, m)) of a stacked update."""
+    d = post.mean.shape[0] // n
+    covs = post.cov.reshape(n, d, n, d)[np.arange(n), :, np.arange(n)]
+    return post.mean.reshape(n, d), covs, post.gain.reshape(n, d, -1)
+
+
 class TestConditionalUpdate:
     def test_single_target_reduces_to_kalman(self):
         rng = np.random.default_rng(4)
@@ -526,34 +551,30 @@ class TestConditionalUpdate:
         proj = position_projection()
         r = np.eye(2) * 0.5
         z = rng.standard_normal(2)
-        got = conditional_kf_update(0, (1,), mean[None], cov[None], z, r, proj)
+        got = conditional_kf_update(mean[None], cov[None], z, r, proj)
         model = LinearGaussianModel(F=np.eye(4), Q=np.zeros((4, 4)), H=proj, R=r)
         want = kf_update(mean, cov, model.H, model.R, z)
-        assert_allclose(got.mean, want.mean, rtol=1e-14, atol=0)
-        assert_allclose(got.cov, want.cov, rtol=1e-14, atol=0)
-        assert_allclose(got.gain, want.gain, rtol=1e-14, atol=0)
+        for name in want._fields:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_two_particle_hand_example(self):
-        out = conditional_kf_update(
-            0, (1, 1), *_TWO_ROWS, np.array([1.0]), np.array([[1.0]]), np.eye(1)
-        )
+        out = conditional_kf_update(*_TWO_ROWS, np.array([1.0]), np.array([[1.0]]), np.eye(1))
+        means, covs, gains = _blocks(out, 2)
         assert_allclose(out.residual, [0.0], atol=1e-15)
         assert_allclose(out.innovation_cov, [[1.5]])
-        assert_allclose(out.gain, [[1.0 / 3.0]])
-        assert_allclose(out.mean, [0.0], atol=1e-15)
-        assert_allclose(out.cov, [[5.0 / 6.0]])
+        assert_allclose(gains, [[[1.0 / 3.0]], [[1.0 / 3.0]]])
+        assert_allclose(means, [[0.0], [2.0]], atol=1e-15)
+        assert_allclose(covs, [[[5.0 / 6.0]], [[5.0 / 6.0]]])
 
     def test_uninformative_measurement(self):
-        out = conditional_kf_update(
-            0, (1, 1), *_TWO_ROWS, np.array([1.0]), np.array([[1e12]]), np.eye(1)
-        )
-        assert_allclose(out.mean, [0.0], atol=1e-6)
-        assert_allclose(out.cov, [[1.0]], rtol=1e-6)
+        out = conditional_kf_update(*_TWO_ROWS, np.array([1.0]), np.array([[1e12]]), np.eye(1))
+        means, covs, _ = _blocks(out, 2)
+        assert_allclose(means, [[0.0], [2.0]], atol=1e-6)
+        assert_allclose(covs, [[[1.0]], [[1.0]]], rtol=1e-6)
 
-    def test_inactive_particle_rejected(self):
-        rows = _pset([_particle(0.5, 0.0, 0.0), _particle(0.5, 1.0, 1.0)])
-        with pytest.raises(ValueError):
-            conditional_kf_update(0, (0, 1), rows.means, rows.covs, np.zeros(2), np.eye(2),
+    def test_empty_stack_rejected(self):
+        with pytest.raises(ValueError, match="at least one active row"):
+            conditional_kf_update(np.zeros((0, 4)), np.zeros((0, 4, 4)), np.zeros(2), np.eye(2),
                                   position_projection())
 
     @pytest.mark.parametrize("bits", [(1,), (1, 1)])
@@ -562,13 +583,13 @@ class TestConditionalUpdate:
         # a 1-element z must not broadcast against the 2-row projection
         rows = _pset([_particle(0.5, 0.0, 0.0), _particle(0.5, 1.0, 1.0)][: len(bits)])
         with pytest.raises(ValueError):
-            conditional_kf_update(0, bits, rows.means, rows.covs, np.ones(z_dim), np.eye(2),
+            conditional_kf_update(rows.means, rows.covs, np.ones(z_dim), np.eye(2),
                                   position_projection())
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_gain_matches_closed_form(self, seed):
-        # closed form: K = (1/n) S_j (R + (1/n^2) sum_active S_i)^-1
+        # closed form: K_j = (1/n) S_j (R + (1/n^2) sum_active S_i)^-1
         rng = np.random.default_rng(seed)
         n = int(rng.choice([1, 2, 4]))
         s = int(rng.choice([1, 2, 3]))
@@ -583,17 +604,40 @@ class TestConditionalUpdate:
         ne = sum(bits)
         denom = r + sum(covs[i] for i in range(s) if bits[i]) / ne**2
         closed = covs[j] @ np.linalg.inv(denom) / ne
-        got = conditional_kf_update(j, tuple(bits), means, covs, z, r, np.eye(n)).gain
+        rows = np.flatnonzero(bits)
+        out = conditional_kf_update(means[rows], covs[rows], z, r, np.eye(n))
+        got = _blocks(out, ne)[2][rows.tolist().index(j)]
         assert np.linalg.norm(got - closed) <= 1e-10 * np.linalg.norm(closed)
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.sampled_from([1, 2, 4]))
+    @settings(max_examples=100, deadline=None)
+    def test_blocks_match_per_row_reference(self, seed, n, d):
+        # block j of the stacked update is row j's update by the per-row algebra
+        rng = np.random.default_rng(seed)
+        means, covs = _random_rows(rng, n, d)
+        m = min(d, 2)
+        proj, r, z = rng.standard_normal((m, d)), _random_psd(rng, m), rng.standard_normal(m)
+        out = conditional_kf_update(means, covs, z, r, proj)
+        bits = (1,) * n
+        for j, got in enumerate(zip(*_blocks(out, n))):
+            want = _reference_row_update(j, bits, means, covs, z, r, proj)
+            for g, w in zip(got, (want.mean, want.cov, want.gain)):
+                assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
+            for name in ("residual", "innovation_cov"):
+                g, w = getattr(out, name), getattr(want, name)
+                assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
+        if n == 1:  # a lone row's update is the plain Kalman update, bit for bit
+            want = kf_update(means[0], covs[0], proj, r, z)
+            assert all(np.array_equal(getattr(out, f), getattr(want, f)) for f in want._fields)
 
-def _first_update(combo, means, covs, z, r, proj):
-    """The conditional update of the combination's first active row, or None
-    for the all-zero combination: what the mean-sensor update weighs it by."""
-    active = [j for j, e in enumerate(combo.bits) if e]
-    if not active:
+
+def _combination_update(combo, means, covs, z, r, proj):
+    """The combination's conditional update, or None for the all-zero
+    combination: what the mean-sensor update weighs it by."""
+    active = np.flatnonzero(combo.bits)
+    if not active.size:
         return None
-    return conditional_kf_update(active[0], combo.bits, means, covs, z, r, proj)
+    return conditional_kf_update(means[active], covs[active], z, r, proj)
 
 
 def _reference_log_evidence(bits, means, covs, z, r, proj):
@@ -610,7 +654,7 @@ class TestCombinationWeight:
     def test_perfect_match_peak_density(self):
         z = np.array([0.5])
         combo = ExistenceCombination((1,), prior=1.0)
-        post = _first_update(combo, np.array([[0.5]]), np.array([[[1e-4]]]), z,
+        post = _combination_update(combo, np.array([[0.5]]), np.array([[[1e-4]]]), z,
                              np.array([[1e-4]]), np.eye(1))
         w = math.exp(combination_log_weight(combo, post, 1.0))
         peak = 1.0 / math.sqrt(2 * math.pi * 2e-4)
@@ -622,20 +666,18 @@ class TestCombinationWeight:
         assert_allclose(w, 0.3 / 144.0, rtol=1e-12)
 
     def test_two_active_hand_example(self):
-        # mu_c = 1, Sigma_c = (1+1)/4 + 1 = 1.5, density = 1/sqrt(2 pi 1.5), from either row
+        # mu_c = 1, Sigma_c = (1+1)/4 + 1 = 1.5, density = 1/sqrt(2 pi 1.5)
         combo = ExistenceCombination((1, 1), prior=0.81)
         expected_density = 1.0 / math.sqrt(2 * math.pi * 1.5)
-        for j in (0, 1):
-            post = conditional_kf_update(
-                j, combo.bits, *_TWO_ROWS, np.array([1.0]), np.array([[1.0]]), np.eye(1))
-            w = math.exp(combination_log_weight(combo, post, 1.0))
-            assert_allclose(w, 0.81 * expected_density, rtol=1e-12)
+        post = conditional_kf_update(*_TWO_ROWS, np.array([1.0]), np.array([[1.0]]), np.eye(1))
+        w = math.exp(combination_log_weight(combo, post, 1.0))
+        assert_allclose(w, 0.81 * expected_density, rtol=1e-12)
         assert_allclose(expected_density, 0.3257, atol=5e-5)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_evidence_matches_predicted_measurement_density(self, seed):
-        # every active row's update predicts N(z; mu_c, Sigma_c); a lone row's, bit for bit
+        # the combination's update predicts N(z; mu_c, Sigma_c); a lone row's, bit for bit
         rng = np.random.default_rng(seed)
         s = int(rng.integers(1, 5))
         means, covs = _random_rows(rng, s, 4)
@@ -647,13 +689,12 @@ class TestCombinationWeight:
                 continue
             combo = ExistenceCombination(bits, 1.0)
             want = _reference_log_evidence(bits, means, covs, z, r, proj)
-            for j in np.flatnonzero(bits).tolist():
-                post = conditional_kf_update(j, bits, means, covs, z, r, proj)
-                got = combination_log_weight(combo, post, 1.0)
-                if sum(bits) == 1:
-                    assert np.array_equal(got, want)
-                else:  # the densities agree to rtol 1e-12, compared as logs so none underflows
-                    assert abs(got - want) <= 1e-12
+            post = _combination_update(combo, means, covs, z, r, proj)
+            got = combination_log_weight(combo, post, 1.0)
+            if sum(bits) == 1:
+                assert np.array_equal(got, want)
+            else:  # the densities agree to rtol 1e-12, compared as logs so none underflows
+                assert abs(got - want) <= 1e-12
 
 
 class TestMarginalize:
@@ -747,6 +788,71 @@ class TestMarginalize:
     def test_empty_combinations_rejected(self):
         with pytest.raises(ValueError):
             self._marginalize([], [(0.5, 0.0, 1.0)])
+
+
+def _per_pair_mean_update(weights, means, covs, z, config):
+    """The mean-sensor update as a loop over (combination, row) pairs: each
+    pair's update by _reference_row_update, each combination weighed by its
+    first pair's, and the pair stacks fed to marginalize_existence."""
+    in_idx, _ = select_fov_particles(means, config.fov)
+    if not in_idx.size:
+        return weights, means, covs, False
+    in_weights, in_means, in_covs = (a[in_idx] for a in (weights, means, covs))
+    combos = enumerate_combinations(in_weights.tolist(), config)
+    if not combos:
+        return weights, means, covs, True
+    r, proj, d = config.sensor.R, config.sensor.position_projection, means.shape[1]
+    log_weights, pairs = [], []
+    for combo in combos:
+        posts = [_reference_row_update(j, combo.bits, in_means, in_covs, z, r, proj)
+                 for j, e in enumerate(combo.bits) if e]
+        log_weights.append(combination_log_weight(
+            combo, posts[0] if posts else None, config.clutter_density))
+        pairs += posts
+    marginal = marginalize_existence(
+        np.array([combo.bits for combo in combos]), normalize_combination_weights(log_weights),
+        np.array([post.mean for post in pairs]).reshape(-1, d),
+        np.array([post.cov for post in pairs]).reshape(-1, d, d),
+        in_weights, in_means, in_covs)
+    weights, means, covs = (a.copy() for a in (weights, means, covs))
+    weights[in_idx], means[in_idx], covs[in_idx] = marginal
+    return weights, means, covs, False
+
+
+class TestMeanUpdateMatchesPerPairLoop:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_random_beliefs(self, seed, s):
+        # the last row of a belief of two or more lies out of view
+        rng = np.random.default_rng(seed)
+        means, covs = _random_rows(rng, s, 4)
+        means[:, list(POSITION_IDX)] = rng.uniform(0.0, 10.0, (s, 2))
+        if s > 1:
+            means[-1, POSITION_IDX[0]] = 11.0
+        weights = rng.uniform(0.05, 0.95, s)
+        z = rng.uniform(0.0, 10.0, 2)
+        config = _mean_config(sensor=_mean_sensor(float(rng.uniform(0.1, 2.0))),
+                              fov=FovRegion.box(0.0, 0.0, 10.0, 12.0), epsilon=0.01)
+        got = _mean_measurement_update(weights, means, covs, z, config)
+        want = _per_pair_mean_update(weights, means, covs, z, config)
+        assert got[3] is want[3] is False
+        for g, w in zip(got[:3], want[:3]):
+            if s == 1:
+                assert np.array_equal(g, w)
+            else:
+                assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
+
+    def test_degenerate_step(self):
+        # weights 0.5 and epsilon 0.25: every combination's prior is 0.25
+        weights, means, covs = (np.array(a) for a in zip(*[_particle(0.5, 2.0, 2.0),
+                                                             _particle(0.5, 9.0, 9.0)]))
+        config = _mean_config(epsilon=0.25)
+        z = np.array([5.0, 5.0])
+        got = _mean_measurement_update(weights, means, covs, z, config)
+        want = _per_pair_mean_update(weights, means, covs, z, config)
+        assert got[3] is want[3] is True
+        for g, w in zip(got[:3], want[:3]):
+            assert np.array_equal(g, w)
 
 
 def _merge(pset, d_thresh, cov_mode="moment"):
@@ -1298,7 +1404,7 @@ class TestGpfStep:
         z, proj = np.array([3.0, 3.0]), sensor.position_projection
         logs = [
             combination_log_weight(
-                c, _first_update(c, rows.means, rows.covs, z, sensor.R, proj), 1.0 / 144)
+                c, _combination_update(c, rows.means, rows.covs, z, sensor.R, proj), 1.0 / 144)
             for c in combos
         ]
         posterior = normalize_combination_weights(logs)
