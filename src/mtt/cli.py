@@ -107,11 +107,12 @@ _COLUMNS = {
 }
 
 
-def _base64(key: str, arrays) -> str:
-    """The arrays' values in order, as the base64 of one run of _COLUMNS[key] bytes."""
+def _base64(key: str, arrays) -> bytes:
+    """The arrays' values in order, as the base64 (ASCII bytes) of one run of
+    _COLUMNS[key] bytes."""
     dtype = _COLUMNS[key][0]
     data = b"".join(np.asarray(a).astype(dtype, copy=False).tobytes() for a in arrays)
-    return binascii.b2a_base64(data, newline=False).decode("ascii")
+    return binascii.b2a_base64(data, newline=False)
 
 
 def write_particles_json(
@@ -123,7 +124,11 @@ def write_particles_json(
     path: Path,
 ) -> None:
     """The run's particle log, mtt-particle-log-v2 (README): the per-step lists, and each
-    array of the run (weights, means, covs, truth, measurement) written once, as base64."""
+    array of the run (weights, means, covs, truth, measurement) written once, as base64.
+
+    The text is json.dumps(payload, sort_keys=True, separators=(",", ":")) + newline,
+    but only the small values go through json: base64 never needs escaping, so each
+    column is written between quotes as it is."""
     records = tracking_log.records
     steps = {"n_particles": [len(rec.weights) for rec in records],
              **{key: [getattr(rec, key) for rec in records] for key in _STEP_LISTS[1:]}}
@@ -135,19 +140,23 @@ def write_particles_json(
         columns["values"] = [rec.measurement.values for rec in records]
     else:
         columns["z"] = [rec.measurement for rec in records]
-    payload = {
+    small = {
         "schema": LOG_SCHEMA,
         "config": dump_config(config),
         "filter": filter_choice,
         "sensor": sensor_choice,
         "seed": seed,
         **steps,
-        **{key: _base64(key, arrays) for key, arrays in columns.items()},
     }
-    path.write_text(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
+    parts = []  # ASCII bytes: json escapes every other character
+    for key in sorted([*small, *columns]):
+        parts.append((("," if parts else "{") + json.dumps(key) + ":").encode())
+        if key in columns:
+            parts += [b'"', _base64(key, columns[key]), b'"']
+        else:
+            parts.append(json.dumps(small[key], sort_keys=True, separators=(",", ":")).encode())
+    with path.open("wb") as log:
+        log.writelines(parts + [b"}\n"])
 
 
 def _column(payload: dict, key: str, rows: int, path: Path) -> np.ndarray:

@@ -10,6 +10,7 @@ sampling, and moment-matched mixture reduction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -172,17 +173,34 @@ def moment_match_merge(
     weight-normalized mean.  With cov_mode="moment" the covariance is the
     mixture covariance (spread of means included); "plain_sum" instead adds
     the input covariances unweighted, kept as a fidelity switch for
-    experiments.  An unknown cov_mode raises before anything is merged.
+    experiments.  An unknown cov_mode raises before anything is merged, and
+    so does a weight that is not finite and non-negative.
+
+    A "moment" merge of two rows, as merge_close_particles makes, is
+    a0 m0 + a1 m1 and a0 (C0 + d0 d0') + a1 (C1 + d1 d1') on the two rows
+    directly, symmetrized: the bits of mixture_moments' axis-0 sums without
+    its general k-row work.
     """
     if cov_mode not in COV_MODES:
         raise ValueError(f"unknown cov_mode {cov_mode!r}")
     weights = np.asarray(weights, dtype=float)
     if not len(weights):
         raise ValueError("cannot merge an empty particle list")
-    total = weights.sum()
+    listed = weights.tolist()
+    pair = len(listed) == 2 and cov_mode == "moment"
+    total = listed[0] + listed[1] if pair else float(weights.sum())  # a pair's sum either way
     if total <= 0.0:
         raise ValueError("total weight of merged particles must be positive")
+    if not all(0.0 <= w < math.inf for w in listed):  # nan fails too
+        raise ValueError(f"merged weights must be finite and non-negative, got {listed}")
+    if pair:
+        a0, a1 = listed[0] / total, listed[1] / total
+        means, covs = np.asarray(means, dtype=float), np.asarray(covs, dtype=float)
+        mean = a0 * means[0] + a1 * means[1]
+        diff = means - mean
+        spread = covs + diff[:, :, None] * diff[:, None, :]
+        return min(1.0, total), mean, _symmetrize(a0 * spread[0] + a1 * spread[1])
     mean, cov = mixture_moments(means, covs, weights)
     if cov_mode == "plain_sum":
-        cov = _symmetrize(covs.sum(axis=0))
-    return min(1.0, float(total)), mean, cov
+        cov = _symmetrize(np.sum(covs, axis=0))
+    return min(1.0, total), mean, cov

@@ -297,15 +297,15 @@ def _position_columns(means: np.ndarray, covs: np.ndarray) -> list[np.ndarray]:
 def _position_distances(p, q):
     """Mahalanobis distances between the position marginals of the rows whose
     _position_columns are p and q: arrays, pair by pair (one row's columns
-    broadcast), or one row's five values each, p's as numpy scalars so that
-    every operation follows numpy's rules for inf and nan.
+    broadcast), or one row's five floats each.
 
     d_ij = (mu_i - mu_j)' (Sigma_i + Sigma_j)^-1 (mu_i - mu_j) over the
     (x, y) components, by the closed-form 2x2 inverse.  Each entry is a
     fixed sequence of float64 operations on its own pair, so d_ij equals
-    d_ji bit for bit, on arrays and on scalars, whatever else is computed
+    d_ji bit for bit, on arrays and on floats, whatever else is computed
     with it.  Degenerate and extreme inputs give nan or +-inf, which never
-    qualify to merge; callers silence their warnings.
+    qualify to merge (callers silence numpy's warnings); on floats a zero
+    denominator raises ZeroDivisionError instead.
     """
     (px, py, pa, pb, pc), (qx, qy, qa, qb, qc) = p, q
     dx, dy, sa, sb, sc = px - qx, py - qy, pa + qa, pb + qb, pc + qc
@@ -314,9 +314,13 @@ def _position_distances(p, q):
 
 def _position_spread(block):
     """The largest eigenvalue of each position block (var_x, cov_xy, var_y
-    along the first axis), and whether the block is bounded."""
+    along the first axis, as arrays or as one block's floats), and whether
+    the block is bounded."""
     a, b, c = block
-    mid, radius = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
+    # hypot(h, b) written out, one expression for arrays and floats: a few
+    # ulps off, and under- or overflow of the squares matters only outside _SPREAD_RANGE
+    h = 0.5 * (a - c)
+    mid, radius = 0.5 * (a + c), (h * h + b * b) ** 0.5
     lam, lam_min = mid + radius, mid - radius
     bounded = (lam_min > _SPREAD_RANGE[0]) & (lam < _SPREAD_RANGE[1]) & (lam < _COND_LIMIT * lam_min)
     return lam, bounded
@@ -409,25 +413,25 @@ def merge_close_particles(pset: GpfParticleSet, config: GpfConfig) -> GpfParticl
         loose -= {lo, hi}
         candidates = list(loose)
         loose.add(lo)  # a merged row leaves the sweep
-        p = _position_columns(merged[1], merged[2])  # 0-d arrays: inf and nan, never an exception
-        rows[lo] = [float(v) for v in p]
-        with np.errstate(all="ignore"):
-            lam_lo, bounded_lo = _position_spread(p[2:])
-            lam[lo], bounded[lo] = float(lam_lo), bool(bounded_lo)
-            if bounded[lo]:
-                x, y = rows[lo][:2]
-                reach = math.sqrt(bound * (lam[lo] + lam_top)) * (1.0 + _BOUND_SLACK)
-                window = swept[bisect.bisect_left(xs, x - reach):bisect.bisect_right(xs, x + reach)]
-                candidates += [r for r in window if in_sweep[r]]
-                candidates = [r for r in candidates if not bounded[r] or _within_bound(
-                    rows[r][0] - x, rows[r][1] - y, lam[lo] + lam[r], bound)]
-            else:
-                candidates = [r for r in np.flatnonzero(live).tolist() if r != lo]
-            d = [_position_distances(p, rows[r]) for r in candidates]
-        for dij, other in zip(d, candidates):
+        rows[lo] = p = [float(v) for v in _position_columns(merged[1], merged[2])]
+        lam[lo], bounded[lo] = _position_spread(p[2:])
+        if bounded[lo]:
+            x, y = p[:2]
+            reach = math.sqrt(bound * (lam[lo] + lam_top)) * (1.0 + _BOUND_SLACK)
+            window = swept[bisect.bisect_left(xs, x - reach):bisect.bisect_right(xs, x + reach)]
+            candidates += [r for r in window if in_sweep[r]]
+            candidates = [r for r in candidates if not bounded[r] or _within_bound(
+                rows[r][0] - x, rows[r][1] - y, lam[lo] + lam[r], bound)]
+        else:
+            candidates = [r for r in np.flatnonzero(live).tolist() if r != lo]
+        for other in candidates:
+            try:
+                dij = _position_distances(p, rows[other])
+            except ZeroDivisionError:
+                continue  # a singular summed block: numpy's inf or nan, which never qualifies
             if -math.inf < dij < d_thresh:
                 a, b = min(lo, other), max(lo, other)
-                heapq.heappush(heap, (float(dij), a, b, version[a], version[b]))
+                heapq.heappush(heap, (dij, a, b, version[a], version[b]))
     return GpfParticleSet(weights[live], means[live], covs[live], pset.degenerate_step)
 
 

@@ -269,6 +269,20 @@ class TestParticleLog:
             write_particles_json(TrackingLog(records), config, "gpf", "mean", 0, path)
             _assert_same_bytes(TrackingLog(records), read_particles_json(path)[1])
 
+    @pytest.mark.parametrize("filter_choice, sensor_choice, text", [
+        ("gpf", "grid", SMALL_GRID_CFG),
+        ("gpf", "mean", _ONE_TARGET_CFG),
+    ], ids=["grid", "mean"])
+    def test_log_is_sorted_compact_json(self, filter_choice, sensor_choice, text, tmp_path):
+        # the columns are written between quotes as they are, and the file is
+        # still json.dumps of its payload with sorted keys and no spaces
+        path = tmp_path / "particles.json"
+        _logged_run(text, filter_choice, sensor_choice, path)
+        written = path.read_text(encoding="utf-8")
+        payload = json.loads(written)
+        assert written == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        assert {"weights", "means", "covs", "truth"} <= payload.keys()
+
     def test_log_holds_no_list_per_particle(self, tmp_path):
         # the cost of the log grows with the steps, not with the particles or cells
         path = tmp_path / "particles.json"

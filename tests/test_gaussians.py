@@ -216,17 +216,34 @@ class TestMomentMatchMerge:
         _, mean, cov = _merge([(0.5, 0.0, 1.0), (0.5, 2.0, 3.0)], cov_mode="plain_sum")
         assert_allclose(cov, [[4.0]])
         assert_allclose(mean, [1.0])
+        # lists, as the public function takes them, sum too
+        _, _, cov = moment_match_merge([0.5, 0.5], [[0.0], [2.0]], [[[1.0]], [[3.0]]], "plain_sum")
+        assert_allclose(cov, [[4.0]])
 
     def test_empty_and_zero_weight_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot merge an empty particle list"):
             moment_match_merge([], np.zeros((0, 1)), np.zeros((0, 1, 1)))
-        with pytest.raises(ValueError):
-            _merge([(0.0, 0.0, 1.0)] * 2)
+        # a negative total is reported as before, ahead of the weight check
+        for weights in ((0.0, 0.0), (-0.5, 0.2), (0.0, 0.0, 0.0)):
+            with pytest.raises(ValueError, match="total weight of merged particles must be positive"):
+                _merge([(w, 0.0, 1.0) for w in weights])
 
     def test_unknown_cov_mode_rejected_first(self):
         # checked before the inputs, so even an empty merge names the mode
         with pytest.raises(ValueError, match="unknown cov_mode 'bogus'"):
             moment_match_merge([], np.zeros((0, 1)), np.zeros((0, 1, 1)), "bogus")
+
+    @pytest.mark.parametrize("weights", [(math.nan, 0.5), (0.5, math.inf), (-0.2, 0.5),
+                                         (0.2, math.nan, 0.3), (0.2, -0.1, 0.3)])
+    @pytest.mark.parametrize("cov_mode", ["moment", "plain_sum"])
+    def test_invalid_weights_rejected(self, weights, cov_mode):
+        # min(1, nan) is 1 and a negative weight gives a cov that is not PSD:
+        # (-0.2, 0.5) once merged to cov[0, 0] = -0.111
+        rows = [(w, float(k), 1.0) for k, w in enumerate(weights)]
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            _merge(rows, cov_mode)
+        with pytest.raises(ValueError, match="unknown cov_mode 'bogus'"):
+            _merge(rows, "bogus")
 
     def test_inputs_left_unchanged(self):
         weights, means = np.array([0.8, 0.9]), np.array([[0.0], [2.0]])
@@ -282,6 +299,34 @@ def test_mixture_moments_has_the_bits_of_the_row_loop(seed, k, d):
     for got, want in zip(mixture_moments(means, covs, weights),
                          _mixture_moments_by_row(means, covs, weights)):
         assert np.array_equal(got, want)
+
+
+@st.composite
+def _pair_rows(draw):
+    """Two rows of dimension 1-4, means and covs each at one scale from 1e-150 to
+    1e150, one weight drawn from the point masses 0 and 1 as often as not."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 4))
+    mean_scale, cov_scale = (10.0 ** draw(st.integers(-150, 150)) for _ in range(2))
+    means = mean_scale * rng.standard_normal((2, d))
+    covs = np.array([cov_scale * _random_psd(rng, d) for _ in range(2)])
+    edge = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    weights = np.array([edge, draw(st.floats(1e-6, 1.0))])
+    if draw(st.booleans()):
+        weights = weights[::-1].copy()
+    return weights, means, covs
+
+
+@given(_pair_rows(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_pair_merge_has_the_bits_of_the_row_loop(rows, as_lists):
+    weights, means, covs = rows
+    args = [a.tolist() for a in rows] if as_lists else rows
+    weight, mean, cov = moment_match_merge(*args)
+    want_mean, want_cov = _mixture_moments_by_row(means, covs, weights)
+    assert weight == min(1.0, weights[0] + weights[1])
+    assert np.array_equal(mean, want_mean)
+    assert np.array_equal(cov, want_cov)
 
 
 class TestTypes:

@@ -912,16 +912,24 @@ class TestMergeClose:
     @given(_spread_psets())
     @settings(max_examples=30, deadline=None)
     def test_pair_distances_have_the_full_matrix_bits(self, pset):
-        # on arrays of pairs and on the numpy scalars of one pair alike
+        # on arrays of pairs and on the floats of one pair alike, where a zero
+        # denominator raises ZeroDivisionError in place of an array's inf or nan
         full = _distances_by_full_matrix(pset.means, pset.covs)
         pos = np.array(_position_columns(pset.means, pset.covs))
         i, j = np.triu_indices(len(pset), 1)
         with np.errstate(all="ignore"):
             pairs = _position_distances(pos[:, i], pos[:, j])
-            one = [_position_distances(list(pos[:, a]), list(pos[:, b])) for a, b in zip(i, j)]
         pairs[~np.isfinite(pairs)] = np.inf
+
+        def one(a, b):
+            try:
+                return _position_distances(pos[:, a].tolist(), pos[:, b].tolist())
+            except ZeroDivisionError:
+                return math.inf
+
+        ones = np.array([one(a, b) for a, b in zip(i, j)], dtype=float)
         assert np.array_equal(pairs, full[i, j])
-        assert np.array_equal(np.where(np.isfinite(one), one, np.inf), full[i, j])
+        assert np.array_equal(np.where(np.isfinite(ones), ones, np.inf), full[i, j])
 
     def test_merged_row_reaches_past_the_first_bounds(self):
         # A and B merge first; the merged row's largest position eigenvalue
@@ -955,6 +963,66 @@ class TestMergeClose:
         out = _merge(pset, 1.0)
         assert len(out) == len(pset) - 5
         assert sum(computed) <= 20 * len(pset)
+        # the merge loop's distances, on floats, count too: the first pass
+        # makes one call, and the merged row of a chain at least one more
+        computed.clear()
+        chain = _pset([_particle(0.5, 0.0, 0.0), _particle(0.5, 1.2, 0.0),
+                       _particle(0.5, 0.6, 1.35)])
+        assert len(_merge(chain, 1.0)) == 1
+        assert len(computed) >= 2
+
+    @pytest.mark.parametrize("block", [[[-1.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [2.0, 1.0]]])
+    @pytest.mark.parametrize("offset", [(0.0, 0.0), (1.0, 0.5)])
+    def test_singular_summed_block_after_a_merge(self, monkeypatch, block, offset):
+        # rows 0 and 1 merge into a row with position block I; row 2's block
+        # (indefinite, so row 2 is paired with every row) sums with it to a
+        # matrix of determinant exactly zero: on floats the distance divides
+        # by zero, where an array gives inf or nan, and the two do not merge
+        raised = []
+
+        def watching(p, q):
+            try:
+                return _position_distances(p, q)
+            except ZeroDivisionError:
+                raised.append(q)
+                raise
+
+        monkeypatch.setattr("mtt.gpf._position_distances", watching)
+        odd = _particle(0.5, *offset)
+        odd[2][np.ix_(POSITION_IDX, POSITION_IDX)] = block
+        pset = _pset([_particle(0.3, 0.0, 0.0), _particle(0.4, 0.0, 0.0), odd])
+        out = _merge(pset, 1.0)
+        assert len(out) == 2
+        assert len(raised) == 1
+        _assert_same_outcome(out, _merge_by_full_rebuild(pset, 1.0))
+
+    @pytest.mark.parametrize("light, variance", [(1e-3, math.inf), (0.0, math.nan)])
+    def test_merged_row_with_a_non_finite_variance(self, monkeypatch, light, variance):
+        # rows 0 and 1 (x variances near the float maximum, 1.3e154 apart)
+        # merge; with row 0 this light, its term a0 (C0 + d0 d0') overflows,
+        # so the merged x variance is inf, or nan (0 * inf) for a weight of 0.
+        # The merged row is paired with every live row, at a nan distance, and
+        # the merged belief is not finite
+        floats = []
+
+        def counting(p, q):
+            if isinstance(p, list):
+                floats.append(q)
+            return _position_distances(p, q)
+
+        monkeypatch.setattr("mtt.gpf._position_distances", counting)
+        wide = [_particle(w, x, 0.0) for w, x in ((light, 0.0), (0.9, 1.3e154))]
+        for _, _, cov in wide:
+            cov[POSITION_IDX[0], POSITION_IDX[0]], cov[POSITION_IDX[1], POSITION_IDX[1]] = 8.9e307, 0.5
+        pset = _pset(wide + [_particle(0.5, 3.0, 5.0), _particle(0.5, -3.0, 9.0)])
+        with np.errstate(over="ignore", invalid="ignore"):  # numpy's warnings of the overflow
+            merged = moment_match_merge(pset.weights[:2], pset.means[:2], pset.covs[:2])
+            got = _outcome(_merge, pset, 1.0)
+            want = _outcome(_merge_by_full_rebuild, pset, 1.0)
+        assert np.array_equal(merged[2][0, 0], variance, equal_nan=True)
+        assert got is ValueError  # "means and covs must be finite"
+        assert len(floats) == 2
+        _assert_same_outcome(got, want)
 
     def test_merge_chain_and_ties_match_full_rebuild(self):
         # 0 and 1 merge first; the merged particle then lies within d_thresh of 2,
