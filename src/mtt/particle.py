@@ -63,22 +63,44 @@ def effective_sample_size(weights: np.ndarray) -> float:
     return float(1.0 / np.sum(weights**2))
 
 
-def resample_multinomial(pset: PointParticleSet, rng: np.random.Generator,
-                         zero_likelihood: bool = False) -> PointParticleSet:
-    """Draw N particles with replacement proportional to weight; reset to 1/N.
+def _multinomial_indices(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """N draws with replacement proportional to the normalized weights.
 
     The draws and the random stream are those of
     rng.choice(N, size=N, replace=True, p=weights): N uniforms searched in
     the normalized cumulative weights, here in sorted order, which finds
     the same indices with less work than one search per unsorted draw.
     """
-    n = pset.n_particles
-    cdf = pset.weights.cumsum()
+    n = len(weights)
+    cdf = weights.cumsum()
     cdf /= cdf[-1]
     draws = rng.random(n)
     order = np.argsort(draws)
     idx = np.empty(n, dtype=np.intp)
     idx[order] = cdf.searchsorted(draws[order], side="right")
+    return idx
+
+
+def _systematic_indices(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Low-variance systematic indices (one uniform draw per sweep)."""
+    n = len(weights)
+    positions = (rng.random() + np.arange(n)) / n
+    idx = np.searchsorted(np.cumsum(weights), positions)
+    return np.clip(idx, 0, n - 1)
+
+
+# Each scheme maps normalized weights (N,) and the generator to N indices.
+_RESAMPLERS = {
+    "multinomial": _multinomial_indices,
+    "systematic": _systematic_indices,
+}
+
+
+def resample_multinomial(pset: PointParticleSet, rng: np.random.Generator,
+                         zero_likelihood: bool = False) -> PointParticleSet:
+    """Draw N particles with replacement proportional to weight; reset to 1/N."""
+    n = pset.n_particles
+    idx = _multinomial_indices(pset.weights, rng)
     return PointParticleSet(pset.states[idx], np.full(n, 1.0 / n), zero_likelihood)
 
 
@@ -86,16 +108,8 @@ def resample_systematic(pset: PointParticleSet, rng: np.random.Generator,
                         zero_likelihood: bool = False) -> PointParticleSet:
     """Low-variance systematic resampling (one uniform draw per sweep)."""
     n = pset.n_particles
-    positions = (rng.random() + np.arange(n)) / n
-    idx = np.searchsorted(np.cumsum(pset.weights), positions)
-    idx = np.clip(idx, 0, n - 1)
+    idx = _systematic_indices(pset.weights, rng)
     return PointParticleSet(pset.states[idx], np.full(n, 1.0 / n), zero_likelihood)
-
-
-_RESAMPLERS = {
-    "multinomial": resample_multinomial,
-    "systematic": resample_systematic,
-}
 
 
 def pf_step(
@@ -115,7 +129,8 @@ def pf_step(
     iff the effective sample size drops below ess_ratio * N (the customary
     N/2 by default).  If every likelihood is zero the weights fall back to
     uniform and the returned set carries zero_likelihood=True; likelihoods
-    of another shape, negative or not finite raise ValueError.
+    of another shape, negative or not finite raise ValueError.  The step
+    builds one set, reweighted or resampled, from the arrays it computed.
     """
     if resample not in _RESAMPLERS:
         raise ValueError(f"unknown resampling scheme {resample!r}")
@@ -124,7 +139,7 @@ def pf_step(
         raise ValueError(f"measurement must be finite, got {z}")
     n = pset.n_particles
     propagated = pset.states @ model.F.T
-    if np.any(model.Q):
+    if model.Q.any():
         propagated = propagated + rng.standard_normal((n, model.F.shape[0])) @ model.Q_factor
 
     like = np.asarray(likelihood(propagated, z), dtype=float)
@@ -138,9 +153,9 @@ def pf_step(
     if degenerate:
         weights = np.full(n, 1.0 / n)
     else:
-        weights = weights / total
+        weights /= total
 
-    out = PointParticleSet(propagated, weights, zero_likelihood=degenerate)
-    if effective_sample_size(out.weights) < ess_ratio * n:
-        return _RESAMPLERS[resample](out, rng, zero_likelihood=degenerate)
-    return out
+    if effective_sample_size(weights) < ess_ratio * n:
+        propagated = propagated[_RESAMPLERS[resample](weights, rng)]
+        weights = np.full(n, 1.0 / n)
+    return PointParticleSet(propagated, weights, zero_likelihood=degenerate)

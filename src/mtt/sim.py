@@ -223,6 +223,12 @@ class ExperimentSetup:
             n = len(check_cells(self.fixed_cells, self.grid_rows * self.grid_cols))
             if n > self.m_cells:
                 raise ValueError(f"{n} fixed cells but m_cells = {self.m_cells}")
+        if self.pf_ess_ratio * self.pf_n_particles <= 1:
+            # the ESS is never below 1: the PF could never resample, and its
+            # weights could collapse onto one particle
+            raise ValueError(
+                f"pf.ess_ratio * pf.n_particles must exceed 1, got "
+                f"{self.pf_ess_ratio!r} * {self.pf_n_particles!r}")
 
 
 # One filter step: measurement -> (means (n, 4), covs (n, 4, 4), weights (n,), cardinality).
@@ -270,6 +276,23 @@ def _kf_filter(model: LinearGaussianModel, ws: Rectangle) -> StepFn:
     return step
 
 
+def _weighted_cov(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """np.cov(states.T, aweights=weights) bit for bit, unsymmetrized, by numpy 2.4's
+    own arithmetic (its `sum` is np.sum) without re-checking a PointParticleSet's weights.
+
+    ExperimentSetup requires pf_ess_ratio * pf_n_particles > 1, so a logged set
+    kept an ESS above 1 or was resampled to N >= 2 equal weights: `fact` is never 0.
+    """
+    x = np.array(states.T)
+    w_sum = weights.sum()
+    avg = (x * weights).sum(axis=1) / w_sum
+    fact = w_sum - np.sum(weights * weights) / w_sum
+    x -= avg[:, None]
+    c = np.dot(x, (x * weights).T)
+    c *= np.true_divide(1, fact)
+    return c
+
+
 def _pf_filter(
     model: LinearGaussianModel, ws: Rectangle, setup: ExperimentSetup, rng: np.random.Generator
 ) -> StepFn:
@@ -295,8 +318,7 @@ def _pf_filter(
         nonlocal pset
         pset = pf_step(pset, model, likelihood, z, rng,
                        ess_ratio=setup.pf_ess_ratio, resample=setup.pf_resample)
-        cov = np.cov(pset.states.T, aweights=pset.weights)  # logged unsymmetrized, as computed
-        return pset.mean()[None], cov[None], np.ones(1), 1.0
+        return pset.mean()[None], _weighted_cov(pset.states, pset.weights)[None], np.ones(1), 1.0
 
     return step
 

@@ -617,6 +617,19 @@ class TestExitCodes:
         assert run_command(["track", "--config", str(cfg), "--sensor", "grid",
                             "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("particles", [1, 2])
+    def test_pf_that_cannot_resample_is_config_error(self, tmp_path, capsys, particles):
+        # at the default ess_ratio 0.5 these runs could never resample, and their
+        # weights collapse onto one particle, whose logged covariance is NaN
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"scenario.n_targets = 1\nscenario.n_steps = 20\n"
+                       f"pf.n_particles = {particles}\n")
+        assert run_command(["track", "--config", str(cfg), "--filter", "pf",
+                            "--sensor", "mean", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "pf.ess_ratio" in err and "pf.n_particles" in err
+        assert not (tmp_path / "o").exists()
+
     def test_runtime_error_exit_code(self, tmp_path):
         # kf with two targets is an unsupported combination -> runtime error
         cfg = tmp_path / "two.cfg"

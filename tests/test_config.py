@@ -129,6 +129,10 @@ def test_workspace_parsed():
         ("sensor.r_diag = 1,-inf", "finite"),
         ("scenario.workspace = 0,0,nan,12", "finite"),
         ("scenario.initial_states = 0,0,inf,0", "finite"),
+        # the ESS is at least 1, so at ess_ratio * n_particles <= 1 the PF never resamples
+        ("pf.n_particles = 1", r"pf\.ess_ratio \* pf\.n_particles must exceed 1"),
+        ("pf.n_particles = 2", r"pf\.ess_ratio \* pf\.n_particles must exceed 1"),
+        ("pf.ess_ratio = 0.01\npf.n_particles = 100", r"pf\.ess_ratio \* pf\.n_particles"),
     ],
 )
 def test_bad_noise_values_rejected(line, match):
@@ -139,7 +143,8 @@ def test_bad_noise_values_rejected(line, match):
 @pytest.mark.parametrize(
     "line",
     ["scenario.q_diag = 0,0,0,0", "sensor.r_diag = 0,0", "gpf.init_cov_diag = 1,1,1,1",
-     "sensor.strategy = fixed_list\nsensor.fixed_cells = 5,5,143"],
+     "sensor.strategy = fixed_list\nsensor.fixed_cells = 5,5,143", "pf.n_particles = 3",
+     "pf.ess_ratio = 1\npf.n_particles = 2"],
 )
 def test_boundary_noise_values_accepted(line):
     parse_config_text(line)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mtt.kalman import LinearGaussianModel, kf_predict, kf_update
+from mtt.motion import constant_velocity_matrix, position_projection
 from mtt.particle import (
     PointParticleSet,
     effective_sample_size,
@@ -300,3 +301,62 @@ class TestPfStep:
             if abs(pset.mean()[0] - kf_mean[0]) <= 3 * se:
                 hits += 1
         assert hits >= 0.9 * steps
+
+
+class TestOneSetPerStep:
+    """pf_step builds one PointParticleSet and gives the outputs of the path that
+    built the reweighted set and then handed it to the public resampler."""
+
+    RESAMPLERS = {"multinomial": resample_multinomial, "systematic": resample_systematic}
+    MODEL = LinearGaussianModel(F=constant_velocity_matrix(1.0),
+                                Q=np.diag([0.2, 0.02, 0.2, 0.02]),
+                                H=position_projection(), R=np.eye(2))
+
+    @staticmethod
+    def _likelihood(case):
+        if case == "zero":
+            return lambda s, z: np.zeros(len(s))
+        width = {"resample": 0.05, "keep": 50.0}[case]
+        return lambda s, z: np.exp(-0.5 * ((s[:, 0] - z[0]) ** 2 + (s[:, 2] - z[1]) ** 2) / width)
+
+    def _old_step(self, pset, likelihood, z, rng, ess_ratio, resample):
+        n = pset.n_particles
+        model = self.MODEL
+        propagated = pset.states @ model.F.T + rng.standard_normal((n, 4)) @ model.Q_factor
+        weights = pset.weights * likelihood(propagated, z)
+        degenerate = weights.sum() <= 0.0
+        weights = np.full(n, 1.0 / n) if degenerate else weights / weights.sum()
+        out = PointParticleSet(propagated, weights, zero_likelihood=degenerate)
+        if effective_sample_size(out.weights) < ess_ratio * n:
+            return self.RESAMPLERS[resample](out, rng, zero_likelihood=degenerate), True
+        return out, False
+
+    @pytest.mark.parametrize("resample", ["multinomial", "systematic"])
+    @pytest.mark.parametrize("case, ess_ratio", [("resample", 0.5), ("keep", 0.5),
+                                                 ("zero", 1.5)])
+    def test_one_set_and_the_old_outputs(self, monkeypatch, resample, case, ess_ratio):
+        seeded = np.random.default_rng(7)
+        w = seeded.random(300)
+        pset = PointParticleSet(seeded.uniform(-1.0, 1.0, (300, 4)), w / w.sum())
+        z = np.array([0.1, -0.2])
+        likelihood = self._likelihood(case)
+        rng_old = np.random.default_rng(21)
+        expected, resampled = self._old_step(pset, likelihood, z, rng_old, ess_ratio, resample)
+        assert resampled == (case != "keep")
+
+        built = []
+        post_init = PointParticleSet.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(PointParticleSet, "__post_init__", counting)
+        rng = np.random.default_rng(21)
+        out = pf_step(pset, self.MODEL, likelihood, z, rng, ess_ratio=ess_ratio,
+                      resample=resample)
+        assert built == [out]
+        assert_array_equal(out.states, expected.states)
+        assert_array_equal(out.weights, expected.weights)
+        assert out.zero_likelihood == expected.zero_likelihood == (case == "zero")
+        assert rng.random() == rng_old.random()

@@ -12,6 +12,7 @@ from mtt.sim import (
     StepRecord,
     TrackingLog,
     _capped_cost,
+    _weighted_cov,
     assignment_rmse,
     evaluate_metrics,
     generate_truth,
@@ -245,6 +246,35 @@ class TestExperimentSetup:
     def test_numpy_integer_cells_accepted(self):
         setup = ExperimentSetup(cell_strategy="fixed_list", fixed_cells=[np.int64(3), 143])
         assert setup.fixed_cells == [3, 143]
+
+
+class TestWeightedCov:
+    @staticmethod
+    def _case(seed):
+        """A PF-like set: (N, 4) states at a scale in [1e-3, 1e3], normalized weights."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 3001))
+        states = rng.uniform(0.0, 12.0, 4) + 10 ** rng.uniform(-3, 3) * rng.standard_normal((n, 4))
+        kind = seed % 3
+        if kind == 0:  # after resampling: duplicated rows, uniform weights
+            return states[rng.integers(0, n, n)], np.full(n, 1.0 / n)
+        w = rng.random(n)
+        if kind == 1:  # skewed
+            w = w**8
+        else:  # with zeros, at least two weights kept
+            w[rng.random(n) < 0.5] = 0.0
+            w[rng.choice(n, 2, replace=False)] += 0.1
+        return states, w / w.sum()
+
+    def test_has_np_cov_bits(self):
+        asymmetric = 0
+        for seed in range(2100):
+            states, w = self._case(seed)
+            expected = np.cov(states.T, aweights=w)
+            assert np.array_equal(_weighted_cov(states, w), expected), seed
+            asymmetric += not np.array_equal(expected, expected.T)
+        # a symmetrized helper would fail the comparison above
+        assert asymmetric > 0
 
 
 class TestRunExperiment:
