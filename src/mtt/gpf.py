@@ -13,7 +13,10 @@ gets one Kalman update of its active particles' stacked state, which the
 sensor's mean measures linearly: each diagonal block of it is an active
 particle's conditional update, and its innovation density is the
 combination's evidence.  Finally each particle's weight and state are
-recovered by marginalizing over the combinations that contain it.  Nearby
+recovered by marginalizing over the combinations that contain it.  When
+only one combination survives it is certain, so its update alone is the
+step's: its active particles take weight one and that combination's
+conditional states, with no evidence weighed and no marginal taken.  Nearby
 particles are merged, low-weight particles pruned, and detections can seed
 new ones.
 """
@@ -469,7 +472,13 @@ def _mean_measurement_update(
     mean-of-states measurement: the new rows and whether the step was degenerate.
 
     With no combination above epsilon the inputs come back flagged degenerate;
-    with no row in view, unflagged.  The inputs are not changed.
+    with no row in view, unflagged.  When exactly one combination survives,
+    its posterior is 1 whatever its evidence, so the step is that
+    combination's conditional update alone: its active rows take their
+    diagonal blocks at weight 1.0, every other row passes through, and no
+    evidence, normalization or marginal is computed.  This has the bits of
+    the general path, whose marginal of one combination at posterior 1.0
+    returns each active row's update unchanged.  The inputs are not changed.
     """
     in_idx, _ = select_fov_particles(means, config.fov)
     if not in_idx.size:
@@ -480,6 +489,16 @@ def _mean_measurement_update(
         return weights, means, covs, True
 
     r, proj = config.sensor.R, config.sensor.position_projection
+    if len(combos) == 1:  # certain: no evidence, normalization or marginal
+        active = in_idx[np.flatnonzero(combos[0].bits)]
+        if active.size:
+            n = active.size
+            post = conditional_kf_update(means[active], covs[active], z, r, proj)
+            weights, means, covs = (a.copy() for a in (weights, means, covs))
+            weights[active], means[active] = 1.0, post.mean.reshape(n, -1)
+            covs[active] = _diagonal_blocks(post.cov, n)
+        return weights, means, covs, False
+
     bits = np.array([combo.bits for combo in combos])
     _, pair_row = np.nonzero(bits)
     # the prior rows of the (combination, row) pairs in np.argwhere order, so each

@@ -855,6 +855,77 @@ class TestMeanUpdateMatchesPerPairLoop:
             assert np.array_equal(g, w)
 
 
+def _general_mean_update(weights, means, covs, z, config):
+    """The mean-sensor update with every combination weighed and marginalized,
+    however many survive: one conditional_kf_update of each combination's
+    stacked active rows, its combination_log_weight, and the pair stacks fed
+    to marginalize_existence."""
+    in_idx, _ = select_fov_particles(means, config.fov)
+    if not in_idx.size:
+        return weights, means, covs, False
+    in_weights, in_means, in_covs = (a[in_idx] for a in (weights, means, covs))
+    combos = enumerate_combinations(in_weights.tolist(), config)
+    if not combos:
+        return weights, means, covs, True
+    r, proj, d = config.sensor.R, config.sensor.position_projection, means.shape[1]
+    log_weights, pair_means, pair_covs = [], [np.empty((0, d))], [np.empty((0, d, d))]
+    for combo in combos:
+        active = np.flatnonzero(combo.bits)
+        post = None
+        if active.size:
+            post = conditional_kf_update(in_means[active], in_covs[active], z, r, proj)
+            block_means, block_covs, _ = _blocks(post, active.size)
+            pair_means.append(block_means)
+            pair_covs.append(block_covs)
+        log_weights.append(combination_log_weight(combo, post, config.clutter_density))
+    marginal = marginalize_existence(
+        np.array([combo.bits for combo in combos]), normalize_combination_weights(log_weights),
+        np.concatenate(pair_means), np.concatenate(pair_covs), in_weights, in_means, in_covs)
+    weights, means, covs = (a.copy() for a in (weights, means, covs))
+    weights[in_idx], means[in_idx], covs[in_idx] = marginal
+    return weights, means, covs, False
+
+
+@st.composite
+def _one_combination_beliefs(draw):
+    """Beliefs whose in-view rows (1 to 8) are certain (weight 1.0) or below
+    epsilon (0.0 or 0.004 against epsilon 0.01), so exactly one combination
+    survives, plus up to 3 rows out of view at any weight and, on request, one
+    in-view row at an uncertain weight that makes two combinations."""
+    in_view = draw(st.lists(st.sampled_from([1.0, 1.0, 0.0, 0.004]), min_size=1, max_size=8))
+    out_view = draw(st.lists(st.floats(0.0, 1.0), max_size=3))
+    uncertain = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = np.array(in_view + out_view)
+    if uncertain:
+        weights[0] = rng.uniform(0.05, 0.95)
+    s = len(weights)
+    means, covs = _random_rows(rng, s, 4)
+    means[:, list(POSITION_IDX)] = rng.uniform(0.0, 10.0, (s, 2))
+    means[len(in_view):, POSITION_IDX[0]] = rng.uniform(10.5, 12.0, len(out_view))
+    order = rng.permutation(s)  # out-of-view rows anywhere in the belief
+    z = rng.uniform(0.0, 10.0, 2) * float(rng.choice([1.0, 1e3]))
+    sensor = _mean_sensor(float(rng.uniform(0.1, 2.0)))
+    return weights[order], means[order], covs[order], z, sensor, uncertain
+
+
+class TestMeanUpdateMatchesGeneralPath:
+    @given(_one_combination_beliefs())
+    @settings(max_examples=150, deadline=None)
+    def test_bits_match_the_weighed_and_marginalized_path(self, case):
+        weights, means, covs, z, sensor, uncertain = case
+        config = _mean_config(sensor=sensor, fov=FovRegion.box(0.0, 0.0, 10.0, 12.0),
+                              epsilon=0.01)
+        in_idx, _ = select_fov_particles(means, config.fov)
+        combos = enumerate_combinations(weights[in_idx].tolist(), config)
+        assert len(combos) == 1 or uncertain
+        got = _mean_measurement_update(weights, means, covs, z, config)
+        want = _general_mean_update(weights, means, covs, z, config)
+        assert got[3] is want[3] is False
+        for g, w in zip(got[:3], want[:3]):
+            assert np.array_equal(g, w)
+
+
 def _merge(pset, d_thresh, cov_mode="moment"):
     return merge_close_particles(pset, _mean_config(d_thresh=d_thresh, merge_cov=cov_mode))
 
@@ -1260,20 +1331,60 @@ class TestGpfStep:
         assert out.weights.tolist() == [0.5, 0.5]
         assert_allclose(out.means[0], parts[0][1])
 
-    def test_only_all_zero_combination_passes_rows_through(self, monkeypatch):
+    def test_only_all_zero_combination_passes_rows_through(self):
         # weights 0.2 and epsilon 0.5: only the all-zero combination (prior 0.64) survives,
-        # so no (combination, row) pair is updated and the stacks are empty
-        stacks = []
-
-        def spy(bits, posterior, post_means, post_covs, *rows):
-            stacks.append((post_means.shape, post_covs.shape))
-            return marginalize_existence(bits, posterior, post_means, post_covs, *rows)
-
-        monkeypatch.setattr("mtt.gpf.marginalize_existence", spy)
+        # so no row is updated and the step is not degenerate
         pset = _pset([_particle(0.2, 2.0, 2.0), _particle(0.2, 9.0, 9.0)])
-        out = gpf_step(pset, np.array([5.0, 5.0]), _mean_config(epsilon=0.5))
-        assert stacks == [((0, 4), (0, 4, 4))]
+        config = _mean_config(epsilon=0.5)
+        z = np.array([5.0, 5.0])
+        assert [c.bits for c in enumerate_combinations(pset.weights.tolist(), config)] == [(0, 0)]
+        weights, means, covs, degenerate = _mean_measurement_update(
+            pset.weights, pset.means, pset.covs, z, config)
+        assert not degenerate
+        for got, want in zip((weights, means, covs), (pset.weights, pset.means, pset.covs)):
+            assert np.array_equal(got, want)
+        out = gpf_step(pset, z, config)
         assert not out.degenerate_step and out == pset
+
+    @pytest.mark.parametrize("weights, combos, kf_updates, evidences", [
+        ([1.0, 0.0], 1, 1, 0),  # one combination, one active row
+        ([1.0, 1.0], 1, 1, 0),  # one combination, two active rows: one stacked update
+        ([0.0, 0.0], 1, 0, 0),  # only the all-zero combination: nothing to update
+        ([0.9, 0.0], 2, 1, 2),  # {row 0} and the all-zero combination
+    ])
+    def test_one_combination_costs_one_conditional_update(
+            self, monkeypatch, weights, combos, kf_updates, evidences):
+        calls = {"update": [], "weight": [], "marginal": []}
+
+        def counted(key, fn):
+            return lambda *args: (calls[key].append(args), fn(*args))[1]
+
+        for key, name, fn in (("update", "conditional_kf_update", conditional_kf_update),
+                              ("weight", "combination_log_weight", combination_log_weight),
+                              ("marginal", "marginalize_existence", marginalize_existence)):
+            monkeypatch.setattr(f"mtt.gpf.{name}", counted(key, fn))
+        pset = _pset([_particle(w, x, x) for w, x in zip(weights, (2.0, 6.0))])
+        out = gpf_step(pset, np.array([3.0, 3.0]), _mean_config())
+        assert len(enumerate_combinations(weights, _mean_config())) == combos
+        assert len(calls["update"]) == kf_updates
+        assert len(calls["weight"]) == evidences
+        assert len(calls["marginal"]) == (combos > 1)
+        assert not out.degenerate_step
+
+    def test_certain_combination_with_overflowing_evidence(self):
+        # the residual's square overflows, so the evidence is not finite; a lone
+        # combination is certain whatever its evidence, so the step is its update
+        mean, cov = np.array([2.0, 0.0, 2.0, 0.0]), np.diag([1.0, 0.1, 1.0, 0.1])
+        config = _mean_config()
+        z = np.array([1e160, 0.0])
+        r, proj = config.sensor.R, config.sensor.position_projection
+        post = conditional_kf_update(mean[None], cov[None], z, r, proj)
+        combo = enumerate_combinations([1.0], config)[0]
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(combination_log_weight(combo, post, config.clutter_density))
+        out = gpf_step(GpfParticleSet([1.0], mean[None], cov[None]), z, config)
+        assert out.weights.tolist() == [1.0] and not out.degenerate_step
+        assert np.array_equal(out.means[0], post.mean) and np.array_equal(out.covs[0], post.cov)
 
     def test_out_of_fov_particles_only_predicted(self):
         fov = FovRegion.box(0.0, 0.0, 5.0, 5.0)
