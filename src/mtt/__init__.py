@@ -18,7 +18,8 @@ from .gpf import (
     merge_close_particles,
     select_fov_particles,
 )
-from .kalman import KalmanUpdate, LinearGaussianModel, kf_predict, kf_update
+from .kalman import KalmanUpdate, kf_predict, kf_update
+from .motion import MotionModel
 from .particle import (
     PointParticleSet,
     effective_sample_size,

@@ -388,6 +388,9 @@ def _cmd_sweep(args) -> int:
     seeds = [_checked_seed(seed, "--seeds") for seed in _parse_seeds(args.seeds)]
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
+    if len(set(seeds)) < len(seeds):  # each seed has one seed_<n>/ and one aggregate row
+        repeated = next(seed for k, seed in enumerate(seeds) if seed in seeds[:k])
+        raise ConfigError(f"--seeds names seed {repeated} more than once")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines, outputs = ["seed,mean_rmse,mean_card_err"], []

@@ -40,8 +40,8 @@ from .gaussians import (
     mixture_moments,
     moment_match_merge,
 )
-from .kalman import KalmanUpdate, kf_predict, kf_update, motion_noise_factor
-from .motion import POSITION_IDX
+from .kalman import KalmanUpdate, kf_predict, kf_update
+from .motion import POSITION_IDX, MotionModel
 from .regions import FovRegion
 from .sensors import CellReturns, GridSensorModel, MeanSensorModel, check_cells, detection_prob
 
@@ -109,10 +109,14 @@ class ExistenceCombination(NamedTuple):
 
 @dataclass(frozen=True)
 class GpfConfig:
-    """Everything one filter step needs besides the belief and measurement."""
+    """Everything one filter step needs besides the belief and measurement.
 
-    f_matrix: np.ndarray
-    q_matrix: np.ndarray
+    The motion and sensor records check their own matrices; the config
+    checks that a mean sensor's projection reads states of the motion's
+    dimension, and every declared setting.
+    """
+
+    motion: MotionModel
     sensor: MeanSensorModel | GridSensorModel
     fov: FovRegion = field(default_factory=FovRegion.full)
     epsilon: float = declare(0.01, Range(0.0, 1.0, lo_open=True, hi_open=True))
@@ -125,20 +129,21 @@ class GpfConfig:
     s_max: int = declare(20, Range(1))
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "f_matrix", np.atleast_2d(np.asarray(self.f_matrix, dtype=float)))
-        object.__setattr__(self, "q_matrix", np.atleast_2d(np.asarray(self.q_matrix, dtype=float)))
-        motion_noise_factor(self.f_matrix, self.q_matrix)  # ValueError naming a bad F or Q
         check_fields(self)
+        n, sensor = self.motion.F.shape[0], self.sensor
+        if isinstance(sensor, MeanSensorModel) and sensor.position_projection.shape[1] != n:
+            raise ValueError(f"mean sensor projection {sensor.position_projection.shape} "
+                             f"does not match state dim {n}")
 
 
 def gpf_predict(pset: GpfParticleSet, config: GpfConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The Kalman-predicted (means, covs) of every particle, by config's F and Q.
+    """The Kalman-predicted (means, covs) of every particle, by config.motion's F and Q.
 
     The covariances come back as kf_predict computes them, unsymmetrized:
     kf_update symmetrizes what the update reads, and the step's one set
     construction symmetrizes the rest.
     """
-    return kf_predict(pset.means, pset.covs, config.f_matrix, config.q_matrix)
+    return kf_predict(pset.means, pset.covs, config.motion.F, config.motion.Q)
 
 
 def select_fov_particles(means: np.ndarray, fov: FovRegion) -> tuple[np.ndarray, np.ndarray]:
@@ -471,14 +476,15 @@ def _mean_measurement_update(
     """Existence-combination update of the rows (weights, means, covs) for a
     mean-of-states measurement: the new rows and whether the step was degenerate.
 
-    With no combination above epsilon the inputs come back flagged degenerate;
-    with no row in view, unflagged.  When exactly one combination survives,
-    its posterior is 1 whatever its evidence, so the step is that
-    combination's conditional update alone: its active rows take their
-    diagonal blocks at weight 1.0, every other row passes through, and no
-    evidence, normalization or marginal is computed.  This has the bits of
-    the general path, whose marginal of one combination at posterior 1.0
-    returns each active row's update unchanged.  The inputs are not changed.
+    With no combination above epsilon, or several and not one with a finite
+    log weight, the inputs come back flagged degenerate; with no row in view,
+    unflagged.  When exactly one combination survives, its posterior is 1
+    whatever its evidence, so the step is that combination's conditional
+    update alone: its active rows take their diagonal blocks at weight 1.0,
+    every other row passes through, and no evidence, normalization or
+    marginal is computed.  This has the bits of the general path, whose
+    marginal of one combination at posterior 1.0 returns each active row's
+    update unchanged.  The inputs are not changed.
     """
     in_idx, _ = select_fov_particles(means, config.fov)
     if not in_idx.size:
@@ -514,6 +520,8 @@ def _mean_measurement_update(
             post_covs[pairs] = _diagonal_blocks(post.cov, n)
             start += n
         log_weights.append(combination_log_weight(combo, post, config.clutter_density))
+    if not any(map(math.isfinite, log_weights)):  # nothing to normalize: as if none survived
+        return weights, means, covs, True
     marginal = marginalize_existence(bits, normalize_combination_weights(log_weights),
                                      post_means, post_covs, in_weights, in_means, in_covs)
 
@@ -604,8 +612,9 @@ def gpf_step(
     Bayes rule plus births for the grid sensor), merge near-duplicate
     particles, then prune.  The predict and the update pass arrays, and
     the step builds one set from them.  If no existence combination
-    survives the threshold the measurement update is skipped and that set
-    is flagged degenerate for this step.  A mean-sensor measurement that is
+    survives the threshold, or several survive and none has a finite log
+    weight, the measurement update is skipped and that set is flagged
+    degenerate for this step.  A mean-sensor measurement that is
     not meas_dim finite numbers raises ValueError, a grid measurement that
     is not a CellReturns record TypeError, a cell outside the grid IndexError.
     """

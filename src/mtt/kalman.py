@@ -9,65 +9,11 @@ its own H and the sensor's R.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .gaussians import (
-    ValueEq,
-    _checked_moments,
-    _frozen_matrix,
-    _symmetrize,
-    chol_with_jitter,
-    noise_factor,
-)
-
-
-def motion_noise_factor(f: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The noise_factor of Q, once F (2-D) is square and Q (2-D) has its shape.
-
-    ValueError naming F or Q otherwise, or when Q is not symmetric PSD.
-    """
-    n = f.shape[0]
-    if f.shape != (n, n):
-        raise ValueError(f"F must be square, got {f.shape}")
-    if q.shape != (n, n):
-        raise ValueError(f"Q shape {q.shape} does not match state dim {n}")
-    return noise_factor(q, "Q")
-
-
-@dataclass(frozen=True, eq=False)
-class LinearGaussianModel(ValueEq):
-    """x' = F x + v,  z = H x + w,  v ~ N(0, Q),  w ~ N(0, R).
-
-    Q and R must be symmetric PSD.  The model is immutable: its matrices
-    are read-only copies, and Q_factor, the noise_factor of Q, is computed
-    once here for every process-noise draw.
-    """
-
-    F: np.ndarray
-    Q: np.ndarray
-    H: np.ndarray
-    R: np.ndarray
-    Q_factor: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        for name in ("F", "Q", "H", "R"):
-            object.__setattr__(self, name, _frozen_matrix(getattr(self, name)))
-        object.__setattr__(self, "Q_factor", motion_noise_factor(self.F, self.Q))
-        n = self.F.shape[0]
-        if self.H.shape[1] != n:
-            raise ValueError(f"H shape {self.H.shape} does not match state dim {n}")
-        if self.R.shape != (self.H.shape[0], self.H.shape[0]):
-            raise ValueError(
-                f"R shape {self.R.shape} does not match measurement dim {self.H.shape[0]}"
-            )
-        noise_factor(self.R, "R")  # the PSD check; no filter draws measurement noise
-
-    @property
-    def meas_dim(self) -> int:
-        return self.H.shape[0]
+from .gaussians import _checked_moments, _symmetrize, chol_with_jitter
 
 
 class KalmanUpdate(NamedTuple):

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .gaussians import ValueEq
-from .kalman import LinearGaussianModel
+from .motion import MotionModel
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +114,7 @@ def resample_systematic(pset: PointParticleSet, rng: np.random.Generator,
 
 def pf_step(
     pset: PointParticleSet,
-    model: LinearGaussianModel,
+    motion: MotionModel,
     likelihood: Callable[[np.ndarray, np.ndarray], np.ndarray],
     z: np.ndarray,
     rng: np.random.Generator,
@@ -124,7 +124,7 @@ def pf_step(
     """One SIR iteration: propagate, reweight, normalize, maybe resample.
 
     Particles are proposed from the transition prior x' ~ N(F x, Q), the
-    noise drawn with the model's Q_factor, and reweighted by one call
+    noise drawn with the motion model's Q_factor, and reweighted by one call
     likelihood(states (N, n), z) -> (N,) for all of them.  Resampling fires
     iff the effective sample size drops below ess_ratio * N (the customary
     N/2 by default).  If every likelihood is zero the weights fall back to
@@ -138,9 +138,9 @@ def pf_step(
     if not np.isfinite(z).all():
         raise ValueError(f"measurement must be finite, got {z}")
     n = pset.n_particles
-    propagated = pset.states @ model.F.T
-    if model.Q.any():
-        propagated = propagated + rng.standard_normal((n, model.F.shape[0])) @ model.Q_factor
+    propagated = pset.states @ motion.F.T
+    if motion.Q.any():
+        propagated = propagated + rng.standard_normal((n, motion.F.shape[0])) @ motion.Q_factor
 
     like = np.asarray(likelihood(propagated, z), dtype=float)
     if like.shape != (n,):

@@ -12,8 +12,8 @@ import numpy as np
 from .domains import Choice, Range, check_fields, declare, same_as
 from .gaussians import log_pdf
 from .gpf import GpfConfig, GpfParticleSet, estimate_cardinality, gpf_step
-from .kalman import LinearGaussianModel, kf_predict, kf_update
-from .motion import POSITION_IDX, constant_velocity_matrix, position_projection
+from .kalman import kf_predict, kf_update
+from .motion import POSITION_IDX, MotionModel, constant_velocity_matrix, position_projection
 from .particle import _RESAMPLERS, PointParticleSet, pf_step
 from .regions import Rectangle
 from .sensors import (
@@ -236,14 +236,14 @@ StepFn = Callable[[object], tuple[np.ndarray, np.ndarray, np.ndarray, float]]
 
 
 def _gpf_filter(
-    config: ScenarioConfig, setup: ExperimentSetup, sensor: MeanSensorModel | GridSensorModel,
-    f: np.ndarray, q: np.ndarray, truth0: np.ndarray,
+    config: ScenarioConfig, setup: ExperimentSetup, motion: MotionModel,
+    sensor: MeanSensorModel | GridSensorModel, truth0: np.ndarray,
 ) -> StepFn:
     """GPF step; mean-sensor runs start with one particle per true initial state."""
     clutter = setup.gpf_clutter_density
     if clutter is None:
         clutter = 1.0 / config.workspace.area
-    gpf_config = GpfConfig(f, q, sensor, clutter_density=clutter, **{
+    gpf_config = GpfConfig(motion, sensor, clutter_density=clutter, **{
         name: getattr(setup, f"gpf_{name}")
         for name in ("epsilon", "d_thresh", "w_prune", "n_max", "w_birth", "merge_cov", "s_max")})
     belief = GpfParticleSet()
@@ -262,14 +262,15 @@ def _gpf_filter(
     return step
 
 
-def _kf_filter(model: LinearGaussianModel, ws: Rectangle) -> StepFn:
+def _kf_filter(motion: MotionModel, sensor: MeanSensorModel, ws: Rectangle) -> StepFn:
     """KF step from a broad prior at the workspace centre."""
     center = np.array([0.5 * (ws.x_min + ws.x_max), 0.0, 0.5 * (ws.y_min + ws.y_max), 0.0])
     mean, cov = center, KF_INIT_COV
 
     def step(z):
         nonlocal mean, cov
-        post = kf_update(*kf_predict(mean, cov, model.F, model.Q), model.H, model.R, z)
+        post = kf_update(*kf_predict(mean, cov, motion.F, motion.Q),
+                         sensor.position_projection, sensor.R, z)
         mean, cov = post.mean, post.cov
         return mean[None], cov[None], np.ones(1), 1.0
 
@@ -294,13 +295,14 @@ def _weighted_cov(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _pf_filter(
-    model: LinearGaussianModel, ws: Rectangle, setup: ExperimentSetup, rng: np.random.Generator
+    motion: MotionModel, sensor: MeanSensorModel, ws: Rectangle, setup: ExperimentSetup,
+    rng: np.random.Generator,
 ) -> StepFn:
     """SIR step; particles start uniform over the workspace with unit-normal velocities."""
-    meas_mean = np.zeros(model.H.shape[0])
+    meas_mean = np.zeros(sensor.meas_dim)
 
     def likelihood(states: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return np.exp(log_pdf(meas_mean, model.R, z - states @ model.H.T))
+        return np.exp(log_pdf(meas_mean, sensor.R, z - states @ sensor.position_projection.T))
 
     n = setup.pf_n_particles
     states = np.stack(
@@ -316,7 +318,7 @@ def _pf_filter(
 
     def step(z):
         nonlocal pset
-        pset = pf_step(pset, model, likelihood, z, rng,
+        pset = pf_step(pset, motion, likelihood, z, rng,
                        ess_ratio=setup.pf_ess_ratio, resample=setup.pf_resample)
         return pset.mean()[None], _weighted_cov(pset.states, pset.weights)[None], np.ones(1), 1.0
 
@@ -343,8 +345,6 @@ def run_experiment(
         raise ValueError(f"{filter_choice} supports only the mean sensor with one target")
 
     truth = generate_truth(config, rng)
-    f = constant_velocity_matrix(config.tau)
-    q = np.diag(np.asarray(config.q_diag, dtype=float))
 
     if sensor_choice == "mean":
         sensor = MeanSensorModel(
@@ -364,14 +364,14 @@ def run_experiment(
             )
             return grid_measure(truth[k], cells, sensor, rng)
 
+    motion = MotionModel(constant_velocity_matrix(config.tau),
+                         np.diag(np.asarray(config.q_diag, dtype=float)))
     if filter_choice == "gpf":
-        step = _gpf_filter(config, setup, sensor, f, q, truth[0])
+        step = _gpf_filter(config, setup, motion, sensor, truth[0])
+    elif filter_choice == "kf":
+        step = _kf_filter(motion, sensor, config.workspace)
     else:
-        model = LinearGaussianModel(F=f, Q=q, H=sensor.position_projection, R=sensor.R)
-        if filter_choice == "kf":
-            step = _kf_filter(model, config.workspace)
-        else:
-            step = _pf_filter(model, config.workspace, setup, rng)
+        step = _pf_filter(motion, sensor, config.workspace, setup, rng)
 
     log = TrackingLog()
     for k in range(config.n_steps):

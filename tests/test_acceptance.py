@@ -20,8 +20,8 @@ from mtt.gpf import (
     estimate_cardinality,
     gpf_step,
 )
-from mtt.kalman import LinearGaussianModel, kf_predict, kf_update
-from mtt.motion import constant_velocity_matrix, position_projection
+from mtt.kalman import kf_predict, kf_update
+from mtt.motion import MotionModel, constant_velocity_matrix, position_projection
 from mtt.particle import (
     PointParticleSet,
     effective_sample_size,
@@ -64,23 +64,21 @@ def test_criterion_1_gpf_reduces_to_kalman():
     """Single particle, weight one, full view: the filter IS a Kalman filter."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
-    f = constant_velocity_matrix(1.0)
-    q = np.diag([0.5, 0.05, 0.5, 0.05])
+    motion = MotionModel(F=constant_velocity_matrix(1.0), Q=np.diag([0.5, 0.05, 0.5, 0.05]))
     sensor = MeanSensorModel(R=np.eye(2) * 0.4, position_projection=position_projection())
     config = GpfConfig(
-        f_matrix=f, q_matrix=q, sensor=sensor,
+        motion=motion, sensor=sensor,
         clutter_density=1.0 / WORKSPACE.area, epsilon=0.001,
     )
-    model = LinearGaussianModel(F=f, Q=q, H=sensor.position_projection, R=sensor.R)
 
     kf_mean, kf_cov = np.array([6.0, 0.1, 6.0, -0.1]), np.diag([2.0, 0.5, 2.0, 0.5])
     belief = GpfParticleSet([1.0], kf_mean[None], kf_cov[None])
     worst = 0.0
     for _ in range(100):
-        pred = kf_predict(kf_mean, kf_cov, model.F, model.Q)
+        pred = kf_predict(kf_mean, kf_cov, motion.F, motion.Q)
         z = pred[0][[0, 2]] + rng.standard_normal(2)
         belief = gpf_step(belief, z, config)
-        kf_mean, kf_cov, *_ = kf_update(*pred, model.H, model.R, z)
+        kf_mean, kf_cov, *_ = kf_update(*pred, sensor.position_projection, sensor.R, z)
         assert len(belief) == 1 and belief.weights[0] == 1.0
         assert_allclose(belief.means[0], kf_mean, rtol=1e-10)
         assert_allclose(belief.covs[0], kf_cov, rtol=1e-10)
@@ -136,7 +134,7 @@ def test_criterion_3_pf_tracks_kalman_oracle():
     """SIR filter posterior mean stays within 3 Monte-Carlo standard errors
     of the exact Kalman mean (low-variance systematic resampling)."""
     t0 = time.perf_counter()
-    model = LinearGaussianModel(F=[[0.95]], Q=[[0.5]], H=[[1.0]], R=[[1.0]])
+    model = MotionModel(F=[[0.95]], Q=[[0.5]])
 
     def likelihood(states, z):
         return np.exp(-0.5 * (z[0] - states[:, 0]) ** 2)
@@ -154,7 +152,7 @@ def test_criterion_3_pf_tracks_kalman_oracle():
             truth = 0.95 * truth + rng.normal(0.0, math.sqrt(0.5))
             z = np.array([truth + rng.normal()])
             pred = kf_predict(kf_mean, kf_cov, model.F, model.Q)
-            kf_mean, kf_cov, *_ = kf_update(*pred, model.H, model.R, z)
+            kf_mean, kf_cov, *_ = kf_update(*pred, np.eye(1), np.eye(1), z)
             pset = pf_step(pset, model, likelihood, z, rng, resample="systematic")
             ess = effective_sample_size(pset.weights)
             mu = pset.mean()[0]
@@ -239,7 +237,7 @@ def test_criterion_6_invariant_suite():
     rng = np.random.default_rng(606)
 
     # particle filter: normalization, ESS range, ESS after resampling
-    model = LinearGaussianModel(F=[[1.0]], Q=[[0.2]], H=[[1.0]], R=[[0.5]])
+    model = MotionModel(F=[[1.0]], Q=[[0.2]])
     for _ in range(30):
         n = int(rng.integers(10, 200))
         pset = PointParticleSet(rng.standard_normal((n, 1)), np.full(n, 1.0 / n))
@@ -258,8 +256,7 @@ def test_criterion_6_invariant_suite():
 
     mean_sensor = MeanSensorModel(R=np.eye(2) * 0.5, position_projection=position_projection())
     mean_config = GpfConfig(
-        f_matrix=constant_velocity_matrix(0.1),
-        q_matrix=np.diag([0.05, 0.005, 0.05, 0.005]),
+        motion=MotionModel(constant_velocity_matrix(0.1), np.diag([0.05, 0.005, 0.05, 0.005])),
         sensor=mean_sensor, clutter_density=1.0 / WORKSPACE.area, epsilon=0.001,
     )
 
@@ -276,8 +273,7 @@ def test_criterion_6_invariant_suite():
     # cardinality bounded by the particle count
     grid_sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=30.0, m_cells=48)
     grid_config = GpfConfig(
-        f_matrix=constant_velocity_matrix(0.1),
-        q_matrix=np.diag([0.02, 0.002, 0.02, 0.002]),
+        motion=MotionModel(constant_velocity_matrix(0.1), np.diag([0.02, 0.002, 0.02, 0.002])),
         sensor=grid_sensor, w_prune=0.05, d_thresh=4.0,
     )
 

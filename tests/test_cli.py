@@ -539,6 +539,14 @@ class TestSweep:
         assert raised.value.code == 2
         assert not out.exists()
 
+    def test_repeated_seed_is_config_error(self, cfg_file, tmp_path, capfd):
+        # a repeated seed would run twice into one seed_4/ and repeat its aggregate row
+        out = tmp_path / "s"
+        assert run_command(["sweep", "--config", str(cfg_file), "--seeds", "4,9,4",
+                            "--out", str(out)]) == 1
+        assert "--seeds names seed 4 more than once" in capfd.readouterr().err
+        assert not out.exists()
+
     def test_bad_seed_list_is_config_error(self, cfg_file, tmp_path, capfd):
         assert run_command(["sweep", "--config", str(cfg_file), "--seeds", "1,x",
                             "--out", str(tmp_path / "s")]) == 1

@@ -21,7 +21,8 @@ from mtt.gaussians import (
     noise_factor,
 )
 from mtt.gpf import GpfParticleSet
-from mtt.kalman import LinearGaussianModel, kf_update
+from mtt.kalman import kf_update
+from mtt.motion import MotionModel
 from mtt.sensors import CellReturns
 
 
@@ -362,13 +363,13 @@ class TestValueEquality:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda v: LinearGaussianModel(np.eye(2), np.eye(2), [[1.0, v]], [[1.0]]),
+            lambda v: MotionModel([[1.0, v], [0.0, 1.0]], np.eye(2)),
             lambda v: CellReturns([1, 2, 3], [1, 0, int(v)]),
             lambda v: GpfParticleSet(
                 [0.5, 0.9], [[0, 0, 0, 0], [1, 2, 3, v]], np.tile(np.eye(4), (2, 1, 1))
             ),
         ],
-        ids=["LinearGaussianModel", "CellReturns", "GpfParticleSet"],
+        ids=["MotionModel", "CellReturns", "GpfParticleSet"],
     )
     def test_multi_element_records_compare_by_value(self, make):
         assert make(1.0) == make(1.0)
@@ -377,7 +378,7 @@ class TestValueEquality:
 
     def test_shapes_and_flags_count(self):
         one = [[1.0]]
-        assert LinearGaussianModel(*[np.eye(2)] * 4) != LinearGaussianModel(one, one, one, one)
+        assert MotionModel(np.eye(2), np.eye(2)) != MotionModel(one, one)
         one = GpfParticleSet([0.5], [[0, 0, 0, 0]], [np.eye(4)])
         assert one != GpfParticleSet([0.5], [[0, 0, 0, 0]], [np.eye(4)], degenerate_step=True)
 

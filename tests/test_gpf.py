@@ -33,8 +33,8 @@ from mtt.gpf import (
     normalize_combination_weights,
     select_fov_particles,
 )
-from mtt.kalman import LinearGaussianModel, kf_predict, kf_update
-from mtt.motion import POSITION_IDX, constant_velocity_matrix, position_projection
+from mtt.kalman import kf_predict, kf_update
+from mtt.motion import POSITION_IDX, MotionModel, constant_velocity_matrix, position_projection
 from mtt.regions import FovRegion, Rectangle
 from mtt.sensors import (
     CellReturns,
@@ -85,10 +85,12 @@ def _mean_sensor(r=0.5):
     return MeanSensorModel(R=np.eye(2) * r, position_projection=position_projection())
 
 
-def _mean_config(**overrides):
+_STILL = MotionModel(np.eye(4), np.zeros((4, 4)))  # no motion and no process noise
+
+
+def _mean_config(f=np.eye(4), q=np.zeros((4, 4)), **overrides):
     defaults = dict(
-        f_matrix=np.eye(4),
-        q_matrix=np.zeros((4, 4)),
+        motion=MotionModel(f, q),
         sensor=_mean_sensor(),
         clutter_density=1.0 / WORKSPACE.area,
         epsilon=0.001,
@@ -327,7 +329,7 @@ class TestPredict:
         rng = np.random.default_rng(0)
         pset = _pset([_particle(w, 0.0, 0.0) for w in (0.2, 0.7, 1.0)])
         before = [np.array(a) for a in (pset.weights, pset.means, pset.covs)]
-        config = _mean_config(f_matrix=rng.standard_normal((4, 4)), q_matrix=_random_psd(rng, 4))
+        config = _mean_config(f=rng.standard_normal((4, 4)), q=_random_psd(rng, 4))
         _, covs = gpf_predict(pset, config)
         assert not np.array_equal(covs, pset.covs)
         for name, want in zip(("weights", "means", "covs"), before):
@@ -335,14 +337,16 @@ class TestPredict:
 
     def test_1d_formula(self):
         pset = GpfParticleSet([1.0], [[1.0]], [[[1.0]]])
-        means, covs = gpf_predict(pset, _mean_config(f_matrix=[[2.0]], q_matrix=[[1.0]]))
+        sensor = MeanSensorModel(R=[[0.5]], position_projection=[[1.0]])
+        means, covs = gpf_predict(pset, _mean_config(f=[[2.0]], q=[[1.0]], sensor=sensor))
         assert_allclose(means[0], [2.0])
         assert_allclose(covs[0], [[5.0]])
 
     def test_dimension_mismatch(self):
         pset = _pset([_particle(0.5, 1.0, 2.0)])
         with pytest.raises(ValueError):
-            gpf_predict(pset, _mean_config(f_matrix=np.eye(3), q_matrix=np.zeros((3, 3))))
+            gpf_predict(pset, _mean_config(f=np.eye(3), q=np.zeros((3, 3)),
+                                           sensor=MeanSensorModel(0.5 * np.eye(2), np.eye(2, 3))))
 
     @pytest.mark.parametrize("n", [0, 1, 7, 100])
     def test_equals_kf_predict_bit_for_bit(self, n):
@@ -351,7 +355,7 @@ class TestPredict:
         parts = [(rng.random(), 10 * rng.standard_normal(4), _random_psd(rng, 4))
                  for _ in range(n)]
         pset = _pset(parts) if parts else GpfParticleSet()
-        means, covs = gpf_predict(pset, _mean_config(f_matrix=f, q_matrix=q))
+        means, covs = gpf_predict(pset, _mean_config(f=f, q=q))
         assert means.shape == (n, 4) and covs.shape == (n, 4, 4)
         for i in range(n):
             want_mean, want_cov = kf_predict(pset.means[i], pset.covs[i], f, q)
@@ -377,21 +381,29 @@ def test_config_rejects_bad_merge_and_enumeration_settings(name, bad, message):
 @pytest.mark.parametrize(
     "changes, message",
     [
-        ({"f_matrix": np.ones((4, 3))}, "F must be square"),
-        ({"q_matrix": np.eye(3)}, "Q shape"),
-        ({"q_matrix": -np.eye(4)}, "Q must be positive semidefinite"),
-        ({"q_matrix": np.diag([0.1, math.nan, 0.1, 0.1])}, "Q must be symmetric"),
-        ({"q_matrix": np.triu(np.ones((4, 4)))}, "Q must be symmetric"),
+        ({"f": np.ones((4, 3))}, "F must be square"),
+        ({"q": np.eye(3)}, "Q shape"),
+        ({"q": -np.eye(4)}, "Q must be positive semidefinite"),
+        ({"q": np.diag([0.1, math.nan, 0.1, 0.1])}, "Q must be symmetric"),
+        ({"q": np.triu(np.ones((4, 4)))}, "Q must be symmetric"),
     ],
 )
 def test_config_rejects_bad_motion_model(changes, message):
-    # LinearGaussianModel's checks, when built, not SingularCovarianceError at the first step
+    # MotionModel's checks, when built, not SingularCovarianceError at the first step
     with pytest.raises(ValueError, match=message):
         _mean_config(**changes)
 
 
+def test_config_rejects_mean_sensor_of_another_state_dim():
+    # a 6-column projection on a 4-D motion failed only mid-run, at its first update
+    sensor = MeanSensorModel(0.5 * np.eye(2), np.zeros((2, 6)))
+    with pytest.raises(ValueError, match=r"projection \(2, 6\) does not match state dim 4"):
+        _mean_config(sensor=sensor)
+    assert _mean_config(f=np.eye(6), q=np.zeros((6, 6)), sensor=sensor).sensor is sensor
+
+
 def test_config_accepts_zero_process_noise():
-    assert not _mean_config(q_matrix=np.zeros((4, 4))).q_matrix.any()
+    assert not _mean_config(q=np.zeros((4, 4))).motion.Q.any()
 
 
 def _assert_stage_settings_checked(message, **changes):
@@ -552,8 +564,7 @@ class TestConditionalUpdate:
         r = np.eye(2) * 0.5
         z = rng.standard_normal(2)
         got = conditional_kf_update(mean[None], cov[None], z, r, proj)
-        model = LinearGaussianModel(F=np.eye(4), Q=np.zeros((4, 4)), H=proj, R=r)
-        want = kf_update(mean, cov, model.H, model.R, z)
+        want = kf_update(mean, cov, proj, r, z)
         for name in want._fields:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
@@ -1230,16 +1241,15 @@ class TestGpfStep:
         f = constant_velocity_matrix(tau)
         q = np.diag([0.5, 0.05, 0.5, 0.05])
         sensor = _mean_sensor(r=0.4)
-        config = _mean_config(f_matrix=f, q_matrix=q, sensor=sensor)
-        model = LinearGaussianModel(F=f, Q=q, H=sensor.position_projection, R=sensor.R)
+        config = _mean_config(f=f, q=q, sensor=sensor)
 
         kf_mean, kf_cov = np.array([6.0, 0.1, 6.0, -0.1]), np.diag([2.0, 0.5, 2.0, 0.5])
         belief = GpfParticleSet([1.0], kf_mean[None], kf_cov[None])
         for _ in range(20):
-            pred = kf_predict(kf_mean, kf_cov, model.F, model.Q)
+            pred = kf_predict(kf_mean, kf_cov, f, q)
             z = pred[0][[0, 2]] + rng.standard_normal(2)
             belief = gpf_step(belief, z, config)
-            kf_mean, kf_cov, *_ = kf_update(*pred, model.H, model.R, z)
+            kf_mean, kf_cov, *_ = kf_update(*pred, sensor.position_projection, sensor.R, z)
             assert len(belief) == 1
             assert belief.weights[0] == 1.0
             assert_allclose(belief.means[0], kf_mean, rtol=1e-10)
@@ -1247,9 +1257,7 @@ class TestGpfStep:
 
     def test_empty_set_gets_births_only(self):
         sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
-        config = GpfConfig(
-            f_matrix=np.eye(4), q_matrix=np.zeros((4, 4)), sensor=sensor, w_birth=0.1
-        )
+        config = GpfConfig(motion=_STILL, sensor=sensor, w_birth=0.1)
         out = gpf_step(GpfParticleSet(), CellReturns([0, 5], [1, 1]), config)
         assert len(out) == 2
         assert all(w == 0.1 for w in out.weights.tolist())
@@ -1263,9 +1271,7 @@ class TestGpfStep:
         again = gpf_step(out, np.array([11.0, 11.0]), config)
         assert len(again) == 0 and not again.degenerate_step
         grid = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
-        grid_config = GpfConfig(
-            f_matrix=np.eye(4), q_matrix=np.zeros((4, 4)), sensor=grid, w_birth=0.1
-        )
+        grid_config = GpfConfig(motion=_STILL, sensor=grid, w_birth=0.1)
         births = gpf_step(out, CellReturns([14, 20], [1, 0]), grid_config)
         assert births.weights.tolist() == [0.1]
         assert_allclose(births.means, [[2.5, 0.0, 1.5, 0.0]])
@@ -1273,7 +1279,7 @@ class TestGpfStep:
     def test_six_dim_state_prunes(self):
         # the empty births of a mean-sensor step are 4-D; a 6-D belief must still prune
         config = _mean_config(
-            f_matrix=np.eye(6), q_matrix=0.01 * np.eye(6),
+            f=np.eye(6), q=0.01 * np.eye(6),
             sensor=MeanSensorModel(R=0.5 * np.eye(2), position_projection=position_projection(6)),
         )
         means = np.zeros((2, 6))
@@ -1386,6 +1392,15 @@ class TestGpfStep:
         assert out.weights.tolist() == [1.0] and not out.degenerate_step
         assert np.array_equal(out.means[0], post.mean) and np.array_equal(out.covs[0], post.cov)
 
+    def test_combinations_with_no_finite_log_weight_are_degenerate(self):
+        # (1, 1) and (1, 0) survive, both residuals' squares overflow, and the
+        # all-zero combination has prior 0: nothing to normalize, as if none survived
+        pset, config = _pset([_particle(1.0, 2.0, 2.0), _particle(0.5, 8.0, 8.0)]), _mean_config()
+        assert len(enumerate_combinations(pset.weights.tolist(), config)) == 2
+        with np.errstate(over="ignore"):
+            out = gpf_step(pset, np.array([1e160, 0.0]), config)
+        assert out == GpfParticleSet(pset.weights, pset.means, pset.covs, degenerate_step=True)
+
     def test_out_of_fov_particles_only_predicted(self):
         fov = FovRegion.box(0.0, 0.0, 5.0, 5.0)
         parts = [_particle(0.9, 2.0, 2.0), _particle(0.9, 9.0, 9.0)]
@@ -1399,8 +1414,8 @@ class TestGpfStep:
     def test_interleaved_out_of_view_rows(self):
         # in-view rows that are not a prefix: out, in, out, in
         fov = FovRegion.box(0.0, 0.0, 5.0, 5.0)
-        config = _mean_config(fov=fov, f_matrix=constant_velocity_matrix(1.0),
-                              q_matrix=np.diag([0.1, 0.01, 0.1, 0.01]))
+        config = _mean_config(fov=fov, f=constant_velocity_matrix(1.0),
+                              q=np.diag([0.1, 0.01, 0.1, 0.01]))
         parts = [_particle(0.6, 9.0, 9.0), _particle(0.9, 1.0, 1.0),
                  _particle(0.7, 8.0, 2.0), _particle(0.8, 4.0, 3.5)]
         z = np.array([2.5, 2.0])
@@ -1428,7 +1443,7 @@ class TestGpfStep:
         belief = _pset(parts)
         weights = [w for w, _, _ in parts]
         means = [m.copy() for _, m, _ in parts]
-        config = _mean_config(f_matrix=constant_velocity_matrix(1.0), q_matrix=np.eye(4))
+        config = _mean_config(f=constant_velocity_matrix(1.0), q=np.eye(4))
         out = gpf_step(belief, np.array([3.0, 3.0]), config)
         assert out.weights[0] != weights[0]
         assert belief.weights.tolist() == weights
@@ -1446,7 +1461,7 @@ class TestGpfStep:
             assert len(select_fov_particles(belief.means, config.fov)[0]) == 2
         else:
             grid = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
-            config = GpfConfig(f_matrix=np.eye(4), q_matrix=np.zeros((4, 4)), sensor=grid)
+            config = GpfConfig(motion=_STILL, sensor=grid)
             belief = _pset([_particle(0.5, 3.0, 3.0), _particle(0.5, 3.2, 3.0)])
             z = CellReturns([grid.cell_of(3.0, 3.0)], [0])
 
@@ -1465,7 +1480,7 @@ class TestGpfStep:
         # a step builds the set of its update, then one more for births and for each
         # stage that changes the belief, and checks no setting again
         grid = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
-        grid_config = GpfConfig(f_matrix=np.eye(4), q_matrix=np.zeros((4, 4)), sensor=grid)
+        grid_config = GpfConfig(motion=_STILL, sensor=grid)
         apart = _pset([_particle(0.9, 2.0, 2.0), _particle(0.8, 8.0, 8.0)])
         close = _pset([_particle(0.5, 3.0, 3.0), _particle(0.5, 3.2, 3.0)])
         halves = _pset([_particle(0.5, 2.0, 2.0), _particle(0.5, 9.0, 9.0)])
@@ -1505,9 +1520,7 @@ class TestGpfStep:
                 gpf_step(belief, z, _mean_config(epsilon=0.01))
 
     def test_plain_list_of_returns_rejected(self):
-        config = GpfConfig(
-            f_matrix=np.eye(4), q_matrix=np.zeros((4, 4)), sensor=GridSensorModel(WORKSPACE)
-        )
+        config = GpfConfig(motion=_STILL, sensor=GridSensorModel(WORKSPACE))
         with pytest.raises(TypeError):
             gpf_step(GpfParticleSet(), [(0, 1), (5, 1)], config)
         with pytest.raises(TypeError):
@@ -1515,9 +1528,7 @@ class TestGpfStep:
 
     @pytest.mark.parametrize("cell", [-1, 144])
     def test_out_of_range_cell_rejected(self, cell):
-        config = GpfConfig(
-            f_matrix=np.eye(4), q_matrix=np.zeros((4, 4)), sensor=GridSensorModel(WORKSPACE)
-        )
+        config = GpfConfig(motion=_STILL, sensor=GridSensorModel(WORKSPACE))
         belief = _pset([_particle(0.5, 11.5, 11.5)])
         with pytest.raises(IndexError):
             gpf_step(belief, CellReturns([cell], [1]), config)
@@ -1532,8 +1543,8 @@ class TestGpfStep:
     def test_invariants_over_random_run(self):
         rng = np.random.default_rng(33)
         config = _mean_config(
-            f_matrix=constant_velocity_matrix(0.1),
-            q_matrix=np.diag([0.05, 0.01, 0.05, 0.01]),
+            f=constant_velocity_matrix(0.1),
+            q=np.diag([0.05, 0.01, 0.05, 0.01]),
         )
         parts = [
             _particle(float(rng.uniform(0.3, 1.0)), float(rng.uniform(2, 10)), float(rng.uniform(2, 10)))
@@ -1554,8 +1565,7 @@ class TestGpfStep:
         rng = np.random.default_rng(44)
         sensor = GridSensorModel(WORKSPACE, p_d=0.9, snr=10.0, m_cells=36)
         config = GpfConfig(
-            f_matrix=constant_velocity_matrix(0.1),
-            q_matrix=np.diag([0.02, 0.002, 0.02, 0.002]),
+            motion=MotionModel(constant_velocity_matrix(0.1), np.diag([0.02, 0.002, 0.02, 0.002])),
             sensor=sensor,
             w_prune=0.05,
             d_thresh=4.0,

@@ -7,21 +7,17 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mtt.gaussians import SingularCovarianceError
-from mtt.kalman import LinearGaussianModel, kf_predict, kf_update
+from mtt.kalman import kf_predict, kf_update
+from mtt.motion import MotionModel
+from mtt.sensors import MeanSensorModel
 
 
-def _model_1d(f=1.0, q=0.0, h=1.0, r=1.0):
-    return LinearGaussianModel(F=[[f]], Q=[[q]], H=[[h]], R=[[r]])
-
-
-def _random_model(rng, n, r_dim=None):
+def _random_measurement(rng, n, r_dim=None):
+    """A random (H, R) pair: H (r_dim, n), R symmetric positive definite."""
     r_dim = r_dim or n
-    a = rng.standard_normal((n, n))
-    q = a @ a.T * 0.1
     h = rng.standard_normal((r_dim, n))
     b = rng.standard_normal((r_dim, r_dim))
-    r = b @ b.T + 0.1 * np.eye(r_dim)
-    return LinearGaussianModel(F=rng.standard_normal((n, n)), Q=q, H=h, R=r)
+    return h, b @ b.T + 0.1 * np.eye(r_dim)
 
 
 def _random_state(rng, n):
@@ -33,15 +29,15 @@ def _random_state(rng, n):
 class TestPredict:
     def test_identity_dynamics(self):
         mean, cov = np.array([1.0, 2.0]), np.diag([0.5, 0.5])
-        model = LinearGaussianModel(F=np.eye(2), Q=np.zeros((2, 2)), H=np.eye(2), R=np.eye(2))
-        pred_mean, pred_cov = kf_predict(mean, cov, model.F, model.Q)
+        motion = MotionModel(F=np.eye(2), Q=np.zeros((2, 2)))
+        pred_mean, pred_cov = kf_predict(mean, cov, motion.F, motion.Q)
         assert_allclose(pred_mean, mean)
         assert_allclose(pred_cov, cov)
 
     def test_pure_diffusion(self):
         mean, cov = np.array([1.0, 2.0]), np.diag([0.5, 2.0])
-        model = LinearGaussianModel(F=np.eye(2), Q=np.eye(2), H=np.eye(2), R=np.eye(2))
-        pred_mean, pred_cov = kf_predict(mean, cov, model.F, model.Q)
+        motion = MotionModel(F=np.eye(2), Q=np.eye(2))
+        pred_mean, pred_cov = kf_predict(mean, cov, motion.F, motion.Q)
         assert_allclose(pred_mean, mean)
         assert_allclose(pred_cov, cov + np.eye(2))
 
@@ -67,8 +63,7 @@ class TestUpdate:
 
     def test_uninformative_measurement(self):
         mean, cov = np.array([1.0, -1.0]), np.diag([2.0, 3.0])
-        model = LinearGaussianModel(F=np.eye(2), Q=np.zeros((2, 2)), H=np.eye(2), R=np.eye(2) * 1e12)
-        post = kf_update(mean, cov, model.H, model.R, np.array([50.0, -50.0]))
+        post = kf_update(mean, cov, np.eye(2), np.eye(2) * 1e12, np.array([50.0, -50.0]))
         assert_allclose(post.mean, mean, rtol=1e-6, atol=1e-6)
         assert_allclose(post.cov, cov, rtol=1e-6)
 
@@ -85,9 +80,8 @@ class TestUpdate:
         assert_allclose(cov, [[0.8]])
 
     def test_singular_innovation(self):
-        model = _model_1d(r=0.0)
         with pytest.raises(SingularCovarianceError):
-            kf_update(0.0, 0.0, model.H, model.R, np.array([1.0]))
+            kf_update(0.0, 0.0, np.eye(1), np.zeros((1, 1)), np.array([1.0]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -95,9 +89,8 @@ class TestUpdate:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_measurement_rejected(self, bad):
-        model = LinearGaussianModel(F=np.eye(2), Q=np.zeros((2, 2)), H=np.eye(2), R=np.eye(2))
         with pytest.raises(ValueError, match="finite"):
-            kf_update(np.zeros(2), np.eye(2), model.H, model.R, np.array([bad, 5.0]))
+            kf_update(np.zeros(2), np.eye(2), np.eye(2), np.eye(2), np.array([bad, 5.0]))
 
 
 class TestInvariants:
@@ -105,9 +98,9 @@ class TestInvariants:
     @settings(max_examples=50, deadline=None)
     def test_update_never_inflates_variance(self, seed, n):
         rng = np.random.default_rng(seed)
-        model = _random_model(rng, n)
+        h, r = _random_measurement(rng, n)
         mean, cov = _random_state(rng, n)
-        post = kf_update(mean, cov, model.H, model.R, rng.standard_normal(model.meas_dim))
+        post = kf_update(mean, cov, h, r, rng.standard_normal(n))
         for _ in range(5):
             v = rng.standard_normal(n)
             v /= np.linalg.norm(v)
@@ -118,12 +111,12 @@ class TestInvariants:
     def test_order_invariance(self, seed, n):
         rng = np.random.default_rng(seed)
         prior = _random_state(rng, n)
-        model_a = _random_model(rng, n, r_dim=n)
-        model_b = _random_model(rng, n, r_dim=n)
+        h_a, r_a = _random_measurement(rng, n, r_dim=n)
+        h_b, r_b = _random_measurement(rng, n, r_dim=n)
         za = rng.standard_normal(n)
         zb = rng.standard_normal(n)
-        p1 = kf_update(*kf_update(*prior, model_a.H, model_a.R, za)[:2], model_b.H, model_b.R, zb)
-        p2 = kf_update(*kf_update(*prior, model_b.H, model_b.R, zb)[:2], model_a.H, model_a.R, za)
+        p1 = kf_update(*kf_update(*prior, h_a, r_a, za)[:2], h_b, r_b, zb)
+        p2 = kf_update(*kf_update(*prior, h_b, r_b, zb)[:2], h_a, r_a, za)
         assert_allclose(p1.mean, p2.mean, atol=1e-9)
         assert_allclose(p1.cov, p2.cov, atol=1e-9)
 
@@ -131,12 +124,11 @@ class TestInvariants:
     @settings(max_examples=50, deadline=None)
     def test_joseph_form_matches_simple_form(self, seed, n):
         rng = np.random.default_rng(seed)
-        model = _random_model(rng, n)
+        h, r = _random_measurement(rng, n)
         mean, cov = _random_state(rng, n)
-        _, post_cov, _, _, k = kf_update(mean, cov, model.H, model.R,
-                                         rng.standard_normal(model.meas_dim))
-        i_kh = np.eye(n) - k @ model.H
-        joseph = i_kh @ cov @ i_kh.T + k @ model.R @ k.T
+        _, post_cov, _, _, k = kf_update(mean, cov, h, r, rng.standard_normal(n))
+        i_kh = np.eye(n) - k @ h
+        joseph = i_kh @ cov @ i_kh.T + k @ r @ k.T
         simple = i_kh @ cov
         assert_allclose(joseph, simple, atol=1e-8)
         assert_allclose(post_cov, joseph, atol=1e-12)
@@ -145,29 +137,28 @@ class TestInvariants:
     @settings(max_examples=30, deadline=None)
     def test_posterior_cov_symmetric_psd(self, seed, n):
         rng = np.random.default_rng(seed)
-        model = _random_model(rng, n)
-        post = kf_update(*_random_state(rng, n), model.H, model.R,
-                         rng.standard_normal(model.meas_dim))
+        h, r = _random_measurement(rng, n)
+        post = kf_update(*_random_state(rng, n), h, r, rng.standard_normal(n))
         assert np.array_equal(post.cov, post.cov.T)
         assert np.linalg.eigvalsh(post.cov).min() >= -1e-9
 
 
 class TestModelValidation:
     def test_asymmetric_q_rejected(self):
-        with pytest.raises(ValueError):
-            LinearGaussianModel(F=np.eye(2), Q=[[1.0, 0.5], [0.0, 1.0]], H=np.eye(2), R=np.eye(2))
+        with pytest.raises(ValueError, match="Q must be symmetric"):
+            MotionModel(F=np.eye(2), Q=[[1.0, 0.5], [0.0, 1.0]])
 
     def test_q_must_be_psd(self):
         # pf_step would draw its process noise from a wrong distribution
         with pytest.raises(ValueError, match="Q must be positive semidefinite"):
-            LinearGaussianModel(F=np.eye(2), Q=[[1.0, 2.0], [2.0, 1.0]], H=np.eye(2), R=np.eye(2))
+            MotionModel(F=np.eye(2), Q=[[1.0, 2.0], [2.0, 1.0]])
 
     def test_r_must_be_psd(self):
         with pytest.raises(ValueError, match="R must be positive semidefinite"):
-            LinearGaussianModel(F=np.eye(2), Q=np.eye(2), H=np.eye(2), R=-np.eye(2))
+            MeanSensorModel(R=-np.eye(2), position_projection=np.eye(2))
 
     def test_model_is_frozen(self):
-        model = _model_1d(q=0.5)
+        model = MotionModel(F=[[1.0]], Q=[[0.5]])
         with pytest.raises(FrozenInstanceError):
             model.Q = np.eye(1)
         with pytest.raises(ValueError):
@@ -175,5 +166,7 @@ class TestModelValidation:
         assert_allclose(model.Q_factor.T @ model.Q_factor, [[0.5]])
 
     def test_inconsistent_dims_rejected(self):
-        with pytest.raises(ValueError):
-            LinearGaussianModel(F=np.eye(2), Q=np.eye(2), H=np.eye(3), R=np.eye(2))
+        with pytest.raises(ValueError, match="Q shape"):
+            MotionModel(F=np.eye(2), Q=np.eye(3))
+        with pytest.raises(ValueError, match="F must be square"):
+            MotionModel(F=np.ones((2, 3)), Q=np.eye(2))

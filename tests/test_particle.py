@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from mtt.kalman import LinearGaussianModel, kf_predict, kf_update
-from mtt.motion import constant_velocity_matrix, position_projection
+from mtt.kalman import kf_predict, kf_update
+from mtt.motion import MotionModel, constant_velocity_matrix
 from mtt.particle import (
     PointParticleSet,
     effective_sample_size,
@@ -17,8 +17,8 @@ from mtt.particle import (
 )
 
 
-def _model_1d(f=1.0, q=0.5, r=1.0):
-    return LinearGaussianModel(F=[[f]], Q=[[q]], H=[[1.0]], R=[[r]])
+def _model_1d(f=1.0, q=0.5):
+    return MotionModel(F=[[f]], Q=[[q]])
 
 
 def _uniform_set(states):
@@ -260,7 +260,7 @@ class TestPfStep:
 
     def test_process_noise_is_multivariate_normal_stream(self):
         q = np.array([[1.0, 0.3], [0.3, 0.5]])
-        model = LinearGaussianModel(F=np.eye(2), Q=q, H=np.eye(2), R=np.eye(2))
+        model = MotionModel(F=np.eye(2), Q=q)
         pset = _uniform_set(np.zeros((500, 2)))
         rng, rng_ref = np.random.default_rng(4), np.random.default_rng(4)
         out = pf_step(pset, model, lambda s, z: np.ones(len(s)), np.zeros(2), rng)
@@ -274,7 +274,7 @@ class TestPfStep:
     def test_tracks_kalman_oracle(self):
         # linear-Gaussian model: the KF posterior mean is exact
         rng = np.random.default_rng(11)
-        model = _model_1d(f=0.95, q=0.4, r=0.8)
+        model = _model_1d(f=0.95, q=0.4)
         truth = 0.0
         kf_mean, kf_cov = np.array([0.0]), np.array([[2.0]])
         n = 4000
@@ -291,7 +291,7 @@ class TestPfStep:
             truth = 0.95 * truth + rng.normal(0.0, np.sqrt(0.4))
             z = np.array([truth + rng.normal(0.0, np.sqrt(0.8))])
             pred = kf_predict(kf_mean, kf_cov, model.F, model.Q)
-            kf_mean, kf_cov, *_ = kf_update(*pred, model.H, model.R, z)
+            kf_mean, kf_cov, *_ = kf_update(*pred, np.eye(1), np.array([[0.8]]), z)
             pset = pf_step(pset, model, like, z, rng)
             ess = effective_sample_size(pset.weights)
             spread = np.sqrt(
@@ -308,9 +308,7 @@ class TestOneSetPerStep:
     built the reweighted set and then handed it to the public resampler."""
 
     RESAMPLERS = {"multinomial": resample_multinomial, "systematic": resample_systematic}
-    MODEL = LinearGaussianModel(F=constant_velocity_matrix(1.0),
-                                Q=np.diag([0.2, 0.02, 0.2, 0.02]),
-                                H=position_projection(), R=np.eye(2))
+    MODEL = MotionModel(F=constant_velocity_matrix(1.0), Q=np.diag([0.2, 0.02, 0.2, 0.02]))
 
     @staticmethod
     def _likelihood(case):

@@ -11,6 +11,7 @@ import pytest
 from mtt.config import _KEYS, ConfigError, parse_config_text
 from mtt.domains import Choice
 from mtt.gpf import GpfConfig
+from mtt.motion import MotionModel
 from mtt.regions import Rectangle
 from mtt.sensors import GridSensorModel
 from mtt.sim import ExperimentSetup, ScenarioConfig
@@ -72,7 +73,7 @@ def test_every_record_field_has_one_key():
     "record, name",
     [(ScenarioConfig(), "tau"), (ExperimentSetup(), "p_d"),
      (GridSensorModel(Rectangle(0.0, 0.0, 1.0, 1.0)), "p_d"),
-     (GpfConfig(np.eye(4), np.eye(4), GridSensorModel(Rectangle(0.0, 0.0, 1.0, 1.0))),
+     (GpfConfig(MotionModel(np.eye(4), np.eye(4)), GridSensorModel(Rectangle(0.0, 0.0, 1.0, 1.0))),
       "epsilon")],
     ids=["ScenarioConfig", "ExperimentSetup", "GridSensorModel", "GpfConfig"],
 )

@@ -1,6 +1,8 @@
-"""Smoke test: the experiment scripts under scripts/ still run at tiny size."""
+"""Smoke test: the experiment scripts under scripts/ still run at tiny size, and
+README's library example runs as written."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,3 +33,12 @@ def test_script_runs(script, args, tmp_path):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_library_example_runs(capsys):
+    # the first python block under "## Library use", as a reader would paste it
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = re.match(r"\s*```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("expected target count: ")

@@ -1,10 +1,11 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from mtt.gaussians import log_pdf
+from mtt.gaussians import log_pdf, noise_factor
 from mtt.regions import Rectangle
 from mtt.sim import (
     ExperimentSetup,
@@ -361,6 +362,30 @@ class TestRunExperiment:
         run_experiment(config, "pf", "mean", np.random.default_rng(0),
                        ExperimentSetup(pf_n_particles=300))
         assert calls == [(300, 2)] * 4
+
+    @pytest.mark.parametrize(
+        "filter_choice, sensor_choice, factored",
+        [("kf", "mean", ["R", "Q"]), ("pf", "mean", ["R", "Q"]), ("gpf", "mean", ["R", "Q"]),
+         ("gpf", "grid", ["Q"])],
+    )
+    def test_each_noise_covariance_factored_once(self, filter_choice, sensor_choice, factored,
+                                                 monkeypatch):
+        # a run builds one sensor and one motion record, which check and factor
+        # their own R and Q; no filter builds another
+        calls = []
+
+        def spy(cov, name="covariance"):
+            calls.append(name)
+            return noise_factor(cov, name)
+
+        for module_name, module in list(sys.modules.items()):
+            held = getattr(module, "noise_factor", None)
+            if module_name.split(".")[0] == "mtt" and held is noise_factor:
+                monkeypatch.setattr(module, "noise_factor", spy)
+        config = ScenarioConfig(n_targets=1, n_steps=2, initial_states=[(6.0, 0.0, 6.0, 0.0)])
+        run_experiment(config, filter_choice, sensor_choice, np.random.default_rng(0),
+                       ExperimentSetup(pf_n_particles=50))
+        assert calls == factored
 
     @pytest.mark.parametrize("filter_choice", ["kf", "pf", "gpf"])
     def test_records_hold_estimate_arrays(self, filter_choice):
