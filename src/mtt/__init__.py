@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .gaussians import SingularCovarianceError, log_pdf, moment_match_merge
 from .gpf import (
-    CombinatorialBlowupError,
     ExistenceCombination,
     GpfConfig,
     GpfParticleSet,

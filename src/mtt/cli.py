@@ -279,6 +279,7 @@ def write_manifest(
     seed: int,
     outputs: list[Path],
     extra: dict | None = None,
+    name: str = "manifest.json",
 ) -> Path:
     manifest = {
         "tool": "mtt",
@@ -290,7 +291,7 @@ def write_manifest(
         "outputs": [str(p) for p in outputs],
         **(extra or {}),
     }
-    path = out_dir / "manifest.json"
+    path = out_dir / name
     path.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n", encoding="utf-8")
     return path
 
@@ -367,7 +368,8 @@ def _cmd_eval(args) -> int:
     )
     metrics_path = out_dir / "eval_metrics.csv"
     write_csv(tracking_log, metrics_path, config.scenario.n_targets)
-    write_manifest(out_dir, "eval", config, seed, [metrics_path])
+    # its own name, so an eval into the track run's directory keeps that run's manifest
+    write_manifest(out_dir, "eval", config, seed, [metrics_path], name="eval_manifest.json")
     log.info("wrote %s", metrics_path)
     return 0
 

@@ -143,7 +143,6 @@ _KEYS = (
     _Key("gpf.w_birth", "setup", "gpf_w_birth", _float),
     _Key("gpf.clutter_density", "setup", "gpf_clutter_density", _parse_clutter, _fmt_clutter),
     _Key("gpf.merge_cov", "setup", "gpf_merge_cov", str),
-    _Key("gpf.s_max", "setup", "gpf_s_max", _int),
     _Key("gpf.init_weight", "setup", "gpf_init_weight", _float),
     _Key("gpf.init_cov_diag", "setup", "gpf_init_cov_diag", _floats),
     _Key("pf.n_particles", "setup", "pf_n_particles", _int),

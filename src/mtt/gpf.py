@@ -46,10 +46,6 @@ from .regions import FovRegion
 from .sensors import CellReturns, GridSensorModel, MeanSensorModel, check_cells, detection_prob
 
 
-class CombinatorialBlowupError(ValueError):
-    """Too many in-view particles to enumerate existence combinations."""
-
-
 @dataclass(frozen=True, eq=False)
 class GpfParticleSet(ValueEq):
     """The multi-target belief at one time step: particle i has existence
@@ -112,8 +108,9 @@ class GpfConfig:
     """Everything one filter step needs besides the belief and measurement.
 
     The motion and sensor records check their own matrices; the config
-    checks that a mean sensor's projection reads states of the motion's
-    dimension, and every declared setting.
+    checks every declared setting, that a mean sensor's projection reads
+    states of the motion's dimension, and that a grid sensor has the 4-D
+    motion its births and cells read and births that the prune keeps.
     """
 
     motion: MotionModel
@@ -126,7 +123,6 @@ class GpfConfig:
     w_birth: float = declare(0.1, Range(0.0, 1.0, lo_open=True))
     clutter_density: float = declare(1.0, Range(0.0, lo_open=True))
     merge_cov: str = declare("moment", Choice(COV_MODES))
-    s_max: int = declare(20, Range(1))
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -134,6 +130,11 @@ class GpfConfig:
         if isinstance(sensor, MeanSensorModel) and sensor.position_projection.shape[1] != n:
             raise ValueError(f"mean sensor projection {sensor.position_projection.shape} "
                              f"does not match state dim {n}")
+        if isinstance(sensor, GridSensorModel) and n != 4:
+            raise ValueError(f"the grid sensor reads 4-D states (x, vx, y, vy), not state dim {n}")
+        if isinstance(sensor, GridSensorModel) and self.w_birth < self.w_prune:
+            raise ValueError(f"w_birth {self.w_birth!r} is below w_prune {self.w_prune!r}: "
+                             "the prune would drop every grid birth")
 
 
 def gpf_predict(pset: GpfParticleSet, config: GpfConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -159,36 +160,26 @@ def select_fov_particles(means: np.ndarray, fov: FovRegion) -> tuple[np.ndarray,
 
 def enumerate_combinations(weights: list[float], config: GpfConfig) -> list[ExistenceCombination]:
     """All boolean existence vectors over the in-view weights whose Bernoulli
-    prior exceeds config.epsilon; more than config.s_max weights raise
-    CombinatorialBlowupError.
+    prior exceeds config.epsilon, in depth-first order (bit 1 before bit 0).
 
-    The prior of a vector e is prod_i w_i^e_i (1 - w_i)^(1 - e_i).  The
-    search is depth first with pruning: once a partial product is <= epsilon
-    it can never recover, because every remaining factor is at most one.
+    The prior of a vector e is prod_i w_i^e_i (1 - w_i)^(1 - e_i).  One pass
+    over the weights extends every surviving prefix by 1 and by 0, and keeps
+    a child only while its partial product exceeds epsilon: once it is
+    <= epsilon it can never recover, because every remaining factor is at
+    most one.  The kept prefixes of a row are disjoint events, each above
+    epsilon, so fewer than 1/epsilon of them survive at every row.
     """
-    epsilon, s = config.epsilon, len(weights)
-    if s > config.s_max:
-        raise CombinatorialBlowupError(
-            f"{s} particles in view would mean up to 2^{s} combinations; "
-            "raise epsilon or shrink the field of view"
-        )
-    found: list[ExistenceCombination] = []
-
-    def descend(k: int, bits: list[int], partial: float) -> None:
-        if partial <= epsilon:
-            return
-        if k == s:
-            found.append(ExistenceCombination(tuple(bits), partial))
-            return
-        w = weights[k]
-        bits.append(1)
-        descend(k + 1, bits, partial * w)
-        bits[-1] = 0
-        descend(k + 1, bits, partial * (1.0 - w))
-        bits.pop()
-
-    descend(0, [], 1.0)
-    return found
+    epsilon, prefixes = config.epsilon, [((), 1.0)]
+    for w in weights:
+        children, v = [], 1.0 - w
+        for bits, partial in prefixes:
+            one, zero = partial * w, partial * v
+            if one > epsilon:
+                children.append((bits + (1,), one))
+            if zero > epsilon:
+                children.append((bits + (0,), zero))
+        prefixes = children
+    return [ExistenceCombination(bits, prior) for bits, prior in prefixes]
 
 
 def _diagonal_blocks(joint: np.ndarray, n: int) -> np.ndarray:

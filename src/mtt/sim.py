@@ -204,7 +204,6 @@ class ExperimentSetup:
     gpf_w_birth: float = same_as(GpfConfig, "w_birth")
     gpf_clutter_density: float | None = same_as(GpfConfig, "clutter_density", default=None)
     gpf_merge_cov: str = same_as(GpfConfig, "merge_cov")
-    gpf_s_max: int = same_as(GpfConfig, "s_max")
     gpf_init_weight: float = declare(0.9, Range(0.0, 1.0, lo_open=True))
     gpf_init_cov_diag: tuple[float, ...] = declare((1.0, 0.1, 1.0, 0.1),
                                                    Range(0.0, lo_open=True, size=4))
@@ -245,7 +244,7 @@ def _gpf_filter(
         clutter = 1.0 / config.workspace.area
     gpf_config = GpfConfig(motion, sensor, clutter_density=clutter, **{
         name: getattr(setup, f"gpf_{name}")
-        for name in ("epsilon", "d_thresh", "w_prune", "n_max", "w_birth", "merge_cov", "s_max")})
+        for name in ("epsilon", "d_thresh", "w_prune", "n_max", "w_birth", "merge_cov")})
     belief = GpfParticleSet()
     if isinstance(sensor, MeanSensorModel):
         n = len(truth0)

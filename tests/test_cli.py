@@ -151,8 +151,19 @@ class TestEval:
         track_csv = (out / "metrics.csv").read_text()
         eval_csv = (out_eval / "eval_metrics.csv").read_text()
         assert eval_csv == track_csv
-        manifest = json.loads((out_eval / "manifest.json").read_text())
+        manifest = json.loads((out_eval / "eval_manifest.json").read_text())
         assert manifest["seed"] == 3
+
+    def test_eval_keeps_the_track_manifest(self, cfg_file, tmp_path):
+        # eval's default --out is the log's directory, where the track run's manifest is
+        out = tmp_path / "t"
+        run_command(["track", "--config", str(cfg_file), "--seed", "3", "--out", str(out)])
+        track_manifest = (out / "manifest.json").read_bytes()
+        assert run_command(["eval", "--log", str(out / "particles.json")]) == 0
+        assert (out / "manifest.json").read_bytes() == track_manifest
+        manifest = json.loads((out / "eval_manifest.json").read_text())
+        assert manifest["command"] == "eval"
+        assert [Path(p).name for p in manifest["outputs"]] == ["eval_metrics.csv"]
 
     def test_eval_missing_log_is_runtime_error(self, tmp_path):
         assert run_command(["eval", "--log", str(tmp_path / "nope.json")]) == 2
@@ -637,6 +648,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "pf.ess_ratio" in err and "pf.n_particles" in err
         assert not (tmp_path / "o").exists()
+
+    def test_grid_births_below_the_prune_is_runtime_error(self, tmp_path, capsys):
+        # every birth would be pruned in its own step: the run would never hold a row
+        cfg = tmp_path / "births.cfg"
+        cfg.write_text("scenario.n_steps = 10\ngpf.w_birth = 0.01\ngpf.w_prune = 0.05\n")
+        assert run_command(["track", "--config", str(cfg), "--sensor", "grid",
+                            "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "w_birth 0.01" in err and "w_prune 0.05" in err
+        # the mean sensor makes no births
+        assert run_command(["track", "--config", str(cfg), "--sensor", "mean",
+                            "--out", str(tmp_path / "m")]) == 0
+
+    def test_many_slow_targets_in_view_run(self, tmp_path):
+        # all 25 rows stay in view: the enumeration is bounded by epsilon, not the row count
+        cfg = tmp_path / "slow.cfg"
+        cfg.write_text("scenario.n_targets = 25\nscenario.n_steps = 5\n"
+                       "scenario.tau = 0.001\nscenario.q_diag = 0.02,0.0002,0.02,0.0002\n")
+        assert run_command(["track", "--config", str(cfg), "--seed", "1", "--sensor", "mean",
+                            "--out", str(tmp_path / "o")]) == 0
 
     def test_runtime_error_exit_code(self, tmp_path):
         # kf with two targets is an unsupported combination -> runtime error

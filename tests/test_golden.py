@@ -5,16 +5,19 @@ Each case runs `track` through `run_command` and compares `metrics.csv` and
 `manifest.json` is not compared because it holds a timestamp.  `eval` on
 each committed `particles.json` must also reproduce its `metrics.csv`.
 
-A change that alters the random stream or the filter arithmetic on purpose
-regenerates the files and says why in CHANGES.md; the script prints
-`changed` or `unchanged` for every file it rewrites, so the entry can name
-exactly which files moved:
+A change that alters the random stream, the filter arithmetic or the config
+keys on purpose regenerates the files and says why in CHANGES.md; the script
+prints `changed` or `unchanged` for every file it rewrites, and for a changed
+`particles.json` the top-level keys that differ, such as
+`gpf_mean_1target/particles.json: changed (config)`, so the entry can name
+exactly what moved:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 from __future__ import annotations
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -117,6 +120,13 @@ def test_eval_matches_golden_metrics(case, tmp_path):
     assert (tmp_path / "eval_metrics.csv").read_bytes() == expected
 
 
+def _changed_keys(old: bytes, new: bytes) -> str:
+    """The top-level keys whose values differ between two particle logs, as ' (a, b)'."""
+    old_log, new_log = json.loads(old), json.loads(new)
+    keys = sorted(k for k in old_log.keys() | new_log.keys() if old_log.get(k) != new_log.get(k))
+    return f" ({', '.join(keys)})"
+
+
 def regenerate(work: Path) -> None:
     for case in sorted(CASES):
         out = _track(case, work)
@@ -124,7 +134,10 @@ def regenerate(work: Path) -> None:
         dest.mkdir(parents=True, exist_ok=True)
         for name in COMPARED:
             data, path = (out / name).read_bytes(), dest / name
-            state = "unchanged" if path.exists() and path.read_bytes() == data else "changed"
+            old = path.read_bytes() if path.exists() else None
+            state = "unchanged" if old == data else "changed"
+            if old is not None and old != data and name == "particles.json":
+                state += _changed_keys(old, data)
             path.write_bytes(data)
             print(f"{case}/{name}: {state}")
 
