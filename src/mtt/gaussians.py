@@ -166,7 +166,7 @@ def mixture_moments(
 
 def moment_match_merge(
     weights: np.ndarray, means: np.ndarray, covs: np.ndarray, cov_mode: str = "moment"
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """Collapse weighted Gaussians, rows of (k,), (k, d) and (k, d, d), into one.
 
     Returns (weight, mean, cov): the clamped sum of the weights and the
@@ -176,31 +176,40 @@ def moment_match_merge(
     experiments.  An unknown cov_mode raises before anything is merged, and
     so does a weight that is not finite and non-negative.
 
-    A "moment" merge of two rows, as merge_close_particles makes, is
-    a0 m0 + a1 m1 and a0 (C0 + d0 d0') + a1 (C1 + d1 d1') on the two rows
-    directly, symmetrized: the bits of mixture_moments' axis-0 sums without
-    its general k-row work.
+    Two rows merge by the pair formula: with a = w / (w0 + w1), the mean is
+    a0 m0 + a1 m1 and a "moment" cov a0 (C0 + d0 d0') + a1 (C1 + d1 d1'),
+    d a row's offset from that mean, symmetrized: the bits of
+    mixture_moments' row-order sums without its general k-row work.  Pairs
+    also stack over leading axes, as kf_predict's rows do: weights (..., 2),
+    means (..., 2, d) and covs (..., 2, d, d) give weights (...), means
+    (..., d) and covs (..., d, d), each pair with the bits of its own call,
+    and the checks cover the whole stack at once.  Other row counts go
+    through mixture_moments and take no leading axes.
     """
     if cov_mode not in COV_MODES:
         raise ValueError(f"unknown cov_mode {cov_mode!r}")
-    weights = np.asarray(weights, dtype=float)
-    if not len(weights):
+    weights, means, covs = (np.asarray(a, dtype=float) for a in (weights, means, covs))
+    if not weights.shape[-1]:
         raise ValueError("cannot merge an empty particle list")
-    listed = weights.tolist()
-    pair = len(listed) == 2 and cov_mode == "moment"
-    total = listed[0] + listed[1] if pair else float(weights.sum())  # a pair's sum either way
-    if total <= 0.0:
+    pair = weights.shape[-1] == 2
+    if weights.ndim > 1 and not pair:
+        raise ValueError(f"a stack of merges takes pairs of rows, got weights {weights.shape}")
+    total = weights[..., 0] + weights[..., 1] if pair else weights.sum()
+    if (total <= 0.0).any():
         raise ValueError("total weight of merged particles must be positive")
-    if not all(0.0 <= w < math.inf for w in listed):  # nan fails too
-        raise ValueError(f"merged weights must be finite and non-negative, got {listed}")
-    if pair:
-        a0, a1 = listed[0] / total, listed[1] / total
-        means, covs = np.asarray(means, dtype=float), np.asarray(covs, dtype=float)
-        mean = a0 * means[0] + a1 * means[1]
-        diff = means - mean
-        spread = covs + diff[:, :, None] * diff[:, None, :]
-        return min(1.0, total), mean, _symmetrize(a0 * spread[0] + a1 * spread[1])
-    mean, cov = mixture_moments(means, covs, weights)
-    if cov_mode == "plain_sum":
-        cov = _symmetrize(np.sum(covs, axis=0))
-    return min(1.0, total), mean, cov
+    if not 0.0 <= weights.min() <= weights.max() < math.inf:  # nan fails too
+        raise ValueError(f"merged weights must be finite and non-negative, got {weights.tolist()}")
+    if pair:  # each product on both rows at once, then the sum of the two
+        a = weights / total[..., None]
+        scaled = a[..., None] * means
+        mean = scaled[..., 0, :] + scaled[..., 1, :]
+        if cov_mode == "moment":
+            diff = means - mean[..., None, :]
+            covs = a[..., None, None] * (covs + diff[..., :, None] * diff[..., None, :])
+        cov = _symmetrize(covs[..., 0, :, :] + covs[..., 1, :, :])
+    else:
+        mean, cov = mixture_moments(means, covs, weights)
+        if cov_mode == "plain_sum":
+            cov = _symmetrize(np.sum(covs, axis=0))
+    weight = np.minimum(1.0, total)
+    return (float(weight) if weights.ndim == 1 else weight), mean, cov

@@ -287,10 +287,29 @@ _BOUND_SLACK = 1e-4
 
 
 def _position_columns(means: np.ndarray, covs: np.ndarray) -> list[np.ndarray]:
-    """x, y and the position block's var_x, cov_xy, var_y: one array each,
-    of every row, or of one mean and cov."""
+    """x, y and the position block's var_x, cov_xy, var_y: one array each, of every row."""
     xi, yi = POSITION_IDX
     return [means[..., xi], means[..., yi], covs[..., xi, xi], covs[..., xi, yi], covs[..., yi, yi]]
+
+
+def _merged_columns(
+    w0: float, w1: float, p: list[float], q: list[float], cov_mode: str
+) -> tuple[float, list[float]]:
+    """The clamped weight and the _position_columns, as floats, of the merge of
+    two rows of weights w0, w1 and columns p, q: moment_match_merge's pair
+    formula, operation for operation, so the bits of its merged row.  Two
+    weights of zero raise ZeroDivisionError."""
+    (x0, y0, a0, b0, c0), (x1, y1, a1, b1, c1) = p, q
+    total = w0 + w1
+    s0, s1 = w0 / total, w1 / total
+    x, y = s0 * x0 + s1 * x1, s0 * y0 + s1 * y1
+    if cov_mode == "moment":
+        dx0, dy0, dx1, dy1 = x0 - x, y0 - y, x1 - x, y1 - y
+        a0, b0, c0 = s0 * (a0 + dx0 * dx0), s0 * (b0 + dx0 * dy0), s0 * (c0 + dy0 * dy0)
+        a1, b1, c1 = s1 * (a1 + dx1 * dx1), s1 * (b1 + dx1 * dy1), s1 * (c1 + dy1 * dy1)
+    a, b, c = a0 + a1, b0 + b1, c0 + c1
+    # symmetrized as _symmetrize does, whose two summands are equal here
+    return min(1.0, total), [x, y, 0.5 * (a + a), 0.5 * (b + b), 0.5 * (c + c)]
 
 
 def _position_distances(p, q):
@@ -365,6 +384,13 @@ def merge_close_particles(pset: GpfParticleSet, config: GpfConfig) -> GpfParticl
     with the rows that pass the bound against it, at its new lambda: the
     unmerged bounded rows in an x window of the sweep, and every merged or
     unbounded row.  So the work of a merge follows its candidates, not n.
+
+    The loop reads only each row's weight and position columns, so a merge
+    computes those as floats (_merged_columns) and records its pair under
+    its generation, one more than the larger generation of its two rows.
+    The full means and covs follow after the loop, one stacked
+    moment_match_merge per generation in order, with the bits of one call
+    per pair.
     """
     d_thresh, cov_mode, n = config.d_thresh, config.merge_cov, len(pset)
     if n < 2:
@@ -394,25 +420,32 @@ def merge_close_particles(pset: GpfParticleSet, config: GpfConfig) -> GpfParticl
     lo, hi = np.minimum(i, j).tolist(), np.maximum(i, j).tolist()
     heap = [(dij, a, b, 0, 0) for dij, a, b in zip(d[hit].tolist(), lo, hi)]  # versions 0
     heapq.heapify(heap)
-    weights, means, covs = (np.array(a) for a in (pset.weights, pset.means, pset.covs))
     live, version = np.ones(n, dtype=bool), [0] * n
-    # Python values per row from here on; rows[r] holds row r's position columns
-    rows, lam, bounded, in_sweep = pos.T.tolist(), lam.tolist(), bounded.tolist(), bounded.tolist()
+    # Python values per row from here on: its weight, its position columns
+    # (rows[r]) and the generation of the merge that last wrote it (0: none)
+    weight, rows, generation = pset.weights.tolist(), pos.T.tolist(), [0] * n
+    lam, bounded, in_sweep = lam.tolist(), bounded.tolist(), bounded.tolist()
     swept, xs, loose = swept.tolist(), xs.tolist(), set(loose.tolist())
+    generations = []  # the (lo, hi) pairs that merge in generation 1, 2, ...
     while heap:
         _, lo, hi, v_lo, v_hi = heapq.heappop(heap)
         if version[lo] != v_lo or version[hi] != v_hi:
             continue  # a row of the pair merged after the pair was pushed
-        pair = slice(lo, hi + 1, hi - lo)  # rows lo and hi, as views: cheaper than a gather
-        merged = moment_match_merge(weights[pair], means[pair], covs[pair], cov_mode)
-        weights[lo], means[lo], covs[lo] = merged
+        g = generation[lo] = 1 + max(generation[lo], generation[hi])
+        if g > len(generations):
+            generations.append([])
+        generations[g - 1].append((lo, hi))
+        try:
+            weight[lo], p = _merged_columns(weight[lo], weight[hi], rows[lo], rows[hi], cov_mode)
+        except ZeroDivisionError:
+            break  # two weights of zero: moment_match_merge raises on the pair below
         version[lo] += 1
         version[hi] += 1
         live[hi] = in_sweep[hi] = in_sweep[lo] = False
         loose -= {lo, hi}
         candidates = list(loose)
         loose.add(lo)  # a merged row leaves the sweep
-        rows[lo] = p = [float(v) for v in _position_columns(merged[1], merged[2])]
+        rows[lo] = p
         lam[lo], bounded[lo] = _position_spread(p[2:])
         if bounded[lo]:
             x, y = p[:2]
@@ -431,6 +464,14 @@ def merge_close_particles(pset: GpfParticleSet, config: GpfConfig) -> GpfParticl
             if -math.inf < dij < d_thresh:
                 a, b = min(lo, other), max(lo, other)
                 heapq.heappush(heap, (dij, a, b, version[a], version[b]))
+    # the full rows, one generation at a time: a generation's pairs read only
+    # rows that earlier generations wrote, and no row twice
+    weights, means, covs = (np.array(a) for a in (pset.weights, pset.means, pset.covs))
+    for pairs in generations:
+        pairs = np.array(pairs)
+        lo = pairs[:, 0]
+        weights[lo], means[lo], covs[lo] = moment_match_merge(
+            weights[pairs], means[pairs], covs[pairs], cov_mode)
     return GpfParticleSet(weights[live], means[live], covs[live], pset.degenerate_step)
 
 
@@ -559,16 +600,20 @@ def grid_existence_update(
     kept = held[returns.cells]  # only the returns of cells that hold a particle
     cells, values = returns.cells[kept], returns.values[kept]
     weights = np.array(weights, dtype=float)
-    while cells.size:
-        _, first = np.unique(cells, return_index=True)  # each cell's next return in list order
+    # each return's rank among its cell's returns, in list order: sorted stably
+    # by cell, a return's rank is its distance from the first return of its cell
+    order = np.argsort(cells, kind="stable")
+    by_cell, rank = cells[order], np.empty_like(order)
+    rank[order] = np.arange(order.size) - np.searchsorted(by_cell, by_cell)
+    for k in range(rank.max(initial=-1) + 1):
+        now = rank == k  # the k-th return of every cell that has one
         value_of = np.full(sensor.n_cells + 1, -1)
-        value_of[cells[first]] = values[first]
+        value_of[cells[now]] = values[now]
         value = value_of[owner]
         hit = value >= 0
         w = np.minimum(np.maximum(weights[hit], bound), 1.0 - bound)
         l_x, l_0 = l_exists[value[hit]], l_empty[value[hit]]
         weights[hit] = w * l_x / (w * l_x + (1.0 - w) * l_0)
-        cells, values = np.delete(cells, first), np.delete(values, first)
     return weights
 
 
@@ -581,7 +626,7 @@ def grid_births(
     velocity starts at zero with unit variance.
     """
     cells = check_cells(returns.cells[returns.values == 1], sensor.n_cells, IndexError)
-    x_edges, y_edges = np.array(sensor.x_edges), np.array(sensor.y_edges)
+    x_edges, y_edges = sensor.x_edge_array, sensor.y_edge_array
     rows, cols = np.divmod(cells, sensor.cols)
     means = np.zeros((len(cells), 4))
     means[:, list(POSITION_IDX)] = 0.5 * np.column_stack(

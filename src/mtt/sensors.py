@@ -72,9 +72,12 @@ class GridSensorModel:
     Cells are indexed row-major from the workspace origin corner (index =
     row * cols + col).  The cols + 1 x_edges and rows + 1 y_edges are set
     once here: edge k is the low workspace edge plus k cell widths, the
-    last the high workspace edge.  A cell holds x in [x_edges[col],
-    x_edges[col + 1]) and y likewise (cell_contains), so each point below
-    the high workspace edges lies in exactly one cell, which cell_of finds.
+    last the high workspace edge.  They are tuples, which bisect reads
+    fastest; the same edges as read-only arrays (x_edge_array,
+    y_edge_array) serve the lookups over arrays.  A cell holds x in
+    [x_edges[col], x_edges[col + 1]) and y likewise (cell_contains), so each
+    point below the high workspace edges lies in exactly one cell, which
+    cell_of finds.
 
     p_d is the single-target detection probability, snr the known
     signal-to-noise ratio of the Rayleigh return model, m_cells the
@@ -89,14 +92,20 @@ class GridSensorModel:
     m_cells: int = declare(12, Range(1))
     x_edges: tuple[float, ...] = field(init=False, repr=False)
     y_edges: tuple[float, ...] = field(init=False, repr=False)
+    x_edge_array: np.ndarray = field(init=False, repr=False, compare=False)
+    y_edge_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_fields(self)
         ws = self.workspace
-        for name, lo, hi, n in (("x_edges", ws.x_min, ws.x_max, self.cols),
-                                ("y_edges", ws.y_min, ws.y_max, self.rows)):
+        for axis, lo, hi, n in (("x", ws.x_min, ws.x_max, self.cols),
+                                ("y", ws.y_min, ws.y_max, self.rows)):
             width = (hi - lo) / n
-            object.__setattr__(self, name, tuple(lo + k * width for k in range(n)) + (hi,))
+            edges = tuple(lo + k * width for k in range(n)) + (hi,)
+            array = np.array(edges)
+            array.setflags(write=False)
+            object.__setattr__(self, f"{axis}_edges", edges)
+            object.__setattr__(self, f"{axis}_edge_array", array)
 
     @property
     def n_cells(self) -> int:
@@ -134,7 +143,7 @@ class GridSensorModel:
         searchsorted(side="right") is bisect_right over the same edges, and the cell_contains
         comparisons confirm each candidate, so every index equals the one cell_of returns.
         """
-        x_edges, y_edges = np.array(self.x_edges), np.array(self.y_edges)
+        x_edges, y_edges = self.x_edge_array, self.y_edge_array
         col = np.clip(np.searchsorted(x_edges, xs, side="right") - 1, 0, self.cols - 1)
         row = np.clip(np.searchsorted(y_edges, ys, side="right") - 1, 0, self.rows - 1)
         inside = ((x_edges[col] <= xs) & (xs < x_edges[col + 1])

@@ -11,6 +11,7 @@ from scipy.stats import multivariate_normal
 
 from mtt import gaussians
 from mtt.gaussians import (
+    COV_MODES,
     SingularCovarianceError,
     _checked_moments,
     _symmetrize,
@@ -303,11 +304,11 @@ def test_mixture_moments_has_the_bits_of_the_row_loop(seed, k, d):
 
 
 @st.composite
-def _pair_rows(draw):
+def _pair_rows(draw, dims=st.integers(1, 4)):
     """Two rows of dimension 1-4, means and covs each at one scale from 1e-150 to
     1e150, one weight drawn from the point masses 0 and 1 as often as not."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    d = draw(st.integers(1, 4))
+    d = draw(dims)
     mean_scale, cov_scale = (10.0 ** draw(st.integers(-150, 150)) for _ in range(2))
     means = mean_scale * rng.standard_normal((2, d))
     covs = np.array([cov_scale * _random_psd(rng, d) for _ in range(2)])
@@ -328,6 +329,44 @@ def test_pair_merge_has_the_bits_of_the_row_loop(rows, as_lists):
     assert weight == min(1.0, weights[0] + weights[1])
     assert np.array_equal(mean, want_mean)
     assert np.array_equal(cov, want_cov)
+
+
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(_pair_rows(st.just(d)), min_size=1,
+                                                    max_size=6)),
+       st.sampled_from(COV_MODES))
+@settings(max_examples=200, deadline=None)
+def test_stacked_pairs_have_the_bits_of_their_pair_calls(pairs, cov_mode):
+    # k pairs stacked as weights (k, 2), means (k, 2, d) and covs (k, 2, d, d)
+    weights, means, covs = (np.array(side) for side in zip(*pairs))
+    stacked = moment_match_merge(weights, means, covs, cov_mode)
+    assert [a.shape for a in stacked] == [weights.shape[:1], means[:, 0].shape, covs[:, 0].shape]
+    for k, rows in enumerate(pairs):
+        weight, mean, cov = moment_match_merge(*rows, cov_mode)
+        assert isinstance(weight, float)
+        for got, want in zip((stacked[0][k], stacked[1][k], stacked[2][k]), (weight, mean, cov)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((0.0, 0.0), "total weight of merged particles must be positive"),
+    ((-0.5, 0.2), "total weight of merged particles must be positive"),
+    ((math.nan, 0.5), "finite and non-negative"),
+    ((0.5, math.inf), "finite and non-negative"),
+    ((-0.2, 0.5), "finite and non-negative"),
+])
+@pytest.mark.parametrize("cov_mode", COV_MODES)
+def test_stacked_pairs_raise_as_their_pair_calls(bad, message, cov_mode):
+    weights = np.array([(0.3, 0.4), bad, (0.5, 0.5)])
+    means, covs = np.zeros((3, 2, 2)), np.tile(np.eye(2), (3, 2, 1, 1))
+    with pytest.raises(ValueError, match=message):
+        moment_match_merge(weights[1], means[1], covs[1], cov_mode)
+    with pytest.raises(ValueError, match=message):
+        moment_match_merge(weights, means, covs, cov_mode)
+
+
+def test_a_stack_takes_only_pairs():
+    with pytest.raises(ValueError, match="a stack of merges takes pairs of rows"):
+        moment_match_merge(np.full((2, 3), 0.2), np.zeros((2, 3, 1)), np.ones((2, 3, 1, 1)))
 
 
 class TestTypes:

@@ -16,6 +16,7 @@ from mtt.gpf import (
     GpfConfig,
     GpfParticleSet,
     _mean_measurement_update,
+    _merged_columns,
     _position_columns,
     _position_distances,
     birth_and_prune,
@@ -1046,6 +1047,35 @@ class TestMergeClose:
         assert np.array_equal(pairs, full[i, j])
         assert np.array_equal(np.where(np.isfinite(ones), ones, np.inf), full[i, j])
 
+    @given(_spread_psets(), st.sampled_from(["moment", "plain_sum"]))
+    @settings(max_examples=100, deadline=None)
+    def test_merged_columns_have_the_bits_of_the_stacked_merge(self, pset, cov_mode):
+        # up to 300 pairs of rows of the set: the merge loop's float weight and
+        # five position values against the row of one stacked moment_match_merge
+        i, j = (a[:300] for a in np.triu_indices(len(pset), 1))
+        pos = np.array(_position_columns(pset.means, pset.covs))
+        weights = pset.weights.tolist()
+
+        def floats(a, b):
+            return _merged_columns(weights[a], weights[b], pos[:, a].tolist(), pos[:, b].tolist(),
+                                   cov_mode)
+
+        zero = pset.weights[i] + pset.weights[j] == 0.0
+        for a, b in zip(i[zero], j[zero]):  # the stacked merge raises ValueError instead
+            with pytest.raises(ZeroDivisionError):
+                floats(a, b)
+        pairs = np.stack((i[~zero], j[~zero]), axis=-1)
+        if not len(pairs):
+            return
+        with np.errstate(all="ignore"):  # the far scales overflow
+            stacked = moment_match_merge(pset.weights[pairs], pset.means[pairs],
+                                         pset.covs[pairs], cov_mode)
+        want = np.array(_position_columns(*stacked[1:]))
+        for k, (a, b) in enumerate(pairs):
+            weight, columns = floats(a, b)
+            assert weight == stacked[0][k]
+            assert np.array(columns).tobytes() == want[:, k].tobytes()
+
     def test_merged_row_reaches_past_the_first_bounds(self):
         # A and B merge first; the merged row's largest position eigenvalue
         # (1.49) exceeds every row's before (1), and it then lies within
@@ -1153,6 +1183,58 @@ class TestMergeClose:
         out = _merge(square, 1.2)
         _assert_same_outcome(out, _merge_by_full_rebuild(square, 1.2))
         assert len(out) < 4
+
+
+    @staticmethod
+    def _merge_calls(monkeypatch):
+        """The weights of each moment_match_merge call that the merge makes, as it makes them."""
+        calls = []
+
+        def counting(weights, *args):
+            calls.append(weights)
+            return moment_match_merge(weights, *args)
+
+        monkeypatch.setattr("mtt.gpf.moment_match_merge", counting)
+        return calls
+
+    @pytest.mark.parametrize("cov_mode", ["moment", "plain_sum"])
+    def test_chain_and_independent_pair_match_full_rebuild_bitwise(self, monkeypatch, cov_mode):
+        # rows 0 and 1 merge, and their merged row then merges with row 2 (a
+        # chain: generation 2); rows 3 and 4, far away, merge in generation 1
+        calls = self._merge_calls(monkeypatch)
+        pset = _pset([_particle(0.5, 0.0, 0.0), _particle(0.5, 1.2, 0.0),
+                      _particle(0.5, 0.6, 1.35), _particle(0.2, 30.0, 30.0),
+                      _particle(0.3, 30.5, 29.7)])
+        out = _merge(pset, 1.0, cov_mode)
+        want = _merge_by_full_rebuild(pset, 1.0, cov_mode)
+        assert len(out) == 2
+        for name in ("weights", "means", "covs"):
+            assert getattr(out, name).tobytes() == getattr(want, name).tobytes(), name
+        assert [w.shape for w in calls] == [(2, 2), (1, 2)]
+
+    def test_two_zero_weights_that_merge_raise(self):
+        # the float merge stops at the pair; the stacked merge names the fault
+        pset = _pset([_particle(0.3, 0.0, 0.0), _particle(0.3, 0.0, 0.0),
+                      _particle(0.0, 40.0, 0.0), _particle(0.0, 40.0, 0.0)])
+        with pytest.raises(ValueError, match="total weight of merged particles must be positive"):
+            _merge(pset, 1.0)
+        assert _outcome(_merge_by_full_rebuild, pset, 1.0) is ValueError
+
+    @pytest.mark.parametrize("clusters", [[2], [2, 2, 2], [3, 2], [4, 2, 3], [5]])
+    def test_one_merge_call_per_generation(self, monkeypatch, clusters):
+        # a cluster of s coincident rows merges as a chain, its lowest row
+        # first with each of the others in turn: s - 1 merges in s - 1
+        # generations; clusters far apart merge side by side
+        calls = self._merge_calls(monkeypatch)
+        rows = [_particle(0.2, 40.0 * c, 0.0) for c, size in enumerate(clusters)
+                for _ in range(size)]
+        pset = _pset(rows)
+        out = _merge(pset, 1.0)
+        merges, generations = sum(clusters) - len(clusters), max(clusters) - 1
+        assert len(out) == len(pset) - merges
+        assert len(calls) == generations
+        assert sum(len(w) for w in calls) == merges
+        _assert_same_outcome(out, _merge_by_full_rebuild(pset, 1.0))
 
 
 class TestCardinalityAndPrune:

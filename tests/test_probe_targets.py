@@ -94,5 +94,8 @@ def test_probes_are_reached(tmp_path):
             for f, s in [("gpf", "mean"), ("gpf", "grid"), ("kf", "mean"), ("pf", "mean")]}
     assert {"kalman.update", "gaussians.log_pdf", "gpf.conditional_update",
             "gpf.combo_weight"} <= runs["gpf", "mean"]
+    # the grid run's steps merge, so the merge itself must call moment_match_merge:
+    # the mean run reaches gaussians.merge through mixture_moments alone
+    assert "gaussians.merge" in runs["gpf", "grid"]
     assert "kalman.predict" in runs["kf", "mean"]
     assert {probe.name for probe in layers.PROBES} <= set().union(*runs.values())
