@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import binascii
 import datetime
+import functools
 import json
 import logging
 import math
@@ -411,7 +412,10 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built at the first run_command, not at import
+    (start-up time counts `import mtt.cli`); parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="mtt", description="Multi-target tracking experiments"
     )

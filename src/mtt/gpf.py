@@ -18,7 +18,9 @@ only one combination survives it is certain, so its update alone is the
 step's: its active particles take weight one and that combination's
 conditional states, with no evidence weighed and no marginal taken.  Nearby
 particles are merged, low-weight particles pruned, and detections can seed
-new ones.
+new ones.  A step checks the belief once, when it builds the set of its
+predicted and updated rows; the births, the merge and the prune hand on
+rows of checked sets and settings without copying or checking them again.
 """
 
 from __future__ import annotations
@@ -52,10 +54,13 @@ class GpfParticleSet(ValueEq):
     weight weights[i] in [0, 1] and Gaussian N(means[i], covs[i]).
 
     A set copies the weights and means, symmetrizes the covariances (a new
-    array) and makes all three read-only.  gpf_step builds one from the
-    arrays of its predict and update, and the merge and the birth/prune
-    pass a set on unchanged when they change nothing.  The default is the
-    empty belief over the 4-D state.
+    array), checks shapes, weight range and finiteness, and makes all three
+    read-only.  gpf_step builds one from the arrays of its predict and
+    update: the one checked construction of a step.  The births, the merge
+    and the prune hand over rows of checked sets and settings through
+    _frozen, which only makes its arrays read-only, and pass a set on
+    unchanged when they change nothing.  The default is the empty belief
+    over the 4-D state.
     """
 
     weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -73,11 +78,27 @@ class GpfParticleSet(ValueEq):
             raise ValueError(f"want weights (n,), means (n, d), covs (n, d, d), got {shapes}")
         if not all(0.0 <= w <= 1.0 for w in weights.tolist()):  # faster than numpy at small n
             raise ValueError(f"weights must lie in [0, 1], got {weights}")
+        covs = _symmetrize(covs)  # checked after: entries above half the float maximum overflow
         if not (np.isfinite(means).all() and np.isfinite(covs).all()):
             raise ValueError("means and covs must be finite")
-        for name, value in (("weights", weights), ("means", means), ("covs", _symmetrize(covs))):
+        for name, value in (("weights", weights), ("means", means), ("covs", covs)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _frozen(
+        cls, weights: np.ndarray, means: np.ndarray, covs: np.ndarray, degenerate_step: bool
+    ) -> GpfParticleSet:
+        """The set of float arrays that the caller has just built and gives up,
+        made read-only as they are: no copy, symmetrization or check.  Only
+        for rows that already hold every invariant of a set, such as rows of
+        checked sets, so the result equals a checked construction's bit for bit."""
+        pset = object.__new__(cls)
+        for name, value in (("weights", weights), ("means", means), ("covs", covs)):
+            value.setflags(write=False)
+            object.__setattr__(pset, name, value)
+        object.__setattr__(pset, "degenerate_step", degenerate_step)
+        return pset
 
     def __len__(self) -> int:
         return self.weights.shape[0]
@@ -390,7 +411,10 @@ def merge_close_particles(pset: GpfParticleSet, config: GpfConfig) -> GpfParticl
     its generation, one more than the larger generation of its two rows.
     The full means and covs follow after the loop, one stacked
     moment_match_merge per generation in order, with the bits of one call
-    per pair.
+    per pair.  The result holds the input's checked rows and the merged
+    rows, whose covariances moment matching has symmetrized and whose
+    weights lie in [0, 1]; it is built unchecked, except that a merged row
+    that is not finite raises ValueError.
     """
     d_thresh, cov_mode, n = config.d_thresh, config.merge_cov, len(pset)
     if n < 2:
@@ -472,7 +496,10 @@ def merge_close_particles(pset: GpfParticleSet, config: GpfConfig) -> GpfParticl
         lo = pairs[:, 0]
         weights[lo], means[lo], covs[lo] = moment_match_merge(
             weights[pairs], means[pairs], covs[pairs], cov_mode)
-    return GpfParticleSet(weights[live], means[live], covs[live], pset.degenerate_step)
+    merged = [lo for pairs in generations for lo, _ in pairs]
+    if not (np.isfinite(means[merged]).all() and np.isfinite(covs[merged]).all()):
+        raise ValueError("means and covs must be finite")
+    return GpfParticleSet._frozen(weights[live], means[live], covs[live], pset.degenerate_step)
 
 
 def estimate_cardinality(pset: GpfParticleSet) -> float:
@@ -488,7 +515,8 @@ def birth_and_prune(
 
     When more than config.n_max particles survive, the n_max highest-weight
     ones are kept (ties broken by original order) and their ordering
-    preserved.  With no births and nothing pruned the input set is returned.
+    preserved.  With no births and nothing pruned the input set is returned;
+    otherwise the kept rows of the two checked sets, unchecked.
     """
     sets = (pset, births) if len(births) else (pset,)  # empty births may differ in d
     weights = np.concatenate([s.weights for s in sets])
@@ -499,7 +527,7 @@ def birth_and_prune(
         return pset  # no births and nothing pruned
     means = np.concatenate([s.means for s in sets])[keep]
     covs = np.concatenate([s.covs for s in sets])[keep]
-    return GpfParticleSet(weights[keep], means, covs, pset.degenerate_step)
+    return GpfParticleSet._frozen(weights[keep], means, covs, pset.degenerate_step)
 
 
 def _mean_measurement_update(
@@ -622,18 +650,18 @@ def grid_births(
 ) -> GpfParticleSet:
     """One birth hypothesis per positive return, centered on the cell; IndexError off the grid.
 
-    Position variance is that of a uniform draw over the cell (width^2/12);
-    velocity starts at zero with unit variance.
+    Each birth has weight w_birth, taken as checked (GpfConfig checks it),
+    the cell's centre at zero velocity, and the sensor's birth_cov:
+    position variance that of a uniform draw over the cell (width^2/12),
+    unit velocity variance.  The set is built unchecked from those.
     """
     cells = check_cells(returns.cells[returns.values == 1], sensor.n_cells, IndexError)
-    x_edges, y_edges = sensor.x_edge_array, sensor.y_edge_array
     rows, cols = np.divmod(cells, sensor.cols)
+    xi, yi = POSITION_IDX
     means = np.zeros((len(cells), 4))
-    means[:, list(POSITION_IDX)] = 0.5 * np.column_stack(
-        (x_edges[cols] + x_edges[cols + 1], y_edges[rows] + y_edges[rows + 1]))
-    width, height = x_edges[1] - x_edges[0], y_edges[1] - y_edges[0]
-    cov = np.diag([width**2 / 12.0, 1.0, height**2 / 12.0, 1.0])
-    return GpfParticleSet(np.full(len(cells), w_birth), means, np.tile(cov, (len(cells), 1, 1)))
+    means[:, xi], means[:, yi] = sensor.x_center_array[cols], sensor.y_center_array[rows]
+    covs = np.repeat(sensor.birth_cov[None], len(cells), axis=0)
+    return GpfParticleSet._frozen(np.full(len(cells), w_birth, dtype=float), means, covs, False)
 
 
 def gpf_step(
@@ -647,7 +675,8 @@ def gpf_step(
     configured sensor (existence combinations for the mean sensor, weight
     Bayes rule plus births for the grid sensor), merge near-duplicate
     particles, then prune.  The predict and the update pass arrays, and
-    the step builds one set from them.  If no existence combination
+    the step builds one checked set from them; the births, the merge and
+    the prune build theirs unchecked.  If no existence combination
     survives the threshold, or several survive and none has a finite log
     weight, the measurement update is skipped and that set is flagged
     degenerate for this step.  A mean-sensor measurement that is

@@ -79,6 +79,12 @@ class GridSensorModel:
     point below the high workspace edges lies in exactly one cell, which
     cell_of finds.
 
+    Grid births read two more things set here: the cell centres along each
+    axis (x_center_array, y_center_array, read-only; the bits of
+    cell_center) and birth_cov, the read-only 4x4 covariance of a state at
+    rest placed uniformly in a cell: position variance width^2/12 along
+    each axis, unit velocity variance.
+
     p_d is the single-target detection probability, snr the known
     signal-to-noise ratio of the Rayleigh return model, m_cells the
     maximum number of cells interrogated per step.
@@ -94,18 +100,27 @@ class GridSensorModel:
     y_edges: tuple[float, ...] = field(init=False, repr=False)
     x_edge_array: np.ndarray = field(init=False, repr=False, compare=False)
     y_edge_array: np.ndarray = field(init=False, repr=False, compare=False)
+    x_center_array: np.ndarray = field(init=False, repr=False, compare=False)
+    y_center_array: np.ndarray = field(init=False, repr=False, compare=False)
+    birth_cov: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_fields(self)
-        ws = self.workspace
+        ws, variances = self.workspace, []
         for axis, lo, hi, n in (("x", ws.x_min, ws.x_max, self.cols),
                                 ("y", ws.y_min, ws.y_max, self.rows)):
             width = (hi - lo) / n
             edges = tuple(lo + k * width for k in range(n)) + (hi,)
             array = np.array(edges)
-            array.setflags(write=False)
+            centers = 0.5 * (array[:-1] + array[1:])
+            variances.append((array[1] - array[0]) ** 2 / 12.0)  # of a uniform draw over a cell
             object.__setattr__(self, f"{axis}_edges", edges)
-            object.__setattr__(self, f"{axis}_edge_array", array)
+            for name, value in (("edge_array", array), ("center_array", centers)):
+                value.setflags(write=False)
+                object.__setattr__(self, f"{axis}_{name}", value)
+        birth_cov = np.diag([variances[0], 1.0, variances[1], 1.0])
+        birth_cov.setflags(write=False)
+        object.__setattr__(self, "birth_cov", birth_cov)
 
     @property
     def n_cells(self) -> int:
@@ -144,8 +159,11 @@ class GridSensorModel:
         comparisons confirm each candidate, so every index equals the one cell_of returns.
         """
         x_edges, y_edges = self.x_edge_array, self.y_edge_array
-        col = np.clip(np.searchsorted(x_edges, xs, side="right") - 1, 0, self.cols - 1)
-        row = np.clip(np.searchsorted(y_edges, ys, side="right") - 1, 0, self.rows - 1)
+        # clamped by minimum(maximum(...)): np.clip's integers, without its per-call overhead
+        col = np.minimum(np.maximum(np.searchsorted(x_edges, xs, side="right") - 1, 0),
+                         self.cols - 1)
+        row = np.minimum(np.maximum(np.searchsorted(y_edges, ys, side="right") - 1, 0),
+                         self.rows - 1)
         inside = ((x_edges[col] <= xs) & (xs < x_edges[col + 1])
                   & (y_edges[row] <= ys) & (ys < y_edges[row + 1]))
         return np.where(inside, row * self.cols + col, self.n_cells)

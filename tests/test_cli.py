@@ -1,3 +1,4 @@
+import argparse
 import base64
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtt import cli
 from mtt.cli import read_particles_json, run_command, write_csv, write_particles_json
 from mtt.config import parse_config_text
 from mtt.sim import StepRecord, TrackingLog, run_experiment
@@ -677,13 +679,39 @@ class TestExitCodes:
                             "--sensor", "mean", "--out", str(tmp_path / "o")]) == 2
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is imported by the metrics on first use, not at CLI start-up
+def _after_fresh_import(expr: str) -> str:
+    """What a fresh interpreter prints for expr right after `import sys, mtt.cli`."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, mtt.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, timeout=60)
+    result = subprocess.run([sys.executable, "-c", f"import sys, mtt.cli; print({expr})"],
+                            env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported by the metrics on first use, not at CLI start-up
+    assert _after_fresh_import("sorted(m for m in sys.modules if m.startswith('scipy'))") == "[]"
+
+
+def test_parser_built_once_at_the_first_command(cfg_file, tmp_path, monkeypatch, capsys):
+    # not at import, which start-up time counts; then every call, one after an argv error
+    # too, parses with that one parser
+    assert _after_fresh_import("mtt.cli._build_parser.cache_info().currsize") == "0"
+    cli._build_parser.cache_clear()
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        if kwargs.get("prog") == "mtt":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    with pytest.raises(SystemExit) as raised:
+        run_command(["track", "--config", str(cfg_file), "--filter", "bogus"])
+    assert raised.value.code == 2
+    out = tmp_path / "sim"
+    assert run_command(["simulate", "--config", str(cfg_file), "--out", str(out)]) == 0
+    assert (out / "truth.csv").exists()
+    assert len(built) == 1

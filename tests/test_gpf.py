@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mtt.domains import Choice, Range
-from mtt.gaussians import _symmetrize, log_pdf, moment_match_merge
+from mtt.gaussians import COV_MODES, _symmetrize, log_pdf, moment_match_merge
 from mtt.gpf import (
     _BOUND_SLACK,
     ExistenceCombination,
@@ -315,6 +315,14 @@ class TestParticleSet:
     def test_bad_arrays_rejected(self, weights, means, covs):
         with pytest.raises(ValueError):
             GpfParticleSet(weights, means, covs)
+
+    def test_covs_finite_after_symmetrizing(self):
+        # 0.5 (C + C') overflows entries above half the float maximum: the set
+        # checks the covariances it keeps, so it never holds an infinite one
+        covs = np.eye(4)[None].copy()
+        covs[0, 0, 2] = covs[0, 2, 0] = 1e308
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            GpfParticleSet([0.5], np.zeros((1, 4)), covs)
 
 
 class TestPredict:
@@ -1592,18 +1600,19 @@ class TestGpfStep:
 
     def test_one_set_and_no_setting_check_per_step(self, monkeypatch):
         # the stages pass arrays and read the settings that GpfConfig checked when built:
-        # a step builds the set of its update, then one more for births and for each
-        # stage that changes the belief, and checks no setting again
+        # a step checks one set, that of its update, on both sensors (births, merge and
+        # prune hand on checked rows unchecked), and checks no setting again
         grid = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
         grid_config = GpfConfig(motion=_STILL, sensor=grid)
         apart = _pset([_particle(0.9, 2.0, 2.0), _particle(0.8, 8.0, 8.0)])
         close = _pset([_particle(0.5, 3.0, 3.0), _particle(0.5, 3.2, 3.0)])
         halves = _pset([_particle(0.5, 2.0, 2.0), _particle(0.5, 9.0, 9.0)])
-        cases = [  # belief, measurement, config, sets built, particles out, degenerate
-            (apart, np.array([5.0, 5.0]), _mean_config(), 1, 2, False),
-            (halves, np.array([5.0, 5.0]), _mean_config(epsilon=0.25), 1, 2, True),
-            (apart, CellReturns([grid.cell_of(5.0, 5.0)], [0]), grid_config, 2, 2, False),
-            (close, CellReturns([grid.cell_of(9.0, 9.0)], [1]), grid_config, 4, 2, False),
+        cases = [  # belief, measurement, config, particles out, degenerate
+            (apart, np.array([5.0, 5.0]), _mean_config(), 2, False),
+            (halves, np.array([5.0, 5.0]), _mean_config(epsilon=0.25), 2, True),
+            (apart, CellReturns([grid.cell_of(5.0, 5.0)], [0]), grid_config, 2, False),
+            # the pair merges and a birth joins it: births, merge and prune each build a set
+            (close, CellReturns([grid.cell_of(9.0, 9.0)], [1]), grid_config, 2, False),
         ]
         built, checked = [], []
         post_init = GpfParticleSet.__post_init__
@@ -1613,11 +1622,40 @@ class TestGpfStep:
             check = domain.check
             monkeypatch.setattr(domain, "check", lambda self, value, name, check=check:
                                 (checked.append(name), check(self, value, name))[1])
-        for belief, z, config, sets, n_out, degenerate in cases:
+        for belief, z, config, n_out, degenerate in cases:
             built.clear()
             out = gpf_step(belief, z, config)
-            assert (len(built), len(out), out.degenerate_step) == (sets, n_out, degenerate)
+            assert (len(built), len(out), out.degenerate_step) == (1, n_out, degenerate)
         assert checked == []
+
+    @settings(max_examples=80, deadline=None)
+    @given(_grid_cases(), _clustered_psets(), st.booleans(), st.sampled_from([0.5, 2.0, 4.0]),
+           st.sampled_from([0.0, 0.05, 0.3]), st.integers(1, 40), st.sampled_from(COV_MODES))
+    def test_unchecked_sets_equal_checked_ones(self, case, clustered, moving, d_thresh, w_prune,
+                                               n_max, cov_mode):
+        # births, merge and prune build their sets unchecked: each set a stage returns
+        # must be read-only and hold the bytes of a checked construction of its arrays
+        grid_belief, returns, sensor = case
+        motion = MotionModel(constant_velocity_matrix(0.5), 0.01 * np.eye(4)) if moving else _STILL
+        config = GpfConfig(motion=motion, sensor=sensor, d_thresh=d_thresh, w_prune=w_prune,
+                           n_max=n_max, w_birth=0.3, merge_cov=cov_mode)
+        births = grid_births(returns, sensor, config.w_birth)
+        sets = [births]
+        for belief in (grid_belief, clustered):
+            try:
+                merged = merge_close_particles(belief, config)
+                sets += [merged, birth_and_prune(merged, births, config),
+                         gpf_step(belief, returns, config)]
+            except ValueError:  # two weights of zero merge
+                continue
+        for pset in sets:
+            checked = GpfParticleSet(pset.weights, pset.means, pset.covs, pset.degenerate_step)
+            assert pset.degenerate_step is checked.degenerate_step
+            for name in ("weights", "means", "covs"):
+                got, want = getattr(pset, name), getattr(checked, name)
+                assert not got.flags.writeable, name
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                                 want.tobytes()), name
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_measurement_rejected(self, bad):

@@ -399,6 +399,19 @@ class TestCellsOf:
         model = GridSensorModel(WORKSPACE)
         assert model.cells_of(np.zeros(0), np.zeros(0)).shape == (0,)
 
+    def test_birth_tables_have_cell_center_bits_and_are_read_only(self):
+        ws, rows, cols = OFFSET_GRID
+        model = GridSensorModel(ws, rows=rows, cols=cols)
+        centres = [model.cell_center(cell) for cell in range(model.n_cells)]  # row-major
+        assert centres == [(x, y) for y in model.y_center_array.tolist()
+                           for x in model.x_center_array.tolist()]
+        width, height = model.x_edges[1] - model.x_edges[0], model.y_edges[1] - model.y_edges[0]
+        want = np.diag([width**2 / 12, 1.0, height**2 / 12, 1.0])
+        assert model.birth_cov.tolist() == want.tolist()
+        for table in (model.x_edge_array, model.y_edge_array, model.x_center_array,
+                      model.y_center_array, model.birth_cov):
+            assert not table.flags.writeable
+
     @given(
         st.floats(-1e3, 1e3),
         st.floats(-1e3, 1e3),
