@@ -26,8 +26,8 @@ from .config import ConfigError, ExperimentConfig, dump_config, load_config, par
 from .domains import check_field
 from .motion import POSITION_IDX
 from .sensors import CellReturns
-from .sim import (FILTERS, SENSORS, ScenarioConfig, StepRecord, TrackingLog, evaluate_metrics,
-                  generate_truth, run_experiment)
+from .sim import (FILTERS, SENSORS, ScenarioConfig, StepRecord, TrackingLog, check_run,
+                  evaluate_metrics, generate_truth, run_experiment)
 
 log = logging.getLogger("mtt")
 
@@ -299,10 +299,7 @@ def write_manifest(
 
 def _checked_seed(seed: int, label: str) -> int:
     """seed, if ScenarioConfig.seed's declared domain allows it; else ConfigError."""
-    try:
-        check_field(ScenarioConfig, "seed", seed, label)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    check_field(ScenarioConfig, "seed", seed, label, ConfigError)
     return seed
 
 
@@ -326,7 +323,8 @@ def _cmd_simulate(args) -> int:
 
 def _run_tracked(config: ExperimentConfig, filter_choice: str, sensor_choice: str,
                  seed: int, out_dir: Path) -> TrackingLog:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    check_run(config.scenario, filter_choice, sensor_choice, ConfigError)
+    out_dir.mkdir(parents=True, exist_ok=True)  # only once check_run has passed
     rng = np.random.default_rng(seed)
     tracking_log = run_experiment(
         config.scenario, filter_choice, sensor_choice, rng, config.setup
@@ -394,8 +392,7 @@ def _cmd_sweep(args) -> int:
     if len(set(seeds)) < len(seeds):  # each seed has one seed_<n>/ and one aggregate row
         repeated = next(seed for k, seed in enumerate(seeds) if seed in seeds[:k])
         raise ConfigError(f"--seeds names seed {repeated} more than once")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(args.out)  # made by the first seed's run
     lines, outputs = ["seed,mean_rmse,mean_card_err"], []
     for seed in seeds:
         run_dir = out_dir / f"seed_{seed}"

@@ -31,27 +31,27 @@ class Range(NamedTuple):
             return "positive" if self.lo_open else "non-negative"
         return f"{'>' if self.lo_open else '>='} {self.lo:g}"
 
-    def check(self, value, name: str) -> None:
+    def check(self, value, name: str, error: type[Exception] = ValueError) -> None:
         if self.size is not None and len(value) != self.size:
-            raise ValueError(f"{name} has {len(value)} entries, expected {self.size}")
+            raise error(f"{name} has {len(value)} entries, expected {self.size}")
         named = ([(name, value)] if self.size is None
                  else [(f"{name}[{i}]", v) for i, v in enumerate(value)])
         for label, v in named:
             if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
-                raise ValueError(f"{label} = {v!r} is not a finite number")
+                raise error(f"{label} = {v!r} is not a finite number")
             below = v <= self.lo if self.lo_open else v < self.lo
             above = self.hi is not None and (v >= self.hi if self.hi_open else v > self.hi)
             if below or above:
-                raise ValueError(f"{label} = {v} is {'below' if below else 'above'} allowed "
-                                 f"range: must be {self}")
+                raise error(f"{label} = {v} is {'below' if below else 'above'} allowed "
+                            f"range: must be {self}")
 
 
 class Choice(tuple):
     """One of a fixed tuple of strings."""
 
-    def check(self, value, name: str) -> None:
+    def check(self, value, name: str, error: type[Exception] = ValueError) -> None:
         if value not in self:
-            raise ValueError(f"{name} = {value!r} is not one of {self}")
+            raise error(f"{name} = {value!r} is not one of {self}")
 
 
 def declare(default, domain: Range | Choice):
@@ -66,15 +66,16 @@ def same_as(owner: type, name: str, default=MISSING):
     return field(default=f.default if default is MISSING else default, metadata=f.metadata)
 
 
-def check_field(cls: type, name: str, value, label: str | None = None) -> None:
-    """Raise ValueError, calling the value `label` (default: name), if value is outside
+def check_field(cls: type, name: str, value, label: str | None = None,
+                error: type[Exception] = ValueError) -> None:
+    """Raise error, calling the value `label` (default: name), if value is outside
     the domain declared on field `name` of dataclass cls (only integers, if annotated int).
     A field with no domain takes any value, and one whose default is None takes None."""
     f = cls.__dataclass_fields__[name]
     if "domain" in f.metadata and not (value is None and f.default is None):
         if f.type in (int, "int") and not isinstance(value, numbers.Integral):
-            raise ValueError(f"{label or name} = {value!r} is not an integer")
-        f.metadata["domain"].check(value, label or name)
+            raise error(f"{label or name} = {value!r} is not an integer")
+        f.metadata["domain"].check(value, label or name, error)
 
 
 def check_fields(record) -> None:

@@ -129,9 +129,8 @@ class GpfConfig:
     """Everything one filter step needs besides the belief and measurement.
 
     The motion and sensor records check their own matrices; the config
-    checks every declared setting, that a mean sensor's projection reads
-    states of the motion's dimension, and that a grid sensor has the 4-D
-    motion its births and cells read and births that the prune keeps.
+    checks every declared setting, then runs its sensor type's check in
+    _SENSOR_KINDS, and raises TypeError for a sensor type that has none.
     """
 
     motion: MotionModel
@@ -147,15 +146,9 @@ class GpfConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        n, sensor = self.motion.F.shape[0], self.sensor
-        if isinstance(sensor, MeanSensorModel) and sensor.position_projection.shape[1] != n:
-            raise ValueError(f"mean sensor projection {sensor.position_projection.shape} "
-                             f"does not match state dim {n}")
-        if isinstance(sensor, GridSensorModel) and n != 4:
-            raise ValueError(f"the grid sensor reads 4-D states (x, vx, y, vy), not state dim {n}")
-        if isinstance(sensor, GridSensorModel) and self.w_birth < self.w_prune:
-            raise ValueError(f"w_birth {self.w_birth!r} is below w_prune {self.w_prune!r}: "
-                             "the prune would drop every grid birth")
+        if type(self.sensor) not in _SENSOR_KINDS:
+            raise TypeError(f"unsupported sensor type {type(self.sensor)!r}")
+        _SENSOR_KINDS[type(self.sensor)][0](self)
 
 
 def gpf_predict(pset: GpfParticleSet, config: GpfConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -531,10 +524,10 @@ def birth_and_prune(
 
 
 def _mean_measurement_update(
-    weights: np.ndarray, means: np.ndarray, covs: np.ndarray, z: np.ndarray, config: GpfConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Existence-combination update of the rows (weights, means, covs) for a
-    mean-of-states measurement: the new rows and whether the step was degenerate.
+    weights: np.ndarray, means: np.ndarray, covs: np.ndarray, z, config: GpfConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool, GpfParticleSet]:
+    """Existence-combination update of the rows (weights, means, covs) for a mean-of-states
+    measurement z, meas_dim finite numbers (else ValueError): the new rows, degenerate, no births.
 
     With no combination above epsilon, or several and not one with a finite
     log weight, the inputs come back flagged degenerate; with no row in view,
@@ -546,15 +539,18 @@ def _mean_measurement_update(
     marginal of one combination at posterior 1.0 returns each active row's
     update unchanged.  The inputs are not changed.
     """
+    r, proj, dim = config.sensor.R, config.sensor.position_projection, config.sensor.meas_dim
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if z.shape != (dim,) or not np.isfinite(z).all():
+        raise ValueError(f"measurement must be {dim} finite numbers: {z}")
     in_idx, _ = select_fov_particles(means, config.fov)
     if not in_idx.size:
-        return weights, means, covs, False
+        return weights, means, covs, False, _NO_BIRTHS
     in_weights, in_means, in_covs = (a[in_idx] for a in (weights, means, covs))
     combos = enumerate_combinations(in_weights.tolist(), config)
     if not combos:
-        return weights, means, covs, True
+        return weights, means, covs, True, _NO_BIRTHS
 
-    r, proj = config.sensor.R, config.sensor.position_projection
     if len(combos) == 1:  # certain: no evidence, normalization or marginal
         active = in_idx[np.flatnonzero(combos[0].bits)]
         if active.size:
@@ -563,7 +559,7 @@ def _mean_measurement_update(
             weights, means, covs = (a.copy() for a in (weights, means, covs))
             weights[active], means[active] = 1.0, post.mean.reshape(n, -1)
             covs[active] = _diagonal_blocks(post.cov, n)
-        return weights, means, covs, False
+        return weights, means, covs, False, _NO_BIRTHS
 
     bits = np.array([combo.bits for combo in combos])
     _, pair_row = np.nonzero(bits)
@@ -581,13 +577,13 @@ def _mean_measurement_update(
             start += n
         log_weights.append(combination_log_weight(combo, post, config.clutter_density))
     if not any(map(math.isfinite, log_weights)):  # nothing to normalize: as if none survived
-        return weights, means, covs, True
+        return weights, means, covs, True, _NO_BIRTHS
     marginal = marginalize_existence(bits, normalize_combination_weights(log_weights),
                                      post_means, post_covs, in_weights, in_means, in_covs)
 
     weights, means, covs = (a.copy() for a in (weights, means, covs))
     weights[in_idx], means[in_idx], covs[in_idx] = marginal
-    return weights, means, covs, False
+    return weights, means, covs, False, _NO_BIRTHS
 
 
 def grid_existence_update(
@@ -605,8 +601,8 @@ def grid_existence_update(
     where the exists-likelihood uses the single-target detection
     probability and the empty-likelihood the false-alarm probability.
     A particle applies the returns of its own cell (cells_of), in list
-    order; particles outside every measured cell are unaffected.  A cell
-    index outside the grid raises IndexError, whatever the belief holds.
+    order; particles outside every measured cell are unaffected.  Not CellReturns
+    raises TypeError, a cell index outside the grid IndexError, whatever the belief holds.
     The k-th return of every cell is applied to all of that cell's
     particles at once, for k = 0, 1, ..., so each weight sees the same
     float operations in the same order as a loop over the particles.
@@ -615,6 +611,8 @@ def grid_existence_update(
     and 1: merging can clamp a weight to exactly 1, and a degenerate prior
     would otherwise be immune to any amount of contrary evidence.
     """
+    if not isinstance(returns, CellReturns):
+        raise TypeError(f"grid sensor expects a CellReturns record, got {type(returns)!r}")
     check_cells(returns.cells, sensor.n_cells, IndexError)
     p_hit = detection_prob(1, sensor.p_d, sensor.snr)
     p_false = detection_prob(0, sensor.p_d, sensor.snr)
@@ -664,39 +662,42 @@ def grid_births(
     return GpfParticleSet._frozen(np.full(len(cells), w_birth, dtype=float), means, covs, False)
 
 
-def gpf_step(
-    pset: GpfParticleSet,
-    z: np.ndarray | CellReturns,
-    config: GpfConfig,
-) -> GpfParticleSet:
-    """One full filter iteration.
+def _check_mean(config: GpfConfig) -> None:
+    n, shape = config.motion.F.shape[0], config.sensor.position_projection.shape
+    if shape[1] != n:
+        raise ValueError(f"mean sensor projection {shape} does not match state dim {n}")
 
-    Predict every particle, apply the measurement update matching the
-    configured sensor (existence combinations for the mean sensor, weight
-    Bayes rule plus births for the grid sensor), merge near-duplicate
-    particles, then prune.  The predict and the update pass arrays, and
-    the step builds one checked set from them; the births, the merge and
-    the prune build theirs unchecked.  If no existence combination
-    survives the threshold, or several survive and none has a finite log
-    weight, the measurement update is skipped and that set is flagged
-    degenerate for this step.  A mean-sensor measurement that is
-    not meas_dim finite numbers raises ValueError, a grid measurement that
-    is not a CellReturns record TypeError, a cell outside the grid IndexError.
+
+def _check_grid(config: GpfConfig) -> None:
+    if (n := config.motion.F.shape[0]) != 4:
+        raise ValueError(f"the grid sensor reads 4-D states (x, vx, y, vy), not state dim {n}")
+    if config.w_birth < config.w_prune:
+        raise ValueError(f"w_birth {config.w_birth!r} is below w_prune {config.w_prune!r}: "
+                         "the prune would drop every grid birth")
+
+
+# Each sensor model type's (check, update): check(config) raises ValueError for a GpfConfig
+# it cannot run; update(weights, means, covs, z, config) -> (weights, means, covs, degenerate,
+# births) looks its functions up when it runs, so perfbench's tracer can replace them.
+_SENSOR_KINDS = {
+    MeanSensorModel: (_check_mean, lambda *update: _mean_measurement_update(*update)),
+    GridSensorModel: (_check_grid, lambda weights, means, covs, z, config: (
+        grid_existence_update(weights, means, z, config.sensor), means, covs, False,
+        grid_births(z, config.sensor, config.w_birth))),
+}
+
+
+def gpf_step(pset: GpfParticleSet, z, config: GpfConfig) -> GpfParticleSet:
+    """One full filter iteration on a measurement z of the configured sensor.
+
+    Predict every particle, apply the sensor type's update from _SENSOR_KINDS, merge
+    near-duplicate particles, then prune.  The predict and the update pass arrays, and the
+    step builds one checked set from them, flagged degenerate if the update says so; the
+    births, the merge and the prune build theirs unchecked.  A measurement that the sensor
+    cannot read raises as its update says.
     """
     means, covs = gpf_predict(pset, config)
-    weights, degenerate = pset.weights, False
-    if isinstance(config.sensor, MeanSensorModel):
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        if z.shape != (config.sensor.meas_dim,) or not np.isfinite(z).all():
-            raise ValueError(f"measurement must be {config.sensor.meas_dim} finite numbers: {z}")
-        weights, means, covs, degenerate = _mean_measurement_update(weights, means, covs, z, config)
-        births = _NO_BIRTHS
-    elif isinstance(config.sensor, GridSensorModel):
-        if not isinstance(z, CellReturns):
-            raise TypeError(f"grid sensor expects a CellReturns record, got {type(z)!r}")
-        weights = grid_existence_update(weights, means, z, config.sensor)
-        births = grid_births(z, config.sensor, config.w_birth)
-    else:
-        raise TypeError(f"unsupported sensor type {type(config.sensor)!r}")
+    _, update = _SENSOR_KINDS[type(config.sensor)]
+    weights, means, covs, degenerate, births = update(pset.weights, means, covs, z, config)
     updated = GpfParticleSet(weights, means, covs, degenerate)
     return birth_and_prune(merge_close_particles(updated, config), births, config)

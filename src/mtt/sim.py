@@ -5,7 +5,7 @@ experiment loop wiring filters to sensors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,9 +26,6 @@ from .sensors import (
     mean_sensor_measure,
     select_cells,
 )
-
-FILTERS = Choice(("gpf", "pf", "kf"))
-SENSORS = Choice(("mean", "grid"))
 
 # Prior covariance of the KF baseline, which starts at the workspace centre.
 KF_INIT_COV = np.diag([400.0, 100.0, 400.0, 100.0])
@@ -216,9 +213,9 @@ class ExperimentSetup:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.cell_strategy == "fixed_list":
-            if not self.fixed_cells:
-                raise ValueError("fixed_list strategy requires a cell list")
+        if self.cell_strategy == "fixed_list" and not self.fixed_cells:
+            raise ValueError("fixed_list strategy requires a cell list")
+        if self.fixed_cells is not None:  # checked under every strategy: the manifest keeps it
             n = len(check_cells(self.fixed_cells, self.grid_rows * self.grid_cols))
             if n > self.m_cells:
                 raise ValueError(f"{n} fixed cells but m_cells = {self.m_cells}")
@@ -234,24 +231,15 @@ class ExperimentSetup:
 StepFn = Callable[[object], tuple[np.ndarray, np.ndarray, np.ndarray, float]]
 
 
-def _gpf_filter(
-    config: ScenarioConfig, setup: ExperimentSetup, motion: MotionModel,
-    sensor: MeanSensorModel | GridSensorModel, truth0: np.ndarray,
-) -> StepFn:
-    """GPF step; mean-sensor runs start with one particle per true initial state."""
+def _gpf_filter(ws, setup, motion, sensor, rng, first_belief) -> StepFn:
+    """GPF step from the sensor record's first belief."""
     clutter = setup.gpf_clutter_density
     if clutter is None:
-        clutter = 1.0 / config.workspace.area
+        clutter = 1.0 / ws.area
     gpf_config = GpfConfig(motion, sensor, clutter_density=clutter, **{
         name: getattr(setup, f"gpf_{name}")
         for name in ("epsilon", "d_thresh", "w_prune", "n_max", "w_birth", "merge_cov")})
-    belief = GpfParticleSet()
-    if isinstance(sensor, MeanSensorModel):
-        n = len(truth0)
-        init_cov = np.diag(np.asarray(setup.gpf_init_cov_diag, dtype=float))
-        belief = GpfParticleSet(
-            np.full(n, setup.gpf_init_weight), truth0, np.tile(init_cov, (n, 1, 1))
-        )
+    belief = first_belief()
 
     def step(z):
         nonlocal belief
@@ -261,7 +249,7 @@ def _gpf_filter(
     return step
 
 
-def _kf_filter(motion: MotionModel, sensor: MeanSensorModel, ws: Rectangle) -> StepFn:
+def _kf_filter(ws, setup, motion, sensor, rng, first_belief) -> StepFn:
     """KF step from a broad prior at the workspace centre."""
     center = np.array([0.5 * (ws.x_min + ws.x_max), 0.0, 0.5 * (ws.y_min + ws.y_max), 0.0])
     mean, cov = center, KF_INIT_COV
@@ -293,10 +281,7 @@ def _weighted_cov(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return c
 
 
-def _pf_filter(
-    motion: MotionModel, sensor: MeanSensorModel, ws: Rectangle, setup: ExperimentSetup,
-    rng: np.random.Generator,
-) -> StepFn:
+def _pf_filter(ws, setup, motion, sensor, rng, first_belief) -> StepFn:
     """SIR step; particles start uniform over the workspace with unit-normal velocities."""
     meas_mean = np.zeros(sensor.meas_dim)
 
@@ -324,6 +309,51 @@ def _pf_filter(
     return step
 
 
+# Filter name -> (workspace, setup, motion, sensor, rng, first_belief) -> StepFn; gpf calls it
+FILTERS = {"gpf": _gpf_filter, "pf": _pf_filter, "kf": _kf_filter}
+
+
+class _Sensor(NamedTuple):
+    """A sensor of run_experiment: build(scenario, setup) -> model; measure(model, setup, k,
+    truth[k], rng); gpf_belief(setup, truth[0]) -> the GPF's first belief; filters, the Range of
+    target counts of each filter that reads it.  SENSORS' lambdas call the sensor functions by
+    name when they run, so perfbench's tracer can replace them."""
+
+    build: Callable
+    measure: Callable
+    gpf_belief: Callable[[ExperimentSetup, np.ndarray], GpfParticleSet]
+    filters: dict[str, Range]
+
+
+SENSORS = {
+    "mean": _Sensor(
+        lambda config, setup: MeanSensorModel(np.diag(setup.mean_r_diag), position_projection(4)),
+        lambda sensor, setup, k, truth, rng: mean_sensor_measure(truth, sensor, rng),
+        lambda setup, truth0: GpfParticleSet(  # one row per true initial state: no births
+            np.full(len(truth0), setup.gpf_init_weight), truth0,
+            np.tile(np.diag(setup.gpf_init_cov_diag), (len(truth0), 1, 1))),
+        {"gpf": Range(1), "pf": Range(1, 1), "kf": Range(1, 1)}),  # kf, pf: one target only
+    "grid": _Sensor(
+        lambda config, setup: GridSensorModel(config.workspace, setup.grid_rows, setup.grid_cols,
+                                              setup.p_d, setup.snr, setup.m_cells),
+        lambda sensor, setup, k, truth, rng: grid_measure(truth, select_cells(
+            setup.cell_strategy, sensor, rng, step=k, fixed=setup.fixed_cells), sensor, rng),
+        lambda setup, truth0: GpfParticleSet(),
+        {"gpf": Range(0)}),
+}
+
+
+def check_run(config: ScenarioConfig, filter_choice: str, sensor_choice: str,
+              error: type[Exception] = ValueError) -> _Sensor:
+    """The sensor's record, if it lists the filter with a Range holding n_targets; else error."""
+    Choice(SENSORS).check(sensor_choice, "sensor", error)
+    filters = SENSORS[sensor_choice].filters
+    Choice(filters).check(filter_choice, f"filter of the {sensor_choice} sensor", error)
+    label = f"scenario.n_targets of {filter_choice} on the {sensor_choice} sensor"
+    filters[filter_choice].check(config.n_targets, label, error)
+    return SENSORS[sensor_choice]
+
+
 def run_experiment(
     config: ScenarioConfig,
     filter_choice: str,
@@ -333,48 +363,19 @@ def run_experiment(
 ) -> TrackingLog:
     """Full loop: truth step, sensor measurement, filter step, log record.
 
-    Supported combinations: gpf with either sensor; kf and pf require the
-    mean sensor view of a single target (they carry no association or
-    cardinality machinery).  Metrics are filled in before returning.
+    check_run vets the choices and gives the sensor's record; metrics are filled in last.
     """
     setup = setup or ExperimentSetup()
-    FILTERS.check(filter_choice, "filter")
-    SENSORS.check(sensor_choice, "sensor")
-    if filter_choice in ("kf", "pf") and (sensor_choice != "mean" or config.n_targets != 1):
-        raise ValueError(f"{filter_choice} supports only the mean sensor with one target")
-
+    kind = check_run(config, filter_choice, sensor_choice)
     truth = generate_truth(config, rng)
-
-    if sensor_choice == "mean":
-        sensor = MeanSensorModel(
-            R=np.diag(np.asarray(setup.mean_r_diag, dtype=float)),
-            position_projection=position_projection(4),
-        )
-
-        def measure(k: int) -> object:
-            return mean_sensor_measure(truth[k], sensor, rng)
-    else:
-        sensor = GridSensorModel(config.workspace, setup.grid_rows, setup.grid_cols,
-                                 setup.p_d, setup.snr, setup.m_cells)
-
-        def measure(k: int) -> object:
-            cells = select_cells(
-                setup.cell_strategy, sensor, rng, step=k, fixed=setup.fixed_cells
-            )
-            return grid_measure(truth[k], cells, sensor, rng)
-
-    motion = MotionModel(constant_velocity_matrix(config.tau),
-                         np.diag(np.asarray(config.q_diag, dtype=float)))
-    if filter_choice == "gpf":
-        step = _gpf_filter(config, setup, motion, sensor, truth[0])
-    elif filter_choice == "kf":
-        step = _kf_filter(motion, sensor, config.workspace)
-    else:
-        step = _pf_filter(motion, sensor, config.workspace, setup, rng)
+    sensor = kind.build(config, setup)
+    motion = MotionModel(constant_velocity_matrix(config.tau), np.diag(config.q_diag))
+    step = FILTERS[filter_choice](config.workspace, setup, motion, sensor, rng,
+                                  lambda: kind.gpf_belief(setup, truth[0]))
 
     log = TrackingLog()
     for k in range(config.n_steps):
-        z = measure(k)
+        z = kind.measure(sensor, setup, k, truth[k], rng)
         log.records.append(StepRecord(k, truth[k].copy(), z, *step(z)))
 
     evaluate_metrics(

@@ -672,11 +672,32 @@ class TestExitCodes:
                             "--out", str(tmp_path / "o")]) == 0
 
     def test_runtime_error_exit_code(self, tmp_path):
-        # kf with two targets is an unsupported combination -> runtime error
+        # kf with two targets can never run: a config error, found before any directory
+        # is made (the eval tests on a missing log cover exit 2)
         cfg = tmp_path / "two.cfg"
         cfg.write_text("scenario.n_targets = 2\nscenario.n_steps = 2\n")
         assert run_command(["track", "--config", str(cfg), "--filter", "kf",
-                            "--sensor", "mean", "--out", str(tmp_path / "o")]) == 2
+                            "--sensor", "mean", "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["track", "sweep"])
+    @pytest.mark.parametrize("filter_choice, sensor_choice, n_targets, message", [
+        ("kf", "grid", 1, "filter of the grid sensor = 'kf'"),
+        ("pf", "grid", 1, "filter of the grid sensor = 'pf'"),
+        ("pf", "mean", 3, "scenario.n_targets of pf on the mean sensor = 3"),
+        ("kf", "mean", 0, "scenario.n_targets of kf on the mean sensor = 0"),
+        ("gpf", "mean", 0, "scenario.n_targets of gpf on the mean sensor = 0"),
+    ])
+    def test_unrunnable_choice_is_config_error(self, tmp_path, capsys, command, filter_choice,
+                                               sensor_choice, n_targets, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"scenario.n_targets = {n_targets}\nscenario.n_steps = 2\n")
+        seeds = ["--seeds", "1..2"] if command == "sweep" else []
+        assert run_command([command, "--config", str(cfg), "--filter", filter_choice,
+                            "--sensor", sensor_choice, "--out", str(tmp_path / "o"),
+                            *seeds]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def _after_fresh_import(expr: str) -> str:

@@ -121,6 +121,8 @@ def test_workspace_parsed():
         ("sensor.strategy = fixed_list\nsensor.fixed_cells = 200", "out of range"),
         ("sensor.strategy = fixed_list\nsensor.fixed_cells = " + ",".join(map(str, range(13))),
          "13 fixed cells but m_cells = 12"),
+        # checked under every strategy, not only fixed_list: the manifest keeps the list
+        ("sensor.fixed_cells = -5,99999", "out of range"),
         ("gpf.d_thresh = nan", "finite"),
         ("gpf.epsilon = nan", "finite"),
         ("sensor.snr = nan", "finite"),

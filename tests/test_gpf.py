@@ -418,6 +418,12 @@ def test_config_rejects_grid_sensor_of_another_state_dim(dim):
     assert GpfConfig(_STILL, grid).sensor is grid
 
 
+def test_config_rejects_unknown_sensor_when_built():
+    # not at the first step: the sensor table has no update for it
+    with pytest.raises(TypeError, match="unsupported sensor type"):
+        GpfConfig(_STILL, object())
+
+
 def test_config_rejects_grid_births_below_the_prune():
     # each birth is pruned in the step that makes it, so a grid run would never hold a row
     grid = GridSensorModel(WORKSPACE, p_d=0.9, snr=3.0)
@@ -1467,9 +1473,9 @@ class TestGpfStep:
         config = _mean_config(epsilon=0.5)
         z = np.array([5.0, 5.0])
         assert [c.bits for c in enumerate_combinations(pset.weights.tolist(), config)] == [(0, 0)]
-        weights, means, covs, degenerate = _mean_measurement_update(
+        weights, means, covs, degenerate, births = _mean_measurement_update(
             pset.weights, pset.means, pset.covs, z, config)
-        assert not degenerate
+        assert not degenerate and not len(births)
         for got, want in zip((weights, means, covs), (pset.weights, pset.means, pset.covs)):
             assert np.array_equal(got, want)
         out = gpf_step(pset, z, config)

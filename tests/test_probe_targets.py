@@ -89,11 +89,15 @@ def _reached(tmp_path, filter_choice, sensor):
 
 def test_probes_are_reached(tmp_path):
     """A probe that still resolves but is never called reads as zero, not absent:
-    every probe must be called by at least one of four tiny runs."""
+    every probe must be called by at least one of four tiny runs, and each GPF run
+    must reach the sensor and update probes of its own sensor (a table that held a
+    sensor function itself, not its name, would bypass the probe in that run only)."""
     runs = {(f, s): _reached(tmp_path, f, s)
             for f, s in [("gpf", "mean"), ("gpf", "grid"), ("kf", "mean"), ("pf", "mean")]}
     assert {"kalman.update", "gaussians.log_pdf", "gpf.conditional_update",
-            "gpf.combo_weight"} <= runs["gpf", "mean"]
+            "gpf.combo_weight", "sensors.measure", "gpf.update"} <= runs["gpf", "mean"]
+    assert {"sensors.measure", "sensors.select", "gpf.update",
+            "gpf.birth_prune"} <= runs["gpf", "grid"]
     # the grid run's steps merge, so the merge itself must call moment_match_merge:
     # the mean run reaches gaussians.merge through mixture_moments alone
     assert "gaussians.merge" in runs["gpf", "grid"]

@@ -320,6 +320,9 @@ class TestRunExperiment:
             run_experiment(config, "gpf", "lidar", rng)
         with pytest.raises(ValueError):
             run_experiment(config, "ukf", "mean", rng)
+        # the mean sensor averages the targets: it needs at least one
+        with pytest.raises(ValueError, match="n_targets of gpf on the mean sensor = 0"):
+            run_experiment(ScenarioConfig(n_targets=0, n_steps=2), "gpf", "mean", rng)
 
     def test_gpf_grid_smoke(self):
         config = ScenarioConfig(
