@@ -25,9 +25,8 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig, dump_config, load_config, parse_config_text
 from .domains import check_field
 from .motion import POSITION_IDX
-from .sensors import CellReturns
-from .sim import (FILTERS, SENSORS, ScenarioConfig, StepRecord, TrackingLog, check_run,
-                  evaluate_metrics, generate_truth, run_experiment)
+from .sim import (FILTERS, SENSORS, ScenarioConfig, StepRecord, TrackingLog, evaluate_metrics,
+                  generate_truth, run_experiment)
 
 log = logging.getLogger("mtt")
 
@@ -94,24 +93,20 @@ def write_truth_csv(truth: np.ndarray, path: Path) -> None:
 
 
 LOG_SCHEMA = "mtt-particle-log-v2"
-# The per-step lists of every log; a grid log also has n_cells.
+# The per-step lists of every log; a sensor's record may name one more, its count.
 _STEP_LISTS = ("n_particles", "cardinality", "rmse", "card_err", "ospa")
 # Each array of a run, concatenated over its steps: key -> (dtype, shape of one row).
+# The sensor's record gives the columns of its measurement.
 _COLUMNS = {
     "weights": ("<f8", ()),
     "means": ("<f8", (4,)),
     "covs": ("<f8", (4, 4)),
     "truth": ("<f8", (4,)),
-    "z": ("<f8", (len(POSITION_IDX),)),
-    "cells": ("<i8", ()),
-    "values": ("|u1", ()),
 }
 
 
-def _base64(key: str, arrays) -> bytes:
-    """The arrays' values in order, as the base64 (ASCII bytes) of one run of
-    _COLUMNS[key] bytes."""
-    dtype = _COLUMNS[key][0]
+def _base64(dtype: str, arrays) -> bytes:
+    """The arrays' values in order, as the base64 (ASCII bytes) of one run of dtype bytes."""
     data = b"".join(np.asarray(a).astype(dtype, copy=False).tobytes() for a in arrays)
     return binascii.b2a_base64(data, newline=False)
 
@@ -130,17 +125,16 @@ def write_particles_json(
     The text is json.dumps(payload, sort_keys=True, separators=(",", ":")) + newline,
     but only the small values go through json: base64 never needs escaping, so each
     column is written between quotes as it is."""
-    records = tracking_log.records
+    records, kind = tracking_log.records, SENSORS[sensor_choice]
     steps = {"n_particles": [len(rec.weights) for rec in records],
              **{key: [getattr(rec, key) for rec in records] for key in _STEP_LISTS[1:]}}
     columns = {key: [getattr(rec, key) for rec in records] for key in ("weights", "means", "covs")}
     columns["truth"] = [rec.true_states for rec in records]
-    if sensor_choice == "grid":
-        steps["n_cells"] = [len(rec.measurement.cells) for rec in records]
-        columns["cells"] = [rec.measurement.cells for rec in records]
-        columns["values"] = [rec.measurement.values for rec in records]
-    else:
-        columns["z"] = [rec.measurement for rec in records]
+    packed = [kind.pack(rec.measurement) for rec in records]
+    if kind.count:
+        steps[kind.count] = [len(arrays[0]) for arrays in packed]
+    columns.update({key: [arrays[i] for arrays in packed] for i, key in enumerate(kind.columns)})
+    layout = {**_COLUMNS, **kind.columns}
     small = {
         "schema": LOG_SCHEMA,
         "config": dump_config(config),
@@ -153,20 +147,20 @@ def write_particles_json(
     for key in sorted([*small, *columns]):
         parts.append((("," if parts else "{") + json.dumps(key) + ":").encode())
         if key in columns:
-            parts += [b'"', _base64(key, columns[key]), b'"']
+            parts += [b'"', _base64(layout[key][0], columns[key]), b'"']
         else:
             parts.append(json.dumps(small[key], sort_keys=True, separators=(",", ":")).encode())
     with path.open("wb") as log:
         log.writelines(parts + [b"}\n"])
 
 
-def _column(payload: dict, key: str, rows: int, path: Path) -> np.ndarray:
-    """payload[key] decoded into `rows` rows of _COLUMNS[key].
+def _column(payload: dict, key: str, rows: int, path: Path, columns=_COLUMNS) -> np.ndarray:
+    """payload[key] decoded into `rows` rows of columns[key].
 
     ConfigError, naming the key, for a value that is not canonical base64 (the
     string that encoding its bytes gives back) or does not hold exactly that many rows.
     """
-    dtype, shape = _COLUMNS[key]
+    dtype, shape = columns[key]
     text = payload.get(key)
     try:  # a2b_base64 skips characters outside the alphabet, so encode back and compare
         raw = binascii.a2b_base64(text)
@@ -182,12 +176,12 @@ def _column(payload: dict, key: str, rows: int, path: Path) -> np.ndarray:
     return np.frombuffer(raw, dtype).reshape(rows, *shape)
 
 
-def _check_step_lists(payload: dict, sensor: str, n_steps: int, path: Path) -> None:
-    """ConfigError, naming the key, for a per-step list that is missing or does not
-    hold n_steps entries; and, naming the step, for a particle or cell count that is
-    not a non-negative integer or a cardinality that is not a finite number (strings
-    and booleans are neither)."""
-    counts = ("n_particles", "n_cells") if sensor == "grid" else ("n_particles",)
+def _check_step_lists(payload: dict, count: str | None, n_steps: int, path: Path) -> None:
+    """ConfigError, naming the key, for a per-step list (with the sensor's count, if it
+    has one) that is missing or does not hold n_steps entries; and, naming the step, for
+    a particle or measurement row count that is not a non-negative integer or a
+    cardinality that is not a finite number (strings and booleans are neither)."""
+    counts = ("n_particles", count) if count else ("n_particles",)
     for key in _STEP_LISTS + counts[1:]:
         if type(payload.get(key)) is not list or len(payload[key]) != n_steps:
             raise ConfigError(f"{path}: {key!r} is missing or not a list of {n_steps} steps")
@@ -211,8 +205,8 @@ def read_particles_json(path: Path) -> tuple[np.ndarray, TrackingLog, Experiment
     seed that ScenarioConfig allows, a sensor, the per-step lists of the
     config's n_steps and canonical base64 arrays of the lengths that the
     counts give; and, naming the step, for a bad count, a cardinality, mean, cov
-    or true state that is not finite, a weight outside [0, 1] or a grid
-    measurement that CellReturns rejects.  A missing file raises OSError.
+    or true state that is not finite, a weight outside [0, 1] or a measurement
+    that its sensor's record cannot unpack.  A missing file raises OSError.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -234,7 +228,8 @@ def read_particles_json(path: Path) -> tuple[np.ndarray, TrackingLog, Experiment
     if sensor not in SENSORS:
         raise ConfigError(f"{path}: 'sensor' is missing or not one of {', '.join(SENSORS)}")
     n_steps, n_targets = config.scenario.n_steps, config.scenario.n_targets
-    _check_step_lists(payload, sensor, n_steps, path)
+    kind = SENSORS[sensor]
+    _check_step_lists(payload, kind.count, n_steps, path)
     counts = payload["n_particles"]
     weights, means, covs = (_column(payload, key, sum(counts), path)
                             for key in ("weights", "means", "covs"))
@@ -254,19 +249,16 @@ def read_particles_json(path: Path) -> tuple[np.ndarray, TrackingLog, Experiment
     if bad.any():
         raise ConfigError(f"{path}: step {step_of(bad)}: a particle weight is not a number "
                           "in [0, 1]")
-    if sensor == "grid":
-        n_cells = payload["n_cells"]
-        cells, values = (_column(payload, key, sum(n_cells), path) for key in ("cells", "values"))
-        cell_bounds = np.cumsum([0, *n_cells])
-        measurements = []
-        for k, (a, b) in enumerate(zip(cell_bounds[:-1], cell_bounds[1:])):
-            try:
-                measurements.append(CellReturns(cells[a:b], values[a:b]))
-            except ValueError as exc:
-                raise ConfigError(f"{path}: step {k}: the measurement is not cell returns: "
-                                  f"{exc}") from None
-    else:
-        measurements = list(_column(payload, "z", n_steps, path))
+    rows = payload[kind.count] if kind.count else [1] * n_steps
+    arrays = [_column(payload, key, sum(rows), path, kind.columns) for key in kind.columns]
+    row_bounds = np.cumsum([0, *rows])  # fits in int64, as bounds does
+    measurements = []
+    for k, (a, b) in enumerate(zip(row_bounds[:-1], row_bounds[1:])):
+        try:
+            measurements.append(kind.unpack(*(array[a:b] for array in arrays)))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: step {k}: the measurement is not {kind.noun}: "
+                              f"{exc}") from None
     records = [StepRecord(k, truth[k], measurements[k], means=means[a:b], covs=covs[a:b],
                           weights=weights[a:b], cardinality=float(payload["cardinality"][k]))
                for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
@@ -323,12 +315,11 @@ def _cmd_simulate(args) -> int:
 
 def _run_tracked(config: ExperimentConfig, filter_choice: str, sensor_choice: str,
                  seed: int, out_dir: Path) -> TrackingLog:
-    check_run(config.scenario, filter_choice, sensor_choice, ConfigError)
-    out_dir.mkdir(parents=True, exist_ok=True)  # only once check_run has passed
     rng = np.random.default_rng(seed)
     tracking_log = run_experiment(
-        config.scenario, filter_choice, sensor_choice, rng, config.setup
+        config.scenario, filter_choice, sensor_choice, rng, config.setup, ConfigError
     )
+    out_dir.mkdir(parents=True, exist_ok=True)  # after the run: a run that fails makes none
     metrics_path = out_dir / "metrics.csv"
     particles_path = out_dir / "particles.json"
     write_csv(tracking_log, metrics_path, config.scenario.n_targets)

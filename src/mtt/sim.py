@@ -231,26 +231,30 @@ class ExperimentSetup:
 StepFn = Callable[[object], tuple[np.ndarray, np.ndarray, np.ndarray, float]]
 
 
-def _gpf_filter(ws, setup, motion, sensor, rng, first_belief) -> StepFn:
-    """GPF step from the sensor record's first belief."""
+def _gpf_filter(ws, setup, motion, sensor) -> Callable[..., StepFn]:
+    """GPF step from the sensor record's first belief; the GpfConfig is checked when built."""
     clutter = setup.gpf_clutter_density
     if clutter is None:
         clutter = 1.0 / ws.area
     gpf_config = GpfConfig(motion, sensor, clutter_density=clutter, **{
         name: getattr(setup, f"gpf_{name}")
         for name in ("epsilon", "d_thresh", "w_prune", "n_max", "w_birth", "merge_cov")})
-    belief = first_belief()
 
-    def step(z):
-        nonlocal belief
-        belief = gpf_step(belief, z, gpf_config)
-        return belief.means, belief.covs, belief.weights, estimate_cardinality(belief)
+    def start(rng, first_belief) -> StepFn:
+        belief = first_belief()
 
-    return step
+        def step(z):
+            nonlocal belief
+            belief = gpf_step(belief, z, gpf_config)
+            return belief.means, belief.covs, belief.weights, estimate_cardinality(belief)
+
+        return step
+
+    return start
 
 
-def _kf_filter(ws, setup, motion, sensor, rng, first_belief) -> StepFn:
-    """KF step from a broad prior at the workspace centre."""
+def _kf_filter(ws, setup, motion, sensor) -> Callable[..., StepFn]:
+    """KF step from a broad prior at the workspace centre; it draws nothing."""
     center = np.array([0.5 * (ws.x_min + ws.x_max), 0.0, 0.5 * (ws.y_min + ws.y_max), 0.0])
     mean, cov = center, KF_INIT_COV
 
@@ -261,7 +265,7 @@ def _kf_filter(ws, setup, motion, sensor, rng, first_belief) -> StepFn:
         mean, cov = post.mean, post.cov
         return mean[None], cov[None], np.ones(1), 1.0
 
-    return step
+    return lambda rng, first_belief: step
 
 
 def _weighted_cov(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -281,35 +285,40 @@ def _weighted_cov(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return c
 
 
-def _pf_filter(ws, setup, motion, sensor, rng, first_belief) -> StepFn:
+def _pf_filter(ws, setup, motion, sensor) -> Callable[..., StepFn]:
     """SIR step; particles start uniform over the workspace with unit-normal velocities."""
     meas_mean = np.zeros(sensor.meas_dim)
 
     def likelihood(states: np.ndarray, z: np.ndarray) -> np.ndarray:
         return np.exp(log_pdf(meas_mean, sensor.R, z - states @ sensor.position_projection.T))
 
-    n = setup.pf_n_particles
-    states = np.stack(
-        [
-            rng.uniform(ws.x_min, ws.x_max, size=n),
-            rng.standard_normal(n),
-            rng.uniform(ws.y_min, ws.y_max, size=n),
-            rng.standard_normal(n),
-        ],
-        axis=1,
-    )
-    pset = PointParticleSet(states, np.full(n, 1.0 / n))
+    def start(rng, first_belief) -> StepFn:
+        n = setup.pf_n_particles
+        states = np.stack(
+            [
+                rng.uniform(ws.x_min, ws.x_max, size=n),
+                rng.standard_normal(n),
+                rng.uniform(ws.y_min, ws.y_max, size=n),
+                rng.standard_normal(n),
+            ],
+            axis=1,
+        )
+        pset = PointParticleSet(states, np.full(n, 1.0 / n))
 
-    def step(z):
-        nonlocal pset
-        pset = pf_step(pset, motion, likelihood, z, rng,
-                       ess_ratio=setup.pf_ess_ratio, resample=setup.pf_resample)
-        return pset.mean()[None], _weighted_cov(pset.states, pset.weights)[None], np.ones(1), 1.0
+        def step(z):
+            nonlocal pset
+            pset = pf_step(pset, motion, likelihood, z, rng,
+                           ess_ratio=setup.pf_ess_ratio, resample=setup.pf_resample)
+            cov = _weighted_cov(pset.states, pset.weights)
+            return pset.mean()[None], cov[None], np.ones(1), 1.0
 
-    return step
+        return step
+
+    return start
 
 
-# Filter name -> (workspace, setup, motion, sensor, rng, first_belief) -> StepFn; gpf calls it
+# Filter name -> builder (workspace, setup, motion, sensor) -> start(rng, first_belief) -> StepFn:
+# the builder builds and checks its records, start makes the random draws after the truth's
 FILTERS = {"gpf": _gpf_filter, "pf": _pf_filter, "kf": _kf_filter}
 
 
@@ -317,12 +326,20 @@ class _Sensor(NamedTuple):
     """A sensor of run_experiment: build(scenario, setup) -> model; measure(model, setup, k,
     truth[k], rng); gpf_belief(setup, truth[0]) -> the GPF's first belief; filters, the Range of
     target counts of each filter that reads it.  SENSORS' lambdas call the sensor functions by
-    name when they run, so perfbench's tracer can replace them."""
+    name when they run, so perfbench's tracer can replace them.  The v2 particle log holds
+    pack(z), one array per key of columns (key -> (dtype, row shape)), and count names the list
+    of each step's rows (None: one row a step); unpack(*rows of step k) gives z back, or raises
+    ValueError for rows that are not `noun`."""
 
     build: Callable
     measure: Callable
     gpf_belief: Callable[[ExperimentSetup, np.ndarray], GpfParticleSet]
     filters: dict[str, Range]
+    columns: dict[str, tuple[str, tuple[int, ...]]]
+    count: str | None
+    pack: Callable[[object], tuple]
+    unpack: Callable
+    noun: str
 
 
 SENSORS = {
@@ -332,26 +349,36 @@ SENSORS = {
         lambda setup, truth0: GpfParticleSet(  # one row per true initial state: no births
             np.full(len(truth0), setup.gpf_init_weight), truth0,
             np.tile(np.diag(setup.gpf_init_cov_diag), (len(truth0), 1, 1))),
-        {"gpf": Range(1), "pf": Range(1, 1), "kf": Range(1, 1)}),  # kf, pf: one target only
+        {"gpf": Range(1), "pf": Range(1, 1), "kf": Range(1, 1)},  # kf, pf: one target only
+        {"z": ("<f8", (len(POSITION_IDX),))}, None, lambda z: (z,), lambda z: z[0], "a position"),
     "grid": _Sensor(
         lambda config, setup: GridSensorModel(config.workspace, setup.grid_rows, setup.grid_cols,
                                               setup.p_d, setup.snr, setup.m_cells),
         lambda sensor, setup, k, truth, rng: grid_measure(truth, select_cells(
             setup.cell_strategy, sensor, rng, step=k, fixed=setup.fixed_cells), sensor, rng),
         lambda setup, truth0: GpfParticleSet(),
-        {"gpf": Range(0)}),
+        {"gpf": Range(0)},
+        {"cells": ("<i8", ()), "values": ("|u1", ())}, "n_cells",
+        lambda z: (z.cells, z.values), CellReturns, "cell returns"),
 }
 
 
 def check_run(config: ScenarioConfig, filter_choice: str, sensor_choice: str,
-              error: type[Exception] = ValueError) -> _Sensor:
-    """The sensor's record, if it lists the filter with a Range holding n_targets; else error."""
+              setup: ExperimentSetup, error: type[Exception] = ValueError):
+    """The run's (sensor record, sensor model, filter start), each record built and checked
+    before the first random draw; error if the sensor does not list the filter with a Range
+    holding n_targets, or for the ValueError of a record (model, motion, filter) it rejects."""
     Choice(SENSORS).check(sensor_choice, "sensor", error)
-    filters = SENSORS[sensor_choice].filters
-    Choice(filters).check(filter_choice, f"filter of the {sensor_choice} sensor", error)
+    kind = SENSORS[sensor_choice]
+    Choice(kind.filters).check(filter_choice, f"filter of the {sensor_choice} sensor", error)
     label = f"scenario.n_targets of {filter_choice} on the {sensor_choice} sensor"
-    filters[filter_choice].check(config.n_targets, label, error)
-    return SENSORS[sensor_choice]
+    kind.filters[filter_choice].check(config.n_targets, label, error)
+    try:
+        sensor = kind.build(config, setup)
+        motion = MotionModel(constant_velocity_matrix(config.tau), np.diag(config.q_diag))
+        return kind, sensor, FILTERS[filter_choice](config.workspace, setup, motion, sensor)
+    except ValueError as exc:
+        raise error(str(exc)) from None
 
 
 def run_experiment(
@@ -360,18 +387,16 @@ def run_experiment(
     sensor_choice: str,
     rng: np.random.Generator,
     setup: ExperimentSetup | None = None,
+    error: type[Exception] = ValueError,
 ) -> TrackingLog:
     """Full loop: truth step, sensor measurement, filter step, log record.
 
-    check_run vets the choices and gives the sensor's record; metrics are filled in last.
+    check_run (with error) vets the choices and builds the records; metrics are filled in last.
     """
     setup = setup or ExperimentSetup()
-    kind = check_run(config, filter_choice, sensor_choice)
+    kind, sensor, start = check_run(config, filter_choice, sensor_choice, setup, error)
     truth = generate_truth(config, rng)
-    sensor = kind.build(config, setup)
-    motion = MotionModel(constant_velocity_matrix(config.tau), np.diag(config.q_diag))
-    step = FILTERS[filter_choice](config.workspace, setup, motion, sensor, rng,
-                                  lambda: kind.gpf_belief(setup, truth[0]))
+    step = start(rng, lambda: kind.gpf_belief(setup, truth[0]))
 
     log = TrackingLog()
     for k in range(config.n_steps):

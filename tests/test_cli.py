@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtt import cli
+from mtt import cli, sim
 from mtt.cli import read_particles_json, run_command, write_csv, write_particles_json
 from mtt.config import parse_config_text
 from mtt.sim import StepRecord, TrackingLog, run_experiment
@@ -317,6 +317,25 @@ class TestParticleLog:
         assert again.read_bytes() == path.read_bytes()
 
 
+def test_new_sensor_record_needs_no_cli_change(tmp_path, monkeypatch):
+    # a third sensor: the mean sensor's model and measurement, logged under its own column
+    # key; track, eval and the log reader take all they need from its record
+    fake = sim.SENSORS["mean"]._replace(columns={"z_fake": ("<f8", (2,))})
+    monkeypatch.setitem(sim.SENSORS, "fake", fake)
+    cfg, out = tmp_path / "one.cfg", tmp_path / "t"
+    cfg.write_text(_ONE_TARGET_CFG)
+    assert run_command(["track", "--config", str(cfg), "--filter", "kf", "--sensor", "fake",
+                        "--out", str(out)]) == 0
+    assert run_command(["eval", "--log", str(out / "particles.json"),
+                        "--out", str(tmp_path / "e")]) == 0
+    assert (tmp_path / "e" / "eval_metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
+    payload = json.loads((out / "particles.json").read_text())
+    assert payload["sensor"] == "fake" and "z_fake" in payload and "z" not in payload
+    path = tmp_path / "particles.json"
+    _, written = _logged_run(_ONE_TARGET_CFG, "kf", "fake", path)
+    _assert_same_bytes(written, read_particles_json(path)[1])
+
+
 # The per-particle arrays of a v2 log, each little-endian float64: key -> shape of one row.
 _ROW_SHAPES = {"weights": (), "means": (4,), "covs": (4, 4), "truth": (4,)}
 
@@ -486,6 +505,30 @@ def test_eval_rejects_malformed_log(defect, tmp_path, capfd):
     _rejects(mutate(_golden_log()), key, tmp_path, capfd)
 
 
+# Defects of a logged measurement, as above: each names the golden run whose log
+# it changes.  A grid log splits its cells and values by n_cells; a mean log holds
+# one z row per step.
+_MALFORMED_MEASUREMENTS = {
+    "grid_no_n_cells": ("gpf_grid_ospa", _without("n_cells"), "'n_cells'"),
+    "grid_short_n_cells": ("gpf_grid_ospa", lambda p: {**p, "n_cells": p["n_cells"][:-1]},
+                           "'n_cells'"),
+    "grid_negative_n_cells": ("gpf_grid_ospa", _set_entry("n_cells", 3, -1), "step 3"),
+    "grid_bool_n_cells": ("gpf_grid_ospa", _set_entry("n_cells", 3, True), "step 3"),
+    # one cell more at step 3 than the cells hold
+    "n_cells_disagrees_with_bytes": (
+        "gpf_grid_ospa", lambda p: _set_entry("n_cells", 3, p["n_cells"][3] + 1)(p), "'cells'"),
+    "grid_log_relabelled_mean": ("gpf_grid_ospa", _with(sensor="mean"), "'z'"),
+    "mean_log_relabelled_grid": ("gpf_mean_1target", _with(sensor="grid"), "'n_cells'"),
+    "mean_no_z": ("gpf_mean_1target", _without("z"), "'z'"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_MALFORMED_MEASUREMENTS))
+def test_eval_rejects_malformed_measurement(defect, tmp_path, capfd):
+    case, mutate, expected = _MALFORMED_MEASUREMENTS[defect]
+    _rejects(mutate(_golden_log(case)), expected, tmp_path, capfd)
+
+
 def test_eval_rejects_grid_return_outside_0_1(tmp_path, capfd):
     payload = _golden_log("gpf_grid_ospa")
     values = bytearray(base64.b64decode(payload["values"]))
@@ -651,14 +694,17 @@ class TestExitCodes:
         assert "pf.ess_ratio" in err and "pf.n_particles" in err
         assert not (tmp_path / "o").exists()
 
-    def test_grid_births_below_the_prune_is_runtime_error(self, tmp_path, capsys):
-        # every birth would be pruned in its own step: the run would never hold a row
+    def test_grid_births_below_the_prune_is_config_error(self, tmp_path, capsys):
+        # every birth would be pruned in its own step: the run would never hold a row,
+        # so the GpfConfig's check rejects it before any directory is made
         cfg = tmp_path / "births.cfg"
         cfg.write_text("scenario.n_steps = 10\ngpf.w_birth = 0.01\ngpf.w_prune = 0.05\n")
-        assert run_command(["track", "--config", str(cfg), "--sensor", "grid",
-                            "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert "w_birth 0.01" in err and "w_prune 0.05" in err
+        for command, seeds in (("track", []), ("sweep", ["--seeds", "1..2"])):
+            assert run_command([command, "--config", str(cfg), "--sensor", "grid",
+                                "--out", str(tmp_path / "o"), *seeds]) == 1
+            err = capsys.readouterr().err
+            assert "config error" in err and "w_birth 0.01" in err and "w_prune 0.05" in err
+            assert not (tmp_path / "o").exists()
         # the mean sensor makes no births
         assert run_command(["track", "--config", str(cfg), "--sensor", "mean",
                             "--out", str(tmp_path / "m")]) == 0
