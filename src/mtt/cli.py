@@ -25,8 +25,8 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig, dump_config, load_config, parse_config_text
 from .domains import check_field
 from .motion import POSITION_IDX
-from .sim import (FILTERS, SENSORS, ScenarioConfig, StepRecord, TrackingLog, evaluate_metrics,
-                  generate_truth, run_experiment)
+from .sim import (FILTERS, SENSORS, ScenarioConfig, StepRecord, TrackingLog, check_run,
+                  evaluate_metrics, generate_truth, run_experiment)
 
 log = logging.getLogger("mtt")
 
@@ -202,11 +202,12 @@ def read_particles_json(path: Path) -> tuple[np.ndarray, TrackingLog, Experiment
 
     ConfigError, naming the path and the key, if the file is not JSON, not an
     object with the mtt-particle-log-v2 schema, a config string that parses, a
-    seed that ScenarioConfig allows, a sensor, the per-step lists of the
-    config's n_steps and canonical base64 arrays of the lengths that the
-    counts give; and, naming the step, for a bad count, a cardinality, mean, cov
-    or true state that is not finite, a weight outside [0, 1] or a measurement
-    that its sensor's record cannot unpack.  A missing file raises OSError.
+    seed that ScenarioConfig allows, a sensor, a filter that check_run allows
+    on it, the per-step lists of the config's n_steps and canonical base64
+    arrays of the lengths that the counts give; and, naming the step, for a bad
+    count, a cardinality, mean, cov or true state that is not finite, a weight
+    outside [0, 1] or a measurement that its sensor's record cannot unpack.  A
+    missing file raises OSError.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -227,6 +228,10 @@ def read_particles_json(path: Path) -> tuple[np.ndarray, TrackingLog, Experiment
     sensor = payload.get("sensor")
     if sensor not in SENSORS:
         raise ConfigError(f"{path}: 'sensor' is missing or not one of {', '.join(SENSORS)}")
+    try:  # a filter and target count that `track` runs on this sensor
+        check_run(config.scenario, payload.get("filter"), sensor, config.setup, ConfigError)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     n_steps, n_targets = config.scenario.n_steps, config.scenario.n_targets
     kind = SENSORS[sensor]
     _check_step_lists(payload, kind.count, n_steps, path)
@@ -349,13 +354,7 @@ def _cmd_eval(args) -> int:
     truth, tracking_log, config, seed = read_particles_json(Path(args.log))
     out_dir = Path(args.out) if args.out else Path(args.log).parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    evaluate_metrics(
-        truth,
-        tracking_log,
-        extraction_threshold=config.setup.extraction_threshold,
-        distance_cap=config.setup.distance_cap,
-        with_ospa=config.setup.with_ospa,
-    )
+    evaluate_metrics(truth, tracking_log, config.setup)
     metrics_path = out_dir / "eval_metrics.csv"
     write_csv(tracking_log, metrics_path, config.scenario.n_targets)
     # its own name, so an eval into the track run's directory keeps that run's manifest

@@ -104,68 +104,48 @@ def generate_truth(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarr
     return truth
 
 
-def _capped_cost(estimates: np.ndarray, truths: np.ndarray, cap: float, p: int) -> np.ndarray:
-    """(m, n) estimate-to-truth distances capped at `cap`, raised to the power p.
+def _capped_cost(estimates: np.ndarray, truths: np.ndarray, cap: float) -> np.ndarray:
+    """(m, n) estimate-to-truth distances capped at `cap`, squared.
 
     Each squared distance is a per-row matmul, which rounds like the dot
-    product of np.linalg.norm; (d * d).sum(-1) and ** p do not.
+    product of np.linalg.norm; (d * d).sum(-1) and ** 2 do not.
     """
     d = np.asarray(estimates, dtype=float)[:, None, :] - np.asarray(truths, dtype=float)[None]
     dist = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
-    return np.float_power(np.minimum(dist, cap), p)
+    return np.float_power(np.minimum(dist, cap), 2)
 
 
-def _matched_cost(estimates: np.ndarray, truths: np.ndarray, cap: float, p: int) -> float:
-    """Sum of the _capped_cost entries that a minimum-cost assignment matches."""
-    from scipy.optimize import linear_sum_assignment  # here, to keep CLI start-up light
-    cost = _capped_cost(estimates, truths, cap, p)
-    rows, cols = linear_sum_assignment(cost)
-    return cost[rows, cols].sum()
-
-
-def assignment_rmse(
-    estimates: np.ndarray,
-    truths: np.ndarray,
-    cap: float = 5.0,
-) -> float:
-    """Position RMSE under the minimum-cost estimate-to-truth assignment.
+def match_scores(estimates: np.ndarray, truths: np.ndarray, cap: float) -> tuple[float, float]:
+    """(RMSE, OSPA) of the estimates against the truths from one minimum-cost assignment.
 
     Estimates and truths are point sets, (m, d) and (n, d) arrays or lists
-    of points.  Distances are capped at `cap`, unmatched truths cost the
-    full cap, and the mean square is taken over the number of truths.  With
-    no truths the result is 0 when there are also no estimates, else the cap.
+    of points.  The assignment matches min(m, n) pairs at the least sum S of
+    _capped_cost entries.  The RMSE adds the full cap squared for each
+    unmatched truth and takes the mean square over the n truths; the OSPA
+    (order 2, cutoff cap) adds it for each of the |m - n| unmatched points and
+    takes the mean over max(m, n).  Both are 0 when both sets are empty, else
+    the cap when either is.
     """
     m, n = len(estimates), len(truths)
     if m == 0 or n == 0:
-        return 0.0 if m == n else cap
-    total = _matched_cost(estimates, truths, cap, 2) + cap**2 * max(0, n - m)
-    return float(np.sqrt(total / n))
+        score = 0.0 if m == n else cap
+        return score, score
+    from scipy.optimize import linear_sum_assignment  # here, to keep CLI start-up light
+    cost = _capped_cost(estimates, truths, cap)
+    rows, cols = linear_sum_assignment(cost)
+    matched = cost[rows, cols].sum()
+    rmse = np.sqrt((matched + cap**2 * max(0, n - m)) / n)
+    ospa = ((matched + cap**2 * abs(m - n)) / max(m, n)) ** 0.5
+    return float(rmse), float(ospa)
 
 
-def ospa_distance(
-    estimates: np.ndarray, truths: np.ndarray, cap: float = 5.0, p: int = 2
-) -> float:
-    """OSPA metric between two point sets (order p, cutoff cap), as in assignment_rmse."""
-    m, n = len(estimates), len(truths)
-    if m == 0 or n == 0:
-        return 0.0 if m == n else cap
-    total = _matched_cost(estimates, truths, cap, p) + cap**p * abs(m - n)
-    return float((total / max(m, n)) ** (1.0 / p))
+def evaluate_metrics(truth: np.ndarray, log: TrackingLog, setup: ExperimentSetup) -> None:
+    """Fill per-step RMSE, cardinality error and, with setup.with_ospa, OSPA into the log records.
 
-
-def evaluate_metrics(
-    truth: np.ndarray,
-    log: TrackingLog,
-    extraction_threshold: float = 0.5,
-    distance_cap: float = 5.0,
-    with_ospa: bool = False,
-) -> None:
-    """Fill per-step RMSE, cardinality error and optionally OSPA into the log records.
-
-    The cardinality error is |sum of weights - true target count|; the
-    RMSE is assignment-based over extracted estimates (the positions of
-    the means whose weight is >= the extraction threshold) against true
-    positions.
+    The cardinality error is |sum of weights - true target count|; RMSE
+    and OSPA come from match_scores over extracted estimates (the positions
+    of the means whose weight is >= setup.extraction_threshold) against true
+    positions, capped at setup.distance_cap.
     """
     if len(truth) != len(log.records):
         raise ValueError(
@@ -174,11 +154,11 @@ def evaluate_metrics(
     idx = np.asarray(POSITION_IDX)
     for k, record in enumerate(log.records):
         truths = truth[k][:, idx]
-        estimates = record.means[record.weights >= extraction_threshold][:, idx]
-        record.rmse = assignment_rmse(estimates, truths, distance_cap)
+        estimates = record.means[record.weights >= setup.extraction_threshold][:, idx]
+        record.rmse, ospa = match_scores(estimates, truths, setup.distance_cap)
         record.card_err = abs(record.cardinality - len(truths))
-        if with_ospa:
-            record.ospa = ospa_distance(estimates, truths, distance_cap)
+        if setup.with_ospa:
+            record.ospa = ospa
 
 
 @dataclass(frozen=True)
@@ -403,12 +383,6 @@ def run_experiment(
         z = kind.measure(sensor, setup, k, truth[k], rng)
         log.records.append(StepRecord(k, truth[k].copy(), z, *step(z)))
 
-    evaluate_metrics(
-        truth,
-        log,
-        extraction_threshold=setup.extraction_threshold,
-        distance_cap=setup.distance_cap,
-        with_ospa=setup.with_ospa,
-    )
+    evaluate_metrics(truth, log, setup)
     return log
 

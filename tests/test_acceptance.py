@@ -34,7 +34,7 @@ from mtt.sensors import GridSensorModel, MeanSensorModel, detection_prob, grid_m
 from mtt.sim import (
     ExperimentSetup,
     ScenarioConfig,
-    assignment_rmse,
+    match_scores,
     run_experiment,
 )
 
@@ -339,17 +339,16 @@ def test_criterion_7_track_determinism(tmp_path):
 
 
 def test_criterion_8_assignment_rmse_oracle():
-    """Assignment RMSE equals a brute-force permutation oracle."""
+    """Assignment RMSE and OSPA equal a brute-force permutation oracle."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(808)
     cap = 5.0
 
     def oracle(estimates, truths):
+        """(RMSE, OSPA) from the least sum of capped squared distances over all matchings."""
         n_true, n_est = len(truths), len(estimates)
-        if n_true == 0:
-            return 0.0 if n_est == 0 else cap
-        if n_est == 0:
-            return cap
+        if n_true == 0 or n_est == 0:
+            return (0.0, 0.0) if n_true == n_est else (cap, cap)
         cost = lambda e, t: min(np.linalg.norm(e - t), cap) ** 2
         best = np.inf
         if n_est >= n_true:
@@ -357,17 +356,17 @@ def test_criterion_8_assignment_rmse_oracle():
                 best = min(best, sum(cost(estimates[p], truths[j]) for j, p in enumerate(perm)))
         else:
             for perm in itertools.permutations(range(n_true), n_est):
-                total = sum(cost(estimates[i], truths[p]) for i, p in enumerate(perm))
-                best = min(best, total + cap**2 * (n_true - n_est))
-        return float(np.sqrt(best / n_true))
+                best = min(best, sum(cost(estimates[i], truths[p]) for i, p in enumerate(perm)))
+        rmse = np.sqrt((best + cap**2 * max(0, n_true - n_est)) / n_true)
+        ospa = np.sqrt((best + cap**2 * abs(n_true - n_est)) / max(n_true, n_est))
+        return float(rmse), float(ospa)
 
     for _ in range(100):
         n_t = int(rng.integers(0, 7))
         n_e = int(rng.integers(0, 7))
         truths = [rng.uniform(0, 12, 2) for _ in range(n_t)]
         estimates = [rng.uniform(0, 12, 2) for _ in range(n_e)]
-        got = assignment_rmse(estimates, truths, cap=cap)
-        want = oracle(estimates, truths)
-        assert got == want or abs(got - want) <= 1e-12
+        for got, want in zip(match_scores(estimates, truths, cap), oracle(estimates, truths)):
+            assert got == want or abs(got - want) <= 1e-12
     _report(8, 5.0, time.perf_counter() - t0,
-            "100 random instances match the permutation oracle exactly")
+            "100 random instances match the permutation oracle's RMSE and OSPA")

@@ -267,7 +267,8 @@ class TestParticleLog:
             return np.array(data.draw(st.lists(elements, min_size=size, max_size=size)),
                             dtype=float).reshape(shape)
 
-        n_steps, n_targets = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2))
+        # gpf on the mean sensor needs a target; TestEval round-trips a zero-target grid run
+        n_steps, n_targets = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
         records = []
         for k in range(n_steps):
             n = data.draw(st.integers(0, 3))
@@ -491,6 +492,10 @@ _MALFORMED_LOGS = {
     "no_config": (_without("config"), "'config'"),
     "config_not_parsing": (_with(config="bogus line"), "'config'"),
     "unknown_sensor": (_with(sensor="radar"), "'sensor'"),
+    "unknown_filter": (_with(filter="bogus"), "filter of the mean sensor = 'bogus'"),
+    "no_filter": (_without("filter"), "filter of the mean sensor = None"),
+    "grid_log_relabelled_kf": (lambda p: {**_golden_log("gpf_grid_ospa"), "filter": "kf"},
+                               "filter of the grid sensor = 'kf'"),
     "v1_log": (lambda p: {"schema": "mtt-particle-log-v1", "config": p["config"],
                           "seed": p["seed"], "steps": []},
                "an mtt-particle-log-v1 log; this mtt reads mtt-particle-log-v2"),
@@ -503,6 +508,13 @@ _MALFORMED_LOGS = {
 def test_eval_rejects_malformed_log(defect, tmp_path, capfd):
     mutate, key = _MALFORMED_LOGS[defect]
     _rejects(mutate(_golden_log()), key, tmp_path, capfd)
+
+
+def test_eval_accepts_a_filter_track_runs(tmp_path):
+    # a one-target mean log could have come from the pf: its filter passes the check
+    path = tmp_path / "particles.json"
+    path.write_text(json.dumps({**_golden_log(), "filter": "pf"}))
+    assert run_command(["eval", "--log", str(path), "--out", str(tmp_path / "e")]) == 0
 
 
 # Defects of a logged measurement, as above: each names the golden run whose log

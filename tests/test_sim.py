@@ -14,10 +14,9 @@ from mtt.sim import (
     TrackingLog,
     _capped_cost,
     _weighted_cov,
-    assignment_rmse,
     evaluate_metrics,
     generate_truth,
-    ospa_distance,
+    match_scores,
     run_experiment,
 )
 
@@ -104,38 +103,46 @@ class TestGenerateTruth:
             ScenarioConfig(n_targets=1, initial_states=states)
 
 
+def rmse(estimates, truths, cap=5.0):
+    return match_scores(estimates, truths, cap)[0]
+
+
+def ospa(estimates, truths, cap=5.0):
+    return match_scores(estimates, truths, cap)[1]
+
+
 class TestAssignmentRmse:
     def test_perfect_match(self):
         pts = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
-        assert assignment_rmse(pts, pts) == 0.0
+        assert rmse(pts, pts) == 0.0
 
     def test_all_miss(self):
-        assert assignment_rmse([], [np.zeros(2)] * 3, cap=5.0) == 5.0
+        assert rmse([], [np.zeros(2)] * 3, cap=5.0) == 5.0
 
     def test_no_truths(self):
-        assert assignment_rmse([], []) == 0.0
-        assert assignment_rmse([np.zeros(2)], [], cap=5.0) == 5.0
+        assert rmse([], []) == 0.0
+        assert rmse([np.zeros(2)], [], cap=5.0) == 5.0
 
     def test_offset_pair(self):
         truths = [np.array([0.0, 0.0]), np.array([10.0, 10.0])]
         estimates = [np.array([3.0, 4.0]), np.array([10.0, 10.0])]
-        assert_allclose(assignment_rmse(estimates, truths, cap=5.0), np.sqrt(12.5))
+        assert_allclose(rmse(estimates, truths, cap=5.0), np.sqrt(12.5))
         assert_allclose(np.sqrt(12.5), 3.536, atol=5e-4)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
         truths = [rng.uniform(0, 10, 2) for _ in range(4)]
         estimates = [rng.uniform(0, 10, 2) for _ in range(4)]
-        base = assignment_rmse(estimates, truths)
+        base = rmse(estimates, truths)
         for perm in itertools.permutations(range(4)):
-            assert_allclose(assignment_rmse([estimates[i] for i in perm], truths), base)
+            assert_allclose(rmse([estimates[i] for i in perm], truths), base)
 
     def test_bounded_by_cap(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             truths = [rng.uniform(0, 100, 2) for _ in range(rng.integers(0, 5))]
             estimates = [rng.uniform(0, 100, 2) for _ in range(rng.integers(0, 5))]
-            assert assignment_rmse(estimates, truths, cap=5.0) <= 5.0 + 1e-12
+            assert rmse(estimates, truths, cap=5.0) <= 5.0 + 1e-12
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(4)
@@ -144,19 +151,18 @@ class TestAssignmentRmse:
             n_e = int(rng.integers(0, 6))
             truths = [rng.uniform(0, 12, 2) for _ in range(n_t)]
             estimates = [rng.uniform(0, 12, 2) for _ in range(n_e)]
-            got = assignment_rmse(estimates, truths, cap=5.0)
+            got = rmse(estimates, truths, cap=5.0)
             want = brute_force_rmse(estimates, truths, cap=5.0)
             assert_allclose(got, want, atol=1e-12)
 
 
 class TestCappedCost:
     @staticmethod
-    def _per_pair(estimates, truths, cap, p):
-        return np.array([[min(np.linalg.norm(e - t), cap) ** p for t in truths]
+    def _per_pair(estimates, truths, cap):
+        return np.array([[min(np.linalg.norm(e - t), cap) ** 2 for t in truths]
                          for e in estimates]).reshape(len(estimates), len(truths))
 
-    @pytest.mark.parametrize("p", [1, 2])
-    def test_equals_per_pair_norm_bit_for_bit(self, p):
+    def test_equals_per_pair_norm_bit_for_bit(self):
         rng = np.random.default_rng(6)
         cap = 5.0
         sizes = [(1, 1), (1, 25), (25, 1), (25, 25)] + [tuple(rng.integers(1, 26, 2))
@@ -169,31 +175,30 @@ class TestCappedCost:
             radius *= rng.choice([1.0, 1.0, rng.uniform(0, 2)], m)
             estimates = truths[rng.integers(n, size=m)] + radius[:, None] * np.column_stack(
                 (np.cos(angle), np.sin(angle)))
-            assert_array_equal(_capped_cost(estimates, truths, cap, p),
-                               self._per_pair(estimates, truths, cap, p))
+            assert_array_equal(_capped_cost(estimates, truths, cap),
+                               self._per_pair(estimates, truths, cap))
 
-    @pytest.mark.parametrize("p", [1, 2])
-    def test_exact_cap_distance(self, p):
+    def test_exact_cap_distance(self):
         truths = np.array([[0.0, 0.0], [1.0, 1.0]])
         estimates = np.array([[3.0, 4.0], [np.nextafter(3.0, 4.0), 4.0], [4.0, 5.0]])
-        got = _capped_cost(estimates, truths, 5.0, p)
-        assert_array_equal(got, self._per_pair(estimates, truths, 5.0, p))
-        assert got[0, 0] == got[1, 0] == 5.0**p
+        got = _capped_cost(estimates, truths, 5.0)
+        assert_array_equal(got, self._per_pair(estimates, truths, 5.0))
+        assert got[0, 0] == got[1, 0] == 5.0**2
 
 
 class TestOspa:
     def test_empty_sets(self):
-        assert ospa_distance([], []) == 0.0
-        assert ospa_distance([np.zeros(2)], [], cap=5.0) == 5.0
+        assert ospa([], []) == 0.0
+        assert ospa([np.zeros(2)], [], cap=5.0) == 5.0
 
     def test_identical_sets(self):
         pts = [np.array([1.0, 1.0])]
-        assert ospa_distance(pts, pts) == 0.0
+        assert ospa(pts, pts) == 0.0
 
     def test_cardinality_penalty(self):
         a = [np.zeros(2)]
         b = [np.zeros(2), np.array([0.1, 0.0])]
-        d = ospa_distance(a, b, cap=5.0, p=2)
+        d = ospa(a, b, cap=5.0)
         assert_allclose(d, np.sqrt((0.0 + 25.0) / 2))
 
 
@@ -205,21 +210,21 @@ class TestEvaluateMetrics:
         log = TrackingLog(
             [_record(0, truth[0], [truth[0, 0], truth[0, 1]], [1.0, 1.0], 2.0)]
         )
-        evaluate_metrics(truth, log)
+        evaluate_metrics(truth, log, ExperimentSetup())
         assert [r.rmse for r in log.records] == [0.0]
         assert [r.card_err for r in log.records] == [0.0]
 
     def test_all_miss(self):
         truth = np.zeros((1, 3, 4))
         log = TrackingLog([_record(0, truth[0], [], [], 0.0)])
-        evaluate_metrics(truth, log, distance_cap=5.0)
+        evaluate_metrics(truth, log, ExperimentSetup(distance_cap=5.0))
         assert [r.rmse for r in log.records] == [5.0]
         assert [r.card_err for r in log.records] == [3.0]
 
     def test_low_weight_estimates_not_extracted(self):
         truth = np.zeros((1, 1, 4))
         log = TrackingLog([_record(0, truth[0], [np.zeros(4)], [0.2], 0.2)])
-        evaluate_metrics(truth, log, extraction_threshold=0.5, distance_cap=5.0)
+        evaluate_metrics(truth, log, ExperimentSetup(extraction_threshold=0.5, distance_cap=5.0))
         assert [r.rmse for r in log.records] == [5.0]
         assert_allclose([r.card_err for r in log.records], [0.8])
 
@@ -227,14 +232,37 @@ class TestEvaluateMetrics:
         truth = np.zeros((2, 1, 4))
         log = TrackingLog([_record(0, truth[0], [], [], 0.0)])
         with pytest.raises(ValueError):
-            evaluate_metrics(truth, log)
+            evaluate_metrics(truth, log, ExperimentSetup())
 
     def test_ospa_optional(self):
         truth = np.zeros((1, 1, 4))
         log = TrackingLog([_record(0, truth[0], [np.zeros(4)], [1.0], 1.0)])
-        evaluate_metrics(truth, log, with_ospa=True)
+        evaluate_metrics(truth, log, ExperimentSetup())
+        assert log.records[0].ospa is None
+        evaluate_metrics(truth, log, ExperimentSetup(with_ospa=True))
         assert [r.ospa for r in log.records] == [0.0]
         assert log.records[0].ospa == 0.0
+
+    @pytest.mark.parametrize("with_ospa", [False, True])
+    def test_one_assignment_per_step(self, with_ospa, monkeypatch):
+        import scipy.optimize
+
+        calls = []
+        solve = scipy.optimize.linear_sum_assignment
+
+        def counting(cost):
+            calls.append(cost.shape)
+            return solve(cost)
+
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counting)
+        config = ScenarioConfig(n_targets=3, n_steps=10, seed=0)
+        log = run_experiment(config, "gpf", "mean", np.random.default_rng(0))
+        truth = np.stack([r.true_states for r in log.records])
+        calls.clear()
+        evaluate_metrics(truth, log, ExperimentSetup(with_ospa=with_ospa))
+        scored = sum(len(r.means[r.weights >= 0.5]) > 0 for r in log.records)
+        assert scored == 10 and len(calls) == 10
+        assert all(r.ospa is not None for r in log.records) == with_ospa
 
 
 class TestExperimentSetup:
