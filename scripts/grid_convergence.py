@@ -6,7 +6,8 @@ Runs the Gaussian-particle filter on a three-target scenario over a
 12x12 detection grid for a batch of seeds, then compares mean position
 RMSE and cardinality error over the first ten steps against the last
 ten, including a paired t-test across seeds.  Writes one CSV row per
-(seed, step).
+(seed, step).  The t-test needs scipy, which comes with the test extra
+(pip install -e '.[test]'), not with the package.
 """
 
 import argparse

@@ -32,11 +32,13 @@ def kf_predict(
     means (..., d), covs (..., d, d); f, q 2-D.  The covariances come back
     as computed, not symmetrized: kf_update and GpfParticleSet symmetrize
     what they are given.  F @ x[..., None] gives each row the bits of
-    F @ x, which x @ F' does not.
+    F @ x, which x @ F' does not.  F' is copied to a C-contiguous array:
+    numpy's stacked matmul is faster with it than with the f.T view and
+    gives the same bits.
     """
     if means.shape[-1] != f.shape[0]:
         raise ValueError(f"state dim {means.shape[-1]} does not match F dim {f.shape[0]}")
-    return (f @ means[..., None])[..., 0], f @ covs @ f.T + q
+    return (f @ means[..., None])[..., 0], f @ covs @ np.ascontiguousarray(f.T) + q
 
 
 def kf_update(

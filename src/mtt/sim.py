@@ -115,6 +115,75 @@ def _capped_cost(estimates: np.ndarray, truths: np.ndarray, cap: float) -> np.nd
     return np.float_power(np.minimum(dist, cap), 2)
 
 
+def _linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of a minimum-cost assignment of the 2-D cost matrix: the pairs that
+    scipy.optimize.linear_sum_assignment returns, ties included.
+
+    A step-for-step port of scipy's rectangular_lsap, the shortest augmenting path
+    form of Jonker-Volgenant (Crouse, IEEE TAES 2016).  A tall matrix is transposed
+    and its pairs come back ordered by row.  Each row's search scans the remaining
+    columns from the last one down, prefers a free column among equally short
+    paths and removes a column by swapping in the last one; the reduced cost is
+    min_val + cost - u[i] - v[j] in that order, so the duals and every comparison
+    keep scipy's bits.  cost is a 2-D float array; ValueError for NaN or -inf
+    entries and when no assignment has a finite cost.
+    """
+    transpose = cost.shape[1] < cost.shape[0]
+    if transpose:
+        cost = cost.T
+    nr, nc = cost.shape
+    if nr == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    if not cost.min() > -np.inf:  # NaN compares false too
+        raise ValueError("matrix contains invalid numeric entries")
+    c = cost.tolist()  # Python floats: the scans below are faster on lists than on arrays
+    inf = np.inf
+    u, v = [0.0] * nr, [0.0] * nc
+    col4row, row4col, path = [-1] * nr, [-1] * nc, [-1] * nc
+    for cur in range(nr):
+        spc = [inf] * nc  # shortest path cost to each column
+        remaining = list(range(nc - 1, -1, -1))
+        rows_seen, cols_seen = [], []
+        i, min_val = cur, 0.0
+        while True:  # until the path reaches a free column j
+            rows_seen.append(i)
+            row, ui = c[i], u[i]
+            index, lowest = -1, inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                s = spc[j]
+                if r < s:
+                    path[j] = i
+                    spc[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] < 0):
+                    lowest, index = s, it
+            min_val = lowest
+            if min_val == inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            cols_seen.append(j)
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for k in cols_seen:
+            v[k] -= min_val - spc[k]
+        while True:  # augment along the path from j back to cur
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        cols = sorted(range(nr), key=col4row.__getitem__)
+        return np.array([col4row[k] for k in cols], dtype=np.intp), np.array(cols, dtype=np.intp)
+    return np.arange(nr), np.array(col4row, dtype=np.intp)
+
+
 def match_scores(estimates: np.ndarray, truths: np.ndarray, cap: float) -> tuple[float, float]:
     """(RMSE, OSPA) of the estimates against the truths from one minimum-cost assignment.
 
@@ -130,9 +199,8 @@ def match_scores(estimates: np.ndarray, truths: np.ndarray, cap: float) -> tuple
     if m == 0 or n == 0:
         score = 0.0 if m == n else cap
         return score, score
-    from scipy.optimize import linear_sum_assignment  # here, to keep CLI start-up light
     cost = _capped_cost(estimates, truths, cap)
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = _linear_sum_assignment(cost)
     matched = cost[rows, cols].sum()
     rmse = np.sqrt((matched + cap**2 * max(0, n - m)) / n)
     ospa = ((matched + cap**2 * abs(m - n)) / max(m, n)) ** 0.5
@@ -140,7 +208,8 @@ def match_scores(estimates: np.ndarray, truths: np.ndarray, cap: float) -> tuple
 
 
 def evaluate_metrics(truth: np.ndarray, log: TrackingLog, setup: ExperimentSetup) -> None:
-    """Fill per-step RMSE, cardinality error and, with setup.with_ospa, OSPA into the log records.
+    """Fill per-step RMSE, cardinality error and, with setup.with_ospa, OSPA (else None)
+    into the log records.
 
     The cardinality error is |sum of weights - true target count|; RMSE
     and OSPA come from match_scores over extracted estimates (the positions
@@ -157,8 +226,7 @@ def evaluate_metrics(truth: np.ndarray, log: TrackingLog, setup: ExperimentSetup
         estimates = record.means[record.weights >= setup.extraction_threshold][:, idx]
         record.rmse, ospa = match_scores(estimates, truths, setup.distance_cap)
         record.card_err = abs(record.cardinality - len(truths))
-        if setup.with_ospa:
-            record.ospa = ospa
+        record.ospa = ospa if setup.with_ospa else None
 
 
 @dataclass(frozen=True)

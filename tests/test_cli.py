@@ -769,9 +769,19 @@ def _after_fresh_import(expr: str) -> str:
     return result.stdout.strip()
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is imported by the metrics on first use, not at CLI start-up
-    assert _after_fresh_import("sorted(m for m in sys.modules if m.startswith('scipy'))") == "[]"
+def test_import_leaves_scipy_unloaded(cfg_file, tmp_path):
+    # the runtime needs no scipy: neither start-up nor a scored track or eval run loads it
+    loaded = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+    assert _after_fresh_import(loaded) == "[]"
+    mean, grid = tmp_path / "mean", tmp_path / "grid"
+    for commands in (
+        [["track", "--config", str(cfg_file), "--sensor", "mean", "--out", str(mean)]],
+        [["track", "--config", str(cfg_file), "--sensor", "grid", "--out", str(grid)],
+         ["eval", "--log", str(grid / "particles.json")]],
+    ):
+        ran = f"[mtt.cli.run_command(argv) for argv in {commands!r}]"
+        assert _after_fresh_import(f"{ran}, {loaded}") == f"{[0] * len(commands)} []"
+    assert (mean / "metrics.csv").exists() and (grid / "eval_metrics.csv").exists()
 
 
 def test_parser_built_once_at_the_first_command(cfg_file, tmp_path, monkeypatch, capsys):

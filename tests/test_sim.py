@@ -3,8 +3,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.optimize import linear_sum_assignment
 
+from mtt import sim
 from mtt.gaussians import log_pdf, noise_factor
 from mtt.regions import Rectangle
 from mtt.sim import (
@@ -13,6 +17,7 @@ from mtt.sim import (
     StepRecord,
     TrackingLog,
     _capped_cost,
+    _linear_sum_assignment,
     _weighted_cov,
     evaluate_metrics,
     generate_truth,
@@ -186,6 +191,62 @@ class TestCappedCost:
         assert got[0, 0] == got[1, 0] == 5.0**2
 
 
+@st.composite
+def _cost_matrices(draw):
+    """A 0..9 x 0..9 cost matrix: normal costs, integer ties in {0, 1, 2}, capped squared
+    distances min(d, 5)**2, a constant, or integer costs with +inf entries off one full
+    matching, so that an assignment of finite cost remains."""
+    m, n = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    kind = draw(st.sampled_from(["normal", "ties", "capped", "constant", "inf"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "normal":
+        return rng.standard_normal((m, n))
+    if kind == "capped":
+        return np.minimum(rng.uniform(0.0, 8.0, (m, n)), 5.0) ** 2
+    if kind == "constant":
+        return np.full((m, n), draw(st.floats(-1e3, 1e3)))
+    cost = rng.integers(0, 3, (m, n)).astype(float)
+    if kind == "inf":
+        keep = np.zeros((m, n), dtype=bool)
+        k = min(m, n)
+        keep[rng.permutation(m)[:k], rng.permutation(n)[:k]] = True
+        cost[~keep & (rng.random((m, n)) < 0.5)] = np.inf
+    return cost
+
+
+class TestLinearSumAssignment:
+    """The package's assignment gives scipy's (rows, cols) exactly, ties included."""
+
+    @staticmethod
+    def _check(cost):
+        want = linear_sum_assignment(cost)
+        got = _linear_sum_assignment(cost)
+        for g, w in zip(got, want):
+            assert_array_equal(g, w)
+            assert g.dtype == w.dtype
+
+    @given(_cost_matrices())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_scipy(self, cost):
+        self._check(cost)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 7), (7, 2), (9, 9)])
+    def test_shapes_match_scipy(self, shape):
+        self._check(np.arange(np.prod(shape), dtype=float).reshape(shape) % 4)
+
+    @pytest.mark.parametrize("cost, message", [
+        ([[0.0, np.nan], [1.0, 2.0]], "invalid numeric entries"),
+        ([[0.0, -np.inf], [1.0, 2.0]], "invalid numeric entries"),
+        ([[np.inf, 1.0], [np.inf, 2.0]], "infeasible"),
+        ([[np.inf]], "infeasible"),
+    ])
+    def test_rejects_what_scipy_rejects(self, cost, message):
+        with pytest.raises(ValueError, match=message):
+            linear_sum_assignment(np.array(cost))
+        with pytest.raises(ValueError, match=message):
+            _linear_sum_assignment(np.array(cost))
+
+
 class TestOspa:
     def test_empty_sets(self):
         assert ospa([], []) == 0.0
@@ -243,18 +304,25 @@ class TestEvaluateMetrics:
         assert [r.ospa for r in log.records] == [0.0]
         assert log.records[0].ospa == 0.0
 
+    def test_ospa_cleared_when_switched_off(self):
+        # a log scored with OSPA on, then scored again with it off, keeps no OSPA
+        config = ScenarioConfig(n_targets=3, n_steps=3, seed=0)
+        log = run_experiment(config, "gpf", "mean", np.random.default_rng(0),
+                             ExperimentSetup(with_ospa=True))
+        assert all(r.ospa is not None for r in log.records)
+        evaluate_metrics(np.stack([r.true_states for r in log.records]), log, ExperimentSetup())
+        assert [r.ospa for r in log.records] == [None] * 3
+
     @pytest.mark.parametrize("with_ospa", [False, True])
     def test_one_assignment_per_step(self, with_ospa, monkeypatch):
-        import scipy.optimize
-
         calls = []
-        solve = scipy.optimize.linear_sum_assignment
+        solve = sim._linear_sum_assignment
 
         def counting(cost):
             calls.append(cost.shape)
             return solve(cost)
 
-        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counting)
+        monkeypatch.setattr(sim, "_linear_sum_assignment", counting)
         config = ScenarioConfig(n_targets=3, n_steps=10, seed=0)
         log = run_experiment(config, "gpf", "mean", np.random.default_rng(0))
         truth = np.stack([r.true_states for r in log.records])
