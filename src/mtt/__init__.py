@@ -19,14 +19,8 @@ from .gpf import (
 )
 from .kalman import KalmanUpdate, kf_predict, kf_update
 from .motion import MotionModel
-from .particle import (
-    PointParticleSet,
-    effective_sample_size,
-    pf_step,
-    resample_multinomial,
-    resample_systematic,
-)
-from .regions import FovRegion, Rectangle
+from .particle import PointParticleSet, effective_sample_size, pf_step
+from .regions import Rectangle
 from .sensors import (
     CellReturns,
     GridSensorModel,

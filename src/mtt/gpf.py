@@ -44,7 +44,7 @@ from .gaussians import (
 )
 from .kalman import KalmanUpdate, kf_predict, kf_update
 from .motion import POSITION_IDX, MotionModel
-from .regions import FovRegion
+from .regions import Rectangle
 from .sensors import CellReturns, GridSensorModel, MeanSensorModel, check_cells, detection_prob
 
 
@@ -135,7 +135,7 @@ class GpfConfig:
 
     motion: MotionModel
     sensor: MeanSensorModel | GridSensorModel
-    fov: FovRegion = field(default_factory=FovRegion.full)
+    fov: Rectangle | None = None  # None: the whole workspace is in view
     epsilon: float = declare(0.01, Range(0.0, 1.0, lo_open=True, hi_open=True))
     d_thresh: float = declare(1.0, Range(0.0, lo_open=True))
     w_prune: float = declare(0.01, Range(0.0, 1.0, hi_open=True))
@@ -161,12 +161,17 @@ def gpf_predict(pset: GpfParticleSet, config: GpfConfig) -> tuple[np.ndarray, np
     return kf_predict(pset.means, pset.covs, config.motion.F, config.motion.Q)
 
 
-def select_fov_particles(means: np.ndarray, fov: FovRegion) -> tuple[np.ndarray, np.ndarray]:
+def select_fov_particles(
+    means: np.ndarray, fov: Rectangle | None
+) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the rows of means (n, d) whose position is in view, and of the rest.
 
-    The region is closed, so a mean exactly on the boundary counts as in view.
-    Only perfbench's select_fov observer, which unpacks a pair, reads the rest.
+    The rectangle is closed, so a mean exactly on its boundary counts as in
+    view; with fov None every row is.  Only perfbench's select_fov observer,
+    which unpacks a pair, reads the rest.
     """
+    if fov is None:
+        return np.arange(len(means)), np.zeros(0, dtype=np.intp)
     xi, yi = POSITION_IDX
     in_view = fov.contains(means[:, xi], means[:, yi])
     return np.flatnonzero(in_view), np.flatnonzero(~in_view)

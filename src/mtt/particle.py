@@ -96,22 +96,6 @@ _RESAMPLERS = {
 }
 
 
-def resample_multinomial(pset: PointParticleSet, rng: np.random.Generator,
-                         zero_likelihood: bool = False) -> PointParticleSet:
-    """Draw N particles with replacement proportional to weight; reset to 1/N."""
-    n = pset.n_particles
-    idx = _multinomial_indices(pset.weights, rng)
-    return PointParticleSet(pset.states[idx], np.full(n, 1.0 / n), zero_likelihood)
-
-
-def resample_systematic(pset: PointParticleSet, rng: np.random.Generator,
-                        zero_likelihood: bool = False) -> PointParticleSet:
-    """Low-variance systematic resampling (one uniform draw per sweep)."""
-    n = pset.n_particles
-    idx = _systematic_indices(pset.weights, rng)
-    return PointParticleSet(pset.states[idx], np.full(n, 1.0 / n), zero_likelihood)
-
-
 def pf_step(
     pset: PointParticleSet,
     motion: MotionModel,

@@ -334,7 +334,16 @@ def _weighted_cov(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _pf_filter(ws, setup, motion, sensor) -> Callable[..., StepFn]:
-    """SIR step; particles start uniform over the workspace with unit-normal velocities."""
+    """SIR step; particles start uniform over the workspace with unit-normal velocities.
+
+    The likelihood is a density in R, so an R that is not positive definite
+    raises ValueError here: at R = 0 it would fail mid-run, and with one zero
+    variance it would vanish for every particle at every step."""
+    try:
+        np.linalg.cholesky(sensor.R)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"the pf likelihood needs a positive definite sensor R "
+                         f"(sensor.r_diag), got {sensor.R.tolist()}") from None
     meas_mean = np.zeros(sensor.meas_dim)
 
     def likelihood(states: np.ndarray, z: np.ndarray) -> np.ndarray:

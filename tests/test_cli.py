@@ -669,6 +669,12 @@ class TestExitCodes:
         assert run_command(["track", "--config", str(tmp_path / "no.cfg"),
                             "--out", str(tmp_path / "o")]) == 1
 
+    def test_config_error_is_reported_once(self, tmp_path, capfd):
+        missing = tmp_path / "no.cfg"
+        assert run_command(["track", "--config", str(missing), "--out", str(tmp_path / "o")]) == 1
+        err = capfd.readouterr().err
+        assert err.count(f"config file not found: {missing}") == 1, err
+
     def test_invalid_value_is_config_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("gpf.epsilon = 2.0\n")
@@ -705,6 +711,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "pf.ess_ratio" in err and "pf.n_particles" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("r_diag", ["0,0", "0.5,0"])
+    def test_pf_with_a_singular_r_is_config_error(self, tmp_path, capfd, r_diag):
+        # the pf likelihood is a density in R: at 0,0 the run failed mid-way, and at
+        # 0.5,0 the likelihood vanished for every particle, so no measurement counted
+        runs = "scenario.n_targets = 1\nscenario.n_steps = 5\npf.n_particles = 50\n"
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{runs}sensor.r_diag = {r_diag}\n")
+        for command, seeds in (("track", []), ("sweep", ["--seeds", "1..2"])):
+            assert run_command([command, "--config", str(cfg), "--filter", "pf",
+                                "--sensor", "mean", "--out", str(tmp_path / "o"), *seeds]) == 1
+            err = capfd.readouterr().err
+            assert "config error" in err and "positive definite" in err, err
+            assert not (tmp_path / "o").exists()
+        # a logged pf run whose config holds that R is rejected by eval too
+        good = tmp_path / "good.cfg"
+        good.write_text(runs)
+        assert run_command(["track", "--config", str(good), "--filter", "pf",
+                            "--sensor", "mean", "--out", str(tmp_path / "t")]) == 0
+        payload = json.loads((tmp_path / "t" / "particles.json").read_text())
+        logged = payload["config"].replace("sensor.r_diag = 0.5,0.5\n",
+                                           f"sensor.r_diag = {r_diag}\n")
+        assert logged != payload["config"]
+        _rejects({**payload, "config": logged}, "positive definite", tmp_path, capfd)
+        # kf and gpf update through H P H' + R, which the prior keeps positive definite
+        for filt in ("kf", "gpf"):
+            assert run_command(["track", "--config", str(cfg), "--filter", filt,
+                                "--sensor", "mean", "--out", str(tmp_path / filt)]) == 0
 
     def test_grid_births_below_the_prune_is_config_error(self, tmp_path, capsys):
         # every birth would be pruned in its own step: the run would never hold a row,

@@ -186,13 +186,6 @@ class TestMomentMatchMerge:
         assert_allclose(mean, state_mean)
         assert_allclose(cov, state_cov, atol=1e-15)
 
-    def test_single_particle_identity(self):
-        row = (0.6, np.array([1.0]), np.array([[2.0]]))
-        weight, mean, cov = _merge([row])
-        assert weight == row[0]
-        assert_allclose(mean, row[1])
-        assert_allclose(cov, row[2])
-
     def test_two_component_mixture_moments(self):
         # moment matching: mean 1, var = within (1) + between (1) = 2
         weight, mean, cov = _merge([(0.5, 0.0, 1.0), (0.5, 2.0, 1.0)])
@@ -223,10 +216,10 @@ class TestMomentMatchMerge:
         assert_allclose(cov, [[4.0]])
 
     def test_empty_and_zero_weight_errors(self):
-        with pytest.raises(ValueError, match="cannot merge an empty particle list"):
+        with pytest.raises(ValueError, match="a merge takes a pair of rows"):
             moment_match_merge([], np.zeros((0, 1)), np.zeros((0, 1, 1)))
         # a negative total is reported as before, ahead of the weight check
-        for weights in ((0.0, 0.0), (-0.5, 0.2), (0.0, 0.0, 0.0)):
+        for weights in ((0.0, 0.0), (-0.5, 0.2)):
             with pytest.raises(ValueError, match="total weight of merged particles must be positive"):
                 _merge([(w, 0.0, 1.0) for w in weights])
 
@@ -236,7 +229,7 @@ class TestMomentMatchMerge:
             moment_match_merge([], np.zeros((0, 1)), np.zeros((0, 1, 1)), "bogus")
 
     @pytest.mark.parametrize("weights", [(math.nan, 0.5), (0.5, math.inf), (-0.2, 0.5),
-                                         (0.2, math.nan, 0.3), (0.2, -0.1, 0.3)])
+                                         (0.5, math.nan), (0.3, -0.1)])
     @pytest.mark.parametrize("cov_mode", ["moment", "plain_sum"])
     def test_invalid_weights_rejected(self, weights, cov_mode):
         # min(1, nan) is 1 and a negative weight gives a cov that is not PSD:
@@ -255,23 +248,23 @@ class TestMomentMatchMerge:
         for a, before in zip((weights, means, covs), inputs):
             assert np.array_equal(a, before)
 
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(2, 5))
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
     @settings(max_examples=50, deadline=None)
-    def test_first_moment_preserved(self, seed, dim, count):
+    def test_first_moment_preserved(self, seed, dim):
         rng = np.random.default_rng(seed)
-        weights = rng.random(count) * 0.2 + 0.01
+        weights = rng.random(2) * 0.2 + 0.01
         rows = [(w, rng.standard_normal(dim), _random_psd(rng, dim)) for w in weights]
         weight, mean, _ = _merge(rows)
         expected = sum(w * m for w, m, _ in rows)
         assert_allclose(weight * mean, expected, atol=1e-12)
 
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 5))
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
     @settings(max_examples=50, deadline=None)
-    def test_merged_cov_psd(self, seed, dim, count):
+    def test_merged_cov_psd(self, seed, dim):
         rng = np.random.default_rng(seed)
         rows = [
             (rng.random() * 0.9 + 0.05, rng.standard_normal(dim) * 3, _random_psd(rng, dim))
-            for _ in range(count)
+            for _ in range(2)
         ]
         _, _, cov = _merge(rows)
         assert_allclose(cov, cov.T, atol=1e-12)
@@ -301,6 +294,20 @@ def test_mixture_moments_has_the_bits_of_the_row_loop(seed, k, d):
     for got, want in zip(mixture_moments(means, covs, weights),
                          _mixture_moments_by_row(means, covs, weights)):
         assert np.array_equal(got, want)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 5))
+@settings(max_examples=50, deadline=None)
+def test_mixture_moments_keep_the_first_moment_and_a_psd_cov(seed, d, k):
+    # the k-row reduction that marginalize_existence takes
+    rng = np.random.default_rng(seed)
+    weights = rng.random(k) * 0.9 + 0.05
+    means = 3.0 * rng.standard_normal((k, d))
+    covs = np.array([_random_psd(rng, d) for _ in range(k)])
+    mean, cov = mixture_moments(means, covs, weights)
+    assert_allclose(weights.sum() * mean, weights @ means, atol=1e-12)
+    assert_allclose(cov, cov.T, atol=1e-12)
+    assert np.linalg.eigvalsh(cov).min() >= -1e-9
 
 
 @st.composite
@@ -365,8 +372,16 @@ def test_stacked_pairs_raise_as_their_pair_calls(bad, message, cov_mode):
 
 
 def test_a_stack_takes_only_pairs():
-    with pytest.raises(ValueError, match="a stack of merges takes pairs of rows"):
+    with pytest.raises(ValueError, match="a merge takes a pair of rows"):
         moment_match_merge(np.full((2, 3), 0.2), np.zeros((2, 3, 1)), np.ones((2, 3, 1, 1)))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("cov_mode", COV_MODES)
+def test_other_row_counts_rejected(k, cov_mode):
+    # mixture_moments reduces k rows; a merge collapses a pair
+    with pytest.raises(ValueError, match=rf"a merge takes a pair of rows, got weights \({k},\)"):
+        moment_match_merge(np.full(k, 0.2), np.zeros((k, 1)), np.ones((k, 1, 1)), cov_mode)
 
 
 class TestTypes:

@@ -35,7 +35,7 @@ from mtt.gpf import (
 )
 from mtt.kalman import kf_predict, kf_update
 from mtt.motion import POSITION_IDX, MotionModel, constant_velocity_matrix, position_projection
-from mtt.regions import FovRegion, Rectangle
+from mtt.regions import Rectangle
 from mtt.sensors import (
     CellReturns,
     GridSensorModel,
@@ -453,36 +453,35 @@ def _assert_stage_settings_checked(message, **changes):
 class TestSelectFov:
     def test_full_workspace(self):
         pset = _pset([_particle(0.5, x, x) for x in (0.0, 5.0, 100.0)])
-        in_fov, out_fov = select_fov_particles(pset.means, FovRegion.full())
+        in_fov, out_fov = select_fov_particles(pset.means, None)
         assert in_fov.tolist() == [0, 1, 2]
         assert out_fov.tolist() == []
 
     def test_empty_set(self):
-        in_fov, out_fov = select_fov_particles(GpfParticleSet().means, FovRegion.full())
+        in_fov, out_fov = select_fov_particles(GpfParticleSet().means, None)
         assert in_fov.tolist() == [] and out_fov.tolist() == []
 
     def test_returns_int_index_arrays(self):
         pset = _pset([_particle(0.5, x, x) for x in (0.5, 3.0, 0.2)])
-        for part in select_fov_particles(pset.means, FovRegion.box(0.0, 0.0, 1.0, 1.0)):
-            assert isinstance(part, np.ndarray) and part.dtype.kind == "i"
+        for fov in (None, Rectangle(0.0, 0.0, 1.0, 1.0)):
+            for part in select_fov_particles(pset.means, fov):
+                assert isinstance(part, np.ndarray) and part.dtype == np.intp
 
-    def test_union_of_two_rectangles(self):
-        # overlapping boxes [0, 2]^2 and [1, 4] x [1, 2]: a union, closed on every edge,
-        # and a mean inside both is listed once
-        fov = FovRegion((Rectangle(0.0, 0.0, 2.0, 2.0), Rectangle(1.0, 1.0, 4.0, 2.0)))
+    def test_one_closed_box(self):
+        # the box [0, 2]^2 is closed on every edge
+        fov = Rectangle(0.0, 0.0, 2.0, 2.0)
         points = [
-            (0.0, 0.0),  # 0: corner of the first box only
-            (1.5, 1.5),  # 1: in both boxes
-            (4.0, 2.0),  # 2: far corner of the second box
-            (3.0, 0.5),  # 3: below the second box, right of the first: out
-            (2.0, 2.0),  # 4: on both boxes' edges
-            (4.0001, 1.5),  # 5: just past the second box: out
-            (1.0, 2.5),  # 6: above both: out
+            (0.0, 0.0),  # 0: a corner
+            (1.5, 1.5),  # 1: inside
+            (3.0, 0.5),  # 2: right of the box: out
+            (2.0, 2.0),  # 3: the far corner
+            (2.0001, 1.5),  # 4: just past the right edge: out
+            (1.0, 2.5),  # 5: above: out
         ]
         pset = _pset([_particle(0.5, x, y) for x, y in points])
         in_fov, out_fov = select_fov_particles(pset.means, fov)
-        assert in_fov.tolist() == [0, 1, 2, 4]
-        assert out_fov.tolist() == [3, 5, 6]
+        assert in_fov.tolist() == [0, 1, 3]
+        assert out_fov.tolist() == [2, 4, 5]
         for i, (x, y) in enumerate(points):  # the scalar rule agrees with the array one
             assert bool(fov.contains(x, y)) == (i in in_fov)
 
@@ -491,10 +490,10 @@ class TestSelectFov:
         with pytest.raises(ValueError, match="finite"):
             Rectangle(0.0, 0.0, bound, 12.0)
         with pytest.raises(ValueError, match="finite"):
-            FovRegion.box(bound, 0.0, 1.0, 1.0)
+            Rectangle(bound, 0.0, 1.0, 1.0)
 
     def test_boundary_mean_is_inside(self):
-        fov = FovRegion.box(0.0, 0.0, 1.0, 1.0)
+        fov = Rectangle(0.0, 0.0, 1.0, 1.0)
         pset = _pset([_particle(0.5, 1.0, 1.0), _particle(0.5, 1.0001, 1.0)])
         in_fov, out_fov = select_fov_particles(pset.means, fov)
         assert in_fov == [0]
@@ -891,7 +890,7 @@ class TestMeanUpdateMatchesPerPairLoop:
         weights = rng.uniform(0.05, 0.95, s)
         z = rng.uniform(0.0, 10.0, 2)
         config = _mean_config(sensor=_mean_sensor(float(rng.uniform(0.1, 2.0))),
-                              fov=FovRegion.box(0.0, 0.0, 10.0, 12.0), epsilon=0.01)
+                              fov=Rectangle(0.0, 0.0, 10.0, 12.0), epsilon=0.01)
         got = _mean_measurement_update(weights, means, covs, z, config)
         want = _per_pair_mean_update(weights, means, covs, z, config)
         assert got[3] is want[3] is False
@@ -973,7 +972,7 @@ class TestMeanUpdateMatchesGeneralPath:
     @settings(max_examples=150, deadline=None)
     def test_bits_match_the_weighed_and_marginalized_path(self, case):
         weights, means, covs, z, sensor, uncertain = case
-        config = _mean_config(sensor=sensor, fov=FovRegion.box(0.0, 0.0, 10.0, 12.0),
+        config = _mean_config(sensor=sensor, fov=Rectangle(0.0, 0.0, 10.0, 12.0),
                               epsilon=0.01)
         in_idx, _ = select_fov_particles(means, config.fov)
         combos = enumerate_combinations(weights[in_idx].tolist(), config)
@@ -1531,7 +1530,7 @@ class TestGpfStep:
         assert out == GpfParticleSet(pset.weights, pset.means, pset.covs, degenerate_step=True)
 
     def test_out_of_fov_particles_only_predicted(self):
-        fov = FovRegion.box(0.0, 0.0, 5.0, 5.0)
+        fov = Rectangle(0.0, 0.0, 5.0, 5.0)
         parts = [_particle(0.9, 2.0, 2.0), _particle(0.9, 9.0, 9.0)]
         config = _mean_config(fov=fov)
         out = gpf_step(_pset(parts), np.array([2.0, 2.0]), config)
@@ -1542,7 +1541,7 @@ class TestGpfStep:
 
     def test_interleaved_out_of_view_rows(self):
         # in-view rows that are not a prefix: out, in, out, in
-        fov = FovRegion.box(0.0, 0.0, 5.0, 5.0)
+        fov = Rectangle(0.0, 0.0, 5.0, 5.0)
         config = _mean_config(fov=fov, f=constant_velocity_matrix(1.0),
                               q=np.diag([0.1, 0.01, 0.1, 0.01]))
         parts = [_particle(0.6, 9.0, 9.0), _particle(0.9, 1.0, 1.0),

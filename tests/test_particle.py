@@ -8,13 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from mtt.kalman import kf_predict, kf_update
 from mtt.motion import MotionModel, constant_velocity_matrix
-from mtt.particle import (
-    PointParticleSet,
-    effective_sample_size,
-    pf_step,
-    resample_multinomial,
-    resample_systematic,
-)
+from mtt.particle import _RESAMPLERS, PointParticleSet, effective_sample_size, pf_step
 
 
 def _model_1d(f=1.0, q=0.5):
@@ -25,6 +19,13 @@ def _uniform_set(states):
     states = np.asarray(states, dtype=float)
     n = states.shape[0]
     return PointParticleSet(states, np.full(n, 1.0 / n))
+
+
+def _resample(scheme, pset, rng, zero_likelihood=False):
+    """The set that pf_step builds when it resamples pset's rows by this scheme."""
+    n = pset.n_particles
+    idx = _RESAMPLERS[scheme](pset.weights, rng)
+    return PointParticleSet(pset.states[idx], np.full(n, 1.0 / n), zero_likelihood)
 
 
 class TestPointParticleSet:
@@ -78,19 +79,13 @@ class TestEffectiveSampleSize:
 class TestResampling:
     def test_equal_weights_permutes_states(self):
         pset = _uniform_set([[0.0], [1.0], [2.0], [3.0]])
-        out = resample_multinomial(pset, np.random.default_rng(0))
+        out = _resample("multinomial", pset, np.random.default_rng(0))
         assert_allclose(out.weights, 0.25)
         assert set(out.states.ravel()) <= {0.0, 1.0, 2.0, 3.0}
 
-    @pytest.mark.parametrize("resampler", [resample_multinomial, resample_systematic])
-    def test_resampled_set_carries_the_given_flag(self, resampler):
-        pset = _uniform_set([[0.0], [1.0]])
-        assert not resampler(pset, np.random.default_rng(0)).zero_likelihood
-        assert resampler(pset, np.random.default_rng(0), zero_likelihood=True).zero_likelihood
-
     def test_degenerate_weight_selects_single_state(self):
         pset = PointParticleSet([[0.0], [7.0]], [0.0, 1.0])
-        out = resample_multinomial(pset, np.random.default_rng(0))
+        out = _resample("multinomial", pset, np.random.default_rng(0))
         assert_allclose(out.states, 7.0)
 
     def test_multinomial_copy_counts(self):
@@ -102,9 +97,7 @@ class TestResampling:
         weights = np.concatenate(
             [np.full(half, 0.9 / half), np.full(n - half, 0.1 / (n - half))]
         )
-        res = resample_multinomial(
-            PointParticleSet(states, weights), np.random.default_rng(3)
-        )
+        res = _resample("multinomial", PointParticleSet(states, weights), np.random.default_rng(3))
         copies_of_first = int((res.states == 0.0).sum())
         assert abs(copies_of_first - 90000) <= 300
         assert_allclose(res.weights, 1.0 / n)
@@ -114,8 +107,8 @@ class TestResampling:
         w = rng.random(50)
         w /= w.sum()
         pset = PointParticleSet(rng.standard_normal((50, 2)), w)
-        for resampler in (resample_multinomial, resample_systematic):
-            out = resampler(pset, np.random.default_rng(2))
+        for scheme in _RESAMPLERS:
+            out = _resample(scheme, pset, np.random.default_rng(2))
             assert effective_sample_size(out.weights) == pytest.approx(50.0)
 
     @pytest.mark.parametrize("n", [1, 2, 1000])
@@ -135,7 +128,7 @@ class TestResampling:
                 w[-1] += w.sum() == 0.0
             pset = PointParticleSet(states, w / w.sum())
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-            out = resample_multinomial(pset, rng_a)
+            out = _resample("multinomial", pset, rng_a)
             idx = rng_b.choice(n, size=n, replace=True, p=pset.weights)
             assert_array_equal(out.states, states[idx])
             assert rng_a.random() == rng_b.random()
@@ -144,8 +137,8 @@ class TestResampling:
         rng_a = np.random.default_rng(5)
         rng_b = np.random.default_rng(5)
         pset = _uniform_set(np.arange(10.0)[:, None])
-        out_a = resample_systematic(pset, rng_a)
-        out_b = resample_systematic(pset, rng_b)
+        out_a = _resample("systematic", pset, rng_a)
+        out_b = _resample("systematic", pset, rng_b)
         assert np.array_equal(out_a.states, out_b.states)
 
 
@@ -305,9 +298,8 @@ class TestPfStep:
 
 class TestOneSetPerStep:
     """pf_step builds one PointParticleSet and gives the outputs of the path that
-    built the reweighted set and then handed it to the public resampler."""
+    built the reweighted set and then resampled it into a second set."""
 
-    RESAMPLERS = {"multinomial": resample_multinomial, "systematic": resample_systematic}
     MODEL = MotionModel(F=constant_velocity_matrix(1.0), Q=np.diag([0.2, 0.02, 0.2, 0.02]))
 
     @staticmethod
@@ -326,7 +318,7 @@ class TestOneSetPerStep:
         weights = np.full(n, 1.0 / n) if degenerate else weights / weights.sum()
         out = PointParticleSet(propagated, weights, zero_likelihood=degenerate)
         if effective_sample_size(out.weights) < ess_ratio * n:
-            return self.RESAMPLERS[resample](out, rng, zero_likelihood=degenerate), True
+            return _resample(resample, out, rng, zero_likelihood=degenerate), True
         return out, False
 
     @pytest.mark.parametrize("resample", ["multinomial", "systematic"])

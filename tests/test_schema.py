@@ -87,3 +87,13 @@ def test_readme_documents_every_key():
     table = readme.split("| key | default | allowed | meaning |", 1)[1].split("\n\n", 1)[0]
     documented = re.findall(r"^\| `([\w.]+)` \|", table, flags=re.MULTILINE)
     assert sorted(documented) == sorted(row.key for row in _KEYS)
+    # each backticked default reads back as the parser's own; the defaults of
+    # scenario.initial_states and sensor.fixed_cells are written as prose
+    defaults = parse_config_text("")
+    written = re.findall(r"^\| `([\w.]+)` \| `([^`]*)` \|", table, flags=re.MULTILINE)
+    assert len(written) == len(_KEYS) - 2
+    for key, text in written:
+        row = next(row for row in _KEYS if row.key == key)
+        read = parse_config_text(f"{key} = {text}")
+        assert (getattr(getattr(read, row.section), row.field)
+                == getattr(getattr(defaults, row.section), row.field)), key

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import linear_sum_assignment
+from scipy.stats import chi2
 
 from mtt import sim
+from mtt.config import parse_config_text
 from mtt.gaussians import log_pdf, noise_factor
 from mtt.regions import Rectangle
 from mtt.sim import (
@@ -511,3 +513,28 @@ class TestRunExperiment:
         rmse_a = [r.rmse for r in logs[0].records]
         rmse_b = [r.rmse for r in logs[1].records]
         assert rmse_a == rmse_b
+
+
+def test_kf_and_one_target_gpf_nees_is_consistent():
+    # the normalized estimation error squared e' P^-1 e of the 4-D state, on the
+    # scenario and sensor of the baselines_1target benchmark workload, seeds 0-39
+    # and steps 10-49: a consistent filter's mean over these 1600 samples lies in
+    # the two-sided 99 % chi-square interval for it, [3.820, 4.185]
+    config = parse_config_text(
+        "scenario.n_targets = 1\nscenario.n_steps = 50\nscenario.tau = 1.0\n"
+        "scenario.q_diag = 0.2,0.02,0.2,0.02\nscenario.initial_states = 6,0.05,6,-0.05\n"
+        "sensor.r_diag = 0.25,0.25\n")
+    seeds, first_step = range(40), 10
+    samples = len(seeds) * (config.scenario.n_steps - first_step)
+    lo, hi = chi2.ppf([0.005, 0.995], 4 * samples) / samples
+    for filter_choice in ("kf", "gpf"):
+        nees = []
+        for seed in seeds:
+            log = run_experiment(config.scenario, filter_choice, "mean",
+                                 np.random.default_rng(seed), config.setup)
+            for rec in log.records[first_step:]:
+                assert len(rec.weights) == 1
+                error = rec.true_states[0] - rec.means[0]
+                nees.append(error @ np.linalg.solve(rec.covs[0], error))
+        assert len(nees) == samples
+        assert lo < np.mean(nees) < hi, (filter_choice, np.mean(nees), lo, hi)
