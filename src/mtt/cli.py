@@ -64,23 +64,18 @@ def _truth_row(step: int, states: np.ndarray, n_targets: int) -> list[str]:
 
 
 def write_csv(tracking_log: TrackingLog, path: Path, n_targets: int | None = None) -> None:
-    """Per-step metrics CSV: step, truth positions, cardinality, errors.
+    """Per-step metrics CSV: step, truth positions, cardinality_est, rmse, card_err, ospa.
 
     Header row always present; floats carry 9 significant digits; lines
     end with LF.
     """
     if n_targets is None:
         n_targets = len(tracking_log.records[0].true_states) if tracking_log.records else 0
-    with_ospa = bool(tracking_log.records) and tracking_log.records[0].ospa is not None
-    header = _truth_header(n_targets) + ["cardinality_est", "rmse", "card_err"]
-    if with_ospa:
-        header.append("ospa")
+    header = _truth_header(n_targets) + ["cardinality_est", "rmse", "card_err", "ospa"]
     lines = [",".join(header)]
     for rec in tracking_log.records:
         row = _truth_row(rec.step, rec.true_states, n_targets)
-        row += [_fmt9(rec.cardinality), _fmt9(rec.rmse), _fmt9(rec.card_err)]
-        if with_ospa:
-            row.append(_fmt9(rec.ospa))
+        row += [_fmt9(rec.cardinality), _fmt9(rec.rmse), _fmt9(rec.card_err), _fmt9(rec.ospa)]
         lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -200,7 +195,7 @@ def _check_step_lists(payload: dict, count: str | None, n_steps: int, path: Path
 def read_particles_json(path: Path) -> tuple[np.ndarray, TrackingLog, ExperimentConfig, int]:
     """Truth, tracking log, config and seed of a `track` run's particle log.
 
-    ConfigError, naming the path and the key, if the file is not JSON, not an
+    ConfigError, naming the path and the key, if the file is not UTF-8 JSON, not an
     object with the mtt-particle-log-v2 schema, a config string that parses, a
     seed that ScenarioConfig allows, a sensor, a filter that check_run allows
     on it, the per-step lists of the config's n_steps and canonical base64
@@ -209,9 +204,8 @@ def read_particles_json(path: Path) -> tuple[np.ndarray, TrackingLog, Experiment
     outside [0, 1] or a measurement that its sensor's record cannot unpack.  A
     missing file raises OSError.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        payload = json.loads(text)
+    try:  # text that is not UTF-8 raises UnicodeDecodeError, a ValueError; OSError passes
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ConfigError(f"{path} is not JSON: {exc}") from None
     schema = payload.get("schema") if type(payload) is dict else None

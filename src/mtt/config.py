@@ -61,15 +61,6 @@ def _parse_ints(raw: str) -> list[int] | None:
         raise ConfigError(f"expected comma-separated integers, got {raw!r}") from exc
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "on", "yes", "1"):
-        return True
-    if low in ("false", "off", "no", "0"):
-        return False
-    raise ConfigError(f"expected true/false, got {raw!r}")
-
-
 def _parse_states(raw: str) -> list[tuple[float, float, float, float]] | None:
     return [_floats(chunk, 4) for chunk in raw.split(";") if chunk.strip()] or None
 
@@ -78,15 +69,9 @@ def _parse_workspace(raw: str) -> Rectangle:
     return Rectangle(*_floats(raw, 4))
 
 
-def _parse_clutter(raw: str) -> float | None:
-    return None if raw.strip() == "auto" else _float(raw)
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, (list, tuple)):
         return ",".join(_fmt(v) for v in value)
     if isinstance(value, float):
@@ -102,10 +87,6 @@ def _fmt_states(states) -> str:
 
 def _fmt_workspace(ws: Rectangle) -> str:
     return _fmt((ws.x_min, ws.y_min, ws.x_max, ws.y_max))
-
-
-def _fmt_clutter(value: float | None) -> str:
-    return "auto" if value is None else _fmt(value)
 
 
 class _Key(NamedTuple):
@@ -141,8 +122,6 @@ _KEYS = (
     _Key("gpf.w_prune", "setup", "gpf_w_prune", _float),
     _Key("gpf.n_max", "setup", "gpf_n_max", _int),
     _Key("gpf.w_birth", "setup", "gpf_w_birth", _float),
-    _Key("gpf.clutter_density", "setup", "gpf_clutter_density", _parse_clutter, _fmt_clutter),
-    _Key("gpf.merge_cov", "setup", "gpf_merge_cov", str),
     _Key("gpf.init_weight", "setup", "gpf_init_weight", _float),
     _Key("gpf.init_cov_diag", "setup", "gpf_init_cov_diag", _floats),
     _Key("pf.n_particles", "setup", "pf_n_particles", _int),
@@ -150,7 +129,6 @@ _KEYS = (
     _Key("pf.resample", "setup", "pf_resample", str),
     _Key("metrics.extraction_threshold", "setup", "extraction_threshold", _float),
     _Key("metrics.distance_cap", "setup", "distance_cap", _float),
-    _Key("metrics.ospa", "setup", "with_ospa", _parse_bool),
 )
 _BY_KEY = {row.key: row for row in _KEYS}
 _RECORDS = {"scenario": ScenarioConfig, "setup": ExperimentSetup}
@@ -189,11 +167,15 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Read and parse a configuration file."""
+    """Read and parse a configuration file; ConfigError if missing, a directory or not UTF-8."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config_text(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} cannot be read as text: {exc}") from None
+    return parse_config_text(text)
 
 
 def dump_config(config: ExperimentConfig) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import MISSING, field
+from dataclasses import field
 from typing import NamedTuple
 
 
@@ -59,20 +59,19 @@ def declare(default, domain: Range | Choice):
     return field(default=default, metadata={"domain": domain})
 
 
-def same_as(owner: type, name: str, default=MISSING):
-    """A field with the domain and the default of owner's field `name`; a
-    default given here replaces the owner's (None then allows None)."""
+def same_as(owner: type, name: str):
+    """A field with the domain and the default of owner's field `name`."""
     f = owner.__dataclass_fields__[name]
-    return field(default=f.default if default is MISSING else default, metadata=f.metadata)
+    return field(default=f.default, metadata=f.metadata)
 
 
 def check_field(cls: type, name: str, value, label: str | None = None,
                 error: type[Exception] = ValueError) -> None:
     """Raise error, calling the value `label` (default: name), if value is outside
     the domain declared on field `name` of dataclass cls (only integers, if annotated int).
-    A field with no domain takes any value, and one whose default is None takes None."""
+    A field with no domain takes any value."""
     f = cls.__dataclass_fields__[name]
-    if "domain" in f.metadata and not (value is None and f.default is None):
+    if "domain" in f.metadata:
         if f.type in (int, "int") and not isinstance(value, numbers.Integral):
             raise error(f"{label or name} = {value!r} is not an integer")
         f.metadata["domain"].check(value, label or name, error)

@@ -16,9 +16,6 @@ from dataclasses import fields
 import numpy as np
 
 
-COV_MODES = ("moment", "plain_sum")  # moment_match_merge's covariance rules
-
-
 class SingularCovarianceError(np.linalg.LinAlgError):
     """Covariance stayed non-invertible even after jitter."""
 
@@ -165,26 +162,22 @@ def mixture_moments(
 
 
 def moment_match_merge(
-    weights: np.ndarray, means: np.ndarray, covs: np.ndarray, cov_mode: str = "moment"
+    weights: np.ndarray, means: np.ndarray, covs: np.ndarray
 ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """Collapse a pair of weighted Gaussians, rows of (2,), (2, d) and (2, d, d), into one.
 
     Returns (weight, mean, cov): the clamped sum of the weights and the
     weight-normalized mean.  With a = w / (w0 + w1), the mean is
-    a0 m0 + a1 m1; with cov_mode="moment" the cov is the mixture covariance
+    a0 m0 + a1 m1 and the cov is the mixture covariance
     a0 (C0 + d0 d0') + a1 (C1 + d1 d1'), d a row's offset from that mean,
-    and "plain_sum" instead adds the two covariances unweighted, kept as a
-    fidelity switch for experiments.  Either cov is symmetrized.  For
-    "moment" these are the bits of mixture_moments' row-order sums.  Pairs
+    symmetrized: the bits of mixture_moments' row-order sums.  Pairs
     stack over leading axes, as kf_predict's rows do: weights (..., 2),
     means (..., 2, d) and covs (..., 2, d, d) give weights (...), means
     (..., d) and covs (..., d, d), each pair with the bits of its own call,
-    and the checks cover the whole stack at once.  An unknown cov_mode, a
-    row count other than 2, and a weight that is not finite and
-    non-negative raise ValueError before anything is merged.
+    and the checks cover the whole stack at once.  A row count other than
+    2 and a weight that is not finite and non-negative raise ValueError
+    before anything is merged.
     """
-    if cov_mode not in COV_MODES:
-        raise ValueError(f"unknown cov_mode {cov_mode!r}")
     weights, means, covs = (np.asarray(a, dtype=float) for a in (weights, means, covs))
     if weights.shape[-1:] != (2,):
         raise ValueError(f"a merge takes a pair of rows, got weights {weights.shape}")
@@ -197,9 +190,8 @@ def moment_match_merge(
     a = weights / total[..., None]
     scaled = a[..., None] * means
     mean = scaled[..., 0, :] + scaled[..., 1, :]
-    if cov_mode == "moment":
-        diff = means - mean[..., None, :]
-        covs = a[..., None, None] * (covs + diff[..., :, None] * diff[..., None, :])
+    diff = means - mean[..., None, :]
+    covs = a[..., None, None] * (covs + diff[..., :, None] * diff[..., None, :])
     cov = _symmetrize(covs[..., 0, :, :] + covs[..., 1, :, :])
     weight = np.minimum(1.0, total)
     return (float(weight) if weights.ndim == 1 else weight), mean, cov

@@ -33,9 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domains import Choice, Range, check_fields, declare
+from .domains import Range, check_fields, declare
 from .gaussians import (
-    COV_MODES,
     ValueEq,
     _symmetrize,
     log_pdf,
@@ -131,6 +130,8 @@ class GpfConfig:
     The motion and sensor records check their own matrices; the config
     checks every declared setting, then runs its sensor type's check in
     _SENSOR_KINDS, and raises TypeError for a sensor type that has none.
+    clutter_density is the all-absent measurement likelihood; a run sets it
+    to 1 / workspace area.
     """
 
     motion: MotionModel
@@ -142,7 +143,6 @@ class GpfConfig:
     n_max: int = declare(100, Range(1))
     w_birth: float = declare(0.1, Range(0.0, 1.0, lo_open=True))
     clutter_density: float = declare(1.0, Range(0.0, lo_open=True))
-    merge_cov: str = declare("moment", Choice(COV_MODES))
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -312,7 +312,7 @@ def _position_columns(means: np.ndarray, covs: np.ndarray) -> list[np.ndarray]:
 
 
 def _merged_columns(
-    w0: float, w1: float, p: list[float], q: list[float], cov_mode: str
+    w0: float, w1: float, p: list[float], q: list[float]
 ) -> tuple[float, list[float]]:
     """The clamped weight and the _position_columns, as floats, of the merge of
     two rows of weights w0, w1 and columns p, q: moment_match_merge's pair
@@ -322,10 +322,9 @@ def _merged_columns(
     total = w0 + w1
     s0, s1 = w0 / total, w1 / total
     x, y = s0 * x0 + s1 * x1, s0 * y0 + s1 * y1
-    if cov_mode == "moment":
-        dx0, dy0, dx1, dy1 = x0 - x, y0 - y, x1 - x, y1 - y
-        a0, b0, c0 = s0 * (a0 + dx0 * dx0), s0 * (b0 + dx0 * dy0), s0 * (c0 + dy0 * dy0)
-        a1, b1, c1 = s1 * (a1 + dx1 * dx1), s1 * (b1 + dx1 * dy1), s1 * (c1 + dy1 * dy1)
+    dx0, dy0, dx1, dy1 = x0 - x, y0 - y, x1 - x, y1 - y
+    a0, b0, c0 = s0 * (a0 + dx0 * dx0), s0 * (b0 + dx0 * dy0), s0 * (c0 + dy0 * dy0)
+    a1, b1, c1 = s1 * (a1 + dx1 * dx1), s1 * (b1 + dx1 * dy1), s1 * (c1 + dy1 * dy1)
     a, b, c = a0 + a1, b0 + b1, c0 + c1
     # symmetrized as _symmetrize does, whose two summands are equal here
     return min(1.0, total), [x, y, 0.5 * (a + a), 0.5 * (b + b), 0.5 * (c + c)]
@@ -386,7 +385,7 @@ def merge_close_particles(pset: GpfParticleSet, config: GpfConfig) -> GpfParticl
     Closeness is the Mahalanobis distance d_ij between position marginals
     with metric (Sigma_i + Sigma_j)^-1; qualifying means strictly below
     d_thresh.  Merging combines weights (capped at one) and moment-matches
-    the Gaussians into the lower row of the pair, by config.merge_cov.
+    the Gaussians into the lower row of the pair.
     With nothing to merge the input set is returned.
 
     Only pairs that can qualify get a distance.  With lambda_i the largest
@@ -414,7 +413,7 @@ def merge_close_particles(pset: GpfParticleSet, config: GpfConfig) -> GpfParticl
     weights lie in [0, 1]; it is built unchecked, except that a merged row
     that is not finite raises ValueError.
     """
-    d_thresh, cov_mode, n = config.d_thresh, config.merge_cov, len(pset)
+    d_thresh, n = config.d_thresh, len(pset)
     if n < 2:
         return pset
     bound = d_thresh * (1.0 + _BOUND_SLACK)
@@ -458,7 +457,7 @@ def merge_close_particles(pset: GpfParticleSet, config: GpfConfig) -> GpfParticl
             generations.append([])
         generations[g - 1].append((lo, hi))
         try:
-            weight[lo], p = _merged_columns(weight[lo], weight[hi], rows[lo], rows[hi], cov_mode)
+            weight[lo], p = _merged_columns(weight[lo], weight[hi], rows[lo], rows[hi])
         except ZeroDivisionError:
             break  # two weights of zero: moment_match_merge raises on the pair below
         version[lo] += 1
@@ -493,7 +492,7 @@ def merge_close_particles(pset: GpfParticleSet, config: GpfConfig) -> GpfParticl
         pairs = np.array(pairs)
         lo = pairs[:, 0]
         weights[lo], means[lo], covs[lo] = moment_match_merge(
-            weights[pairs], means[pairs], covs[pairs], cov_mode)
+            weights[pairs], means[pairs], covs[pairs])
     merged = [lo for pairs in generations for lo, _ in pairs]
     if not (np.isfinite(means[merged]).all() and np.isfinite(covs[merged]).all()):
         raise ValueError("means and covs must be finite")

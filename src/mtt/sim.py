@@ -208,8 +208,7 @@ def match_scores(estimates: np.ndarray, truths: np.ndarray, cap: float) -> tuple
 
 
 def evaluate_metrics(truth: np.ndarray, log: TrackingLog, setup: ExperimentSetup) -> None:
-    """Fill per-step RMSE, cardinality error and, with setup.with_ospa, OSPA (else None)
-    into the log records.
+    """Fill per-step RMSE, cardinality error and OSPA into the log records.
 
     The cardinality error is |sum of weights - true target count|; RMSE
     and OSPA come from match_scores over extracted estimates (the positions
@@ -224,9 +223,8 @@ def evaluate_metrics(truth: np.ndarray, log: TrackingLog, setup: ExperimentSetup
     for k, record in enumerate(log.records):
         truths = truth[k][:, idx]
         estimates = record.means[record.weights >= setup.extraction_threshold][:, idx]
-        record.rmse, ospa = match_scores(estimates, truths, setup.distance_cap)
+        record.rmse, record.ospa = match_scores(estimates, truths, setup.distance_cap)
         record.card_err = abs(record.cardinality - len(truths))
-        record.ospa = ospa if setup.with_ospa else None
 
 
 @dataclass(frozen=True)
@@ -247,8 +245,6 @@ class ExperimentSetup:
     gpf_w_prune: float = same_as(GpfConfig, "w_prune")
     gpf_n_max: int = same_as(GpfConfig, "n_max")
     gpf_w_birth: float = same_as(GpfConfig, "w_birth")
-    gpf_clutter_density: float | None = same_as(GpfConfig, "clutter_density", default=None)
-    gpf_merge_cov: str = same_as(GpfConfig, "merge_cov")
     gpf_init_weight: float = declare(0.9, Range(0.0, 1.0, lo_open=True))
     gpf_init_cov_diag: tuple[float, ...] = declare((1.0, 0.1, 1.0, 0.1),
                                                    Range(0.0, lo_open=True, size=4))
@@ -257,7 +253,6 @@ class ExperimentSetup:
     pf_resample: str = declare("multinomial", Choice(_RESAMPLERS))
     extraction_threshold: float = declare(0.5, Range(0.0, 1.0))
     distance_cap: float = declare(5.0, Range(0.0, lo_open=True))
-    with_ospa: bool = False
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -281,12 +276,9 @@ StepFn = Callable[[object], tuple[np.ndarray, np.ndarray, np.ndarray, float]]
 
 def _gpf_filter(ws, setup, motion, sensor) -> Callable[..., StepFn]:
     """GPF step from the sensor record's first belief; the GpfConfig is checked when built."""
-    clutter = setup.gpf_clutter_density
-    if clutter is None:
-        clutter = 1.0 / ws.area
-    gpf_config = GpfConfig(motion, sensor, clutter_density=clutter, **{
+    gpf_config = GpfConfig(motion, sensor, clutter_density=1.0 / ws.area, **{
         name: getattr(setup, f"gpf_{name}")
-        for name in ("epsilon", "d_thresh", "w_prune", "n_max", "w_birth", "merge_cov")})
+        for name in ("epsilon", "d_thresh", "w_prune", "n_max", "w_birth")})
 
     def start(rng, first_belief) -> StepFn:
         belief = first_belief()

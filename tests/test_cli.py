@@ -1,5 +1,6 @@
 import argparse
 import base64
+import csv
 import json
 import os
 import subprocess
@@ -51,7 +52,7 @@ def cfg_file(tmp_path):
     return path
 
 
-def _record(step, truth, rmse, card_err, cardinality=1.0):
+def _record(step, truth, rmse, card_err, ospa, cardinality=1.0):
     return StepRecord(
         step=step,
         true_states=np.asarray(truth, dtype=float),
@@ -62,6 +63,7 @@ def _record(step, truth, rmse, card_err, cardinality=1.0):
         cardinality=cardinality,
         rmse=rmse,
         card_err=card_err,
+        ospa=ospa,
     )
 
 
@@ -69,20 +71,20 @@ class TestWriteCsv:
     def test_empty_log_header_only(self, tmp_path):
         path = tmp_path / "m.csv"
         write_csv(TrackingLog([]), path, n_targets=0)
-        assert path.read_text() == "step,cardinality_est,rmse,card_err\n"
+        assert path.read_text() == "step,cardinality_est,rmse,card_err,ospa\n"
 
     def test_single_record_two_lines(self, tmp_path):
         path = tmp_path / "m.csv"
-        log = TrackingLog([_record(0, [[1.0, 0, 2.0, 0]], 0.5, 0.25)])
+        log = TrackingLog([_record(0, [[1.0, 0, 2.0, 0]], 0.5, 0.25, 0.75)])
         write_csv(log, path)
         lines = path.read_text().splitlines()
         assert len(lines) == 2
-        assert lines[0] == "step,true_x_1,true_y_1,cardinality_est,rmse,card_err"
-        assert lines[1] == "0,1,2,1,0.5,0.25"
+        assert lines[0] == "step,true_x_1,true_y_1,cardinality_est,rmse,card_err,ospa"
+        assert lines[1] == "0,1,2,1,0.5,0.25,0.75"
 
     def test_nine_significant_digits(self, tmp_path):
         path = tmp_path / "m.csv"
-        log = TrackingLog([_record(0, [[1.0, 0, 2.0, 0]], 1.0 / 3.0, 0.0)])
+        log = TrackingLog([_record(0, [[1.0, 0, 2.0, 0]], 1.0 / 3.0, 0.0, 0.0)])
         write_csv(log, path)
         assert "0.333333333" in path.read_text()
 
@@ -393,10 +395,12 @@ def _set_entry(key, step, value):
 
 
 def _rejects(payload, expected, tmp_path, capfd):
-    """`eval` of the changed log (a dict, or the file's text) is a config error naming
-    the log and `expected`, and writes nothing."""
+    """`eval` of the changed log (a dict, or the file's text or bytes) is a config error
+    naming the log and `expected`, and writes nothing."""
     path = tmp_path / "particles.json"
-    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    if not isinstance(payload, (str, bytes)):
+        payload = json.dumps(payload)
+    path.write_bytes(payload.encode() if isinstance(payload, str) else payload)
     assert run_command(["eval", "--log", str(path), "--out", str(tmp_path / "e")]) == 1
     err = capfd.readouterr().err
     assert "config error" in err and str(path) in err and expected in err, err
@@ -501,6 +505,7 @@ _MALFORMED_LOGS = {
                "an mtt-particle-log-v1 log; this mtt reads mtt-particle-log-v2"),
     "top_level_list": (lambda payload: [payload], "not an mtt particle log"),
     "not_json": (lambda payload: "{not json", "is not JSON"),
+    "not_utf8": (lambda payload: json.dumps(payload).encode("utf-16"), "is not JSON"),
 }
 
 
@@ -508,6 +513,16 @@ _MALFORMED_LOGS = {
 def test_eval_rejects_malformed_log(defect, tmp_path, capfd):
     mutate, key = _MALFORMED_LOGS[defect]
     _rejects(mutate(_golden_log()), key, tmp_path, capfd)
+
+
+@pytest.mark.parametrize("line", ["gpf.merge_cov = moment", "gpf.clutter_density = auto",
+                                  "metrics.ospa = false"])
+def test_eval_rejects_a_log_with_a_removed_key(line, tmp_path, capfd):
+    # a log written while the config had this key holds it in its config snapshot
+    payload = _golden_log()
+    key = line.split(" = ")[0]
+    _rejects({**payload, "config": payload["config"] + line + "\n"}, f"unknown key {key!r}",
+             tmp_path, capfd)
 
 
 def test_eval_accepts_a_filter_track_runs(tmp_path):
@@ -579,13 +594,13 @@ class TestSweep:
         for seed in (1, 2, 3):
             metrics = (out / f"seed_{seed}" / "metrics.csv").read_text().splitlines()
             assert len(metrics) == 7  # header + 6 steps
-        # aggregate rows equal the per-seed means
-        row = agg[1].split(",")
-        per_step = [
-            float(line.split(",")[-2])
-            for line in (out / "seed_1" / "metrics.csv").read_text().splitlines()[1:]
-        ]
-        assert float(row[1]) == pytest.approx(np.mean(per_step), rel=1e-7)
+        # aggregate rows equal the per-seed means, each column read by its name
+        aggregate = dict(zip(agg[0].split(","), agg[1].split(",")))
+        with (out / "seed_1" / "metrics.csv").open(newline="") as fh:
+            steps = list(csv.DictReader(fh))
+        for name in ("rmse", "card_err"):
+            per_step = [float(step[name]) for step in steps]
+            assert float(aggregate[f"mean_{name}"]) == pytest.approx(np.mean(per_step), rel=1e-7)
 
     def test_seed_list_spec(self, cfg_file, tmp_path):
         out = tmp_path / "sweep2"
@@ -668,6 +683,17 @@ class TestExitCodes:
     def test_missing_config_is_config_error(self, tmp_path):
         assert run_command(["track", "--config", str(tmp_path / "no.cfg"),
                             "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("make", [lambda path: path.mkdir(),
+                                      lambda path: path.write_bytes(b"\xff\xfe")],
+                             ids=["directory", "not_utf8"])
+    def test_config_that_is_not_text_is_config_error(self, tmp_path, capfd, make):
+        cfg = tmp_path / "run.cfg"
+        make(cfg)
+        assert run_command(["track", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capfd.readouterr().err
+        assert f"mtt: config error: config file {cfg} cannot be read as text" in err, err
+        assert not (tmp_path / "o").exists()
 
     def test_config_error_is_reported_once(self, tmp_path, capfd):
         missing = tmp_path / "no.cfg"

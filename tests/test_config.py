@@ -35,8 +35,8 @@ def test_round_trip_non_defaults():
         "scenario.initial_states = 1,0,1,0; 2,0,2,0; 3,0,3,0; 4,0,4,0; 5,0,5,0\n"
         "sensor.strategy = round_robin\n"
         "gpf.epsilon = 0.125\n"
-        "gpf.clutter_density = 0.5\n"
-        "metrics.ospa = true\n"
+        "gpf.n_max = 50\n"
+        "metrics.distance_cap = 2.5\n"
     )
     assert parse_config_text(dump_config(config)) == config
 
@@ -92,13 +92,6 @@ def test_initial_state_count_checked():
         parse_config_text(
             "scenario.n_targets = 2\nscenario.initial_states = 1,0,1,0\n"
         )
-
-
-def test_clutter_density_auto():
-    config = parse_config_text("gpf.clutter_density = auto")
-    assert config.setup.gpf_clutter_density is None
-    config = parse_config_text("gpf.clutter_density = 0.25")
-    assert config.setup.gpf_clutter_density == 0.25
 
 
 def test_workspace_parsed():
@@ -169,6 +162,10 @@ def test_scenario_rejects_non_finite(kwargs):
         ScenarioConfig(**kwargs)
 
 
-def test_merge_cov_switch():
-    config = parse_config_text("gpf.merge_cov = plain_sum")
-    assert config.setup.gpf_merge_cov == "plain_sum"
+@pytest.mark.parametrize("line", ["gpf.merge_cov = moment", "gpf.clutter_density = auto",
+                                  "gpf.clutter_density = 0.25", "metrics.ospa = true"])
+def test_removed_keys_are_unknown(line):
+    # a run always merges by moment matching, takes its clutter density from the
+    # workspace area and scores OSPA
+    with pytest.raises(ConfigError, match=f"line 1: unknown key {line.split(' = ')[0]!r}"):
+        parse_config_text(line)

@@ -11,7 +11,6 @@ from scipy.stats import multivariate_normal
 
 from mtt import gaussians
 from mtt.gaussians import (
-    COV_MODES,
     SingularCovarianceError,
     _checked_moments,
     _symmetrize,
@@ -168,13 +167,12 @@ class TestNoiseFactor:
             noise_factor(cov, "Q")
 
 
-def _merge(rows, cov_mode="moment"):
+def _merge(rows):
     """moment_match_merge over these (weight, mean, cov) rows, stacked."""
     return moment_match_merge(
         [w for w, _, _ in rows],
         np.array([np.atleast_1d(m) for _, m, _ in rows], dtype=float),
         np.array([np.atleast_2d(c) for _, _, c in rows], dtype=float),
-        cov_mode,
     )
 
 
@@ -207,14 +205,6 @@ class TestMomentMatchMerge:
         weight, _, _ = _merge([(0.8, 0.0, 1.0), (0.9, 0.0, 1.0)])
         assert weight == 1.0
 
-    def test_plain_sum_mode(self):
-        _, mean, cov = _merge([(0.5, 0.0, 1.0), (0.5, 2.0, 3.0)], cov_mode="plain_sum")
-        assert_allclose(cov, [[4.0]])
-        assert_allclose(mean, [1.0])
-        # lists, as the public function takes them, sum too
-        _, _, cov = moment_match_merge([0.5, 0.5], [[0.0], [2.0]], [[[1.0]], [[3.0]]], "plain_sum")
-        assert_allclose(cov, [[4.0]])
-
     def test_empty_and_zero_weight_errors(self):
         with pytest.raises(ValueError, match="a merge takes a pair of rows"):
             moment_match_merge([], np.zeros((0, 1)), np.zeros((0, 1, 1)))
@@ -223,22 +213,14 @@ class TestMomentMatchMerge:
             with pytest.raises(ValueError, match="total weight of merged particles must be positive"):
                 _merge([(w, 0.0, 1.0) for w in weights])
 
-    def test_unknown_cov_mode_rejected_first(self):
-        # checked before the inputs, so even an empty merge names the mode
-        with pytest.raises(ValueError, match="unknown cov_mode 'bogus'"):
-            moment_match_merge([], np.zeros((0, 1)), np.zeros((0, 1, 1)), "bogus")
-
     @pytest.mark.parametrize("weights", [(math.nan, 0.5), (0.5, math.inf), (-0.2, 0.5),
                                          (0.5, math.nan), (0.3, -0.1)])
-    @pytest.mark.parametrize("cov_mode", ["moment", "plain_sum"])
-    def test_invalid_weights_rejected(self, weights, cov_mode):
+    def test_invalid_weights_rejected(self, weights):
         # min(1, nan) is 1 and a negative weight gives a cov that is not PSD:
         # (-0.2, 0.5) once merged to cov[0, 0] = -0.111
         rows = [(w, float(k), 1.0) for k, w in enumerate(weights)]
         with pytest.raises(ValueError, match="finite and non-negative"):
-            _merge(rows, cov_mode)
-        with pytest.raises(ValueError, match="unknown cov_mode 'bogus'"):
-            _merge(rows, "bogus")
+            _merge(rows)
 
     def test_inputs_left_unchanged(self):
         weights, means = np.array([0.8, 0.9]), np.array([[0.0], [2.0]])
@@ -339,16 +321,15 @@ def test_pair_merge_has_the_bits_of_the_row_loop(rows, as_lists):
 
 
 @given(st.integers(1, 4).flatmap(lambda d: st.lists(_pair_rows(st.just(d)), min_size=1,
-                                                    max_size=6)),
-       st.sampled_from(COV_MODES))
+                                                    max_size=6)))
 @settings(max_examples=200, deadline=None)
-def test_stacked_pairs_have_the_bits_of_their_pair_calls(pairs, cov_mode):
+def test_stacked_pairs_have_the_bits_of_their_pair_calls(pairs):
     # k pairs stacked as weights (k, 2), means (k, 2, d) and covs (k, 2, d, d)
     weights, means, covs = (np.array(side) for side in zip(*pairs))
-    stacked = moment_match_merge(weights, means, covs, cov_mode)
+    stacked = moment_match_merge(weights, means, covs)
     assert [a.shape for a in stacked] == [weights.shape[:1], means[:, 0].shape, covs[:, 0].shape]
     for k, rows in enumerate(pairs):
-        weight, mean, cov = moment_match_merge(*rows, cov_mode)
+        weight, mean, cov = moment_match_merge(*rows)
         assert isinstance(weight, float)
         for got, want in zip((stacked[0][k], stacked[1][k], stacked[2][k]), (weight, mean, cov)):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
@@ -361,14 +342,13 @@ def test_stacked_pairs_have_the_bits_of_their_pair_calls(pairs, cov_mode):
     ((0.5, math.inf), "finite and non-negative"),
     ((-0.2, 0.5), "finite and non-negative"),
 ])
-@pytest.mark.parametrize("cov_mode", COV_MODES)
-def test_stacked_pairs_raise_as_their_pair_calls(bad, message, cov_mode):
+def test_stacked_pairs_raise_as_their_pair_calls(bad, message):
     weights = np.array([(0.3, 0.4), bad, (0.5, 0.5)])
     means, covs = np.zeros((3, 2, 2)), np.tile(np.eye(2), (3, 2, 1, 1))
     with pytest.raises(ValueError, match=message):
-        moment_match_merge(weights[1], means[1], covs[1], cov_mode)
+        moment_match_merge(weights[1], means[1], covs[1])
     with pytest.raises(ValueError, match=message):
-        moment_match_merge(weights, means, covs, cov_mode)
+        moment_match_merge(weights, means, covs)
 
 
 def test_a_stack_takes_only_pairs():
@@ -377,11 +357,10 @@ def test_a_stack_takes_only_pairs():
 
 
 @pytest.mark.parametrize("k", [1, 3])
-@pytest.mark.parametrize("cov_mode", COV_MODES)
-def test_other_row_counts_rejected(k, cov_mode):
+def test_other_row_counts_rejected(k):
     # mixture_moments reduces k rows; a merge collapses a pair
     with pytest.raises(ValueError, match=rf"a merge takes a pair of rows, got weights \({k},\)"):
-        moment_match_merge(np.full(k, 0.2), np.zeros((k, 1)), np.ones((k, 1, 1)), cov_mode)
+        moment_match_merge(np.full(k, 0.2), np.zeros((k, 1)), np.ones((k, 1, 1)))
 
 
 class TestTypes:

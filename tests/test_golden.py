@@ -7,10 +7,12 @@ each committed `particles.json` must also reproduce its `metrics.csv`.
 
 A change that alters the random stream, the filter arithmetic or the config
 keys on purpose regenerates the files and says why in CHANGES.md; the script
-prints `changed` or `unchanged` for every file it rewrites, and for a changed
+prints `changed` or `unchanged` for every file it rewrites; for a changed
 `particles.json` the top-level keys that differ, such as
-`gpf_mean_1target/particles.json: changed (config)`, so the entry can name
-exactly what moved:
+`gpf_mean_1target/particles.json: changed (config)`, and for a changed
+`metrics.csv` the columns added (`+`), removed (`-`) or changed, such as
+`kf_mean_1target/metrics.csv: changed (+ospa)`, so the entry can name exactly
+what moved:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -56,7 +58,6 @@ sensor.snr = 30
 sensor.m_cells = 48
 gpf.w_prune = 0.05
 gpf.d_thresh = 4.0
-metrics.ospa = true
 """,
     ),
     # A repeated cell, a target fixed on the corner of cells 26, 27, 38 and
@@ -127,6 +128,20 @@ def _changed_keys(old: bytes, new: bytes) -> str:
     return f" ({', '.join(keys)})"
 
 
+def _changed_columns(old: bytes, new: bytes) -> str:
+    """The metrics.csv columns added (+name), removed (-name) or with other cells, as
+    ' (+a, -b, c)', in the new file's order and then the removed ones."""
+    def columns(data: bytes) -> dict[str, list[str]]:
+        header, *rows = (line.split(",") for line in data.decode("utf-8").splitlines())
+        return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+    old_cols, new_cols = columns(old), columns(new)
+    names = [*new_cols, *(name for name in old_cols if name not in new_cols)]
+    marks = [("+" if name not in old_cols else "-" if name not in new_cols else "") + name
+             for name in names if old_cols.get(name) != new_cols.get(name)]
+    return f" ({', '.join(marks)})"
+
+
 def regenerate(work: Path) -> None:
     for case in sorted(CASES):
         out = _track(case, work)
@@ -136,8 +151,9 @@ def regenerate(work: Path) -> None:
             data, path = (out / name).read_bytes(), dest / name
             old = path.read_bytes() if path.exists() else None
             state = "unchanged" if old == data else "changed"
-            if old is not None and old != data and name == "particles.json":
-                state += _changed_keys(old, data)
+            if old is not None and old != data:
+                diff = _changed_keys if name == "particles.json" else _changed_columns
+                state += diff(old, data)
             path.write_bytes(data)
             print(f"{case}/{name}: {state}")
 

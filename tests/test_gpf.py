@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mtt.domains import Choice, Range
-from mtt.gaussians import COV_MODES, _symmetrize, log_pdf, moment_match_merge
+from mtt.gaussians import _symmetrize, log_pdf, moment_match_merge
 from mtt.gpf import (
     _BOUND_SLACK,
     ExistenceCombination,
@@ -116,7 +116,7 @@ def _distances_by_full_matrix(means, covs):
     return d
 
 
-def _merge_by_full_rebuild(pset, d_thresh, cov_mode="moment"):
+def _merge_by_full_rebuild(pset, d_thresh):
     """Reference merge loop: the whole distance matrix rebuilt, and the merged-away row
     deleted, after every merge."""
     weights, means, covs = pset.weights, pset.means, pset.covs
@@ -126,7 +126,7 @@ def _merge_by_full_rebuild(pset, d_thresh, cov_mode="moment"):
         if d[i, j] >= d_thresh:
             break
         lo, hi = min(i, j), max(i, j)
-        merged = moment_match_merge(weights[[lo, hi]], means[[lo, hi]], covs[[lo, hi]], cov_mode)
+        merged = moment_match_merge(weights[[lo, hi]], means[[lo, hi]], covs[[lo, hi]])
         weights, means, covs = (np.delete(a, hi, axis=0) for a in (weights, means, covs))
         weights[lo], means[lo], covs[lo] = merged
     return GpfParticleSet(weights, means, covs, pset.degenerate_step)
@@ -375,12 +375,6 @@ class TestPredict:
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_config_rejects_non_finite(name, bad):
     with pytest.raises(ValueError, match="finite"):
-        _mean_config(**{name: bad})
-
-
-@pytest.mark.parametrize("name, bad, message", [("merge_cov", "bogus", "merge_cov")])
-def test_config_rejects_bad_merge_and_enumeration_settings(name, bad, message):
-    with pytest.raises(ValueError, match=message):
         _mean_config(**{name: bad})
 
 
@@ -984,8 +978,8 @@ class TestMeanUpdateMatchesGeneralPath:
             assert np.array_equal(g, w)
 
 
-def _merge(pset, d_thresh, cov_mode="moment"):
-    return merge_close_particles(pset, _mean_config(d_thresh=d_thresh, merge_cov=cov_mode))
+def _merge(pset, d_thresh):
+    return merge_close_particles(pset, _mean_config(d_thresh=d_thresh))
 
 
 class TestMergeClose:
@@ -1028,15 +1022,11 @@ class TestMergeClose:
     def test_non_finite_threshold_rejected(self, bad):
         _assert_stage_settings_checked("finite", d_thresh=bad)
 
-    def test_unknown_cov_mode_rejected_before_merging(self):
-        _assert_stage_settings_checked("merge_cov", merge_cov="bogus")
-
-    @given(st.one_of(_clustered_psets(), _spread_psets()), st.sampled_from([0.5, 1.0, 2.0, 4.0]),
-           st.sampled_from(["moment", "plain_sum"]))
+    @given(st.one_of(_clustered_psets(), _spread_psets()), st.sampled_from([0.5, 1.0, 2.0, 4.0]))
     @settings(max_examples=200, deadline=None)
-    def test_matches_full_rebuild(self, pset, d_thresh, cov_mode):
-        got = _outcome(_merge, pset, d_thresh, cov_mode)
-        _assert_same_outcome(got, _outcome(_merge_by_full_rebuild, pset, d_thresh, cov_mode))
+    def test_matches_full_rebuild(self, pset, d_thresh):
+        got = _outcome(_merge, pset, d_thresh)
+        _assert_same_outcome(got, _outcome(_merge_by_full_rebuild, pset, d_thresh))
 
     @given(_spread_psets())
     @settings(max_examples=30, deadline=None)
@@ -1060,9 +1050,9 @@ class TestMergeClose:
         assert np.array_equal(pairs, full[i, j])
         assert np.array_equal(np.where(np.isfinite(ones), ones, np.inf), full[i, j])
 
-    @given(_spread_psets(), st.sampled_from(["moment", "plain_sum"]))
+    @given(_spread_psets())
     @settings(max_examples=100, deadline=None)
-    def test_merged_columns_have_the_bits_of_the_stacked_merge(self, pset, cov_mode):
+    def test_merged_columns_have_the_bits_of_the_stacked_merge(self, pset):
         # up to 300 pairs of rows of the set: the merge loop's float weight and
         # five position values against the row of one stacked moment_match_merge
         i, j = (a[:300] for a in np.triu_indices(len(pset), 1))
@@ -1070,8 +1060,7 @@ class TestMergeClose:
         weights = pset.weights.tolist()
 
         def floats(a, b):
-            return _merged_columns(weights[a], weights[b], pos[:, a].tolist(), pos[:, b].tolist(),
-                                   cov_mode)
+            return _merged_columns(weights[a], weights[b], pos[:, a].tolist(), pos[:, b].tolist())
 
         zero = pset.weights[i] + pset.weights[j] == 0.0
         for a, b in zip(i[zero], j[zero]):  # the stacked merge raises ValueError instead
@@ -1081,8 +1070,7 @@ class TestMergeClose:
         if not len(pairs):
             return
         with np.errstate(all="ignore"):  # the far scales overflow
-            stacked = moment_match_merge(pset.weights[pairs], pset.means[pairs],
-                                         pset.covs[pairs], cov_mode)
+            stacked = moment_match_merge(pset.weights[pairs], pset.means[pairs], pset.covs[pairs])
         want = np.array(_position_columns(*stacked[1:]))
         for k, (a, b) in enumerate(pairs):
             weight, columns = floats(a, b)
@@ -1210,16 +1198,15 @@ class TestMergeClose:
         monkeypatch.setattr("mtt.gpf.moment_match_merge", counting)
         return calls
 
-    @pytest.mark.parametrize("cov_mode", ["moment", "plain_sum"])
-    def test_chain_and_independent_pair_match_full_rebuild_bitwise(self, monkeypatch, cov_mode):
+    def test_chain_and_independent_pair_match_full_rebuild_bitwise(self, monkeypatch):
         # rows 0 and 1 merge, and their merged row then merges with row 2 (a
         # chain: generation 2); rows 3 and 4, far away, merge in generation 1
         calls = self._merge_calls(monkeypatch)
         pset = _pset([_particle(0.5, 0.0, 0.0), _particle(0.5, 1.2, 0.0),
                       _particle(0.5, 0.6, 1.35), _particle(0.2, 30.0, 30.0),
                       _particle(0.3, 30.5, 29.7)])
-        out = _merge(pset, 1.0, cov_mode)
-        want = _merge_by_full_rebuild(pset, 1.0, cov_mode)
+        out = _merge(pset, 1.0)
+        want = _merge_by_full_rebuild(pset, 1.0)
         assert len(out) == 2
         for name in ("weights", "means", "covs"):
             assert getattr(out, name).tobytes() == getattr(want, name).tobytes(), name
@@ -1635,15 +1622,15 @@ class TestGpfStep:
 
     @settings(max_examples=80, deadline=None)
     @given(_grid_cases(), _clustered_psets(), st.booleans(), st.sampled_from([0.5, 2.0, 4.0]),
-           st.sampled_from([0.0, 0.05, 0.3]), st.integers(1, 40), st.sampled_from(COV_MODES))
+           st.sampled_from([0.0, 0.05, 0.3]), st.integers(1, 40))
     def test_unchecked_sets_equal_checked_ones(self, case, clustered, moving, d_thresh, w_prune,
-                                               n_max, cov_mode):
+                                               n_max):
         # births, merge and prune build their sets unchecked: each set a stage returns
         # must be read-only and hold the bytes of a checked construction of its arrays
         grid_belief, returns, sensor = case
         motion = MotionModel(constant_velocity_matrix(0.5), 0.01 * np.eye(4)) if moving else _STILL
         config = GpfConfig(motion=motion, sensor=sensor, d_thresh=d_thresh, w_prune=w_prune,
-                           n_max=n_max, w_birth=0.3, merge_cov=cov_mode)
+                           n_max=n_max, w_birth=0.3)
         births = grid_births(returns, sensor, config.w_birth)
         sets = [births]
         for belief in (grid_belief, clustered):

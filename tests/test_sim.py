@@ -297,26 +297,14 @@ class TestEvaluateMetrics:
         with pytest.raises(ValueError):
             evaluate_metrics(truth, log, ExperimentSetup())
 
-    def test_ospa_optional(self):
-        truth = np.zeros((1, 1, 4))
+    def test_ospa_always_filled(self):
+        # one exact match and one missed truth: sqrt((0 + 5^2) / 2)
+        truth = np.zeros((1, 2, 4))
         log = TrackingLog([_record(0, truth[0], [np.zeros(4)], [1.0], 1.0)])
-        evaluate_metrics(truth, log, ExperimentSetup())
-        assert log.records[0].ospa is None
-        evaluate_metrics(truth, log, ExperimentSetup(with_ospa=True))
-        assert [r.ospa for r in log.records] == [0.0]
-        assert log.records[0].ospa == 0.0
+        evaluate_metrics(truth, log, ExperimentSetup(distance_cap=5.0))
+        assert log.records[0].ospa == pytest.approx(12.5 ** 0.5)
 
-    def test_ospa_cleared_when_switched_off(self):
-        # a log scored with OSPA on, then scored again with it off, keeps no OSPA
-        config = ScenarioConfig(n_targets=3, n_steps=3, seed=0)
-        log = run_experiment(config, "gpf", "mean", np.random.default_rng(0),
-                             ExperimentSetup(with_ospa=True))
-        assert all(r.ospa is not None for r in log.records)
-        evaluate_metrics(np.stack([r.true_states for r in log.records]), log, ExperimentSetup())
-        assert [r.ospa for r in log.records] == [None] * 3
-
-    @pytest.mark.parametrize("with_ospa", [False, True])
-    def test_one_assignment_per_step(self, with_ospa, monkeypatch):
+    def test_one_assignment_per_step(self, monkeypatch):
         calls = []
         solve = sim._linear_sum_assignment
 
@@ -329,10 +317,10 @@ class TestEvaluateMetrics:
         log = run_experiment(config, "gpf", "mean", np.random.default_rng(0))
         truth = np.stack([r.true_states for r in log.records])
         calls.clear()
-        evaluate_metrics(truth, log, ExperimentSetup(with_ospa=with_ospa))
+        evaluate_metrics(truth, log, ExperimentSetup())
         scored = sum(len(r.means[r.weights >= 0.5]) > 0 for r in log.records)
         assert scored == 10 and len(calls) == 10
-        assert all(r.ospa is not None for r in log.records) == with_ospa
+        assert all(r.ospa is not None for r in log.records)
 
 
 class TestExperimentSetup:
