@@ -195,17 +195,19 @@ def _check_step_lists(payload: dict, count: str | None, n_steps: int, path: Path
 def read_particles_json(path: Path) -> tuple[np.ndarray, TrackingLog, ExperimentConfig, int]:
     """Truth, tracking log, config and seed of a `track` run's particle log.
 
-    ConfigError, naming the path and the key, if the file is not UTF-8 JSON, not an
-    object with the mtt-particle-log-v2 schema, a config string that parses, a
-    seed that ScenarioConfig allows, a sensor, a filter that check_run allows
-    on it, the per-step lists of the config's n_steps and canonical base64
+    ConfigError, naming the path and the key, if the file is a directory or not UTF-8
+    JSON, not an object with the mtt-particle-log-v2 schema, a config string that
+    parses, a seed that ScenarioConfig allows, a sensor, a filter that check_run
+    allows on it, the per-step lists of the config's n_steps and canonical base64
     arrays of the lengths that the counts give; and, naming the step, for a bad
     count, a cardinality, mean, cov or true state that is not finite, a weight
     outside [0, 1] or a measurement that its sensor's record cannot unpack.  A
     missing file raises OSError.
     """
-    try:  # text that is not UTF-8 raises UnicodeDecodeError, a ValueError; OSError passes
+    try:  # not UTF-8 raises UnicodeDecodeError, a ValueError; a missing file's OSError passes
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except IsADirectoryError:
+        raise ConfigError(f"{path} is a directory, not a particle log") from None
     except ValueError as exc:
         raise ConfigError(f"{path} is not JSON: {exc}") from None
     schema = payload.get("schema") if type(payload) is dict else None
@@ -377,7 +379,7 @@ def _cmd_sweep(args) -> int:
         repeated = next(seed for k, seed in enumerate(seeds) if seed in seeds[:k])
         raise ConfigError(f"--seeds names seed {repeated} more than once")
     out_dir = Path(args.out)  # made by the first seed's run
-    lines, outputs = ["seed,mean_rmse,mean_card_err"], []
+    lines, outputs, means = ["seed,mean_rmse,mean_card_err"], [], []
     for seed in seeds:
         run_dir = out_dir / f"seed_{seed}"
         tracking_log = _run_tracked(config, args.filter, args.sensor, seed, run_dir)
@@ -385,10 +387,15 @@ def _cmd_sweep(args) -> int:
         card = float(np.mean([r.card_err for r in tracking_log.records]))
         lines.append(f"{seed},{_fmt9(rmse)},{_fmt9(card)}")
         outputs.append(run_dir / "metrics.csv")
+        means.append((rmse, card))
         log.info("seed %d: mean rmse %.4g, mean card err %.4g", seed, rmse, card)
-    agg_path = out_dir / "aggregate.csv"
+    agg_path, summary_path = out_dir / "aggregate.csv", out_dir / "summary.csv"
     agg_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    write_manifest(out_dir, "sweep", config, seeds[0], outputs + [agg_path],
+    # across seeds, the mean and spread (np.std, ddof 0) of the per-seed means
+    cells = [_fmt9(stat(column)) for column in zip(*means) for stat in (np.mean, np.std)]
+    summary_path.write_text("n_seeds,mean_rmse,std_rmse,mean_card_err,std_card_err\n"
+                            f"{len(seeds)},{','.join(cells)}\n", encoding="utf-8")
+    write_manifest(out_dir, "sweep", config, seeds[0], outputs + [agg_path, summary_path],
                    extra={"seeds": seeds, "filter": args.filter, "sensor": args.sensor})
     return 0
 

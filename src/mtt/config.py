@@ -45,16 +45,25 @@ def _float(raw: str) -> float:
     return value
 
 
+def _entries(raw: str, sep: str = ",") -> list[str]:
+    """The stripped entries of a `sep`-separated list; ConfigError for an empty one."""
+    parts = [p.strip() for p in raw.split(sep)]
+    if "" in parts:
+        raise ConfigError(f"empty entry in the list {raw.strip()!r}")
+    return parts
+
+
 def _floats(raw: str, count: int | None = None) -> tuple[float, ...]:
     """Comma-separated numbers, `count` of them if given."""
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
+    parts = _entries(raw)
     if count is not None and len(parts) != count:
         raise ConfigError(f"expected {count} comma-separated numbers, got {len(parts)}")
     return tuple(_float(p) for p in parts)
 
 
 def _parse_ints(raw: str) -> list[int] | None:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
+    """Comma-separated integers; none for an empty value, which dump_config writes."""
+    parts = _entries(raw) if raw else []
     try:
         return [int(p) for p in parts] or None
     except ValueError as exc:
@@ -62,7 +71,7 @@ def _parse_ints(raw: str) -> list[int] | None:
 
 
 def _parse_states(raw: str) -> list[tuple[float, float, float, float]] | None:
-    return [_floats(chunk, 4) for chunk in raw.split(";") if chunk.strip()] or None
+    return [_floats(chunk, 4) for chunk in _entries(raw, ";")] if raw else None
 
 
 def _parse_workspace(raw: str) -> Rectangle:

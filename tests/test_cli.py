@@ -172,6 +172,14 @@ class TestEval:
     def test_eval_missing_log_is_runtime_error(self, tmp_path):
         assert run_command(["eval", "--log", str(tmp_path / "nope.json")]) == 2
 
+    def test_eval_log_that_is_a_directory_is_config_error(self, tmp_path, capfd):
+        log_dir = tmp_path / "particles.json"
+        log_dir.mkdir()
+        assert run_command(["eval", "--log", str(log_dir), "--out", str(tmp_path / "e")]) == 1
+        err = capfd.readouterr().err
+        assert f"mtt: config error: {log_dir} is a directory, not a particle log" in err, err
+        assert not (tmp_path / "e").exists()
+
     def test_eval_round_trips_empty_gpf_steps(self, tmp_path):
         cfg = tmp_path / "empty.cfg"
         cfg.write_text(EMPTY_STEPS_CFG)
@@ -601,6 +609,21 @@ class TestSweep:
         for name in ("rmse", "card_err"):
             per_step = [float(step[name]) for step in steps]
             assert float(aggregate[f"mean_{name}"]) == pytest.approx(np.mean(per_step), rel=1e-7)
+        # summary.csv: the mean and spread (ddof 0) across seeds of the aggregate columns
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert summary[0] == "n_seeds,mean_rmse,std_rmse,mean_card_err,std_card_err"
+        assert len(summary) == 2
+        row = dict(zip(summary[0].split(","), summary[1].split(",")))
+        assert row["n_seeds"] == "3"
+        with (out / "aggregate.csv").open(newline="") as fh:
+            seeds = list(csv.DictReader(fh))
+        for name in ("rmse", "card_err"):
+            per_seed = [float(seed[f"mean_{name}"]) for seed in seeds]
+            assert float(row[f"mean_{name}"]) == pytest.approx(np.mean(per_seed), rel=1e-7)
+            assert float(row[f"std_{name}"]) == pytest.approx(np.std(per_seed), rel=1e-7)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [Path(p).name for p in manifest["outputs"][-2:]] == ["aggregate.csv",
+                                                                    "summary.csv"]
 
     def test_seed_list_spec(self, cfg_file, tmp_path):
         out = tmp_path / "sweep2"

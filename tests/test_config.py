@@ -128,6 +128,15 @@ def test_workspace_parsed():
         ("pf.n_particles = 1", r"pf\.ess_ratio \* pf\.n_particles must exceed 1"),
         ("pf.n_particles = 2", r"pf\.ess_ratio \* pf\.n_particles must exceed 1"),
         ("pf.ess_ratio = 0.01\npf.n_particles = 100", r"pf\.ess_ratio \* pf\.n_particles"),
+        # an empty list entry is a typo, not a value to skip (1,,2,3,4 read as 4 numbers)
+        ("scenario.q_diag = 1,,2,3,4", "line 1: scenario.q_diag: empty entry"),
+        ("scenario.workspace = 0,0,12,12,", "line 1: scenario.workspace: empty entry"),
+        ("sensor.fixed_cells = 3,,4,", "line 1: sensor.fixed_cells: empty entry"),
+        ("sensor.fixed_cells = ,", "line 1: sensor.fixed_cells: empty entry"),
+        ("scenario.n_targets = 2\nscenario.initial_states = 1,0,1,0;;2,0,2,0",
+         "line 2: scenario.initial_states: empty entry"),
+        ("scenario.n_targets = 2\nscenario.initial_states = 1,0,1,0; 2,0,,2,0",
+         "line 2: scenario.initial_states: empty entry"),
     ],
 )
 def test_bad_noise_values_rejected(line, match):
@@ -169,3 +178,4 @@ def test_removed_keys_are_unknown(line):
     # workspace area and scores OSPA
     with pytest.raises(ConfigError, match=f"line 1: unknown key {line.split(' = ')[0]!r}"):
         parse_config_text(line)
+
