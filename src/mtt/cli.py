@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, dump_config, load_config, parse_config_text
+from .config import (ConfigError, ExperimentConfig, _entries, dump_config, load_config,
+                     parse_config_text)
 from .domains import check_field
 from .motion import POSITION_IDX
 from .sim import (FILTERS, SENSORS, ScenarioConfig, StepRecord, TrackingLog, check_run,
@@ -360,12 +361,15 @@ def _cmd_eval(args) -> int:
 
 
 def _parse_seeds(expr: str) -> list[int]:
+    """The seeds of a range lo..hi or a list, whose entries may not be empty (_entries)."""
     expr = expr.strip()
     lo, dots, hi = expr.partition("..")
     try:
         if dots:
             return list(range(int(lo), int(hi) + 1))
-        return [int(s) for s in expr.split(",") if s.strip()]
+        return [int(s) for s in _entries(expr)]
+    except ConfigError as exc:
+        raise ConfigError(f"--seeds: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"bad seed {'range' if dots else 'list'} {expr!r}") from exc
 

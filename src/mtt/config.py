@@ -2,14 +2,15 @@
 
 The format is one `key = value` pair per line, `#` comments, UTF-8.
 Unknown keys are rejected; missing keys take the documented defaults.
-One table, `_KEYS`, drives both parsing and dump_config, and a dumped
-default config reloads to an identical object.
+A key is one field: `scenario.<name>` of ScenarioConfig, `<section>.<name>`
+of ExperimentSetup's `<section>_<name>`.  `_KEYS` lists them in field order
+and drives parsing and dump_config; a dumped default config reloads equal.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -105,42 +106,28 @@ class _Key(NamedTuple):
     section: str  # attribute of ExperimentConfig: "scenario" or "setup"
     field: str
     parse: Callable[[str], object]
-    fmt: Callable[[object], str] = _fmt
+    fmt: Callable[[object], str]
 
 
-# Row order is the dump_config order, which particle logs and manifests embed.
-# The records declare each field's allowed values; parse only reads the type.
-_KEYS = (
-    _Key("scenario.n_targets", "scenario", "n_targets", _int),
-    _Key("scenario.n_steps", "scenario", "n_steps", _int),
-    _Key("scenario.tau", "scenario", "tau", _float),
-    _Key("scenario.q_diag", "scenario", "q_diag", _floats),
-    _Key("scenario.workspace", "scenario", "workspace", _parse_workspace, _fmt_workspace),
-    _Key("scenario.seed", "scenario", "seed", _int),
-    _Key("scenario.initial_states", "scenario", "initial_states", _parse_states, _fmt_states),
-    _Key("sensor.r_diag", "setup", "mean_r_diag", _floats),
-    _Key("sensor.p_d", "setup", "p_d", _float),
-    _Key("sensor.snr", "setup", "snr", _float),
-    _Key("sensor.m_cells", "setup", "m_cells", _int),
-    _Key("sensor.grid_rows", "setup", "grid_rows", _int),
-    _Key("sensor.grid_cols", "setup", "grid_cols", _int),
-    _Key("sensor.strategy", "setup", "cell_strategy", str),
-    _Key("sensor.fixed_cells", "setup", "fixed_cells", _parse_ints),
-    _Key("gpf.epsilon", "setup", "gpf_epsilon", _float),
-    _Key("gpf.d_thresh", "setup", "gpf_d_thresh", _float),
-    _Key("gpf.w_prune", "setup", "gpf_w_prune", _float),
-    _Key("gpf.n_max", "setup", "gpf_n_max", _int),
-    _Key("gpf.w_birth", "setup", "gpf_w_birth", _float),
-    _Key("gpf.init_weight", "setup", "gpf_init_weight", _float),
-    _Key("gpf.init_cov_diag", "setup", "gpf_init_cov_diag", _floats),
-    _Key("pf.n_particles", "setup", "pf_n_particles", _int),
-    _Key("pf.ess_ratio", "setup", "pf_ess_ratio", _float),
-    _Key("pf.resample", "setup", "pf_resample", str),
-    _Key("metrics.extraction_threshold", "setup", "extraction_threshold", _float),
-    _Key("metrics.distance_cap", "setup", "distance_cap", _float),
-)
-_BY_KEY = {row.key: row for row in _KEYS}
+# A field's annotation -> (parse, fmt).  The records declare each field's
+# allowed values; parse only reads the type.
+_CODECS = {
+    "int": (_int, _fmt),
+    "float": (_float, _fmt),
+    "str": (str, _fmt),
+    "tuple[float, ...]": (_floats, _fmt),
+    "list[int] | None": (_parse_ints, _fmt),
+    "Rectangle": (_parse_workspace, _fmt_workspace),
+    "list[tuple[float, float, float, float]] | None": (_parse_states, _fmt_states),
+}
 _RECORDS = {"scenario": ScenarioConfig, "setup": ExperimentSetup}
+# Field order is the dump_config order, which particle logs and manifests embed;
+# a field whose annotation has no codec is a KeyError naming the annotation.
+_KEYS = tuple(
+    _Key(f"scenario.{f.name}" if section == "scenario" else f.name.replace("_", ".", 1),
+         section, f.name, *_CODECS[f.type])
+    for section, record in _RECORDS.items() for f in fields(record))
+_BY_KEY = {row.key: row for row in _KEYS}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:

@@ -212,8 +212,8 @@ def evaluate_metrics(truth: np.ndarray, log: TrackingLog, setup: ExperimentSetup
 
     The cardinality error is |sum of weights - true target count|; RMSE
     and OSPA come from match_scores over extracted estimates (the positions
-    of the means whose weight is >= setup.extraction_threshold) against true
-    positions, capped at setup.distance_cap.
+    of the means whose weight is >= setup.metrics_extraction_threshold) against true
+    positions, capped at setup.metrics_distance_cap.
     """
     if len(truth) != len(log.records):
         raise ValueError(
@@ -222,24 +222,25 @@ def evaluate_metrics(truth: np.ndarray, log: TrackingLog, setup: ExperimentSetup
     idx = np.asarray(POSITION_IDX)
     for k, record in enumerate(log.records):
         truths = truth[k][:, idx]
-        estimates = record.means[record.weights >= setup.extraction_threshold][:, idx]
-        record.rmse, record.ospa = match_scores(estimates, truths, setup.distance_cap)
+        estimates = record.means[record.weights >= setup.metrics_extraction_threshold][:, idx]
+        record.rmse, record.ospa = match_scores(estimates, truths, setup.metrics_distance_cap)
         record.card_err = abs(record.cardinality - len(truths))
 
 
 @dataclass(frozen=True)
 class ExperimentSetup:
-    """Filter-side knobs for run_experiment beyond the scenario itself; the gpf_*
-    and grid fields take their defaults and ranges from GpfConfig and GridSensorModel."""
+    """Filter-side knobs for run_experiment beyond the scenario itself.  Each field
+    <section>_<name> is the config key <section>.<name>, in field order; the gpf_* and
+    grid fields take their defaults and ranges from GpfConfig and GridSensorModel."""
 
-    mean_r_diag: tuple[float, ...] = declare((0.5, 0.5), Range(0.0, size=2))
-    grid_rows: int = same_as(GridSensorModel, "rows")
-    grid_cols: int = same_as(GridSensorModel, "cols")
-    p_d: float = same_as(GridSensorModel, "p_d")
-    snr: float = same_as(GridSensorModel, "snr")
-    m_cells: int = same_as(GridSensorModel, "m_cells")
-    cell_strategy: str = declare("random", Choice(CELL_STRATEGIES))
-    fixed_cells: list[int] | None = None
+    sensor_r_diag: tuple[float, ...] = declare((0.5, 0.5), Range(0.0, size=2))
+    sensor_p_d: float = same_as(GridSensorModel, "p_d")
+    sensor_snr: float = same_as(GridSensorModel, "snr")
+    sensor_m_cells: int = same_as(GridSensorModel, "m_cells")
+    sensor_grid_rows: int = same_as(GridSensorModel, "rows")
+    sensor_grid_cols: int = same_as(GridSensorModel, "cols")
+    sensor_strategy: str = declare("random", Choice(CELL_STRATEGIES))
+    sensor_fixed_cells: list[int] | None = None
     gpf_epsilon: float = same_as(GpfConfig, "epsilon")
     gpf_d_thresh: float = same_as(GpfConfig, "d_thresh")
     gpf_w_prune: float = same_as(GpfConfig, "w_prune")
@@ -251,17 +252,18 @@ class ExperimentSetup:
     pf_n_particles: int = declare(1000, Range(1))
     pf_ess_ratio: float = declare(0.5, Range(0.0, 1.0, lo_open=True))
     pf_resample: str = declare("multinomial", Choice(_RESAMPLERS))
-    extraction_threshold: float = declare(0.5, Range(0.0, 1.0))
-    distance_cap: float = declare(5.0, Range(0.0, lo_open=True))
+    metrics_extraction_threshold: float = declare(0.5, Range(0.0, 1.0))
+    metrics_distance_cap: float = declare(5.0, Range(0.0, lo_open=True))
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.cell_strategy == "fixed_list" and not self.fixed_cells:
+        if self.sensor_strategy == "fixed_list" and not self.sensor_fixed_cells:
             raise ValueError("fixed_list strategy requires a cell list")
-        if self.fixed_cells is not None:  # checked under every strategy: the manifest keeps it
-            n = len(check_cells(self.fixed_cells, self.grid_rows * self.grid_cols))
-            if n > self.m_cells:
-                raise ValueError(f"{n} fixed cells but m_cells = {self.m_cells}")
+        cells = self.sensor_fixed_cells
+        if cells is not None:  # checked under every strategy: the manifest keeps it
+            n = len(check_cells(cells, self.sensor_grid_rows * self.sensor_grid_cols))
+            if n > self.sensor_m_cells:
+                raise ValueError(f"{n} fixed cells but m_cells = {self.sensor_m_cells}")
         if self.pf_ess_ratio * self.pf_n_particles <= 1:
             # the ESS is never below 1: the PF could never resample, and its
             # weights could collapse onto one particle
@@ -393,7 +395,8 @@ class _Sensor(NamedTuple):
 
 SENSORS = {
     "mean": _Sensor(
-        lambda config, setup: MeanSensorModel(np.diag(setup.mean_r_diag), position_projection(4)),
+        lambda config, setup: MeanSensorModel(np.diag(setup.sensor_r_diag),
+                                              position_projection(4)),
         lambda sensor, setup, k, truth, rng: mean_sensor_measure(truth, sensor, rng),
         lambda setup, truth0: GpfParticleSet(  # one row per true initial state: no births
             np.full(len(truth0), setup.gpf_init_weight), truth0,
@@ -401,10 +404,12 @@ SENSORS = {
         {"gpf": Range(1), "pf": Range(1, 1), "kf": Range(1, 1)},  # kf, pf: one target only
         {"z": ("<f8", (len(POSITION_IDX),))}, None, lambda z: (z,), lambda z: z[0], "a position"),
     "grid": _Sensor(
-        lambda config, setup: GridSensorModel(config.workspace, setup.grid_rows, setup.grid_cols,
-                                              setup.p_d, setup.snr, setup.m_cells),
+        lambda config, setup: GridSensorModel(
+            config.workspace, setup.sensor_grid_rows, setup.sensor_grid_cols,
+            setup.sensor_p_d, setup.sensor_snr, setup.sensor_m_cells),
         lambda sensor, setup, k, truth, rng: grid_measure(truth, select_cells(
-            setup.cell_strategy, sensor, rng, step=k, fixed=setup.fixed_cells), sensor, rng),
+            setup.sensor_strategy, sensor, rng, step=k, fixed=setup.sensor_fixed_cells),
+            sensor, rng),
         lambda setup, truth0: GpfParticleSet(),
         {"gpf": Range(0)},
         {"cells": ("<i8", ()), "values": ("|u1", ())}, "n_cells",

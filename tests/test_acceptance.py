@@ -201,7 +201,7 @@ def test_criterion_5_errors_decrease_with_measurements():
             initial_states=[(3.0, 0, 3.0, 0), (6.0, 0, 6.0, 0), (9.0, 0, 9.0, 0)],
         )
         setup = ExperimentSetup(
-            snr=30.0, m_cells=48, gpf_w_birth=0.1, gpf_w_prune=0.05,
+            sensor_snr=30.0, sensor_m_cells=48, gpf_w_birth=0.1, gpf_w_prune=0.05,
             gpf_d_thresh=4.0, gpf_n_max=100,
         )
         log = run_experiment(config, "gpf", "grid", np.random.default_rng(seed), setup)

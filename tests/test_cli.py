@@ -128,7 +128,7 @@ class TestTrack:
         # the config snapshot reloads to the same run configuration
         snapshot = parse_config_text(manifest["config"])
         assert snapshot.scenario.n_steps == 6
-        assert snapshot.setup.snr == 10.0
+        assert snapshot.setup.sensor_snr == 10.0
 
     def test_mean_sensor_kf(self, tmp_path):
         cfg = tmp_path / "kf.cfg"
@@ -657,6 +657,15 @@ class TestSweep:
         assert run_command(["sweep", "--config", str(cfg_file), "--seeds", "1,x",
                             "--out", str(tmp_path / "s")]) == 1
         assert "bad seed list '1,x'" in capfd.readouterr().err
+
+    @pytest.mark.parametrize("seeds", ["1,,2", "1,2,"])
+    def test_empty_seed_entry_is_config_error(self, cfg_file, tmp_path, capfd, seeds):
+        # the list splits as a config file's lists do: no entry is dropped
+        out = tmp_path / "s"
+        assert run_command(["sweep", "--config", str(cfg_file), "--seeds", seeds,
+                            "--out", str(out)]) == 1
+        assert f"--seeds: empty entry in the list {seeds!r}" in capfd.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulate:

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from mtt.config import (
+    _KEYS,
     ConfigError,
     ExperimentConfig,
     dump_config,
@@ -29,15 +30,46 @@ def test_round_trip_defaults():
     assert parse_config_text(dump_config(defaults)) == defaults
 
 
+# One consistent config that sets every key away from its default.
+ALL_KEYS_CHANGED = """\
+scenario.n_targets = 2
+scenario.n_steps = 7
+scenario.tau = 0.5
+scenario.q_diag = 1.0,0.1,2.0,0.2
+scenario.workspace = -1.0,-2.0,10.0,11.0
+scenario.seed = 4
+scenario.initial_states = 1,0,1,0; 2,0.5,3,-0.5
+sensor.r_diag = 0.25,0.75
+sensor.p_d = 0.8
+sensor.snr = 10.0
+sensor.m_cells = 6
+sensor.grid_rows = 4
+sensor.grid_cols = 5
+sensor.strategy = fixed_list
+sensor.fixed_cells = 0,7,19
+gpf.epsilon = 0.05
+gpf.d_thresh = 2.0
+gpf.w_prune = 0.02
+gpf.n_max = 50
+gpf.w_birth = 0.2
+gpf.init_weight = 0.8
+gpf.init_cov_diag = 2.0,0.2,2.0,0.2
+pf.n_particles = 200
+pf.ess_ratio = 0.25
+pf.resample = systematic
+metrics.extraction_threshold = 0.4
+metrics.distance_cap = 3.0
+"""
+
+
 def test_round_trip_non_defaults():
-    config = parse_config_text(
-        "scenario.n_targets = 5\n"
-        "scenario.initial_states = 1,0,1,0; 2,0,2,0; 3,0,3,0; 4,0,4,0; 5,0,5,0\n"
-        "sensor.strategy = round_robin\n"
-        "gpf.epsilon = 0.125\n"
-        "gpf.n_max = 50\n"
-        "metrics.distance_cap = 2.5\n"
-    )
+    # every key is set, so a new record field must be added to the text above
+    keys = [line.split(" = ", 1)[0] for line in ALL_KEYS_CHANGED.splitlines()]
+    assert set(keys) == {row.key for row in _KEYS}
+    config, defaults = parse_config_text(ALL_KEYS_CHANGED), parse_config_text("")
+    for row in _KEYS:
+        value = getattr(getattr(config, row.section), row.field)
+        assert value != getattr(getattr(defaults, row.section), row.field), row.key
     assert parse_config_text(dump_config(config)) == config
 
 

@@ -1,7 +1,10 @@
 """The config schema: every key's allowed values are declared once, on the
 record field it sets, and both the record and the parser enforce them."""
 
+import os
 import re
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
@@ -69,9 +72,26 @@ def test_every_record_field_has_one_key():
         assert keyed == sorted(f.name for f in fields(record))
 
 
+def test_field_without_parser_fails_at_import():
+    # the key table is derived at import: a field no parser reads stops it there
+    code = ("import dataclasses, mtt.sim as sim\n"
+            "@dataclasses.dataclass(frozen=True)\n"
+            "class Setup(sim.ExperimentSetup):\n"
+            "    sensor_gain: 'complex' = 1j\n"
+            "sim.ExperimentSetup = Setup\n"
+            "import mtt.config\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", code],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode != 0
+    assert "KeyError: 'complex'" in result.stderr
+
+
 @pytest.mark.parametrize(
     "record, name",
-    [(ScenarioConfig(), "tau"), (ExperimentSetup(), "p_d"),
+    [(ScenarioConfig(), "tau"), (ExperimentSetup(), "sensor_p_d"),
      (GridSensorModel(Rectangle(0.0, 0.0, 1.0, 1.0)), "p_d"),
      (GpfConfig(MotionModel(np.eye(4), np.eye(4)), GridSensorModel(Rectangle(0.0, 0.0, 1.0, 1.0))),
       "epsilon")],
@@ -86,7 +106,7 @@ def test_readme_documents_every_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("| key | default | allowed | meaning |", 1)[1].split("\n\n", 1)[0]
     documented = re.findall(r"^\| `([\w.]+)` \|", table, flags=re.MULTILINE)
-    assert sorted(documented) == sorted(row.key for row in _KEYS)
+    assert documented == [row.key for row in _KEYS]  # the field order, which logs embed
     # each backticked default reads back as the parser's own; the defaults of
     # scenario.initial_states and sensor.fixed_cells are written as prose
     defaults = parse_config_text("")

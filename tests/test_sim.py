@@ -280,14 +280,15 @@ class TestEvaluateMetrics:
     def test_all_miss(self):
         truth = np.zeros((1, 3, 4))
         log = TrackingLog([_record(0, truth[0], [], [], 0.0)])
-        evaluate_metrics(truth, log, ExperimentSetup(distance_cap=5.0))
+        evaluate_metrics(truth, log, ExperimentSetup(metrics_distance_cap=5.0))
         assert [r.rmse for r in log.records] == [5.0]
         assert [r.card_err for r in log.records] == [3.0]
 
     def test_low_weight_estimates_not_extracted(self):
         truth = np.zeros((1, 1, 4))
         log = TrackingLog([_record(0, truth[0], [np.zeros(4)], [0.2], 0.2)])
-        evaluate_metrics(truth, log, ExperimentSetup(extraction_threshold=0.5, distance_cap=5.0))
+        evaluate_metrics(truth, log, ExperimentSetup(
+            metrics_extraction_threshold=0.5, metrics_distance_cap=5.0))
         assert [r.rmse for r in log.records] == [5.0]
         assert_allclose([r.card_err for r in log.records], [0.8])
 
@@ -301,7 +302,7 @@ class TestEvaluateMetrics:
         # one exact match and one missed truth: sqrt((0 + 5^2) / 2)
         truth = np.zeros((1, 2, 4))
         log = TrackingLog([_record(0, truth[0], [np.zeros(4)], [1.0], 1.0)])
-        evaluate_metrics(truth, log, ExperimentSetup(distance_cap=5.0))
+        evaluate_metrics(truth, log, ExperimentSetup(metrics_distance_cap=5.0))
         assert log.records[0].ospa == pytest.approx(12.5 ** 0.5)
 
     def test_one_assignment_per_step(self, monkeypatch):
@@ -328,11 +329,12 @@ class TestExperimentSetup:
     def test_fixed_cells_must_be_integers(self, cells):
         # rejected here, not at the first step inside grid_measure
         with pytest.raises(ValueError, match="not an integer"):
-            ExperimentSetup(cell_strategy="fixed_list", fixed_cells=cells)
+            ExperimentSetup(sensor_strategy="fixed_list", sensor_fixed_cells=cells)
 
     def test_numpy_integer_cells_accepted(self):
-        setup = ExperimentSetup(cell_strategy="fixed_list", fixed_cells=[np.int64(3), 143])
-        assert setup.fixed_cells == [3, 143]
+        setup = ExperimentSetup(sensor_strategy="fixed_list",
+                                sensor_fixed_cells=[np.int64(3), 143])
+        assert setup.sensor_fixed_cells == [3, 143]
 
 
 class TestWeightedCov:
@@ -373,7 +375,7 @@ class TestRunExperiment:
             n_targets=1, n_steps=2, tau=1.0, q_diag=(0.0, 0.0, 0.0, 0.0),
             initial_states=[(3.0, 0.5, 4.0, -0.5)],
         )
-        setup = ExperimentSetup(mean_r_diag=(0.0, 0.0))
+        setup = ExperimentSetup(sensor_r_diag=(0.0, 0.0))
         log = run_experiment(config, "kf", "mean", np.random.default_rng(0), setup)
         for rec in log.records:
             assert rec.rmse <= 1e-6
@@ -383,7 +385,7 @@ class TestRunExperiment:
             n_targets=1, n_steps=10, tau=1.0, q_diag=(0.0, 0.0, 0.0, 0.0),
             initial_states=[(3.0, 0.5, 4.0, -0.5)],
         )
-        setup = ExperimentSetup(mean_r_diag=(1e-9, 1e-9))
+        setup = ExperimentSetup(sensor_r_diag=(1e-9, 1e-9))
         log = run_experiment(config, "kf", "mean", np.random.default_rng(0), setup)
         for rec in log.records:
             assert rec.rmse <= 1e-3
@@ -415,7 +417,7 @@ class TestRunExperiment:
             n_targets=2, n_steps=15, tau=0.1, q_diag=(0.02, 0.002, 0.02, 0.002),
             initial_states=[(3.0, 0, 3.0, 0), (9.0, 0, 9.0, 0)], seed=1,
         )
-        setup = ExperimentSetup(snr=10.0, m_cells=36, gpf_w_prune=0.05, gpf_d_thresh=4.0)
+        setup = ExperimentSetup(sensor_snr=10.0, sensor_m_cells=36, gpf_w_prune=0.05, gpf_d_thresh=4.0)
         log = run_experiment(config, "gpf", "grid", np.random.default_rng(1), setup)
         assert len(log.records) == 15
         assert all(rec.rmse is not None and rec.card_err is not None for rec in log.records)
@@ -434,7 +436,7 @@ class TestRunExperiment:
             n_targets=1, n_steps=10, tau=1.0, q_diag=(0.1, 0.01, 0.1, 0.01),
             initial_states=[(6.0, 0.0, 6.0, 0.0)],
         )
-        setup = ExperimentSetup(pf_n_particles=2000, mean_r_diag=(0.25, 0.25))
+        setup = ExperimentSetup(pf_n_particles=2000, sensor_r_diag=(0.25, 0.25))
         log = run_experiment(config, "pf", "mean", np.random.default_rng(3), setup)
         assert log.records[-1].rmse < 2.0
 
