@@ -33,7 +33,6 @@ from .sensors import (
 from .sim import (
     ExperimentSetup,
     ScenarioConfig,
-    TrackingLog,
     evaluate_metrics,
     generate_truth,
     run_experiment,

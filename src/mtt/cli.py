@@ -26,8 +26,8 @@ from .config import (ConfigError, ExperimentConfig, _entries, dump_config, load_
                      parse_config_text)
 from .domains import check_field
 from .motion import POSITION_IDX
-from .sim import (FILTERS, SENSORS, ScenarioConfig, StepRecord, TrackingLog, check_run,
-                  evaluate_metrics, generate_truth, run_experiment)
+from .sim import (FILTERS, SENSORS, ScenarioConfig, StepRecord, check_run, evaluate_metrics,
+                  generate_truth, run_experiment)
 
 log = logging.getLogger("mtt")
 
@@ -59,32 +59,30 @@ def _truth_header(n_targets: int) -> list[str]:
     return ["step"] + [f"true_{c}_{i}" for i in range(1, n_targets + 1) for c in "xy"]
 
 
-def _truth_row(step: int, states: np.ndarray, n_targets: int) -> list[str]:
-    """The step and the first n_targets true (x, y) positions, formatted."""
-    return [str(step)] + [_fmt9(states[i][j]) for i in range(n_targets) for j in POSITION_IDX]
+def _truth_row(step: int, states: np.ndarray) -> list[str]:
+    """The step and each target's true (x, y) position, formatted."""
+    return [str(step)] + [_fmt9(state[j]) for state in states for j in POSITION_IDX]
 
 
-def write_csv(tracking_log: TrackingLog, path: Path, n_targets: int | None = None) -> None:
+def write_csv(records: list[StepRecord], path: Path) -> None:
     """Per-step metrics CSV: step, truth positions, cardinality_est, rmse, card_err, ospa.
 
-    Header row always present; floats carry 9 significant digits; lines
-    end with LF.
+    Header row always present (with no target columns for no records); floats carry
+    9 significant digits; lines end with LF.
     """
-    if n_targets is None:
-        n_targets = len(tracking_log.records[0].true_states) if tracking_log.records else 0
+    n_targets = len(records[0].true_states) if records else 0
     header = _truth_header(n_targets) + ["cardinality_est", "rmse", "card_err", "ospa"]
     lines = [",".join(header)]
-    for rec in tracking_log.records:
-        row = _truth_row(rec.step, rec.true_states, n_targets)
+    for k, rec in enumerate(records):
+        row = _truth_row(k, rec.true_states)
         row += [_fmt9(rec.cardinality), _fmt9(rec.rmse), _fmt9(rec.card_err), _fmt9(rec.ospa)]
         lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_truth_csv(truth: np.ndarray, path: Path) -> None:
-    n_targets = truth.shape[1]
-    lines = [",".join(_truth_header(n_targets))]
-    lines += [",".join(_truth_row(k, states, n_targets)) for k, states in enumerate(truth)]
+    lines = [",".join(_truth_header(truth.shape[1]))]
+    lines += [",".join(_truth_row(k, states)) for k, states in enumerate(truth)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -108,7 +106,7 @@ def _base64(dtype: str, arrays) -> bytes:
 
 
 def write_particles_json(
-    tracking_log: TrackingLog,
+    records: list[StepRecord],
     config: ExperimentConfig,
     filter_choice: str,
     sensor_choice: str,
@@ -121,7 +119,7 @@ def write_particles_json(
     The text is json.dumps(payload, sort_keys=True, separators=(",", ":")) + newline,
     but only the small values go through json: base64 never needs escaping, so each
     column is written between quotes as it is."""
-    records, kind = tracking_log.records, SENSORS[sensor_choice]
+    kind = SENSORS[sensor_choice]
     steps = {"n_particles": [len(rec.weights) for rec in records],
              **{key: [getattr(rec, key) for rec in records] for key in _STEP_LISTS[1:]}}
     columns = {key: [getattr(rec, key) for rec in records] for key in ("weights", "means", "covs")}
@@ -193,8 +191,8 @@ def _check_step_lists(payload: dict, count: str | None, n_steps: int, path: Path
             raise ConfigError(f"{path}: step {k}: the cardinality {value!r} is not finite")
 
 
-def read_particles_json(path: Path) -> tuple[np.ndarray, TrackingLog, ExperimentConfig, int]:
-    """Truth, tracking log, config and seed of a `track` run's particle log.
+def read_particles_json(path: Path) -> tuple[list[StepRecord], ExperimentConfig, int]:
+    """The records (one per step), config and seed of a `track` run's particle log.
 
     ConfigError, naming the path and the key, if the file is a directory or not UTF-8
     JSON, not an object with the mtt-particle-log-v2 schema, a config string that
@@ -226,7 +224,7 @@ def read_particles_json(path: Path) -> tuple[np.ndarray, TrackingLog, Experiment
     if sensor not in SENSORS:
         raise ConfigError(f"{path}: 'sensor' is missing or not one of {', '.join(SENSORS)}")
     try:  # a filter and target count that `track` runs on this sensor
-        check_run(config.scenario, payload.get("filter"), sensor, config.setup, ConfigError)
+        check_run(config.scenario, payload.get("filter"), sensor, config.setup)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     n_steps, n_targets = config.scenario.n_steps, config.scenario.n_targets
@@ -261,10 +259,10 @@ def read_particles_json(path: Path) -> tuple[np.ndarray, TrackingLog, Experiment
         except ValueError as exc:
             raise ConfigError(f"{path}: step {k}: the measurement is not {kind.noun}: "
                               f"{exc}") from None
-    records = [StepRecord(k, truth[k], measurements[k], means=means[a:b], covs=covs[a:b],
+    records = [StepRecord(truth[k], measurements[k], means=means[a:b], covs=covs[a:b],
                           weights=weights[a:b], cardinality=float(payload["cardinality"][k]))
                for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
-    return truth, TrackingLog(records), config, seed
+    return records, config, seed
 
 
 def write_manifest(
@@ -293,8 +291,17 @@ def write_manifest(
 
 def _checked_seed(seed: int, label: str) -> int:
     """seed, if ScenarioConfig.seed's declared domain allows it; else ConfigError."""
-    check_field(ScenarioConfig, "seed", seed, label, ConfigError)
+    check_field(ScenarioConfig, "seed", seed, label)
     return seed
+
+
+def _checked_out(out: str | Path) -> Path:
+    """Path(out); ConfigError unless it or else its nearest existing ancestor is a directory."""
+    path = Path(out)
+    existing = next(p for p in (path, *path.parents) if p.exists() or p.is_symlink())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {path}: {existing} is not a directory")
+    return path
 
 
 def _resolve_seed(args, config: ExperimentConfig) -> int:
@@ -304,7 +311,7 @@ def _resolve_seed(args, config: ExperimentConfig) -> int:
 def _cmd_simulate(args) -> int:
     config = load_config(args.config)
     seed = _resolve_seed(args, config)
-    out_dir = Path(args.out)
+    out_dir = _checked_out(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     truth = generate_truth(config.scenario, rng)
@@ -316,17 +323,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _run_tracked(config: ExperimentConfig, filter_choice: str, sensor_choice: str,
-                 seed: int, out_dir: Path) -> TrackingLog:
+                 seed: int, out_dir: Path) -> list[StepRecord]:
     rng = np.random.default_rng(seed)
-    tracking_log = run_experiment(
-        config.scenario, filter_choice, sensor_choice, rng, config.setup, ConfigError
-    )
+    records = run_experiment(config.scenario, filter_choice, sensor_choice, rng, config.setup)
     out_dir.mkdir(parents=True, exist_ok=True)  # after the run: a run that fails makes none
     metrics_path = out_dir / "metrics.csv"
     particles_path = out_dir / "particles.json"
-    write_csv(tracking_log, metrics_path, config.scenario.n_targets)
+    write_csv(records, metrics_path)
     write_particles_json(
-        tracking_log, config, filter_choice, sensor_choice, seed, particles_path
+        records, config, filter_choice, sensor_choice, seed, particles_path
     )
     write_manifest(
         out_dir,
@@ -336,24 +341,24 @@ def _run_tracked(config: ExperimentConfig, filter_choice: str, sensor_choice: st
         [metrics_path, particles_path],
         extra={"filter": filter_choice, "sensor": sensor_choice},
     )
-    return tracking_log
+    return records
 
 
 def _cmd_track(args) -> int:
     config = load_config(args.config)
     seed = _resolve_seed(args, config)
-    _run_tracked(config, args.filter, args.sensor, seed, Path(args.out))
+    _run_tracked(config, args.filter, args.sensor, seed, _checked_out(args.out))
     log.info("tracked %d steps into %s", config.scenario.n_steps, args.out)
     return 0
 
 
 def _cmd_eval(args) -> int:
-    truth, tracking_log, config, seed = read_particles_json(Path(args.log))
-    out_dir = Path(args.out) if args.out else Path(args.log).parent
+    records, config, seed = read_particles_json(Path(args.log))
+    out_dir = _checked_out(args.out or Path(args.log).parent)
     out_dir.mkdir(parents=True, exist_ok=True)
-    evaluate_metrics(truth, tracking_log, config.setup)
+    evaluate_metrics(records, config.setup)
     metrics_path = out_dir / "eval_metrics.csv"
-    write_csv(tracking_log, metrics_path, config.scenario.n_targets)
+    write_csv(records, metrics_path)
     # its own name, so an eval into the track run's directory keeps that run's manifest
     write_manifest(out_dir, "eval", config, seed, [metrics_path], name="eval_manifest.json")
     log.info("wrote %s", metrics_path)
@@ -382,13 +387,13 @@ def _cmd_sweep(args) -> int:
     if len(set(seeds)) < len(seeds):  # each seed has one seed_<n>/ and one aggregate row
         repeated = next(seed for k, seed in enumerate(seeds) if seed in seeds[:k])
         raise ConfigError(f"--seeds names seed {repeated} more than once")
-    out_dir = Path(args.out)  # made by the first seed's run
+    out_dir = _checked_out(args.out)  # made by the first seed's run
+    run_dirs = [_checked_out(out_dir / f"seed_{seed}") for seed in seeds]  # before any run
     lines, outputs, means = ["seed,mean_rmse,mean_card_err"], [], []
-    for seed in seeds:
-        run_dir = out_dir / f"seed_{seed}"
-        tracking_log = _run_tracked(config, args.filter, args.sensor, seed, run_dir)
-        rmse = float(np.mean([r.rmse for r in tracking_log.records]))
-        card = float(np.mean([r.card_err for r in tracking_log.records]))
+    for seed, run_dir in zip(seeds, run_dirs):
+        records = _run_tracked(config, args.filter, args.sensor, seed, run_dir)
+        rmse = float(np.mean([r.rmse for r in records]))
+        card = float(np.mean([r.card_err for r in records]))
         lines.append(f"{seed},{_fmt9(rmse)},{_fmt9(card)}")
         outputs.append(run_dir / "metrics.csv")
         means.append((rmse, card))

@@ -14,13 +14,9 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .domains import check_field
+from .domains import ConfigError, check_field
 from .regions import Rectangle
 from .sim import ExperimentSetup, ScenarioConfig
-
-
-class ConfigError(ValueError):
-    """Malformed or invalid configuration input."""
 
 
 @dataclass
@@ -131,7 +127,8 @@ _BY_KEY = {row.key: row for row in _KEYS}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse flat key = value text into an ExperimentConfig.
+    """Parse flat key = value text into an ExperimentConfig; ConfigError for a bad line,
+    or from the records for settings that do not go together.
 
     Keys left out take the ScenarioConfig / ExperimentSetup defaults.
     """
@@ -152,14 +149,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         try:
             section[row.field] = row.parse(raw)
             check_field(_RECORDS[row.section], row.field, section[row.field], "value")
-        except ValueError as exc:  # a ConfigError, or a plain one such as Rectangle's or a range
+        except ValueError as exc:  # a ConfigError, or a plain one such as Rectangle's
             raise ConfigError(f"line {lineno}: {key}: {exc}") from None
-    try:
-        return ExperimentConfig(
-            ScenarioConfig(**kwargs["scenario"]), ExperimentSetup(**kwargs["setup"])
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**{name: record(**kwargs[name]) for name, record in _RECORDS.items()})
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

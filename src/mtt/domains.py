@@ -3,6 +3,7 @@
 A record declares a field's domain with declare(default, Range(...) or
 Choice(...)), or takes another record's with same_as, and checks its fields
 with check_fields(self); the config parser checks each line with check_field.
+A value outside its domain raises ConfigError, a ValueError.
 """
 
 from __future__ import annotations
@@ -11,6 +12,10 @@ import math
 import numbers
 from dataclasses import field
 from typing import NamedTuple
+
+
+class ConfigError(ValueError):
+    """Malformed or invalid configuration input."""
 
 
 class Range(NamedTuple):
@@ -31,27 +36,27 @@ class Range(NamedTuple):
             return "positive" if self.lo_open else "non-negative"
         return f"{'>' if self.lo_open else '>='} {self.lo:g}"
 
-    def check(self, value, name: str, error: type[Exception] = ValueError) -> None:
+    def check(self, value, name: str) -> None:
         if self.size is not None and len(value) != self.size:
-            raise error(f"{name} has {len(value)} entries, expected {self.size}")
+            raise ConfigError(f"{name} has {len(value)} entries, expected {self.size}")
         named = ([(name, value)] if self.size is None
                  else [(f"{name}[{i}]", v) for i, v in enumerate(value)])
         for label, v in named:
             if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
-                raise error(f"{label} = {v!r} is not a finite number")
+                raise ConfigError(f"{label} = {v!r} is not a finite number")
             below = v <= self.lo if self.lo_open else v < self.lo
             above = self.hi is not None and (v >= self.hi if self.hi_open else v > self.hi)
             if below or above:
-                raise error(f"{label} = {v} is {'below' if below else 'above'} allowed "
-                            f"range: must be {self}")
+                raise ConfigError(f"{label} = {v} is {'below' if below else 'above'} allowed "
+                                  f"range: must be {self}")
 
 
 class Choice(tuple):
     """One of a fixed tuple of strings."""
 
-    def check(self, value, name: str, error: type[Exception] = ValueError) -> None:
+    def check(self, value, name: str) -> None:
         if value not in self:
-            raise error(f"{name} = {value!r} is not one of {self}")
+            raise ConfigError(f"{name} = {value!r} is not one of {self}")
 
 
 def declare(default, domain: Range | Choice):
@@ -65,16 +70,15 @@ def same_as(owner: type, name: str):
     return field(default=f.default, metadata=f.metadata)
 
 
-def check_field(cls: type, name: str, value, label: str | None = None,
-                error: type[Exception] = ValueError) -> None:
-    """Raise error, calling the value `label` (default: name), if value is outside
+def check_field(cls: type, name: str, value, label: str | None = None) -> None:
+    """Raise ConfigError, calling the value `label` (default: name), if value is outside
     the domain declared on field `name` of dataclass cls (only integers, if annotated int).
     A field with no domain takes any value."""
     f = cls.__dataclass_fields__[name]
     if "domain" in f.metadata:
         if f.type in (int, "int") and not isinstance(value, numbers.Integral):
-            raise error(f"{label or name} = {value!r} is not an integer")
-        f.metadata["domain"].check(value, label or name, error)
+            raise ConfigError(f"{label or name} = {value!r} is not an integer")
+        f.metadata["domain"].check(value, label or name)
 
 
 def check_fields(record) -> None:

@@ -9,7 +9,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .domains import Choice, Range, check_fields, declare, same_as
+from .domains import Choice, ConfigError, Range, check_fields, declare, same_as
 from .gaussians import log_pdf
 from .gpf import GpfConfig, GpfParticleSet, estimate_cardinality, gpf_step
 from .kalman import kf_predict, kf_update
@@ -50,16 +50,16 @@ class ScenarioConfig:
             if len(states) != self.n_targets or (
                 states.size and (states.shape[1:] != (4,) or not np.isfinite(states).all())
             ):
-                raise ValueError(f"want {self.n_targets} initial states of 4 finite numbers "
-                                 f"(x, vx, y, vy), got {states}")
+                raise ConfigError(f"scenario.initial_states: want scenario.n_targets = "
+                                  f"{self.n_targets} states of 4 finite numbers "
+                                  f"(x, vx, y, vy), got {states}")
 
 
 @dataclass
 class StepRecord:
-    """Everything logged about one time step: the truth, the measurement, the
-    filter's estimate as n weighted Gaussians, and the metrics."""
+    """One step of a run's log, the list of its records (step k at index k): the truth,
+    the measurement, the filter's estimate as n weighted Gaussians, and the metrics."""
 
-    step: int
     true_states: np.ndarray
     measurement: np.ndarray | CellReturns  # as the sensor returned it
     means: np.ndarray  # (n, 4)
@@ -69,11 +69,6 @@ class StepRecord:
     rmse: float | None = None
     card_err: float | None = None
     ospa: float | None = None
-
-
-@dataclass
-class TrackingLog:
-    records: list[StepRecord] = field(default_factory=list)
 
 
 def generate_truth(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
@@ -207,21 +202,17 @@ def match_scores(estimates: np.ndarray, truths: np.ndarray, cap: float) -> tuple
     return float(rmse), float(ospa)
 
 
-def evaluate_metrics(truth: np.ndarray, log: TrackingLog, setup: ExperimentSetup) -> None:
-    """Fill per-step RMSE, cardinality error and OSPA into the log records.
+def evaluate_metrics(records: list[StepRecord], setup: ExperimentSetup) -> None:
+    """Fill each record's RMSE, cardinality error and OSPA against its own true states.
 
     The cardinality error is |sum of weights - true target count|; RMSE
     and OSPA come from match_scores over extracted estimates (the positions
     of the means whose weight is >= setup.metrics_extraction_threshold) against true
     positions, capped at setup.metrics_distance_cap.
     """
-    if len(truth) != len(log.records):
-        raise ValueError(
-            f"{len(truth)} truth steps but {len(log.records)} log records"
-        )
     idx = np.asarray(POSITION_IDX)
-    for k, record in enumerate(log.records):
-        truths = truth[k][:, idx]
+    for record in records:
+        truths = record.true_states[:, idx]
         estimates = record.means[record.weights >= setup.metrics_extraction_threshold][:, idx]
         record.rmse, record.ospa = match_scores(estimates, truths, setup.metrics_distance_cap)
         record.card_err = abs(record.cardinality - len(truths))
@@ -258,16 +249,20 @@ class ExperimentSetup:
     def __post_init__(self) -> None:
         check_fields(self)
         if self.sensor_strategy == "fixed_list" and not self.sensor_fixed_cells:
-            raise ValueError("fixed_list strategy requires a cell list")
+            raise ConfigError("sensor.strategy = fixed_list requires sensor.fixed_cells")
         cells = self.sensor_fixed_cells
         if cells is not None:  # checked under every strategy: the manifest keeps it
-            n = len(check_cells(cells, self.sensor_grid_rows * self.sensor_grid_cols))
+            try:
+                n = len(check_cells(cells, self.sensor_grid_rows * self.sensor_grid_cols))
+            except ValueError as exc:
+                raise ConfigError(f"sensor.fixed_cells: {exc}") from None
             if n > self.sensor_m_cells:
-                raise ValueError(f"{n} fixed cells but m_cells = {self.sensor_m_cells}")
+                raise ConfigError(f"sensor.fixed_cells holds {n} cells but "
+                                  f"sensor.m_cells = {self.sensor_m_cells}")
         if self.pf_ess_ratio * self.pf_n_particles <= 1:
             # the ESS is never below 1: the PF could never resample, and its
             # weights could collapse onto one particle
-            raise ValueError(
+            raise ConfigError(
                 f"pf.ess_ratio * pf.n_particles must exceed 1, got "
                 f"{self.pf_ess_ratio!r} * {self.pf_n_particles!r}")
 
@@ -296,18 +291,22 @@ def _gpf_filter(ws, setup, motion, sensor) -> Callable[..., StepFn]:
 
 
 def _kf_filter(ws, setup, motion, sensor) -> Callable[..., StepFn]:
-    """KF step from a broad prior at the workspace centre; it draws nothing."""
+    """KF step from a broad prior at the workspace centre, anew at each start; it draws nothing."""
     center = np.array([0.5 * (ws.x_min + ws.x_max), 0.0, 0.5 * (ws.y_min + ws.y_max), 0.0])
-    mean, cov = center, KF_INIT_COV
 
-    def step(z):
-        nonlocal mean, cov
-        post = kf_update(*kf_predict(mean, cov, motion.F, motion.Q),
-                         sensor.position_projection, sensor.R, z)
-        mean, cov = post.mean, post.cov
-        return mean[None], cov[None], np.ones(1), 1.0
+    def start(rng, first_belief) -> StepFn:
+        mean, cov = center, KF_INIT_COV
 
-    return lambda rng, first_belief: step
+        def step(z):
+            nonlocal mean, cov
+            post = kf_update(*kf_predict(mean, cov, motion.F, motion.Q),
+                             sensor.position_projection, sensor.R, z)
+            mean, cov = post.mean, post.cov
+            return mean[None], cov[None], np.ones(1), 1.0
+
+        return step
+
+    return start
 
 
 def _weighted_cov(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -418,21 +417,21 @@ SENSORS = {
 
 
 def check_run(config: ScenarioConfig, filter_choice: str, sensor_choice: str,
-              setup: ExperimentSetup, error: type[Exception] = ValueError):
+              setup: ExperimentSetup):
     """The run's (sensor record, sensor model, filter start), each record built and checked
-    before the first random draw; error if the sensor does not list the filter with a Range
-    holding n_targets, or for the ValueError of a record (model, motion, filter) it rejects."""
-    Choice(SENSORS).check(sensor_choice, "sensor", error)
+    before the first random draw; ConfigError if the sensor does not list the filter with a
+    Range holding n_targets, or for a record (model, motion, filter) that it rejects."""
+    Choice(SENSORS).check(sensor_choice, "sensor")
     kind = SENSORS[sensor_choice]
-    Choice(kind.filters).check(filter_choice, f"filter of the {sensor_choice} sensor", error)
+    Choice(kind.filters).check(filter_choice, f"filter of the {sensor_choice} sensor")
     label = f"scenario.n_targets of {filter_choice} on the {sensor_choice} sensor"
-    kind.filters[filter_choice].check(config.n_targets, label, error)
+    kind.filters[filter_choice].check(config.n_targets, label)
     try:
         sensor = kind.build(config, setup)
         motion = MotionModel(constant_velocity_matrix(config.tau), np.diag(config.q_diag))
         return kind, sensor, FILTERS[filter_choice](config.workspace, setup, motion, sensor)
     except ValueError as exc:
-        raise error(str(exc)) from None
+        raise ConfigError(str(exc)) from None
 
 
 def run_experiment(
@@ -441,22 +440,22 @@ def run_experiment(
     sensor_choice: str,
     rng: np.random.Generator,
     setup: ExperimentSetup | None = None,
-    error: type[Exception] = ValueError,
-) -> TrackingLog:
-    """Full loop: truth step, sensor measurement, filter step, log record.
+) -> list[StepRecord]:
+    """Full loop: truth step, sensor measurement, filter step, log record; the run's log
+    is its list of records.
 
-    check_run (with error) vets the choices and builds the records; metrics are filled in last.
+    check_run vets the choices and builds the records; metrics are filled in last.
     """
     setup = setup or ExperimentSetup()
-    kind, sensor, start = check_run(config, filter_choice, sensor_choice, setup, error)
+    kind, sensor, start = check_run(config, filter_choice, sensor_choice, setup)
     truth = generate_truth(config, rng)
     step = start(rng, lambda: kind.gpf_belief(setup, truth[0]))
 
-    log = TrackingLog()
+    records = []
     for k in range(config.n_steps):
         z = kind.measure(sensor, setup, k, truth[k], rng)
-        log.records.append(StepRecord(k, truth[k].copy(), z, *step(z)))
+        records.append(StepRecord(truth[k].copy(), z, *step(z)))
 
-    evaluate_metrics(truth, log, setup)
-    return log
+    evaluate_metrics(records, setup)
+    return records
 

@@ -204,9 +204,9 @@ def test_criterion_5_errors_decrease_with_measurements():
             sensor_snr=30.0, sensor_m_cells=48, gpf_w_birth=0.1, gpf_w_prune=0.05,
             gpf_d_thresh=4.0, gpf_n_max=100,
         )
-        log = run_experiment(config, "gpf", "grid", np.random.default_rng(seed), setup)
-        rmse = [r.rmse for r in log.records]
-        card = [r.card_err for r in log.records]
+        records = run_experiment(config, "gpf", "grid", np.random.default_rng(seed), setup)
+        rmse = [r.rmse for r in records]
+        card = [r.card_err for r in records]
         early_rmse.append(np.mean(rmse[:10]))
         late_rmse.append(np.mean(rmse[90:]))
         early_card.append(np.mean(card[:10]))

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from mtt import cli, sim
 from mtt.cli import read_particles_json, run_command, write_csv, write_particles_json
 from mtt.config import parse_config_text
-from mtt.sim import StepRecord, TrackingLog, run_experiment
+from mtt.sim import StepRecord, run_experiment
 
 SMALL_GRID_CFG = """
 scenario.n_targets = 2
@@ -52,9 +52,8 @@ def cfg_file(tmp_path):
     return path
 
 
-def _record(step, truth, rmse, card_err, ospa, cardinality=1.0):
+def _record(truth, rmse, card_err, ospa, cardinality=1.0):
     return StepRecord(
-        step=step,
         true_states=np.asarray(truth, dtype=float),
         measurement=None,
         means=np.zeros((1, 4)),
@@ -70,13 +69,12 @@ def _record(step, truth, rmse, card_err, ospa, cardinality=1.0):
 class TestWriteCsv:
     def test_empty_log_header_only(self, tmp_path):
         path = tmp_path / "m.csv"
-        write_csv(TrackingLog([]), path, n_targets=0)
+        write_csv([], path)
         assert path.read_text() == "step,cardinality_est,rmse,card_err,ospa\n"
 
     def test_single_record_two_lines(self, tmp_path):
         path = tmp_path / "m.csv"
-        log = TrackingLog([_record(0, [[1.0, 0, 2.0, 0]], 0.5, 0.25, 0.75)])
-        write_csv(log, path)
+        write_csv([_record([[1.0, 0, 2.0, 0]], 0.5, 0.25, 0.75)], path)
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert lines[0] == "step,true_x_1,true_y_1,cardinality_est,rmse,card_err,ospa"
@@ -84,13 +82,12 @@ class TestWriteCsv:
 
     def test_nine_significant_digits(self, tmp_path):
         path = tmp_path / "m.csv"
-        log = TrackingLog([_record(0, [[1.0, 0, 2.0, 0]], 1.0 / 3.0, 0.0, 0.0)])
-        write_csv(log, path)
+        write_csv([_record([[1.0, 0, 2.0, 0]], 1.0 / 3.0, 0.0, 0.0)], path)
         assert "0.333333333" in path.read_text()
 
     def test_lf_newlines(self, tmp_path):
         path = tmp_path / "m.csv"
-        write_csv(TrackingLog([]), path, n_targets=0)
+        write_csv([], path)
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
@@ -186,10 +183,10 @@ class TestEval:
         out = tmp_path / "t"
         assert run_command(["track", "--config", str(cfg), "--filter", "gpf",
                             "--sensor", "grid", "--out", str(out)]) == 0
-        _, tracking_log, _, _ = read_particles_json(out / "particles.json")
-        counts = [len(rec.weights) for rec in tracking_log.records]
+        records, _, _ = read_particles_json(out / "particles.json")
+        counts = [len(rec.weights) for rec in records]
         assert counts[0] == 0 and max(counts) > 0
-        rec = tracking_log.records[0]
+        rec = records[0]
         assert (rec.weights.shape, rec.means.shape, rec.covs.shape) == ((0,), (0, 4), (0, 4, 4))
         out_eval = tmp_path / "e"
         assert run_command(["eval", "--log", str(out / "particles.json"),
@@ -202,8 +199,8 @@ class TestEval:
         out = tmp_path / "t"
         assert run_command(["track", "--config", str(cfg), "--filter", "gpf",
                             "--sensor", "grid", "--out", str(out)]) == 0
-        truth, _, _, _ = read_particles_json(out / "particles.json")
-        assert truth.shape == (4, 0, 4)
+        records, _, _ = read_particles_json(out / "particles.json")
+        assert [rec.true_states.shape for rec in records] == [(0, 4)] * 4
         out_eval = tmp_path / "e"
         assert run_command(["eval", "--log", str(out / "particles.json"),
                             "--out", str(out_eval)]) == 0
@@ -218,18 +215,18 @@ pf.n_particles = 200
 
 
 def _logged_run(text, filter_choice, sensor_choice, path, seed=3):
-    """A run of the config text, with its particle log written to path: (config, log)."""
+    """A run of the config text, with its particle log written to path: (config, records)."""
     config = parse_config_text(text)
-    tracking_log = run_experiment(config.scenario, filter_choice, sensor_choice,
-                                  np.random.default_rng(seed), config.setup)
-    write_particles_json(tracking_log, config, filter_choice, sensor_choice, seed, path)
-    return config, tracking_log
+    records = run_experiment(config.scenario, filter_choice, sensor_choice,
+                             np.random.default_rng(seed), config.setup)
+    write_particles_json(records, config, filter_choice, sensor_choice, seed, path)
+    return config, records
 
 
 def _assert_same_bytes(written, read):
     """Every logged array and cardinality reads back with its shape, dtype and bytes."""
-    assert len(read.records) == len(written.records)
-    for a, b in zip(written.records, read.records):
+    assert len(read) == len(written)
+    for a, b in zip(written, read):
         for name in ("weights", "means", "covs", "true_states"):
             x, y = getattr(a, name), getattr(b, name)
             assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes()), name
@@ -237,7 +234,7 @@ def _assert_same_bytes(written, read):
             assert a.measurement.tobytes() == b.measurement.tobytes()
         else:
             assert a.measurement == b.measurement
-    cards = [np.array([rec.cardinality for rec in log.records]) for log in (written, read)]
+    cards = [np.array([rec.cardinality for rec in records]) for records in (written, read)]
     assert cards[0].tobytes() == cards[1].tobytes()
 
 
@@ -261,9 +258,9 @@ class TestParticleLog:
     def test_round_trip_keeps_bytes(self, filter_choice, sensor_choice, text, tmp_path):
         path = tmp_path / "particles.json"
         _, written = _logged_run(text, filter_choice, sensor_choice, path)
-        _assert_same_bytes(written, read_particles_json(path)[1])
+        _assert_same_bytes(written, read_particles_json(path)[0])
         if filter_choice == "pf":  # np.cov's rounding leaves the cov asymmetric in its last bit
-            assert any((c != c.T).any() for rec in written.records for c in rec.covs)
+            assert any((c != c.T).any() for rec in written for c in rec.covs)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -280,9 +277,9 @@ class TestParticleLog:
         # gpf on the mean sensor needs a target; TestEval round-trips a zero-target grid run
         n_steps, n_targets = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
         records = []
-        for k in range(n_steps):
+        for _ in range(n_steps):
             n = data.draw(st.integers(0, 3))
-            records.append(StepRecord(k, array(numbers, n_targets, 4), array(numbers, 2),
+            records.append(StepRecord(array(numbers, n_targets, 4), array(numbers, 2),
                                       means=array(numbers, n, 4), covs=array(numbers, n, 4, 4),
                                       weights=array(weights, n),
                                       cardinality=data.draw(numbers)))
@@ -290,8 +287,8 @@ class TestParticleLog:
                                    f"scenario.n_steps = {n_steps}\n")
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "particles.json"
-            write_particles_json(TrackingLog(records), config, "gpf", "mean", 0, path)
-            _assert_same_bytes(TrackingLog(records), read_particles_json(path)[1])
+            write_particles_json(records, config, "gpf", "mean", 0, path)
+            _assert_same_bytes(records, read_particles_json(path)[0])
 
     @pytest.mark.parametrize("filter_choice, sensor_choice, text", [
         ("gpf", "grid", SMALL_GRID_CFG),
@@ -310,9 +307,9 @@ class TestParticleLog:
     def test_log_holds_no_list_per_particle(self, tmp_path):
         # the cost of the log grows with the steps, not with the particles or cells
         path = tmp_path / "particles.json"
-        config, tracking_log = _logged_run(SMALL_GRID_CFG, "gpf", "grid", path)
+        config, records = _logged_run(SMALL_GRID_CFG, "gpf", "grid", path)
         n_steps = config.scenario.n_steps
-        assert sum(len(rec.weights) for rec in tracking_log.records) > n_steps
+        assert sum(len(rec.weights) for rec in records) > n_steps
 
         def longest(value) -> int:
             if isinstance(value, dict):
@@ -320,11 +317,11 @@ class TestParticleLog:
             return max([len(value), *map(longest, value)]) if isinstance(value, list) else 0
 
         assert longest(json.loads(path.read_text())) == n_steps
-        for rec in tracking_log.records:
+        for rec in records:
             for name in ("weights", "means", "covs", "true_states"):
                 setattr(rec, name, getattr(rec, name).view(_NoList))
         again = tmp_path / "again.json"
-        write_particles_json(tracking_log, config, "gpf", "grid", 3, again)
+        write_particles_json(records, config, "gpf", "grid", 3, again)
         assert again.read_bytes() == path.read_bytes()
 
 
@@ -344,7 +341,7 @@ def test_new_sensor_record_needs_no_cli_change(tmp_path, monkeypatch):
     assert payload["sensor"] == "fake" and "z_fake" in payload and "z" not in payload
     path = tmp_path / "particles.json"
     _, written = _logged_run(_ONE_TARGET_CFG, "kf", "fake", path)
-    _assert_same_bytes(written, read_particles_json(path)[1])
+    _assert_same_bytes(written, read_particles_json(path)[0])
 
 
 # The per-particle arrays of a v2 log, each little-endian float64: key -> shape of one row.
@@ -756,6 +753,63 @@ class TestExitCodes:
         cfg.write_text("sensor.strategy = fixed_list\nsensor.fixed_cells = 3,200\n")
         assert run_command(["track", "--config", str(cfg), "--sensor", "grid",
                             "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("config, keys", [
+        ("sensor.fixed_cells = 1,2,3\nsensor.m_cells = 2",
+         ["sensor.fixed_cells", "sensor.m_cells"]),
+        ("sensor.strategy = fixed_list", ["sensor.strategy", "sensor.fixed_cells"]),
+        ("sensor.fixed_cells = 200", ["sensor.fixed_cells"]),
+        ("scenario.n_targets = 2\nscenario.initial_states = 1,2,3,4",
+         ["scenario.initial_states", "scenario.n_targets"]),
+    ], ids=["more_fixed_cells_than_m_cells", "fixed_list_without_cells",
+            "fixed_cell_outside_the_grid", "initial_states_not_one_per_target"])
+    def test_error_across_keys_names_them(self, tmp_path, capfd, config, keys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config + "\n")
+        assert run_command(["track", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capfd.readouterr().err
+        assert "mtt: config error:" in err and all(key in err for key in keys), err
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "path_under_file"])
+    @pytest.mark.parametrize("command", ["simulate", "track", "eval", "sweep"])
+    def test_out_that_cannot_be_a_directory_is_config_error(self, cfg_file, tmp_path, capfd,
+                                                            monkeypatch, command, under):
+        track = tmp_path / "t"
+        assert run_command(["track", "--config", str(cfg_file), "--out", str(track)]) == 0
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        out = taken / "sub" if under else taken
+
+        def no_run(*args, **kwargs):  # each command checks --out before it computes
+            raise AssertionError("ran before --out was checked")
+
+        for name in ("generate_truth", "run_experiment", "evaluate_metrics"):
+            monkeypatch.setattr(cli, name, no_run)
+        inputs = {"eval": ["--log", str(track / "particles.json")],
+                  "sweep": ["--config", str(cfg_file), "--seeds", "1..2"]}
+        args = inputs.get(command, ["--config", str(cfg_file)])
+        assert run_command([command, *args, "--out", str(out)]) == 1
+        err = capfd.readouterr().err
+        assert f"mtt: config error: --out {out}: {taken} is not a directory" in err, err
+        assert taken.read_text() == "kept"
+
+    def test_out_that_is_a_dangling_link_is_config_error(self, cfg_file, tmp_path, capfd):
+        out = tmp_path / "link"
+        out.symlink_to(tmp_path / "nowhere")
+        assert run_command(["track", "--config", str(cfg_file), "--out", str(out)]) == 1
+        assert f"--out {out}: {out} is not a directory" in capfd.readouterr().err
+        assert out.is_symlink() and not (tmp_path / "nowhere").exists()
+
+    def test_sweep_checks_each_seed_directory_before_any_run(self, cfg_file, tmp_path, capfd,
+                                                             monkeypatch):
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / "seed_2").write_text("")
+        monkeypatch.setattr(cli, "run_experiment", lambda *args: 1 / 0)
+        assert run_command(["sweep", "--config", str(cfg_file), "--seeds", "1..2",
+                            "--out", str(out)]) == 1
+        assert f"{out / 'seed_2'} is not a directory" in capfd.readouterr().err
+        assert list(out.iterdir()) == [out / "seed_2"]
 
     @pytest.mark.parametrize("particles", [1, 2])
     def test_pf_that_cannot_resample_is_config_error(self, tmp_path, capsys, particles):

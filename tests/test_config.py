@@ -120,7 +120,8 @@ def test_vector_length_checked():
 
 
 def test_initial_state_count_checked():
-    with pytest.raises(ConfigError):
+    want = r"scenario\.initial_states: want scenario\.n_targets = 2 "
+    with pytest.raises(ConfigError, match=want):
         parse_config_text(
             "scenario.n_targets = 2\nscenario.initial_states = 1,0,1,0\n"
         )
@@ -142,12 +143,23 @@ def test_workspace_parsed():
         ("sensor.r_diag = -1,-1", "below allowed range"),
         ("gpf.init_cov_diag = 0,0,-1,0", "below allowed range"),
         ("gpf.init_cov_diag = 1,0.1,1,0", "below allowed range"),
-        ("sensor.strategy = fixed_list", "requires a cell list"),
-        ("sensor.strategy = fixed_list\nsensor.fixed_cells = 200", "out of range"),
-        ("sensor.strategy = fixed_list\nsensor.fixed_cells = " + ",".join(map(str, range(13))),
-         "13 fixed cells but m_cells = 12"),
+        # a check across keys names each key (the ids are the cases' names from before
+        # the patterns required the keys)
+        pytest.param("sensor.strategy = fixed_list",
+                     r"sensor\.strategy = fixed_list requires sensor\.fixed_cells",
+                     id="sensor.strategy = fixed_list-requires a cell list"),
+        pytest.param("sensor.strategy = fixed_list\nsensor.fixed_cells = 200",
+                     r"sensor\.fixed_cells: a cell index in \[200\] is out of range \[0, 144\)",
+                     id="sensor.strategy = fixed_list\nsensor.fixed_cells = 200-out of range"),
+        pytest.param("sensor.strategy = fixed_list\nsensor.fixed_cells = "
+                     + ",".join(map(str, range(13))),
+                     r"sensor\.fixed_cells holds 13 cells but sensor\.m_cells = 12",
+                     id="sensor.strategy = fixed_list\nsensor.fixed_cells = "
+                        "0,1,2,3,4,5,6,7,8,9,10,11,12-13 fixed cells but m_cells = 12"),
         # checked under every strategy, not only fixed_list: the manifest keeps the list
-        ("sensor.fixed_cells = -5,99999", "out of range"),
+        pytest.param("sensor.fixed_cells = -5,99999",
+                     r"sensor\.fixed_cells: a cell index in .* is out of range",
+                     id="sensor.fixed_cells = -5,99999-out of range"),
         ("gpf.d_thresh = nan", "finite"),
         ("gpf.epsilon = nan", "finite"),
         ("sensor.snr = nan", "finite"),
@@ -187,7 +199,7 @@ def test_boundary_noise_values_accepted(line):
 
 
 def test_scenario_rejects_negative_q_diag():
-    # a plain ValueError here; parse_config_text turns it into a ConfigError
+    # a ConfigError, which is a ValueError
     with pytest.raises(ValueError, match="non-negative"):
         ScenarioConfig(q_diag=(1.0, -0.1, 1.0, 0.1))
 

@@ -17,7 +17,6 @@ from mtt.sim import (
     ExperimentSetup,
     ScenarioConfig,
     StepRecord,
-    TrackingLog,
     _capped_cost,
     _linear_sum_assignment,
     _weighted_cov,
@@ -28,10 +27,9 @@ from mtt.sim import (
 )
 
 
-def _record(step, truth, means, weights, cardinality):
+def _record(truth, means, weights, cardinality):
     means = np.asarray(means, dtype=float).reshape(-1, 4)
     return StepRecord(
-        step=step,
         true_states=np.asarray(truth, dtype=float),
         measurement=None,
         means=means,
@@ -267,43 +265,30 @@ class TestOspa:
 
 class TestEvaluateMetrics:
     def test_perfect_estimates(self):
-        truth = np.zeros((1, 2, 4))
-        truth[0, 0] = (1.0, 0.0, 2.0, 0.0)
-        truth[0, 1] = (5.0, 0.0, 6.0, 0.0)
-        log = TrackingLog(
-            [_record(0, truth[0], [truth[0, 0], truth[0, 1]], [1.0, 1.0], 2.0)]
-        )
-        evaluate_metrics(truth, log, ExperimentSetup())
-        assert [r.rmse for r in log.records] == [0.0]
-        assert [r.card_err for r in log.records] == [0.0]
+        truth = np.array([(1.0, 0.0, 2.0, 0.0), (5.0, 0.0, 6.0, 0.0)])
+        records = [_record(truth, truth, [1.0, 1.0], 2.0)]
+        evaluate_metrics(records, ExperimentSetup())
+        assert [r.rmse for r in records] == [0.0]
+        assert [r.card_err for r in records] == [0.0]
 
     def test_all_miss(self):
-        truth = np.zeros((1, 3, 4))
-        log = TrackingLog([_record(0, truth[0], [], [], 0.0)])
-        evaluate_metrics(truth, log, ExperimentSetup(metrics_distance_cap=5.0))
-        assert [r.rmse for r in log.records] == [5.0]
-        assert [r.card_err for r in log.records] == [3.0]
+        records = [_record(np.zeros((3, 4)), [], [], 0.0)]
+        evaluate_metrics(records, ExperimentSetup(metrics_distance_cap=5.0))
+        assert [r.rmse for r in records] == [5.0]
+        assert [r.card_err for r in records] == [3.0]
 
     def test_low_weight_estimates_not_extracted(self):
-        truth = np.zeros((1, 1, 4))
-        log = TrackingLog([_record(0, truth[0], [np.zeros(4)], [0.2], 0.2)])
-        evaluate_metrics(truth, log, ExperimentSetup(
+        records = [_record(np.zeros((1, 4)), [np.zeros(4)], [0.2], 0.2)]
+        evaluate_metrics(records, ExperimentSetup(
             metrics_extraction_threshold=0.5, metrics_distance_cap=5.0))
-        assert [r.rmse for r in log.records] == [5.0]
-        assert_allclose([r.card_err for r in log.records], [0.8])
-
-    def test_step_count_mismatch(self):
-        truth = np.zeros((2, 1, 4))
-        log = TrackingLog([_record(0, truth[0], [], [], 0.0)])
-        with pytest.raises(ValueError):
-            evaluate_metrics(truth, log, ExperimentSetup())
+        assert [r.rmse for r in records] == [5.0]
+        assert_allclose([r.card_err for r in records], [0.8])
 
     def test_ospa_always_filled(self):
         # one exact match and one missed truth: sqrt((0 + 5^2) / 2)
-        truth = np.zeros((1, 2, 4))
-        log = TrackingLog([_record(0, truth[0], [np.zeros(4)], [1.0], 1.0)])
-        evaluate_metrics(truth, log, ExperimentSetup(metrics_distance_cap=5.0))
-        assert log.records[0].ospa == pytest.approx(12.5 ** 0.5)
+        records = [_record(np.zeros((2, 4)), [np.zeros(4)], [1.0], 1.0)]
+        evaluate_metrics(records, ExperimentSetup(metrics_distance_cap=5.0))
+        assert records[0].ospa == pytest.approx(12.5 ** 0.5)
 
     def test_one_assignment_per_step(self, monkeypatch):
         calls = []
@@ -315,13 +300,12 @@ class TestEvaluateMetrics:
 
         monkeypatch.setattr(sim, "_linear_sum_assignment", counting)
         config = ScenarioConfig(n_targets=3, n_steps=10, seed=0)
-        log = run_experiment(config, "gpf", "mean", np.random.default_rng(0))
-        truth = np.stack([r.true_states for r in log.records])
+        records = run_experiment(config, "gpf", "mean", np.random.default_rng(0))
         calls.clear()
-        evaluate_metrics(truth, log, ExperimentSetup())
-        scored = sum(len(r.means[r.weights >= 0.5]) > 0 for r in log.records)
+        evaluate_metrics(records, ExperimentSetup())
+        scored = sum(len(r.means[r.weights >= 0.5]) > 0 for r in records)
         assert scored == 10 and len(calls) == 10
-        assert all(r.ospa is not None for r in log.records)
+        assert all(r.ospa is not None for r in records)
 
 
 class TestExperimentSetup:
@@ -376,8 +360,8 @@ class TestRunExperiment:
             initial_states=[(3.0, 0.5, 4.0, -0.5)],
         )
         setup = ExperimentSetup(sensor_r_diag=(0.0, 0.0))
-        log = run_experiment(config, "kf", "mean", np.random.default_rng(0), setup)
-        for rec in log.records:
+        records = run_experiment(config, "kf", "mean", np.random.default_rng(0), setup)
+        for rec in records:
             assert rec.rmse <= 1e-6
 
     def test_kalman_near_exact_observation_long_run(self):
@@ -386,14 +370,14 @@ class TestRunExperiment:
             initial_states=[(3.0, 0.5, 4.0, -0.5)],
         )
         setup = ExperimentSetup(sensor_r_diag=(1e-9, 1e-9))
-        log = run_experiment(config, "kf", "mean", np.random.default_rng(0), setup)
-        for rec in log.records:
+        records = run_experiment(config, "kf", "mean", np.random.default_rng(0), setup)
+        for rec in records:
             assert rec.rmse <= 1e-3
 
     def test_single_step_log(self):
         config = ScenarioConfig(n_targets=1, n_steps=1, initial_states=[(1.0, 0, 1.0, 0)])
-        log = run_experiment(config, "kf", "mean", np.random.default_rng(0))
-        assert len(log.records) == 1
+        records = run_experiment(config, "kf", "mean", np.random.default_rng(0))
+        assert len(records) == 1
 
     def test_unsupported_combinations(self):
         config = ScenarioConfig(n_targets=2, n_steps=2)
@@ -418,18 +402,18 @@ class TestRunExperiment:
             initial_states=[(3.0, 0, 3.0, 0), (9.0, 0, 9.0, 0)], seed=1,
         )
         setup = ExperimentSetup(sensor_snr=10.0, sensor_m_cells=36, gpf_w_prune=0.05, gpf_d_thresh=4.0)
-        log = run_experiment(config, "gpf", "grid", np.random.default_rng(1), setup)
-        assert len(log.records) == 15
-        assert all(rec.rmse is not None and rec.card_err is not None for rec in log.records)
-        assert all(np.isfinite(rec.cardinality) for rec in log.records)
+        records = run_experiment(config, "gpf", "grid", np.random.default_rng(1), setup)
+        assert len(records) == 15
+        assert all(rec.rmse is not None and rec.card_err is not None for rec in records)
+        assert all(np.isfinite(rec.cardinality) for rec in records)
 
     def test_gpf_mean_smoke(self):
         config = ScenarioConfig(
             n_targets=2, n_steps=10, tau=0.1, q_diag=(0.02, 0.002, 0.02, 0.002),
             initial_states=[(3.0, 0, 3.0, 0), (9.0, 0, 9.0, 0)],
         )
-        log = run_experiment(config, "gpf", "mean", np.random.default_rng(2))
-        assert len(log.records) == 10
+        records = run_experiment(config, "gpf", "mean", np.random.default_rng(2))
+        assert len(records) == 10
 
     def test_pf_mean_tracks(self):
         config = ScenarioConfig(
@@ -437,8 +421,8 @@ class TestRunExperiment:
             initial_states=[(6.0, 0.0, 6.0, 0.0)],
         )
         setup = ExperimentSetup(pf_n_particles=2000, sensor_r_diag=(0.25, 0.25))
-        log = run_experiment(config, "pf", "mean", np.random.default_rng(3), setup)
-        assert log.records[-1].rmse < 2.0
+        records = run_experiment(config, "pf", "mean", np.random.default_rng(3), setup)
+        assert records[-1].rmse < 2.0
 
     def test_pf_step_calls_log_pdf_once(self, monkeypatch):
         # the likelihood weighs every particle in one call: one Cholesky of R per step
@@ -481,9 +465,9 @@ class TestRunExperiment:
     @pytest.mark.parametrize("filter_choice", ["kf", "pf", "gpf"])
     def test_records_hold_estimate_arrays(self, filter_choice):
         config = ScenarioConfig(n_targets=1, n_steps=3, initial_states=[(6.0, 0.0, 6.0, 0.0)])
-        log = run_experiment(config, filter_choice, "mean", np.random.default_rng(0),
-                             ExperimentSetup(pf_n_particles=50))
-        for rec in log.records:
+        records = run_experiment(config, filter_choice, "mean", np.random.default_rng(0),
+                                 ExperimentSetup(pf_n_particles=50))
+        for rec in records:
             n = len(rec.weights)
             assert n >= 1
             assert rec.weights.shape == (n,)
@@ -500,9 +484,26 @@ class TestRunExperiment:
             run_experiment(config, "gpf", "grid", np.random.default_rng(7))
             for _ in range(2)
         ]
-        rmse_a = [r.rmse for r in logs[0].records]
-        rmse_b = [r.rmse for r in logs[1].records]
+        rmse_a = [r.rmse for r in logs[0]]
+        rmse_b = [r.rmse for r in logs[1]]
         assert rmse_a == rmse_b
+
+
+@pytest.mark.parametrize("filter_choice", ["kf", "pf", "gpf"])
+def test_each_start_begins_a_fresh_run(filter_choice):
+    # check_run's start is the beginning of a run: a second one must not go on from the
+    # first one's posterior
+    config = ScenarioConfig(n_targets=1, n_steps=3, initial_states=[(6.0, 0.0, 6.0, 0.0)])
+    setup = ExperimentSetup(pf_n_particles=50)
+    kind, sensor, start = sim.check_run(config, filter_choice, "mean", setup)
+    truth = generate_truth(config, np.random.default_rng(0))
+    zs = [kind.measure(sensor, setup, k, truth[k], np.random.default_rng(k)) for k in range(3)]
+    runs = []
+    for _ in range(2):
+        step = start(np.random.default_rng(1), lambda: kind.gpf_belief(setup, truth[0]))
+        runs.append([step(z) for z in zs])
+    for first, second in zip(*runs):
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
 def test_kf_and_one_target_gpf_nees_is_consistent():
@@ -520,9 +521,9 @@ def test_kf_and_one_target_gpf_nees_is_consistent():
     for filter_choice in ("kf", "gpf"):
         nees = []
         for seed in seeds:
-            log = run_experiment(config.scenario, filter_choice, "mean",
-                                 np.random.default_rng(seed), config.setup)
-            for rec in log.records[first_step:]:
+            records = run_experiment(config.scenario, filter_choice, "mean",
+                                     np.random.default_rng(seed), config.setup)
+            for rec in records[first_step:]:
                 assert len(rec.weights) == 1
                 error = rec.true_states[0] - rec.means[0]
                 nees.append(error @ np.linalg.solve(rec.covs[0], error))
