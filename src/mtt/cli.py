@@ -60,8 +60,8 @@ def _truth_header(n_targets: int) -> list[str]:
 
 
 def _truth_row(step: int, states: np.ndarray) -> list[str]:
-    """The step and each target's true (x, y) position, formatted."""
-    return [str(step)] + [_fmt9(state[j]) for state in states for j in POSITION_IDX]
+    """The step and each target's true (x, y) position, formatted from Python floats."""
+    return [str(step)] + [_fmt9(state[j]) for state in states.tolist() for j in POSITION_IDX]
 
 
 def write_csv(records: list[StepRecord], path: Path) -> None:
@@ -295,12 +295,16 @@ def _checked_seed(seed: int, label: str) -> int:
     return seed
 
 
-def _checked_out(out: str | Path) -> Path:
-    """Path(out); ConfigError unless it or else its nearest existing ancestor is a directory."""
+def _checked_out(out: str | Path, names: tuple[str, ...]) -> Path:
+    """Path(out); ConfigError unless it or else its nearest existing ancestor is a directory,
+    and if one of the command's output files `names` in it is a directory."""
     path = Path(out)
     existing = next(p for p in (path, *path.parents) if p.exists() or p.is_symlink())
     if not existing.is_dir():
         raise ConfigError(f"--out {path}: {existing} is not a directory")
+    for name in names:
+        if (path / name).is_dir():
+            raise ConfigError(f"--out {path}: {path / name} is a directory, not an output file")
     return path
 
 
@@ -311,7 +315,7 @@ def _resolve_seed(args, config: ExperimentConfig) -> int:
 def _cmd_simulate(args) -> int:
     config = load_config(args.config)
     seed = _resolve_seed(args, config)
-    out_dir = _checked_out(args.out)
+    out_dir = _checked_out(args.out, ("truth.csv", "manifest.json"))
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     truth = generate_truth(config.scenario, rng)
@@ -320,6 +324,10 @@ def _cmd_simulate(args) -> int:
     write_manifest(out_dir, "simulate", config, seed, [truth_path])
     log.info("wrote %s", truth_path)
     return 0
+
+
+# The files that _run_tracked writes into a run's directory.
+_TRACK_OUTPUTS = ("metrics.csv", "particles.json", "manifest.json")
 
 
 def _run_tracked(config: ExperimentConfig, filter_choice: str, sensor_choice: str,
@@ -347,14 +355,15 @@ def _run_tracked(config: ExperimentConfig, filter_choice: str, sensor_choice: st
 def _cmd_track(args) -> int:
     config = load_config(args.config)
     seed = _resolve_seed(args, config)
-    _run_tracked(config, args.filter, args.sensor, seed, _checked_out(args.out))
+    _run_tracked(config, args.filter, args.sensor, seed, _checked_out(args.out, _TRACK_OUTPUTS))
     log.info("tracked %d steps into %s", config.scenario.n_steps, args.out)
     return 0
 
 
 def _cmd_eval(args) -> int:
     records, config, seed = read_particles_json(Path(args.log))
-    out_dir = _checked_out(args.out or Path(args.log).parent)
+    out_dir = _checked_out(args.out or Path(args.log).parent,
+                           ("eval_metrics.csv", "eval_manifest.json"))
     out_dir.mkdir(parents=True, exist_ok=True)
     evaluate_metrics(records, config.setup)
     metrics_path = out_dir / "eval_metrics.csv"
@@ -387,8 +396,10 @@ def _cmd_sweep(args) -> int:
     if len(set(seeds)) < len(seeds):  # each seed has one seed_<n>/ and one aggregate row
         repeated = next(seed for k, seed in enumerate(seeds) if seed in seeds[:k])
         raise ConfigError(f"--seeds names seed {repeated} more than once")
-    out_dir = _checked_out(args.out)  # made by the first seed's run
-    run_dirs = [_checked_out(out_dir / f"seed_{seed}") for seed in seeds]  # before any run
+    names = ("aggregate.csv", "summary.csv", "manifest.json")
+    out_dir = _checked_out(args.out, names)  # made by the first seed's run
+    run_dirs = [_checked_out(out_dir / f"seed_{seed}", _TRACK_OUTPUTS)  # before any run
+                for seed in seeds]
     lines, outputs, means = ["seed,mean_rmse,mean_card_err"], [], []
     for seed, run_dir in zip(seeds, run_dirs):
         records = _run_tracked(config, args.filter, args.sensor, seed, run_dir)

@@ -204,6 +204,8 @@ def enumerate_combinations(weights: list[float], config: GpfConfig) -> list[Exis
 def _diagonal_blocks(joint: np.ndarray, n: int) -> np.ndarray:
     """The n diagonal (d, d) blocks of an (nd, nd) matrix, as a writable (n, d, d) view."""
     d = joint.shape[0] // n
+    if n == 1:
+        return joint[None]
     return np.einsum("iaib->iab", joint.reshape(n, d, n, d))
 
 
@@ -218,13 +220,17 @@ def conditional_kf_update(
     with H = [P/n ... P/n], is the combination's update.  Block j of the
     returned mean (nd,) and cov (nd, nd) is row j's conditional update, and
     residual and innovation_cov are the combination's z - mu_c and
-    Sigma_c = (1/n^2) P (sum_i Sigma_i) P' + R.  With one row this is
-    exactly the plain Kalman update of that row.  z, r and projection are
-    float arrays (1-D, 2-D, 2-D); an empty stack raises ValueError.
+    Sigma_c = (1/n^2) P (sum_i Sigma_i) P' + R.  One row is updated as
+    the plain Kalman update of its own mean and cov, which the stacked form
+    reduces to bit for bit (P/1 is P), without building it.  z, r and
+    projection are float arrays (1-D, 2-D, 2-D); an empty stack raises
+    ValueError.
     """
     n, d = means.shape
     if not n:
         raise ValueError("a combination's update needs at least one active row")
+    if n == 1:
+        return kf_update(means[0], covs[0], projection, r, z)
     joint = np.zeros((n * d, n * d))
     _diagonal_blocks(joint, n)[...] = covs
     return kf_update(means.reshape(-1), joint, np.tile(projection / n, (1, n)), r, z)
@@ -550,21 +556,22 @@ def _mean_measurement_update(
     in_idx, _ = select_fov_particles(means, config.fov)
     if not in_idx.size:
         return weights, means, covs, False, _NO_BIRTHS
-    in_weights, in_means, in_covs = (a[in_idx] for a in (weights, means, covs))
-    combos = enumerate_combinations(in_weights.tolist(), config)
+    combos = enumerate_combinations(weights[in_idx].tolist(), config)
     if not combos:
         return weights, means, covs, True, _NO_BIRTHS
 
     if len(combos) == 1:  # certain: no evidence, normalization or marginal
-        active = in_idx[np.flatnonzero(combos[0].bits)]
+        active = in_idx[np.array(combos[0].bits, dtype=bool)]
         if active.size:
             n = active.size
-            post = conditional_kf_update(means[active], covs[active], z, r, proj)
+            # take: the rows that [active] gathers, without fancy indexing's per-call cost
+            post = conditional_kf_update(means.take(active, 0), covs.take(active, 0), z, r, proj)
             weights, means, covs = (a.copy() for a in (weights, means, covs))
             weights[active], means[active] = 1.0, post.mean.reshape(n, -1)
             covs[active] = _diagonal_blocks(post.cov, n)
         return weights, means, covs, False, _NO_BIRTHS
 
+    in_weights, in_means, in_covs = (a[in_idx] for a in (weights, means, covs))
     bits = np.array([combo.bits for combo in combos])
     _, pair_row = np.nonzero(bits)
     # the prior rows of the (combination, row) pairs in np.argwhere order, so each

@@ -46,6 +46,21 @@ class PointParticleSet(ValueEq):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def _frozen(
+        cls, states: np.ndarray, weights: np.ndarray, zero_likelihood: bool
+    ) -> PointParticleSet:
+        """The set of the float arrays states (N, n) and weights (N,) that the caller has
+        just built and gives up, made read-only as they are: no copy or check.  Only for
+        arrays that already hold every invariant of a set, such as pf_step's normalized
+        weights, so the result equals a checked construction's bit for bit."""
+        pset = object.__new__(cls)
+        for name, value in (("states", states), ("weights", weights)):
+            value.setflags(write=False)
+            object.__setattr__(pset, name, value)
+        object.__setattr__(pset, "zero_likelihood", zero_likelihood)
+        return pset
+
     @property
     def n_particles(self) -> int:
         return self.states.shape[0]
@@ -114,7 +129,9 @@ def pf_step(
     N/2 by default).  If every likelihood is zero the weights fall back to
     uniform and the returned set carries zero_likelihood=True; likelihoods
     of another shape, negative or not finite raise ValueError.  The step
-    builds one set, reweighted or resampled, from the arrays it computed.
+    builds one set, reweighted or resampled, from the arrays it computed:
+    unchecked, since it has just normalized the weights, and with the ESS
+    of effective_sample_size taken without its check of their sum.
     """
     if resample not in _RESAMPLERS:
         raise ValueError(f"unknown resampling scheme {resample!r}")
@@ -139,7 +156,7 @@ def pf_step(
     else:
         weights /= total
 
-    if effective_sample_size(weights) < ess_ratio * n:
+    if 1.0 / np.sum(weights**2) < ess_ratio * n:
         propagated = propagated[_RESAMPLERS[resample](weights, rng)]
         weights = np.full(n, 1.0 / n)
-    return PointParticleSet(propagated, weights, zero_likelihood=degenerate)
+    return PointParticleSet._frozen(propagated, weights, degenerate)

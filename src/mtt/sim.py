@@ -4,6 +4,7 @@ experiment loop wiring filters to sensors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -100,12 +101,14 @@ def generate_truth(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarr
 
 
 def _capped_cost(estimates: np.ndarray, truths: np.ndarray, cap: float) -> np.ndarray:
-    """(m, n) estimate-to-truth distances capped at `cap`, squared.
+    """Distances between the rows of the float arrays estimates (..., d) and truths (..., d),
+    broadcast against each other, capped at `cap`, squared: estimates[:, None] against
+    truths[None] gives the (m, n) matrix of every pair.
 
     Each squared distance is a per-row matmul, which rounds like the dot
     product of np.linalg.norm; (d * d).sum(-1) and ** 2 do not.
     """
-    d = np.asarray(estimates, dtype=float)[:, None, :] - np.asarray(truths, dtype=float)[None]
+    d = estimates - truths
     dist = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
     return np.float_power(np.minimum(dist, cap), 2)
 
@@ -179,27 +182,26 @@ def _linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(nr), np.array(col4row, dtype=np.intp)
 
 
-def match_scores(estimates: np.ndarray, truths: np.ndarray, cap: float) -> tuple[float, float]:
-    """(RMSE, OSPA) of the estimates against the truths from one minimum-cost assignment.
+def match_scores(cost: np.ndarray, cap: float) -> tuple[float, float]:
+    """(RMSE, OSPA) of m estimates against n truths from one minimum-cost assignment of
+    their (m, n) matrix of _capped_cost entries.
 
-    Estimates and truths are point sets, (m, d) and (n, d) arrays or lists
-    of points.  The assignment matches min(m, n) pairs at the least sum S of
-    _capped_cost entries.  The RMSE adds the full cap squared for each
-    unmatched truth and takes the mean square over the n truths; the OSPA
-    (order 2, cutoff cap) adds it for each of the |m - n| unmatched points and
-    takes the mean over max(m, n).  Both are 0 when both sets are empty, else
-    the cap when either is.
+    The assignment matches min(m, n) pairs at the least sum S of the
+    entries.  The RMSE adds the full cap squared for each unmatched truth
+    and takes the mean square over the n truths; the OSPA (order 2, cutoff
+    cap) adds it for each of the |m - n| unmatched points and takes the mean
+    over max(m, n).  Both are 0 when both sets are empty, else the cap when
+    either is.
     """
-    m, n = len(estimates), len(truths)
+    m, n = cost.shape
     if m == 0 or n == 0:
         score = 0.0 if m == n else cap
         return score, score
-    cost = _capped_cost(estimates, truths, cap)
     rows, cols = _linear_sum_assignment(cost)
-    matched = cost[rows, cols].sum()
-    rmse = np.sqrt((matched + cap**2 * max(0, n - m)) / n)
+    matched = float(cost[rows, cols].sum())  # numpy's order of the sum, then Python floats
+    rmse = math.sqrt((matched + cap**2 * max(0, n - m)) / n)
     ospa = ((matched + cap**2 * abs(m - n)) / max(m, n)) ** 0.5
-    return float(rmse), float(ospa)
+    return rmse, ospa
 
 
 def evaluate_metrics(records: list[StepRecord], setup: ExperimentSetup) -> None:
@@ -208,14 +210,35 @@ def evaluate_metrics(records: list[StepRecord], setup: ExperimentSetup) -> None:
     The cardinality error is |sum of weights - true target count|; RMSE
     and OSPA come from match_scores over extracted estimates (the positions
     of the means whose weight is >= setup.metrics_extraction_threshold) against true
-    positions, capped at setup.metrics_distance_cap.
+    positions, capped at setup.metrics_distance_cap.  The capped costs of
+    every step's (estimate, truth) pairs are one _capped_cost call over the
+    whole run, each step's pairs estimate-major, so a step's cost matrix is
+    one slice of it.
     """
+    if not records:
+        return
+    threshold, cap = setup.metrics_extraction_threshold, setup.metrics_distance_cap
     idx = np.asarray(POSITION_IDX)
-    for record in records:
-        truths = record.true_states[:, idx]
-        estimates = record.means[record.weights >= setup.metrics_extraction_threshold][:, idx]
-        record.rmse, record.ospa = match_scores(estimates, truths, setup.metrics_distance_cap)
-        record.card_err = abs(record.cardinality - len(truths))
+    truths = np.concatenate([r.true_states for r in records])[:, idx]
+    kept = np.concatenate([r.weights for r in records]) >= threshold
+    estimates = np.concatenate([r.means for r in records])[kept][:, idx]
+    steps = np.arange(len(records))
+    m = np.bincount(np.repeat(steps, [len(r.weights) for r in records])[kept],
+                    minlength=len(records))
+    n = np.array([len(r.true_states) for r in records])
+    # pair p of the run is pair q = p - (the pairs of earlier steps) of its step,
+    # which pairs the step's estimate q // n with its truth q % n
+    sizes = m * n
+    step = np.repeat(steps, sizes)
+    q = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    cost = _capped_cost(estimates[(np.cumsum(m) - m)[step] + q // n[step]],
+                        truths[(np.cumsum(n) - n)[step] + q % n[step]], cap)
+    start = 0
+    for record, m_k, n_k in zip(records, m.tolist(), n.tolist()):
+        block = cost[start:start + m_k * n_k].reshape(m_k, n_k)
+        start += m_k * n_k
+        record.rmse, record.ospa = match_scores(block, cap)
+        record.card_err = abs(record.cardinality - n_k)
 
 
 @dataclass(frozen=True)

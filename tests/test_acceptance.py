@@ -28,6 +28,7 @@ from mtt.sensors import GridSensorModel, MeanSensorModel, detection_prob, grid_m
 from mtt.sim import (
     ExperimentSetup,
     ScenarioConfig,
+    _capped_cost,
     match_scores,
     run_experiment,
 )
@@ -361,7 +362,9 @@ def test_criterion_8_assignment_rmse_oracle():
         n_e = int(rng.integers(0, 7))
         truths = [rng.uniform(0, 12, 2) for _ in range(n_t)]
         estimates = [rng.uniform(0, 12, 2) for _ in range(n_e)]
-        for got, want in zip(match_scores(estimates, truths, cap), oracle(estimates, truths)):
+        pairs = [np.reshape(p, (len(p), 2)) for p in (estimates, truths)]
+        cost = _capped_cost(pairs[0][:, None], pairs[1][None], cap)
+        for got, want in zip(match_scores(cost, cap), oracle(estimates, truths)):
             assert got == want or abs(got - want) <= 1e-12
     _report(8, 5.0, time.perf_counter() - t0,
             "100 random instances match the permutation oracle's RMSE and OSPA")

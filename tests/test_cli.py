@@ -793,6 +793,33 @@ class TestExitCodes:
         assert f"mtt: config error: --out {out}: {taken} is not a directory" in err, err
         assert taken.read_text() == "kept"
 
+    @pytest.mark.parametrize("command, name", [
+        ("simulate", "truth.csv"), ("track", "metrics.csv"), ("eval", "eval_metrics.csv"),
+        ("sweep", "aggregate.csv"), ("sweep", "seed_2/particles.json")])
+    def test_output_name_that_is_a_directory_is_config_error(self, cfg_file, tmp_path, capfd,
+                                                             monkeypatch, command, name):
+        # checked before any run, which would otherwise end in IsADirectoryError (exit 2)
+        track = tmp_path / "t"
+        assert run_command(["track", "--config", str(cfg_file), "--out", str(track)]) == 0
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran before the output names were checked")
+
+        for fn in ("generate_truth", "run_experiment", "evaluate_metrics"):
+            monkeypatch.setattr(cli, fn, no_run)
+        inputs = {"eval": ["--log", str(track / "particles.json")],
+                  "sweep": ["--config", str(cfg_file), "--seeds", "1..2"]}
+        args = inputs.get(command, ["--config", str(cfg_file)])
+        assert run_command([command, *args, "--out", str(out)]) == 1
+        err = capfd.readouterr().err
+        taken = out / name
+        assert (f"mtt: config error: --out {taken.parent}: {taken} is a directory, "
+                "not an output file") in err, err
+        assert sorted(tmp_path.rglob("*")) == before  # no directory made
+
     def test_out_that_is_a_dangling_link_is_config_error(self, cfg_file, tmp_path, capfd):
         out = tmp_path / "link"
         out.symlink_to(tmp_path / "nowhere")

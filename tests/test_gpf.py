@@ -978,6 +978,38 @@ class TestMeanUpdateMatchesGeneralPath:
             assert np.array_equal(g, w)
 
 
+class TestOneRowMeanStep:
+    @given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from([0.0, 0.004]), max_size=3),
+           st.integers(0, 3), st.sampled_from([0.995, 1.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_a_plain_kalman_step(self, seed, others, at, weight):
+        # fov None, epsilon 0.01, one row present with certainty and every other row
+        # absent: one combination survives, whose row takes weight 1.0 and the bits of
+        # its own kf_update, and the rows out of it pass through as they are
+        rng = np.random.default_rng(seed)
+        at = min(at, len(others))
+        weights = np.array(others[:at] + [weight] + others[at:])
+        s = len(weights)
+        means, covs = _random_rows(rng, s, 4)
+        covs[:, 0, 1] += 1e-3  # unsymmetrized rows, as the predict hands them on
+        z = rng.uniform(0.0, 10.0, 2)
+        config = _mean_config(sensor=_mean_sensor(float(rng.uniform(0.1, 2.0))), epsilon=0.01)
+        in_idx, _ = select_fov_particles(means, config.fov)
+        assert [c.bits for c in enumerate_combinations(weights[in_idx].tolist(), config)] == [
+            tuple(int(i == at) for i in range(s))]
+        got_w, got_m, got_c, degenerate, births = _mean_measurement_update(
+            weights, means, covs, z, config)
+        want = kf_update(means[at], covs[at], config.sensor.position_projection,
+                         config.sensor.R, z)
+        assert degenerate is False and len(births) == 0
+        assert got_w[at] == 1.0
+        assert got_m[at].tobytes() == want.mean.tobytes()
+        assert got_c[at].tobytes() == want.cov.tobytes()
+        rest = np.arange(s) != at
+        for got, prior in ((got_w, weights), (got_m, means), (got_c, covs)):
+            assert got[rest].tobytes() == prior[rest].tobytes()
+
+
 def _merge(pset, d_thresh):
     return merge_close_particles(pset, _mean_config(d_thresh=d_thresh))
 

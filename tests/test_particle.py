@@ -297,8 +297,8 @@ class TestPfStep:
 
 
 class TestOneSetPerStep:
-    """pf_step builds one PointParticleSet and gives the outputs of the path that
-    built the reweighted set and then resampled it into a second set."""
+    """pf_step builds its one PointParticleSet unchecked and gives the outputs of the
+    path that built a checked reweighted set and then resampled it into a second set."""
 
     MODEL = MotionModel(F=constant_velocity_matrix(1.0), Q=np.diag([0.2, 0.02, 0.2, 0.02]))
 
@@ -345,8 +345,29 @@ class TestOneSetPerStep:
         rng = np.random.default_rng(21)
         out = pf_step(pset, self.MODEL, likelihood, z, rng, ess_ratio=ess_ratio,
                       resample=resample)
-        assert built == [out]
-        assert_array_equal(out.states, expected.states)
-        assert_array_equal(out.weights, expected.weights)
+        assert built == []  # no check: the step built its set from its own arrays
+        for name in ("states", "weights"):
+            got, want = getattr(out, name), getattr(expected, name)
+            assert not got.flags.writeable, name
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                             want.tobytes()), name
         assert out.zero_likelihood == expected.zero_likelihood == (case == "zero")
         assert rng.random() == rng_old.random()
+
+    @given(st.integers(1, 50), st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_unchecked_set_equals_a_checked_one(self, n, d, zero_likelihood, seed):
+        # the set pf_step builds unchecked holds the bytes of a checked construction of
+        # its arrays, read-only, with the same zero_likelihood flag
+        rng = np.random.default_rng(seed)
+        states, weights = rng.standard_normal((n, d)), rng.random(n)
+        weights /= weights.sum()
+        checked = PointParticleSet(states, weights, zero_likelihood)
+        unchecked = PointParticleSet._frozen(states.copy(), weights.copy(), zero_likelihood)
+        assert unchecked == checked
+        assert unchecked.zero_likelihood is checked.zero_likelihood
+        for name in ("states", "weights"):
+            got, want = getattr(unchecked, name), getattr(checked, name)
+            assert not got.flags.writeable, name
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                             want.tobytes()), name

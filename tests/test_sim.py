@@ -108,12 +108,18 @@ class TestGenerateTruth:
             ScenarioConfig(n_targets=1, initial_states=states)
 
 
+def scores(estimates, truths, cap):
+    """match_scores of two lists of 2-D points, from the matrix of every pair's _capped_cost."""
+    estimates, truths = (np.asarray(p, dtype=float).reshape(len(p), 2) for p in (estimates, truths))
+    return match_scores(_capped_cost(estimates[:, None], truths[None], cap), cap)
+
+
 def rmse(estimates, truths, cap=5.0):
-    return match_scores(estimates, truths, cap)[0]
+    return scores(estimates, truths, cap)[0]
 
 
 def ospa(estimates, truths, cap=5.0):
-    return match_scores(estimates, truths, cap)[1]
+    return scores(estimates, truths, cap)[1]
 
 
 class TestAssignmentRmse:
@@ -180,13 +186,13 @@ class TestCappedCost:
             radius *= rng.choice([1.0, 1.0, rng.uniform(0, 2)], m)
             estimates = truths[rng.integers(n, size=m)] + radius[:, None] * np.column_stack(
                 (np.cos(angle), np.sin(angle)))
-            assert_array_equal(_capped_cost(estimates, truths, cap),
+            assert_array_equal(_capped_cost(estimates[:, None], truths[None], cap),
                                self._per_pair(estimates, truths, cap))
 
     def test_exact_cap_distance(self):
         truths = np.array([[0.0, 0.0], [1.0, 1.0]])
         estimates = np.array([[3.0, 4.0], [np.nextafter(3.0, 4.0), 4.0], [4.0, 5.0]])
-        got = _capped_cost(estimates, truths, 5.0)
+        got = _capped_cost(estimates[:, None], truths[None], 5.0)
         assert_array_equal(got, self._per_pair(estimates, truths, 5.0))
         assert got[0, 0] == got[1, 0] == 5.0**2
 
@@ -289,6 +295,23 @@ class TestEvaluateMetrics:
         records = [_record(np.zeros((2, 4)), [np.zeros(4)], [1.0], 1.0)]
         evaluate_metrics(records, ExperimentSetup(metrics_distance_cap=5.0))
         assert records[0].ospa == pytest.approx(12.5 ** 0.5)
+
+    def test_run_wide_costs_equal_each_step_scored_alone(self):
+        # steps of 0-4 truths and 0-4 rows, some below the threshold: each step's slice
+        # of the run's one cost array scores as its own matrix does, bit for bit
+        rng = np.random.default_rng(11)
+        setup = ExperimentSetup(metrics_distance_cap=3.0)
+        records = [_record(rng.uniform(0, 12, (rng.integers(0, 5), 4)),
+                           rng.uniform(0, 12, (k, 4)), rng.choice([0.2, 0.9], k), 1.0)
+                   for k in rng.integers(0, 5, 40)]
+        evaluate_metrics(records, setup)
+        for r in records:
+            kept = r.means[r.weights >= 0.5]
+            assert (r.rmse, r.ospa) == scores(kept[:, [0, 2]], r.true_states[:, [0, 2]], 3.0)
+            assert r.card_err == abs(1.0 - len(r.true_states))
+
+    def test_no_records(self):
+        evaluate_metrics([], ExperimentSetup())
 
     def test_one_assignment_per_step(self, monkeypatch):
         calls = []
