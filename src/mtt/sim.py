@@ -77,7 +77,8 @@ def generate_truth(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarr
 
     Step 0 holds the initial states; each later step applies the
     constant-velocity transition plus N(0, diag(q_diag)) noise.  Targets
-    are free to leave the workspace.
+    are free to leave the workspace.  The noise of every step is one
+    (n_steps - 1, n_targets, 4) draw, the stream of one draw per step.
     """
     f = constant_velocity_matrix(config.tau)
     q_diag = np.asarray(config.q_diag, dtype=float)
@@ -93,10 +94,9 @@ def generate_truth(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarr
         truth[0] = np.stack(
             [xs, np.zeros(config.n_targets), ys, np.zeros(config.n_targets)], axis=1
         )
-    scale = np.sqrt(q_diag)
+    noise = rng.standard_normal((config.n_steps - 1, config.n_targets, 4)) * np.sqrt(q_diag)
     for k in range(1, config.n_steps):
-        noise = rng.standard_normal((config.n_targets, 4)) * scale
-        truth[k] = truth[k - 1] @ f.T + noise
+        truth[k] = truth[k - 1] @ f.T + noise[k - 1]
     return truth
 
 
@@ -193,12 +193,16 @@ def match_scores(cost: np.ndarray, cap: float) -> tuple[float, float]:
     over max(m, n).  Both are 0 when both sets are empty, else the cap when
     either is.
     """
-    m, n = cost.shape
+    rows, cols = _linear_sum_assignment(cost)  # no pairs when either set is empty
+    matched = float(cost[rows, cols].sum())  # numpy's order of the sum, then Python floats
+    return _scores(matched, *cost.shape, cap)
+
+
+def _scores(matched: float, m: int, n: int, cap: float) -> tuple[float, float]:
+    """match_scores' (RMSE, OSPA) from the least sum `matched` of an (m, n) cost matrix."""
     if m == 0 or n == 0:
         score = 0.0 if m == n else cap
         return score, score
-    rows, cols = _linear_sum_assignment(cost)
-    matched = float(cost[rows, cols].sum())  # numpy's order of the sum, then Python floats
     rmse = math.sqrt((matched + cap**2 * max(0, n - m)) / n)
     ospa = ((matched + cap**2 * abs(m - n)) / max(m, n)) ** 0.5
     return rmse, ospa
@@ -208,12 +212,15 @@ def evaluate_metrics(records: list[StepRecord], setup: ExperimentSetup) -> None:
     """Fill each record's RMSE, cardinality error and OSPA against its own true states.
 
     The cardinality error is |sum of weights - true target count|; RMSE
-    and OSPA come from match_scores over extracted estimates (the positions
+    and OSPA are match_scores' over extracted estimates (the positions
     of the means whose weight is >= setup.metrics_extraction_threshold) against true
     positions, capped at setup.metrics_distance_cap.  The capped costs of
     every step's (estimate, truth) pairs are one _capped_cost call over the
     whole run, each step's pairs estimate-major, so a step's cost matrix is
-    one slice of it.
+    one slice of it.  A step that matches one pair (min(m, n) == 1) matches
+    its smallest entry, one np.minimum.reduceat over the run; only a step
+    with min(m, n) >= 2 runs the assignment.  A NaN cost raises the
+    assignment's ValueError.
     """
     if not records:
         return
@@ -229,15 +236,22 @@ def evaluate_metrics(records: list[StepRecord], setup: ExperimentSetup) -> None:
     # pair p of the run is pair q = p - (the pairs of earlier steps) of its step,
     # which pairs the step's estimate q // n with its truth q % n
     sizes = m * n
+    starts = np.cumsum(sizes) - sizes
     step = np.repeat(steps, sizes)
-    q = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    q = np.arange(sizes.sum()) - starts[step]
     cost = _capped_cost(estimates[(np.cumsum(m) - m)[step] + q // n[step]],
                         truths[(np.cumsum(n) - n)[step] + q % n[step]], cap)
-    start = 0
-    for record, m_k, n_k in zip(records, m.tolist(), n.tolist()):
-        block = cost[start:start + m_k * n_k].reshape(m_k, n_k)
-        start += m_k * n_k
-        record.rmse, record.ospa = match_scores(block, cap)
+    lowest = np.zeros(len(records))  # each step's smallest entry, 0 for an empty step
+    lowest[sizes > 0] = np.minimum.reduceat(cost, starts[sizes > 0])
+    if not lowest.min() > -np.inf:  # NaN compares false too
+        raise ValueError("matrix contains invalid numeric entries")
+    for record, m_k, n_k, start, low in zip(records, m.tolist(), n.tolist(), starts.tolist(),
+                                            lowest.tolist()):
+        if min(m_k, n_k) > 1:
+            block = cost[start:start + m_k * n_k].reshape(m_k, n_k)
+            record.rmse, record.ospa = match_scores(block, cap)
+        else:
+            record.rmse, record.ospa = _scores(low, m_k, n_k, cap)
         record.card_err = abs(record.cardinality - n_k)
 
 
@@ -267,7 +281,8 @@ class ExperimentSetup:
     pf_ess_ratio: float = declare(0.5, Range(0.0, 1.0, lo_open=True))
     pf_resample: str = declare("multinomial", Choice(_RESAMPLERS))
     metrics_extraction_threshold: float = declare(0.5, Range(0.0, 1.0))
-    metrics_distance_cap: float = declare(5.0, Range(0.0, lo_open=True))
+    # below 1e150, so cap**2 and the scores' sums of it stay finite
+    metrics_distance_cap: float = declare(5.0, Range(0.0, 1e150, lo_open=True, hi_open=True))
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -336,15 +351,18 @@ def _weighted_cov(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """np.cov(states.T, aweights=weights) bit for bit, unsymmetrized, by numpy 2.4's
     own arithmetic (its `sum` is np.sum) without re-checking a PointParticleSet's weights.
 
-    ExperimentSetup requires pf_ess_ratio * pf_n_particles > 1, so a logged set
-    kept an ESS above 1 or was resampled to N >= 2 equal weights: `fact` is never 0.
+    np.cov sums the weighted (d, N) copy of C-ordered (N, d) states along its strided
+    axis, one particle after the next: here that sum is a sequential np.add.accumulate
+    over contiguous (d, N) rows.  The final np.dot keeps np.cov's operand layouts,
+    which decide its bits.  ExperimentSetup requires pf_ess_ratio * pf_n_particles > 1,
+    so a logged set kept an ESS above 1 or was resampled to N >= 2 equal weights: `fact`
+    is never 0.
     """
-    x = np.array(states.T)
     w_sum = weights.sum()
-    avg = (x * weights).sum(axis=1) / w_sum
+    avg = np.add.accumulate(np.ascontiguousarray(states.T) * weights, axis=1)[:, -1] / w_sum
     fact = w_sum - np.sum(weights * weights) / w_sum
-    x -= avg[:, None]
-    c = np.dot(x, (x * weights).T)
+    x = states - avg  # (N, d): x.T is np.cov's centred (d, N) copy
+    c = np.dot(x.T, x * weights[:, None])
     c *= np.true_divide(1, fact)
     return c
 

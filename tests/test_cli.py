@@ -879,6 +879,29 @@ class TestExitCodes:
             assert run_command(["track", "--config", str(cfg), "--filter", filt,
                                 "--sensor", "mean", "--out", str(tmp_path / filt)]) == 0
 
+    @pytest.mark.parametrize("filter_choice", ["kf", "gpf"])
+    def test_distance_cap_whose_square_overflows_is_config_error(self, tmp_path, capfd,
+                                                                 filter_choice):
+        # cap**2 would overflow in the scoring after the run: the parser refuses the cap
+        runs = "scenario.n_targets = 1\nscenario.n_steps = 3\n"
+        cfg = tmp_path / "cap.cfg"
+        cfg.write_text(f"{runs}metrics.distance_cap = 1e200\n")
+        assert run_command(["track", "--config", str(cfg), "--filter", filter_choice,
+                            "--sensor", "mean", "--out", str(tmp_path / "o")]) == 1
+        err = capfd.readouterr().err
+        assert "config error" in err and "metrics.distance_cap" in err and "1e+150" in err, err
+        assert not (tmp_path / "o").exists()
+        # a cap below the bound runs, and a logged run whose config holds the cap is refused by eval
+        good = tmp_path / "good.cfg"
+        good.write_text(f"{runs}metrics.distance_cap = 1e149\n")
+        assert run_command(["track", "--config", str(good), "--filter", filter_choice,
+                            "--sensor", "mean", "--out", str(tmp_path / "t")]) == 0
+        payload = json.loads((tmp_path / "t" / "particles.json").read_text())
+        logged = payload["config"].replace("metrics.distance_cap = 1e+149\n",
+                                           "metrics.distance_cap = 1e+200\n")
+        assert logged != payload["config"]
+        _rejects({**payload, "config": logged}, "metrics.distance_cap", tmp_path, capfd)
+
     def test_grid_births_below_the_prune_is_config_error(self, tmp_path, capsys):
         # every birth would be pruned in its own step: the run would never hold a row,
         # so the GpfConfig's check rejects it before any directory is made

@@ -12,6 +12,7 @@ from scipy.stats import chi2
 from mtt import sim
 from mtt.config import parse_config_text
 from mtt.gaussians import log_pdf, noise_factor
+from mtt.motion import constant_velocity_matrix
 from mtt.regions import Rectangle
 from mtt.sim import (
     ExperimentSetup,
@@ -93,6 +94,30 @@ class TestGenerateTruth:
         a = generate_truth(config, np.random.default_rng(9))
         b = generate_truth(config, np.random.default_rng(9))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("given_states", [True, False], ids=["given", "drawn"])
+    @pytest.mark.parametrize("n_steps", [1, 2, 50])
+    @pytest.mark.parametrize("n_targets", [0, 1, 20])
+    def test_one_draw_equals_per_step_draws(self, n_targets, n_steps, given_states):
+        # the run's noise in one draw: the same truth bits and the same generator state
+        # as one (n_targets, 4) draw per step
+        states = np.random.default_rng(3).uniform(0, 12, (n_targets, 4)).tolist()
+        config = ScenarioConfig(n_targets=n_targets, n_steps=n_steps,
+                                initial_states=states if given_states else None)
+        rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+        truth = generate_truth(config, rng)
+        want = np.zeros((n_steps, n_targets, 4))
+        if n_targets:
+            ws = config.workspace
+            want[0] = states if given_states else np.stack(
+                [ref_rng.uniform(ws.x_min, ws.x_max, n_targets), np.zeros(n_targets),
+                 ref_rng.uniform(ws.y_min, ws.y_max, n_targets), np.zeros(n_targets)], axis=1)
+            f = constant_velocity_matrix(config.tau)
+            for k in range(1, n_steps):
+                noise = ref_rng.standard_normal((n_targets, 4)) * np.sqrt(config.q_diag)
+                want[k] = want[k - 1] @ f.T + noise
+        assert truth.tobytes() == want.tobytes()
+        assert rng.random() == ref_rng.random()
 
     def test_initial_state_count_checked(self):
         with pytest.raises(ValueError):
@@ -313,7 +338,51 @@ class TestEvaluateMetrics:
     def test_no_records(self):
         evaluate_metrics([], ExperimentSetup())
 
+    @staticmethod
+    def _mixed_run(seed, n_records=60):
+        """Records of 0-4 truths and 0-4 rows, some rows below the 0.5 threshold, some
+        truths repeated (equal costs) and some far (entries at the cap): empty, one-pair
+        and general steps."""
+        rng = np.random.default_rng(seed)
+        records = []
+        for _ in range(n_records):
+            truth = rng.uniform(0, 12, (rng.integers(0, 5), 4))
+            if len(truth) > 1 and rng.random() < 0.3:
+                truth[1] = truth[0]
+            k = int(rng.integers(0, 5))
+            means = rng.uniform(-20, 30, (k, 4))
+            records.append(_record(truth, means, rng.choice([0.2, 0.9], k), 1.0))
+        return records
+
+    @staticmethod
+    def _pairs(record, threshold=0.5):
+        return int((record.weights >= threshold).sum()), len(record.true_states)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mixed_steps_score_as_each_step_alone(self, seed):
+        # a one-pair step's scores from its smallest entry have the bits of match_scores
+        records = self._mixed_run(seed)
+        evaluate_metrics(records, ExperimentSetup(metrics_distance_cap=3.0))
+        kinds = set()
+        for r in records:
+            kept = r.means[r.weights >= 0.5]
+            assert (r.rmse, r.ospa) == scores(kept[:, [0, 2]], r.true_states[:, [0, 2]], 3.0)
+            kinds.add(min(min(self._pairs(r)), 2))
+        assert kinds == {0, 1, 2}
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 1), (2, 2)])
+    def test_nan_cost_raises(self, shape):
+        # a NaN estimate makes NaN costs: a one-pair step raises what the assignment raises
+        m, n = shape
+        means = np.ones((m, 4))
+        means[0, 0] = np.nan
+        records = [_record(np.zeros((2, 4)), np.ones((2, 4)), [1.0, 1.0], 2.0),
+                   _record(np.zeros((n, 4)), means, np.ones(m), 1.0)]
+        with pytest.raises(ValueError, match="matrix contains invalid numeric entries"):
+            evaluate_metrics(records, ExperimentSetup())
+
     def test_one_assignment_per_step(self, monkeypatch):
+        # one assignment for each step with min(m, n) >= 2, in step order; none for the others
         calls = []
         solve = sim._linear_sum_assignment
 
@@ -324,10 +393,11 @@ class TestEvaluateMetrics:
         monkeypatch.setattr(sim, "_linear_sum_assignment", counting)
         config = ScenarioConfig(n_targets=3, n_steps=10, seed=0)
         records = run_experiment(config, "gpf", "mean", np.random.default_rng(0))
+        records += self._mixed_run(1)
         calls.clear()
         evaluate_metrics(records, ExperimentSetup())
-        scored = sum(len(r.means[r.weights >= 0.5]) > 0 for r in records)
-        assert scored == 10 and len(calls) == 10
+        general = [self._pairs(r) for r in records if min(self._pairs(r)) >= 2]
+        assert len(general) >= 10 and calls == general
         assert all(r.ospa is not None for r in records)
 
 
