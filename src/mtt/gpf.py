@@ -617,6 +617,7 @@ def grid_existence_update(
     The k-th return of every cell is applied to all of that cell's
     particles at once, for k = 0, 1, ..., so each weight sees the same
     float operations in the same order as a loop over the particles.
+    When no cell repeats (random and round_robin picks) that is one pass.
 
     The weight entering the ratio is bounded away from the point masses 0
     and 1: merging can clamp a weight to exactly 1, and a degenerate prior
@@ -632,11 +633,25 @@ def grid_existence_update(
     bound = 1e-3
     xi, yi = POSITION_IDX
     owner = sensor.cells_of(means[:, xi], means[:, yi])  # n_cells: in no cell
-    held = np.zeros(sensor.n_cells + 1, dtype=bool)
-    held[owner] = True
-    kept = held[returns.cells]  # only the returns of cells that hold a particle
-    cells, values = returns.cells[kept], returns.values[kept]
     weights = np.array(weights, dtype=float)
+    value_of = np.full(sensor.n_cells + 1, -1)  # a cell's return, -1 for none
+    value_of[returns.cells] = returns.values
+    if np.count_nonzero(value_of >= 0) == len(returns.cells):  # no cell repeats: one pass
+        passes = [value_of[owner]]
+    else:
+        passes = _ranked_passes(owner, returns, sensor.n_cells)
+    for value in passes:
+        hit = value >= 0
+        w = np.minimum(np.maximum(weights[hit], bound), 1.0 - bound)
+        l_x, l_0 = l_exists[value[hit]], l_empty[value[hit]]
+        weights[hit] = w * l_x / (w * l_x + (1.0 - w) * l_0)
+    return weights
+
+
+def _ranked_passes(owner: np.ndarray, returns: CellReturns, n_cells: int):
+    """Pass k of grid_existence_update where cells repeat: the k-th return of each
+    particle's cell (-1 for none), for k = 0, 1, ..."""
+    cells, values = returns.cells, returns.values
     # each return's rank among its cell's returns, in list order: sorted stably
     # by cell, a return's rank is its distance from the first return of its cell
     order = np.argsort(cells, kind="stable")
@@ -644,14 +659,9 @@ def grid_existence_update(
     rank[order] = np.arange(order.size) - np.searchsorted(by_cell, by_cell)
     for k in range(rank.max(initial=-1) + 1):
         now = rank == k  # the k-th return of every cell that has one
-        value_of = np.full(sensor.n_cells + 1, -1)
+        value_of = np.full(n_cells + 1, -1)
         value_of[cells[now]] = values[now]
-        value = value_of[owner]
-        hit = value >= 0
-        w = np.minimum(np.maximum(weights[hit], bound), 1.0 - bound)
-        l_x, l_0 = l_exists[value[hit]], l_empty[value[hit]]
-        weights[hit] = w * l_x / (w * l_x + (1.0 - w) * l_0)
-    return weights
+        yield value_of[owner]
 
 
 def grid_births(

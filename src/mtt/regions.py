@@ -20,6 +20,9 @@ class Rectangle:
             raise ValueError(f"rectangle bounds must be finite: {self}")
         if self.x_max <= self.x_min or self.y_max <= self.y_min:
             raise ValueError(f"rectangle has non-positive area: {self}")
+        if not 0.0 < self.area < math.inf:  # the GPF's clutter density is 1 / area
+            raise ValueError(f"rectangle area {self.area!r} is not a positive finite "
+                             f"number: {self}")
 
     @property
     def area(self) -> float:

@@ -80,10 +80,10 @@ class GridSensorModel:
     cell_of finds.
 
     Grid births read two more things set here: the cell centres along each
-    axis (x_center_array, y_center_array, read-only; the bits of
-    cell_center) and birth_cov, the read-only 4x4 covariance of a state at
-    rest placed uniformly in a cell: position variance width^2/12 along
-    each axis, unit velocity variance.
+    axis (x_center_array, y_center_array, read-only; each the midpoint
+    0.5 * (lo + hi) of a cell's bounds) and birth_cov, the read-only 4x4
+    covariance of a state at rest placed uniformly in a cell: position
+    variance width^2/12 along each axis, unit velocity variance.
 
     p_d is the single-target detection probability, snr the known
     signal-to-noise ratio of the Rayleigh return model, m_cells the
@@ -132,10 +132,6 @@ class GridSensorModel:
             raise IndexError(f"cell index {index} out of range [0, {self.n_cells})")
         row, col = divmod(index, self.cols)
         return self.x_edges[col], self.y_edges[row], self.x_edges[col + 1], self.y_edges[row + 1]
-
-    def cell_center(self, index: int) -> tuple[float, float]:
-        x_lo, y_lo, x_hi, y_hi = self.cell_bounds(index)
-        return 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
 
     def cell_contains(self, index: int, x: float, y: float) -> bool:
         x_lo, y_lo, x_hi, y_hi = self.cell_bounds(index)

@@ -106,10 +106,12 @@ def _capped_cost(estimates: np.ndarray, truths: np.ndarray, cap: float) -> np.nd
     truths[None] gives the (m, n) matrix of every pair.
 
     Each squared distance is a per-row matmul, which rounds like the dot
-    product of np.linalg.norm; (d * d).sum(-1) and ** 2 do not.
+    product of np.linalg.norm; (d * d).sum(-1) and ** 2 do not.  One that
+    overflows is inf, and the cap makes its entry exact: no warning.
     """
     d = estimates - truths
-    dist = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+    with np.errstate(over="ignore"):
+        dist = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
     return np.float_power(np.minimum(dist, cap), 2)
 
 
@@ -192,10 +194,41 @@ def match_scores(cost: np.ndarray, cap: float) -> tuple[float, float]:
     cap) adds it for each of the |m - n| unmatched points and takes the mean
     over max(m, n).  Both are 0 when both sets are empty, else the cap when
     either is.
+
+    With 0 < m <= n every row is matched, and S sums each row's matched entry
+    in row order (the order of cost[rows, cols].sum()).  No entry exceeds
+    cap**2, so a row whose entries all reach it takes cap**2 wherever it
+    goes; the other rows are "real".  If the real rows' nearest columns are
+    distinct, each row's least entry is an optimal match (the column
+    reduction that starts Jonker-Volgenant): no assignment sums lower, and an
+    optimal one gives each row that entry.  Else the assignment runs on the
+    real rows and the columns where they are below cap**2, and a real row it
+    leaves out takes cap**2.  The whole matrix goes to the assignment when
+    m > n, where which row takes a cap fill decides the order of the sum, and
+    when two real rows share their nearest column at the same least entry
+    (twin estimates), whose tie the smaller problem may break the other way.
+    Apart from those ties, optimal assignments give the rows the same entries
+    unless unequal entries tie in sum, which distances between floats in
+    general position do not.
     """
+    m, n = cost.shape
+    if 0 < m <= n:
+        matched = cost.min(axis=1)  # each row's least entry, then its matched entry
+        real = np.flatnonzero(matched < cap**2)
+        nearest = cost.argmin(axis=1)[real].tolist()
+        if len(set(zip(nearest, matched[real].tolist()))) == len(nearest):  # no twin rows
+            if len(set(nearest)) < len(nearest):
+                block = cost[real]
+                block = block[:, (block < cap**2).any(axis=0)]
+                rows, cols = _linear_sum_assignment(block)
+                matched[real] = cap**2
+                matched[real[rows]] = block[rows, cols]
+            total = float(matched.sum())
+            if not total > -math.inf:  # NaN compares false too
+                raise ValueError("matrix contains invalid numeric entries")
+            return _scores(total, m, n, cap)
     rows, cols = _linear_sum_assignment(cost)  # no pairs when either set is empty
-    matched = float(cost[rows, cols].sum())  # numpy's order of the sum, then Python floats
-    return _scores(matched, *cost.shape, cap)
+    return _scores(float(cost[rows, cols].sum()), m, n, cap)
 
 
 def _scores(matched: float, m: int, n: int, cap: float) -> tuple[float, float]:
@@ -219,8 +252,9 @@ def evaluate_metrics(records: list[StepRecord], setup: ExperimentSetup) -> None:
     whole run, each step's pairs estimate-major, so a step's cost matrix is
     one slice of it.  A step that matches one pair (min(m, n) == 1) matches
     its smallest entry, one np.minimum.reduceat over the run; only a step
-    with min(m, n) >= 2 runs the assignment.  A NaN cost raises the
-    assignment's ValueError.
+    with min(m, n) >= 2 goes to match_scores, which runs the assignment
+    where its nearest pairs collide.  A NaN cost raises the assignment's
+    ValueError.
     """
     if not records:
         return
@@ -485,7 +519,9 @@ def run_experiment(
     """Full loop: truth step, sensor measurement, filter step, log record; the run's log
     is its list of records.
 
-    check_run vets the choices and builds the records; metrics are filled in last.
+    check_run vets the choices and builds the records; metrics are filled in last.  A
+    mean or cov that is not finite (a log that mtt eval refuses) raises ValueError naming
+    its step, checked once the run is over.
     """
     setup = setup or ExperimentSetup()
     kind, sensor, start = check_run(config, filter_choice, sensor_choice, setup)
@@ -497,6 +533,10 @@ def run_experiment(
         z = kind.measure(sensor, setup, k, truth[k], rng)
         records.append(StepRecord(truth[k].copy(), z, *step(z)))
 
+    for name in ("means", "covs"):
+        if not np.isfinite(np.concatenate([getattr(r, name) for r in records])).all():
+            k = next(k for k, r in enumerate(records) if not np.isfinite(getattr(r, name)).all())
+            raise ValueError(f"step {k}: a {filter_choice} {name[:-1]} is not finite")
     evaluate_metrics(records, setup)
     return records
 

@@ -902,6 +902,56 @@ class TestExitCodes:
         assert logged != payload["config"]
         _rejects({**payload, "config": logged}, "metrics.distance_cap", tmp_path, capfd)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("filter_choice, message", [
+        ("pf", "step 0: a pf cov is not finite"), ("kf", "step 0: a kf mean is not finite"),
+        ("gpf", "means and covs must be finite")])
+    def test_run_whose_belief_overflows_makes_no_directory(self, tmp_path, capfd,
+                                                          filter_choice, message):
+        # tau = 1e300 overflows F: the pf ran on to a log that eval refused, and the kf
+        # failed in the scoring; a logged mean or cov that is not finite now stops the
+        # run once it is over (the gpf stops at the step), and no directory is made
+        cfg = tmp_path / "tau.cfg"
+        cfg.write_text("scenario.n_targets = 1\nscenario.n_steps = 5\nscenario.tau = 1e300\n"
+                       "pf.n_particles = 50\n")
+        assert run_command(["track", "--config", str(cfg), "--filter", filter_choice,
+                            "--sensor", "mean", "--out", str(tmp_path / "o")]) == 2
+        err = capfd.readouterr().err
+        assert message in err, err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("filter_choice", ["kf", "pf", "gpf"])
+    def test_workspace_of_infinite_area_is_config_error(self, tmp_path, capfd, filter_choice):
+        # the gpf named clutter_density = 0.0, not a key, and the kf and pf ran with
+        # overflow warnings; the parser names the workspace for every filter
+        cfg = tmp_path / "ws.cfg"
+        cfg.write_text("scenario.n_targets = 1\nscenario.n_steps = 3\n"
+                       "scenario.workspace = 0,0,1e300,1e300\n")
+        assert run_command(["track", "--config", str(cfg), "--filter", filter_choice,
+                            "--sensor", "mean", "--out", str(tmp_path / "o")]) == 1
+        err = capfd.readouterr().err
+        assert "config error" in err and "scenario.workspace" in err, err
+        assert "clutter_density" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("filter_choice", ["kf", "gpf"])
+    def test_thin_workspace_scores_without_warnings(self, tmp_path, filter_choice):
+        # a 1e200 x 1e-200 workspace has area 1, and its distances overflow when squared:
+        # the cap makes those entries exact, so the scoring warns of nothing (the suite
+        # turns warnings into errors), and eval of the log writes the same metrics
+        cfg = tmp_path / "ws.cfg"
+        cfg.write_text("scenario.n_targets = 1\nscenario.n_steps = 3\n"
+                       "scenario.workspace = 0,0,1e200,1e-200\n")
+        out = tmp_path / "o"
+        assert run_command(["track", "--config", str(cfg), "--filter", filter_choice,
+                            "--sensor", "mean", "--out", str(out)]) == 0
+        assert run_command(["eval", "--log", str(out / "particles.json")]) == 0
+        metrics = (out / "metrics.csv").read_bytes()
+        assert metrics == (out / "eval_metrics.csv").read_bytes()
+        rmse = [row.split(",")[4] for row in metrics.decode().splitlines()[1:]]
+        assert rmse == ["5"] * 3  # each distance is far past the cap
+
     def test_grid_births_below_the_prune_is_config_error(self, tmp_path, capsys):
         # every birth would be pruned in its own step: the run would never hold a row,
         # so the GpfConfig's check rejects it before any directory is made

@@ -134,6 +134,16 @@ def test_workspace_parsed():
         parse_config_text("scenario.seed = 1\nscenario.workspace = 1,1,1,1")
 
 
+@pytest.mark.parametrize("bounds", ["0,0,1e300,1e300", "-1e308,0,1e308,1", "0,0,1e-200,1e-200"],
+                         ids=["area_overflows", "width_overflows", "area_underflows"])
+def test_workspace_area_must_be_positive_and_finite(bounds):
+    # the GPF's clutter density is 1 / area, and the draws span the width
+    with pytest.raises(ConfigError, match=r"line 1: scenario\.workspace: rectangle area"):
+        parse_config_text(f"scenario.workspace = {bounds}")
+    # a thin workspace of finite area is one
+    assert parse_config_text("scenario.workspace = 0,0,1e200,1e-200").scenario.workspace.area == 1.0
+
+
 @pytest.mark.parametrize(
     "line, match",
     [

@@ -246,7 +246,7 @@ def _spread_psets(draw):
 @st.composite
 def _grid_cases(draw):
     """A grid, particles on cell edges, high workspace edges, outside it or anywhere,
-    and returns drawn with repeats (fixed_list) or without (random)."""
+    and returns drawn with a repeated cell (fixed_list) or without (random)."""
     ws, rows, cols = draw(st.sampled_from([
         (WORKSPACE, 3, 4), (Rectangle(-3.7, 2.2, 8.4, 13.3), 9, 13),
     ]))
@@ -265,10 +265,14 @@ def _grid_cases(draw):
     weights = draw(st.lists(_WEIGHTS, min_size=n, max_size=n))
     means = np.array([[x, 0.0, y, 0.0] for x, y in zip(xs, ys)]).reshape(-1, 4)
     pset = GpfParticleSet(weights, means, np.tile(np.eye(4), (n, 1, 1)))
-    repeats = draw(st.booleans())  # fixed_list; or random, which never repeats a cell
-    m = draw(st.integers(0, 40 if repeats else sensor.n_cells))
+    # fixed_list, with a cell repeated (the ranked passes); or random, which never
+    # repeats one (the one pass)
+    repeats = draw(st.booleans())
+    m = draw(st.integers(2, 40) if repeats else st.integers(0, sensor.n_cells))
     cells = draw(st.lists(st.integers(0, sensor.n_cells - 1), min_size=m, max_size=m,
                           unique=not repeats))
+    if repeats:
+        cells[draw(st.integers(1, m - 1))] = cells[0]
     values = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
     return pset, CellReturns(cells, values), sensor
 
@@ -1372,12 +1376,14 @@ class TestGridUpdate:
         assert births.weights[0] == 0.1
         assert_allclose(births.means[0], [2.5, 0.0, 1.5, 0.0])
         assert_allclose(births.covs[0], np.diag([1 / 12, 1.0, 1 / 12, 1.0]))
-        # mixed returns on an offset grid with inexact cell sizes: cell_center, bit for bit
+        # mixed returns on an offset grid with inexact cell sizes: each cell's midpoint,
+        # bit for bit
         sensor = GridSensorModel(Rectangle(-3.7, 2.2, 8.4, 13.3), rows=9, cols=13)
         cells, values = [5, 116, 0, 60, 116, 3, 40, 12], [1, 0, 1, 1, 1, 0, 1, 1]
         births = grid_births(CellReturns(cells, values), sensor, 0.1)
         xi, yi = POSITION_IDX
-        centres = [sensor.cell_center(c) for c, v in zip(cells, values) if v]
+        centres = [(0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)) for x_lo, y_lo, x_hi, y_hi in
+                   (sensor.cell_bounds(c) for c, v in zip(cells, values) if v)]
         assert [(m[xi], m[yi]) for m in births.means.tolist()] == centres
 
 

@@ -1,6 +1,7 @@
 """The config schema: every key's allowed values are declared once, on the
 record field it sets, and both the record and the parser enforce them."""
 
+import math
 import os
 import re
 import subprocess
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from mtt.config import _KEYS, ConfigError, parse_config_text
-from mtt.domains import Choice
+from mtt.domains import Choice, Range
 from mtt.gpf import GpfConfig
 from mtt.motion import MotionModel
 from mtt.regions import Rectangle
@@ -26,10 +27,16 @@ def _just_outside(domain, default):
     """Values just past each end of a declared domain (one per bounded end)."""
     if isinstance(domain, Choice):
         return ["bogus"]
-    step = 1 if isinstance(domain.lo, int) else 1e-9
-    ends = [domain.lo if domain.lo_open else domain.lo - step]
+
+    def past(end, sign):  # the next integer, or 1e-9 on; the next float where that is the end
+        if isinstance(domain.lo, int):
+            return end + sign
+        out = end + sign * 1e-9  # equals an end above about 1e7
+        return math.nextafter(end, sign * math.inf) if out == end else out
+
+    ends = [domain.lo if domain.lo_open else past(domain.lo, -1)]
     if domain.hi is not None:
-        ends.append(domain.hi if domain.hi_open else domain.hi + step)
+        ends.append(domain.hi if domain.hi_open else past(domain.hi, 1))
     if domain.size is None:
         return ends
     # a vector: its first entry outside, or twice as many entries
@@ -51,6 +58,16 @@ def test_value_outside_declared_domain_rejected_twice(row, record, value):
         parse_config_text(f"# the bad value is on line 2\n{row.key} = {row.fmt(value)}\n")
     with pytest.raises(ValueError, match=re.escape(row.field)):
         record(**{row.field: value})
+
+
+@pytest.mark.parametrize("domain", [Range(0.0, 1.0), Range(-1e150, 1e150), Range(1e300),
+                                    Range(-1e9, -1e8), Range(0, 10**18)],
+                         ids=["unit", "wide", "huge_lo", "negative", "int"])
+def test_just_outside_leaves_every_closed_end(domain):
+    # 1e-9 past 1e150, 1e300 or -1e8 is the end itself
+    for value in _just_outside(domain, None):
+        with pytest.raises(ConfigError, match="allowed range"):
+            domain.check(value, "x")
 
 
 @pytest.mark.parametrize(

@@ -256,8 +256,6 @@ class TestGrid:
             model.cell_bounds(index)
         with pytest.raises(IndexError):
             model.cell_contains(index, 11.5, 11.5)
-        with pytest.raises(IndexError):
-            model.cell_center(index)
 
 
 def _cells_containing(model, x, y):
@@ -331,12 +329,12 @@ class TestGridTiling:
         ws = model.workspace
         # edge points: each internal low edge belongs to the upper cell, and
         # the float just below it to the lower one (no overlap, no gap)
-        y_mid = model.cell_center(0)[1]
+        y_mid = model.y_center_array[0]
         for col in range(1, cols):
             edge = model.cell_bounds(col)[0]
             assert _cells_containing(model, edge, y_mid) == [col]
             assert _cells_containing(model, np.nextafter(edge, -np.inf), y_mid) == [col - 1]
-        x_mid = model.cell_center(0)[0]
+        x_mid = model.x_center_array[0]
         for row in range(1, rows):
             edge = model.cell_bounds(row * cols)[1]
             assert _cells_containing(model, x_mid, edge) == [row * cols]
@@ -372,7 +370,7 @@ class TestCellsOf:
         xs = rng.uniform(ws.x_min - 1.0, ws.x_max + 1.0, 300).tolist()
         ys = rng.uniform(ws.y_min - 1.0, ws.y_max + 1.0, 300).tolist()
         # every edge crossing: the edge and its float neighbours, the high workspace edges included
-        x_mid, y_mid = model.cell_center(0)
+        x_mid, y_mid = model.x_center_array[0], model.y_center_array[0]
         for edge in model.x_edges:
             xs += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
             ys += [y_mid] * 3
@@ -402,7 +400,8 @@ class TestCellsOf:
     def test_birth_tables_have_cell_center_bits_and_are_read_only(self):
         ws, rows, cols = OFFSET_GRID
         model = GridSensorModel(ws, rows=rows, cols=cols)
-        centres = [model.cell_center(cell) for cell in range(model.n_cells)]  # row-major
+        centres = [(0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi))  # each cell's midpoint, row-major
+                   for x_lo, y_lo, x_hi, y_hi in map(model.cell_bounds, range(model.n_cells))]
         assert centres == [(x, y) for y in model.y_center_array.tolist()
                            for x in model.x_center_array.tolist()]
         width, height = model.x_edges[1] - model.x_edges[0], model.y_edges[1] - model.y_edges[0]

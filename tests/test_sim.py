@@ -278,6 +278,43 @@ class TestLinearSumAssignment:
             _linear_sum_assignment(np.array(cost))
 
 
+@st.composite
+def _capped_matrices(draw):
+    """(cost, cap): _capped_cost of 0..9 estimates against 0..9 truths spread over one to
+    four caps, so that many entries sit at the cap; some estimates and truths far from
+    all the others (rows and columns all at the cap), and some repeated (twin rows and
+    columns)."""
+    m, n = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    cap = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([1.0, 2.0, 4.0])) * cap
+    points = []
+    for k, away in ((m, (100.0, 0.0)), (n, (0.0, 100.0))):
+        p = rng.uniform(0.0, spread, (k, 2))
+        p[rng.random(k) < draw(st.sampled_from([0.0, 0.3]))] += np.multiply(away, cap)
+        if k > 1 and draw(st.booleans()):
+            p[rng.integers(0, k, k // 2)] = p[rng.integers(0, k, k // 2)]
+        points.append(p)
+    return _capped_cost(points[0][:, None], points[1][None], cap), cap
+
+
+class TestMatchScores:
+    @given(_capped_matrices())
+    @settings(max_examples=600, deadline=None)
+    def test_scores_of_scipys_matched_sum(self, case):
+        # skipping or shrinking the assignment keeps the bits of scipy's matched sum
+        cost, cap = case
+        rows, cols = linear_sum_assignment(cost)
+        m, n = cost.shape
+        assert match_scores(cost, cap) == sim._scores(float(cost[rows, cols].sum()), m, n, cap)
+
+    @pytest.mark.parametrize("cost", [[[np.nan, 1.0], [1.0, 2.0]], [[1.0, 2.0], [-np.inf, 1.0]],
+                                      [[1.0, 2.0, 3.0], [1.0, np.nan, 3.0]]])
+    def test_invalid_entries_raise_the_assignments_error(self, cost):
+        with pytest.raises(ValueError, match="matrix contains invalid numeric entries"):
+            match_scores(np.array(cost), 2.0)
+
+
 class TestOspa:
     def test_empty_sets(self):
         assert ospa([], []) == 0.0
@@ -381,8 +418,29 @@ class TestEvaluateMetrics:
         with pytest.raises(ValueError, match="matrix contains invalid numeric entries"):
             evaluate_metrics(records, ExperimentSetup())
 
+    @staticmethod
+    def _assignment_shape(record, cap):
+        """The shape that match_scores hands the assignment for the record's step, or None:
+        the whole (m, n) matrix if m > n or two real rows (rows below cap**2 somewhere) share
+        their nearest column at the same least entry; else, where the real rows' nearest
+        columns collide, those rows by the columns where they are below cap**2."""
+        m, n = TestEvaluateMetrics._pairs(record)
+        if min(m, n) < 2:
+            return None
+        kept = record.means[record.weights >= 0.5]
+        cost = _capped_cost(kept[:, None][..., [0, 2]], record.true_states[None][..., [0, 2]], cap)
+        real = cost.min(axis=1) < cap**2
+        nearest = list(zip(cost.argmin(axis=1)[real].tolist(), cost.min(axis=1)[real].tolist()))
+        if m > n or len(set(nearest)) < len(nearest):
+            return m, n
+        if len({col for col, _ in nearest}) == len(nearest):
+            return None
+        return int(real.sum()), int((cost[real] < cap**2).any(axis=0).sum())
+
     def test_one_assignment_per_step(self, monkeypatch):
-        # one assignment for each step with min(m, n) >= 2, in step order; none for the others
+        # at most one assignment per step, in step order: none for a step with
+        # min(m, n) < 2 or whose real rows have distinct nearest columns, the reduced
+        # block where those collide, the whole matrix for m > n or twin rows
         calls = []
         solve = sim._linear_sum_assignment
 
@@ -394,10 +452,20 @@ class TestEvaluateMetrics:
         config = ScenarioConfig(n_targets=3, n_steps=10, seed=0)
         records = run_experiment(config, "gpf", "mean", np.random.default_rng(0))
         records += self._mixed_run(1)
+        # two estimates nearest the first truth, then twin estimates: a block, the whole
+        truths = [(1, 0, 1, 0), (2.5, 0, 1, 0), (9, 0, 9, 0)]
+        records += [_record(truths, [(1.2, 0, 1, 0), (1.5, 0, 1, 0)], [1.0, 1.0], 2.0),
+                    _record(truths, [(1.4, 0, 1, 0), (1.4, 0, 1, 0)], [1.0, 1.0], 2.0)]
         calls.clear()
-        evaluate_metrics(records, ExperimentSetup())
-        general = [self._pairs(r) for r in records if min(self._pairs(r)) >= 2]
-        assert len(general) >= 10 and calls == general
+        evaluate_metrics(records, ExperimentSetup(metrics_distance_cap=3.0))
+        shapes = [self._assignment_shape(r, 3.0) for r in records]
+        assert calls == [shape for shape in shapes if shape is not None]
+        assert shapes[-2:] == [(2, 2), (2, 3)]
+        general = [(self._pairs(r), shape) for r, shape in zip(records, shapes)
+                   if min(self._pairs(r)) >= 2]
+        kinds = {"none" if shape is None else "whole" if shape == pairs else "block"
+                 for pairs, shape in general}
+        assert kinds == {"none", "whole", "block"}
         assert all(r.ospa is not None for r in records)
 
 
