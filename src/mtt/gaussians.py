@@ -25,17 +25,11 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 
-def _frozen_matrix(m: np.ndarray) -> np.ndarray:
-    """A read-only float copy of m, at least 2-D (the models' matrices)."""
-    m = np.array(m, dtype=float, ndmin=2)
-    m.setflags(write=False)
-    return m
-
-
 class ValueEq:
-    """Value equality for the package's array records (dataclasses built with
-    eq=False): == compares every field with np.array_equal, where the
-    generated == would raise on the truth value of a multi-element array."""
+    """Value equality and one store for the package's array records (dataclasses
+    built with frozen=True, eq=False): == compares every field with
+    np.array_equal, where the generated == would raise on the truth value of a
+    multi-element array, and every field is set through _hold."""
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -43,6 +37,23 @@ class ValueEq:
         return all(
             np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
         )
+
+    def _hold(self, **values: object) -> None:
+        """Set each named field to its value, an ndarray made read-only as it is."""
+        for name, value in values.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _frozen(cls, *values: object):
+        """The record of values that the caller has just built and gives up, in field
+        order, held as they are: no copy, conversion or check.  Only for values that
+        hold every invariant of the record, such as rows of checked sets, so the
+        result equals a checked construction's bit for bit."""
+        record = object.__new__(cls)  # no record declares a ClassVar, so these are its fields
+        record._hold(**dict(zip(cls.__dataclass_fields__, values, strict=True)))
+        return record
 
 
 def _checked_moments(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,16 +159,20 @@ def mixture_moments(
     Sigma = sum_i w_i (Sigma_i + (mu_i - mu)(mu_i - mu)')
 
     with weights normalized to sum to one.  Both sums run over the rows in
-    order (an axis-0 reduction), so the result has the bits of a row loop.
+    order (a reduction over the row axis), so the result has the bits of a
+    row loop.  Mixtures stack over leading axes: weights (..., k), means
+    (..., k, d) and covs (..., k, d, d) give means (..., d) and covs
+    (..., d, d), each mixture with the bits of its own call.  A mixture whose
+    weights do not have a positive total raises ValueError.
     """
     means, covs, weights = (np.asarray(a, dtype=float) for a in (means, covs, weights))
-    total = weights.sum()
-    if total <= 0.0:
+    total = weights.sum(axis=-1, keepdims=True)
+    if (total <= 0.0).any():
         raise ValueError("mixture weights must have positive total")
-    w = weights / total
-    mean = (w[:, None] * means).sum(axis=0)
-    diff = means - mean
-    cov = (w[:, None, None] * (covs + diff[:, :, None] * diff[:, None, :])).sum(axis=0)
+    w = (weights / total)[..., None]
+    mean = (w * means).sum(axis=-2)
+    diff = means - mean[..., None, :]
+    cov = (w[..., None] * (covs + diff[..., :, None] * diff[..., None, :])).sum(axis=-3)
     return mean, _symmetrize(cov)
 
 
@@ -166,19 +181,14 @@ def moment_match_merge(
 ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """Collapse a pair of weighted Gaussians, rows of (2,), (2, d) and (2, d, d), into one.
 
-    Returns (weight, mean, cov): the clamped sum of the weights and the
-    weight-normalized mean.  With a = w / (w0 + w1), the mean is
-    a0 m0 + a1 m1 and the cov is the mixture covariance
-    a0 (C0 + d0 d0') + a1 (C1 + d1 d1'), d a row's offset from that mean,
-    symmetrized: the bits of mixture_moments' row-order sums.  Pairs
-    stack over leading axes, as kf_predict's rows do: weights (..., 2),
-    means (..., 2, d) and covs (..., 2, d, d) give weights (...), means
-    (..., d) and covs (..., d, d), each pair with the bits of its own call,
-    and the checks cover the whole stack at once.  A row count other than
-    2 and a weight that is not finite and non-negative raise ValueError
-    before anything is merged.
+    Returns (weight, mean, cov): the clamped sum of the weights and the pair's
+    mixture_moments.  Pairs stack over leading axes as mixtures do, weights
+    (..., 2) giving weights (...), and the checks cover the whole stack at
+    once: a row count other than 2, a total weight that is not positive and a
+    weight that is not finite and non-negative raise ValueError before
+    anything is merged.
     """
-    weights, means, covs = (np.asarray(a, dtype=float) for a in (weights, means, covs))
+    weights = np.asarray(weights, dtype=float)
     if weights.shape[-1:] != (2,):
         raise ValueError(f"a merge takes a pair of rows, got weights {weights.shape}")
     total = weights[..., 0] + weights[..., 1]
@@ -186,12 +196,6 @@ def moment_match_merge(
         raise ValueError("total weight of merged particles must be positive")
     if not 0.0 <= weights.min() <= weights.max() < math.inf:  # nan fails too
         raise ValueError(f"merged weights must be finite and non-negative, got {weights.tolist()}")
-    # each product on both rows at once, then the sum of the two
-    a = weights / total[..., None]
-    scaled = a[..., None] * means
-    mean = scaled[..., 0, :] + scaled[..., 1, :]
-    diff = means - mean[..., None, :]
-    covs = a[..., None, None] * (covs + diff[..., :, None] * diff[..., None, :])
-    cov = _symmetrize(covs[..., 0, :, :] + covs[..., 1, :, :])
+    mean, cov = mixture_moments(means, covs, weights)
     weight = np.minimum(1.0, total)
     return (float(weight) if weights.ndim == 1 else weight), mean, cov

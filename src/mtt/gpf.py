@@ -80,24 +80,7 @@ class GpfParticleSet(ValueEq):
         covs = _symmetrize(covs)  # checked after: entries above half the float maximum overflow
         if not (np.isfinite(means).all() and np.isfinite(covs).all()):
             raise ValueError("means and covs must be finite")
-        for name, value in (("weights", weights), ("means", means), ("covs", covs)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def _frozen(
-        cls, weights: np.ndarray, means: np.ndarray, covs: np.ndarray, degenerate_step: bool
-    ) -> GpfParticleSet:
-        """The set of float arrays that the caller has just built and gives up,
-        made read-only as they are: no copy, symmetrization or check.  Only
-        for rows that already hold every invariant of a set, such as rows of
-        checked sets, so the result equals a checked construction's bit for bit."""
-        pset = object.__new__(cls)
-        for name, value in (("weights", weights), ("means", means), ("covs", covs)):
-            value.setflags(write=False)
-            object.__setattr__(pset, name, value)
-        object.__setattr__(pset, "degenerate_step", degenerate_step)
-        return pset
+        self._hold(weights=weights, means=means, covs=covs)
 
     def __len__(self) -> int:
         return self.weights.shape[0]
@@ -321,9 +304,9 @@ def _merged_columns(
     w0: float, w1: float, p: list[float], q: list[float]
 ) -> tuple[float, list[float]]:
     """The clamped weight and the _position_columns, as floats, of the merge of
-    two rows of weights w0, w1 and columns p, q: moment_match_merge's pair
-    formula, operation for operation, so the bits of its merged row.  Two
-    weights of zero raise ZeroDivisionError."""
+    two rows of weights w0, w1 and columns p, q: the mixture_moments of the
+    pair that moment_match_merge takes, operation for operation, so the bits
+    of its merged row.  Two weights of zero raise ZeroDivisionError."""
     (x0, y0, a0, b0, c0), (x1, y1, a1, b1, c1) = p, q
     total = w0 + w1
     s0, s1 = w0 / total, w1 / total
@@ -693,8 +676,8 @@ def _check_grid(config: GpfConfig) -> None:
     if (n := config.motion.F.shape[0]) != 4:
         raise ValueError(f"the grid sensor reads 4-D states (x, vx, y, vy), not state dim {n}")
     if config.w_birth < config.w_prune:
-        raise ValueError(f"w_birth {config.w_birth!r} is below w_prune {config.w_prune!r}: "
-                         "the prune would drop every grid birth")
+        raise ValueError(f"w_birth {config.w_birth!r} is below w_prune {config.w_prune!r} "
+                         "(gpf.w_birth, gpf.w_prune): the prune would drop every grid birth")
 
 
 # Each sensor model type's (check, update): check(config) raises ValueError for a GpfConfig

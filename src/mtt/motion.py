@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussians import ValueEq, _frozen_matrix, noise_factor
+from .gaussians import ValueEq, noise_factor
 
 POSITION_IDX = (0, 2)
 
@@ -30,14 +30,14 @@ class MotionModel(ValueEq):
     Q_factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("F", "Q"):
-            object.__setattr__(self, name, _frozen_matrix(getattr(self, name)))
+        F, Q = (np.array(m, dtype=float, ndmin=2) for m in (self.F, self.Q))
+        self._hold(F=F, Q=Q)
         n = self.F.shape[0]
         if self.F.shape != (n, n):
             raise ValueError(f"F must be square, got {self.F.shape}")
         if self.Q.shape != (n, n):
             raise ValueError(f"Q shape {self.Q.shape} does not match state dim {n}")
-        object.__setattr__(self, "Q_factor", noise_factor(self.Q, "Q"))
+        self._hold(Q_factor=noise_factor(self.Q, "Q"))
 
 
 def constant_velocity_matrix(tau: float) -> np.ndarray:

@@ -42,24 +42,7 @@ class PointParticleSet(ValueEq):
             raise ValueError("weights must be finite and non-negative")
         if abs(weights.sum() - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
-        for name, value in (("states", states), ("weights", weights)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def _frozen(
-        cls, states: np.ndarray, weights: np.ndarray, zero_likelihood: bool
-    ) -> PointParticleSet:
-        """The set of the float arrays states (N, n) and weights (N,) that the caller has
-        just built and gives up, made read-only as they are: no copy or check.  Only for
-        arrays that already hold every invariant of a set, such as pf_step's normalized
-        weights, so the result equals a checked construction's bit for bit."""
-        pset = object.__new__(cls)
-        for name, value in (("states", states), ("weights", weights)):
-            value.setflags(write=False)
-            object.__setattr__(pset, name, value)
-        object.__setattr__(pset, "zero_likelihood", zero_likelihood)
-        return pset
+        self._hold(states=states, weights=weights)
 
     @property
     def n_particles(self) -> int:

@@ -20,9 +20,10 @@ class Rectangle:
             raise ValueError(f"rectangle bounds must be finite: {self}")
         if self.x_max <= self.x_min or self.y_max <= self.y_min:
             raise ValueError(f"rectangle has non-positive area: {self}")
-        if not 0.0 < self.area < math.inf:  # the GPF's clutter density is 1 / area
+        if not (0.0 < self.area < math.inf and 1.0 / self.area < math.inf):
+            # the GPF's clutter density is 1 / area, and must be finite too
             raise ValueError(f"rectangle area {self.area!r} is not a positive finite "
-                             f"number: {self}")
+                             f"number with a finite reciprocal: {self}")
 
     @property
     def area(self) -> float:

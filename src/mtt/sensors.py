@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domains import Range, check_fields, declare
-from .gaussians import ValueEq, _frozen_matrix, noise_factor
+from .gaussians import ValueEq, noise_factor
 from .motion import POSITION_IDX
 from .regions import Rectangle
 
@@ -30,14 +30,15 @@ class MeanSensorModel(ValueEq):
     R_factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("R", "position_projection"):
-            object.__setattr__(self, name, _frozen_matrix(getattr(self, name)))
+        R, projection = (np.array(m, dtype=float, ndmin=2)
+                         for m in (self.R, self.position_projection))
+        self._hold(R=R, position_projection=projection)
         r = self.position_projection.shape[0]
         if self.R.shape != (r, r):
             raise ValueError(
                 f"R shape {self.R.shape} does not match projection rows {r}"
             )
-        object.__setattr__(self, "R_factor", noise_factor(self.R, "R"))
+        self._hold(R_factor=noise_factor(self.R, "R"))
 
     @property
     def meas_dim(self) -> int:
@@ -59,14 +60,12 @@ class CellReturns(ValueEq):
         _check_integer_cells(cells)  # not their range: the filter rejects -1 with IndexError
         if values.dtype != bool and not ((values == 0) | (values == 1)).all():
             raise ValueError(f"cell returns must be 0 or 1, got {values}")
-        for name, value in (("cells", cells), ("values", values)):
-            value = value.astype(np.int64)  # a copy: the record never shares the caller's array
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        # astype copies: the record never shares the caller's array
+        self._hold(cells=cells.astype(np.int64), values=values.astype(np.int64))
 
 
 @dataclass(frozen=True)
-class GridSensorModel:
+class GridSensorModel(ValueEq):
     """Detection grid: the workspace tiled by rows x cols equal cells.
 
     Cells are indexed row-major from the workspace origin corner (index =
@@ -88,6 +87,9 @@ class GridSensorModel:
     p_d is the single-target detection probability, snr the known
     signal-to-noise ratio of the Rayleigh return model, m_cells the
     maximum number of cells interrogated per step.
+
+    The computed fields are set through ValueEq._hold, but == and hash stay
+    the dataclass's own (eq=True), over the settings and the edge tuples.
     """
 
     workspace: Rectangle
@@ -114,13 +116,9 @@ class GridSensorModel:
             array = np.array(edges)
             centers = 0.5 * (array[:-1] + array[1:])
             variances.append((array[1] - array[0]) ** 2 / 12.0)  # of a uniform draw over a cell
-            object.__setattr__(self, f"{axis}_edges", edges)
-            for name, value in (("edge_array", array), ("center_array", centers)):
-                value.setflags(write=False)
-                object.__setattr__(self, f"{axis}_{name}", value)
-        birth_cov = np.diag([variances[0], 1.0, variances[1], 1.0])
-        birth_cov.setflags(write=False)
-        object.__setattr__(self, "birth_cov", birth_cov)
+            self._hold(**{f"{axis}_edges": edges, f"{axis}_edge_array": array,
+                          f"{axis}_center_array": centers})
+        self._hold(birth_cov=np.diag([variances[0], 1.0, variances[1], 1.0]))
 
     @property
     def n_cells(self) -> int:

@@ -406,7 +406,12 @@ def _pf_filter(ws, setup, motion, sensor) -> Callable[..., StepFn]:
 
     The likelihood is a density in R, so an R that is not positive definite
     raises ValueError here: at R = 0 it would fail mid-run, and with one zero
-    variance it would vanish for every particle at every step."""
+    variance it would vanish for every particle at every step.  So does a
+    workspace wider or higher than 1e150 (metrics.distance_cap's bound): the
+    squares in the particles' logged covariance would overflow."""
+    if max(ws.x_max - ws.x_min, ws.y_max - ws.y_min) > 1e150:
+        raise ValueError(f"the pf draws its particles over scenario.workspace, whose width "
+                         f"and height must be at most 1e150, got {ws}")
     try:
         np.linalg.cholesky(sensor.R)
     except np.linalg.LinAlgError:

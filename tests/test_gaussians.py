@@ -266,16 +266,33 @@ def _mixture_moments_by_row(means, covs, weights):
     return mean, 0.5 * (cov + cov.T)
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 4))
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 4), st.integers(0, 3))
 @settings(max_examples=100, deadline=None)
-def test_mixture_moments_has_the_bits_of_the_row_loop(seed, k, d):
+def test_mixture_moments_has_the_bits_of_the_row_loop(seed, k, d, stack):
+    # a stack of mixtures, weights (s, k), means (s, k, d) and covs (s, k, d, d), gives
+    # each mixture the bits of its own call, and that call the bits of the row loop; a
+    # second leading axis stacks the same way
     rng = np.random.default_rng(seed)
-    means = 5.0 * rng.standard_normal((k, d))
-    covs = np.array([_random_psd(rng, d) for _ in range(k)])
-    weights = rng.random(k) + 1e-3
-    for got, want in zip(mixture_moments(means, covs, weights),
-                         _mixture_moments_by_row(means, covs, weights)):
-        assert np.array_equal(got, want)
+    means = 5.0 * rng.standard_normal((stack, k, d))
+    covs = np.array([[_random_psd(rng, d) for _ in range(k)] for _ in range(stack)])
+    covs = covs.reshape(stack, k, d, d)
+    weights = rng.random((stack, k)) + 1e-3
+    stacked = mixture_moments(means, covs, weights)
+    assert [a.shape for a in stacked] == [(stack, d), (stack, d, d)]
+    for outer in (False, True):
+        args = [a[None] for a in (means, covs, weights)] if outer else (means, covs, weights)
+        got = [a[0] for a in mixture_moments(*args)] if outer else stacked
+        for s in range(stack):
+            one = mixture_moments(means[s], covs[s], weights[s])
+            for a, b, want in zip(got, one, _mixture_moments_by_row(means[s], covs[s],
+                                                                    weights[s])):
+                assert a[s].tobytes() == b.tobytes() == want.tobytes()
+
+
+def test_a_stacked_mixture_needs_a_positive_total_in_each():
+    weights = np.array([[0.5, 0.5], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="positive total"):
+        mixture_moments(np.zeros((2, 2, 1)), np.ones((2, 2, 1, 1)), weights)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 5))

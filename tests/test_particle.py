@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from mtt.gaussians import _symmetrize
+from mtt.gpf import GpfParticleSet
 from mtt.kalman import kf_predict, kf_update
 from mtt.motion import MotionModel, constant_velocity_matrix
 from mtt.particle import _RESAMPLERS, PointParticleSet, effective_sample_size, pf_step
@@ -356,18 +358,24 @@ class TestOneSetPerStep:
 
     @given(st.integers(1, 50), st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
-    def test_unchecked_set_equals_a_checked_one(self, n, d, zero_likelihood, seed):
-        # the set pf_step builds unchecked holds the bytes of a checked construction of
-        # its arrays, read-only, with the same zero_likelihood flag
+    def test_unchecked_set_equals_a_checked_one(self, n, d, flag, seed):
+        # pf_step and the GPF's stages build their sets unchecked through the one
+        # ValueEq._frozen: from arrays that hold a set's invariants, each particle set
+        # holds the bytes of a checked construction, read-only, with the same flag
         rng = np.random.default_rng(seed)
         states, weights = rng.standard_normal((n, d)), rng.random(n)
-        weights /= weights.sum()
-        checked = PointParticleSet(states, weights, zero_likelihood)
-        unchecked = PointParticleSet._frozen(states.copy(), weights.copy(), zero_likelihood)
-        assert unchecked == checked
-        assert unchecked.zero_likelihood is checked.zero_likelihood
-        for name in ("states", "weights"):
-            got, want = getattr(unchecked, name), getattr(checked, name)
-            assert not got.flags.writeable, name
-            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
-                                                             want.tobytes()), name
+        covs = _symmetrize(rng.standard_normal((n, d, d)))  # as a checked set holds them
+        for cls, arrays in ((PointParticleSet, (states, weights / weights.sum())),
+                            (GpfParticleSet, (weights, states, covs))):
+            checked = cls(*arrays, flag)
+            unchecked = cls._frozen(*(a.copy() for a in arrays), flag)
+            assert unchecked == checked
+            *names, flag_name = (f.name for f in fields(cls))
+            assert getattr(unchecked, flag_name) is getattr(checked, flag_name) is flag
+            for name in names:
+                got, want = getattr(unchecked, name), getattr(checked, name)
+                assert not got.flags.writeable, name
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                                 want.tobytes()), name
+            with pytest.raises(ValueError):  # every field, in order
+                cls._frozen(*arrays)

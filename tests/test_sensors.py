@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from mtt.gaussians import ValueEq
 from mtt.motion import position_projection
 from mtt.regions import Rectangle
 from mtt.sensors import (
@@ -506,6 +507,18 @@ class TestModelValidation:
         # numpy would only warn at every draw and sample a wrong distribution
         with pytest.raises(ValueError, match="R must be positive semidefinite"):
             MeanSensorModel(R=[[1.0, 2.0], [2.0, 1.0]], position_projection=position_projection())
+
+    def test_grid_model_keeps_the_generated_eq_and_hash(self):
+        # it stores its arrays through ValueEq._hold, but == and hash stay the dataclass's
+        # own, over the settings and the edge tuples
+        model = GridSensorModel(WORKSPACE, rows=3, cols=4)
+        same, other = GridSensorModel(WORKSPACE, rows=3, cols=4), GridSensorModel(WORKSPACE)
+        assert GridSensorModel.__eq__ is not ValueEq.__eq__
+        assert model == same and hash(model) == hash(same)
+        assert model != other
+        assert {model: 1}[same] == 1
+        for name in ("x_edge_array", "y_center_array", "birth_cov"):
+            assert not getattr(model, name).flags.writeable, name
 
     def test_mean_sensor_model_is_frozen(self):
         r = np.eye(2)
