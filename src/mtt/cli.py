@@ -100,8 +100,9 @@ _COLUMNS = {
 
 
 def _base64(dtype: str, arrays) -> bytes:
-    """The arrays' values in order, as the base64 (ASCII bytes) of one run of dtype bytes."""
-    data = b"".join(np.asarray(a).astype(dtype, copy=False).tobytes() for a in arrays)
+    """The values of arrays of one row shape, in order, as the base64 (ASCII bytes) of one
+    run of dtype bytes: each array cast to dtype as astype would."""
+    data = np.concatenate(arrays, dtype=dtype, casting="unsafe").tobytes()
     return binascii.b2a_base64(data, newline=False)
 
 

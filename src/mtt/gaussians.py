@@ -26,10 +26,11 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 class ValueEq:
-    """Value equality and one store for the package's array records (dataclasses
+    """Value equality and the store of the package's array records (dataclasses
     built with frozen=True, eq=False): == compares every field with
     np.array_equal, where the generated == would raise on the truth value of a
-    multi-element array, and every field is set through _hold."""
+    multi-element array, and every field is set through _hold or _frozen, which
+    make each ndarray read-only as it is."""
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -52,7 +53,10 @@ class ValueEq:
         hold every invariant of the record, such as rows of checked sets, so the
         result equals a checked construction's bit for bit."""
         record = object.__new__(cls)  # no record declares a ClassVar, so these are its fields
-        record._hold(**dict(zip(cls.__dataclass_fields__, values, strict=True)))
+        for name, value in zip(cls.__dataclass_fields__, values, strict=True):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(record, name, value)
         return record
 
 

@@ -501,16 +501,16 @@ def birth_and_prune(
 
     When more than config.n_max particles survive, the n_max highest-weight
     ones are kept (ties broken by original order) and their ordering
-    preserved.  With no births and nothing pruned the input set is returned;
-    otherwise the kept rows of the two checked sets, unchecked.
+    preserved.  With no births, nothing pruned and nothing capped the input set
+    is returned; otherwise the kept rows of the two checked sets, unchecked.
     """
+    if not len(births) and len(pset) <= config.n_max and (pset.weights >= config.w_prune).all():
+        return pset  # nothing to append, prune or cap
     sets = (pset, births) if len(births) else (pset,)  # empty births may differ in d
     weights = np.concatenate([s.weights for s in sets])
     keep = np.nonzero(weights >= config.w_prune)[0]
     if len(keep) > config.n_max:
         keep = np.sort(keep[np.argsort(-weights[keep], kind="stable")[:config.n_max]])
-    if len(keep) == len(weights) == len(pset):
-        return pset  # no births and nothing pruned
     means = np.concatenate([s.means for s in sets])[keep]
     covs = np.concatenate([s.covs for s in sets])[keep]
     return GpfParticleSet._frozen(weights[keep], means, covs, pset.degenerate_step)
@@ -528,9 +528,11 @@ def _mean_measurement_update(
     whatever its evidence, so the step is that combination's conditional
     update alone: its active rows take their diagonal blocks at weight 1.0,
     every other row passes through, and no evidence, normalization or
-    marginal is computed.  This has the bits of the general path, whose
-    marginal of one combination at posterior 1.0 returns each active row's
-    update unchanged.  The inputs are not changed.
+    marginal is computed; when that combination holds every row, the update's
+    own mean and diagonal blocks come back, with no gather or scatter.  This
+    has the bits of the general path, whose marginal of one combination at
+    posterior 1.0 returns each active row's update unchanged.  The inputs are
+    not changed.
     """
     r, proj, dim = config.sensor.R, config.sensor.position_projection, config.sensor.meas_dim
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -545,8 +547,12 @@ def _mean_measurement_update(
 
     if len(combos) == 1:  # certain: no evidence, normalization or marginal
         active = in_idx[np.array(combos[0].bits, dtype=bool)]
-        if active.size:
-            n = active.size
+        n = active.size
+        if n == len(weights):  # every row in view and active: the update's own arrays
+            post = conditional_kf_update(means, covs, z, r, proj)
+            covs = _diagonal_blocks(post.cov, n)
+            return np.ones(n), post.mean.reshape(n, -1), covs, False, _NO_BIRTHS
+        if n:
             # take: the rows that [active] gathers, without fancy indexing's per-call cost
             post = conditional_kf_update(means.take(active, 0), covs.take(active, 0), z, r, proj)
             weights, means, covs = (a.copy() for a in (weights, means, covs))

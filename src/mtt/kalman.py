@@ -63,10 +63,11 @@ def kf_update(
     if n != h.shape[1]:
         raise ValueError(f"state dim {n} does not match H columns {h.shape[1]}")
     residual = z - h @ mean
-    innovation_cov = _symmetrize(h @ cov @ h.T + r)
+    h_cov = h @ cov  # once for both: h @ cov @ h.T is (h @ cov) @ h.T
+    innovation_cov = _symmetrize(h_cov @ h.T + r)
     chol = chol_with_jitter(innovation_cov)
     # K = Sigma H' S^-1 solved as S K' = H Sigma' to avoid forming S^-1
-    kt = np.linalg.solve(chol.T, np.linalg.solve(chol, h @ cov))
+    kt = np.linalg.solve(chol.T, np.linalg.solve(chol, h_cov))
     gain = kt.T
     i_kh = np.eye(n) - gain @ h
     post_cov = _symmetrize(i_kh @ cov @ i_kh.T + gain @ r @ gain.T)

@@ -417,10 +417,9 @@ def _pf_filter(ws, setup, motion, sensor) -> Callable[..., StepFn]:
     except np.linalg.LinAlgError:
         raise ValueError(f"the pf likelihood needs a positive definite sensor R "
                          f"(sensor.r_diag), got {sensor.R.tolist()}") from None
-    meas_mean = np.zeros(sensor.meas_dim)
 
     def likelihood(states: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return np.exp(log_pdf(meas_mean, sensor.R, z - states @ sensor.position_projection.T))
+        return np.exp(log_pdf(z, sensor.R, states @ sensor.position_projection.T))
 
     def start(rng, first_belief) -> StepFn:
         n = setup.pf_n_particles

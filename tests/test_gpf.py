@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -942,16 +942,15 @@ def _general_mean_update(weights, means, covs, z, config):
     return weights, means, covs, False
 
 
-@st.composite
-def _one_combination_beliefs(draw):
-    """Beliefs whose in-view rows (1 to 8) are certain (weight 1.0) or below
-    epsilon (0.0 or 0.004 against epsilon 0.01), so exactly one combination
-    survives, plus up to 3 rows out of view at any weight and, on request, one
-    in-view row at an uncertain weight that makes two combinations."""
-    in_view = draw(st.lists(st.sampled_from([1.0, 1.0, 0.0, 0.004]), min_size=1, max_size=8))
-    out_view = draw(st.lists(st.floats(0.0, 1.0), max_size=3))
-    uncertain = draw(st.booleans())
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+_VIEW = Rectangle(0.0, 0.0, 10.0, 12.0)  # holds every in-view row of the beliefs below
+
+
+def _one_combination_belief(in_view, out_view, uncertain, fov, seed):
+    """A belief of rows at the in_view weights, in view, and the out_view
+    weights, out of view (x in 10.5-12), in random order; with uncertain, the
+    first in-view row at a weight in 0.05-0.95.  With its measurement, sensor,
+    uncertain and fov."""
+    rng = np.random.default_rng(seed)
     weights = np.array(in_view + out_view)
     if uncertain:
         weights[0] = rng.uniform(0.05, 0.95)
@@ -962,16 +961,41 @@ def _one_combination_beliefs(draw):
     order = rng.permutation(s)  # out-of-view rows anywhere in the belief
     z = rng.uniform(0.0, 10.0, 2) * float(rng.choice([1.0, 1e3]))
     sensor = _mean_sensor(float(rng.uniform(0.1, 2.0)))
-    return weights[order], means[order], covs[order], z, sensor, uncertain
+    return weights[order], means[order], covs[order], z, sensor, uncertain, fov
+
+
+@st.composite
+def _one_combination_beliefs(draw):
+    """Beliefs whose in-view rows (1 to 8) are certain (weight 1.0) or below
+    epsilon (0.0 or 0.004 against epsilon 0.01), so exactly one combination
+    survives, plus up to 3 rows out of view at any weight and, on request, one
+    in-view row at an uncertain weight that makes two combinations; with the
+    view _VIEW.  Some beliefs hold every row in view at weight 1.0 or 0.999,
+    under no view (None) or _VIEW, so the one combination holds every row:
+    mean_combos' steady state."""
+    if draw(st.booleans()):
+        in_view = draw(st.lists(st.sampled_from([1.0, 0.999]), min_size=1, max_size=8))
+        out_view, uncertain, fov = [], False, draw(st.sampled_from([None, _VIEW]))
+    else:
+        in_view = draw(st.lists(st.sampled_from([1.0, 1.0, 0.0, 0.004]), min_size=1,
+                                max_size=8))
+        out_view = draw(st.lists(st.floats(0.0, 1.0), max_size=3))
+        uncertain, fov = draw(st.booleans()), _VIEW
+    return _one_combination_belief(in_view, out_view, uncertain, fov,
+                                   draw(st.integers(0, 2**32 - 1)))
 
 
 class TestMeanUpdateMatchesGeneralPath:
     @given(_one_combination_beliefs())
+    # every row in view and active, n = 1 and n >= 2, under no view and a view
+    @example(_one_combination_belief([1.0], [], False, None, 1))
+    @example(_one_combination_belief([1.0], [], False, _VIEW, 2))
+    @example(_one_combination_belief([1.0] * 3, [], False, None, 3))
+    @example(_one_combination_belief([1.0] * 5, [], False, _VIEW, 4))
     @settings(max_examples=150, deadline=None)
     def test_bits_match_the_weighed_and_marginalized_path(self, case):
-        weights, means, covs, z, sensor, uncertain = case
-        config = _mean_config(sensor=sensor, fov=Rectangle(0.0, 0.0, 10.0, 12.0),
-                              epsilon=0.01)
+        weights, means, covs, z, sensor, uncertain, fov = case
+        config = _mean_config(sensor=sensor, fov=fov, epsilon=0.01)
         in_idx, _ = select_fov_particles(means, config.fov)
         combos = enumerate_combinations(weights[in_idx].tolist(), config)
         assert len(combos) == 1 or uncertain
@@ -979,7 +1003,7 @@ class TestMeanUpdateMatchesGeneralPath:
         want = _general_mean_update(weights, means, covs, z, config)
         assert got[3] is want[3] is False
         for g, w in zip(got[:3], want[:3]):
-            assert np.array_equal(g, w)
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 class TestOneRowMeanStep:
@@ -1291,6 +1315,16 @@ class TestCardinalityAndPrune:
         pset = _pset([_particle(0.5, 0, 0), _particle(0.9, 1, 1)])
         out = self._prune(pset, GpfParticleSet(), 0.01, 10)
         assert out is pset
+
+    def test_full_set_with_nothing_to_cap_is_returned(self):
+        # exactly n_max rows and no births: nothing is appended, pruned or capped
+        pset = _pset([_particle(w, i, i) for i, w in enumerate((0.5, 0.9, 0.3))])
+        assert self._prune(pset, GpfParticleSet(), 0.01, 3) is pset
+
+    def test_weight_at_w_prune_is_kept(self):
+        # the prune drops weights below w_prune, so a weight equal to it stays
+        pset = _pset([_particle(0.25, 0, 0), _particle(0.9, 1, 1)])
+        assert self._prune(pset, GpfParticleSet(), 0.25, 10) is pset
 
     def test_prunes_zero_weight(self):
         pset = _pset([_particle(0.0, 0, 0), _particle(0.5, 1, 1)])
