@@ -102,7 +102,7 @@ _COLUMNS = {
 def _base64(dtype: str, arrays) -> bytes:
     """The values of arrays of one row shape, in order, as the base64 (ASCII bytes) of one
     run of dtype bytes: each array cast to dtype as astype would."""
-    data = np.concatenate(arrays, dtype=dtype, casting="unsafe").tobytes()
+    data = np.concatenate(arrays, dtype=dtype, casting="unsafe")
     return binascii.b2a_base64(data, newline=False)
 
 

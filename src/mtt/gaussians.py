@@ -97,6 +97,39 @@ def chol_with_jitter(cov: np.ndarray) -> np.ndarray:
             ) from exc
 
 
+def inv_2x2_with_jitter(cov: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric 2x2 covariance [[a, b], [b, c]] by formula, accepted,
+    jittered or refused as chol_with_jitter does.
+
+    On the Python floats of cov.tolist(), through the Schur complement:
+    t = b/a, s = c - t b and S^-1 = [[1/a + t^2/s, -t/s], [-t/s, 1/s]].  No
+    product of two entries is formed, as the adjugate's a c - b^2 is, which
+    underflows to 0 at small scales.  Like LAPACK's Cholesky it fails iff
+    a <= 0 or s <= 0 (nan passes); then it retries once with 1e-12 (a + c)/2
+    on the diagonal, and a second failure raises SingularCovarianceError.
+    """
+    (a, b), (_, c) = cov.tolist()
+    inv = _schur_inverse(a, b, c)
+    if inv is None:
+        jitter = 1e-12 * (a + c) / 2
+        inv = _schur_inverse(a + jitter, b, c + jitter)
+        if inv is None:
+            raise SingularCovarianceError("covariance is numerically singular even after jitter")
+    return inv
+
+
+def _schur_inverse(a: float, b: float, c: float) -> np.ndarray | None:
+    """inv_2x2_with_jitter's inverse of [[a, b], [b, c]], or None where it fails."""
+    if a <= 0.0:
+        return None
+    t = b / a
+    s = c - t * b
+    if s <= 0.0:
+        return None
+    u = t / s
+    return np.array([[1.0 / a + t * u, -u], [-u, 1.0 / s]])
+
+
 def noise_factor(cov: np.ndarray, name: str = "covariance") -> np.ndarray:
     """Read-only factor A of a symmetric PSD covariance, with A' A = cov.
 

@@ -4,7 +4,8 @@ Serves three roles: a single-target baseline, the exact oracle that the
 particle filters are checked against, and the engine of every Gaussian
 particle's predict and conditional update.  Each step takes only the
 matrices it reads, so the GPF updates a combination's stacked state with
-its own H and the sensor's R.
+its own H and the sensor's R.  Every measurement the package makes is 2-D,
+so every update it runs inverts a 2x2 innovation covariance by formula.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussians import _checked_moments, _symmetrize, chol_with_jitter
+from .gaussians import _checked_moments, _symmetrize, chol_with_jitter, inv_2x2_with_jitter
 
 
 class KalmanUpdate(NamedTuple):
@@ -47,7 +48,12 @@ def kf_update(
     """Measurement update of N(mean, cov) with the optimal gain (h, r: 2-D arrays).
 
     y = z - H x,  S = H Sigma H' + R,  K = Sigma H' S^-1,
-    x+ = x + K y.  The covariance is propagated in Joseph form,
+    x+ = x + K y.  H Sigma is formed once, for S = (H Sigma) H' + R and for
+    the gain.  A 2x2 S is inverted by inv_2x2_with_jitter's formula and
+    K = (H Sigma)' S^-1, with no numpy.linalg call; another size solves
+    S K' = H Sigma through chol_with_jitter's factor.  Either way a
+    non-positive-definite S is jittered once, then raises
+    SingularCovarianceError.  The covariance is propagated in Joseph form,
     (I - KH) Sigma (I - KH)' + K R K', which is algebraically equal to
     (I - KH) Sigma at the optimal gain but keeps the result PSD.  The prior
     is checked and its cov symmetrized as _checked_moments does, and the
@@ -65,10 +71,12 @@ def kf_update(
     residual = z - h @ mean
     h_cov = h @ cov  # once for both: h @ cov @ h.T is (h @ cov) @ h.T
     innovation_cov = _symmetrize(h_cov @ h.T + r)
-    chol = chol_with_jitter(innovation_cov)
-    # K = Sigma H' S^-1 solved as S K' = H Sigma' to avoid forming S^-1
-    kt = np.linalg.solve(chol.T, np.linalg.solve(chol, h_cov))
-    gain = kt.T
+    if innovation_cov.shape == (2, 2):
+        gain = h_cov.T @ inv_2x2_with_jitter(innovation_cov)
+    else:
+        # K = Sigma H' S^-1 solved as S K' = H Sigma' to avoid forming S^-1
+        chol = chol_with_jitter(innovation_cov)
+        gain = np.linalg.solve(chol.T, np.linalg.solve(chol, h_cov)).T
     i_kh = np.eye(n) - gain @ h
     post_cov = _symmetrize(i_kh @ cov @ i_kh.T + gain @ r @ gain.T)
     return KalmanUpdate(mean + gain @ residual, post_cov, residual, innovation_cov, gain)

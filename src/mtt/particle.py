@@ -140,6 +140,6 @@ def pf_step(
         weights /= total
 
     if 1.0 / np.sum(weights**2) < ess_ratio * n:
-        propagated = propagated[_RESAMPLERS[resample](weights, rng)]
+        propagated = propagated.take(_RESAMPLERS[resample](weights, rng), 0)
         weights = np.full(n, 1.0 / n)
     return PointParticleSet._frozen(propagated, weights, degenerate)

@@ -15,6 +15,7 @@ from mtt.gaussians import (
     _checked_moments,
     _symmetrize,
     chol_with_jitter,
+    inv_2x2_with_jitter,
     log_pdf,
     mixture_moments,
     moment_match_merge,
@@ -134,6 +135,52 @@ class TestLogPdf:
         rng = np.random.default_rng(0)
         log_pdf(np.zeros(2), _random_psd(rng, 2), rng.standard_normal((1000, 2)))
         assert calls == {"chol": 1, "solve": 0}
+
+
+def _inverse_by_cholesky(cov):
+    """The inverse kf_update used to reach: chol_with_jitter and two solves."""
+    chol = chol_with_jitter(cov)
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, np.eye(cov.shape[0])))
+
+
+class TestInv2x2:
+    # at 1e-200 the adjugate's a c - b^2 would underflow to 0
+    @pytest.mark.parametrize("scale", [1e-200, 1e-150, 1e-50, 1.0, 1e50, 1e150, 1e200])
+    @pytest.mark.parametrize("cond", [1.0, 10.0, 1e4, 1e8, 1e12])
+    def test_agrees_with_cholesky_and_two_solves(self, scale, cond):
+        rng = np.random.default_rng(int(np.log10(cond)))
+        for angle in rng.uniform(0.0, np.pi, 20):
+            rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+            cov = _symmetrize(rot @ np.diag([scale, scale / cond]) @ rot.T)
+            want = _inverse_by_cholesky(cov)
+            error = np.abs(inv_2x2_with_jitter(cov) - want).max() / np.abs(want).max()
+            assert error <= 4e-15 * cond
+
+    @pytest.mark.parametrize(
+        "cov",
+        [np.zeros((2, 2)), np.ones((2, 2)), -np.eye(2), np.diag([1.0, 0.0]),
+         np.array([[1.0, 1.0 + 1e-9], [1.0 + 1e-9, 1.0]]), np.diag([np.nan, 1.0]),
+         np.diag([np.inf, 1.0]), np.array([[1.0, np.inf], [np.inf, 1.0]])],
+        ids=["zero", "ones", "minus_eye", "rank_one", "indefinite", "nan", "inf", "inf_cov"],
+    )
+    def test_accepts_jitters_and_refuses_as_cholesky_does(self, cov):
+        try:
+            want = _inverse_by_cholesky(cov)
+        except SingularCovarianceError:
+            with pytest.raises(SingularCovarianceError):
+                inv_2x2_with_jitter(cov)
+            return
+        got = inv_2x2_with_jitter(cov)
+        finite = np.isfinite(want)
+        assert_array_equal(np.isfinite(got), finite)
+        # ones and rank_one pass only with jitter, at a condition number near 1e12
+        assert_allclose(got[finite], want[finite], rtol=1e-3)
+
+    def test_the_ones_matrix_is_inverted_after_jitter(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(np.ones((2, 2)))
+        jittered = np.ones((2, 2)) + 1e-12 * np.eye(2)
+        assert_allclose(inv_2x2_with_jitter(np.ones((2, 2))) @ jittered, np.eye(2), atol=1e-3)
 
 
 class TestNoiseFactor:

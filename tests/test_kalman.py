@@ -143,6 +143,41 @@ class TestInvariants:
         assert np.linalg.eigvalsh(post.cov).min() >= -1e-9
 
 
+class TestTwoRowUpdate:
+    """A 2-row measurement's gain comes from the closed-form inverse of S."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_gain_is_sigma_h_t_inv_s(self, seed, n):
+        rng = np.random.default_rng(seed)
+        h, r = _random_measurement(rng, n, r_dim=2)
+        mean, cov = _random_state(rng, n)
+        post = kf_update(mean, cov, h, r, rng.standard_normal(2))
+        want = cov @ h.T @ np.linalg.inv(h @ cov @ h.T + r)
+        assert_allclose(post.gain, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("m, linalg_calls", [(2, 0), (1, 3), (4, 3)])
+    def test_only_a_two_row_update_skips_numpy_linalg(self, monkeypatch, m, linalg_calls):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("cholesky", "solve", "inv"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        rng = np.random.default_rng(m)
+        h, r = _random_measurement(rng, 4, r_dim=m)
+        kf_update(*_random_state(rng, 4), h, r, rng.standard_normal(m))
+        assert len(calls) == linalg_calls
+
+    def test_singular_innovation(self):
+        with pytest.raises(SingularCovarianceError):
+            kf_update(np.zeros(2), np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)), np.zeros(2))
+
+
 class TestModelValidation:
     def test_asymmetric_q_rejected(self):
         with pytest.raises(ValueError, match="Q must be symmetric"):
