@@ -318,8 +318,7 @@ def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args, config)
     out_dir = _checked_out(args.out, ("truth.csv", "manifest.json"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(seed)
-    truth = generate_truth(config.scenario, rng)
+    truth = generate_truth(config.scenario, np.random.default_rng(seed))
     truth_path = out_dir / "truth.csv"
     write_truth_csv(truth, truth_path)
     write_manifest(out_dir, "simulate", config, seed, [truth_path])
@@ -333,8 +332,7 @@ _TRACK_OUTPUTS = ("metrics.csv", "particles.json", "manifest.json")
 
 def _run_tracked(config: ExperimentConfig, filter_choice: str, sensor_choice: str,
                  seed: int, out_dir: Path) -> list[StepRecord]:
-    rng = np.random.default_rng(seed)
-    records = run_experiment(config.scenario, filter_choice, sensor_choice, rng, config.setup)
+    records = run_experiment(config.scenario, filter_choice, sensor_choice, seed, config.setup)
     out_dir.mkdir(parents=True, exist_ok=True)  # after the run: a run that fails makes none
     metrics_path = out_dir / "metrics.csv"
     particles_path = out_dir / "particles.json"

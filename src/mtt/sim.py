@@ -382,23 +382,14 @@ def _kf_filter(ws, setup, motion, sensor) -> Callable[..., StepFn]:
 
 
 def _weighted_cov(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """np.cov(states.T, aweights=weights) bit for bit, unsymmetrized, by numpy 2.4's
-    own arithmetic (its `sum` is np.sum) without re-checking a PointParticleSet's weights.
+    """The weighted covariance of the (N, d) states, np.cov(states.T, aweights=weights) up
+    to rounding, without re-checking a PointParticleSet's weights (which sum to 1).
 
-    np.cov sums the weighted (d, N) copy of C-ordered (N, d) states along its strided
-    axis, one particle after the next: here that sum is a sequential np.add.accumulate
-    over contiguous (d, N) rows.  The final np.dot keeps np.cov's operand layouts,
-    which decide its bits.  ExperimentSetup requires pf_ess_ratio * pf_n_particles > 1,
-    so a logged set kept an ESS above 1 or was resampled to N >= 2 equal weights: `fact`
-    is never 0.
+    ExperimentSetup requires pf_ess_ratio * pf_n_particles > 1, so a logged set kept an
+    ESS above 1 or was resampled to N >= 2 equal weights: the denominator is never 0.
     """
-    w_sum = weights.sum()
-    avg = np.add.accumulate(np.ascontiguousarray(states.T) * weights, axis=1)[:, -1] / w_sum
-    fact = w_sum - np.sum(weights * weights) / w_sum
-    x = states - avg  # (N, d): x.T is np.cov's centred (d, N) copy
-    c = np.dot(x.T, x * weights[:, None])
-    c *= np.true_divide(1, fact)
-    return c
+    x = states - weights @ states
+    return (x.T * weights) @ x / (1 - weights @ weights)
 
 
 def _pf_filter(ws, setup, motion, sensor) -> Callable[..., StepFn]:
@@ -447,7 +438,7 @@ def _pf_filter(ws, setup, motion, sensor) -> Callable[..., StepFn]:
 
 
 # Filter name -> builder (workspace, setup, motion, sensor) -> start(rng, first_belief) -> StepFn:
-# the builder builds and checks its records, start makes the random draws after the truth's
+# the builder builds and checks its records, start draws from the run's filter stream
 FILTERS = {"gpf": _gpf_filter, "pf": _pf_filter, "kf": _kf_filter}
 
 
@@ -517,20 +508,24 @@ def run_experiment(
     config: ScenarioConfig,
     filter_choice: str,
     sensor_choice: str,
-    rng: np.random.Generator,
+    seed: int,
     setup: ExperimentSetup | None = None,
 ) -> list[StepRecord]:
     """Full loop: truth step, sensor measurement, filter step, log record; the run's log
     is its list of records.
 
-    check_run vets the choices and builds the records; metrics are filled in last.  A
-    mean or cov that is not finite (a log that mtt eval refuses) raises ValueError naming
-    its step, checked once the run is over.
+    The world stream default_rng(seed) draws the truth, then each step's measurement; the
+    filter draws from a stream spawned from the seed, so every filter sees the same truth
+    and measurements at one seed.  check_run vets the choices and builds the records;
+    metrics are filled in last.  A mean or cov that is not finite (a log that mtt eval
+    refuses) raises ValueError naming its step, checked once the run is over.
     """
     setup = setup or ExperimentSetup()
     kind, sensor, start = check_run(config, filter_choice, sensor_choice, setup)
+    rng = np.random.default_rng(seed)
     truth = generate_truth(config, rng)
-    step = start(rng, lambda: kind.gpf_belief(setup, truth[0]))
+    filter_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    step = start(filter_rng, lambda: kind.gpf_belief(setup, truth[0]))
 
     records = []
     for k in range(config.n_steps):

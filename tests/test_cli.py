@@ -217,8 +217,7 @@ pf.n_particles = 200
 def _logged_run(text, filter_choice, sensor_choice, path, seed=3):
     """A run of the config text, with its particle log written to path: (config, records)."""
     config = parse_config_text(text)
-    records = run_experiment(config.scenario, filter_choice, sensor_choice,
-                             np.random.default_rng(seed), config.setup)
+    records = run_experiment(config.scenario, filter_choice, sensor_choice, seed, config.setup)
     write_particles_json(records, config, filter_choice, sensor_choice, seed, path)
     return config, records
 
@@ -259,7 +258,7 @@ class TestParticleLog:
         path = tmp_path / "particles.json"
         _, written = _logged_run(text, filter_choice, sensor_choice, path)
         _assert_same_bytes(written, read_particles_json(path)[0])
-        if filter_choice == "pf":  # np.cov's rounding leaves the cov asymmetric in its last bit
+        if filter_choice == "pf":  # the weighted cov is not symmetrized: asymmetric in its last bit
             assert any((c != c.T).any() for rec in written for c in rec.covs)
 
     @settings(max_examples=40, deadline=None)
@@ -672,6 +671,20 @@ class TestSimulate:
         lines = (out / "truth.csv").read_text().splitlines()
         assert lines[0] == "step,true_x_1,true_y_1,true_x_2,true_y_2"
         assert len(lines) == 7
+
+    @pytest.mark.parametrize("filter_choice, sensor_choice",
+                             [("kf", "mean"), ("pf", "mean"), ("gpf", "mean"), ("gpf", "grid")])
+    def test_track_logs_the_simulated_truth(self, filter_choice, sensor_choice, tmp_path):
+        # a run's truth comes from its seed alone: simulate and track agree at one --seed
+        (tmp_path / "run.cfg").write_text("scenario.n_targets = 1\nscenario.n_steps = 6\n"
+                                          "pf.n_particles = 200\n")
+        common = ["--config", str(tmp_path / "run.cfg"), "--seed", "11", "--out"]
+        assert run_command(["simulate", *common, str(tmp_path / "sim")]) == 0
+        assert run_command(["track", *common, str(tmp_path / "track"), "--filter",
+                            filter_choice, "--sensor", sensor_choice]) == 0
+        truth = list(csv.reader((tmp_path / "sim" / "truth.csv").read_text().splitlines()))
+        metrics = list(csv.reader((tmp_path / "track" / "metrics.csv").read_text().splitlines()))
+        assert [row[:len(truth[0])] for row in metrics] == truth
 
 
 class TestLogging:

@@ -450,7 +450,7 @@ class TestEvaluateMetrics:
 
         monkeypatch.setattr(sim, "_linear_sum_assignment", counting)
         config = ScenarioConfig(n_targets=3, n_steps=10, seed=0)
-        records = run_experiment(config, "gpf", "mean", np.random.default_rng(0))
+        records = run_experiment(config, "gpf", "mean", 0)
         records += self._mixed_run(1)
         # two estimates nearest the first truth, then twin estimates: a block, the whole
         truths = [(1, 0, 1, 0), (2.5, 0, 1, 0), (9, 0, 9, 0)]
@@ -500,15 +500,15 @@ class TestWeightedCov:
             w[rng.choice(n, 2, replace=False)] += 0.1
         return states, w / w.sum()
 
-    def test_has_np_cov_bits(self):
-        asymmetric = 0
-        for seed in range(2100):
-            states, w = self._case(seed)
+    def test_agrees_with_np_cov(self):
+        # unequal weights (skewed, with zeros), resampled equal weights, and N = 2; the
+        # tolerance is relative to the largest entry, as off-diagonal entries may be near 0
+        pairs = [(np.array([[1.0, 2.0, 3.0, 4.0], [2.0, 0.5, 3.5, 3.0]]), np.array([0.3, 0.7])),
+                 (np.array([[1.0, 2.0, 3.0, 4.0]] * 2), np.full(2, 0.5))]
+        for states, w in itertools.chain((self._case(seed) for seed in range(2100)), pairs):
             expected = np.cov(states.T, aweights=w)
-            assert np.array_equal(_weighted_cov(states, w), expected), seed
-            asymmetric += not np.array_equal(expected, expected.T)
-        # a symmetrized helper would fail the comparison above
-        assert asymmetric > 0
+            assert_allclose(_weighted_cov(states, w), expected, rtol=1e-12,
+                            atol=1e-12 * np.abs(expected).max())
 
 
 class TestRunExperiment:
@@ -521,7 +521,7 @@ class TestRunExperiment:
             initial_states=[(3.0, 0.5, 4.0, -0.5)],
         )
         setup = ExperimentSetup(sensor_r_diag=(0.0, 0.0))
-        records = run_experiment(config, "kf", "mean", np.random.default_rng(0), setup)
+        records = run_experiment(config, "kf", "mean", 0, setup)
         for rec in records:
             assert rec.rmse <= 1e-6
 
@@ -531,31 +531,30 @@ class TestRunExperiment:
             initial_states=[(3.0, 0.5, 4.0, -0.5)],
         )
         setup = ExperimentSetup(sensor_r_diag=(1e-9, 1e-9))
-        records = run_experiment(config, "kf", "mean", np.random.default_rng(0), setup)
+        records = run_experiment(config, "kf", "mean", 0, setup)
         for rec in records:
             assert rec.rmse <= 1e-3
 
     def test_single_step_log(self):
         config = ScenarioConfig(n_targets=1, n_steps=1, initial_states=[(1.0, 0, 1.0, 0)])
-        records = run_experiment(config, "kf", "mean", np.random.default_rng(0))
+        records = run_experiment(config, "kf", "mean", 0)
         assert len(records) == 1
 
     def test_unsupported_combinations(self):
         config = ScenarioConfig(n_targets=2, n_steps=2)
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            run_experiment(config, "kf", "mean", rng)
+            run_experiment(config, "kf", "mean", 0)
         with pytest.raises(ValueError):
-            run_experiment(config, "kf", "grid", rng)
+            run_experiment(config, "kf", "grid", 0)
         with pytest.raises(ValueError):
-            run_experiment(config, "pf", "grid", rng)
+            run_experiment(config, "pf", "grid", 0)
         with pytest.raises(ValueError):
-            run_experiment(config, "gpf", "lidar", rng)
+            run_experiment(config, "gpf", "lidar", 0)
         with pytest.raises(ValueError):
-            run_experiment(config, "ukf", "mean", rng)
+            run_experiment(config, "ukf", "mean", 0)
         # the mean sensor averages the targets: it needs at least one
         with pytest.raises(ValueError, match="n_targets of gpf on the mean sensor = 0"):
-            run_experiment(ScenarioConfig(n_targets=0, n_steps=2), "gpf", "mean", rng)
+            run_experiment(ScenarioConfig(n_targets=0, n_steps=2), "gpf", "mean", 0)
 
     def test_gpf_grid_smoke(self):
         config = ScenarioConfig(
@@ -563,7 +562,7 @@ class TestRunExperiment:
             initial_states=[(3.0, 0, 3.0, 0), (9.0, 0, 9.0, 0)], seed=1,
         )
         setup = ExperimentSetup(sensor_snr=10.0, sensor_m_cells=36, gpf_w_prune=0.05, gpf_d_thresh=4.0)
-        records = run_experiment(config, "gpf", "grid", np.random.default_rng(1), setup)
+        records = run_experiment(config, "gpf", "grid", 1, setup)
         assert len(records) == 15
         assert all(rec.rmse is not None and rec.card_err is not None for rec in records)
         assert all(np.isfinite(rec.cardinality) for rec in records)
@@ -573,7 +572,7 @@ class TestRunExperiment:
             n_targets=2, n_steps=10, tau=0.1, q_diag=(0.02, 0.002, 0.02, 0.002),
             initial_states=[(3.0, 0, 3.0, 0), (9.0, 0, 9.0, 0)],
         )
-        records = run_experiment(config, "gpf", "mean", np.random.default_rng(2))
+        records = run_experiment(config, "gpf", "mean", 2)
         assert len(records) == 10
 
     def test_pf_mean_tracks(self):
@@ -582,7 +581,7 @@ class TestRunExperiment:
             initial_states=[(6.0, 0.0, 6.0, 0.0)],
         )
         setup = ExperimentSetup(pf_n_particles=2000, sensor_r_diag=(0.25, 0.25))
-        records = run_experiment(config, "pf", "mean", np.random.default_rng(3), setup)
+        records = run_experiment(config, "pf", "mean", 3, setup)
         assert records[-1].rmse < 2.0
 
     def test_pf_step_calls_log_pdf_once(self, monkeypatch):
@@ -595,8 +594,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr("mtt.sim.log_pdf", counting_log_pdf)
         config = ScenarioConfig(n_targets=1, n_steps=4, initial_states=[(6.0, 0.0, 6.0, 0.0)])
-        run_experiment(config, "pf", "mean", np.random.default_rng(0),
-                       ExperimentSetup(pf_n_particles=300))
+        run_experiment(config, "pf", "mean", 0, ExperimentSetup(pf_n_particles=300))
         assert calls == [(300, 2)] * 4
 
     @pytest.mark.parametrize(
@@ -619,14 +617,13 @@ class TestRunExperiment:
             if module_name.split(".")[0] == "mtt" and held is noise_factor:
                 monkeypatch.setattr(module, "noise_factor", spy)
         config = ScenarioConfig(n_targets=1, n_steps=2, initial_states=[(6.0, 0.0, 6.0, 0.0)])
-        run_experiment(config, filter_choice, sensor_choice, np.random.default_rng(0),
-                       ExperimentSetup(pf_n_particles=50))
+        run_experiment(config, filter_choice, sensor_choice, 0, ExperimentSetup(pf_n_particles=50))
         assert calls == factored
 
     @pytest.mark.parametrize("filter_choice", ["kf", "pf", "gpf"])
     def test_records_hold_estimate_arrays(self, filter_choice):
         config = ScenarioConfig(n_targets=1, n_steps=3, initial_states=[(6.0, 0.0, 6.0, 0.0)])
-        records = run_experiment(config, filter_choice, "mean", np.random.default_rng(0),
+        records = run_experiment(config, filter_choice, "mean", 0,
                                  ExperimentSetup(pf_n_particles=50))
         for rec in records:
             n = len(rec.weights)
@@ -641,13 +638,21 @@ class TestRunExperiment:
             n_targets=2, n_steps=8, tau=0.1, q_diag=(0.02, 0.002, 0.02, 0.002),
             initial_states=[(3.0, 0, 3.0, 0), (9.0, 0, 9.0, 0)],
         )
-        logs = [
-            run_experiment(config, "gpf", "grid", np.random.default_rng(7))
-            for _ in range(2)
-        ]
+        logs = [run_experiment(config, "gpf", "grid", 7) for _ in range(2)]
         rmse_a = [r.rmse for r in logs[0]]
         rmse_b = [r.rmse for r in logs[1]]
         assert rmse_a == rmse_b
+
+
+def test_filters_see_one_world_per_seed():
+    # the truth and every measurement come from the seed alone: the pf's draws come from
+    # the filter's own stream and move neither
+    config = ScenarioConfig(n_targets=1, n_steps=12)
+    setup = ExperimentSetup(pf_n_particles=100)
+    kf, pf, gpf = (run_experiment(config, f, "mean", 4, setup) for f in ("kf", "pf", "gpf"))
+    for name in ("true_states", "measurement"):
+        for run in (pf, gpf):
+            assert all(np.array_equal(getattr(a, name), getattr(b, name)) for a, b in zip(kf, run))
 
 
 @pytest.mark.parametrize("filter_choice", ["kf", "pf", "gpf"])
@@ -682,8 +687,7 @@ def test_kf_and_one_target_gpf_nees_is_consistent():
     for filter_choice in ("kf", "gpf"):
         nees = []
         for seed in seeds:
-            records = run_experiment(config.scenario, filter_choice, "mean",
-                                     np.random.default_rng(seed), config.setup)
+            records = run_experiment(config.scenario, filter_choice, "mean", seed, config.setup)
             for rec in records[first_step:]:
                 assert len(rec.weights) == 1
                 error = rec.true_states[0] - rec.means[0]
